@@ -35,7 +35,8 @@ from .engine import (
     estimate_payoffs,
     exact_payoffs,
     load_profile,
-    run_profile_once,
+    monte_carlo_estimate,
+    sample_payoffs,
 )
 from .equilibrium import (
     DEFAULT_ALLOCATION_CAP,
@@ -290,39 +291,17 @@ def _verb_simulate(config: dict):
     profile = _profile_from(config, game.graph.n)
     n_trials = _int_field(config, "n_trials", 1000, minimum=1)
     master_seed = _int_field(config, "master_seed", 0)
+    chi_r, chi_b = sample_payoffs(game, profile, n_trials, master_seed)
+    est = monte_carlo_estimate(chi_r, chi_b)
     rows = [["trial", "chi_R", "chi_B"]]
-    chi_r = np.empty(n_trials)
-    chi_b = np.empty(n_trials)
-    pairs = profile.support_pairs()
-    for i in range(n_trials):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=master_seed,
-                                                           spawn_key=(i,)))
-        if len(pairs) > 1:
-            u = rng.random()
-            acc = 0.0
-            red, blue = pairs[-1][1], pairs[-1][2]
-            for p, a, b in pairs:
-                acc += p
-                if u < acc:
-                    red, blue = a, b
-                    break
-        else:
-            red, blue = pairs[0][1], pairs[0][2]
-        out = run_profile_once(game, red, blue, rng)
-        chi_r[i] = out.chi_R
-        chi_b[i] = out.chi_B
-        rows.append([i, out.chi_R, out.chi_B])
-
-    def stderr(xs):
-        return float(np.std(xs, ddof=1) / math.sqrt(len(xs))) if len(xs) > 1 else 0.0
-
+    rows.extend([i, int(r), int(b)] for i, (r, b) in enumerate(zip(chi_r, chi_b)))
     result = {
         "n_trials": n_trials,
         "master_seed": master_seed,
-        "mean_chi_R": float(chi_r.mean()),
-        "mean_chi_B": float(chi_b.mean()),
-        "stderr_chi_R": stderr(chi_r),
-        "stderr_chi_B": stderr(chi_b),
+        "mean_chi_R": est.pi_R,
+        "mean_chi_B": est.pi_B,
+        "stderr_chi_R": est.stderr_R,
+        "stderr_chi_B": est.stderr_B,
     }
     return result, rows, {}, None
 

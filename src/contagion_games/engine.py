@@ -300,7 +300,236 @@ def _sample_support(pairs, rng):
     return pairs[-1][1], pairs[-1][2]
 
 
+# A block of batched replications holds at most about this many state cells
+# (replications times vertices plus edges), so memory does not grow with the
+# trial count.
+_BLOCK_CELLS = 1 << 20
+
+
+def _single_pass_groups(order: Sequence[int], graph: Graph) -> list[tuple[int, ...]]:
+    """Split a single-pass order into maximal runs of consecutive vertices none
+    of which has an in-neighbor earlier in its run.  No vertex of a run sees
+    another's update, so updating the run as one snapshot phase, drawing in
+    listed order, gives the same states and draws as one vertex at a time."""
+    groups: list[tuple[int, ...]] = []
+    run: list[int] = []
+    members: set[int] = set()
+    for v in order:
+        if any(u in members for u in graph.in_neighbors[v]):
+            groups.append(tuple(run))
+            run, members = [], set()
+        run.append(v)
+        members.add(v)
+    if run:
+        groups.append(tuple(run))
+    return groups
+
+
+class _Draws:
+    """Each replication's uniform stream, drawn ahead into one row of a matrix.
+
+    Row i holds generator i's next draws in order, so handing them out left
+    to right reproduces scalar `rng.random()` calls exactly.  When a row runs
+    short, every row drops the draws it has handed out and draws more, so the
+    matrix keeps its width however long the runs are.
+    """
+
+    def __init__(self, rngs: list, width: int):
+        self.rngs = rngs
+        self.u = np.empty((len(rngs), max(width, 1)))
+        for row, rng in zip(self.u, rngs):
+            rng.random(out=row)
+        self.used = np.zeros(len(rngs), dtype=np.intp)
+
+    def take(self, rows: np.ndarray, per_row: np.ndarray, row_of: np.ndarray) -> np.ndarray:
+        """The next per_row[j] draws of each replication rows[j], concatenated
+        in row order; row_of gives each draw's index into rows.  No per_row
+        entry may exceed the matrix width."""
+        if int((self.used[rows] + per_row).max()) > self.u.shape[1]:
+            width = self.u.shape[1]
+            for row, rng, used in zip(self.u, self.rngs, self.used.tolist()):
+                row[:width - used] = row[used:]
+                rng.random(out=row[width - used:])
+            self.used[:] = 0
+        first = self.used[rows]
+        rank = np.arange(len(row_of)) - (np.cumsum(per_row) - per_row)[row_of]
+        self.used[rows] = first + per_row
+        return self.u[rows[row_of], first[row_of] + rank]
+
+
+class _ReplicationKernel:
+    """Monte Carlo replications of one game, a block at a time, as an (R, n)
+    int8 state matrix; for ParallelRounds, SinglePassOrder and LayerOrder.
+
+    Replication i draws from `_replication_rng(master_seed, i)` exactly the
+    numbers `run_profile_once` draws, in the same order: the support draw,
+    one per contested seed in vertex order, then one per update candidate in
+    phase order.  Update probabilities are the scalar `update_probs` calls on
+    the same fractions, memoised per estimate.  So every replication's
+    (chi_R, chi_B) equals the per-vertex path's, bit for bit.
+    """
+
+    def __init__(self, game: GameSpec, pairs):
+        graph, schedule = game.graph, game.schedule
+        schedule.validate_for_graph(graph)
+        n = pairs[0][1].n
+        if n != graph.n:
+            raise ValidationError(f"initial state has length {n}, graph has {graph.n} vertices")
+        self.n = n
+        self.pairs = pairs
+        self.dyn = game.dynamics
+        self.schedule = schedule
+        self._probs_memo: dict[complex, tuple[float, float]] = {}
+        if isinstance(schedule, ParallelRounds):
+            phases = [range(n)]
+        elif isinstance(schedule, SinglePassOrder):
+            phases = _single_pass_groups(schedule.order, graph)
+        else:
+            phases = schedule.layers
+        self.csr = graph.in_csr
+        _, indices, in_degree = self.csr
+        self.phases = []
+        for phase in phases:
+            verts = np.asarray(phase, dtype=np.intp)
+            # A vertex without in-neighbors is never a candidate.
+            verts = verts[in_degree[verts] > 0]
+            if len(verts):
+                self.phases.append(self._phase_arrays(verts))
+        self.block = max(1, _BLOCK_CELLS // (n + len(indices)))
+
+        # Seed resolution per support pair: the state with uncontested seeds
+        # placed, and the contested vertices with red's winning chance.
+        self.seeds = []
+        self.pair_index = {}
+        for red, blue in ((ar, ab) for _, ar, ab in pairs):
+            if (id(red), id(blue)) in self.pair_index:
+                continue
+            self.pair_index[id(red), id(blue)] = len(self.seeds)
+            base = np.zeros(n, dtype=np.int8)
+            base[list(red.seeded_vertices())] = RED
+            base[list(blue.seeded_vertices())] = BLUE
+            contested = sorted(set(red.seeded_vertices()) & set(blue.seeded_vertices()))
+            p_red = np.array([red.counts[v] / (red.counts[v] + blue.counts[v])
+                              for v in contested])
+            self.seeds.append((base, np.array(contested, dtype=np.intp), p_red))
+        max_contested = max(len(c) for _, c, _ in self.seeds)
+        # Wide enough for the contested seeds and any one phase; one-shot
+        # schedules never draw more than this in all.
+        self.draw_width = max_contested + sum(len(p[0]) for p in self.phases)
+
+    def _phase_arrays(self, verts: np.ndarray) -> tuple:
+        """A phase's vertices, their in-edges' sources grouped by vertex, each
+        group's start, and the in-degrees."""
+        indptr, indices, in_degree = self.csr
+        deg = in_degree[verts]
+        starts = np.cumsum(deg) - deg
+        edges = np.repeat(indptr[verts] - starts, deg) + np.arange(int(deg.sum()))
+        return verts, indices[edges], starts, deg
+
+    def _round_phase(self, state, immune, rows) -> Optional[tuple]:
+        """The next parallel round restricted to vertices that are a candidate
+        in at least one of the rows, or None when there are none."""
+        verts, sources, starts, _ = self.phases[0]
+        infected = state[rows] != UNINFECTED
+        closed = infected if immune is None else infected | immune[rows]
+        open_ = ~closed[:, verts].all(axis=0)
+        reached = np.logical_or.reduceat(infected.any(axis=0)[sources], starts)
+        verts = verts[open_ & reached]
+        return self._phase_arrays(verts) if len(verts) else None
+
+    def run(self, master_seed: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """chi_R and chi_B of replications lo..hi-1, run together."""
+        rngs = []
+        which = np.empty(hi - lo, dtype=np.intp)
+        for row, i in enumerate(range(lo, hi)):
+            rng = _replication_rng(master_seed, i)
+            red, blue = _sample_support(self.pairs, rng)
+            which[row] = self.pair_index[id(red), id(blue)]
+            rngs.append(rng)
+        draws = _Draws(rngs, self.draw_width)
+        state = np.empty((hi - lo, self.n), dtype=np.int8)
+        for k, (base, contested, p_red) in enumerate(self.seeds):
+            rows = np.flatnonzero(which == k)
+            state[rows] = base
+            if len(contested) and len(rows):
+                u = draws.u[rows, :len(contested)]
+                state[np.ix_(rows, contested)] = np.where(u < p_red, RED, BLUE)
+                draws.used[rows] = len(contested)
+
+        all_rows = np.arange(hi - lo)
+        if isinstance(self.schedule, ParallelRounds):
+            immune = np.zeros(state.shape, dtype=bool) if self.schedule.immunity else None
+            rows = all_rows
+            for _ in range(self.schedule.max_rounds if self.phases else 0):
+                phase = self._round_phase(state, immune, rows)
+                if phase is None:
+                    break
+                tried, moved = self._phase(state, immune, draws, rows, phase)
+                # A round without candidates or without any infection ends the run.
+                rows = rows[(tried > 0) & (moved > 0)]
+                if len(rows) == 0:
+                    break
+        else:
+            for phase in self.phases:
+                self._phase(state, None, draws, all_rows, phase)
+        return (np.count_nonzero(state == RED, axis=1).astype(np.float64),
+                np.count_nonzero(state == BLUE, axis=1).astype(np.float64))
+
+    def _phase(self, state, immune, draws: _Draws, rows, phase):
+        """One snapshot update of the phase's vertices in the given rows;
+        returns each row's candidate and infection counts."""
+        verts, nbr_index, starts, deg = phase
+        sub = state[rows]
+        nbrs = sub[:, nbr_index]
+        red = np.add.reduceat(nbrs == RED, starts, axis=1, dtype=np.int32)
+        blue = np.add.reduceat(nbrs == BLUE, starts, axis=1, dtype=np.int32)
+        cand = (sub[:, verts] == UNINFECTED) & ((red + blue) > 0)
+        if immune is not None:
+            cand &= ~immune[np.ix_(rows, verts)]
+        row_of, col = np.nonzero(cand)
+        tried = np.bincount(row_of, minlength=len(rows))
+        if len(row_of) == 0:
+            return tried, tried
+        d = deg[col]
+        p_red, p_any = self._probs(red[row_of, col] / d, blue[row_of, col] / d)
+        z = draws.take(rows, tried, row_of)
+        to_red = z < p_red
+        to_blue = ~to_red & (z < p_any)
+        target_rows, target_verts = rows[row_of], verts[col]
+        state[target_rows[to_red], target_verts[to_red]] = RED
+        state[target_rows[to_blue], target_verts[to_blue]] = BLUE
+        infected = to_red | to_blue
+        if immune is not None:
+            immune[target_rows[~infected], target_verts[~infected]] = True
+        return tried, np.bincount(row_of[infected], minlength=len(rows))
+
+    def _probs(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(P[Red], P[Red or Blue]) at each fraction pair (a[j], b[j])."""
+        key = np.empty(len(a), dtype=np.complex128)
+        key.real = a
+        key.imag = b
+        distinct, inverse = np.unique(key, return_inverse=True)
+        p_red = np.empty(len(distinct))
+        p_any = np.empty(len(distinct))
+        memo = self._probs_memo
+        for j, k in enumerate(distinct.tolist()):
+            hit = memo.get(k)
+            if hit is None:
+                pr, pb, _ = self.dyn.update_probs(k.real, k.imag)
+                hit = memo[k] = (pr, pr + pb)
+            p_red[j], p_any[j] = hit
+        return p_red[inverse], p_any[inverse]
+
+
 def _mc_chunk(game: GameSpec, pairs, master_seed: int, lo: int, hi: int):
+    """chi_R and chi_B of replications lo..hi-1, as float arrays."""
+    if type(game.schedule) in (ParallelRounds, SinglePassOrder, LayerOrder):
+        kernel = _ReplicationKernel(game, pairs)
+        parts = [kernel.run(master_seed, b, min(b + kernel.block, hi))
+                 for b in range(lo, hi, kernel.block)]
+        return (np.concatenate([p[0] for p in parts]),
+                np.concatenate([p[1] for p in parts]))
+    # Other schedules, RandomSequential among them, run vertex by vertex.
     chi_r = np.empty(hi - lo, dtype=np.float64)
     chi_b = np.empty(hi - lo, dtype=np.float64)
     for i in range(lo, hi):
@@ -312,9 +541,10 @@ def _mc_chunk(game: GameSpec, pairs, master_seed: int, lo: int, hi: int):
     return chi_r, chi_b
 
 
-def estimate_payoffs(game: GameSpec, profile: StrategyProfile, n_trials: int = DEFAULT_TRIALS,
-                     master_seed: int = 0, threads: Optional[int] = None) -> PayoffEstimate:
-    """Monte Carlo payoff estimate over independent replications.
+def sample_payoffs(game: GameSpec, profile: StrategyProfile, n_trials: int,
+                   master_seed: int = 0, threads: Optional[int] = None
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-replication (chi_R, chi_B) arrays of n_trials independent runs.
 
     Replication i derives its generator from (master_seed, i), so results are
     bit-identical for a given master seed regardless of `threads`.
@@ -327,10 +557,13 @@ def estimate_payoffs(game: GameSpec, profile: StrategyProfile, n_trials: int = D
         with ProcessPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(_mc_chunk, *zip(*[(game, pairs, master_seed, int(lo), int(hi))
                                                     for lo, hi in zip(bounds, bounds[1:]) if hi > lo])))
-        chi_r = np.concatenate([p[0] for p in parts])
-        chi_b = np.concatenate([p[1] for p in parts])
-    else:
-        chi_r, chi_b = _mc_chunk(game, pairs, master_seed, 0, n_trials)
+        return (np.concatenate([p[0] for p in parts]),
+                np.concatenate([p[1] for p in parts]))
+    return _mc_chunk(game, pairs, master_seed, 0, n_trials)
+
+
+def monte_carlo_estimate(chi_r: np.ndarray, chi_b: np.ndarray) -> PayoffEstimate:
+    """Sample means and standard errors of per-replication payoffs."""
 
     def stderr(samples) -> float:
         if len(samples) < 2:
@@ -339,9 +572,19 @@ def estimate_payoffs(game: GameSpec, profile: StrategyProfile, n_trials: int = D
 
     return PayoffEstimate(
         pi_R=float(np.mean(chi_r)), pi_B=float(np.mean(chi_b)),
-        method=MONTE_CARLO, n_trials=n_trials,
+        method=MONTE_CARLO, n_trials=len(chi_r),
         stderr_R=stderr(chi_r), stderr_B=stderr(chi_b),
     )
+
+
+def estimate_payoffs(game: GameSpec, profile: StrategyProfile, n_trials: int = DEFAULT_TRIALS,
+                     master_seed: int = 0, threads: Optional[int] = None) -> PayoffEstimate:
+    """Monte Carlo payoff estimate over independent replications.
+
+    Replication i derives its generator from (master_seed, i), so results are
+    bit-identical for a given master seed regardless of `threads`.
+    """
+    return monte_carlo_estimate(*sample_payoffs(game, profile, n_trials, master_seed, threads))
 
 
 # ---------------------------------------------------------------------------

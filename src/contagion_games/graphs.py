@@ -11,6 +11,8 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
+import numpy as np
+
 from .errors import GraphValidationError, ValidationError
 
 # Vertex states. Infected vertices never change color again.
@@ -74,6 +76,17 @@ class Graph:
             if not self.directed:
                 lists[v].append(u)
         return tuple(tuple(l) for l in lists)
+
+    @cached_property
+    def in_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(indptr, indices, in_degree): in-neighbor lists as numpy CSR arrays;
+        vertex v's in-neighbors are indices[indptr[v]:indptr[v + 1]]."""
+        nbrs = self.in_neighbors
+        in_degree = np.fromiter(map(len, nbrs), dtype=np.intp, count=self.n)
+        indptr = np.zeros(self.n + 1, dtype=np.intp)
+        np.cumsum(in_degree, out=indptr[1:])
+        indices = np.fromiter((u for l in nbrs for u in l), dtype=np.intp, count=int(indptr[-1]))
+        return indptr, indices, in_degree
 
     def in_degree(self, v: int) -> int:
         return len(self.in_neighbors[v])

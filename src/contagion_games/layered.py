@@ -24,11 +24,12 @@ from scipy.special import gammaln
 from .dynamics import AdoptionFunction, LayerOrder
 from .engine import (
     EXACT_LAYERED_DP,
-    MONTE_CARLO,
     Allocation,
     PayoffEstimate,
     StrategyProfile,
     _replication_rng,
+    _sample_support,
+    monte_carlo_estimate,
 )
 from .errors import ValidationError
 from .graphs import Graph
@@ -347,26 +348,13 @@ def layered_estimate_payoffs(structure: LayeredStructure, dyn: AdoptionFunction,
                              master_seed: int = 0) -> PayoffEstimate:
     """Monte Carlo over aggregated layer draws; same replication-seed scheme
     as the per-vertex estimator."""
+    if not (isinstance(n_trials, int) and n_trials >= 1):
+        raise ValidationError(f"n_trials must be a positive integer, got {n_trials!r}")
     pairs = profile.support_pairs()
     chi_r = np.empty(n_trials)
     chi_b = np.empty(n_trials)
     for i in range(n_trials):
         rng = _replication_rng(master_seed, i)
-        if len(pairs) == 1:
-            red, blue = pairs[0][1], pairs[0][2]
-        else:
-            u = rng.random()
-            acc = 0.0
-            red, blue = pairs[-1][1], pairs[-1][2]
-            for p, ar, ab in pairs:
-                acc += p
-                if u < acc:
-                    red, blue = ar, ab
-                    break
+        red, blue = _sample_support(pairs, rng)
         chi_r[i], chi_b[i] = sample_layered_counts(structure, dyn, red, blue, rng)
-    return PayoffEstimate(
-        pi_R=float(chi_r.mean()), pi_B=float(chi_b.mean()),
-        method=MONTE_CARLO, n_trials=n_trials,
-        stderr_R=float(chi_r.std(ddof=1) / np.sqrt(n_trials)) if n_trials > 1 else 0.0,
-        stderr_B=float(chi_b.std(ddof=1) / np.sqrt(n_trials)) if n_trials > 1 else 0.0,
-    )
+    return monte_carlo_estimate(chi_r, chi_b)

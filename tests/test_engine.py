@@ -1,20 +1,31 @@
 """Allocations, strategy profiles, contested seeds, and the payoff oracles."""
 
+import dataclasses
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from contagion_games import engine
 from contagion_games import (
     EXACT_ENUMERATION,
     EXACT_LAYERED_DP,
     MONTE_CARLO,
+    AdoptionFunction,
     Allocation,
+    DynamicsDefinitionError,
     GameSpec,
     Graph,
     HalfPointSwitch,
+    LayerOrder,
     MixedAllocation,
     ParallelRounds,
     PayoffEstimate,
     PowerSwitch,
+    RandomSequential,
+    ScheduleError,
     SinglePassOrder,
     StateSpaceCapError,
     StrategyProfile,
@@ -297,6 +308,116 @@ def test_monte_carlo_is_reproducible_and_thread_invariant():
 def test_monte_carlo_validates_trial_count():
     with pytest.raises(ValidationError, match="n_trials"):
         estimate_payoffs(mc_game(), mc_profile(), n_trials=0)
+
+
+# The batched replication kernel against the per-vertex path.
+
+KERNEL_DYNAMICS = (
+    SwitchSelectAdoption(PowerSwitch(1.0), linear_selection()),
+    SwitchSelectAdoption(PowerSwitch(0.5), TullockSelection(0.75)),
+    SwitchSelectAdoption(HalfPointSwitch(0.2), TullockSelection(2.0)),
+)
+
+
+@st.composite
+def kernel_cases(draw):
+    n = draw(st.integers(min_value=1, max_value=10))
+    possible = [(u, v) for u in range(n) for v in range(n) if u != v]
+    # Each edge present with probability 1/2: dense enough that runs branch.
+    keep = draw(st.lists(st.booleans(), min_size=len(possible), max_size=len(possible)))
+    edges = [e for e, k in zip(possible, keep) if k]
+    kind = draw(st.sampled_from(("parallel", "single_pass", "layers")))
+    if kind == "parallel":
+        schedule = ParallelRounds(draw(st.integers(min_value=1, max_value=4)),
+                                  immunity=draw(st.booleans()))
+    else:
+        perm = draw(st.permutations(range(n)))
+        if kind == "single_pass":
+            schedule = SinglePassOrder(tuple(perm[:draw(st.integers(0, n))]))
+        else:
+            cuts = sorted(draw(st.sets(st.integers(1, max(n - 1, 1)), max_size=3)) | {0, n})
+            schedule = LayerOrder(tuple(tuple(perm[a:b]) for a, b in zip(cuts, cuts[1:]) if b > a))
+    game = GameSpec(Graph(n=n, edges=tuple(edges)), draw(st.sampled_from(KERNEL_DYNAMICS)),
+                    schedule, 1, 1)
+
+    # Seeds drawn from the first few vertices, so that red and blue often
+    # contest one.
+    def allocation(k):
+        return Allocation.from_seeds(n, draw(st.lists(st.integers(0, min(n - 1, 2)),
+                                                      min_size=k, max_size=k)))
+
+    def strategy(k):
+        if draw(st.booleans()):
+            return allocation(k)
+        p = draw(st.sampled_from((0.25, 0.5, 0.75)))
+        return MixedAllocation(((p, allocation(k)), (1.0 - p, allocation(k))))
+
+    profile = StrategyProfile(strategy(draw(st.integers(1, 2))), strategy(draw(st.integers(1, 2))))
+    return game, profile
+
+
+def per_vertex_outcomes(game, profile, n_trials, master_seed):
+    pairs = profile.support_pairs()
+    out = []
+    for i in range(n_trials):
+        rng = engine._replication_rng(master_seed, i)
+        red, blue = engine._sample_support(pairs, rng)
+        run = run_profile_once(game, red, blue, rng)
+        out.append((run.chi_R, run.chi_B))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_cases(), st.integers(min_value=0, max_value=2**32), st.integers(1, 12))
+def test_batched_kernel_matches_the_per_vertex_path(case, master_seed, n_trials):
+    game, profile = case
+    reference = per_vertex_outcomes(game, profile, n_trials, master_seed)
+    kernel = engine._ReplicationKernel(game, profile.support_pairs())
+    assert n_trials <= kernel.block
+    chi_r, chi_b = kernel.run(master_seed, 0, n_trials)
+    assert list(zip(chi_r.tolist(), chi_b.tolist())) == reference
+    # Blocks of two replications: n_trials spans several blocks.
+    cells = 2 * (game.graph.n + len(game.graph.in_csr[1]))
+    with mock.patch.object(engine, "_BLOCK_CELLS", cells):
+        chi_r, chi_b = engine.sample_payoffs(game, profile, n_trials, master_seed)
+    assert list(zip(chi_r.tolist(), chi_b.tolist())) == reference
+
+
+@pytest.mark.parametrize("schedule", [ParallelRounds(2), ParallelRounds(2, immunity=True),
+                                      SinglePassOrder((1, 2)), LayerOrder(((1,), (2,))),
+                                      RandomSequential(3)])
+def test_monte_carlo_rejects_allocations_of_the_wrong_length(schedule):
+    game = dataclasses.replace(mc_game(), schedule=schedule)
+    profile = StrategyProfile(Allocation.from_seeds(5, [0]), Allocation.from_seeds(5, [2]))
+    with pytest.raises(ValidationError, match="initial state has length 5"):
+        estimate_payoffs(game, profile, n_trials=3)
+
+
+@pytest.mark.parametrize("schedule", [SinglePassOrder((1, 9)), LayerOrder(((1,), (2, 9)))])
+def test_monte_carlo_rejects_schedules_naming_unknown_vertices(schedule):
+    game = dataclasses.replace(mc_game(), schedule=schedule)
+    with pytest.raises(ScheduleError, match="unknown vertex 9"):
+        estimate_payoffs(game, mc_profile(), n_trials=3)
+
+
+class BrokenAtOneThird(AdoptionFunction):
+    """Out of range only at red fraction 1/3, off the construction grid."""
+
+    def _raw_red(self, a, b):
+        return 2.0 if a == 1 / 3 else 0.5 * a
+
+    def to_json_dict(self):
+        return {}
+
+
+@pytest.mark.parametrize("schedule", [ParallelRounds(2), SinglePassOrder((3,)),
+                                      LayerOrder(((3,),)), RandomSequential(2)])
+def test_monte_carlo_surfaces_broken_dynamics(schedule):
+    graph = Graph(n=4, edges=((0, 3), (1, 3), (2, 3)))
+    game = GameSpec(graph, BrokenAtOneThird(), schedule, 1, 1)
+    profile = StrategyProfile(Allocation.from_seeds(4, [0]), Allocation.from_seeds(4, [0]))
+    with pytest.raises(DynamicsDefinitionError, match="outside"):
+        estimate_payoffs(game, profile, n_trials=3)
 
 
 def test_run_profile_once_reports_consistent_counts():

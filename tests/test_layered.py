@@ -149,6 +149,13 @@ def test_layer_sampler_is_reproducible():
     assert a == b
 
 
+def test_layer_sampler_validates_trial_count():
+    structure = LayeredStructure(((2, 3),))
+    profile = StrategyProfile(Allocation.from_seeds(5, [0]), Allocation.from_seeds(5, [1]))
+    with pytest.raises(ValidationError, match="n_trials"):
+        layered_estimate_payoffs(structure, make_dyn("linear"), profile, n_trials=0)
+
+
 def test_dp_enumerates_contested_branches_exhaustively():
     # two contested vertices: four equally likely colorings; compare against
     # averaging the DP over the four explicit resolutions
