@@ -219,8 +219,10 @@ def _int_field(config: dict, field: str, default: Optional[int] = None,
     return value
 
 
-def _game_from_config(config: dict, need_profile: bool) -> tuple[GameSpec, Optional[GadgetSpec]]:
-    graph, gadget = _graph_source(config)
+def _game_from_config(config: dict, need_profile: bool,
+                      source: Optional[tuple[Optional[Graph], Optional[GadgetSpec]]] = None,
+                      ) -> tuple[GameSpec, Optional[GadgetSpec]]:
+    graph, gadget = source if source is not None else _graph_source(config)
     if gadget is not None:
         graph = gadget.build_graph(max_edges=_int_field(
             config, "max_graph_edges", DEFAULT_GRAPH_EDGE_CAP, minimum=1))
@@ -312,11 +314,20 @@ def _estimate_csv(est: PayoffEstimate) -> list[list]:
 
 
 def _verb_payoff(config: dict):
-    game, _ = _game_from_config(config, need_profile=True)
-    profile = _profile_from(config, game.graph.n)
     name = config.get("oracle", "exact")
     if not isinstance(name, str) or name not in ORACLE_NAMES:
         raise _field_error("oracle", f"must be one of {sorted(set(ORACLE_NAMES))}, got {name!r}")
+    source = _graph_source(config)
+    gadget = source[1]
+    if (ORACLE_NAMES[name] == "exact" and gadget is not None
+            and (gadget.structure is not None or gadget.chain is not None)
+            and "dynamics" not in config and "schedule" not in config):
+        # The gadget's own exact back end answers without materialising its
+        # graph, which enumeration could not finish at gadget sizes.
+        est = gadget.profile_payoff_fn()(_profile_from(config, gadget.n_vertices))
+        return est.to_json_dict(), _estimate_csv(est), {}, None
+    game, _ = _game_from_config(config, need_profile=True, source=source)
+    profile = _profile_from(config, game.graph.n)
     if ORACLE_NAMES[name] == "exact":
         est = exact_payoffs(game, profile,
                             node_cap=_int_field(config, "node_cap", DEFAULT_NODE_CAP,

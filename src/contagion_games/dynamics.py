@@ -43,6 +43,11 @@ def _construction_grid() -> list[float]:
     return [i / m for i in range(m + 1)]
 
 
+def _values_by_loop(value: Callable[[float], float], x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    return np.array([value(v) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
+
+
 # ---------------------------------------------------------------------------
 # Switching functions: probability of adopting at all, given the total
 # infected in-neighbor fraction.
@@ -55,6 +60,14 @@ class SwitchingFunction(ABC):
     @abstractmethod
     def value(self, x: float) -> float:
         """Evaluate at an already-validated point x in [0, 1]."""
+
+    def value_array(self, x: np.ndarray) -> np.ndarray:
+        """`value` at every point of an array of already-validated points.
+
+        Subclasses with a closed form override this; it must agree with
+        `value` pointwise, which the layered DP relies on.
+        """
+        return _values_by_loop(self.value, x)
 
     @abstractmethod
     def to_json_dict(self) -> dict:
@@ -95,6 +108,9 @@ class PowerSwitch(SwitchingFunction):
     def value(self, x: float) -> float:
         return float(x ** self.exponent)
 
+    def value_array(self, x: np.ndarray) -> np.ndarray:
+        return np.asarray(x, dtype=float) ** self.exponent
+
     def to_json_dict(self) -> dict:
         return {"kind": "power", "r": self.exponent}
 
@@ -113,6 +129,9 @@ class ThresholdSwitch(SwitchingFunction):
 
     def value(self, x: float) -> float:
         return 1.0 if x >= self.threshold else 0.0
+
+    def value_array(self, x: np.ndarray) -> np.ndarray:
+        return np.where(np.asarray(x, dtype=float) >= self.threshold, 1.0, 0.0)
 
     def to_json_dict(self) -> dict:
         return {"kind": "threshold", "alpha": self.threshold}
@@ -135,6 +154,11 @@ class HalfPointSwitch(SwitchingFunction):
         if x <= 0.5:
             return 2.0 * e * x
         return e + (x - 0.5) * 2.0 * (1.0 - e)
+
+    def value_array(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        e = self.midpoint_value
+        return np.where(x <= 0.5, 2.0 * e * x, e + (x - 0.5) * 2.0 * (1.0 - e))
 
     def to_json_dict(self) -> dict:
         return {"kind": "halfpoint", "eps": self.midpoint_value}
@@ -170,6 +194,10 @@ def _interpolate(points: tuple[tuple[float, float], ...], x: float) -> float:
     return y0 + t * (y1 - y0)
 
 
+def _interpolate_array(points: tuple[tuple[float, float], ...], x) -> np.ndarray:
+    return np.interp(np.asarray(x, dtype=float), [p[0] for p in points], [p[1] for p in points])
+
+
 @dataclass(frozen=True)
 class TableSwitch(SwitchingFunction):
     """Piecewise-linear switching function through explicit breakpoints."""
@@ -182,6 +210,9 @@ class TableSwitch(SwitchingFunction):
 
     def value(self, x: float) -> float:
         return _interpolate(self.points, x)
+
+    def value_array(self, x: np.ndarray) -> np.ndarray:
+        return _interpolate_array(self.points, x)
 
     def to_json_dict(self) -> dict:
         return {"kind": "table", "points": [list(p) for p in self.points]}
@@ -197,6 +228,14 @@ class SelectionFunction(ABC):
     @abstractmethod
     def value(self, y: float) -> float:
         ...
+
+    def value_array(self, y: np.ndarray) -> np.ndarray:
+        """`value` at every point of an array of already-validated points.
+
+        Subclasses with a closed form override this; it must agree with
+        `value` pointwise, which the layered DP relies on.
+        """
+        return _values_by_loop(self.value, y)
 
     @abstractmethod
     def to_json_dict(self) -> dict:
@@ -254,6 +293,19 @@ class TullockSelection(SelectionFunction):
             return 0.0
         return 1.0 / (1.0 + odds)
 
+    def value_array(self, y: np.ndarray) -> np.ndarray:
+        y = np.asarray(y, dtype=float)
+        s = self.exponent
+        if s == 1.0:
+            return y.copy()
+        inner = (y > 0.0) & (y < 1.0)
+        with np.errstate(over="ignore"):
+            odds = ((1.0 - y[inner]) / y[inner]) ** s
+        out = np.where(y >= 1.0, 1.0, 0.0)
+        # An overflowed odds gives 0 and y = 1/2 gives 1/2 exactly, as in `value`.
+        out[inner] = 1.0 / (1.0 + odds)
+        return out
+
     def to_json_dict(self) -> dict:
         return {"kind": "tullock", "s": self.exponent}
 
@@ -270,6 +322,9 @@ class TableSelection(SelectionFunction):
 
     def value(self, y: float) -> float:
         return _interpolate(self.points, y)
+
+    def value_array(self, y: np.ndarray) -> np.ndarray:
+        return _interpolate_array(self.points, y)
 
     def to_json_dict(self) -> dict:
         return {"kind": "table", "points": [list(p) for p in self.points]}
@@ -289,6 +344,20 @@ def _validate_fraction_pair(a: float, b: float) -> tuple[float, float]:
         raise ValidationError(f"neighbor fractions must be nonnegative, got ({a}, {b})")
     if a + b > 1.0 + 1e-12:
         raise ValidationError(f"neighbor fractions sum past 1: ({a}, {b})")
+    return a, b
+
+
+def _validate_fraction_arrays(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """`_validate_fraction_pair` over two equal-shape arrays; raises its error
+    for the first pair it rejects."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        raise ValidationError(f"fraction arrays differ in shape: {a.shape} vs {b.shape}")
+    bad = ~((a >= 0.0) & (b >= 0.0) & (a + b <= 1.0 + 1e-12))
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        _validate_fraction_pair(float(a.flat[i]), float(b.flat[i]))
     return a, b
 
 
@@ -332,6 +401,35 @@ class AdoptionFunction(ABC):
             pa = pr
         return pr, pa - pr, 1.0 - pa
 
+    def update_probs_array(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(P[Red], P[Blue]) of `update_probs` at every pair of two equal-shape
+        fraction arrays, with its validation, clamping and errors.
+
+        This default calls `update_probs` pair by pair; subclasses with a
+        vectorised form override it.
+        """
+        a, b = _validate_fraction_arrays(a, b)
+        pr = np.empty(a.shape)
+        pb = np.empty(a.shape)
+        for i, (x, y) in enumerate(zip(a.ravel().tolist(), b.ravel().tolist())):
+            pr.flat[i], pb.flat[i], _ = self.update_probs(x, y)
+        return pr, pb
+
+    def _clamped_arrays(self, a: np.ndarray, b: np.ndarray, raw_red: np.ndarray,
+                        raw_any: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """`update_probs_array`'s result from raw red and total probabilities,
+        raising `update_probs`' error at the first pair it would reject."""
+        ok = ((raw_red >= -CLAMP_TOL) & (raw_red <= 1.0 + CLAMP_TOL)
+              & (raw_any >= -CLAMP_TOL) & (raw_any <= 1.0 + CLAMP_TOL))
+        if not ok.all():
+            i = int(np.flatnonzero(~ok)[0])
+            x, y = float(a.flat[i]), float(b.flat[i])
+            self._clamp(float(raw_red.flat[i]), "red-infection probability", x, y)
+            self._clamp(float(raw_any.flat[i]), "total infection probability", x, y)
+        pr = np.clip(raw_red, 0.0, 1.0)
+        pa = np.maximum(np.clip(raw_any, 0.0, 1.0), pr)
+        return pr, pa - pr
+
     def _validate_simplex(self) -> None:
         if self._raw_red(0.0, 0.0) != 0.0:
             raise DynamicsDefinitionError(
@@ -372,6 +470,15 @@ class SwitchSelectAdoption(AdoptionFunction):
         if total <= 0.0:
             return 0.0
         return self.switching.value(min(total, 1.0))
+
+    def update_probs_array(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        a, b = _validate_fraction_arrays(a, b)
+        total = a + b
+        live = total > 0.0
+        safe = np.where(live, total, 1.0)
+        raw_any = np.where(live, self.switching.value_array(np.minimum(safe, 1.0)), 0.0)
+        raw_red = np.where(live, raw_any * self.selection.value_array(a / safe), 0.0)
+        return self._clamped_arrays(a, b, raw_red, raw_any)
 
     def to_json_dict(self) -> dict:
         return {"f": self.switching.to_json_dict(), "g": self.selection.to_json_dict()}

@@ -236,6 +236,9 @@ class PayoffEstimate:
     n_trials: int
     stderr_R: float
     stderr_B: float
+    # Probability mass an approximate back end dropped (the layered DP's
+    # pruning); kept out of the JSON and CSV forms.
+    pruned_mass: float = 0.0
 
     CSV_HEADER = ("pi_R", "pi_B", "method", "n_trials", "stderr_R", "stderr_B")
 

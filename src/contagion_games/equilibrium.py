@@ -112,7 +112,8 @@ class PayoffOracle:
             if swapped is not None:
                 est = PayoffEstimate(pi_R=swapped.pi_B, pi_B=swapped.pi_R,
                                      method=swapped.method, n_trials=swapped.n_trials,
-                                     stderr_R=swapped.stderr_B, stderr_B=swapped.stderr_R)
+                                     stderr_R=swapped.stderr_B, stderr_B=swapped.stderr_R,
+                                     pruned_mass=swapped.pruned_mass)
                 self._cache[key] = est
                 return est
         profile = StrategyProfile(red=red, blue=blue)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -483,16 +484,16 @@ class GadgetSpec:
     extra_measure: Optional[Callable[["GadgetSpec", Callable], dict]] = None
 
     def payoff_fn(self) -> Callable[[Allocation, Allocation], PayoffEstimate]:
+        profile_fn = self.profile_payoff_fn()
+        return lambda red, blue: profile_fn(StrategyProfile(red, blue))
+
+    def profile_payoff_fn(self) -> Callable[[StrategyProfile], PayoffEstimate]:
+        """The gadget's own exact back end, on pure or mixed profiles."""
         if self.chain is not None:
-            layout, dyn = self.chain, self.dynamics
-            return lambda red, blue: chain_exact_payoffs(
-                layout, dyn, StrategyProfile(red, blue))
+            return partial(chain_exact_payoffs, self.chain, self.dynamics)
         if self.structure is not None:
-            structure, dyn = self.structure, self.dynamics
-            return lambda red, blue: layered_exact_payoffs(
-                structure, dyn, StrategyProfile(red, blue))
-        game = self.game()
-        return lambda red, blue: exact_payoffs(game, StrategyProfile(red, blue))
+            return partial(layered_exact_payoffs, self.structure, self.dynamics)
+        return partial(exact_payoffs, self.game())
 
     def build_graph(self, max_edges: int = 5_000_000) -> Graph:
         if self.graph is not None:

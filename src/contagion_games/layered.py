@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, xlog1py, xlogy
 
 from .dynamics import AdoptionFunction, LayerOrder
 from .engine import (
@@ -168,109 +168,177 @@ def _seed_branches(sr: int, sb: int, contested: list[float]):
 # ---------------------------------------------------------------------------
 
 
-def _transition_support(m: int, pa: float, prune: float):
-    """Pruned support and probabilities of Binom(m, pa)."""
-    t = np.arange(m + 1)
-    if pa <= 0.0:
-        return np.array([0]), np.array([1.0])
-    if pa >= 1.0:
-        return np.array([m]), np.array([1.0])
-    logp = (gammaln(m + 1) - gammaln(t + 1) - gammaln(m - t + 1)
-            + t * np.log(pa) + (m - t) * np.log1p(-pa))
-    probs = np.exp(logp)
-    keep = probs > prune
-    if not keep.any():
-        keep[int(round(m * pa))] = True
-    return t[keep], probs[keep]
+# Cells, (state, outcome) pairs, that one vectorised step of the DP holds at
+# most: memory then grows with neither the states nor the layer size, and a
+# step's dozen or so arrays stay small enough for the CPU caches.
+_CHUNK_CELLS = 1 << 15
 
 
-def _split_matrix(ts: np.ndarray, q: float, prune: float):
-    """Rows: P(x red | total t, q) for each t in ts; columns x = 0..max(ts)."""
-    tmax = int(ts.max())
-    x = np.arange(tmax + 1)
-    if q <= 0.0:
-        mat = np.zeros((len(ts), tmax + 1))
-        mat[:, 0] = 1.0
-        return mat
-    if q >= 1.0:
-        mat = np.zeros((len(ts), tmax + 1))
-        mat[np.arange(len(ts)), ts] = 1.0
-        return mat
-    tcol = ts[:, None]
-    with np.errstate(invalid="ignore"):
-        logp = (gammaln(tcol + 1) - gammaln(x + 1) - gammaln(tcol - x + 1)
-                + x * np.log(q) + (tcol - x) * np.log1p(-q))
-    mat = np.where(x <= tcol, np.exp(logp), 0.0)
-    mat[mat <= prune] = 0.0
-    return mat
+def _log_binom_pmf(log_fact: np.ndarray, n, k, p) -> np.ndarray:
+    """log Binom(n, p) pmf at k <= n, broadcast, from log_fact[i] = log(i!)."""
+    return log_fact[n] - log_fact[k] - log_fact[n - k] + xlogy(k, p) + xlog1py(n - k, -p)
+
+
+def _hoeffding_band(n, cut) -> np.ndarray:
+    """Half-width around the mean n p outside which the Binom(n, p) pmf is at
+    most cut / 2: the pmf at k is at most exp(-2 (k - n p)^2 / n) (Hoeffding),
+    and the slack of 2 covers float rounding in the pmf.  Infinite at cut 0,
+    except that n = 0 has the single outcome 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        band = np.sqrt(0.5 * n * np.log(2.0 / cut))
+    return np.where(n > 0, band, 0.0)
+
+
+def _pmf_window(log_fact: np.ndarray, m: int, prob: np.ndarray, cut: np.ndarray):
+    """First and last k with Binom(m, prob) pmf above cut, per row of prob and
+    cut; the last is before the first in a row with none."""
+    band = _hoeffding_band(m, cut)
+    start = np.ceil(np.maximum(m * prob - band, 0.0)).astype(np.int64)
+    width = int((np.floor(np.minimum(m * prob + band, m)) - start).max()) + 1
+    k = np.minimum(start[:, None] + np.arange(max(width, 1)), m)
+    above = np.exp(_log_binom_pmf(log_fact, m, k, prob[:, None])) > cut[:, None]
+    rows = np.arange(len(k))
+    lo = k[rows, above.argmax(axis=1)]
+    hi = k[rows, k.shape[1] - 1 - above[:, ::-1].argmax(axis=1)]
+    return lo, np.where(above.any(axis=1), hi, lo - 1)
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The concatenation of arange(start, start + count) over the pairs."""
+    return np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts - starts, counts)
+
+
+def _seed_box(x_lo: int, x_hi: int, y_lo: int, y_hi: int, branches):
+    """A zero distribution over the outcome box [x_lo, x_hi] x [y_lo, y_hi]
+    shifted by every seed branch, and its (red, blue) offset."""
+    r0 = x_lo + min(r for r, _, _ in branches)
+    b0 = y_lo + min(b for _, b, _ in branches)
+    shape = (x_hi + max(r for r, _, _ in branches) - r0 + 1,
+             y_hi + max(b for _, b, _ in branches) - b0 + 1)
+    return np.zeros(shape), r0, b0
+
+
+def _scatter(dist: np.ndarray, r0: int, b0: int, xs, ys, vals, branches) -> None:
+    """Add outcomes (xs, ys) of mass vals, shifted by every seed branch, to dist."""
+    flat = dist.reshape(-1)
+    for r, b, sp in branches:
+        np.add.at(flat, (xs + (r - r0)) * dist.shape[1] + (ys + (b - b0)), vals * sp)
+
+
+def _layer_transition(p: np.ndarray, pr: np.ndarray, pb: np.ndarray, m: int, prune: float,
+                      branches):
+    """Distribution of the next layer's (red, blue) totals, its offset, and the
+    expected (red, blue) update counts among its m unseeded vertices.
+
+    The states have masses p and one-step probabilities pr and pb.  From a
+    state of mass p the m outcomes are a multinomial: Binom(m, pr + pb)
+    adopters t, of whom Binom(t, pr / (pr + pb)) turn red.  Outcomes whose
+    conditional probability is at most prune / p are dropped.
+    """
+    pa = np.minimum(pr + pb, 1.0)
+    q = np.divide(pr, pa, out=np.zeros_like(pr), where=pa > 0.0)
+    # q is 0 only where pr is 0 and 1 only where pb is 0; the red and blue
+    # count windows below then pin x to 0 or to t, so the log of 0 that the
+    # split's pmf would multiply by 0 there is replaced by 0.
+    log_q = np.log(np.where(q > 0.0, q, 1.0))
+    log_1mq = np.log1p(-np.where(q < 1.0, q, 0.0))
+    thr = prune / p
+    log_fact = gammaln(np.arange(m + 1) + 1)
+    rows = max(1, _CHUNK_CELLS // (m + 1))
+    chunks = [slice(lo, min(lo + rows, len(p))) for lo in range(0, len(p), rows)]
+
+    # Per state: the totals t above thr (an outcome is never likelier than
+    # its total), and windows of red and blue counts outside which the
+    # marginal, hence every outcome, is at most thr.  The count windows use
+    # half of thr, so float rounding cannot leave a kept outcome outside them.
+    win = np.empty((6, len(p)), dtype=np.int64)
+    for chunk in chunks:
+        for w, (prob, cut) in enumerate(((pa, thr), (pr, 0.5 * thr), (pb, 0.5 * thr))):
+            win[2 * w:2 * w + 2, chunk] = _pmf_window(log_fact, m, prob[chunk], cut[chunk])
+    t_lo, t_hi, x_lo, x_hi, y_lo, y_hi = win
+    n_t = np.where((x_hi >= x_lo) & (y_hi >= y_lo), np.maximum(t_hi - t_lo + 1, 0), 0)
+    live = n_t > 0
+    if not live.any():
+        return np.zeros((0, 0)), 0, 0, 0.0, 0.0
+
+    nxt, nr0, nb0 = _seed_box(int(x_lo[live].min()), int(x_hi[live].max()),
+                              int(y_lo[live].min()), int(y_hi[live].max()), branches)
+    er = eb = 0.0
+    for chunk in chunks:
+        if not live[chunk].any():
+            continue
+        # The chunk's (state, total) pairs, each with its window of red counts
+        # (where an outcome tp * Binom(t, q) can exceed thr), cut into runs of
+        # at most about _CHUNK_CELLS cells.
+        s_i = np.repeat(np.arange(chunk.start, chunk.stop), n_t[chunk])
+        t_i = _ranges(t_lo[chunk], n_t[chunk])
+        tp = np.exp(_log_binom_pmf(log_fact, m, t_i, pa[s_i]))
+        mean = t_i * q[s_i]
+        band = _hoeffding_band(t_i, thr[s_i] / tp)
+        lo = np.maximum(np.maximum(x_lo[s_i], t_i - y_hi[s_i]),
+                        np.ceil(np.maximum(mean - band, 0.0)).astype(np.int64))
+        hi = np.minimum(np.minimum(x_hi[s_i], t_i - y_lo[s_i]),
+                        np.floor(np.minimum(mean + band, t_i)).astype(np.int64))
+        counts = np.maximum(hi - lo + 1, 0)
+        ends = np.cumsum(counts)
+        cuts = np.searchsorted(ends, np.arange(_CHUNK_CELLS, ends[-1], _CHUNK_CELLS), side="right")
+        for a, b in zip([0, *cuts], [*cuts, len(counts)]):
+            if a == b:
+                continue
+            pair = np.repeat(np.arange(a, b), counts[a:b])
+            xs = _ranges(lo[a:b], counts[a:b])
+            ts, ss = t_i[pair], s_i[pair]
+            joint = tp[pair] * np.exp(log_fact[ts] - log_fact[xs] - log_fact[ts - xs]
+                                      + xs * log_q[ss] + (ts - xs) * log_1mq[ss])
+            keep = joint > thr[ss]
+            xs, ys, vals = xs[keep], ts[keep] - xs[keep], joint[keep] * p[ss[keep]]
+            er += float(vals @ xs)
+            eb += float(vals @ ys)
+            _scatter(nxt, nr0, nb0, xs, ys, vals, branches)
+    return nxt, nr0, nb0, er, eb
 
 
 def _component_expectation(sizes: tuple[int, ...], ranges, dyn: AdoptionFunction,
                            red: Allocation, blue: Allocation, prune: float):
-    """Exact (E red, E blue) totals over one component, plus dropped mass."""
+    """Exact (E red, E blue) totals over one component, plus the probability
+    mass pruning dropped: one minus the mass of the distribution that reaches
+    the final layer."""
     er = eb = 0.0
-    dropped = 0.0
 
     # Seed totals per layer are state-independent; count them directly.
+    layer_seeds = [_layer_seeds(red, blue, start, size) for start, size in ranges]
     layer_seed_branches = []
-    for start, size in ranges:
-        sr, sb, contested = _layer_seeds(red, blue, start, size)
-        branches = _seed_branches(sr, sb, contested)
+    for seeds in layer_seeds:
+        branches = _seed_branches(*seeds)
         layer_seed_branches.append(branches)
         er += sum(p * r for r, b, p in branches)
         eb += sum(p * b for r, b, p in branches)
 
-    size0 = sizes[0]
-    dist: dict[tuple[int, int], float] = {}
-    for r, b, p in layer_seed_branches[0]:
-        dist[(r, b)] = dist.get((r, b), 0.0) + p
+    dist, r0, b0 = _seed_box(0, 0, 0, 0, layer_seed_branches[0])
+    zero = np.zeros(1, dtype=np.int64)
+    _scatter(dist, r0, b0, zero, zero, np.ones(1), layer_seed_branches[0])
 
     for depth in range(1, len(sizes)):
-        m_layer = sizes[depth]
-        seeded_here = sum(
-            1 for v in range(ranges[depth][0], ranges[depth][0] + m_layer)
-            if red.counts[v] > 0 or blue.counts[v] > 0)
-        m = m_layer - seeded_here
+        sr, sb, contested = layer_seeds[depth]
+        m = sizes[depth] - (sr + sb + len(contested))
         last = depth == len(sizes) - 1
-        prev_size = sizes[depth - 1]
-
+        # States at or below `prune` are dropped, except before the final
+        # layer, where dropping saves nothing.
+        ri, bi = np.nonzero(dist > (0.0 if last else prune))
+        p = dist[ri, bi]
+        pr, pb = dyn.update_probs_array((ri + r0) / sizes[depth - 1],
+                                        (bi + b0) / sizes[depth - 1])
         if last:
-            for (r, b), p in dist.items():
-                pr, pb, _ = dyn.update_probs(r / prev_size, b / prev_size)
-                er += p * m * pr
-                eb += p * m * pb
+            er += m * float(p @ pr)
+            eb += m * float(p @ pb)
             break
-
-        nxt: dict[tuple[int, int], float] = {}
-        seed_branches = layer_seed_branches[depth]
-        for (r, b), p in dist.items():
-            if p <= prune:
-                dropped += p
-                continue
-            pr, pb, pu = dyn.update_probs(r / prev_size, b / prev_size)
-            pa = pr + pb
-            q = pr / pa if pa > 0.0 else 0.0
-            ts, t_probs = _transition_support(m, pa, prune / max(p, prune))
-            split = _split_matrix(ts, q, 0.0)
-            joint = t_probs[:, None] * split  # joint[i, x] = P(total ts[i], x red)
-            ti, xi = np.nonzero(joint > prune / max(p, prune))
-            vals = joint[ti, xi] * p
-            xs = xi
-            ys = ts[ti] - xi
-            for sr2, sb2, sp in seed_branches:
-                for x, y, val in zip(xs + sr2, ys + sb2, vals * sp):
-                    key = (int(x), int(y))
-                    nxt[key] = nxt.get(key, 0.0) + float(val)
-        total = sum(nxt.values())
-        dropped += max(0.0, 1.0 - total)
+        dist, r0, b0, dr, db = _layer_transition(p, pr, pb, m, prune,
+                                                 layer_seed_branches[depth])
         # Update-count expectations for this layer (seeds were counted already).
-        er += sum(p * r for (r, b), p in nxt.items()) - sum(
-            sp * sr2 for sr2, sb2, sp in seed_branches) * total
-        eb += sum(p * b for (r, b), p in nxt.items()) - sum(
-            sp * sb2 for sr2, sb2, sp in seed_branches) * total
-        dist = nxt
+        er += dr
+        eb += db
 
-    return er, eb, dropped
+    return er, eb, max(0.0, 1.0 - float(dist.sum()))
 
 
 def layered_exact_payoffs(structure: LayeredStructure, dyn: AdoptionFunction,
@@ -280,20 +348,26 @@ def layered_exact_payoffs(structure: LayeredStructure, dyn: AdoptionFunction,
 
     `prune` drops probability-mass below the threshold while propagating layer
     distributions; with prune=0 the computation is exact up to float rounding.
+    The estimate's `pruned_mass` is the dropped mass, weighted by profile
+    probability; each payoff is within `pruned_mass * structure.n` of the
+    unpruned value.
     """
+    if not (isinstance(prune, (int, float)) and 0.0 <= prune < 1.0):
+        raise ValidationError(f"prune must be a finite number in [0, 1), got {prune!r}")
     ranges = structure.layer_ranges()
-    er = eb = 0.0
+    er = eb = dropped = 0.0
     for p, red, blue in profile.support_pairs():
         if p == 0.0:
             continue
         if red.n != structure.n or blue.n != structure.n:
             raise ValidationError("allocation length does not match the layered structure")
         for comp_sizes, comp_ranges in zip(structure.component_layer_sizes, ranges):
-            r, b, _ = _component_expectation(comp_sizes, comp_ranges, dyn, red, blue, prune)
+            r, b, d = _component_expectation(comp_sizes, comp_ranges, dyn, red, blue, prune)
             er += p * r
             eb += p * b
+            dropped += p * d
     return PayoffEstimate(pi_R=er, pi_B=eb, method=EXACT_LAYERED_DP,
-                          n_trials=0, stderr_R=0.0, stderr_B=0.0)
+                          n_trials=0, stderr_R=0.0, stderr_B=0.0, pruned_mass=dropped)
 
 
 # ---------------------------------------------------------------------------

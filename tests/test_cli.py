@@ -112,6 +112,40 @@ def test_monte_carlo_payoff_is_thread_invariant(tmp_path):
     assert read_result(tmp_path / "one")["result"]["method"] == "monte-carlo"
 
 
+def test_payoff_on_a_layered_gadget_uses_its_exact_dp(tmp_path):
+    # 10,451 vertices and ~2M edges: enumeration on the materialised graph
+    # does not finish, the gadget's layered DP answers at once.
+    gadget = {"kind": "polarization_amplifier", "stages": 2, "middle_size": 200,
+              "big_final_size": 10000, "selection_exponent": 2.0}
+    config = write_config(tmp_path, {"graph": {"gadget": gadget},
+                                     "profile": {"red_seeds": [0, 1, 2], "blue_seeds": [10204]}})
+    out = tmp_path / "out"
+    assert run(["payoff", "--config", config, "--out", str(out)]) == 0
+    result = read_result(out)["result"]
+    assert result["pi_R"] == pytest.approx(7653.0, abs=1e-6)
+    assert result["pi_B"] == pytest.approx(247.0, abs=1e-6)
+    assert result["method"] == "exact-layered-dp"
+    assert "pruned_mass" not in result
+
+
+@pytest.mark.parametrize("extra, method", [
+    ({}, "exact-layered-dp"),
+    ({"dynamics": {"f": {"kind": "threshold", "alpha": 0.5}, "g": {"kind": "tullock", "s": 1.0}}},
+     "exact-enumeration"),
+    ({"schedule": {"kind": "layer_order", "layers": [[4, 9, 10]]}}, "exact-enumeration"),
+])
+def test_payoff_on_a_gadget_enumerates_when_the_config_overrides_its_game(tmp_path, extra, method):
+    gadget = {"kind": "threshold_two_layer", "layer1_size": 4, "final_small": 1,
+              "final_large": 2, "threshold": 0.5}
+    config = write_config(tmp_path, {"graph": {"gadget": gadget},
+                                     "profile": {"red_seeds": [0], "blue_seeds": [1]}, **extra})
+    out = tmp_path / "out"
+    assert run(["payoff", "--config", config, "--out", str(out)]) == 0
+    result = read_result(out)["result"]
+    assert (result["pi_R"], result["pi_B"]) == pytest.approx((1.5, 1.5), abs=1e-12)
+    assert result["method"] == method
+
+
 # ---------------------------------------------------------------------------
 # nash / poa / bm
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from contagion_games import (
     BLUE,
     RED,
     UNINFECTED,
+    AdoptionFunction,
     BuiltinAdoption,
     DynamicsDefinitionError,
     Graph,
@@ -19,8 +21,10 @@ from contagion_games import (
     PowerSwitch,
     RandomSequential,
     ScheduleError,
+    SelectionFunction,
     SinglePassOrder,
     SwitchSelectAdoption,
+    SwitchingFunction,
     TableSelection,
     TableSwitch,
     ThresholdSwitch,
@@ -213,6 +217,114 @@ def test_update_probs_partition(a_scale, b, r, s):
     for p in (pr, pb, pu):
         assert -1e-12 <= p <= 1.0 + 1e-12
     assert pr + pb + pu == pytest.approx(1.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Array evaluation.
+# ---------------------------------------------------------------------------
+
+
+class HalfPowerSwitch(SwitchingFunction):
+    """A user subclass with no closed-form array evaluation."""
+
+    def value(self, x):
+        return math.sqrt(x)
+
+    def to_json_dict(self):
+        return {}
+
+
+class SmoothstepSelection(SelectionFunction):
+    def value(self, y):
+        return y * y * (3.0 - 2.0 * y)
+
+    def to_json_dict(self):
+        return {}
+
+
+BUILTIN_SWITCHES = [PowerSwitch(0.5), PowerSwitch(1.0), PowerSwitch(1.25), PowerSwitch(2),
+                    ThresholdSwitch(0.3), ThresholdSwitch(0.5), HalfPointSwitch(0.0),
+                    HalfPointSwitch(0.2), HalfPointSwitch(0.9),
+                    TableSwitch(((0, 0), (0.25, 0.1), (0.5, 0.5), (1, 1))), HalfPowerSwitch()]
+BUILTIN_SELECTIONS = [TullockSelection(1.0), TullockSelection(0.5), TullockSelection(2.0),
+                      TullockSelection(40.0), TullockSelection(2000.0),
+                      TableSelection(((0, 0), (0.3, 0.1), (0.5, 0.5), (0.7, 0.9), (1, 1))),
+                      SmoothstepSelection()]
+
+
+@pytest.mark.parametrize("fn", BUILTIN_SWITCHES + BUILTIN_SELECTIONS, ids=repr)
+def test_value_array_matches_value_on_the_construction_grid(fn):
+    m = 1024
+    grid = [i / m for i in range(m + 1)] + [1e-300, 0.1, 1 / 3, 0.7, 1.0 - 1e-16]
+    got = fn.value_array(np.array(grid))
+    assert got.shape == (len(grid),)
+    for x, v in zip(grid, got.tolist()):
+        assert abs(v - fn.value(x)) <= 1e-15, x
+    assert fn.value_array(np.array(grid).reshape(-1, 2)[:3]).shape == (3, 2)
+    assert fn.value_array(np.empty(0)).shape == (0,)
+
+
+def adoption_kinds():
+    return ([SwitchSelectAdoption(f, g) for f in BUILTIN_SWITCHES for g in BUILTIN_SELECTIONS[::2]]
+            + [BuiltinAdoption("quadratic_damped")])
+
+
+def test_update_probs_array_matches_update_probs():
+    m = 16
+    a, b = zip(*[(i / m, j / m) for i in range(m + 1) for j in range(m + 1 - i)])
+    a = np.array(a + (0.2, 1 / 3, 0.5 + 5e-13))
+    b = np.array(b + (0.1, 1 / 3, 0.5))
+    for dyn in adoption_kinds():
+        pr, pb = dyn.update_probs_array(a, b)
+        for x, y, r, bl in zip(a.tolist(), b.tolist(), pr.tolist(), pb.tolist()):
+            want_r, want_b, _ = dyn.update_probs(x, y)
+            assert abs(r - want_r) <= 1e-15 and abs(bl - want_b) <= 1e-15, (dyn, x, y)
+        pr2, pb2 = dyn.update_probs_array(a.reshape(-1, 3), b.reshape(-1, 3))
+        assert np.array_equal(pr2, pr.reshape(-1, 3)) and np.array_equal(pb2, pb.reshape(-1, 3))
+
+
+@pytest.mark.parametrize("a, b, pattern", [
+    (-0.1, 0.0, "nonnegative"),
+    (0.2, math.nan, "nonnegative"),
+    (0.7, 0.4, "sum past 1"),
+])
+def test_update_probs_array_rejects_pairs_outside_the_simplex(a, b, pattern):
+    for dyn in (linear_dyn(), BuiltinAdoption("quadratic_damped")):
+        with pytest.raises(ValidationError, match=pattern) as scalar:
+            dyn.update_probs(a, b)
+        with pytest.raises(ValidationError, match=pattern) as vector:
+            dyn.update_probs_array(np.array([0.25, a, 0.9]), np.array([0.5, b, 0.95]))
+        assert str(vector.value) == str(scalar.value)
+    with pytest.raises(ValidationError, match="shape"):
+        linear_dyn().update_probs_array(np.zeros(2), np.zeros(3))
+
+
+class OverOneAt(SwitchingFunction):
+    """Passes the construction grid but leaves [0, 1] at one off-grid point."""
+
+    def value(self, x):
+        return 1.5 if x == 0.3 else x
+
+    def to_json_dict(self):
+        return {}
+
+
+class BrokenAdoption(AdoptionFunction):
+    def _raw_red(self, a, b):
+        return math.nan if a == 0.3 else 0.5 * a
+
+    def to_json_dict(self):
+        return {}
+
+
+def test_update_probs_array_raises_the_scalar_clamp_error_at_the_first_bad_pair():
+    for dyn, what in ((SwitchSelectAdoption(OverOneAt(), linear_selection()), "red-infection"),
+                      (BrokenAdoption(), "red-infection")):
+        with pytest.raises(DynamicsDefinitionError) as scalar:
+            dyn.update_probs(0.3, 0.0)
+        with pytest.raises(DynamicsDefinitionError, match=what) as vector:
+            dyn.update_probs_array(np.array([0.1, 0.3, 0.3]), np.array([0.2, 0.0, 0.7]))
+        assert str(vector.value) == str(scalar.value)
 
 
 def test_builtin_quadratic_damped_values():

@@ -1,16 +1,24 @@
 """Layered feed-forward graphs: structure, DP oracle, and layer sampler."""
 
 import itertools
+import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from contagion_games import (
     Allocation,
+    BuiltinAdoption,
     GameSpec,
+    HalfPointSwitch,
     LayeredStructure,
+    MixedAllocation,
     PowerSwitch,
     StrategyProfile,
     SwitchSelectAdoption,
+    TableSelection,
+    TableSwitch,
     ThresholdSwitch,
     TullockSelection,
     ValidationError,
@@ -174,3 +182,109 @@ def test_dp_enumerates_contested_branches_exhaustively():
         acc_b += branch.pi_B / 4.0
     assert est.pi_R == pytest.approx(acc_r, abs=1e-12)
     assert est.pi_B == pytest.approx(acc_b, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Random structures: the DP against enumeration, and its pruned mass.
+# ---------------------------------------------------------------------------
+
+
+PROPERTY_DYNAMICS = [
+    SwitchSelectAdoption(PowerSwitch(1.0), linear_selection()),
+    SwitchSelectAdoption(PowerSwitch(2.0), TullockSelection(2.0)),
+    SwitchSelectAdoption(PowerSwitch(0.5), TullockSelection(0.5)),
+    SwitchSelectAdoption(ThresholdSwitch(0.5), linear_selection()),
+    SwitchSelectAdoption(HalfPointSwitch(0.2), TullockSelection(3.0)),
+    SwitchSelectAdoption(TableSwitch(((0, 0), (0.4, 0.1), (1, 1))),
+                         TableSelection(((0, 0), (0.3, 0.1), (0.5, 0.5), (0.7, 0.9), (1, 1)))),
+    BuiltinAdoption("quadratic_damped"),  # no array form: the scalar fallback
+]
+
+
+@st.composite
+def layered_games(draw, max_layer=3, max_depth=4):
+    """A layered structure with 1-2 components, a pure profile seeding any
+    layer (contested vertices included), and a dynamics of every kind."""
+    comps = draw(st.lists(st.lists(st.integers(1, max_layer), min_size=1, max_size=max_depth),
+                          min_size=1, max_size=2))
+    structure = LayeredStructure(tuple(tuple(c) for c in comps))
+    n = structure.n
+    seeds = st.lists(st.integers(0, n - 1), min_size=1, max_size=3)
+    red, blue = draw(seeds), draw(seeds)
+    if draw(st.booleans()):
+        blue.append(red[0])  # a contested vertex
+    profile = StrategyProfile(Allocation.from_seeds(n, red), Allocation.from_seeds(n, blue))
+    return structure, profile, draw(st.sampled_from(PROPERTY_DYNAMICS))
+
+
+def branching_vertices(structure):
+    """Vertices the enumeration branches on: those of middle layers."""
+    return sum(sum(comp[1:-1]) for comp in structure.component_layer_sizes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(layered_games())
+def test_dp_equals_enumeration_on_random_structures(game):
+    structure, profile, dyn = game
+    assume(branching_vertices(structure) <= 6)
+    dp = layered_exact_payoffs(structure, dyn, profile, prune=0.0)
+    spec = GameSpec(structure.build_graph(), dyn, structure.depth_schedule(),
+                    profile.red.budget, profile.blue.budget)
+    generic = exact_payoffs(spec, profile)
+    assert dp.pi_R == pytest.approx(generic.pi_R, abs=1e-9)
+    assert dp.pi_B == pytest.approx(generic.pi_B, abs=1e-9)
+    assert dp.pruned_mass <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(layered_games(max_layer=40), st.sampled_from([1e-15, 1e-9, 1e-4]))
+def test_pruned_mass_bounds_the_pruning_error(game, prune):
+    structure, profile, dyn = game
+    exact = layered_exact_payoffs(structure, dyn, profile, prune=0.0)
+    pruned = layered_exact_payoffs(structure, dyn, profile, prune=prune)
+    assert exact.pruned_mass <= 1e-12
+    bound = pruned.pruned_mass * structure.n
+    assert abs(pruned.pi_R - exact.pi_R) <= bound + 1e-12 * structure.n
+    assert abs(pruned.pi_B - exact.pi_B) <= bound + 1e-12 * structure.n
+
+
+def test_pruned_mass_is_weighted_by_profile_probability():
+    structure = LayeredStructure(((2, 30, 30, 5),))
+    dyn = make_dyn("convex")
+    n = structure.n
+    pure = StrategyProfile(Allocation.from_seeds(n, [0]), Allocation.from_seeds(n, [1]))
+    one = layered_exact_payoffs(structure, dyn, pure, prune=1e-6)
+    assert one.pruned_mass > 0.0
+    idle = Allocation.from_seeds(n, [n - 1])  # a final-layer seed changes no distribution
+    mixed = StrategyProfile(MixedAllocation(((0.25, pure.red), (0.75, idle))), pure.blue)
+    est = layered_exact_payoffs(structure, dyn, mixed, prune=1e-6)
+    idle_est = layered_exact_payoffs(structure, dyn, StrategyProfile(idle, pure.blue), prune=1e-6)
+    assert est.pruned_mass == pytest.approx(0.25 * one.pruned_mass + 0.75 * idle_est.pruned_mass)
+    assert "pruned_mass" not in est.to_json_dict()
+    assert len(est.to_csv_row()) == 6
+
+
+@pytest.mark.parametrize("prune", [math.nan, -1.0, 1.0, math.inf, "0"])
+def test_dp_rejects_invalid_prune(prune):
+    structure = LayeredStructure(((4, 8, 16),))
+    profile = StrategyProfile(Allocation.from_seeds(28, [0]), Allocation.from_seeds(28, [1]))
+    with pytest.raises(ValidationError, match="prune"):
+        layered_exact_payoffs(structure, make_dyn("linear"), profile, prune=prune)
+
+
+@pytest.mark.parametrize("sizes, red, blue, prune, pi_r, pruned", [
+    # the layer-2 outcomes have conditional probability 1/2 > 0.3: kept
+    (((2, 1, 10),), [0], [12], 0.3, 6.0, 0.0),
+    # at prune 1/2 they are at the threshold, so dropped with all their mass
+    (((2, 1, 10),), [0], [12], 0.5, 1.0, 1.0),
+    # contested seeds leave layer-1 states of mass 1/4 <= prune; the final
+    # layer still counts them
+    (((2, 10),), [0, 1], [0, 1], 0.3, 6.0, 0.0),
+])
+def test_pruning_rule(sizes, red, blue, prune, pi_r, pruned):
+    structure = LayeredStructure(sizes)
+    profile = StrategyProfile(Allocation.from_seeds(structure.n, red),
+                              Allocation.from_seeds(structure.n, blue))
+    est = layered_exact_payoffs(structure, make_dyn("linear"), profile, prune=prune)
+    assert est.pi_R == pytest.approx(pi_r, abs=1e-12)
+    assert est.pruned_mass == pytest.approx(pruned, abs=1e-12)
