@@ -154,7 +154,7 @@ def _dump_csv(path: str, rows: list[list]) -> None:
 
 
 def _sparse_text(alloc: Allocation) -> str:
-    return " ".join(f"{v}:{alloc.counts[v]}" for v in alloc.seeded_vertices())
+    return " ".join(f"{v}:{c}" for v, c in alloc.seeds)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +187,8 @@ def _graph_source(config: dict) -> tuple[Optional[Graph], Optional[GadgetSpec]]:
 
 def _allocation_from(config: dict, field: str, n: int) -> Allocation:
     seeds = config.get(field)
-    if not isinstance(seeds, list) or not all(isinstance(v, int) for v in seeds):
+    if not isinstance(seeds, list) or not all(
+            isinstance(v, int) and not isinstance(v, bool) for v in seeds):
         raise _field_error(f"profile.{field}", "must be a list of vertex ids")
     return Allocation.from_seeds(n, seeds)
 
@@ -200,7 +201,10 @@ def _profile_from(config: dict, n: int) -> StrategyProfile:
     if not isinstance(section, dict):
         raise _field_error("profile", "missing (expected red/blue sides or seed lists)")
     if "red" in section or "blue" in section:
-        profile = load_profile(section)
+        try:
+            profile = load_profile(section)
+        except ValidationError as exc:
+            raise _field_error("profile", str(exc)) from None
         if profile.red.n != n:
             raise _field_error("profile",
                                f"counts have length {profile.red.n} but the graph has {n} vertices")
@@ -437,10 +441,8 @@ def _verb_couple_test(config: dict):
                            f"must be one of {sorted(MODE_ALIASES)}, got {mode!r}")
     runs = _int_field(section, "runs", _int_field(config, "n_trials", 10_000, minimum=2),
                       minimum=2)
-    red_seeds = [v for v in profile.red.seeded_vertices()
-                 for _ in range(profile.red.counts[v])]
-    blue_seeds = [v for v in profile.blue.seeded_vertices()
-                  for _ in range(profile.blue.counts[v])]
+    red_seeds = [v for v, c in profile.red.seeds for _ in range(c)]
+    blue_seeds = [v for v, c in profile.blue.seeds for _ in range(c)]
     result = couple_test(game.graph, red_seeds, blue_seeds, game.dynamics, game.schedule,
                          mode=mode, runs=runs,
                          master_seed=_int_field(config, "master_seed", 0))

@@ -690,12 +690,14 @@ def filter_phase_candidates(graph: Graph, state: Sequence[int], immune: Sequence
 
 def _check_vertex_list(vs, what: str) -> tuple[int, ...]:
     try:
-        out = tuple(int(v) if isinstance(v, int) else v for v in vs)
+        out = tuple(v if type(v) is int else int(v) if isinstance(v, np.integer) else v
+                    for v in vs)
     except TypeError:
         raise ScheduleError(f"{what} must be a list of vertex ids") from None
     seen = set()
     for v in out:
-        if not isinstance(v, int) or v < 0:
+        # Exactly int: booleans are not vertex ids.
+        if type(v) is not int or v < 0:
             raise ScheduleError(f"{what} contains a non-vertex entry {v!r}")
         if v in seen:
             raise ScheduleError(f"{what} lists vertex {v} twice")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -44,75 +45,83 @@ DEFAULT_NODE_CAP = 1 << 22
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+def _seed_vertex(v, n: int) -> int:
+    if isinstance(v, (int, np.integer)) and not isinstance(v, bool) and 0 <= v < n:
+        return int(v)
+    raise ValidationError(f"seed vertex {v!r} is not a vertex id in 0..{n - 1}")
+
+
+@dataclass(frozen=True, init=False)
 class Allocation:
-    """Per-vertex nonnegative integer seed counts for one player."""
+    """One player's seeds: the vertex count n and the sorted (vertex, count)
+    pairs of the seeded vertices.
 
-    counts: tuple[int, ...]
+    `Allocation(counts)` takes a dense per-vertex count sequence; `counts`
+    gives it back.  Two allocations are equal exactly when their dense counts
+    are, and hash alike.
+    """
 
-    def __post_init__(self):
-        raw = self.counts
-        # Vectorized path for very long count vectors (per-element loops below
-        # would dominate evaluation time on graphs with millions of vertices).
-        if isinstance(raw, (tuple, list)) and len(raw) >= 100_000:
-            arr = None
-            try:
-                arr = np.asarray(raw)
-            except (TypeError, ValueError):
-                arr = None
-            if arr is not None and arr.ndim == 1 and arr.dtype.kind in "iu":
-                if arr.size and int(arr.min()) < 0:
-                    i = int(np.argmin(arr))
-                    raise ValidationError(
-                        f"allocation count at vertex {i} must be a nonnegative integer, got {int(arr[i])!r}")
-                object.__setattr__(self, "counts", tuple(arr.tolist()))
-                return
+    n: int
+    seeds: tuple[tuple[int, int], ...]
+
+    def __init__(self, counts: Sequence[int]):
         try:
-            counts = tuple(int(c) if isinstance(c, (int, np.integer)) else c
-                           for c in raw)
+            dense = list(counts)
         except TypeError:
-            raise ValidationError(f"allocation counts must be a sequence, got {self.counts!r}") from None
-        for i, c in enumerate(counts):
-            if not isinstance(c, int) or c < 0:
-                raise ValidationError(f"allocation count at vertex {i} must be a nonnegative integer, got {c!r}")
-        object.__setattr__(self, "counts", counts)
+            raise ValidationError(f"allocation counts must be a sequence, got {counts!r}") from None
+        seeds = []
+        for v, c in enumerate(dense):
+            if isinstance(c, np.integer):
+                c = int(c)
+            # Exactly int: booleans are not counts.
+            if type(c) is not int or c < 0:
+                raise ValidationError(
+                    f"allocation count at vertex {v} must be a nonnegative integer, got {c!r}")
+            if c:
+                seeds.append((v, c))
+        object.__setattr__(self, "n", len(dense))
+        object.__setattr__(self, "seeds", tuple(seeds))
+
+    @classmethod
+    def _of(cls, n: int, counts: dict[int, int]) -> "Allocation":
+        """The allocation with the given positive counts on valid vertices."""
+        alloc = object.__new__(cls)
+        object.__setattr__(alloc, "n", n)
+        object.__setattr__(alloc, "seeds", tuple(sorted(counts.items())))
+        return alloc
 
     @property
-    def n(self) -> int:
-        return len(self.counts)
+    def counts(self) -> tuple[int, ...]:
+        """The dense per-vertex counts, built on each call."""
+        dense = [0] * self.n
+        for v, c in self.seeds:
+            dense[v] = c
+        return tuple(dense)
 
     @property
     def budget(self) -> int:
-        return sum(self.counts)
+        return sum(c for _, c in self.seeds)
 
     def seeded_vertices(self) -> tuple[int, ...]:
-        cached = getattr(self, "_seeded", None)
-        if cached is None:
-            cached = tuple(v for v, c in enumerate(self.counts) if c > 0)
-            object.__setattr__(self, "_seeded", cached)
-        return cached
+        return tuple(v for v, _ in self.seeds)
 
     @staticmethod
     def empty(n: int) -> "Allocation":
-        return Allocation((0,) * n)
+        return Allocation._of(n, {})
 
     @staticmethod
     def from_seeds(n: int, vertices: Sequence[int]) -> "Allocation":
-        counts = [0] * n
-        for v in vertices:
-            if not (isinstance(v, (int, np.integer)) and 0 <= v < n):
-                raise ValidationError(f"seed vertex {v!r} is not a vertex id in 0..{n - 1}")
-            counts[int(v)] += 1
-        return Allocation(tuple(counts))
+        return Allocation._of(n, Counter(_seed_vertex(v, n) for v in vertices))
 
     def move_seed(self, src: int, dst: int) -> "Allocation":
         """A copy with one seed relocated from src to dst."""
-        if self.counts[src] < 1:
+        src, dst = _seed_vertex(src, self.n), _seed_vertex(dst, self.n)
+        counts = Counter(dict(self.seeds))
+        if counts[src] < 1:
             raise ValidationError(f"no seed at vertex {src} to move")
-        counts = list(self.counts)
         counts[src] -= 1
         counts[dst] += 1
-        return Allocation(tuple(counts))
+        return Allocation._of(self.n, +counts)
 
 
 @dataclass(frozen=True)
@@ -185,14 +194,14 @@ def _parse_strategy(doc, side: str) -> PlayerStrategy:
         counts = doc.get("counts")
         if not isinstance(counts, list):
             raise ValidationError(f"profile side '{side}' needs a 'counts' list")
-        return Allocation(tuple(counts))
+        return Allocation(counts)
     if isinstance(doc, list):
         entries = []
         for item in doc:
             if not isinstance(item, dict) or "p" not in item or "counts" not in item:
                 raise ValidationError(
                     f"profile side '{side}' entries need 'p' and 'counts' fields")
-            entries.append((item["p"], Allocation(tuple(item["counts"]))))
+            entries.append((item["p"], Allocation(item["counts"])))
         return MixedAllocation(tuple(entries))
     raise ValidationError(
         f"profile side '{side}' must be an object with counts or a list of weighted entries")
@@ -265,20 +274,36 @@ class PayoffEstimate:
 # ---------------------------------------------------------------------------
 
 
+def split_seeds(red: Allocation, blue: Allocation
+                ) -> tuple[list[int], list[int], list[tuple[int, float]]]:
+    """Who seeded what: the vertices only red seeds, those only blue seeds,
+    and the contested vertices with red's chance of winning each (its share
+    of the seeds there), all in ascending vertex order."""
+    if red.n != blue.n:
+        raise ValidationError("allocations disagree on vertex count")
+    blue_only = dict(blue.seeds)
+    red_only: list[int] = []
+    contested: list[tuple[int, float]] = []
+    for v, ar in red.seeds:
+        ab = blue_only.pop(v, 0)
+        if ab:
+            contested.append((v, ar / (ar + ab)))
+        else:
+            red_only.append(v)
+    return red_only, list(blue_only), contested
+
+
 def resolve_contested_seeds(red: Allocation, blue: Allocation, rng) -> list[int]:
     """Initial state vector: seeded vertices infected, contested ones resolved
     proportionally to seed counts, independently across vertices."""
-    if red.n != blue.n:
-        raise ValidationError("allocations disagree on vertex count")
+    red_only, blue_only, contested = split_seeds(red, blue)
     state = [UNINFECTED] * red.n
-    for v in range(red.n):
-        ar, ab = red.counts[v], blue.counts[v]
-        if ar > 0 and ab > 0:
-            state[v] = RED if rng.random() < ar / (ar + ab) else BLUE
-        elif ar > 0:
-            state[v] = RED
-        elif ab > 0:
-            state[v] = BLUE
+    for v in red_only:
+        state[v] = RED
+    for v in blue_only:
+        state[v] = BLUE
+    for v, p_red in contested:
+        state[v] = RED if rng.random() < p_red else BLUE
     return state
 
 
@@ -408,13 +433,12 @@ class _ReplicationKernel:
             if (id(red), id(blue)) in self.pair_index:
                 continue
             self.pair_index[id(red), id(blue)] = len(self.seeds)
+            red_only, blue_only, contested = split_seeds(red, blue)
             base = np.zeros(n, dtype=np.int8)
-            base[list(red.seeded_vertices())] = RED
-            base[list(blue.seeded_vertices())] = BLUE
-            contested = sorted(set(red.seeded_vertices()) & set(blue.seeded_vertices()))
-            p_red = np.array([red.counts[v] / (red.counts[v] + blue.counts[v])
-                              for v in contested])
-            self.seeds.append((base, np.array(contested, dtype=np.intp), p_red))
+            base[red_only] = RED
+            base[blue_only] = BLUE
+            self.seeds.append((base, np.array([v for v, _ in contested], dtype=np.intp),
+                               np.array([p for _, p in contested])))
         max_contested = max(len(c) for _, c, _ in self.seeds)
         # Wide enough for the contested seeds and any one phase; one-shot
         # schedules never draw more than this in all.
@@ -656,27 +680,23 @@ def _exact_profile_expectation(game: GameSpec, red: Allocation, blue: Allocation
     if red.n != n or blue.n != n:
         raise ValidationError("allocation length does not match the graph")
 
+    red_only, blue_only, seed_contests = split_seeds(red, blue)
     base = [UNINFECTED] * n
+    for v in red_only:
+        base[v] = RED
+    for v in blue_only:
+        base[v] = BLUE
+    cr0, cb0 = len(red_only), len(blue_only)
     contested: list[tuple[int, float]] = []
-    cr0 = cb0 = 0
     mr0 = mb0 = 0.0
-    for v in range(n):
-        ar, ab = red.counts[v], blue.counts[v]
-        if ar > 0 and ab > 0:
-            p_red = ar / (ar + ab)
-            if not graph.out_neighbors[v]:
-                # The color of a sink seed affects only the final tally.
-                base[v] = RED
-                mr0 += p_red
-                mb0 += 1.0 - p_red
-            else:
-                contested.append((v, p_red))
-        elif ar > 0:
+    for v, p_red in seed_contests:
+        if not graph.out_neighbors[v]:
+            # The color of a sink seed affects only the final tally.
             base[v] = RED
-            cr0 += 1
-        elif ab > 0:
-            base[v] = BLUE
-            cb0 += 1
+            mr0 += p_red
+            mb0 += 1.0 - p_red
+        else:
+            contested.append((v, p_red))
 
     last_app = _last_appearance(schedule, n)
     is_parallel = isinstance(schedule, ParallelRounds)

@@ -103,12 +103,12 @@ class PayoffOracle:
         return ss
 
     def evaluate(self, red: Allocation, blue: Allocation) -> PayoffEstimate:
-        key = (red.counts, blue.counts)
+        key = (red, blue)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
         if self.use_symmetry:
-            swapped = self._cache.get((blue.counts, red.counts))
+            swapped = self._cache.get((blue, red))
             if swapped is not None:
                 est = PayoffEstimate(pi_R=swapped.pi_B, pi_B=swapped.pi_R,
                                      method=swapped.method, n_trials=swapped.n_trials,

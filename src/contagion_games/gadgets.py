@@ -32,13 +32,13 @@ from .dynamics import (
     load_dynamics,
 )
 from .engine import (
-    EXACT_ENUMERATION,
     EXACT_LAYERED_DP,
     Allocation,
     GameSpec,
     PayoffEstimate,
     StrategyProfile,
     exact_payoffs,
+    split_seeds,
 )
 from .equilibrium import EXACT_EPS, DeviationReport, _profile_bm, verify_profile_deviations
 from .layered import LayeredStructure, layered_exact_payoffs
@@ -101,10 +101,6 @@ class Prediction:
                 "check": self.check, "tol": self.tol, "measure_key": self.key}
 
 
-def _sparse_seeds(alloc: Allocation) -> list[list[int]]:
-    return [[v, alloc.counts[v]] for v in alloc.seeded_vertices()]
-
-
 @dataclass(frozen=True)
 class ProfileCase:
     """A named strategy profile with its declared deviation set."""
@@ -119,8 +115,8 @@ class ProfileCase:
     def to_json_dict(self) -> dict:
         return {
             "label": self.label,
-            "red_seeds": _sparse_seeds(self.red),
-            "blue_seeds": _sparse_seeds(self.blue),
+            "red_seeds": [list(seed) for seed in self.red.seeds],
+            "blue_seeds": [list(seed) for seed in self.blue.seeds],
             "red_deviations": [label for label, _ in self.red_deviations],
             "blue_deviations": [label for label, _ in self.blue_deviations],
             "expect_equilibrium": self.expect_equilibrium,
@@ -223,22 +219,6 @@ class ChainLayout:
         return LayerOrder(tuple(phases))
 
 
-def _seed_colors(red: Allocation, blue: Allocation):
-    """(sure color by vertex, contested (vertex, p_red) list)."""
-    colors: dict[int, str] = {}
-    contested: list[tuple[int, float]] = []
-    blue_set = set(blue.seeded_vertices())
-    for v in red.seeded_vertices():
-        if v in blue_set:
-            contested.append((v, red.counts[v] / (red.counts[v] + blue.counts[v])))
-            blue_set.discard(v)
-        else:
-            colors[v] = "R"
-    for v in blue_set:
-        colors[v] = "B"
-    return colors, contested
-
-
 def _pair_probs(dyn: AdoptionFunction, n_red: int, n_blue: int) -> tuple[float, float]:
     """(red, blue) update probabilities for a vertex with two in-neighbors."""
     pr, pb, _ = dyn.update_probs(n_red / 2.0, n_blue / 2.0)
@@ -319,7 +299,8 @@ def _block_expectation(layout: ChainLayout, dyn: AdoptionFunction,
 
 def _chain_profile_expectation(layout: ChainLayout, dyn: AdoptionFunction,
                                red: Allocation, blue: Allocation):
-    colors, contested = _seed_colors(red, blue)
+    red_only, blue_only, contested = split_seeds(red, blue)
+    colors = dict.fromkeys(red_only, "R") | dict.fromkeys(blue_only, "B")
     if len(contested) > MAX_CONTESTED_BRANCHES:
         raise ValidationError(
             f"{len(contested)} contested seeds exceed the branching cap of "
@@ -383,28 +364,22 @@ def sample_chain_block(layout: ChainLayout, dyn: AdoptionFunction,
     Supports profiles whose seeds all sit on the shared inputs; returns
     integer arrays (red_counts, blue_counts) of length n_runs.
     """
-    colors, contested = _seed_colors(red, blue)
-    if any(v >= layout.n_inputs for v in colors) or \
-            any(v >= layout.n_inputs for v, _ in contested):
+    if any(v >= layout.n_inputs for v, _ in red.seeds + blue.seeds):
         raise ValidationError("the block sampler supports seeds on shared inputs only")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=master_seed,
                                                        spawn_key=(block,)))
     state = np.zeros(n_runs, dtype=np.int8)  # 0=U, 1=R, 2=B
-    input_color = dict(colors)
+    red_only, blue_only, contested = split_seeds(red, blue)
     contest_draws = {v: rng.random(n_runs) < p_red for v, p_red in contested}
     red_count = np.zeros(n_runs, dtype=np.int64)
     blue_count = np.zeros(n_runs, dtype=np.int64)
 
     def input_counts(v: int):
-        c = input_color.get(v)
-        if c == "R":
-            return np.ones(n_runs, dtype=np.int8), np.zeros(n_runs, dtype=np.int8)
-        if c == "B":
-            return np.zeros(n_runs, dtype=np.int8), np.ones(n_runs, dtype=np.int8)
         if v in contest_draws:
             win = contest_draws[v]
             return win.astype(np.int8), (~win).astype(np.int8)
-        return np.zeros(n_runs, dtype=np.int8), np.zeros(n_runs, dtype=np.int8)
+        return (np.full(n_runs, v in red_only, dtype=np.int8),
+                np.full(n_runs, v in blue_only, dtype=np.int8))
 
     prob_table = {}
 
@@ -1036,7 +1011,7 @@ def polarization_amplifier(stages: int, middle_size: int, big_final_size: int,
         probe_structure, probe = build_cases(1)
         best = 0.0
         for _, alt in probe.blue_deviations:
-            if alt.counts[sum(deep_sizes)] > 0 or alt.counts[sum(deep_sizes) + 1] > 0:
+            if any(v - sum(deep_sizes) in (0, 1) for v in alt.seeded_vertices()):
                 continue  # star-side moves depend on the star size; skip in the probe
             est = layered_exact_payoffs(probe_structure, dynamics,
                                         StrategyProfile(probe.red, alt))

@@ -16,6 +16,7 @@ layers cheap.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,7 @@ from .engine import (
     _replication_rng,
     _sample_support,
     monte_carlo_estimate,
+    split_seeds,
 )
 from .errors import ValidationError
 from .graphs import Graph
@@ -131,27 +133,19 @@ def validate_layered_graph(graph: Graph, structure: LayeredStructure) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _layer_seeds(red: Allocation, blue: Allocation, start: int, size: int):
-    """(sure red, sure blue, contested red-win probabilities) in one layer.
-
-    Walks the sparse seeded-vertex lists rather than the layer itself, so the
-    cost scales with the budgets, not with layers of millions of vertices.
-    """
-    sr = 0
-    contested: list[float] = []
-    end = start + size
-    blue_here = {v for v in blue.seeded_vertices() if start <= v < end}
-    for v in red.seeded_vertices():
-        if not (start <= v < end):
-            continue
-        ar = red.counts[v]
-        if v in blue_here:
-            ab = blue.counts[v]
-            contested.append(ar / (ar + ab))
-            blue_here.discard(v)
-        else:
-            sr += 1
-    return sr, len(blue_here), contested
+def _seeds_by_layer(seeds, ranges) -> list[tuple[int, int, list[float]]]:
+    """(sure red, sure blue, contested red-win probabilities) of each layer
+    (start, size), from `split_seeds`' ascending lists; the cost scales with
+    the budgets, not with layers of millions of vertices."""
+    red_only, blue_only, contested = seeds
+    where = [v for v, _ in contested]
+    out = []
+    for start, size in ranges:
+        end = start + size
+        out.append((bisect_left(red_only, end) - bisect_left(red_only, start),
+                    bisect_left(blue_only, end) - bisect_left(blue_only, start),
+                    [p for _, p in contested[bisect_left(where, start):bisect_left(where, end)]]))
+    return out
 
 
 def _seed_branches(sr: int, sb: int, contested: list[float]):
@@ -299,14 +293,14 @@ def _layer_transition(p: np.ndarray, pr: np.ndarray, pb: np.ndarray, m: int, pru
 
 
 def _component_expectation(sizes: tuple[int, ...], ranges, dyn: AdoptionFunction,
-                           red: Allocation, blue: Allocation, prune: float):
+                           seeds, prune: float):
     """Exact (E red, E blue) totals over one component, plus the probability
     mass pruning dropped: one minus the mass of the distribution that reaches
     the final layer."""
     er = eb = 0.0
 
     # Seed totals per layer are state-independent; count them directly.
-    layer_seeds = [_layer_seeds(red, blue, start, size) for start, size in ranges]
+    layer_seeds = _seeds_by_layer(seeds, ranges)
     layer_seed_branches = []
     for seeds in layer_seeds:
         branches = _seed_branches(*seeds)
@@ -361,8 +355,9 @@ def layered_exact_payoffs(structure: LayeredStructure, dyn: AdoptionFunction,
             continue
         if red.n != structure.n or blue.n != structure.n:
             raise ValidationError("allocation length does not match the layered structure")
+        seeds = split_seeds(red, blue)
         for comp_sizes, comp_ranges in zip(structure.component_layer_sizes, ranges):
-            r, b, d = _component_expectation(comp_sizes, comp_ranges, dyn, red, blue, prune)
+            r, b, d = _component_expectation(comp_sizes, comp_ranges, dyn, seeds, prune)
             er += p * r
             eb += p * b
             dropped += p * d
@@ -375,11 +370,11 @@ def layered_exact_payoffs(structure: LayeredStructure, dyn: AdoptionFunction,
 # ---------------------------------------------------------------------------
 
 
-def _sample_component(sizes, ranges, dyn, red, blue, rng):
+def _sample_component(sizes, ranges, dyn, seeds, rng):
     chi_r = chi_b = 0
     prev_r = prev_b = 0
-    for depth, (start, size) in enumerate(ranges):
-        sr, sb, contested = _layer_seeds(red, blue, start, size)
+    for depth, ((_, size), (sr, sb, contested)) in enumerate(
+            zip(ranges, _seeds_by_layer(seeds, ranges))):
         for p_red in contested:
             if rng.random() < p_red:
                 sr += 1
@@ -410,8 +405,9 @@ def sample_layered_counts(structure: LayeredStructure, dyn: AdoptionFunction,
     """
     chi_r = chi_b = 0
     ranges = structure.layer_ranges()
+    seeds = split_seeds(red, blue)
     for comp_sizes, comp_ranges in zip(structure.component_layer_sizes, ranges):
-        r, b = _sample_component(comp_sizes, comp_ranges, dyn, red, blue, rng)
+        r, b = _sample_component(comp_sizes, comp_ranges, dyn, seeds, rng)
         chi_r += r
         chi_b += b
     return chi_r, chi_b

@@ -305,6 +305,23 @@ def test_missing_or_bad_fields_exit_with_validation_status(
     assert f"config field '{field}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("update,message", [
+    ({"profile": {"red_seeds": [True], "blue_seeds": [0]}}, "config field 'profile.red_seeds'"),
+    ({"profile": {"red": {"counts": [True] + [False] * 12},
+                  "blue": {"counts": [0] * 12 + [1]}}},
+     "config field 'profile': allocation count at vertex 0"),
+    ({"profile": {"red_seeds": [3], "blue_seeds": [0]},
+      "schedule": {"kind": "single_pass", "order": [True, 2]}},
+     "single-pass order contains a non-vertex entry True"),
+])
+def test_boolean_vertex_ids_and_counts_are_rejected(tmp_path, capsys, update, message):
+    config = base_config()
+    config.update(update)
+    path = write_config(tmp_path, config)
+    assert run(["payoff", "--config", path, "--out", str(tmp_path / "out")]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_profile_and_search_are_mutually_exclusive(tmp_path, capsys):
     config = write_config(tmp_path, base_config(
         profile={"red_seeds": [3], "blue_seeds": [0]}, search={"eps": 0.1}))

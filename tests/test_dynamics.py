@@ -459,6 +459,30 @@ def test_single_pass_rejects_duplicates_and_unknown_vertices():
     with pytest.raises(ScheduleError, match="unknown vertex"):
         run_contagion(path_graph(), [RED, UNINFECTED, UNINFECTED], linear_dyn(),
                       SinglePassOrder((5,)), rng_seed=0)
+    # The first bad entry in listed order is the one reported.
+    with pytest.raises(ScheduleError, match="lists vertex 1 twice"):
+        SinglePassOrder((1, 1, -1))
+    with pytest.raises(ScheduleError, match="non-vertex entry -1"):
+        SinglePassOrder((-1, 1, 1))
+
+
+def test_schedules_take_numpy_vertex_ids():
+    order = SinglePassOrder(tuple(np.arange(3)))
+    assert order.order == (0, 1, 2)
+    assert all(type(v) is int for v in order.order)
+    layers = LayerOrder(((np.int64(1), 2),))
+    assert layers.layers == ((1, 2),)
+    assert all(type(v) is int for v in layers.layers[0])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: SinglePassOrder((True, 2)),
+    lambda: LayerOrder(((1,), (np.bool_(False), 2))),
+    lambda: load_schedule({"kind": "single_pass", "order": [True, 2]}),
+])
+def test_schedules_reject_boolean_vertex_ids(make):
+    with pytest.raises(ScheduleError, match="non-vertex entry"):
+        make()
 
 
 def test_parallel_rounds_use_snapshot_semantics():

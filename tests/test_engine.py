@@ -1,6 +1,8 @@
 """Allocations, strategy profiles, contested seeds, and the payoff oracles."""
 
 import dataclasses
+import pickle
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -38,6 +40,7 @@ from contagion_games import (
     load_profile,
     resolve_contested_seeds,
     run_profile_once,
+    split_seeds,
 )
 
 
@@ -88,6 +91,89 @@ def test_move_seed():
     assert a.move_seed(0, 1).counts == (1, 1, 1)
     with pytest.raises(ValidationError, match="no seed"):
         a.move_seed(1, 0)
+    # Onto an existing seed, and off a vertex's last seed.
+    b = Allocation((1, 0, 2))
+    assert b.move_seed(0, 2).seeds == ((2, 3),)
+    assert b.move_seed(2, 1).seeds == ((0, 1), (1, 1), (2, 1))
+    with pytest.raises(ValidationError, match="not a vertex id"):
+        b.move_seed(0, 3)
+
+
+def test_allocations_reject_boolean_counts_and_vertex_ids():
+    with pytest.raises(ValidationError, match="vertex 0 must be a nonnegative integer, got True"):
+        Allocation((True, 0, 0))
+    with pytest.raises(ValidationError, match="vertex 2 must be a nonnegative integer"):
+        Allocation([0, 1, np.bool_(True)])
+    with pytest.raises(ValidationError, match="seed vertex True is not a vertex id"):
+        Allocation.from_seeds(3, [True])
+    with pytest.raises(ValidationError, match="seed vertex False is not a vertex id"):
+        Allocation.from_seeds(3, [1]).move_seed(1, False)
+
+
+@st.composite
+def dense_counts(draw, n=None):
+    n = draw(st.integers(0, 9)) if n is None else n
+    return draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(counts=dense_counts(), data=st.data())
+def test_allocation_matches_a_dense_model(counts, data):
+    n = len(counts)
+    seeded = tuple(v for v, c in enumerate(counts) if c)
+    seed_list = data.draw(st.permutations([v for v, c in enumerate(counts) for _ in range(c)]))
+    routes = [Allocation(tuple(counts)), Allocation(list(counts)),
+              Allocation(np.array(counts, dtype=np.int64)), Allocation.from_seeds(n, seed_list)]
+    if not seeded:
+        routes.append(Allocation.empty(n))
+    for a in routes:
+        assert a.n == n
+        assert a.counts == tuple(counts)
+        assert all(type(c) is int for c in a.counts)
+        assert a.budget == sum(counts)
+        assert a.seeded_vertices() == seeded
+        assert a.seeds == tuple((v, counts[v]) for v in seeded)
+        assert a == routes[0] and hash(a) == hash(routes[0])
+        copy = pickle.loads(pickle.dumps(a))
+        assert copy == a and hash(copy) == hash(a) and copy.counts == a.counts
+
+    other = data.draw(dense_counts(n))
+    assert (Allocation(other) == routes[0]) == (other == counts)
+    assert Allocation(counts + [0]) != routes[0]
+
+    if seeded:
+        src = data.draw(st.sampled_from(seeded))
+        dst = data.draw(st.integers(0, n - 1))
+        model = list(counts)
+        model[src] -= 1
+        model[dst] += 1
+        moved = routes[3].move_seed(src, dst)
+        assert moved.counts == tuple(model)
+        assert moved == Allocation(model) and hash(moved) == hash(Allocation(model))
+        assert moved.budget == sum(counts)
+        assert routes[0].counts == tuple(counts)  # the original is unchanged
+
+
+def test_sparse_allocations_take_little_memory_on_a_million_vertices():
+    n = 10**6
+    tracemalloc.start()
+    try:
+        red = Allocation.from_seeds(n, [5, n - 1, 5])
+        blue = red.move_seed(n - 1, 17).move_seed(5, 17)
+        assert split_seeds(red, blue) == ([n - 1], [17], [(5, 2 / 3)])
+        assert red.budget == blue.budget == 3
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_split_seeds_sorts_out_who_seeded_what():
+    red = Allocation((0, 2, 1, 0, 3))
+    blue = Allocation((1, 1, 0, 1, 0))
+    assert split_seeds(red, blue) == ([2, 4], [0, 3], [(1, 2 / 3)])
+    with pytest.raises(ValidationError, match="disagree on vertex count"):
+        split_seeds(red, Allocation.empty(4))
 
 
 def test_long_count_vectors_take_the_vectorized_path():

@@ -97,13 +97,24 @@ def test_chain_layout_graph_matches_the_closed_form():
 
 
 def test_chain_evaluator_matches_generic_enumeration():
+    for params in ((2, 2, 2), (3, 3, 2)):
+        spec = chain_replication(*params)
+        case = spec.profiles["designated"]
+        # The designated profile and every declared deviation: contested
+        # inputs, and seeds moved onto chain and terminal vertices.
+        profiles = [StrategyProfile(case.red, case.blue)]
+        profiles += [StrategyProfile(alt, case.blue) for _, alt in case.red_deviations]
+        profiles += [StrategyProfile(case.red, alt) for _, alt in case.blue_deviations]
+        assert len(profiles) == 8
+        assert "contest_red_input" in dict(case.blue_deviations)
+        for profile in profiles:
+            dp = chain_exact_payoffs(spec.chain, spec.dynamics, profile)
+            generic = exact_payoffs(spec.game(), profile)
+            assert dp.pi_R == pytest.approx(generic.pi_R, abs=1e-12)
+            assert dp.pi_B == pytest.approx(generic.pi_B, abs=1e-12)
     spec = chain_replication(2, 2, 2)
     case = spec.profiles["designated"]
-    dp = chain_exact_payoffs(spec.chain, spec.dynamics,
-                             StrategyProfile(case.red, case.blue))
-    generic = exact_payoffs(spec.game(), StrategyProfile(case.red, case.blue))
-    assert dp.pi_R == pytest.approx(generic.pi_R, abs=1e-12)
-    assert dp.pi_B == pytest.approx(generic.pi_B, abs=1e-12)
+    dp = chain_exact_payoffs(spec.chain, spec.dynamics, StrategyProfile(case.red, case.blue))
     assert (dp.pi_R, dp.pi_B) == (7.5, 3.5)
 
 
