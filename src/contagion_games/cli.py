@@ -441,6 +441,9 @@ def _verb_couple_test(config: dict):
                            f"must be one of {sorted(MODE_ALIASES)}, got {mode!r}")
     runs = _int_field(section, "runs", _int_field(config, "n_trials", 10_000, minimum=2),
                       minimum=2)
+    if not profile.is_pure:
+        raise _field_error("profile", "couple-test needs a pure profile: one count vector "
+                                      "per side, not a list of weighted entries")
     red_seeds = [v for v, c in profile.red.seeds for _ in range(c)]
     blue_seeds = [v for v, c in profile.blue.seeds for _ in range(c)]
     result = couple_test(game.graph, red_seeds, blue_seeds, game.dynamics, game.schedule,

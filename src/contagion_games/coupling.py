@@ -19,6 +19,17 @@ whenever both update the same vertex in the same phase):
 
 Deterministic-candidate schedules only: with a randomly chosen update order
 the two processes would not agree on which vertex a draw belongs to.
+
+The two inequality modes run on arrays (`_CoupledKernel`): a block of
+replications advances as two (R, n) state matrices, the joint process and
+the red solo process, and replication i reads its draws from one row of a
+draw-ahead matrix that both processes index.  A replication draws what the
+vertex-by-vertex coupling draws: one uniform per vertex that is a candidate
+in either process, in ascending vertex order within a layer and in listed
+order along a single pass.  `couple_test`'s standalone replications run
+through `engine`'s Monte Carlo replication loop.  Attribution runs stay
+vertex by vertex, because their donor choices draw integers between the
+uniforms.
 """
 
 from __future__ import annotations
@@ -31,15 +42,28 @@ from scipy.stats import ks_2samp
 
 from .dynamics import (
     AdoptionFunction,
+    LayerOrder,
     RandomSequential,
     SimOutcome,
+    SinglePassOrder,
     UpdateSchedule,
+    _fraction_grid,
+    _point_arrays,
     check_additive,
     check_competitive,
     filter_phase_candidates,
-    run_contagion,
 )
-from .engine import _replication_rng
+from .engine import (
+    Allocation,
+    GameSpec,
+    StrategyProfile,
+    _BatchedPhases,
+    _Draws,
+    _mc_chunk,
+    _replication_rng,
+    _replication_streams,
+    _single_pass_groups,
+)
 from .errors import CouplingHypothesisError, ValidationError
 from .graphs import BLUE, RED, UNINFECTED, Graph, neighbor_fractions
 
@@ -92,17 +116,16 @@ def check_linear_split(dyn: AdoptionFunction,
     split is proportional (so copying a uniform infected in-neighbor's color
     reproduces it)."""
     m = round(1.0 / grid_step)
-    all_points = [(i / m, j / m) for i in range(m + 1) for j in range(m + 1 - i)]
-    all_points.extend(points)
-    out = []
-    for a, b in all_points:
-        if a + b <= 0.0:
-            continue
-        expected = dyn.prob_any(a, b) * (a / (a + b))
-        got = dyn.prob_red(a, b)
-        if abs(got - expected) > tol:
-            out.append((a, b, got - expected))
-    return out
+    i, j = _fraction_grid(m)
+    extra_a, extra_b = _point_arrays(points)
+    a = np.concatenate([i / m, extra_a])
+    b = np.concatenate([j / m, extra_b])
+    live = a + b > 0.0
+    a, b = a[live], b[live]
+    got, total = dyn._prob_arrays(a, b)
+    gap = got - total * (a / (a + b))
+    bad = np.abs(gap) > tol
+    return list(zip(a[bad].tolist(), b[bad].tolist(), gap[bad].tolist()))
 
 
 def require_mode_hypotheses(mode: str, dyn: AdoptionFunction, graph: Graph) -> None:
@@ -148,8 +171,6 @@ def _require_one_shot_schedule(schedule: UpdateSchedule) -> None:
     the early stop on a no-change round can freeze one process while the other
     keeps retrying; the comparison inequalities themselves fail on small
     instances under that semantics, so such schedules are refused outright."""
-    from .dynamics import LayerOrder, SinglePassOrder
-
     if not isinstance(schedule, (SinglePassOrder, LayerOrder)):
         raise ValidationError(
             "this coupling mode needs a one-shot schedule (single_pass or layer_order): "
@@ -185,17 +206,76 @@ class CoupledRunResult:
     invariant_violations: int
 
 
-def _invariant_violations(mode: str, joint_state: Sequence[int], solo_state: Sequence[int]) -> int:
-    bad = 0
-    if mode == MODE_SOLO_VS_JOINT:
-        for xj, xs in zip(joint_state, solo_state):
-            if xj == RED and xs != RED:
-                bad += 1
-    else:  # joint-total
-        for xj, xs in zip(joint_state, solo_state):
-            if xs == RED and xj == UNINFECTED:
-                bad += 1
-    return bad
+class _CoupledKernel(_BatchedPhases):
+    """Coupled runs of the joint process (both seed sets) and the red solo
+    process (red seeds only) on a one-shot schedule, a block of replications
+    at a time, as two (R, n) int8 state matrices.
+
+    Each phase draws one uniform per vertex that is a candidate in either
+    process, from the replication's row of a `_Draws` matrix, in the phase's
+    vertex order: ascending within a layer, listed order along a single pass
+    (whose consecutive vertices are grouped by `_single_pass_groups`).  Joint
+    probabilities are the memoised `update_probs` calls, and the solo
+    probability is `update_probs(a_r, 0)[0]`, equal to `prob_red(a_r, 0)`.
+    """
+
+    def __init__(self, graph: Graph, red_seeds: Sequence[int], blue_seeds: Sequence[int],
+                 dyn: AdoptionFunction, schedule: UpdateSchedule, mode: str):
+        self.joint0 = np.array(_seed_state(graph, red_seeds, blue_seeds), dtype=np.int8)
+        self.solo0 = np.array(_seed_state(graph, red_seeds, ()), dtype=np.int8)
+        if isinstance(schedule, SinglePassOrder):
+            phases = _single_pass_groups(schedule.order, graph)
+            update_phase = {v: k for k, v in enumerate(schedule.order)}
+            n_phases = len(schedule.order)
+        else:
+            phases = [sorted(layer) for layer in schedule.layers]
+            update_phase = {v: k for k, layer in enumerate(schedule.layers) for v in layer}
+            n_phases = len(schedule.layers)
+        super().__init__(graph, dyn, phases)
+        self.mode = mode
+        # Every vertex updates in one phase at most and keeps its colors from
+        # then on, so a vertex that breaks the invariant at phase k is counted
+        # after each of the phases k..n_phases-1.
+        self.weight = np.zeros(graph.n, dtype=np.int64)
+        for v, k in update_phase.items():
+            self.weight[v] = n_phases - k
+        self.draw_width = sum(len(p[0]) for p in self.phases)
+
+    def run(self, draws: _Draws) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The joint and solo end states of one row per `draws` row, and each
+        row's invariant violations summed after every phase of the schedule."""
+        rows = len(draws.rngs)
+        joint = np.tile(self.joint0, (rows, 1))
+        solo = np.tile(self.solo0, (rows, 1))
+        all_rows = np.arange(rows)
+        for phase in self.phases:
+            verts, _, _, deg = phase
+            red, blue = self._neighbor_counts(joint, phase)
+            solo_red, _ = self._neighbor_counts(solo, phase)
+            in_joint = (joint[:, verts] == UNINFECTED) & ((red + blue) > 0)
+            in_solo = (solo[:, verts] == UNINFECTED) & (solo_red > 0)
+            row_of, col = np.nonzero(in_joint | in_solo)
+            if len(row_of) == 0:
+                continue
+            z = draws.take(all_rows, np.bincount(row_of, minlength=rows), row_of)
+            d = deg[col]
+            j = in_joint[row_of, col]
+            jr, jc, zj = row_of[j], col[j], z[j]
+            p_red, p_any = self._probs(red[jr, jc] / d[j], blue[jr, jc] / d[j])
+            to_red = zj < p_red
+            to_blue = ~to_red & (zj < p_any)
+            s = in_solo[row_of, col]
+            sr, sc = row_of[s], col[s]
+            p_solo, _ = self._probs(solo_red[sr, sc] / d[s], np.zeros(len(sr)))
+            joint[jr[to_red], verts[jc[to_red]]] = RED
+            joint[jr[to_blue], verts[jc[to_blue]]] = BLUE
+            won = z[s] < p_solo
+            solo[sr[won], verts[sc[won]]] = RED
+        if self.mode == MODE_SOLO_VS_JOINT:
+            bad = (joint == RED) & (solo != RED)
+        else:  # joint-total
+            bad = (solo == RED) & (joint == UNINFECTED)
+        return joint, solo, bad @ self.weight
 
 
 def coupled_run(graph: Graph, red_seeds: Sequence[int], blue_seeds: Sequence[int],
@@ -203,7 +283,9 @@ def coupled_run(graph: Graph, red_seeds: Sequence[int], blue_seeds: Sequence[int
                 mode: str = MODE_SOLO_VS_JOINT,
                 skip_preflight: bool = False) -> CoupledRunResult:
     """One coupled run of the joint process (both seed sets) and the red solo
-    process (red seeds only), sharing one uniform draw per vertex per phase."""
+    process (red seeds only), sharing one uniform draw per vertex per phase.
+
+    The generator is left just past the draws the run used."""
     mode = canonical_mode(mode)
     if mode == MODE_ATTRIBUTION:
         raise ValidationError("attribution coupling uses coupled_attribution_run")
@@ -212,50 +294,19 @@ def coupled_run(graph: Graph, red_seeds: Sequence[int], blue_seeds: Sequence[int
     if not skip_preflight:
         require_mode_hypotheses(mode, dyn, graph)
     rng = np.random.default_rng(rng)
+    kernel = _CoupledKernel(graph, red_seeds, blue_seeds, dyn, schedule, mode)
+    start = rng.bit_generator.state
+    draws = _Draws([rng], kernel.draw_width)
+    joint, solo, violations = kernel.run(draws)
+    rng.bit_generator.state = start
+    rng.random(int(draws.used[0]))
 
-    joint = _seed_state(graph, red_seeds, blue_seeds)
-    solo = _seed_state(graph, red_seeds, ())
-    no_immune = [False] * graph.n
-    cursor = schedule.initial_cursor()
-    violations = 0
-
-    while True:
-        options = schedule.phase_options(graph, joint, no_immune, cursor)
-        if options is None:
-            break
-        _, phase, cursor = options[0]
-        cands_joint = set(filter_phase_candidates(graph, joint, no_immune, phase))
-        cands_solo = set(filter_phase_candidates(graph, solo, no_immune, phase))
-        pend_joint: list[tuple[int, int]] = []
-        pend_solo: list[int] = []
-        for v in sorted(cands_joint | cands_solo):
-            z = rng.random()
-            if v in cands_joint:
-                a, b = neighbor_fractions(graph, joint, v)
-                pr, pb, _ = dyn.update_probs(a, b)
-                if z < pr:
-                    pend_joint.append((v, RED))
-                elif z < pr + pb:
-                    pend_joint.append((v, BLUE))
-            if v in cands_solo:
-                ar, _ = neighbor_fractions(graph, solo, v)
-                if z < dyn.prob_red(ar, 0.0):
-                    pend_solo.append(v)
-        for v, color in pend_joint:
-            joint[v] = color
-        for v in pend_solo:
-            solo[v] = RED
-        violations += _invariant_violations(mode, joint, solo)
-
+    joint, solo = joint[0].tolist(), solo[0].tolist()
     return CoupledRunResult(
         mode=mode,
-        joint=SimOutcome(state=tuple(joint),
-                         chi_R=sum(1 for s in joint if s == RED),
-                         chi_B=sum(1 for s in joint if s == BLUE)),
-        solo=SimOutcome(state=tuple(solo),
-                        chi_R=sum(1 for s in solo if s == RED),
-                        chi_B=0),
-        invariant_violations=violations,
+        joint=SimOutcome(state=tuple(joint), chi_R=joint.count(RED), chi_B=joint.count(BLUE)),
+        solo=SimOutcome(state=tuple(solo), chi_R=solo.count(RED), chi_B=0),
+        invariant_violations=int(violations[0]),
     )
 
 
@@ -408,37 +459,33 @@ def couple_test(graph: Graph, red_seeds: Sequence[int], blue_seeds: Sequence[int
     if runs < 2:
         raise ValidationError("couple_test needs at least 2 runs")
 
-    def stream_rng(stream: int, i: int):
-        return np.random.default_rng(
-            np.random.SeedSequence(entropy=master_seed, spawn_key=(stream, i)))
-
     notes = ["faithfulness p-values compare each coupled component against "
              "an independent standalone run via a two-sample KS test"]
-    violations = 0
+
+    def standalone(red: Sequence[int], blue: Sequence[int], stream: int):
+        """chi_R and chi_B of `runs` standalone replications, replication i
+        drawing from spawn key (stream, i).  The replication loop reads no
+        budget, so the game's are placeholders."""
+        profile = StrategyProfile(Allocation.from_seeds(graph.n, red),
+                                  Allocation.from_seeds(graph.n, blue))
+        return _mc_chunk(GameSpec(graph, dyn, schedule, 1, 1), profile.support_pairs(),
+                         master_seed, 0, runs, stream=(stream,))
 
     if mode in (MODE_SOLO_VS_JOINT, MODE_JOINT_TOTAL):
-        cj_r = np.empty(runs)
-        cj_b = np.empty(runs)
-        cs_r = np.empty(runs)
-        for i in range(runs):
-            res = coupled_run(graph, red_seeds, blue_seeds, dyn, schedule,
-                              stream_rng(1, i), mode=mode, skip_preflight=True)
-            violations += res.invariant_violations
-            cj_r[i] = res.joint.chi_R
-            cj_b[i] = res.joint.chi_B
-            cs_r[i] = res.solo.chi_R
-
-        joint_init = _seed_state(graph, red_seeds, blue_seeds)
-        solo_init = _seed_state(graph, red_seeds, ())
-        ij_r = np.empty(runs)
-        ij_b = np.empty(runs)
-        is_r = np.empty(runs)
-        for i in range(runs):
-            out_j = run_contagion(graph, joint_init, dyn, schedule, stream_rng(2, i))
-            out_s = run_contagion(graph, solo_init, dyn, schedule, stream_rng(3, i))
-            ij_r[i] = out_j.chi_R
-            ij_b[i] = out_j.chi_B
-            is_r[i] = out_s.chi_R
+        schedule.validate_for_graph(graph)
+        kernel = _CoupledKernel(graph, red_seeds, blue_seeds, dyn, schedule, mode)
+        cj_r, cj_b, cs_r = np.empty(runs), np.empty(runs), np.empty(runs)
+        violations = 0
+        for lo in range(0, runs, kernel.block):
+            hi = min(lo + kernel.block, runs)
+            draws = _Draws(_replication_streams(master_seed, lo, hi, (1,)), kernel.draw_width)
+            joint, solo, bad = kernel.run(draws)
+            violations += int(bad.sum())
+            cj_r[lo:hi] = np.count_nonzero(joint == RED, axis=1)
+            cj_b[lo:hi] = np.count_nonzero(joint == BLUE, axis=1)
+            cs_r[lo:hi] = np.count_nonzero(solo == RED, axis=1)
+        ij_r, ij_b = standalone(red_seeds, blue_seeds, 2)
+        is_r, _ = standalone(red_seeds, (), 3)
 
         if mode == MODE_SOLO_VS_JOINT:
             margins = cs_r - cj_r
@@ -475,28 +522,20 @@ def couple_test(graph: Graph, red_seeds: Sequence[int], blue_seeds: Sequence[int
     ca_r = np.empty(runs)
     ca_b = np.empty(runs)
     ca_tot = np.empty(runs)
+    violations = 0
     mismatch = 0
     for i in range(runs):
         res = coupled_attribution_run(graph, seeds, recolored, dyn, schedule,
-                                      stream_rng(1, i), skip_preflight=True)
+                                      _replication_rng(master_seed, i, (1,)),
+                                      skip_preflight=True)
         violations += res.invariant_violations
         if res.joint_chi_R + res.joint_chi_B != res.solo.chi_total:
             mismatch += 1
         ca_r[i] = res.joint_chi_R
         ca_b[i] = res.joint_chi_B
         ca_tot[i] = res.solo.chi_total
-
-    joint_init = _seed_state(graph, red_seeds, blue_seeds)
-    solo_init = _seed_state(graph, seeds, ())
-    ij_r = np.empty(runs)
-    ij_b = np.empty(runs)
-    is_tot = np.empty(runs)
-    for i in range(runs):
-        out_j = run_contagion(graph, joint_init, dyn, schedule, stream_rng(2, i))
-        out_s = run_contagion(graph, solo_init, dyn, schedule, stream_rng(3, i))
-        ij_r[i] = out_j.chi_R
-        ij_b[i] = out_j.chi_B
-        is_tot[i] = out_s.chi_R
+    ij_r, ij_b = standalone(red_seeds, blue_seeds, 2)
+    is_tot, _ = standalone(seeds, (), 3)
 
     violations += mismatch
     notes.append("margin: recolored-process total minus solo total (identical by construction)")

@@ -415,10 +415,28 @@ class AdoptionFunction(ABC):
             pr.flat[i], pb.flat[i], _ = self.update_probs(x, y)
         return pr, pb
 
+    def _prob_arrays(self, a, b) -> tuple[np.ndarray, np.ndarray]:
+        """`prob_red` and `prob_any` at every pair of two equal-shape fraction
+        arrays, raising their error at the first pair, red before total, that
+        they would reject.
+
+        The construction check and the structural predicates read these:
+        P[Blue] of `update_probs_array` is max(total, red) - red, which does
+        not give `prob_any` back bit for bit.  This default calls the scalar
+        methods pair by pair; subclasses with a vectorised form override it.
+        """
+        a, b = _validate_fraction_arrays(a, b)
+        pr = np.empty(a.shape)
+        pa = np.empty(a.shape)
+        for i, (x, y) in enumerate(zip(a.ravel().tolist(), b.ravel().tolist())):
+            pr.flat[i] = self.prob_red(x, y)
+            pa.flat[i] = self.prob_any(x, y)
+        return pr, pa
+
     def _clamped_arrays(self, a: np.ndarray, b: np.ndarray, raw_red: np.ndarray,
                         raw_any: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """`update_probs_array`'s result from raw red and total probabilities,
-        raising `update_probs`' error at the first pair it would reject."""
+        """`_prob_arrays`' result from raw red and total probabilities,
+        raising the scalar methods' error at the first pair they would reject."""
         ok = ((raw_red >= -CLAMP_TOL) & (raw_red <= 1.0 + CLAMP_TOL)
               & (raw_any >= -CLAMP_TOL) & (raw_any <= 1.0 + CLAMP_TOL))
         if not ok.all():
@@ -426,20 +444,14 @@ class AdoptionFunction(ABC):
             x, y = float(a.flat[i]), float(b.flat[i])
             self._clamp(float(raw_red.flat[i]), "red-infection probability", x, y)
             self._clamp(float(raw_any.flat[i]), "total infection probability", x, y)
-        pr = np.clip(raw_red, 0.0, 1.0)
-        pa = np.maximum(np.clip(raw_any, 0.0, 1.0), pr)
-        return pr, pa - pr
+        return np.clip(raw_red, 0.0, 1.0), np.clip(raw_any, 0.0, 1.0)
 
     def _validate_simplex(self) -> None:
         if self._raw_red(0.0, 0.0) != 0.0:
             raise DynamicsDefinitionError(
                 "adoption probability must be exactly 0 with no infected in-neighbors")
-        m = round(1.0 / PREDICATE_GRID_STEP)
-        for i in range(m + 1):
-            for j in range(m + 1 - i):
-                a, b = i / m, j / m
-                self.prob_red(a, b)
-                self.prob_any(a, b)
+        m, i, j = _predicate_grid(PREDICATE_GRID_STEP)
+        self._prob_arrays(i / m, j / m)
 
 
 @dataclass(frozen=True)
@@ -471,7 +483,7 @@ class SwitchSelectAdoption(AdoptionFunction):
             return 0.0
         return self.switching.value(min(total, 1.0))
 
-    def update_probs_array(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _prob_arrays(self, a, b) -> tuple[np.ndarray, np.ndarray]:
         a, b = _validate_fraction_arrays(a, b)
         total = a + b
         live = total > 0.0
@@ -479,6 +491,10 @@ class SwitchSelectAdoption(AdoptionFunction):
         raw_any = np.where(live, self.switching.value_array(np.minimum(safe, 1.0)), 0.0)
         raw_red = np.where(live, raw_any * self.selection.value_array(a / safe), 0.0)
         return self._clamped_arrays(a, b, raw_red, raw_any)
+
+    def update_probs_array(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        pr, pa = self._prob_arrays(a, b)
+        return pr, np.maximum(pa, pr) - pr
 
     def to_json_dict(self) -> dict:
         return {"f": self.switching.to_json_dict(), "g": self.selection.to_json_dict()}
@@ -542,11 +558,24 @@ class AdditiveViolation:
     spread: float
 
 
-def _predicate_grid(grid_step: float) -> tuple[int, list[tuple[int, int]]]:
+def _fraction_grid(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The index pairs (i, j) with i + j <= m, i major and j ascending: the
+    points (i/m, j/m) of a predicate grid."""
+    i, j = np.divmod(np.arange((m + 1) ** 2), m + 1)
+    keep = i + j <= m
+    return i[keep], j[keep]
+
+
+def _predicate_grid(grid_step: float) -> tuple[int, np.ndarray, np.ndarray]:
     if not (0.0 < grid_step <= 0.1):
         raise ValidationError(f"grid step must lie in (0, 0.1], got {grid_step}")
     m = round(1.0 / grid_step)
-    return m, [(i, j) for i in range(m + 1) for j in range(m + 1 - i)]
+    return (m, *_fraction_grid(m))
+
+
+def _point_arrays(points: Iterable[tuple[float, float]]) -> tuple[np.ndarray, np.ndarray]:
+    pts = np.array([(a, b) for a, b in points], dtype=float).reshape(-1, 2)
+    return pts[:, 0], pts[:, 1]
 
 
 def check_competitive(h: AdoptionFunction, grid_step: float = PREDICATE_GRID_STEP,
@@ -555,16 +584,15 @@ def check_competitive(h: AdoptionFunction, grid_step: float = PREDICATE_GRID_STE
 
     Empty result means: h(a, b) <= h(a, 0) + tolerance everywhere checked.
     """
-    m, grid = _predicate_grid(grid_step)
-    points = [(i / m, j / m) for i, j in grid]
-    points.extend(_validate_fraction_pair(a, b) for a, b in extra_points)
-    out = []
-    for a, b in points:
-        with_op = h.prob_red(a, b)
-        alone = h.prob_red(a, 0.0)
-        if with_op > alone + PREDICATE_TOL:
-            out.append(CompetitiveViolation(a, b, with_op, alone))
-    return out
+    m, i, j = _predicate_grid(grid_step)
+    extra_a, extra_b = _point_arrays(extra_points)
+    a = np.concatenate([i / m, extra_a])
+    b = np.concatenate([j / m, extra_b])
+    with_op, _ = h._prob_arrays(a, b)
+    alone, _ = h._prob_arrays(a, np.zeros_like(a))
+    bad = with_op > alone + PREDICATE_TOL
+    return [CompetitiveViolation(*v) for v in zip(
+        a[bad].tolist(), b[bad].tolist(), with_op[bad].tolist(), alone[bad].tolist())]
 
 
 def check_additive(h: AdoptionFunction, grid_step: float = PREDICATE_GRID_STEP,
@@ -575,26 +603,35 @@ def check_additive(h: AdoptionFunction, grid_step: float = PREDICATE_GRID_STEP,
     own spread.  Extra (off-grid) points are compared against the same total
     concentrated on one color.
     """
-    m, grid = _predicate_grid(grid_step)
-    groups: dict[int, list[tuple[float, float, float]]] = {}
-    for i, j in grid:
-        a, b = i / m, j / m
-        groups.setdefault(i + j, []).append((a, b, h.prob_any(a, b)))
-    out = []
-    for total_idx, entries in sorted(groups.items()):
-        values = [v for _, _, v in entries]
-        spread = max(values) - min(values)
-        if spread > PREDICATE_TOL:
-            ref = entries[-1][2]  # the group's (total, 0) point: j = 0 comes last
-            for a, b, v in entries:
-                if abs(v - ref) > PREDICATE_TOL:
-                    out.append(AdditiveViolation(a, b, v, ref, spread))
-    for a, b in extra_points:
-        a, b = _validate_fraction_pair(a, b)
-        v = h.prob_any(a, b)
-        ref = h.prob_any(min(a + b, 1.0), 0.0)
-        if abs(v - ref) > PREDICATE_TOL:
-            out.append(AdditiveViolation(a, b, v, ref, abs(v - ref)))
+    m, i, j = _predicate_grid(grid_step)
+    a, b = i / m, j / m
+    _, value = h._prob_arrays(a, b)
+    total = i + j
+    top = np.full(m + 1, -np.inf)
+    low = np.full(m + 1, np.inf)
+    np.maximum.at(top, total, value)
+    np.minimum.at(low, total, value)
+    spread = top - low
+    ref = np.empty(m + 1)
+    ref[i[j == 0]] = value[j == 0]  # each group's (total, 0) point
+    # A point off its group's reference also puts the group's spread past
+    # the tolerance.  Grid order within a total is i ascending; report group
+    # by group.
+    bad = np.abs(value - ref[total]) > PREDICATE_TOL
+    at = np.flatnonzero(bad)
+    at = at[np.argsort(total[at], kind="stable")]
+    out = [AdditiveViolation(*v) for v in zip(
+        a[at].tolist(), b[at].tolist(), value[at].tolist(), ref[total[at]].tolist(),
+        spread[total[at]].tolist())]
+
+    a, b = _point_arrays(extra_points)
+    _, value = h._prob_arrays(a, b)
+    _, ref = h._prob_arrays(np.minimum(a + b, 1.0), np.zeros_like(a))
+    gap = np.abs(value - ref)
+    bad = gap > PREDICATE_TOL
+    out.extend(AdditiveViolation(*v) for v in zip(
+        a[bad].tolist(), b[bad].tolist(), value[bad].tolist(), ref[bad].tolist(),
+        gap[bad].tolist()))
     return out
 
 
@@ -624,7 +661,7 @@ class Decomposition:
 
 
 def decompose(h: AdoptionFunction, grid_step: float = PREDICATE_GRID_STEP) -> Decomposition:
-    m, grid = _predicate_grid(grid_step)
+    m, i, j = _predicate_grid(grid_step)
 
     def selection(a: float, b: float) -> float:
         total_prob = h.prob_any(a, b)
@@ -632,7 +669,9 @@ def decompose(h: AdoptionFunction, grid_step: float = PREDICATE_GRID_STEP) -> De
             return math.nan
         return h.prob_red(a, b) / total_prob
 
-    undefined = tuple((i / m, j / m) for i, j in grid if h.prob_any(i / m, j / m) <= 0.0)
+    a, b = i / m, j / m
+    _, total_prob = h._prob_arrays(a, b)
+    undefined = tuple(zip(a[total_prob <= 0.0].tolist(), b[total_prob <= 0.0].tolist()))
     switching: Optional[SwitchingFunction] = None
     if is_additive(h, grid_step):
         pts = tuple((i / m, h.prob_any(i / m, 0.0)) for i in range(m + 1))

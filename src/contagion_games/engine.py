@@ -79,16 +79,26 @@ class Allocation:
                     f"allocation count at vertex {v} must be a nonnegative integer, got {c!r}")
             if c:
                 seeds.append((v, c))
-        object.__setattr__(self, "n", len(dense))
-        object.__setattr__(self, "seeds", tuple(seeds))
+        self._set(len(dense), tuple(seeds))
 
     @classmethod
     def _of(cls, n: int, counts: dict[int, int]) -> "Allocation":
         """The allocation with the given positive counts on valid vertices."""
         alloc = object.__new__(cls)
-        object.__setattr__(alloc, "n", n)
-        object.__setattr__(alloc, "seeds", tuple(sorted(counts.items())))
+        alloc._set(n, tuple(sorted(counts.items())))
         return alloc
+
+    def _set(self, n: int, seeds: tuple[tuple[int, int], ...]) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "seeds", seeds)
+        # Hashed once: the payoff oracle hashes its keys on every lookup.
+        object.__setattr__(self, "_hash", hash((n, seeds)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Allocation._of, (self.n, dict(self.seeds))
 
     @property
     def counts(self) -> tuple[int, ...]:
@@ -312,8 +322,124 @@ def run_profile_once(game: GameSpec, red: Allocation, blue: Allocation, rng) -> 
     return run_contagion(game.graph, initial, game.dynamics, game.schedule, rng)
 
 
-def _replication_rng(master_seed: int, index: int):
-    return np.random.default_rng(np.random.SeedSequence(entropy=master_seed, spawn_key=(index,)))
+def _replication_rng(master_seed: int, index: int, stream: tuple[int, ...] = ()):
+    """Replication `index`'s generator; `stream` prefixes the spawn key, so
+    callers that need several independent families of runs keep them apart."""
+    return np.random.default_rng(
+        np.random.SeedSequence(entropy=master_seed, spawn_key=(*stream, index)))
+
+
+# SeedSequence's and PCG64's constants (numpy.random), for `_pcg64_seeds`.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _uint32_words(x: int) -> list[int]:
+    """A nonnegative integer's little-endian 32-bit words, as SeedSequence
+    splits its entropy and spawn keys."""
+    words = [x & _MASK32]
+    x >>= 32
+    while x:
+        words.append(x & _MASK32)
+        x >>= 32
+    return words
+
+
+def _seed_mix(x, y):
+    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return r ^ (r >> 16)
+
+
+def _pcg64_seeds(master_seed: int, stream: tuple[int, ...], lo: int,
+                 hi: int) -> list[tuple[int, int]]:
+    """The PCG64 (state, increment) that `_replication_rng(master_seed, i,
+    stream)` starts from, for i in lo..hi-1 (hi <= 2**32).
+
+    SeedSequence mixes its entropy words into a pool of four, then hashes the
+    pool into the generator's seed.  Every word before the replication index
+    is the same for the whole range, so that part is mixed once; the index's
+    own word and the hashing run on arrays."""
+    entropy = _uint32_words(master_seed)
+    entropy += [0] * (4 - len(entropy))  # a spawn key pads the entropy to the pool
+    for key in stream:
+        entropy += _uint32_words(key)
+    hash_const = _HASH_INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = (value ^ hash_const) & _MASK32
+        hash_const = (hash_const * _HASH_MULT_A) & _MASK32
+        value = (value * hash_const) & _MASK32
+        return value ^ (value >> 16)
+
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _seed_mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = _seed_mix(pool[dst], hashmix(word))
+    index = np.arange(lo, hi, dtype=np.uint64)
+    pool = [np.full(hi - lo, p, dtype=np.uint64) for p in pool]
+    for dst in range(4):
+        pool[dst] = _seed_mix(pool[dst], hashmix(index))
+
+    hash_const = _HASH_INIT_B
+    words = []
+    for k in range(8):
+        value = pool[k % 4] ^ hash_const
+        hash_const = (hash_const * _HASH_MULT_B) & _MASK32
+        value = (value * hash_const) & _MASK32
+        words.append(value ^ (value >> 16))
+    halves = [(words[2 * k] | (words[2 * k + 1] << 32)).tolist() for k in range(4)]
+    # PCG64 seeds its 128-bit LCG with two steps from state 0, adding the
+    # initial state in between; the increment is twice the sequence plus 1.
+    seeds = []
+    for state_hi, state_lo, seq_hi, seq_lo in zip(*halves):
+        inc = (((seq_hi << 64) | seq_lo) << 1 | 1) & _MASK128
+        state = ((inc + ((state_hi << 64) | state_lo)) * _PCG64_MULT + inc) & _MASK128
+        seeds.append((state, inc))
+    return seeds
+
+
+class _SeededStream:
+    """One replication's uniform stream, on a PCG64 shared by its block: each
+    call restores the stream's seed, skips what it has drawn, and draws."""
+
+    __slots__ = ("seed", "drawn", "generator")
+
+    def __init__(self, seed: tuple[int, int], generator):
+        self.seed = seed
+        self.drawn = 0
+        self.generator = generator
+
+    def random(self, out=None):
+        state, inc = self.seed
+        bits = self.generator.bit_generator
+        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                      "has_uint32": 0, "uinteger": 0}
+        if self.drawn:
+            bits.advance(self.drawn)  # one step per double
+        value = self.generator.random(out=out)
+        self.drawn += 1 if out is None else len(out)
+        return value
+
+
+def _replication_streams(master_seed, lo: int, hi: int, stream: tuple[int, ...] = ()):
+    """Uniform streams of replications lo..hi-1, each drawing exactly what
+    `_replication_rng(master_seed, i, stream).random` draws.  Seeds that
+    SeedSequence takes as one nonnegative integer skip building a SeedSequence
+    and a generator per replication."""
+    if isinstance(master_seed, (int, np.integer)) and master_seed >= 0 and hi <= 1 << 32:
+        generator = np.random.Generator(np.random.PCG64(0))
+        return [_SeededStream(seed, generator)
+                for seed in _pcg64_seeds(int(master_seed), stream, lo, hi)]
+    return [_replication_rng(master_seed, i, stream) for i in range(lo, hi)]
 
 
 def _sample_support(pairs, rng):
@@ -385,35 +511,16 @@ class _Draws:
         return self.u[rows[row_of], first[row_of] + rank]
 
 
-class _ReplicationKernel:
-    """Monte Carlo replications of one game, a block at a time, as an (R, n)
-    int8 state matrix; for ParallelRounds, SinglePassOrder and LayerOrder.
+class _BatchedPhases:
+    """What the batched kernels share: a schedule's phases as index arrays
+    over the graph's in-edges, and update probabilities memoised per
+    fraction pair.  Phases keep their vertices' order, which is the order in
+    which their candidates draw."""
 
-    Replication i draws from `_replication_rng(master_seed, i)` exactly the
-    numbers `run_profile_once` draws, in the same order: the support draw,
-    one per contested seed in vertex order, then one per update candidate in
-    phase order.  Update probabilities are the scalar `update_probs` calls on
-    the same fractions, memoised per estimate.  So every replication's
-    (chi_R, chi_B) equals the per-vertex path's, bit for bit.
-    """
-
-    def __init__(self, game: GameSpec, pairs):
-        graph, schedule = game.graph, game.schedule
-        schedule.validate_for_graph(graph)
-        n = pairs[0][1].n
-        if n != graph.n:
-            raise ValidationError(f"initial state has length {n}, graph has {graph.n} vertices")
-        self.n = n
-        self.pairs = pairs
-        self.dyn = game.dynamics
-        self.schedule = schedule
+    def __init__(self, graph: Graph, dyn: AdoptionFunction, phases):
+        self.n = graph.n
+        self.dyn = dyn
         self._probs_memo: dict[complex, tuple[float, float]] = {}
-        if isinstance(schedule, ParallelRounds):
-            phases = [range(n)]
-        elif isinstance(schedule, SinglePassOrder):
-            phases = _single_pass_groups(schedule.order, graph)
-        else:
-            phases = schedule.layers
         self.csr = graph.in_csr
         _, indices, in_degree = self.csr
         self.phases = []
@@ -423,7 +530,72 @@ class _ReplicationKernel:
             verts = verts[in_degree[verts] > 0]
             if len(verts):
                 self.phases.append(self._phase_arrays(verts))
-        self.block = max(1, _BLOCK_CELLS // (n + len(indices)))
+        self.block = max(1, _BLOCK_CELLS // (graph.n + len(indices)))
+
+    def _phase_arrays(self, verts: np.ndarray) -> tuple:
+        """A phase's vertices, their in-edges' sources grouped by vertex, each
+        group's start, and the in-degrees."""
+        indptr, indices, in_degree = self.csr
+        deg = in_degree[verts]
+        starts = np.cumsum(deg) - deg
+        edges = np.repeat(indptr[verts] - starts, deg) + np.arange(int(deg.sum()))
+        return verts, indices[edges], starts, deg
+
+    @staticmethod
+    def _neighbor_counts(sub: np.ndarray, phase) -> tuple[np.ndarray, np.ndarray]:
+        """Red and blue in-neighbor counts of the phase's vertices in each row."""
+        _, nbr_index, starts, _ = phase
+        nbrs = sub[:, nbr_index]
+        return (np.add.reduceat(nbrs == RED, starts, axis=1, dtype=np.int32),
+                np.add.reduceat(nbrs == BLUE, starts, axis=1, dtype=np.int32))
+
+    def _probs(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(P[Red], P[Red or Blue]) at each fraction pair (a[j], b[j]), from
+        the scalar `update_probs`."""
+        key = np.empty(len(a), dtype=np.complex128)
+        key.real = a
+        key.imag = b
+        distinct, inverse = np.unique(key, return_inverse=True)
+        p_red = np.empty(len(distinct))
+        p_any = np.empty(len(distinct))
+        memo = self._probs_memo
+        for j, k in enumerate(distinct.tolist()):
+            hit = memo.get(k)
+            if hit is None:
+                pr, pb, _ = self.dyn.update_probs(k.real, k.imag)
+                hit = memo[k] = (pr, pr + pb)
+            p_red[j], p_any[j] = hit
+        return p_red[inverse], p_any[inverse]
+
+
+class _ReplicationKernel(_BatchedPhases):
+    """Monte Carlo replications of one game, a block at a time, as an (R, n)
+    int8 state matrix; for ParallelRounds, SinglePassOrder and LayerOrder.
+
+    Replication i draws from `_replication_rng(master_seed, i, stream)`
+    exactly the numbers `run_profile_once` draws, in the same order: the
+    support draw, one per contested seed in vertex order, then one per update
+    candidate in phase order.  Update probabilities are the scalar
+    `update_probs` calls on the same fractions, memoised per estimate.  So
+    every replication's (chi_R, chi_B) equals the per-vertex path's, bit for
+    bit.
+    """
+
+    def __init__(self, game: GameSpec, pairs):
+        graph, schedule = game.graph, game.schedule
+        schedule.validate_for_graph(graph)
+        n = pairs[0][1].n
+        if n != graph.n:
+            raise ValidationError(f"initial state has length {n}, graph has {graph.n} vertices")
+        if isinstance(schedule, ParallelRounds):
+            phases = [range(n)]
+        elif isinstance(schedule, SinglePassOrder):
+            phases = _single_pass_groups(schedule.order, graph)
+        else:
+            phases = schedule.layers
+        super().__init__(graph, game.dynamics, phases)
+        self.pairs = pairs
+        self.schedule = schedule
 
         # Seed resolution per support pair: the state with uncontested seeds
         # placed, and the contested vertices with red's winning chance.
@@ -444,15 +616,6 @@ class _ReplicationKernel:
         # schedules never draw more than this in all.
         self.draw_width = max_contested + sum(len(p[0]) for p in self.phases)
 
-    def _phase_arrays(self, verts: np.ndarray) -> tuple:
-        """A phase's vertices, their in-edges' sources grouped by vertex, each
-        group's start, and the in-degrees."""
-        indptr, indices, in_degree = self.csr
-        deg = in_degree[verts]
-        starts = np.cumsum(deg) - deg
-        edges = np.repeat(indptr[verts] - starts, deg) + np.arange(int(deg.sum()))
-        return verts, indices[edges], starts, deg
-
     def _round_phase(self, state, immune, rows) -> Optional[tuple]:
         """The next parallel round restricted to vertices that are a candidate
         in at least one of the rows, or None when there are none."""
@@ -464,15 +627,14 @@ class _ReplicationKernel:
         verts = verts[open_ & reached]
         return self._phase_arrays(verts) if len(verts) else None
 
-    def run(self, master_seed: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    def run(self, master_seed: int, lo: int, hi: int,
+            stream: tuple[int, ...] = ()) -> tuple[np.ndarray, np.ndarray]:
         """chi_R and chi_B of replications lo..hi-1, run together."""
-        rngs = []
+        rngs = _replication_streams(master_seed, lo, hi, stream)
         which = np.empty(hi - lo, dtype=np.intp)
-        for row, i in enumerate(range(lo, hi)):
-            rng = _replication_rng(master_seed, i)
+        for row, rng in enumerate(rngs):
             red, blue = _sample_support(self.pairs, rng)
             which[row] = self.pair_index[id(red), id(blue)]
-            rngs.append(rng)
         draws = _Draws(rngs, self.draw_width)
         state = np.empty((hi - lo, self.n), dtype=np.int8)
         for k, (base, contested, p_red) in enumerate(self.seeds):
@@ -505,11 +667,9 @@ class _ReplicationKernel:
     def _phase(self, state, immune, draws: _Draws, rows, phase):
         """One snapshot update of the phase's vertices in the given rows;
         returns each row's candidate and infection counts."""
-        verts, nbr_index, starts, deg = phase
+        verts, _, _, deg = phase
         sub = state[rows]
-        nbrs = sub[:, nbr_index]
-        red = np.add.reduceat(nbrs == RED, starts, axis=1, dtype=np.int32)
-        blue = np.add.reduceat(nbrs == BLUE, starts, axis=1, dtype=np.int32)
+        red, blue = self._neighbor_counts(sub, phase)
         cand = (sub[:, verts] == UNINFECTED) & ((red + blue) > 0)
         if immune is not None:
             cand &= ~immune[np.ix_(rows, verts)]
@@ -530,29 +690,14 @@ class _ReplicationKernel:
             immune[target_rows[~infected], target_verts[~infected]] = True
         return tried, np.bincount(row_of[infected], minlength=len(rows))
 
-    def _probs(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(P[Red], P[Red or Blue]) at each fraction pair (a[j], b[j])."""
-        key = np.empty(len(a), dtype=np.complex128)
-        key.real = a
-        key.imag = b
-        distinct, inverse = np.unique(key, return_inverse=True)
-        p_red = np.empty(len(distinct))
-        p_any = np.empty(len(distinct))
-        memo = self._probs_memo
-        for j, k in enumerate(distinct.tolist()):
-            hit = memo.get(k)
-            if hit is None:
-                pr, pb, _ = self.dyn.update_probs(k.real, k.imag)
-                hit = memo[k] = (pr, pr + pb)
-            p_red[j], p_any[j] = hit
-        return p_red[inverse], p_any[inverse]
 
-
-def _mc_chunk(game: GameSpec, pairs, master_seed: int, lo: int, hi: int):
-    """chi_R and chi_B of replications lo..hi-1, as float arrays."""
+def _mc_chunk(game: GameSpec, pairs, master_seed: int, lo: int, hi: int,
+              stream: tuple[int, ...] = ()):
+    """chi_R and chi_B of replications lo..hi-1, as float arrays; replication
+    i draws from `_replication_rng(master_seed, i, stream)`."""
     if type(game.schedule) in (ParallelRounds, SinglePassOrder, LayerOrder):
         kernel = _ReplicationKernel(game, pairs)
-        parts = [kernel.run(master_seed, b, min(b + kernel.block, hi))
+        parts = [kernel.run(master_seed, b, min(b + kernel.block, hi), stream)
                  for b in range(lo, hi, kernel.block)]
         return (np.concatenate([p[0] for p in parts]),
                 np.concatenate([p[1] for p in parts]))
@@ -560,7 +705,7 @@ def _mc_chunk(game: GameSpec, pairs, master_seed: int, lo: int, hi: int):
     chi_r = np.empty(hi - lo, dtype=np.float64)
     chi_b = np.empty(hi - lo, dtype=np.float64)
     for i in range(lo, hi):
-        rng = _replication_rng(master_seed, i)
+        rng = _replication_rng(master_seed, i, stream)
         red, blue = _sample_support(pairs, rng)
         out = run_profile_once(game, red, blue, rng)
         chi_r[i - lo] = out.chi_R

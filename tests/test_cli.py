@@ -271,6 +271,21 @@ def test_couple_test_verb_rejects_unknown_modes(tmp_path, capsys):
     assert "config field 'couple.mode'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mixed_side", ["red", "blue"])
+def test_couple_test_verb_rejects_mixed_profiles(tmp_path, capsys, mixed_side):
+    def counts(v):
+        return [1 if u == v else 0 for u in range(13)]
+
+    sides = {"red": {"counts": counts(3)}, "blue": {"counts": counts(0)}}
+    sides[mixed_side] = [{"p": 0.5, "counts": counts(3)}, {"p": 0.5, "counts": counts(0)}]
+    config = write_config(tmp_path, base_config(
+        dynamics={"f": {"kind": "power", "r": 0.5}, "g": {"kind": "tullock", "s": 1.0}},
+        profile=sides, couple={"mode": "solo-vs-joint", "runs": 20}))
+    assert run(["couple-test", "--config", config, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "config field 'profile'" in err and "pure profile" in err
+
+
 # ---------------------------------------------------------------------------
 # Config plumbing and validation failures.
 # ---------------------------------------------------------------------------

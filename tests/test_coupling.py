@@ -1,8 +1,14 @@
 """Coupled-process runs: invariants, hypothesis preflight, and the schedule
-restrictions (with exact counterexamples for the refused schedules)."""
+restrictions (with exact counterexamples for the refused schedules).  The
+batched coupled path is checked run by run against a vertex-by-vertex
+reference model kept here."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, target
+from hypothesis import strategies as st
 
 from contagion_games import (
     BLUE,
@@ -30,10 +36,16 @@ from contagion_games import (
     coupled_attribution_run,
     coupled_run,
     exact_payoffs,
+    filter_phase_candidates,
     linear_selection,
+    LayerOrder,
     load_dynamics,
+    neighbor_fractions,
     require_mode_hypotheses,
 )
+from contagion_games import engine
+from contagion_games.coupling import _CoupledKernel
+from contagion_games.engine import _Draws
 
 
 def sqrt_linear():
@@ -172,6 +184,144 @@ def test_retry_schedules_break_the_joint_total_inequality():
 
 
 # ---------------------------------------------------------------------------
+# The batched coupled path against the vertex-by-vertex reference model.
+# ---------------------------------------------------------------------------
+
+
+def reference_coupled_run(graph, red_seeds, blue_seeds, dyn, schedule, rng, mode):
+    """One coupled run, vertex by vertex: each phase draws one uniform per
+    vertex that is a candidate in either process, in ascending vertex order,
+    and the violating vertices are counted after every phase.  Returns the
+    joint and solo states and the violation count."""
+    joint = [UNINFECTED] * graph.n
+    for v in red_seeds:
+        joint[v] = RED
+    solo = list(joint)
+    for v in blue_seeds:
+        joint[v] = BLUE
+    no_immune = [False] * graph.n
+    cursor = schedule.initial_cursor()
+    violations = 0
+    while True:
+        options = schedule.phase_options(graph, joint, no_immune, cursor)
+        if options is None:
+            break
+        _, phase, cursor = options[0]
+        cands_joint = set(filter_phase_candidates(graph, joint, no_immune, phase))
+        cands_solo = set(filter_phase_candidates(graph, solo, no_immune, phase))
+        pend_joint, pend_solo = [], []
+        for v in sorted(cands_joint | cands_solo):
+            z = rng.random()
+            if v in cands_joint:
+                a, b = neighbor_fractions(graph, joint, v)
+                pr, pb, _ = dyn.update_probs(a, b)
+                if z < pr:
+                    pend_joint.append((v, RED))
+                elif z < pr + pb:
+                    pend_joint.append((v, BLUE))
+            if v in cands_solo:
+                ar, _ = neighbor_fractions(graph, solo, v)
+                if z < dyn.prob_red(ar, 0.0):
+                    pend_solo.append(v)
+        for v, color in pend_joint:
+            joint[v] = color
+        for v in pend_solo:
+            solo[v] = RED
+        if mode == MODE_SOLO_VS_JOINT:
+            violations += sum(1 for xj, xs in zip(joint, solo) if xj == RED and xs != RED)
+        else:
+            violations += sum(1 for xj, xs in zip(joint, solo) if xs == RED and xj == UNINFECTED)
+    return joint, solo, violations
+
+
+def convex_linear():
+    """Not competitive: an opponent can raise one's infection probability,
+    so the solo-vs-joint invariant can break (with the preflight skipped)."""
+    return SwitchSelectAdoption(PowerSwitch(2.0), linear_selection())
+
+
+@st.composite
+def coupled_instances(draw):
+    n = draw(st.integers(2, 10))
+    edges = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                         .filter(lambda e: e[0] != e[1]), max_size=3 * n))
+    graph = Graph(n=n, edges=tuple(sorted(edges)), directed=True)
+    order = draw(st.permutations(range(n)))
+    seeded = draw(st.integers(1, min(3, n)))
+    n_red = draw(st.integers(1, seeded))
+    # The CLI expands seed counts into repeated vertex ids.
+    red = [v for v in order[:n_red] for _ in range(draw(st.integers(1, 2)))]
+    blue = list(order[n_red:seeded])
+    listed = draw(st.permutations(range(n)))[:draw(st.integers(0, n))]
+    if draw(st.booleans()):
+        schedule = SinglePassOrder(tuple(listed))
+    else:
+        cuts = sorted(draw(st.lists(st.integers(0, len(listed)), min_size=2, max_size=2)))
+        schedule = LayerOrder((tuple(listed[:cuts[0]]), tuple(listed[cuts[0]:cuts[1]]),
+                               tuple(listed[cuts[1]:])))
+    return graph, red, blue, schedule
+
+
+@settings(max_examples=150, deadline=None)
+@given(instance=coupled_instances(),
+       dyn=st.sampled_from([sqrt_linear(), convex_linear()]),
+       mode=st.sampled_from([MODE_SOLO_VS_JOINT, MODE_JOINT_TOTAL]),
+       block=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
+def test_batched_coupled_runs_match_the_reference_model(instance, dyn, mode, block, seed):
+    graph, red, blue, schedule = instance
+    kernel = _CoupledKernel(graph, red, blue, dyn, schedule, mode)
+    rngs = [np.random.default_rng([seed, row]) for row in range(block)]
+    joint, solo, violations = kernel.run(_Draws(rngs, kernel.draw_width))
+    for row in range(block):
+        ref_joint, ref_solo, ref_violations = reference_coupled_run(
+            graph, red, blue, dyn, schedule, np.random.default_rng([seed, row]), mode)
+        assert joint[row].tolist() == ref_joint
+        assert solo[row].tolist() == ref_solo
+        assert violations[row] == ref_violations
+    target(float(violations.sum()))  # steer the search toward runs that break the invariant
+
+    # The one-row public call: states, counts, violations, and the generator
+    # left where the reference leaves it.
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    res = coupled_run(graph, red, blue, dyn, schedule, rng, mode=mode, skip_preflight=True)
+    ref_joint, ref_solo, ref_violations = reference_coupled_run(
+        graph, red, blue, dyn, schedule, ref_rng, mode)
+    assert list(res.joint.state) == ref_joint and list(res.solo.state) == ref_solo
+    assert (res.joint.chi_R, res.joint.chi_B) == (ref_joint.count(RED), ref_joint.count(BLUE))
+    assert (res.solo.chi_R, res.solo.chi_B) == (ref_solo.count(RED), 0)
+    assert res.invariant_violations == ref_violations
+    assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("schedule", [
+    SinglePassOrder((3, 4, 5, 2, 6)),
+    LayerOrder(((4, 3), (6, 5, 2))),
+])
+def test_batched_violation_counter_fires_without_the_preflight(schedule):
+    """Convex switching breaks solo-vs-joint: blue's seed raises the chance
+    that red's neighbors adopt.  The batched count equals the reference's,
+    summed after every phase of the schedule, and is nonzero."""
+    g = Graph(n=7, edges=((0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (1, 5), (2, 6), (3, 6),
+                          (4, 6), (5, 6)), directed=True)
+    dyn = convex_linear()
+    with pytest.raises(CouplingHypothesisError):
+        require_mode_hypotheses(MODE_SOLO_VS_JOINT, dyn, g)
+    kernel = _CoupledKernel(g, [0], [1], dyn, schedule, MODE_SOLO_VS_JOINT)
+    rngs = [rng_for(i) for i in range(300)]
+    joint, solo, violations = kernel.run(_Draws(rngs, kernel.draw_width))
+    total = 0
+    for i in range(300):
+        ref_joint, ref_solo, ref_violations = reference_coupled_run(
+            g, [0], [1], dyn, schedule, rng_for(i), MODE_SOLO_VS_JOINT)
+        assert (joint[i].tolist(), solo[i].tolist(), violations[i]) == (
+            ref_joint, ref_solo, ref_violations)
+        total += ref_violations
+    assert total > 0
+    res = couple_test(g, [0], [1], sqrt_linear(), schedule, MODE_SOLO_VS_JOINT, runs=50)
+    assert res.invariant_violations == 0
+
+
+# ---------------------------------------------------------------------------
 # Attribution runs.
 # ---------------------------------------------------------------------------
 
@@ -233,6 +383,18 @@ def test_couple_test_inequality_modes_report_clean_margins(mode):
     assert set(res.p_values) == {"joint_chi_R", "joint_chi_B", "solo_chi_R"}
     assert all(p > 1e-3 for p in res.p_values.values())
     assert res.to_json_dict()["mode"] == mode
+
+
+@pytest.mark.parametrize("mode", [MODE_SOLO_VS_JOINT, MODE_JOINT_TOTAL])
+def test_couple_test_does_not_depend_on_the_block_size(mode):
+    # Three sources feeding six sinks: every sink adopts with an interior probability.
+    g = Graph(n=9, edges=tuple((s, t) for s in range(3) for t in range(3, 9)))
+    schedule = SinglePassOrder(tuple(range(3, 9)))
+    whole = couple_test(g, [0], [1], sqrt_linear(), schedule, mode, runs=50, master_seed=4)
+    with mock.patch.object(engine, "_BLOCK_CELLS", 2 * (g.n + len(g.in_csr[1]))):
+        in_blocks = couple_test(g, [0], [1], sqrt_linear(), schedule, mode, runs=50,
+                                master_seed=4)
+    assert in_blocks == whole
 
 
 def test_couple_test_attribution_mode_reports_exact_count_identity():

@@ -1,5 +1,6 @@
 """Switching/selection functions, adoption probabilities, predicates, schedules."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,12 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contagion_games import coupling
 from contagion_games import (
     BLUE,
     RED,
     UNINFECTED,
+    MODE_ATTRIBUTION,
+    MODE_JOINT_TOTAL,
+    MODE_SOLO_VS_JOINT,
+    AdditiveViolation,
     AdoptionFunction,
     BuiltinAdoption,
+    CompetitiveViolation,
+    CouplingHypothesisError,
     DynamicsDefinitionError,
     Graph,
     HalfPointSwitch,
@@ -33,6 +41,7 @@ from contagion_games import (
     candidate_vertices,
     check_additive,
     check_competitive,
+    check_linear_split,
     decompose,
     filter_phase_candidates,
     from_switch_select,
@@ -42,8 +51,11 @@ from contagion_games import (
     load_dynamics,
     load_schedule,
     realizable_fraction_pairs,
+    require_mode_hypotheses,
     run_contagion,
 )
+from contagion_games.coupling import LINEARITY_TOL
+from contagion_games.dynamics import PREDICATE_GRID_STEP, PREDICATE_TOL
 
 
 def linear_dyn():
@@ -375,6 +387,180 @@ def test_convex_switching_with_linear_selection_is_not_competitive():
 def test_competitive_boundary_in_the_selection_exponent(r, s, expected):
     dyn = SwitchSelectAdoption(PowerSwitch(r), TullockSelection(s))
     assert is_competitive(dyn) is expected
+
+
+def scalar_check_competitive(h, grid_step=PREDICATE_GRID_STEP, extra_points=()):
+    """Reference: the competitive predicate as a loop of scalar calls."""
+    m = round(1.0 / grid_step)
+    points = [(i / m, j / m) for i in range(m + 1) for j in range(m + 1 - i)]
+    points.extend(extra_points)
+    return [(a, b, h.prob_red(a, b), h.prob_red(a, 0.0)) for a, b in points
+            if h.prob_red(a, b) > h.prob_red(a, 0.0) + PREDICATE_TOL]
+
+
+def scalar_check_additive(h, grid_step=PREDICATE_GRID_STEP, extra_points=()):
+    """Reference: the additive predicate as a loop of scalar calls."""
+    m = round(1.0 / grid_step)
+    out = []
+    for total in range(m + 1):
+        entries = [(i / m, (total - i) / m) for i in range(total + 1)]
+        values = [h.prob_any(a, b) for a, b in entries]
+        spread = max(values) - min(values)
+        if spread > PREDICATE_TOL:
+            out.extend((a, b, v, values[-1], spread) for (a, b), v in zip(entries, values)
+                       if abs(v - values[-1]) > PREDICATE_TOL)
+    for a, b in extra_points:
+        v, ref = h.prob_any(a, b), h.prob_any(min(a + b, 1.0), 0.0)
+        if abs(v - ref) > PREDICATE_TOL:
+            out.append((a, b, v, ref, abs(v - ref)))
+    return out
+
+
+def scalar_check_linear_split(h, points=(), grid_step=PREDICATE_GRID_STEP, tol=LINEARITY_TOL):
+    """Reference: the proportional-split predicate as a loop of scalar calls."""
+    m = round(1.0 / grid_step)
+    out = []
+    for a, b in [(i / m, j / m) for i in range(m + 1) for j in range(m + 1 - i)] + list(points):
+        if a + b > 0.0:
+            gap = h.prob_red(a, b) - h.prob_any(a, b) * (a / (a + b))
+            if abs(gap) > tol:
+                out.append((a, b, gap))
+    return out
+
+
+class DampedAdoption(AdoptionFunction):
+    """A user subclass outside switch/select form: red is damped by blue."""
+
+    def _raw_red(self, a, b):
+        return 0.9 * a * (1.0 - 0.5 * b)
+
+    def to_json_dict(self):
+        return {}
+
+
+class SkewedTotal(AdoptionFunction):
+    """A user subclass whose total is not symmetric in the two colors, so
+    each total's (total, 0) and (0, total) points differ."""
+
+    def _raw_red(self, a, b):
+        return 0.4 * a
+
+    def _raw_any(self, a, b):
+        return 0.4 * (a + b) + 0.2 * a * a
+
+    def to_json_dict(self):
+        return {}
+
+
+def assert_same_violations(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert tuple(g[:2]) == tuple(w[:2])  # the same points, in the same order
+        assert all(abs(x - y) <= 1e-15 for x, y in zip(g[2:], w[2:]))
+
+
+EXTRA_POINTS = tuple(sorted({(i / d, j / d) for d in (3, 5, 7)
+                             for i in range(d + 1) for j in range(d + 1 - i)}))
+
+
+@pytest.mark.parametrize("dyn", adoption_kinds() + [DampedAdoption(), SkewedTotal()], ids=repr)
+def test_array_predicates_match_scalar_loops(dyn, monkeypatch):
+    def fields(violations):
+        return [dataclasses.astuple(v) for v in violations]
+
+    for step, extra in ((1 / 32, EXTRA_POINTS), (1 / 10, ())):
+        assert_same_violations(fields(check_competitive(dyn, step, extra)),
+                               scalar_check_competitive(dyn, step, extra))
+        assert_same_violations(fields(check_additive(dyn, step, extra)),
+                               scalar_check_additive(dyn, step, extra))
+        assert_same_violations(check_linear_split(dyn, extra, step),
+                               scalar_check_linear_split(dyn, extra, step))
+
+    # The preflight raises the same messages from either implementation.
+    graph = Graph(n=8, edges=tuple((s, t) for s in range(3) for t in range(3, 8)))
+
+    def preflight_messages():
+        out = []
+        for mode in (MODE_SOLO_VS_JOINT, MODE_JOINT_TOTAL, MODE_ATTRIBUTION):
+            try:
+                require_mode_hypotheses(mode, dyn, graph)
+                out.append(None)
+            except CouplingHypothesisError as exc:
+                out.append(str(exc))
+        return out
+
+    vectorised = preflight_messages()
+    monkeypatch.setattr(coupling, "check_competitive",
+                        lambda h, extra_points: [CompetitiveViolation(*v) for v in
+                                                 scalar_check_competitive(h, extra_points=extra_points)])
+    monkeypatch.setattr(coupling, "check_additive",
+                        lambda h, extra_points: [AdditiveViolation(*v) for v in
+                                                 scalar_check_additive(h, extra_points=extra_points)])
+    monkeypatch.setattr(coupling, "check_linear_split", scalar_check_linear_split)
+    assert preflight_messages() == vectorised
+
+
+def scalar_validate_simplex(dyn):
+    m = round(1.0 / PREDICATE_GRID_STEP)
+    for i in range(m + 1):
+        for j in range(m + 1 - i):
+            dyn.prob_red(i / m, j / m)
+            dyn.prob_any(i / m, j / m)
+
+
+class StretchedSwitch(SwitchingFunction):
+    """A user switching function that leaves [0, 1] above x = 5/6."""
+
+    def value(self, x):
+        return 1.2 * x
+
+    def to_json_dict(self):
+        return {}
+
+
+class RedOverflow(AdoptionFunction):
+    """A user subclass whose red probability leaves [0, 1] before its total."""
+
+    def _raw_red(self, a, b):
+        return 2.0 * a * a
+
+    def _raw_any(self, a, b):
+        return a + b
+
+    def to_json_dict(self):
+        return {}
+
+
+class BothOverflow(AdoptionFunction):
+    """Red and total leave [0, 1] at the same first point: red is reported."""
+
+    def _raw_red(self, a, b):
+        return 1.5 * (a + b)
+
+    def _raw_any(self, a, b):
+        return 1.5 * (a + b)
+
+    def to_json_dict(self):
+        return {}
+
+
+def test_simplex_validation_raises_the_scalar_error_at_the_first_bad_point():
+    # The total leaves [0, 1] first; built unvalidated to compare both paths.
+    stretched = object.__new__(SwitchSelectAdoption)
+    object.__setattr__(stretched, "switching", StretchedSwitch())
+    object.__setattr__(stretched, "selection", TullockSelection(2.0))
+    messages = []
+    for dyn, what in ((stretched, "total infection"), (RedOverflow(), "red-infection"),
+                      (BothOverflow(), "red-infection")):
+        with pytest.raises(DynamicsDefinitionError, match=what) as scalar:
+            scalar_validate_simplex(dyn)
+        with pytest.raises(DynamicsDefinitionError) as vector:
+            dyn._validate_simplex()
+        assert str(vector.value) == str(scalar.value)
+        messages.append(str(scalar.value))
+    with pytest.raises(DynamicsDefinitionError) as built:
+        SwitchSelectAdoption(StretchedSwitch(), TullockSelection(2.0))
+    assert str(built.value) == messages[0]
 
 
 def test_quadratic_damped_is_competitive_but_not_additive():

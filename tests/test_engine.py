@@ -469,6 +469,40 @@ def test_batched_kernel_matches_the_per_vertex_path(case, master_seed, n_trials)
     assert list(zip(chi_r.tolist(), chi_b.tolist())) == reference
 
 
+@settings(max_examples=100, deadline=None)
+@given(master_seed=st.one_of(st.integers(0, 2**32), st.integers(2**32, 2**200)),
+       stream=st.lists(st.integers(0, 2**40), max_size=2).map(tuple),
+       lo=st.one_of(st.integers(0, 50), st.integers(2**32 - 60, 2**32 - 3)),
+       sizes=st.lists(st.integers(0, 5), min_size=1, max_size=4))
+def test_seeded_streams_draw_what_the_replication_generators_draw(master_seed, stream, lo, sizes):
+    streams = engine._replication_streams(master_seed, lo, lo + 3, stream)
+    for i, seeded in zip(range(lo, lo + 3), streams):
+        assert isinstance(seeded, engine._SeededStream)
+        reference = engine._replication_rng(master_seed, i, stream)
+        for k in sizes:  # a scalar draw for 0, else k draws into an array
+            if k == 0:
+                assert seeded.random() == reference.random()
+            else:
+                out = np.empty(k)
+                seeded.random(out=out)
+                assert out.tolist() == reference.random(k).tolist()
+
+
+def test_replication_streams_fall_back_to_generators():
+    # Indices past 2**32 take two SeedSequence words; the fast seeding covers one.
+    assert isinstance(engine._replication_streams(np.int64(5), 2**32 - 2, 2**32)[1],
+                      engine._SeededStream)
+    streams = engine._replication_streams(np.int64(5), 2**32 - 1, 2**32 + 1, (2,))
+    assert all(isinstance(rng, np.random.Generator) for rng in streams)
+    for i, rng in zip((2**32 - 1, 2**32), streams):
+        assert rng.random() == engine._replication_rng(5, i, (2,)).random()
+    with pytest.raises(ValueError) as fast:
+        engine._replication_streams(-1, 0, 2)
+    with pytest.raises(ValueError) as reference:
+        engine._replication_rng(-1, 0)
+    assert str(fast.value) == str(reference.value)
+
+
 @pytest.mark.parametrize("schedule", [ParallelRounds(2), ParallelRounds(2, immunity=True),
                                       SinglePassOrder((1, 2)), LayerOrder(((1,), (2,))),
                                       RandomSequential(3)])
