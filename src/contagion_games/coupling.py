@@ -52,6 +52,7 @@ from .dynamics import (
     check_additive,
     check_competitive,
     filter_phase_candidates,
+    run_ids,
 )
 from .engine import (
     Allocation,
@@ -223,22 +224,20 @@ class _CoupledKernel(_BatchedPhases):
                  dyn: AdoptionFunction, schedule: UpdateSchedule, mode: str):
         self.joint0 = np.array(_seed_state(graph, red_seeds, blue_seeds), dtype=np.int8)
         self.solo0 = np.array(_seed_state(graph, red_seeds, ()), dtype=np.int8)
-        if isinstance(schedule, SinglePassOrder):
-            phases = _single_pass_groups(schedule.order, graph)
-            update_phase = {v: k for k, v in enumerate(schedule.order)}
-            n_phases = len(schedule.order)
-        else:
-            phases = [sorted(layer) for layer in schedule.layers]
-            update_phase = {v: k for k, layer in enumerate(schedule.layers) for v in layer}
-            n_phases = len(schedule.layers)
-        super().__init__(graph, dyn, phases)
-        self.mode = mode
         # Every vertex updates in one phase at most and keeps its colors from
         # then on, so a vertex that breaks the invariant at phase k is counted
         # after each of the phases k..n_phases-1.
         self.weight = np.zeros(graph.n, dtype=np.int64)
-        for v, k in update_phase.items():
-            self.weight[v] = n_phases - k
+        if isinstance(schedule, SinglePassOrder):
+            phases = _single_pass_groups(schedule.order, graph)
+            order = np.array(schedule.order, dtype=np.intp)
+            self.weight[order] = len(order) - np.arange(len(order))
+        else:
+            phases = [run_ids(sorted(layer)) for layer in schedule.runs]
+            for k, verts in enumerate(phases):
+                self.weight[verts] = len(phases) - k
+        super().__init__(graph, dyn, phases)
+        self.mode = mode
         self.draw_width = sum(len(p[0]) for p in self.phases)
 
     def run(self, draws: _Draws) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

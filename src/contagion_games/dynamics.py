@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from abc import ABC, abstractmethod
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -811,7 +811,8 @@ class ParallelRounds(UpdateSchedule):
     stop_on_no_change = True
 
     def __post_init__(self):
-        if not (isinstance(self.max_rounds, int) and self.max_rounds >= 1):
+        # Exactly int: booleans are not round counts.
+        if not (type(self.max_rounds) is int and self.max_rounds >= 1):
             raise ScheduleError(f"max_rounds must be a positive integer, got {self.max_rounds!r}")
         if not isinstance(self.immunity, bool):
             raise ScheduleError(f"immunity must be a boolean, got {self.immunity!r}")
@@ -828,33 +829,136 @@ class ParallelRounds(UpdateSchedule):
         return {"kind": "parallel", "max_rounds": self.max_rounds, "immunity": self.immunity}
 
 
-@dataclass(frozen=True)
+Run = tuple[int, int]
+
+
+def _check_runs(runs, what: str) -> tuple[Run, ...]:
+    """A layer's (start, stop) runs with empty ones dropped and touching
+    neighbours merged, so equal layers have equal runs."""
+    out: list[Run] = []
+    for run in runs:
+        try:
+            start, stop = run
+        except (TypeError, ValueError):
+            raise ScheduleError(f"{what} contains a malformed run {run!r}") from None
+        if type(start) is not int or type(stop) is not int:
+            start, stop = (int(v) if isinstance(v, np.integer) else v for v in run)
+            if type(start) is not int or type(stop) is not int:
+                raise ScheduleError(f"{what} contains a malformed run {run!r}")
+        if not 0 <= start <= stop:
+            raise ScheduleError(f"{what} contains a malformed run {run!r}")
+        if start == stop:
+            continue
+        if out and out[-1][1] == start:
+            out[-1] = (out[-1][0], stop)
+        else:
+            out.append((start, stop))
+    return tuple(out)
+
+
+def _first_covered(cover: list[Run], start: int, stop: int) -> Optional[int]:
+    """The smallest of the ids start..stop-1 that the sorted, disjoint runs
+    of `cover` contain, or None."""
+    i = bisect_right(cover, (start, math.inf))
+    if i and cover[i - 1][1] > start:
+        return start
+    if i < len(cover) and cover[i][0] < stop:
+        return cover[i][0]
+    return None
+
+
+def _check_disjoint(layers: tuple[tuple[Run, ...], ...]) -> None:
+    """Raise on the first id listed twice: within a layer, any layer first,
+    then across layers; in listed order, as a per-id scan would find it."""
+    runs = [run for layer in layers for run in layer]
+    try:
+        bounds = np.array(runs, dtype=np.int64).reshape(-1, 2)
+    except OverflowError:  # ids past int64 still compare as Python ints
+        bounds = np.array(runs, dtype=object).reshape(-1, 2)
+    bounds = bounds[np.argsort(bounds[:, 0])]
+    if not np.any(bounds[1:, 0] < bounds[:-1, 1]):
+        return
+    for i, layer in enumerate(layers):
+        own: list[Run] = []
+        for start, stop in layer:
+            v = _first_covered(own, start, stop)
+            if v is not None:
+                raise ScheduleError(f"layer {i} lists vertex {v} twice")
+            insort(own, (start, stop))
+    earlier: list[Run] = []
+    for layer in layers:
+        for start, stop in layer:
+            v = _first_covered(earlier, start, stop)
+            if v is not None:
+                raise ScheduleError(f"vertex {v} appears in more than one layer")
+        for start, stop in layer:
+            insort(earlier, (start, stop))
+
+
+def run_ids(runs: Sequence[Run]) -> np.ndarray:
+    """The ids of a layer's runs, in run order, as one index array."""
+    if not runs:
+        return np.empty(0, dtype=np.intp)
+    starts, stops = np.array(runs, dtype=np.intp).T
+    sizes = stops - starts
+    offsets = np.cumsum(sizes) - sizes
+    return np.repeat(starts - offsets, sizes) + np.arange(offsets[-1] + sizes[-1])
+
+
+@dataclass(frozen=True, init=False)
 class LayerOrder(UpdateSchedule):
-    """Update disjoint vertex groups simultaneously, in the given order."""
+    """Update disjoint vertex groups simultaneously, in the given order.
 
-    layers: tuple[tuple[int, ...], ...]
+    Each layer is stored as its runs of consecutive ids, `(start, stop)`
+    pairs in listed order, so a schedule over huge layers costs memory per
+    run, not per vertex.  `LayerOrder(layers)` takes explicit ids and
+    `LayerOrder.from_runs(runs)` takes the runs; two orders with the same
+    layers are equal and hash alike however they were built.  `layers` gives
+    the explicit ids back, built on each call.
+    """
 
-    def __post_init__(self):
-        layers = tuple(_check_vertex_list(layer, f"layer {i}")
-                       for i, layer in enumerate(self.layers))
-        seen: set[int] = set()
-        for layer in layers:
-            for v in layer:
-                if v in seen:
-                    raise ScheduleError(f"vertex {v} appears in more than one layer")
-                seen.add(v)
-        object.__setattr__(self, "layers", layers)
+    runs: tuple[tuple[Run, ...], ...]
+    _end: int = field(compare=False, repr=False)  # one past the largest id
+
+    def __init__(self, layers: Iterable[Iterable[int]]):
+        self._set(tuple(_check_runs(((v, v + 1) for v in _check_vertex_list(layer, f"layer {i}")),
+                                    f"layer {i}")
+                        for i, layer in enumerate(layers)))
+
+    @classmethod
+    def from_runs(cls, runs: Iterable[Iterable[tuple[int, int]]]) -> "LayerOrder":
+        """The order whose layer i covers the ids start..stop-1 of each
+        (start, stop) pair of runs[i], in the listed order."""
+        order = object.__new__(cls)
+        order._set(tuple(_check_runs(layer, f"layer {i}") for i, layer in enumerate(runs)))
+        return order
+
+    def _set(self, runs: tuple[tuple[Run, ...], ...]) -> None:
+        _check_disjoint(runs)
+        object.__setattr__(self, "runs", runs)
+        object.__setattr__(self, "_end", max((stop for layer in runs for _, stop in layer),
+                                            default=0))
+
+    @property
+    def layers(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(self._layer(k) for k in range(len(self.runs)))
+
+    def _layer(self, k: int) -> tuple[int, ...]:
+        return tuple(v for start, stop in self.runs[k] for v in range(start, stop))
+
+    def layer_sizes(self) -> list[int]:
+        return [sum(stop - start for start, stop in layer) for layer in self.runs]
 
     def phase_options(self, graph, state, immune, cursor):
-        if cursor >= len(self.layers):
+        if cursor >= len(self.runs):
             return None
-        return [(1.0, self.layers[cursor], cursor + 1)]
+        return [(1.0, self._layer(cursor), cursor + 1)]
 
     def validate_for_graph(self, graph):
-        for layer in self.layers:
-            for v in layer:
-                if v >= graph.n:
-                    raise ScheduleError(f"layer order references unknown vertex {v}")
+        if self._end > graph.n:
+            v = next(max(start, graph.n) for layer in self.runs
+                     for start, stop in layer if stop > graph.n)
+            raise ScheduleError(f"layer order references unknown vertex {v}")
 
     def to_json_dict(self) -> dict:
         return {"kind": "layer_order", "layers": [list(l) for l in self.layers]}
@@ -867,7 +971,7 @@ class RandomSequential(UpdateSchedule):
     max_steps: int
 
     def __post_init__(self):
-        if not (isinstance(self.max_steps, int) and self.max_steps >= 1):
+        if not (type(self.max_steps) is int and self.max_steps >= 1):
             raise ScheduleError(f"max_steps must be a positive integer, got {self.max_steps!r}")
 
     def phase_options(self, graph, state, immune, cursor):
@@ -1025,6 +1129,14 @@ def load_dynamics(document: str | dict) -> AdoptionFunction:
     return SwitchSelectAdoption(_parse_switching(obj["f"]), _parse_selection(obj["g"]))
 
 
+def _schedule_from_fields(kind: str, cls, *fields) -> UpdateSchedule:
+    """The schedule built from its JSON field values as given, uncoerced."""
+    try:
+        return cls(*fields)
+    except ScheduleError as exc:
+        raise ScheduleError(f"schedule of kind {kind!r} has malformed fields: {exc}") from None
+
+
 def load_schedule(document: str | dict) -> UpdateSchedule:
     if isinstance(document, str):
         try:
@@ -1038,13 +1150,14 @@ def load_schedule(document: str | dict) -> UpdateSchedule:
     kind = obj["kind"]
     try:
         if kind == "parallel":
-            return ParallelRounds(int(obj["max_rounds"]), bool(obj.get("immunity", False)))
+            return _schedule_from_fields(kind, ParallelRounds, obj["max_rounds"],
+                                         obj.get("immunity", False))
         if kind == "single_pass":
             return SinglePassOrder(tuple(obj["order"]))
         if kind == "layer_order":
             return LayerOrder(tuple(tuple(layer) for layer in obj["layers"]))
         if kind == "random_sequential":
-            return RandomSequential(int(obj["max_steps"]))
+            return _schedule_from_fields(kind, RandomSequential, obj["max_steps"])
     except KeyError as exc:
         raise ScheduleError(f"schedule of kind {kind!r} is missing field {exc}") from None
     except (TypeError, ValueError):

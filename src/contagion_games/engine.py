@@ -26,6 +26,7 @@ from .dynamics import (
     UpdateSchedule,
     filter_phase_candidates,
     run_contagion,
+    run_ids,
 )
 from .errors import StateSpaceCapError, ValidationError
 from .graphs import BLUE, RED, UNINFECTED, Graph, neighbor_fractions
@@ -592,7 +593,7 @@ class _ReplicationKernel(_BatchedPhases):
         elif isinstance(schedule, SinglePassOrder):
             phases = _single_pass_groups(schedule.order, graph)
         else:
-            phases = schedule.layers
+            phases = [run_ids(layer) for layer in schedule.runs]
         super().__init__(graph, game.dynamics, phases)
         self.pairs = pairs
         self.schedule = schedule
@@ -787,9 +788,9 @@ def _last_appearance(schedule: UpdateSchedule, n: int) -> Optional[list[int]]:
             last[v] = i
         return last
     if isinstance(schedule, LayerOrder):
-        for i, layer in enumerate(schedule.layers):
-            for v in layer:
-                last[v] = i
+        for i, layer in enumerate(schedule.runs):
+            for start, stop in layer:
+                last[start:stop] = [i] * (stop - start)
         return last
     return None
 

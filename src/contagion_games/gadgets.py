@@ -208,15 +208,14 @@ class ChainLayout:
         return Graph(n=self.n, edges=tuple(edges), directed=True)
 
     def depth_schedule(self) -> LayerOrder:
-        phases = []
-        for depth in range(1, self.chain_len + 1):
-            phases.append(tuple(self.chain_vertex(j, depth) for j in range(self.replications)))
-        terminals = []
-        for j in range(self.replications):
-            start, size = self.terminal_range(j)
-            terminals.extend(range(start, start + size))
-        phases.append(tuple(terminals))
-        return LayerOrder(tuple(phases))
+        """Updates the depth-d chain vertices of every block in step d, then
+        every terminal."""
+        first, step = self.block_base(0), self.block_size
+        end = first + self.replications * step
+        phases = [[(v, v + 1) for v in range(first + d, end, step)] for d in range(self.chain_len)]
+        phases.append([(v, v + self.n_terminal)
+                       for v in range(first + self.chain_len, end, step)])
+        return LayerOrder.from_runs(phases)
 
 
 def _pair_probs(dyn: AdoptionFunction, n_red: int, n_blue: int) -> tuple[float, float]:
@@ -486,8 +485,8 @@ class GadgetSpec:
 
     def schedule_summary(self) -> dict:
         if isinstance(self.schedule, LayerOrder):
-            return {"kind": "layer_order", "n_phases": len(self.schedule.layers),
-                    "phase_sizes": [len(p) for p in self.schedule.layers]}
+            return {"kind": "layer_order", "n_phases": len(self.schedule.runs),
+                    "phase_sizes": self.schedule.layer_sizes()}
         if isinstance(self.schedule, SinglePassOrder):
             return {"kind": "single_pass", "length": len(self.schedule.order)}
         return self.schedule.to_json_dict()

@@ -84,14 +84,9 @@ class LayeredStructure:
         ranges = self.layer_ranges()
         phases = []
         for d in range(1, max_depth):
-            phase: list[int] = []
-            for comp in ranges:
-                if d < len(comp):
-                    start, size = comp[d]
-                    phase.extend(range(start, start + size))
-            if phase:
-                phases.append(tuple(phase))
-        return LayerOrder(tuple(phases))
+            phases.append([(comp[d][0], comp[d][0] + comp[d][1])
+                           for comp in ranges if d < len(comp)])
+        return LayerOrder.from_runs(phases)
 
     def build_graph(self, max_edges: int = 5_000_000) -> Graph:
         """Materialize the explicit edge list (guarded, for modest sizes)."""

@@ -337,6 +337,22 @@ def test_boolean_vertex_ids_and_counts_are_rejected(tmp_path, capsys, update, me
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("overrides,message", [
+    (["--schedule.immunity", "False"], "immunity must be a boolean, got 'False'"),
+    (["--schedule.immunity", '"false"'], "immunity must be a boolean, got 'false'"),
+    (["--schedule.max_rounds", "2.5"], "max_rounds must be a positive integer, got 2.5"),
+    (["--schedule.max_rounds", "true"], "max_rounds must be a positive integer, got True"),
+    (["--schedule.kind", "random_sequential", "--schedule.max_steps", "2.9"],
+     "max_steps must be a positive integer, got 2.9"),
+])
+def test_schedule_fields_are_not_coerced(tmp_path, capsys, overrides, message):
+    config = write_config(tmp_path, base_config(
+        profile={"red_seeds": [3], "blue_seeds": [0]},
+        schedule={"kind": "parallel", "max_rounds": 2, "immunity": True}))
+    assert run(["payoff", "--config", config, "--out", str(tmp_path / "out")] + overrides) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_profile_and_search_are_mutually_exclusive(tmp_path, capsys):
     config = write_config(tmp_path, base_config(
         profile={"red_seeds": [3], "blue_seeds": [0]}, search={"eps": 0.1}))

@@ -45,7 +45,7 @@ from contagion_games import (
 )
 from contagion_games import engine
 from contagion_games.coupling import _CoupledKernel
-from contagion_games.engine import _Draws
+from contagion_games.engine import _Draws, sample_payoffs
 
 
 def sqrt_linear():
@@ -428,3 +428,55 @@ def test_couple_test_attribution_accepts_parallel_rounds():
                       MODE_ATTRIBUTION, runs=400, master_seed=9)
     assert res.invariant_violations == 0
     assert res.inequality_margins["max_total_count_gap"] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Layer orders built from ids and from runs drive identical runs.
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def run_built_instances(draw):
+    """A random digraph, disjoint red and blue seeds, and a layer order over
+    some of its vertices (unsorted layers, gaps, empty layers) given both as
+    ids and as runs split at arbitrary points."""
+    n = draw(st.integers(2, 10))
+    edges = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                         .filter(lambda e: e[0] != e[1]), max_size=3 * n))
+    graph = Graph(n=n, edges=tuple(sorted(edges)), directed=True)
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=4)) | {0, n})
+    blocks = draw(st.permutations([(a, b) for a, b in zip(cuts, cuts[1:]) if draw(st.booleans())]))
+    n_layers = draw(st.integers(1, 4))
+    layers = [[] for _ in range(n_layers)]
+    runs = [[] for _ in range(n_layers)]
+    for a, b in blocks:
+        k = draw(st.integers(0, n_layers - 1))
+        if draw(st.booleans()):
+            layers[k].extend(range(b - 1, a - 1, -1))
+            runs[k].extend((v, v + 1) for v in range(b - 1, a - 1, -1))
+        else:
+            mid = draw(st.integers(a, b))
+            layers[k].extend(range(a, b))
+            runs[k].extend([(a, mid), (mid, b)])
+    order = draw(st.permutations(range(n)))
+    seeded = draw(st.integers(2, min(4, n)))
+    n_red = draw(st.integers(1, seeded - 1))
+    return graph, layers, runs, list(order[:n_red]), list(order[n_red:seeded])
+
+
+@settings(max_examples=60, deadline=None)
+@given(run_built_instances(), st.integers(0, 2**32 - 1))
+def test_layer_orders_from_ids_and_from_runs_give_identical_results(instance, seed):
+    graph, layers, runs, red, blue = instance
+    dyn = sqrt_linear()
+    profile = StrategyProfile(Allocation.from_seeds(graph.n, red),
+                              Allocation.from_seeds(graph.n, blue))
+    results = []
+    for schedule in (LayerOrder(layers), LayerOrder.from_runs(runs)):
+        game = GameSpec(graph, dyn, schedule, len(red), len(blue))
+        chi_r, chi_b = sample_payoffs(game, profile, 12, master_seed=seed)
+        coupled = [couple_test(graph, red, blue, dyn, schedule, mode, runs=8,
+                               master_seed=seed).to_json_dict()
+                   for mode in (MODE_SOLO_VS_JOINT, MODE_JOINT_TOTAL, MODE_ATTRIBUTION)]
+        results.append((chi_r.tolist(), chi_b.tolist(), coupled, exact_payoffs(game, profile)))
+    assert results[0] == results[1]

@@ -1,7 +1,9 @@
 """Switching/selection functions, adoption probabilities, predicates, schedules."""
 
 import dataclasses
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -715,6 +717,160 @@ def test_layer_order_rejects_overlapping_layers():
         LayerOrder(((0, 1), (1, 2)))
 
 
+# Layer orders stored as runs of consecutive ids.
+
+
+def reference_layer_check(layers):
+    """The explicit-id validation by a scan over every listed id: per layer,
+    the first non-vertex or repeated entry in listed order; then the first id
+    of a later layer that an earlier layer lists.  Returns the layers as
+    plain ints."""
+    out = []
+    for i, layer in enumerate(layers):
+        try:
+            ids = [int(v) if isinstance(v, np.integer) else v for v in layer]
+        except TypeError:
+            raise ScheduleError(f"layer {i} must be a list of vertex ids") from None
+        seen = set()
+        for v in ids:
+            if type(v) is not int or v < 0:
+                raise ScheduleError(f"layer {i} contains a non-vertex entry {v!r}")
+            if v in seen:
+                raise ScheduleError(f"layer {i} lists vertex {v} twice")
+            seen.add(v)
+        out.append(tuple(ids))
+    seen = set()
+    for layer in out:
+        for v in layer:
+            if v in seen:
+                raise ScheduleError(f"vertex {v} appears in more than one layer")
+            seen.add(v)
+    return tuple(out)
+
+
+def expand_runs(runs):
+    return tuple(tuple(v for start, stop in layer for v in range(start, stop)) for layer in runs)
+
+
+def as_numpy_id(draw, v):
+    return draw(st.sampled_from((int, np.int64, np.int32, np.uint16)))(v)
+
+
+@st.composite
+def layer_order_cases(draw):
+    """Valid layers with gaps, unsorted and empty layers and numpy ids, and
+    runs for the same layers split at arbitrary points, with empty runs."""
+    cuts = sorted(draw(st.sets(st.integers(1, 59), max_size=12)) | {0, 60})
+    blocks = [(a, b) for a, b in zip(cuts, cuts[1:]) if draw(st.booleans())]
+    blocks = draw(st.permutations(blocks))
+    n_layers = draw(st.integers(1, 5))
+    layers = [[] for _ in range(n_layers)]
+    runs = [[] for _ in range(n_layers)]
+    for a, b in blocks:
+        k = draw(st.integers(0, n_layers - 1))
+        if draw(st.booleans()):
+            ids = list(range(b - 1, a - 1, -1))  # descending: runs of one id
+            runs[k].extend((v, v + 1) for v in ids)
+        else:
+            ids = list(range(a, b))
+            mid = draw(st.integers(a, b))
+            runs[k].extend([(a, mid), (mid, mid), (mid, b)])
+        layers[k].extend(as_numpy_id(draw, v) for v in ids)
+    runs = [[tuple(as_numpy_id(draw, v) for v in run) for run in layer] for layer in runs]
+    return layers, runs
+
+
+def validation_message(schedule, n):
+    try:
+        schedule.validate_for_graph(Graph(n=n, edges=()))
+    except ScheduleError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(layer_order_cases())
+def test_layer_orders_built_from_ids_and_from_runs_agree(case):
+    layers, runs = case
+    explicit = LayerOrder(layers)
+    by_runs = LayerOrder.from_runs(runs)
+    expected = tuple(tuple(int(v) for v in layer) for layer in layers)
+    assert explicit.layers == by_runs.layers == expand_runs(by_runs.runs) == expected
+    assert all(type(v) is int for layer in by_runs.layers for v in layer)
+    assert all(type(v) is int for layer in explicit.runs for run in layer for v in run)
+    assert explicit == by_runs and hash(explicit) == hash(by_runs)
+    assert explicit.runs == by_runs.runs
+    for cursor in range(len(expected) + 2):
+        options = explicit.phase_options(None, None, None, cursor)
+        assert options == by_runs.phase_options(None, None, None, cursor)
+        assert options == ([(1.0, expected[cursor], cursor + 1)]
+                           if cursor < len(expected) else None)
+    doc = explicit.to_json_dict()
+    assert doc == by_runs.to_json_dict() == {"kind": "layer_order",
+                                             "layers": [list(layer) for layer in expected]}
+    assert load_schedule(json.dumps(doc)) == by_runs
+    listed = [v for layer in expected for v in layer]
+    for n in range(1, 62, 3):
+        unknown = next((v for v in listed if v >= n), None)
+        want = None if unknown is None else f"layer order references unknown vertex {unknown}"
+        assert validation_message(explicit, n) == validation_message(by_runs, n) == want
+
+
+entries = st.one_of(st.integers(-2, 9), st.integers(0, 9).map(np.int64), st.booleans(),
+                    st.sampled_from((np.bool_(True), 1.0, "3", None)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.one_of(st.lists(st.integers(0, 9), max_size=4),
+                          st.lists(entries, max_size=4), st.integers(0, 3)), max_size=4))
+def test_explicit_layer_orders_raise_the_per_id_scan_messages(layers):
+    try:
+        expected = reference_layer_check(layers)
+    except ScheduleError as exc:
+        with pytest.raises(ScheduleError) as got:
+            LayerOrder(layers)
+        assert str(got.value) == str(exc)
+    else:
+        assert LayerOrder(layers).layers == expected
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 4))
+                         .map(lambda r: (r[0], r[0] + r[1])), max_size=4), max_size=4))
+def test_overlapping_runs_raise_what_their_explicit_ids_raise(runs):
+    try:
+        expected = reference_layer_check(expand_runs(runs))
+    except ScheduleError as exc:
+        with pytest.raises(ScheduleError) as got:
+            LayerOrder.from_runs(runs)
+        assert str(got.value) == str(exc)
+    else:
+        assert LayerOrder.from_runs(runs).layers == expected
+
+
+@pytest.mark.parametrize("runs, message", [
+    ([[(1,)]], "layer 0 contains a malformed run (1,)"),
+    ([[(0, 1)], [(-1, 2)]], "layer 1 contains a malformed run (-1, 2)"),
+    ([[(3, 2)]], "layer 0 contains a malformed run (3, 2)"),
+    ([[(True, 2)]], "layer 0 contains a malformed run (True, 2)"),
+    ([[(0, 2.0)]], "layer 0 contains a malformed run (0, 2.0)"),
+    ([[5]], "layer 0 contains a malformed run 5"),
+    ([[(0, 3), (2, 4)]], "layer 0 lists vertex 2 twice"),
+    ([[(5, 9)], [(0, 3), (2, 6)]], "layer 1 lists vertex 2 twice"),
+    ([[(5, 9)], [(0, 3), (3, 6)]], "vertex 5 appears in more than one layer"),
+])
+def test_from_runs_rejects_malformed_and_overlapping_runs(runs, message):
+    with pytest.raises(ScheduleError, match=re.escape(message)):
+        LayerOrder.from_runs(runs)
+
+
+def test_layer_order_runs_merge_touching_neighbours_only():
+    order = LayerOrder(((5, 6, 7, 1, 2, 9), (), (3,)))
+    assert order.runs == (((5, 8), (1, 3), (9, 10)), (), ((3, 4),))
+    assert order.layer_sizes() == [6, 0, 1]
+    assert order != LayerOrder(((5, 6, 7, 1, 2, 9), (3,)))
+
+
 def test_random_sequential_updates_one_vertex_per_step():
     g = Graph(n=5, edges=((0, 1), (0, 2), (0, 3), (0, 4)))
     out = run_contagion(g, [RED] + [UNINFECTED] * 4, linear_dyn(),
@@ -809,3 +965,38 @@ def test_load_schedule_round_trip(doc):
 def test_load_schedule_error_cases(doc, pattern):
     with pytest.raises(ScheduleError, match=pattern):
         load_schedule(doc)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"kind": "parallel", "max_rounds": 2.5}, "max_rounds must be a positive integer, got 2.5"),
+    ({"kind": "parallel", "max_rounds": 2.0}, "max_rounds must be a positive integer, got 2.0"),
+    ({"kind": "parallel", "max_rounds": True}, "max_rounds must be a positive integer, got True"),
+    ({"kind": "parallel", "max_rounds": "3"}, "max_rounds must be a positive integer, got '3'"),
+    ({"kind": "parallel", "max_rounds": 0}, "max_rounds must be a positive integer, got 0"),
+    ({"kind": "parallel", "max_rounds": 2, "immunity": "false"},
+     "immunity must be a boolean, got 'false'"),
+    ({"kind": "parallel", "max_rounds": 2, "immunity": "False"},
+     "immunity must be a boolean, got 'False'"),
+    ({"kind": "parallel", "max_rounds": 2, "immunity": 0}, "immunity must be a boolean, got 0"),
+    ({"kind": "random_sequential", "max_steps": 2.9},
+     "max_steps must be a positive integer, got 2.9"),
+    ({"kind": "random_sequential", "max_steps": True},
+     "max_steps must be a positive integer, got True"),
+])
+def test_load_schedule_passes_field_values_through_uncoerced(doc, message):
+    with pytest.raises(ScheduleError, match=re.escape(
+            f"schedule of kind {doc['kind']!r} has malformed fields: {message}")):
+        load_schedule(doc)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ParallelRounds(True),
+    lambda: ParallelRounds(np.int64(3)),
+    lambda: ParallelRounds(2, immunity="false"),
+    lambda: ParallelRounds(2, immunity=np.bool_(True)),
+    lambda: RandomSequential(False),
+    lambda: RandomSequential(4.0),
+])
+def test_schedules_reject_booleans_and_non_integers_as_counts(make):
+    with pytest.raises(ScheduleError, match="must be a"):
+        make()

@@ -396,6 +396,15 @@ def test_monte_carlo_validates_trial_count():
         estimate_payoffs(mc_game(), mc_profile(), n_trials=0)
 
 
+def test_last_appearance_of_a_layer_order_matches_a_per_id_scan():
+    schedule = LayerOrder.from_runs([[(4, 5), (3, 4)], [], [(6, 7), (5, 6), (2, 3)], [(0, 1)]])
+    reference = [-1] * 8
+    for i, layer in enumerate(schedule.layers):
+        for v in layer:
+            reference[v] = i
+    assert engine._last_appearance(schedule, 8) == reference == [3, -1, 2, 0, 0, 2, 2, -1]
+
+
 # The batched replication kernel against the per-vertex path.
 
 KERNEL_DYNAMICS = (

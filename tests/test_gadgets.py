@@ -1,6 +1,8 @@
 """Generated benchmark families: layouts, closed-form predictions, and the
 verification harness."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from contagion_games import (
     Allocation,
     ChainLayout,
     GADGET_BUILDERS,
+    LayerOrder,
     Prediction,
     StrategyProfile,
     ValidationError,
@@ -92,6 +95,11 @@ def test_chain_layout_graph_matches_the_closed_form():
     assert len(schedule.layers) == layout.chain_len + 1
     covered = sorted(v for layer in schedule.layers for v in layer)
     assert covered == list(range(layout.n_inputs, layout.n))
+    reference = [tuple(layout.chain_vertex(j, depth) for j in range(layout.replications))
+                 for depth in range(1, layout.chain_len + 1)]
+    reference.append(tuple(v for j in range(layout.replications)
+                           for v in range(layout.terminal_range(j)[0], sum(layout.terminal_range(j)))))
+    assert schedule.layers == tuple(reference) and schedule == LayerOrder(reference)
     with pytest.raises(ValidationError, match="exceeds the cap"):
         ChainLayout(3, 1000, 1000).build_graph(max_edges=100)
 
@@ -279,6 +287,20 @@ def test_convexity_dp_matches_the_aggregated_sampler():
     assert abs(mc.pi_B - dp.pi_B) <= 3 * mc.stderr_B
 
 
+def test_a_four_million_vertex_convexity_amplifier_builds_and_evaluates_in_little_memory():
+    tracemalloc.start()
+    try:
+        spec = convexity_amplifier(4, 4, 2.0, 32768)
+        case = spec.profiles["designated"]
+        est = spec.profile_payoff_fn()(StrategyProfile(case.red, case.blue))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert spec.n_vertices == 4_227_624
+    assert est.pi_R == pytest.approx(est.pi_B, rel=1e-12) and est.pi_R > 0
+    assert peak < 16 << 20
+
+
 def test_convexity_validation():
     with pytest.raises(ValidationError, match="depth must be at least 2"):
         convexity_amplifier(4, 1, 2.0, 6)
@@ -293,6 +315,18 @@ def test_convexity_validation():
 # ---------------------------------------------------------------------------
 # Polarization amplifier.
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("make", [
+    lambda: convexity_amplifier(4, 3, 2.0, 6),
+    lambda: polarization_amplifier(2, 20, 100, 2.0),
+    lambda: chain_replication(3, 4, 5),
+])
+def test_layer_order_summaries_count_the_explicit_layers(make):
+    spec = make()
+    layers = spec.schedule.layers
+    assert spec.to_json_dict()["schedule"] == {
+        "kind": "layer_order", "n_phases": len(layers), "phase_sizes": [len(l) for l in layers]}
 
 
 def test_polarization_closed_form_small_final_value():

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
@@ -12,6 +13,7 @@ from contagion_games import (
     BuiltinAdoption,
     GameSpec,
     HalfPointSwitch,
+    LayerOrder,
     LayeredStructure,
     MixedAllocation,
     PowerSwitch,
@@ -76,6 +78,32 @@ def test_depth_schedule_interleaves_components_by_depth():
     s = LayeredStructure(((2, 3, 1), (4, 2)))
     layers = s.depth_schedule().layers
     assert layers == ((2, 3, 4, 10, 11), (5,))
+
+
+@pytest.mark.parametrize("sizes", [((2, 3, 1), (4, 2)), ((1,), (3, 1, 2, 2), (2, 5)),
+                                   ((4, 16, 64),), ((3,), (1, 1))])
+def test_depth_schedule_matches_an_explicit_id_reference(sizes):
+    s = LayeredStructure(sizes)
+    starts = list(itertools.accumulate((sum(c) for c in sizes), initial=0))
+    phases = []
+    for d in range(1, max(len(c) for c in sizes)):
+        phases.append(tuple(v for c, base in zip(sizes, starts) if d < len(c)
+                            for v in range(base + sum(c[:d]), base + sum(c[:d + 1]))))
+    schedule = s.depth_schedule()
+    assert schedule.layers == tuple(phases)
+    assert schedule == LayerOrder(phases) and hash(schedule) == hash(LayerOrder(phases))
+
+
+def test_depth_schedule_of_a_hundred_million_vertices_takes_little_memory():
+    s = LayeredStructure(((4, 1024, 4096, 50_000_000),) * 2)
+    tracemalloc.start()
+    try:
+        schedule = s.depth_schedule()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert schedule.layer_sizes() == [2 * 1024, 2 * 4096, 2 * 50_000_000]
 
 
 # ---------------------------------------------------------------------------
