@@ -1,41 +1,43 @@
 """Coupled contagion processes sharing randomness, with monitored invariants.
 
-Three coupling modes, each faithful to the standalone process on both sides
-(every update consumes one fresh uniform draw, shared between the processes
-whenever both update the same vertex in the same phase):
+Every mode couples the two-player (joint) process with a second, "solo"
+process on the same graph.  Both read one shared uniform draw per vertex
+that is a candidate in either of them, and each on its own is the
+standalone process it stands for.
 
-- "solo-vs-joint": one player's solo spread versus the two-player process,
-  sharing draws so that every vertex the joint process colors red is also red
-  in the solo run.  Needs a competitive adoption function with an additive
-  total.
-- "joint-total": the two-player process versus one player's solo spread,
-  sharing draws so that every vertex infected in the solo run is infected
-  (either color) in the joint run.  Needs an additive total.
-- "attribution": a single-color spread whose infections copy the label of a
-  uniformly random infected in-neighbor, read out twice — once with all seed
-  labels one color, once with a prefix of them recolored.  Per-label counts
-  then match run by run.  Needs an additive total whose color split is
-  proportional to the red share of infected in-neighbors.
+- "solo-vs-joint": the solo process is red's spread from its seeds alone.
+  Every vertex the joint process colors red is also red in the solo run.
+  Needs a competitive adoption function with an additive total.
+- "joint-total": the same pair.  Every vertex infected in the solo run is
+  infected (either color) in the joint run.  Needs an additive total.
+- "attribution": the solo process is a one-color spread of both seed sets
+  whose infections copy the color label of a uniformly chosen infected
+  in-neighbor.  A vertex with r red-labelled and b blue-labelled infected
+  in-neighbors, out of d, is infected iff its draw z < p = P[any]((r+b)/d, 0),
+  and takes the red label iff z < p*r/(r+b): the donor is the one with index
+  floor(z/p*(r+b)), red labels first.  The invariant is that every vertex's
+  joint color equals its solo label, which holds run by run when the total is
+  additive and the color split is proportional to the red share of infected
+  in-neighbors; a non-additive total or a non-linear split breaks it.
 
-Deterministic-candidate schedules only: with a randomly chosen update order
-the two processes would not agree on which vertex a draw belongs to.
+The inequality modes need a one-shot schedule (single pass or layer order).
+Attribution also runs under parallel rounds, with or without immunity: each
+process keeps its own immune set and stops after a round that gives it no
+candidate or no infection, as it would alone.  Randomly ordered schedules are
+refused: the two processes would not agree on which vertex a draw belongs to.
 
-The two inequality modes run on arrays (`_CoupledKernel`): a block of
-replications advances as two (R, n) state matrices, the joint process and
-the red solo process, and replication i reads its draws from one row of a
-draw-ahead matrix that both processes index.  A replication draws what the
-vertex-by-vertex coupling draws: one uniform per vertex that is a candidate
-in either process, in ascending vertex order within a layer and in listed
-order along a single pass.  `couple_test`'s standalone replications run
-through `engine`'s Monte Carlo replication loop.  Attribution runs stay
-vertex by vertex, because their donor choices draw integers between the
-uniforms.
+All modes run on arrays (`_CoupledKernel`): a block of replications advances
+as two (R, n) state matrices, and replication i reads its draws from one row
+of a draw-ahead matrix that both processes index, in ascending vertex order
+within a layer or a round and in listed order along a single pass.  Invariant
+violations are counted after every phase or round.  `couple_test`'s
+standalone replications run through `engine`'s Monte Carlo replication loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.stats import ks_2samp
@@ -43,7 +45,7 @@ from scipy.stats import ks_2samp
 from .dynamics import (
     AdoptionFunction,
     LayerOrder,
-    RandomSequential,
+    ParallelRounds,
     SimOutcome,
     SinglePassOrder,
     UpdateSchedule,
@@ -51,7 +53,6 @@ from .dynamics import (
     _point_arrays,
     check_additive,
     check_competitive,
-    filter_phase_candidates,
     run_ids,
 )
 from .engine import (
@@ -60,13 +61,15 @@ from .engine import (
     StrategyProfile,
     _BatchedPhases,
     _Draws,
+    _is_integer,
     _mc_chunk,
-    _replication_rng,
     _replication_streams,
+    _require_master_seed,
+    _seed_vertex,
     _single_pass_groups,
 )
 from .errors import CouplingHypothesisError, ValidationError
-from .graphs import BLUE, RED, UNINFECTED, Graph, neighbor_fractions
+from .graphs import BLUE, RED, UNINFECTED, Graph
 
 MODE_SOLO_VS_JOINT = "solo-vs-joint"
 MODE_JOINT_TOTAL = "joint-total"
@@ -159,35 +162,32 @@ def require_mode_hypotheses(mode: str, dyn: AdoptionFunction, graph: Graph) -> N
                 f"(a={a:.6g}, b={b:.6g}) it is off by {gap:.3g}")
 
 
-def _require_deterministic_schedule(schedule: UpdateSchedule) -> None:
-    if isinstance(schedule, RandomSequential):
-        raise ValidationError(
-            "coupled runs need a schedule whose phases are determined by the state "
-            "(single_pass, layer_order, or parallel); random_sequential is not supported")
+def _require_schedule(mode: str, schedule: UpdateSchedule) -> None:
+    """Attribution runs on single passes, layer orders and parallel rounds.
 
-
-def _require_one_shot_schedule(schedule: UpdateSchedule) -> None:
-    """The two inequality couplings are sound only when every vertex updates at
+    The two inequality couplings are sound only when every vertex updates at
     one fixed phase.  Under parallel rounds, a failed candidate retries, and
     the early stop on a no-change round can freeze one process while the other
     keeps retrying; the comparison inequalities themselves fail on small
     instances under that semantics, so such schedules are refused outright."""
-    if not isinstance(schedule, (SinglePassOrder, LayerOrder)):
+    if mode == MODE_ATTRIBUTION:
+        if not isinstance(schedule, (SinglePassOrder, LayerOrder, ParallelRounds)):
+            raise ValidationError(
+                "coupled runs need a schedule whose phases are determined by the state "
+                "(single_pass, layer_order, or parallel); random_sequential is not supported")
+    elif not isinstance(schedule, (SinglePassOrder, LayerOrder)):
         raise ValidationError(
             "this coupling mode needs a one-shot schedule (single_pass or layer_order): "
             "with retrying schedules the early stop on a no-change round desynchronizes "
             "the two processes and the comparison inequality itself can fail")
 
 
-def _seed_state(graph: Graph, red_seeds: Sequence[int], blue_seeds: Sequence[int]) -> list[int]:
-    state = [UNINFECTED] * graph.n
+def _seed_state(graph: Graph, red_seeds: Sequence[int], blue_seeds: Sequence[int]) -> np.ndarray:
+    state = np.full(graph.n, UNINFECTED, dtype=np.int8)
     for v in red_seeds:
-        if not (0 <= v < graph.n):
-            raise ValidationError(f"seed vertex {v} out of range")
-        state[v] = RED
+        state[_seed_vertex(v, graph.n)] = RED
     for v in blue_seeds:
-        if not (0 <= v < graph.n):
-            raise ValidationError(f"seed vertex {v} out of range")
+        v = _seed_vertex(v, graph.n)
         if state[v] == RED:
             raise ValidationError(f"vertex {v} is seeded by both players; coupled runs need disjoint seed sets")
         state[v] = BLUE
@@ -195,7 +195,7 @@ def _seed_state(graph: Graph, red_seeds: Sequence[int], blue_seeds: Sequence[int
 
 
 # ---------------------------------------------------------------------------
-# Coupled two-process run (modes solo-vs-joint and joint-total).
+# Coupled two-process runs.
 # ---------------------------------------------------------------------------
 
 
@@ -208,27 +208,35 @@ class CoupledRunResult:
 
 
 class _CoupledKernel(_BatchedPhases):
-    """Coupled runs of the joint process (both seed sets) and the red solo
-    process (red seeds only) on a one-shot schedule, a block of replications
-    at a time, as two (R, n) int8 state matrices.
+    """Coupled runs of the joint process and the mode's solo process, a block
+    of replications at a time, as two (R, n) int8 state matrices.  Solo
+    states hold red in the inequality modes and color labels in attribution
+    mode.
 
-    Each phase draws one uniform per vertex that is a candidate in either
-    process, from the replication's row of a `_Draws` matrix, in the phase's
-    vertex order: ascending within a layer, listed order along a single pass
-    (whose consecutive vertices are grouped by `_single_pass_groups`).  Joint
-    probabilities are the memoised `update_probs` calls, and the solo
-    probability is `update_probs(a_r, 0)[0]`, equal to `prob_red(a_r, 0)`.
+    Each phase or round draws one uniform per vertex that is a candidate in
+    either running process, from the replication's row of a `_Draws` matrix,
+    in the phase's vertex order: ascending within a layer or a round, listed
+    order along a single pass (whose consecutive vertices are grouped by
+    `_single_pass_groups`).  Probabilities are the memoised `update_probs`
+    calls: the joint process's at (r/d, b/d), and the solo process's at
+    ((r+b)/d, 0), where it takes P[Red] in the inequality modes and P[Red or
+    Blue] in attribution mode.
     """
 
     def __init__(self, graph: Graph, red_seeds: Sequence[int], blue_seeds: Sequence[int],
                  dyn: AdoptionFunction, schedule: UpdateSchedule, mode: str):
-        self.joint0 = np.array(_seed_state(graph, red_seeds, blue_seeds), dtype=np.int8)
-        self.solo0 = np.array(_seed_state(graph, red_seeds, ()), dtype=np.int8)
-        # Every vertex updates in one phase at most and keeps its colors from
-        # then on, so a vertex that breaks the invariant at phase k is counted
-        # after each of the phases k..n_phases-1.
+        _require_schedule(mode, schedule)
+        schedule.validate_for_graph(graph)
+        self.joint0 = _seed_state(graph, red_seeds, blue_seeds)
+        self.solo0 = self.joint0 if mode == MODE_ATTRIBUTION else _seed_state(graph, red_seeds, ())
+        self.rounds = schedule if isinstance(schedule, ParallelRounds) else None
+        # On a one-shot schedule every vertex updates in one phase at most and
+        # keeps its colors from then on, so a vertex that breaks the invariant
+        # at phase k is counted after each of the phases k..n_phases-1.
         self.weight = np.zeros(graph.n, dtype=np.int64)
-        if isinstance(schedule, SinglePassOrder):
+        if self.rounds is not None:
+            phases = [range(graph.n)]
+        elif isinstance(schedule, SinglePassOrder):
             phases = _single_pass_groups(schedule.order, graph)
             order = np.array(schedule.order, dtype=np.intp)
             self.weight[order] = len(order) - np.arange(len(order))
@@ -240,56 +248,111 @@ class _CoupledKernel(_BatchedPhases):
         self.mode = mode
         self.draw_width = sum(len(p[0]) for p in self.phases)
 
+    def _violations(self, joint: np.ndarray, solo: np.ndarray) -> np.ndarray:
+        if self.mode == MODE_SOLO_VS_JOINT:
+            return (joint == RED) & (solo != RED)
+        if self.mode == MODE_JOINT_TOTAL:
+            return (solo == RED) & (joint == UNINFECTED)
+        return joint != solo
+
     def run(self, draws: _Draws) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The joint and solo end states of one row per `draws` row, and each
-        row's invariant violations summed after every phase of the schedule."""
-        rows = len(draws.rngs)
-        joint = np.tile(self.joint0, (rows, 1))
-        solo = np.tile(self.solo0, (rows, 1))
-        all_rows = np.arange(rows)
+        row's invariant violations summed after every phase or round."""
+        rows = np.arange(len(draws.rngs))
+        joint = np.tile(self.joint0, (len(rows), 1))
+        solo = np.tile(self.solo0, (len(rows), 1))
+        if self.rounds is not None:
+            return joint, solo, self._run_rounds(joint, solo, draws, rows)
         for phase in self.phases:
-            verts, _, _, deg = phase
-            red, blue = self._neighbor_counts(joint, phase)
-            solo_red, _ = self._neighbor_counts(solo, phase)
-            in_joint = (joint[:, verts] == UNINFECTED) & ((red + blue) > 0)
-            in_solo = (solo[:, verts] == UNINFECTED) & (solo_red > 0)
-            row_of, col = np.nonzero(in_joint | in_solo)
-            if len(row_of) == 0:
-                continue
-            z = draws.take(all_rows, np.bincount(row_of, minlength=rows), row_of)
-            d = deg[col]
-            j = in_joint[row_of, col]
-            jr, jc, zj = row_of[j], col[j], z[j]
-            p_red, p_any = self._probs(red[jr, jc] / d[j], blue[jr, jc] / d[j])
-            to_red = zj < p_red
-            to_blue = ~to_red & (zj < p_any)
-            s = in_solo[row_of, col]
-            sr, sc = row_of[s], col[s]
-            p_solo, _ = self._probs(solo_red[sr, sc] / d[s], np.zeros(len(sr)))
-            joint[jr[to_red], verts[jc[to_red]]] = RED
-            joint[jr[to_blue], verts[jc[to_blue]]] = BLUE
-            won = z[s] < p_solo
-            solo[sr[won], verts[sc[won]]] = RED
-        if self.mode == MODE_SOLO_VS_JOINT:
-            bad = (joint == RED) & (solo != RED)
-        else:  # joint-total
-            bad = (solo == RED) & (joint == UNINFECTED)
-        return joint, solo, bad @ self.weight
+            self._phase(joint, solo, draws, rows, phase)
+        return joint, solo, self._violations(joint, solo) @ self.weight
+
+    def _run_rounds(self, joint, solo, draws: _Draws, rows: np.ndarray) -> np.ndarray:
+        """Parallel rounds, in place.  Row by row, each process stops after a
+        round that gives it no candidate or no infection; a row's violations
+        are summed after every round in which either process ran."""
+        violations = np.zeros(len(rows), dtype=np.int64)
+        live = np.ones((2, len(rows)), dtype=bool)
+        immune = np.zeros((2,) + joint.shape, dtype=bool) if self.rounds.immunity else None
+        for _ in range(self.rounds.max_rounds if self.phases else 0):
+            running = [rows[live[0, rows]], rows[live[1, rows]]]
+            infected = np.concatenate([joint[running[0]], solo[running[1]]]) != UNINFECTED
+            closed = infected
+            if immune is not None:
+                closed = infected | np.concatenate([immune[0][running[0]], immune[1][running[1]]])
+            phase = self._round_phase(infected, closed)
+            outcome = None if phase is None else self._phase(
+                joint, solo, draws, rows, phase, live, immune)
+            if outcome is None:
+                break
+            ran = np.zeros(len(rows), dtype=bool)
+            for p, (row_of, col, won) in enumerate(outcome):
+                tried = np.bincount(row_of, minlength=len(rows))
+                moved = np.bincount(row_of[won], minlength=len(rows))
+                ran |= tried > 0
+                live[p, rows] &= (tried > 0) & (moved > 0)
+                if immune is not None:
+                    immune[p][rows[row_of[~won]], phase[0][col[~won]]] = True
+            done = rows[ran]
+            violations[done] += self._violations(joint[done], solo[done]).sum(axis=1)
+            rows = rows[live[0, rows] | live[1, rows]]
+            if len(rows) == 0:
+                break
+        return violations
+
+    def _phase(self, joint, solo, draws: _Draws, rows, phase, live=None, immune=None):
+        """One snapshot update of both processes at the phase's vertices in
+        the given rows.  Under parallel rounds, only running processes'
+        non-immune vertices are candidates.  Returns, per process, the
+        candidates' row and column indices into (rows, phase vertices) and
+        which of them were infected; None when there was no candidate."""
+        verts, _, _, deg = phase
+        joint_sub, solo_sub = joint[rows], solo[rows]
+        red, blue = self._neighbor_counts(joint_sub, phase)
+        solo_red, solo_blue = self._neighbor_counts(solo_sub, phase)
+        solo_any = solo_red + solo_blue
+        cand = [(joint_sub[:, verts] == UNINFECTED) & ((red + blue) > 0),
+                (solo_sub[:, verts] == UNINFECTED) & (solo_any > 0)]
+        for p in range(2) if live is not None else ():
+            cand[p] &= live[p, rows, None]
+            if immune is not None:
+                cand[p] &= ~immune[p][np.ix_(rows, verts)]
+        row_of, col = np.nonzero(cand[0] | cand[1])
+        if len(row_of) == 0:
+            return None
+        z = draws.take(rows, np.bincount(row_of, minlength=len(rows)), row_of)
+        d = deg[col]
+        j = cand[0][row_of, col]
+        jr, jc, zj = row_of[j], col[j], z[j]
+        p_red, p_any = self._probs(red[jr, jc] / d[j], blue[jr, jc] / d[j])
+        to_red = zj < p_red
+        to_blue = ~to_red & (zj < p_any)
+        s = cand[1][row_of, col]
+        sr, sc, zs = row_of[s], col[s], z[s]
+        k = solo_any[sr, sc]
+        p_solo_red, p_solo_any = self._probs(k / d[s], np.zeros(len(sr)))
+        if self.mode == MODE_ATTRIBUTION:
+            won = zs < p_solo_any
+            solo_to_red = won & (zs < p_solo_any * solo_red[sr, sc] / k)
+        else:
+            won = solo_to_red = zs < p_solo_red
+        joint[rows[jr[to_red]], verts[jc[to_red]]] = RED
+        joint[rows[jr[to_blue]], verts[jc[to_blue]]] = BLUE
+        solo[rows[sr[solo_to_red]], verts[sc[solo_to_red]]] = RED
+        solo_to_blue = won & ~solo_to_red
+        solo[rows[sr[solo_to_blue]], verts[sc[solo_to_blue]]] = BLUE
+        return (jr, jc, to_red | to_blue), (sr, sc, won)
 
 
 def coupled_run(graph: Graph, red_seeds: Sequence[int], blue_seeds: Sequence[int],
                 dyn: AdoptionFunction, schedule: UpdateSchedule, rng,
                 mode: str = MODE_SOLO_VS_JOINT,
                 skip_preflight: bool = False) -> CoupledRunResult:
-    """One coupled run of the joint process (both seed sets) and the red solo
-    process (red seeds only), sharing one uniform draw per vertex per phase.
+    """One coupled run of the joint process (both seed sets) and the mode's
+    solo process, sharing one uniform draw per candidate vertex per phase.
 
     The generator is left just past the draws the run used."""
     mode = canonical_mode(mode)
-    if mode == MODE_ATTRIBUTION:
-        raise ValidationError("attribution coupling uses coupled_attribution_run")
-    _require_one_shot_schedule(schedule)
-    schedule.validate_for_graph(graph)
     if not skip_preflight:
         require_mode_hypotheses(mode, dyn, graph)
     rng = np.random.default_rng(rng)
@@ -298,117 +361,14 @@ def coupled_run(graph: Graph, red_seeds: Sequence[int], blue_seeds: Sequence[int
     draws = _Draws([rng], kernel.draw_width)
     joint, solo, violations = kernel.run(draws)
     rng.bit_generator.state = start
-    rng.random(int(draws.used[0]))
+    rng.random(int(draws.spent[0] + draws.used[0]))
 
     joint, solo = joint[0].tolist(), solo[0].tolist()
     return CoupledRunResult(
         mode=mode,
         joint=SimOutcome(state=tuple(joint), chi_R=joint.count(RED), chi_B=joint.count(BLUE)),
-        solo=SimOutcome(state=tuple(solo), chi_R=solo.count(RED), chi_B=0),
+        solo=SimOutcome(state=tuple(solo), chi_R=solo.count(RED), chi_B=solo.count(BLUE)),
         invariant_violations=int(violations[0]),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Attribution runs (single-color spread with label copying).
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AttributionOutcome:
-    """Labels: -1 for uninfected, otherwise the index of the originating seed."""
-
-    labels: tuple[int, ...]
-    per_seed_counts: tuple[int, ...]
-    chi_total: int
-
-
-def attribution_run(graph: Graph, seeds: Sequence[int], dyn: AdoptionFunction,
-                    schedule: UpdateSchedule, rng,
-                    skip_preflight: bool = False) -> AttributionOutcome:
-    """Single-color contagion where every infection copies the label of a
-    uniformly random infected in-neighbor.
-
-    Summing the per-label counts always reproduces the total spread; with a
-    proportional color split the label counts are faithful to seed-level
-    attribution in the two-color process.
-    """
-    _require_deterministic_schedule(schedule)
-    schedule.validate_for_graph(graph)
-    if not skip_preflight:
-        require_mode_hypotheses(MODE_ATTRIBUTION, dyn, graph)
-    rng = np.random.default_rng(rng)
-    seeds = list(seeds)
-    if len(set(seeds)) != len(seeds):
-        raise ValidationError("attribution seeds must be distinct vertices")
-
-    labels = [-1] * graph.n
-    shadow = [UNINFECTED] * graph.n  # color view used for candidacy / fractions
-    for i, v in enumerate(seeds):
-        if not (0 <= v < graph.n):
-            raise ValidationError(f"seed vertex {v} out of range")
-        labels[v] = i
-        shadow[v] = RED
-    immune = [False] * graph.n
-    cursor = schedule.initial_cursor()
-
-    while True:
-        options = schedule.phase_options(graph, shadow, immune, cursor)
-        if options is None:
-            break
-        _, phase, cursor = options[0]
-        cands = filter_phase_candidates(graph, shadow, immune, phase)
-        pending: list[tuple[int, int]] = []
-        for v in cands:
-            ar, _ = neighbor_fractions(graph, shadow, v)
-            p = dyn.prob_any(ar, 0.0)
-            z = rng.random()
-            if z < p:
-                infected_nbrs = [u for u in graph.in_neighbors[v] if shadow[u] != UNINFECTED]
-                donor = infected_nbrs[int(rng.integers(len(infected_nbrs)))]
-                pending.append((v, labels[donor]))
-            elif schedule.immunity:
-                immune[v] = True
-        for v, lab in pending:
-            labels[v] = lab
-            shadow[v] = RED
-        if schedule.stop_on_no_change and not pending:
-            break
-
-    counts = [0] * len(seeds)
-    for lab in labels:
-        if lab >= 0:
-            counts[lab] += 1
-    return AttributionOutcome(labels=tuple(labels), per_seed_counts=tuple(counts),
-                              chi_total=sum(counts))
-
-
-@dataclass(frozen=True)
-class CoupledAttributionResult:
-    solo: AttributionOutcome
-    joint_chi_R: int
-    joint_chi_B: int
-    recolored: int  # how many seed labels were read as the second color
-    invariant_violations: int
-
-
-def coupled_attribution_run(graph: Graph, seeds: Sequence[int], recolored: int,
-                            dyn: AdoptionFunction, schedule: UpdateSchedule, rng,
-                            skip_preflight: bool = False) -> CoupledAttributionResult:
-    """Couple an all-one-color attribution run with the run where the first
-    `recolored` seeds carry the other color, sharing every draw.
-
-    Infections and label copies coincide exactly, so the recolored process's
-    per-seed counts equal the solo process's, label by label, in every run.
-    """
-    if not (0 <= recolored <= len(seeds)):
-        raise ValidationError(f"recolored seed count {recolored} out of range")
-    out = attribution_run(graph, seeds, dyn, schedule, rng, skip_preflight=skip_preflight)
-    chi_b = sum(out.per_seed_counts[:recolored])
-    chi_r = out.chi_total - chi_b
-    return CoupledAttributionResult(
-        solo=out, joint_chi_R=chi_r, joint_chi_B=chi_b,
-        recolored=recolored, invariant_violations=0,
     )
 
 
@@ -450,16 +410,21 @@ def couple_test(graph: Graph, red_seeds: Sequence[int], blue_seeds: Sequence[int
     and report invariant violations, inequality margins, and two-sample
     faithfulness p-values (coupled component versus standalone process)."""
     mode = canonical_mode(mode)
+    if not (_is_integer(runs) and runs >= 2):
+        raise ValidationError(f"couple_test needs at least 2 runs, as an integer; got {runs!r}")
+    _require_master_seed(master_seed)
     require_mode_hypotheses(mode, dyn, graph)
-    if mode == MODE_ATTRIBUTION:
-        _require_deterministic_schedule(schedule)
-    else:
-        _require_one_shot_schedule(schedule)
-    if runs < 2:
-        raise ValidationError("couple_test needs at least 2 runs")
-
-    notes = ["faithfulness p-values compare each coupled component against "
-             "an independent standalone run via a two-sample KS test"]
+    kernel = _CoupledKernel(graph, red_seeds, blue_seeds, dyn, schedule, mode)
+    counts = np.empty((4, runs))
+    violations = 0
+    for lo in range(0, runs, kernel.block):
+        hi = min(lo + kernel.block, runs)
+        draws = _Draws(_replication_streams(master_seed, lo, hi, (1,)), kernel.draw_width)
+        joint, solo, bad = kernel.run(draws)
+        violations += int(bad.sum())
+        for k, (state, color) in enumerate(((joint, RED), (joint, BLUE), (solo, RED), (solo, BLUE))):
+            counts[k, lo:hi] = np.count_nonzero(state == color, axis=1)
+    cj_r, cj_b, cs_r, cs_b = counts
 
     def standalone(red: Sequence[int], blue: Sequence[int], stream: int):
         """chi_R and chi_B of `runs` standalone replications, replication i
@@ -470,84 +435,33 @@ def couple_test(graph: Graph, red_seeds: Sequence[int], blue_seeds: Sequence[int
         return _mc_chunk(GameSpec(graph, dyn, schedule, 1, 1), profile.support_pairs(),
                          master_seed, 0, runs, stream=(stream,))
 
-    if mode in (MODE_SOLO_VS_JOINT, MODE_JOINT_TOTAL):
-        schedule.validate_for_graph(graph)
-        kernel = _CoupledKernel(graph, red_seeds, blue_seeds, dyn, schedule, mode)
-        cj_r, cj_b, cs_r = np.empty(runs), np.empty(runs), np.empty(runs)
-        violations = 0
-        for lo in range(0, runs, kernel.block):
-            hi = min(lo + kernel.block, runs)
-            draws = _Draws(_replication_streams(master_seed, lo, hi, (1,)), kernel.draw_width)
-            joint, solo, bad = kernel.run(draws)
-            violations += int(bad.sum())
-            cj_r[lo:hi] = np.count_nonzero(joint == RED, axis=1)
-            cj_b[lo:hi] = np.count_nonzero(joint == BLUE, axis=1)
-            cs_r[lo:hi] = np.count_nonzero(solo == RED, axis=1)
-        ij_r, ij_b = standalone(red_seeds, blue_seeds, 2)
+    notes = ["faithfulness p-values compare each coupled component against "
+             "an independent standalone run via a two-sample KS test"]
+    ij_r, ij_b = standalone(red_seeds, blue_seeds, 2)
+    p_values = {"joint_chi_R": _ks_pvalue(cj_r, ij_r), "joint_chi_B": _ks_pvalue(cj_b, ij_b)}
+    if mode == MODE_ATTRIBUTION:
+        # The solo process's total is a one-color spread of both seed sets.
+        is_total, _ = standalone(list(red_seeds) + list(blue_seeds), (), 3)
+        p_values["solo_chi_total"] = _ks_pvalue(cs_r + cs_b, is_total)
+        gaps = (cj_r + cj_b) - (cs_r + cs_b)
+        notes.append("margins: joint infected total minus solo infected total (0 in every "
+                     "run when the invariant holds)")
+        margins = {"min_total_count_gap": float(gaps.min()),
+                   "max_total_count_gap": float(gaps.max())}
+    else:
         is_r, _ = standalone(red_seeds, (), 3)
-
+        p_values["solo_chi_R"] = _ks_pvalue(cs_r, is_r)
         if mode == MODE_SOLO_VS_JOINT:
-            margins = cs_r - cj_r
+            gaps = cs_r - cj_r
             margin_name = "solo_red_minus_joint_red"
             notes.append("per-run margin: solo red count minus joint red count (never negative "
                          "when the invariant holds)")
         else:
-            margins = (cj_r + cj_b) - cs_r
+            gaps = (cj_r + cj_b) - cs_r
             margin_name = "joint_total_minus_solo_red"
             notes.append("per-run margin: joint infected total minus solo red count (never "
                          "negative when the invariant holds)")
-        return CoupleTestResult(
-            mode=mode, runs=runs, invariant_violations=violations,
-            inequality_margins={
-                f"min_{margin_name}": float(margins.min()),
-                f"mean_{margin_name}": float(margins.mean()),
-            },
-            p_values={
-                "joint_chi_R": _ks_pvalue(cj_r, ij_r),
-                "joint_chi_B": _ks_pvalue(cj_b, ij_b),
-                "solo_chi_R": _ks_pvalue(cs_r, is_r),
-            },
-            notes=tuple(notes),
-        )
-
-    # Attribution mode: seeds are the red set followed by the recolored set.
-    seeds = list(red_seeds) + list(blue_seeds)
-    if len(set(seeds)) != len(seeds):
-        raise ValidationError("attribution coupling needs disjoint seed sets")
-    recolored = len(blue_seeds)
-    # Read the recolored seeds as the leading prefix.
-    seeds = list(blue_seeds) + list(red_seeds)
-
-    ca_r = np.empty(runs)
-    ca_b = np.empty(runs)
-    ca_tot = np.empty(runs)
-    violations = 0
-    mismatch = 0
-    for i in range(runs):
-        res = coupled_attribution_run(graph, seeds, recolored, dyn, schedule,
-                                      _replication_rng(master_seed, i, (1,)),
-                                      skip_preflight=True)
-        violations += res.invariant_violations
-        if res.joint_chi_R + res.joint_chi_B != res.solo.chi_total:
-            mismatch += 1
-        ca_r[i] = res.joint_chi_R
-        ca_b[i] = res.joint_chi_B
-        ca_tot[i] = res.solo.chi_total
-    ij_r, ij_b = standalone(red_seeds, blue_seeds, 2)
-    is_tot, _ = standalone(seeds, (), 3)
-
-    violations += mismatch
-    notes.append("margin: recolored-process total minus solo total (identical by construction)")
-    return CoupleTestResult(
-        mode=mode, runs=runs, invariant_violations=violations,
-        inequality_margins={
-            "min_total_count_gap": float((ca_r + ca_b - ca_tot).min()),
-            "max_total_count_gap": float((ca_r + ca_b - ca_tot).max()),
-        },
-        p_values={
-            "joint_chi_R": _ks_pvalue(ca_r, ij_r),
-            "joint_chi_B": _ks_pvalue(ca_b, ij_b),
-            "solo_chi_total": _ks_pvalue(ca_tot, is_tot),
-        },
-        notes=tuple(notes),
-    )
+        margins = {f"min_{margin_name}": float(gaps.min()),
+                   f"mean_{margin_name}": float(gaps.mean())}
+    return CoupleTestResult(mode=mode, runs=runs, invariant_violations=violations,
+                            inequality_margins=margins, p_values=p_values, notes=tuple(notes))

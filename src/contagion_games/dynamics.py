@@ -109,7 +109,9 @@ class PowerSwitch(SwitchingFunction):
         return float(x ** self.exponent)
 
     def value_array(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=float) ** self.exponent
+        # float_power calls the C pow that Python's ** calls; the ** operator's
+        # vector loop differs from it in the last bit at some points.
+        return np.float_power(np.asarray(x, dtype=float), self.exponent)
 
     def to_json_dict(self) -> dict:
         return {"kind": "power", "r": self.exponent}
@@ -195,7 +197,16 @@ def _interpolate(points: tuple[tuple[float, float], ...], x: float) -> float:
 
 
 def _interpolate_array(points: tuple[tuple[float, float], ...], x) -> np.ndarray:
-    return np.interp(np.asarray(x, dtype=float), [p[0] for p in points], [p[1] for p in points])
+    """`_interpolate` at every point of an array, with its arithmetic, so
+    that the two agree bit for bit."""
+    x = np.asarray(x, dtype=float)
+    xs, ys = np.array(points).T
+    i = np.searchsorted(xs, x, side="right")
+    lo = np.clip(i - 1, 0, len(xs) - 2)
+    x0, y0 = xs[lo], ys[lo]
+    out = y0 + (x - x0) / (xs[lo + 1] - x0) * (ys[lo + 1] - y0)
+    out = np.where(x == x0, y0, out)
+    return np.where(i == 0, ys[0], np.where(i == len(xs), ys[-1], out))
 
 
 @dataclass(frozen=True)
@@ -300,7 +311,7 @@ class TullockSelection(SelectionFunction):
             return y.copy()
         inner = (y > 0.0) & (y < 1.0)
         with np.errstate(over="ignore"):
-            odds = ((1.0 - y[inner]) / y[inner]) ** s
+            odds = np.float_power((1.0 - y[inner]) / y[inner], s)
         out = np.where(y >= 1.0, 1.0, 0.0)
         # An overflowed odds gives 0 and y = 1/2 gives 1/2 exactly, as in `value`.
         out[inner] = 1.0 / (1.0 + odds)

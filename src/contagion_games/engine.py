@@ -46,8 +46,13 @@ DEFAULT_NODE_CAP = 1 << 22
 # ---------------------------------------------------------------------------
 
 
+def _is_integer(value) -> bool:
+    """An integer, numpy's included, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _seed_vertex(v, n: int) -> int:
-    if isinstance(v, (int, np.integer)) and not isinstance(v, bool) and 0 <= v < n:
+    if _is_integer(v) and 0 <= v < n:
         return int(v)
     raise ValidationError(f"seed vertex {v!r} is not a vertex id in 0..{n - 1}")
 
@@ -323,6 +328,11 @@ def run_profile_once(game: GameSpec, red: Allocation, blue: Allocation, rng) -> 
     return run_contagion(game.graph, initial, game.dynamics, game.schedule, rng)
 
 
+def _require_master_seed(master_seed) -> None:
+    if not (_is_integer(master_seed) and master_seed >= 0):
+        raise ValidationError(f"master_seed must be a nonnegative integer, got {master_seed!r}")
+
+
 def _replication_rng(master_seed: int, index: int, stream: tuple[int, ...] = ()):
     """Replication `index`'s generator; `stream` prefixes the spawn key, so
     callers that need several independent families of runs keep them apart."""
@@ -486,7 +496,8 @@ class _Draws:
     Row i holds generator i's next draws in order, so handing them out left
     to right reproduces scalar `rng.random()` calls exactly.  When a row runs
     short, every row drops the draws it has handed out and draws more, so the
-    matrix keeps its width however long the runs are.
+    matrix keeps its width however long the runs are.  A row has handed out
+    `spent + used` draws in all.
     """
 
     def __init__(self, rngs: list, width: int):
@@ -495,6 +506,7 @@ class _Draws:
         for row, rng in zip(self.u, rngs):
             rng.random(out=row)
         self.used = np.zeros(len(rngs), dtype=np.intp)
+        self.spent = np.zeros(len(rngs), dtype=np.intp)
 
     def take(self, rows: np.ndarray, per_row: np.ndarray, row_of: np.ndarray) -> np.ndarray:
         """The next per_row[j] draws of each replication rows[j], concatenated
@@ -505,6 +517,7 @@ class _Draws:
             for row, rng, used in zip(self.u, self.rngs, self.used.tolist()):
                 row[:width - used] = row[used:]
                 rng.random(out=row[width - used:])
+            self.spent += self.used
             self.used[:] = 0
         first = self.used[rows]
         rank = np.arange(len(row_of)) - (np.cumsum(per_row) - per_row)[row_of]
@@ -549,6 +562,17 @@ class _BatchedPhases:
         nbrs = sub[:, nbr_index]
         return (np.add.reduceat(nbrs == RED, starts, axis=1, dtype=np.int32),
                 np.add.reduceat(nbrs == BLUE, starts, axis=1, dtype=np.int32))
+
+    def _round_phase(self, infected: np.ndarray, closed: np.ndarray) -> Optional[tuple]:
+        """The next parallel round, whose one phase lists every vertex with an
+        in-neighbor, restricted to vertices that are open (not `closed`) in
+        some row and have an in-neighbor `infected` in some row; None when
+        there are none."""
+        verts, sources, starts, _ = self.phases[0]
+        open_ = ~closed[:, verts].all(axis=0)
+        reached = np.logical_or.reduceat(infected.any(axis=0)[sources], starts)
+        verts = verts[open_ & reached]
+        return self._phase_arrays(verts) if len(verts) else None
 
     def _probs(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(P[Red], P[Red or Blue]) at each fraction pair (a[j], b[j]), from
@@ -617,17 +641,6 @@ class _ReplicationKernel(_BatchedPhases):
         # schedules never draw more than this in all.
         self.draw_width = max_contested + sum(len(p[0]) for p in self.phases)
 
-    def _round_phase(self, state, immune, rows) -> Optional[tuple]:
-        """The next parallel round restricted to vertices that are a candidate
-        in at least one of the rows, or None when there are none."""
-        verts, sources, starts, _ = self.phases[0]
-        infected = state[rows] != UNINFECTED
-        closed = infected if immune is None else infected | immune[rows]
-        open_ = ~closed[:, verts].all(axis=0)
-        reached = np.logical_or.reduceat(infected.any(axis=0)[sources], starts)
-        verts = verts[open_ & reached]
-        return self._phase_arrays(verts) if len(verts) else None
-
     def run(self, master_seed: int, lo: int, hi: int,
             stream: tuple[int, ...] = ()) -> tuple[np.ndarray, np.ndarray]:
         """chi_R and chi_B of replications lo..hi-1, run together."""
@@ -651,7 +664,9 @@ class _ReplicationKernel(_BatchedPhases):
             immune = np.zeros(state.shape, dtype=bool) if self.schedule.immunity else None
             rows = all_rows
             for _ in range(self.schedule.max_rounds if self.phases else 0):
-                phase = self._round_phase(state, immune, rows)
+                infected = state[rows] != UNINFECTED
+                phase = self._round_phase(
+                    infected, infected if immune is None else infected | immune[rows])
                 if phase is None:
                     break
                 tried, moved = self._phase(state, immune, draws, rows, phase)
@@ -722,8 +737,9 @@ def sample_payoffs(game: GameSpec, profile: StrategyProfile, n_trials: int,
     Replication i derives its generator from (master_seed, i), so results are
     bit-identical for a given master seed regardless of `threads`.
     """
-    if not (isinstance(n_trials, int) and n_trials >= 1):
+    if not (_is_integer(n_trials) and n_trials >= 1):
         raise ValidationError(f"n_trials must be a positive integer, got {n_trials!r}")
+    _require_master_seed(master_seed)
     pairs = profile.support_pairs()
     if threads is not None and threads > 1 and n_trials >= 64:
         bounds = np.linspace(0, n_trials, threads + 1).astype(int)

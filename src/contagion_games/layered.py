@@ -28,7 +28,9 @@ from .engine import (
     Allocation,
     PayoffEstimate,
     StrategyProfile,
+    _is_integer,
     _replication_rng,
+    _require_master_seed,
     _sample_support,
     monte_carlo_estimate,
     split_seeds,
@@ -413,8 +415,11 @@ def layered_estimate_payoffs(structure: LayeredStructure, dyn: AdoptionFunction,
                              master_seed: int = 0) -> PayoffEstimate:
     """Monte Carlo over aggregated layer draws; same replication-seed scheme
     as the per-vertex estimator."""
-    if not (isinstance(n_trials, int) and n_trials >= 1):
+    if not (_is_integer(n_trials) and n_trials >= 1):
         raise ValidationError(f"n_trials must be a positive integer, got {n_trials!r}")
+    _require_master_seed(master_seed)
+    if profile.red.n != structure.n:
+        raise ValidationError("allocation length does not match the layered structure")
     pairs = profile.support_pairs()
     chi_r = np.empty(n_trials)
     chi_b = np.empty(n_trials)

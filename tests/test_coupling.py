@@ -29,11 +29,9 @@ from contagion_games import (
     SwitchSelectAdoption,
     TullockSelection,
     ValidationError,
-    attribution_run,
     canonical_mode,
     check_linear_split,
     couple_test,
-    coupled_attribution_run,
     coupled_run,
     exact_payoffs,
     filter_phase_candidates,
@@ -43,7 +41,7 @@ from contagion_games import (
     neighbor_fractions,
     require_mode_hypotheses,
 )
-from contagion_games import engine
+from contagion_games import coupling, engine
 from contagion_games.coupling import _CoupledKernel
 from contagion_games.engine import _Draws, sample_payoffs
 
@@ -137,10 +135,15 @@ def test_coupled_run_rejects_overlapping_seeds_and_retry_schedules():
     g, schedule = two_hub()
     with pytest.raises(ValidationError, match="seeded by both players"):
         coupled_run(g, [3], [3], sqrt_linear(), schedule, rng_for(0))
+    for seed in (True, -1, 13, 2.0):  # a bool is not a vertex id
+        with pytest.raises(ValidationError, match="is not a vertex id in 0..12"):
+            coupled_run(g, [seed], [0], sqrt_linear(), schedule, rng_for(0))
+        with pytest.raises(ValidationError, match="is not a vertex id in 0..12"):
+            coupled_run(g, [3], [seed], sqrt_linear(), schedule, rng_for(0))
     with pytest.raises(ValidationError, match="one-shot schedule"):
         coupled_run(g, [3], [0], sqrt_linear(), ParallelRounds(3), rng_for(0))
-    with pytest.raises(ValidationError, match="coupled_attribution_run"):
-        coupled_run(g, [3], [0], sqrt_linear(), schedule, rng_for(0),
+    with pytest.raises(ValidationError, match="random_sequential is not supported"):
+        coupled_run(g, [3], [0], sqrt_linear(), RandomSequential(5), rng_for(0),
                     mode=MODE_ATTRIBUTION)
 
 
@@ -189,48 +192,70 @@ def test_retry_schedules_break_the_joint_total_inequality():
 
 
 def reference_coupled_run(graph, red_seeds, blue_seeds, dyn, schedule, rng, mode):
-    """One coupled run, vertex by vertex: each phase draws one uniform per
-    vertex that is a candidate in either process, in ascending vertex order,
-    and the violating vertices are counted after every phase.  Returns the
-    joint and solo states and the violation count."""
+    """One coupled run, vertex by vertex: each phase or round draws one
+    uniform per vertex that is a candidate in either running process, in
+    ascending vertex order, and the violating vertices are counted after
+    every phase or round.  Under parallel rounds each process keeps its own
+    immune set and stops after a round that gives it no candidate or no
+    infection.  Returns the joint and solo states and the violation count."""
     joint = [UNINFECTED] * graph.n
     for v in red_seeds:
         joint[v] = RED
     solo = list(joint)
     for v in blue_seeds:
         joint[v] = BLUE
-    no_immune = [False] * graph.n
+    if mode == MODE_ATTRIBUTION:
+        solo = list(joint)  # every seed carries its side's color as a label
+    states = (joint, solo)
+    immune = ([False] * graph.n, [False] * graph.n)
+    running = [True, True]
     cursor = schedule.initial_cursor()
     violations = 0
     while True:
-        options = schedule.phase_options(graph, joint, no_immune, cursor)
-        if options is None:
+        cands, next_cursor = [set(), set()], None
+        for p in (0, 1):
+            options = (schedule.phase_options(graph, states[p], immune[p], cursor)
+                       if running[p] else None)
+            if options is None:
+                running[p] = False
+                continue
+            _, phase, next_cursor = options[0]
+            cands[p] = set(filter_phase_candidates(graph, states[p], immune[p], phase))
+        if next_cursor is None:
             break
-        _, phase, cursor = options[0]
-        cands_joint = set(filter_phase_candidates(graph, joint, no_immune, phase))
-        cands_solo = set(filter_phase_candidates(graph, solo, no_immune, phase))
-        pend_joint, pend_solo = [], []
-        for v in sorted(cands_joint | cands_solo):
+        cursor = next_cursor
+        pending = ([], [])
+        for v in sorted(cands[0] | cands[1]):
             z = rng.random()
-            if v in cands_joint:
+            if v in cands[0]:
                 a, b = neighbor_fractions(graph, joint, v)
                 pr, pb, _ = dyn.update_probs(a, b)
-                if z < pr:
-                    pend_joint.append((v, RED))
-                elif z < pr + pb:
-                    pend_joint.append((v, BLUE))
-            if v in cands_solo:
-                ar, _ = neighbor_fractions(graph, solo, v)
-                if z < dyn.prob_red(ar, 0.0):
-                    pend_solo.append(v)
-        for v, color in pend_joint:
-            joint[v] = color
-        for v in pend_solo:
-            solo[v] = RED
+                pending[0].append((v, RED if z < pr else BLUE if z < pr + pb else UNINFECTED))
+            if v in cands[1]:
+                r = sum(1 for u in graph.in_neighbors[v] if solo[u] == RED)
+                b = sum(1 for u in graph.in_neighbors[v] if solo[u] == BLUE)
+                pr, pb, _ = dyn.update_probs((r + b) / len(graph.in_neighbors[v]), 0.0)
+                if mode != MODE_ATTRIBUTION:
+                    pending[1].append((v, RED if z < pr else UNINFECTED))
+                    continue
+                # Copy the label of donor floor(z / p * (r + b)), red labels first.
+                p_any = pr + pb
+                label = RED if z < p_any * r / (r + b) else BLUE
+                pending[1].append((v, label if z < p_any else UNINFECTED))
+        for p in (0, 1):
+            for v, color in pending[p]:
+                if color != UNINFECTED:
+                    states[p][v] = color
+                elif schedule.immunity:
+                    immune[p][v] = True
+            if schedule.stop_on_no_change and all(c == UNINFECTED for _, c in pending[p]):
+                running[p] = False
         if mode == MODE_SOLO_VS_JOINT:
             violations += sum(1 for xj, xs in zip(joint, solo) if xj == RED and xs != RED)
-        else:
+        elif mode == MODE_JOINT_TOTAL:
             violations += sum(1 for xj, xs in zip(joint, solo) if xs == RED and xj == UNINFECTED)
+        else:
+            violations += sum(1 for xj, xs in zip(joint, solo) if xj != xs)
     return joint, solo, violations
 
 
@@ -240,8 +265,18 @@ def convex_linear():
     return SwitchSelectAdoption(PowerSwitch(2.0), linear_selection())
 
 
+def skewed_split():
+    """Additive, but its color split favors the majority: breaks attribution."""
+    return SwitchSelectAdoption(PowerSwitch(0.5), TullockSelection(2.0))
+
+
+def non_additive():
+    """Competitive, but the total falls when both colors are present."""
+    return load_dynamics({"h": "builtin:quadratic_damped"})
+
+
 @st.composite
-def coupled_instances(draw):
+def coupled_instances(draw, rounds=False):
     n = draw(st.integers(2, 10))
     edges = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
                          .filter(lambda e: e[0] != e[1]), max_size=3 * n))
@@ -253,7 +288,10 @@ def coupled_instances(draw):
     red = [v for v in order[:n_red] for _ in range(draw(st.integers(1, 2)))]
     blue = list(order[n_red:seeded])
     listed = draw(st.permutations(range(n)))[:draw(st.integers(0, n))]
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["single", "layers", "rounds"] if rounds else ["single", "layers"]))
+    if kind == "rounds":
+        schedule = ParallelRounds(draw(st.integers(1, 5)), immunity=draw(st.booleans()))
+    elif kind == "single":
         schedule = SinglePassOrder(tuple(listed))
     else:
         cuts = sorted(draw(st.lists(st.integers(0, len(listed)), min_size=2, max_size=2)))
@@ -262,13 +300,15 @@ def coupled_instances(draw):
     return graph, red, blue, schedule
 
 
-@settings(max_examples=150, deadline=None)
-@given(instance=coupled_instances(),
-       dyn=st.sampled_from([sqrt_linear(), convex_linear()]),
-       mode=st.sampled_from([MODE_SOLO_VS_JOINT, MODE_JOINT_TOTAL]),
-       block=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
-def test_batched_coupled_runs_match_the_reference_model(instance, dyn, mode, block, seed):
-    graph, red, blue, schedule = instance
+@settings(max_examples=250, deadline=None)
+@given(data=st.data(),
+       dyn=st.sampled_from([sqrt_linear(), convex_linear(), skewed_split(), non_additive()]),
+       mode=st.sampled_from([MODE_SOLO_VS_JOINT, MODE_JOINT_TOTAL, MODE_ATTRIBUTION]),
+       block=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_batched_coupled_runs_match_the_reference_model(data, dyn, mode, block, seed):
+    # Parallel rounds, with and without immunity, only for attribution: the
+    # inequality modes refuse them.
+    graph, red, blue, schedule = data.draw(coupled_instances(rounds=mode == MODE_ATTRIBUTION))
     kernel = _CoupledKernel(graph, red, blue, dyn, schedule, mode)
     rngs = [np.random.default_rng([seed, row]) for row in range(block)]
     joint, solo, violations = kernel.run(_Draws(rngs, kernel.draw_width))
@@ -288,7 +328,7 @@ def test_batched_coupled_runs_match_the_reference_model(instance, dyn, mode, blo
         graph, red, blue, dyn, schedule, ref_rng, mode)
     assert list(res.joint.state) == ref_joint and list(res.solo.state) == ref_solo
     assert (res.joint.chi_R, res.joint.chi_B) == (ref_joint.count(RED), ref_joint.count(BLUE))
-    assert (res.solo.chi_R, res.solo.chi_B) == (ref_solo.count(RED), 0)
+    assert (res.solo.chi_R, res.solo.chi_B) == (ref_solo.count(RED), ref_solo.count(BLUE))
     assert res.invariant_violations == ref_violations
     assert rng.random() == ref_rng.random()
 
@@ -321,49 +361,88 @@ def test_batched_violation_counter_fires_without_the_preflight(schedule):
     assert res.invariant_violations == 0
 
 
+@pytest.mark.parametrize("immunity", [False, True])
+@pytest.mark.parametrize("dyn", [sqrt_linear(), convex_linear(), skewed_split(), non_additive()],
+                         ids=["sqrt_linear", "convex_linear", "skewed_split", "non_additive"])
+def test_batched_attribution_rounds_match_the_reference_model(dyn, immunity):
+    """Parallel rounds on a graph with cycles, where candidates fail and
+    retry (or turn immune) and the two processes stop at different rounds in
+    different rows.  The batched runs equal the reference's row by row, and
+    the counter fires exactly when the hypotheses fail."""
+    g = Graph(n=8, edges=((0, 2), (0, 3), (1, 3), (1, 4), (2, 3), (3, 4), (4, 2), (4, 5),
+                          (5, 6), (6, 7), (7, 5), (2, 6)), directed=True)
+    schedule = ParallelRounds(6, immunity=immunity)
+    kernel = _CoupledKernel(g, [0, 2], [1], dyn, schedule, MODE_ATTRIBUTION)
+    joint, solo, violations = kernel.run(_Draws([rng_for(i) for i in range(200)],
+                                                kernel.draw_width))
+    for i in range(200):
+        ref_joint, ref_solo, ref_violations = reference_coupled_run(
+            g, [0, 2], [1], dyn, schedule, rng_for(i), MODE_ATTRIBUTION)
+        assert (joint[i].tolist(), solo[i].tolist(), violations[i]) == (
+            ref_joint, ref_solo, ref_violations)
+    hypotheses_hold = dyn in (sqrt_linear(), convex_linear())
+    assert (violations.sum() == 0) == hypotheses_hold
+
+
 # ---------------------------------------------------------------------------
 # Attribution runs.
 # ---------------------------------------------------------------------------
 
 
-def test_attribution_counts_partition_the_infected_set():
-    g, schedule = two_hub()
-    dyn = sqrt_linear()
+def bipartite():
+    """Criterion 5's instance: three sources feeding nine sinks."""
+    g = Graph(n=12, edges=tuple((s, t) for s in range(3) for t in range(3, 12)))
+    return g, SinglePassOrder(tuple(range(3, 12)))
+
+
+@pytest.mark.parametrize("schedule", [None, ParallelRounds(4), ParallelRounds(4, immunity=True)])
+def test_attribution_labels_equal_the_joint_colors_under_its_hypotheses(schedule):
+    g, single_pass = two_hub()
+    schedule = schedule or single_pass
     for i in range(100):
-        out = attribution_run(g, [3, 0], dyn, schedule, rng_for(i), skip_preflight=True)
-        assert sum(out.per_seed_counts) == out.chi_total
-        assert out.labels[3] == 0 and out.labels[0] == 1
-        for v, label in enumerate(out.labels):
-            assert (label == -1) == (out.chi_total == 0 or v not in
-                                     [u for u, l in enumerate(out.labels) if l >= 0])
-        # followers of hub 3 can only be reached from seed 0 of the list
-        for v in range(4, 13):
-            assert out.labels[v] in (-1, 0)
-        for v in (1, 2):
-            assert out.labels[v] in (-1, 1)
-
-
-def test_attribution_runs_on_parallel_rounds_but_not_random_order():
-    g, _ = two_hub()
-    out = attribution_run(g, [3], sqrt_linear(), ParallelRounds(2), rng_for(1))
-    assert out.chi_total >= 1
-    with pytest.raises(ValidationError, match="random_sequential is not supported"):
-        attribution_run(g, [3], sqrt_linear(), RandomSequential(5), rng_for(1))
-    with pytest.raises(ValidationError, match="distinct vertices"):
-        attribution_run(g, [3, 3], sqrt_linear(), ParallelRounds(2), rng_for(1))
-
-
-def test_coupled_attribution_counts_match_label_by_label():
-    g, schedule = two_hub()
-    dyn = sqrt_linear()
-    for i in range(100):
-        res = coupled_attribution_run(g, [0, 3], 1, dyn, schedule, rng_for(i),
-                                      skip_preflight=True)
+        rng, ref_rng = rng_for(i), rng_for(i)
+        res = coupled_run(g, [3], [0], sqrt_linear(), schedule, rng, mode=MODE_ATTRIBUTION)
         assert res.invariant_violations == 0
-        assert res.joint_chi_R + res.joint_chi_B == res.solo.chi_total
-        assert res.joint_chi_B == res.solo.per_seed_counts[0]
-    with pytest.raises(ValidationError, match="out of range"):
-        coupled_attribution_run(g, [0, 3], 3, dyn, schedule, rng_for(0))
+        assert res.joint.state == res.solo.state
+        # Followers of hub 3 can only copy red; those of hub 0 only blue.
+        assert all(res.solo.state[v] != BLUE for v in range(4, 13))
+        assert all(res.solo.state[v] != RED for v in (1, 2))
+        # Multi-round runs refill the draw matrix; the generator is still left
+        # just past the draws the run used.
+        reference_coupled_run(g, [3], [0], sqrt_linear(), schedule, ref_rng, MODE_ATTRIBUTION)
+        assert rng.random() == ref_rng.random()
+
+
+def test_attribution_invariant_breaks_with_a_non_linear_split():
+    """Red holds two of the three sources: a majority-amplifying split gives
+    the joint process more red than copying a uniform donor's label does."""
+    g, schedule = bipartite()
+    dyn = skewed_split()
+    with pytest.raises(CouplingHypothesisError, match="proportional"):
+        coupled_run(g, [0, 2], [1], dyn, schedule, rng_for(0), mode=MODE_ATTRIBUTION)
+    runs = [coupled_run(g, [0, 2], [1], dyn, schedule, rng_for(i), mode=MODE_ATTRIBUTION,
+                        skip_preflight=True) for i in range(200)]
+    assert sum(res.invariant_violations for res in runs) > 0
+    # The total stays additive, so only the labels disagree.
+    assert all(res.joint.chi_R + res.joint.chi_B == res.solo.chi_R + res.solo.chi_B
+               for res in runs)
+    assert sum(res.joint.chi_R for res in runs) > sum(res.solo.chi_R for res in runs)
+
+
+def test_attribution_battery_reports_the_failures_it_is_built_to_catch():
+    """With the preflight bypassed, couple_test's attribution battery counts
+    label mismatches for a non-linear split and a nonzero total gap for a
+    non-additive adoption function."""
+    g, schedule = bipartite()
+    with mock.patch.object(coupling, "require_mode_hypotheses"):
+        skewed = couple_test(g, [0, 2], [1], skewed_split(), schedule, MODE_ATTRIBUTION,
+                             runs=500, master_seed=11)
+        damped = couple_test(g, [0], [1], non_additive(), schedule, MODE_ATTRIBUTION,
+                             runs=500, master_seed=11)
+    assert skewed.invariant_violations > 0
+    assert skewed.inequality_margins == {"min_total_count_gap": 0.0, "max_total_count_gap": 0.0}
+    assert damped.invariant_violations > 0
+    assert damped.inequality_margins["min_total_count_gap"] < 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -385,11 +464,16 @@ def test_couple_test_inequality_modes_report_clean_margins(mode):
     assert res.to_json_dict()["mode"] == mode
 
 
-@pytest.mark.parametrize("mode", [MODE_SOLO_VS_JOINT, MODE_JOINT_TOTAL])
-def test_couple_test_does_not_depend_on_the_block_size(mode):
+@pytest.mark.parametrize("mode, schedule", [
+    (MODE_SOLO_VS_JOINT, SinglePassOrder(tuple(range(3, 9)))),
+    (MODE_JOINT_TOTAL, SinglePassOrder(tuple(range(3, 9)))),
+    (MODE_ATTRIBUTION, SinglePassOrder(tuple(range(3, 9)))),
+    (MODE_ATTRIBUTION, ParallelRounds(3)),
+    (MODE_ATTRIBUTION, ParallelRounds(3, immunity=True)),
+])
+def test_couple_test_does_not_depend_on_the_block_size(mode, schedule):
     # Three sources feeding six sinks: every sink adopts with an interior probability.
     g = Graph(n=9, edges=tuple((s, t) for s in range(3) for t in range(3, 9)))
-    schedule = SinglePassOrder(tuple(range(3, 9)))
     whole = couple_test(g, [0], [1], sqrt_linear(), schedule, mode, runs=50, master_seed=4)
     with mock.patch.object(engine, "_BLOCK_CELLS", 2 * (g.n + len(g.in_csr[1]))):
         in_blocks = couple_test(g, [0], [1], sqrt_linear(), schedule, mode, runs=50,
@@ -420,14 +504,25 @@ def test_couple_test_schedule_and_argument_validation():
         couple_test(g, [3], [0], dyn, schedule, MODE_SOLO_VS_JOINT, runs=1)
     with pytest.raises(ValidationError, match="disjoint seed sets"):
         couple_test(g, [3], [3], dyn, ParallelRounds(2), MODE_ATTRIBUTION, runs=10)
+    for runs in (2.5, "10", True, np.float64(10.0)):
+        with pytest.raises(ValidationError, match="at least 2 runs, as an integer"):
+            couple_test(g, [3], [0], dyn, schedule, MODE_SOLO_VS_JOINT, runs=runs)
+    for seed in (-1, True, 1.5, "3"):
+        with pytest.raises(ValidationError, match="master_seed must be a nonnegative integer"):
+            couple_test(g, [3], [0], dyn, schedule, MODE_ATTRIBUTION, runs=10, master_seed=seed)
+    assert couple_test(g, [3], [0], dyn, schedule, MODE_SOLO_VS_JOINT, runs=np.int64(4),
+                       master_seed=np.uint32(3)).runs == 4
 
 
-def test_couple_test_attribution_accepts_parallel_rounds():
+@pytest.mark.parametrize("immunity", [False, True])
+def test_couple_test_attribution_accepts_parallel_rounds(immunity):
     g, _ = two_hub()
-    res = couple_test(g, [3], [0], sqrt_linear(), ParallelRounds(2),
+    res = couple_test(g, [3], [0], sqrt_linear(), ParallelRounds(2, immunity=immunity),
                       MODE_ATTRIBUTION, runs=400, master_seed=9)
     assert res.invariant_violations == 0
+    assert res.inequality_margins["min_total_count_gap"] == 0.0
     assert res.inequality_margins["max_total_count_gap"] == 0.0
+    assert all(p > 1e-3 for p in res.p_values.values())
 
 
 # ---------------------------------------------------------------------------

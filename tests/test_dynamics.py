@@ -268,12 +268,14 @@ BUILTIN_SELECTIONS = [TullockSelection(1.0), TullockSelection(0.5), TullockSelec
 
 @pytest.mark.parametrize("fn", BUILTIN_SWITCHES + BUILTIN_SELECTIONS, ids=repr)
 def test_value_array_matches_value_on_the_construction_grid(fn):
+    """Bit for bit, on the construction grid and on random points."""
     m = 1024
-    grid = [i / m for i in range(m + 1)] + [1e-300, 0.1, 1 / 3, 0.7, 1.0 - 1e-16]
+    grid = ([i / m for i in range(m + 1)] + [1e-300, 0.1, 1 / 3, 0.7, 1.0 - 1e-16]
+            + np.random.default_rng(17).random(20_000).tolist())
     got = fn.value_array(np.array(grid))
     assert got.shape == (len(grid),)
     for x, v in zip(grid, got.tolist()):
-        assert abs(v - fn.value(x)) <= 1e-15, x
+        assert v == fn.value(x), x
     assert fn.value_array(np.array(grid).reshape(-1, 2)[:3]).shape == (3, 2)
     assert fn.value_array(np.empty(0)).shape == (0,)
 
@@ -284,15 +286,17 @@ def adoption_kinds():
 
 
 def test_update_probs_array_matches_update_probs():
+    """Bit for bit, on a grid of the simplex and on random points of it."""
     m = 16
     a, b = zip(*[(i / m, j / m) for i in range(m + 1) for j in range(m + 1 - i)])
-    a = np.array(a + (0.2, 1 / 3, 0.5 + 5e-13))
-    b = np.array(b + (0.1, 1 / 3, 0.5))
+    u, v = np.random.default_rng(18).random((2, 600))
+    a = np.concatenate([a, (0.2, 1 / 3, 0.5 + 5e-13), u * (1.0 - v)])
+    b = np.concatenate([b, (0.1, 1 / 3, 0.5), v])
     for dyn in adoption_kinds():
         pr, pb = dyn.update_probs_array(a, b)
         for x, y, r, bl in zip(a.tolist(), b.tolist(), pr.tolist(), pb.tolist()):
             want_r, want_b, _ = dyn.update_probs(x, y)
-            assert abs(r - want_r) <= 1e-15 and abs(bl - want_b) <= 1e-15, (dyn, x, y)
+            assert (r, bl) == (want_r, want_b), (dyn, x, y)
         pr2, pb2 = dyn.update_probs_array(a.reshape(-1, 3), b.reshape(-1, 3))
         assert np.array_equal(pr2, pr.reshape(-1, 3)) and np.array_equal(pb2, pb.reshape(-1, 3))
 

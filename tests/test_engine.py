@@ -392,8 +392,20 @@ def test_monte_carlo_is_reproducible_and_thread_invariant():
 
 
 def test_monte_carlo_validates_trial_count():
-    with pytest.raises(ValidationError, match="n_trials"):
-        estimate_payoffs(mc_game(), mc_profile(), n_trials=0)
+    for n_trials in (0, 2.5, "10", True, np.float64(4.0)):
+        with pytest.raises(ValidationError, match="n_trials must be a positive integer"):
+            estimate_payoffs(mc_game(), mc_profile(), n_trials=n_trials)
+    assert estimate_payoffs(mc_game(), mc_profile(), n_trials=np.int64(3)).n_trials == 3
+
+
+def test_monte_carlo_validates_master_seed():
+    for seed in (-1, True, False, 1.5, "3", None):
+        with pytest.raises(ValidationError, match="master_seed must be a nonnegative integer"):
+            engine.sample_payoffs(mc_game(), mc_profile(), 4, master_seed=seed)
+        with pytest.raises(ValidationError, match="master_seed must be a nonnegative integer"):
+            estimate_payoffs(mc_game(), mc_profile(), n_trials=4, master_seed=seed)
+    assert (estimate_payoffs(mc_game(), mc_profile(), n_trials=4, master_seed=np.uint64(5))
+            == estimate_payoffs(mc_game(), mc_profile(), n_trials=4, master_seed=5))
 
 
 def test_last_appearance_of_a_layer_order_matches_a_per_id_scan():

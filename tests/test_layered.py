@@ -188,8 +188,30 @@ def test_layer_sampler_is_reproducible():
 def test_layer_sampler_validates_trial_count():
     structure = LayeredStructure(((2, 3),))
     profile = StrategyProfile(Allocation.from_seeds(5, [0]), Allocation.from_seeds(5, [1]))
-    with pytest.raises(ValidationError, match="n_trials"):
-        layered_estimate_payoffs(structure, make_dyn("linear"), profile, n_trials=0)
+    for n_trials in (0, 2.5, "10", True):
+        with pytest.raises(ValidationError, match="n_trials must be a positive integer"):
+            layered_estimate_payoffs(structure, make_dyn("linear"), profile, n_trials=n_trials)
+
+
+def test_layer_sampler_validates_master_seed():
+    structure = LayeredStructure(((2, 3),))
+    profile = StrategyProfile(Allocation.from_seeds(5, [0]), Allocation.from_seeds(5, [1]))
+    for seed in (-1, True, 1.5, "3"):
+        with pytest.raises(ValidationError, match="master_seed must be a nonnegative integer"):
+            layered_estimate_payoffs(structure, make_dyn("linear"), profile, n_trials=4,
+                                     master_seed=seed)
+
+
+def test_layer_sampler_rejects_wrong_allocation_length():
+    """Seeds past the structure's vertices would otherwise be dropped
+    silently; the sampler refuses the profile as the DP does."""
+    structure = LayeredStructure(((4, 8, 16),))
+    for n in (100, 27):
+        profile = StrategyProfile(Allocation.from_seeds(n, [0, n - 1]), Allocation.empty(n))
+        for payoffs in (layered_exact_payoffs, layered_estimate_payoffs):
+            with pytest.raises(ValidationError,
+                               match="allocation length does not match the layered structure"):
+                payoffs(structure, make_dyn("linear"), profile)
 
 
 def test_dp_enumerates_contested_branches_exhaustively():
