@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CapError, ValidationError, VerificationFailure
-from .graphs import Graph, load_graph, serialize_graph
+from .graphs import Graph, load_graph
 from .dynamics import load_dynamics, load_schedule
 from .engine import (
     DEFAULT_NODE_CAP,
@@ -140,9 +140,10 @@ def _jsonify(value):
     return value
 
 
-def _dump_json(path: str, document) -> None:
+def _dump_json(path: str, plain) -> None:
+    """Write a document of plain JSON types (see `_jsonify`)."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonify(document), fh, sort_keys=True, indent=2)
+        json.dump(plain, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
@@ -288,7 +289,8 @@ def _search_params(config: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Verb handlers.  Each returns (result dict, csv rows, extra files, failure).
+# Verb handlers.  Each returns (result dict, csv rows, extra files by name as
+# plain JSON documents, failure).
 # ---------------------------------------------------------------------------
 
 
@@ -393,11 +395,15 @@ def _verb_gadget(config: dict):
 
     edge_cap = _int_field(config, "max_graph_edges", DEFAULT_GRAPH_EDGE_CAP, minimum=1)
     if spec.n_edges <= edge_cap:
-        graph_doc = json.loads(serialize_graph(spec.build_graph(max_edges=edge_cap)))
+        graph = spec.build_graph(max_edges=edge_cap)
+        # `serialize_graph`'s document: plain ints and a bool, so `_jsonify`
+        # has nothing to convert, and edge tuples encode as lists.
+        graph_doc = {"n": graph.n, "directed": graph.directed, "edges": graph.edges}
     else:
-        graph_doc = {"materialized": False, "n": spec.n_vertices, "n_edges": spec.n_edges,
-                     "reason": f"edge count exceeds max_graph_edges={edge_cap}",
-                     "vertex_classes": {k: list(v) for k, v in spec.vertex_classes.items()}}
+        graph_doc = _jsonify({
+            "materialized": False, "n": spec.n_vertices, "n_edges": spec.n_edges,
+            "reason": f"edge count exceeds max_graph_edges={edge_cap}",
+            "vertex_classes": {k: list(v) for k, v in spec.vertex_classes.items()}})
     spec_doc = spec.to_json_dict()
     profile_doc = {
         "kind": spec.kind,
@@ -416,8 +422,8 @@ def _verb_gadget(config: dict):
         "predictions": [row.to_json_dict() for row in verification.prediction_rows],
         "measured": verification.measured,
     }
-    extra = {"graph.json": graph_doc, "profile.json": profile_doc,
-             "predictions.json": predictions_doc}
+    extra = {"graph.json": graph_doc, "profile.json": _jsonify(profile_doc),
+             "predictions.json": _jsonify(predictions_doc)}
     failure = None
     if not verification.ok:
         problems = [row.name for row in verification.prediction_rows if row.ok is False]
@@ -522,7 +528,7 @@ def run(argv: Optional[list[str]] = None) -> int:
         # landed, so the output directory stays out of it.
         embedded = {k: v for k, v in config.items() if k != "out"}
         _dump_json(os.path.join(out_dir, "result.json"),
-                   {"verb": args.verb, "config": embedded, "result": result})
+                   _jsonify({"verb": args.verb, "config": embedded, "result": result}))
         _dump_csv(os.path.join(out_dir, "result.csv"), rows)
         for name, doc in extra_files.items():
             _dump_json(os.path.join(out_dir, name), doc)

@@ -418,6 +418,13 @@ def _pcg64_seeds(master_seed: int, stream: tuple[int, ...], lo: int,
     return seeds
 
 
+def _reseed(bits, seed: tuple[int, int]) -> None:
+    """Put a PCG64 bit generator in the state seeding leaves it in."""
+    state, inc = seed
+    bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                  "has_uint32": 0, "uinteger": 0}
+
+
 class _SeededStream:
     """One replication's uniform stream, on a PCG64 shared by its block: each
     call restores the stream's seed, skips what it has drawn, and draws."""
@@ -430,10 +437,8 @@ class _SeededStream:
         self.generator = generator
 
     def random(self, out=None):
-        state, inc = self.seed
         bits = self.generator.bit_generator
-        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                      "has_uint32": 0, "uinteger": 0}
+        _reseed(bits, self.seed)
         if self.drawn:
             bits.advance(self.drawn)  # one step per double
         value = self.generator.random(out=out)
@@ -441,16 +446,45 @@ class _SeededStream:
         return value
 
 
+def _seeds_on_arrays(master_seed, hi: int) -> bool:
+    """Whether `_pcg64_seeds` reproduces replications below hi: seeds that
+    SeedSequence takes as one nonnegative integer, and 32-bit indices."""
+    return isinstance(master_seed, (int, np.integer)) and master_seed >= 0 and hi <= 1 << 32
+
+
 def _replication_streams(master_seed, lo: int, hi: int, stream: tuple[int, ...] = ()):
     """Uniform streams of replications lo..hi-1, each drawing exactly what
-    `_replication_rng(master_seed, i, stream).random` draws.  Seeds that
-    SeedSequence takes as one nonnegative integer skip building a SeedSequence
-    and a generator per replication."""
-    if isinstance(master_seed, (int, np.integer)) and master_seed >= 0 and hi <= 1 << 32:
+    `_replication_rng(master_seed, i, stream).random` draws; where the seeds
+    go on arrays, without a SeedSequence and a generator per replication."""
+    if _seeds_on_arrays(master_seed, hi):
         generator = np.random.Generator(np.random.PCG64(0))
         return [_SeededStream(seed, generator)
                 for seed in _pcg64_seeds(int(master_seed), stream, lo, hi)]
     return [_replication_rng(master_seed, i, stream) for i in range(lo, hi)]
+
+
+# `_replication_generators` computes this many replications' seeds at a time,
+# so memory does not grow with the trial count.
+_SEED_BLOCK = 1 << 12
+
+
+def _replication_generators(master_seed, lo: int, hi: int, stream: tuple[int, ...] = ()):
+    """Yield, for each replication i in lo..hi-1, a generator that draws
+    exactly what `_replication_rng(master_seed, i, stream)` draws.
+
+    Where the seeds go on arrays, every replication gets the same generator,
+    its PCG64 set to replication i's (state, increment) just before it is
+    yielded: finish with one replication before taking the next."""
+    if not _seeds_on_arrays(master_seed, hi):
+        for i in range(lo, hi):
+            yield _replication_rng(master_seed, i, stream)
+        return
+    generator = np.random.Generator(np.random.PCG64(0))
+    bits = generator.bit_generator
+    for start in range(lo, hi, _SEED_BLOCK):
+        for seed in _pcg64_seeds(int(master_seed), stream, start, min(start + _SEED_BLOCK, hi)):
+            _reseed(bits, seed)
+            yield generator
 
 
 def _sample_support(pairs, rng):
@@ -720,12 +754,11 @@ def _mc_chunk(game: GameSpec, pairs, master_seed: int, lo: int, hi: int,
     # Other schedules, RandomSequential among them, run vertex by vertex.
     chi_r = np.empty(hi - lo, dtype=np.float64)
     chi_b = np.empty(hi - lo, dtype=np.float64)
-    for i in range(lo, hi):
-        rng = _replication_rng(master_seed, i, stream)
+    for row, rng in enumerate(_replication_generators(master_seed, lo, hi, stream)):
         red, blue = _sample_support(pairs, rng)
         out = run_profile_once(game, red, blue, rng)
-        chi_r[i - lo] = out.chi_R
-        chi_b[i - lo] = out.chi_B
+        chi_r[row] = out.chi_R
+        chi_b[row] = out.chi_B
     return chi_r, chi_b
 
 

@@ -29,7 +29,7 @@ from .engine import (
     PayoffEstimate,
     StrategyProfile,
     _is_integer,
-    _replication_rng,
+    _replication_generators,
     _require_master_seed,
     _sample_support,
     monte_carlo_estimate,
@@ -367,28 +367,55 @@ def layered_exact_payoffs(structure: LayeredStructure, dyn: AdoptionFunction,
 # ---------------------------------------------------------------------------
 
 
-def _sample_component(sizes, ranges, dyn, seeds, rng):
+def _layer_plan(structure: LayeredStructure, red: Allocation, blue: Allocation):
+    """Per component, per layer: (size, sure red, sure blue, contested
+    red-win probabilities), the state-independent part of a run."""
+    if red.n != structure.n or blue.n != structure.n:
+        raise ValidationError("allocation length does not match the layered structure")
+    seeds = split_seeds(red, blue)
+    return [[(size, *layer) for (_, size), layer in zip(ranges, _seeds_by_layer(seeds, ranges))]
+            for ranges in structure.layer_ranges()]
+
+
+class _LayerProbs(dict):
+    """(P[any adoption], P[red | adoption]) of a layer whose predecessor of
+    the given size holds r red and b blue, keyed on (r, b, size): the scalar
+    `update_probs(r / size, b / size)`, called once per key."""
+
+    def __init__(self, dyn: AdoptionFunction):
+        super().__init__()
+        self.dyn = dyn
+
+    def __missing__(self, key):
+        r, b, size = key
+        pr, pb, _ = self.dyn.update_probs(r / size, b / size)
+        pa = pr + pb
+        value = self[key] = (pa, pr / pa if pa > 0.0 else 0.0)
+        return value
+
+
+def _sample_plan(plan, probs: _LayerProbs, rng) -> tuple[int, int]:
+    """One run's (red, blue) totals: per component and layer, one uniform per
+    contested seed, then Binom(m, P[any]) adopters among the m unseeded
+    vertices, of whom Binom(adopters, P[red | adoption]) turn red."""
     chi_r = chi_b = 0
-    prev_r = prev_b = 0
-    for depth, ((_, size), (sr, sb, contested)) in enumerate(
-            zip(ranges, _seeds_by_layer(seeds, ranges))):
-        for p_red in contested:
-            if rng.random() < p_red:
-                sr += 1
-            else:
-                sb += 1
-        if depth == 0:
-            r_here, b_here = sr, sb
-        else:
-            m = size - (sr + sb)
-            pr, pb, _ = dyn.update_probs(prev_r / sizes[depth - 1], prev_b / sizes[depth - 1])
-            pa = pr + pb
-            total = rng.binomial(m, pa) if (m > 0 and pa > 0.0) else 0
-            x = rng.binomial(total, pr / pa) if (total > 0 and pa > 0.0) else 0
-            r_here, b_here = sr + x, sb + (total - x)
-        chi_r += r_here
-        chi_b += b_here
-        prev_r, prev_b = r_here, b_here
+    for layers in plan:
+        prev = None
+        for size, sr, sb, contested in layers:
+            for p_red in contested:
+                if rng.random() < p_red:
+                    sr += 1
+                else:
+                    sb += 1
+            if prev is not None:
+                pa, q = probs[prev]
+                m = size - (sr + sb)
+                total = rng.binomial(m, pa) if (m > 0 and pa > 0.0) else 0
+                x = rng.binomial(total, q) if total > 0 else 0
+                sr, sb = sr + x, sb + (total - x)
+            chi_r += sr
+            chi_b += sb
+            prev = (sr, sb, size)
     return chi_r, chi_b
 
 
@@ -400,31 +427,26 @@ def sample_layered_counts(structure: LayeredStructure, dyn: AdoptionFunction,
     so binomial layer draws reproduce the per-vertex process's distribution of
     (red, blue) totals exactly.
     """
-    chi_r = chi_b = 0
-    ranges = structure.layer_ranges()
-    seeds = split_seeds(red, blue)
-    for comp_sizes, comp_ranges in zip(structure.component_layer_sizes, ranges):
-        r, b = _sample_component(comp_sizes, comp_ranges, dyn, seeds, rng)
-        chi_r += r
-        chi_b += b
-    return chi_r, chi_b
+    return _sample_plan(_layer_plan(structure, red, blue), _LayerProbs(dyn), rng)
 
 
 def layered_estimate_payoffs(structure: LayeredStructure, dyn: AdoptionFunction,
                              profile: StrategyProfile, n_trials: int = 10_000,
                              master_seed: int = 0) -> PayoffEstimate:
     """Monte Carlo over aggregated layer draws; same replication-seed scheme
-    as the per-vertex estimator."""
+    as the per-vertex estimator.  Replication i draws what the support draw
+    and `sample_layered_counts` draw from `_replication_rng(master_seed, i)`;
+    each support pair's layer plan is built once, and `update_probs` is
+    called once per distinct input for the whole estimate."""
     if not (_is_integer(n_trials) and n_trials >= 1):
         raise ValidationError(f"n_trials must be a positive integer, got {n_trials!r}")
     _require_master_seed(master_seed)
-    if profile.red.n != structure.n:
-        raise ValidationError("allocation length does not match the layered structure")
     pairs = profile.support_pairs()
+    plans = {(id(red), id(blue)): _layer_plan(structure, red, blue) for _, red, blue in pairs}
+    probs = _LayerProbs(dyn)
     chi_r = np.empty(n_trials)
     chi_b = np.empty(n_trials)
-    for i in range(n_trials):
-        rng = _replication_rng(master_seed, i)
+    for i, rng in enumerate(_replication_generators(master_seed, 0, n_trials)):
         red, blue = _sample_support(pairs, rng)
-        chi_r[i], chi_b[i] = sample_layered_counts(structure, dyn, red, blue, rng)
+        chi_r[i], chi_b[i] = _sample_plan(plans[id(red), id(blue)], probs, rng)
     return monte_carlo_estimate(chi_r, chi_b)

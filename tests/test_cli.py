@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from contagion_games import build_gadget, serialize_graph
 from contagion_games.cli import run
 
 
@@ -213,6 +214,20 @@ def test_gadget_verb_emits_all_artifacts(tmp_path):
     rows = read_csv(out)
     assert rows[0][0] == "record"
     assert rows[-1][0] == "summary"
+
+
+@pytest.mark.parametrize("gadget", [
+    {"kind": "chain_replication", "chain_steps": 3, "replications": 5, "n_terminal": 20},
+    {"kind": "influencer_components", "sizes": [4, 8], "hubs_per_component": 2},
+])
+def test_gadget_graph_json_is_the_indented_serialized_graph(tmp_path, gadget):
+    out = tmp_path / "out"
+    run(["gadget", "--config", write_config(tmp_path, {"graph": {"gadget": gadget}}),
+         "--out", str(out)])
+    spec = build_gadget(gadget["kind"], {k: v for k, v in gadget.items() if k != "kind"})
+    reference = json.dumps(json.loads(serialize_graph(spec.build_graph())),
+                           sort_keys=True, indent=2) + "\n"
+    assert (out / "graph.json").read_bytes() == reference.encode("utf-8")
 
 
 def test_gadget_verb_fails_verification_at_low_replication(tmp_path):

@@ -22,6 +22,7 @@ from contagion_games import (
     Graph,
     HalfPointSwitch,
     LayerOrder,
+    LayeredStructure,
     MixedAllocation,
     ParallelRounds,
     PayoffEstimate,
@@ -36,6 +37,7 @@ from contagion_games import (
     ValidationError,
     estimate_payoffs,
     exact_payoffs,
+    layered_estimate_payoffs,
     linear_selection,
     load_profile,
     resolve_contested_seeds,
@@ -524,6 +526,57 @@ def test_replication_streams_fall_back_to_generators():
     assert str(fast.value) == str(reference.value)
 
 
+@settings(max_examples=100, deadline=None)
+@given(master_seed=st.one_of(st.integers(0, 2**32), st.integers(2**32, 2**200)),
+       stream=st.lists(st.integers(0, 2**40), max_size=2).map(tuple),
+       lo=st.one_of(st.integers(0, 50), st.integers(2**32 - 6, 2**32 - 3)))
+def test_replication_generators_draw_what_fresh_generators_draw(master_seed, stream, lo):
+    # Blocks of two seeds; from 2**32 on the fallback builds generators.
+    with mock.patch.object(engine, "_SEED_BLOCK", 2):
+        reused = engine._replication_generators(master_seed, lo, lo + 5, stream)
+        for i, rng in zip(range(lo, lo + 5), reused):
+            reference = engine._replication_rng(master_seed, i, stream)
+            for draw in (lambda g: g.random(), lambda g: g.binomial(40, 0.3),
+                         lambda g: g.integers(7), lambda g: g.random(3).tolist()):
+                assert draw(rng) == draw(reference)
+
+
+def random_sequential_case():
+    # Seeds contest vertex 0 half the time, and both sides mix.
+    graph = Graph(n=7, edges=((0, 3), (1, 3), (2, 4), (3, 4), (3, 5), (4, 5), (5, 6), (4, 6)))
+    game = GameSpec(graph, SwitchSelectAdoption(PowerSwitch(0.5), TullockSelection(0.75)),
+                    RandomSequential(6), 1, 1)
+    side = [Allocation.from_seeds(7, [v]) for v in range(3)]
+    profile = StrategyProfile(MixedAllocation(((0.5, side[0]), (0.5, side[1]))),
+                              MixedAllocation(((0.5, side[0]), (0.5, side[2]))))
+    return game, profile
+
+
+@pytest.mark.parametrize("threads", [None, 2])
+def test_random_sequential_monte_carlo_matches_the_per_vertex_loop(threads):
+    game, profile = random_sequential_case()
+    chi_r, chi_b = engine.sample_payoffs(game, profile, 80, master_seed=12, threads=threads)
+    assert list(zip(chi_r.tolist(), chi_b.tolist())) == \
+        per_vertex_outcomes(game, profile, 80, master_seed=12)
+
+
+def test_replicated_samples_do_not_depend_on_the_seed_block():
+    game, profile = random_sequential_case()
+    structure = LayeredStructure(((2, 3, 4), (3, 5)))
+    layered = StrategyProfile(Allocation.from_seeds(structure.n, [0, 5]),
+                              Allocation.from_seeds(structure.n, [1, 5]))
+
+    def samples():
+        return (engine.sample_payoffs(game, profile, 20, master_seed=3),
+                layered_estimate_payoffs(structure, linear_dyn(), layered, n_trials=20,
+                                         master_seed=3))
+
+    (chi_r, chi_b), est = samples()
+    with mock.patch.object(engine, "_SEED_BLOCK", 3):
+        (block_r, block_b), block_est = samples()
+    assert (block_r.tolist(), block_b.tolist(), block_est) == (chi_r.tolist(), chi_b.tolist(), est)
+
+
 @pytest.mark.parametrize("schedule", [ParallelRounds(2), ParallelRounds(2, immunity=True),
                                       SinglePassOrder((1, 2)), LayerOrder(((1,), (2,))),
                                       RandomSequential(3)])
@@ -577,3 +630,16 @@ def test_payoff_estimate_reporting_shape():
                                          "stderr_R", "stderr_B")
     doc = est.to_json_dict()
     assert {"pi_R", "pi_B", "method", "n_trials", "stderr_R", "stderr_B"} <= doc.keys()
+
+
+def test_single_pass_twin_sinks_are_not_interchangeable():
+    """Vertices 2 and 3 are twins (in-neighbour 1, no out-neighbours), but
+    their in-neighbour 1 updates between them in the order: a blue seed at 2
+    leaves 3 to turn red after 1 does, while one at 3 leaves 2 to update
+    before 1 is infected."""
+    graph = Graph(n=4, edges=((0, 1), (1, 2), (1, 3)))
+    game = GameSpec(graph, linear_dyn(), SinglePassOrder((2, 1, 3)), 1, 1)
+    red = Allocation.from_seeds(4, [0])
+    payoffs = [exact_payoffs(game, StrategyProfile(red, Allocation.from_seeds(4, [twin])))
+               for twin in (2, 3)]
+    assert [(est.pi_R, est.pi_B) for est in payoffs] == [(3.0, 1.0), (2.0, 1.0)]

@@ -4,10 +4,12 @@ import itertools
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from contagion_games import engine
 from contagion_games import (
     Allocation,
     BuiltinAdoption,
@@ -28,6 +30,7 @@ from contagion_games import (
     layered_estimate_payoffs,
     layered_exact_payoffs,
     linear_selection,
+    sample_layered_counts,
     validate_layered_graph,
 )
 
@@ -214,6 +217,18 @@ def test_layer_sampler_rejects_wrong_allocation_length():
                 payoffs(structure, make_dyn("linear"), profile)
 
 
+@pytest.mark.parametrize("n", [100, 3])
+def test_single_run_sampler_rejects_wrong_allocation_length(n):
+    """A seed at vertex 99 of a 5-vertex structure used to be dropped, and a
+    3-vertex allocation accepted."""
+    structure = LayeredStructure(((2, 3),))
+    red = Allocation.from_seeds(n, [0, n - 1])
+    with pytest.raises(ValidationError,
+                       match="allocation length does not match the layered structure"):
+        sample_layered_counts(structure, make_dyn("linear"), red, Allocation.empty(n),
+                              np.random.default_rng(0))
+
+
 def test_dp_enumerates_contested_branches_exhaustively():
     # two contested vertices: four equally likely colorings; compare against
     # averaging the DP over the four explicit resolutions
@@ -338,3 +353,52 @@ def test_pruning_rule(sizes, red, blue, prune, pi_r, pruned):
     est = layered_exact_payoffs(structure, make_dyn("linear"), profile, prune=prune)
     assert est.pi_R == pytest.approx(pi_r, abs=1e-12)
     assert est.pruned_mass == pytest.approx(pruned, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The estimator against independent single runs, draw for draw.
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def sampler_cases(draw):
+    """1-3 components of at most 4 layers of at most 6 vertices, pure or mixed
+    sides seeding any layer (contested vertices included), any dynamics."""
+    comps = draw(st.lists(st.lists(st.integers(1, 6), min_size=1, max_size=4),
+                          min_size=1, max_size=3))
+    structure = LayeredStructure(tuple(tuple(c) for c in comps))
+    n = structure.n
+    budget = draw(st.integers(1, 3))
+    # Seeds drawn from a few vertices spread over the structure, so that red
+    # and blue often contest one.
+    spots = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))
+    seeds = st.lists(st.sampled_from(spots), min_size=budget, max_size=budget)
+
+    def side():
+        if draw(st.booleans()):
+            return Allocation.from_seeds(n, draw(seeds))
+        p = draw(st.sampled_from((0.25, 0.5, 0.75)))
+        return MixedAllocation(((p, Allocation.from_seeds(n, draw(seeds))),
+                                (1.0 - p, Allocation.from_seeds(n, draw(seeds)))))
+
+    return structure, StrategyProfile(side(), side()), draw(st.sampled_from(PROPERTY_DYNAMICS))
+
+
+def single_run_reference(structure, dyn, profile, n_trials, master_seed):
+    pairs = profile.support_pairs()
+    chi_r, chi_b = np.empty(n_trials), np.empty(n_trials)
+    for i in range(n_trials):
+        rng = engine._replication_rng(master_seed, i)
+        red, blue = engine._sample_support(pairs, rng)
+        chi_r[i], chi_b[i] = sample_layered_counts(structure, dyn, red, blue, rng)
+    return engine.monte_carlo_estimate(chi_r, chi_b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sampler_cases(), st.sampled_from([1, 7, 300]),
+       st.one_of(st.integers(0, 2**32), st.integers(2**32, 2**80)))
+def test_layer_sampler_equals_single_runs_on_fresh_generators(case, n_trials, master_seed):
+    structure, profile, dyn = case
+    est = layered_estimate_payoffs(structure, dyn, profile, n_trials=n_trials,
+                                   master_seed=master_seed)
+    assert est == single_run_reference(structure, dyn, profile, n_trials, master_seed)
