@@ -63,6 +63,7 @@ from .engine import (
     _Draws,
     _is_integer,
     _mc_chunk,
+    _nonzero,
     _replication_streams,
     _require_master_seed,
     _seed_vertex,
@@ -217,10 +218,10 @@ class _CoupledKernel(_BatchedPhases):
     either running process, from the replication's row of a `_Draws` matrix,
     in the phase's vertex order: ascending within a layer or a round, listed
     order along a single pass (whose consecutive vertices are grouped by
-    `_single_pass_groups`).  Probabilities are the memoised `update_probs`
-    calls: the joint process's at (r/d, b/d), and the solo process's at
-    ((r+b)/d, 0), where it takes P[Red] in the inequality modes and P[Red or
-    Blue] in attribution mode.
+    `_single_pass_groups`).  Probabilities come from the kernel's table of
+    `update_probs` values: the joint process's at key (d, r, b), and the
+    solo process's at (d, r + b, 0), where it takes P[Red] in the inequality
+    modes and P[Red or Blue] in attribution mode.
     """
 
     def __init__(self, graph: Graph, red_seeds: Sequence[int], blue_seeds: Sequence[int],
@@ -235,7 +236,7 @@ class _CoupledKernel(_BatchedPhases):
         # at phase k is counted after each of the phases k..n_phases-1.
         self.weight = np.zeros(graph.n, dtype=np.int64)
         if self.rounds is not None:
-            phases = [range(graph.n)]
+            phases = None
         elif isinstance(schedule, SinglePassOrder):
             phases = _single_pass_groups(schedule.order, graph)
             order = np.array(schedule.order, dtype=np.intp)
@@ -246,7 +247,7 @@ class _CoupledKernel(_BatchedPhases):
                 self.weight[verts] = len(phases) - k
         super().__init__(graph, dyn, phases)
         self.mode = mode
-        self.draw_width = sum(len(p[0]) for p in self.phases)
+        self.draw_width = self.width
 
     def _violations(self, joint: np.ndarray, solo: np.ndarray) -> np.ndarray:
         if self.mode == MODE_SOLO_VS_JOINT:
@@ -264,35 +265,42 @@ class _CoupledKernel(_BatchedPhases):
         if self.rounds is not None:
             return joint, solo, self._run_rounds(joint, solo, draws, rows)
         for phase in self.phases:
-            self._phase(joint, solo, draws, rows, phase)
+            verts = phase[0]
+            counts = (self._neighbor_counts(joint, phase), self._neighbor_counts(solo, phase))
+            cand = [(state[:, verts] == UNINFECTED) & ((red + blue) > 0)
+                    for state, (red, blue) in zip((joint, solo), counts)]
+            self._update(joint, solo, draws, rows, verts, counts, cand)
         return joint, solo, self._violations(joint, solo) @ self.weight
 
     def _run_rounds(self, joint, solo, draws: _Draws, rows: np.ndarray) -> np.ndarray:
-        """Parallel rounds, in place.  Row by row, each process stops after a
-        round that gives it no candidate or no infection; a row's violations
-        are summed after every round in which either process ran."""
+        """Parallel rounds, in place, on each process's pushed in-neighbor
+        counts.  Row by row, each process stops after a round that gives it
+        no candidate or no infection; a row's violations are summed after
+        every round in which either process ran."""
+        states = (joint, solo)
         violations = np.zeros(len(rows), dtype=np.int64)
         live = np.ones((2, len(rows)), dtype=bool)
         immune = np.zeros((2,) + joint.shape, dtype=bool) if self.rounds.immunity else None
-        for _ in range(self.rounds.max_rounds if self.phases else 0):
-            running = [rows[live[0, rows]], rows[live[1, rows]]]
-            infected = np.concatenate([joint[running[0]], solo[running[1]]]) != UNINFECTED
-            closed = infected
-            if immune is not None:
-                closed = infected | np.concatenate([immune[0][running[0]], immune[1][running[1]]])
-            phase = self._round_phase(infected, closed)
-            outcome = None if phase is None else self._phase(
-                joint, solo, draws, rows, phase, live, immune)
+        counts = [self._counts(state) for state in states]
+        for _ in range(self.rounds.max_rounds if self.width else 0):
+            sub = [c[:, rows] for c in counts]
+            cand = []
+            for p, (state, (red, blue)) in enumerate(zip(states, sub)):
+                cand.append((state[rows] == UNINFECTED) & ((red + blue) > 0) & live[p, rows, None])
+                if immune is not None:
+                    cand[p] &= ~immune[p][rows]
+            outcome = self._update(joint, solo, draws, rows, self.vertices, sub, cand)
             if outcome is None:
                 break
             ran = np.zeros(len(rows), dtype=bool)
-            for p, (row_of, col, won) in enumerate(outcome):
+            for p, (row_of, verts, won) in enumerate(outcome):
                 tried = np.bincount(row_of, minlength=len(rows))
                 moved = np.bincount(row_of[won], minlength=len(rows))
                 ran |= tried > 0
                 live[p, rows] &= (tried > 0) & (moved > 0)
                 if immune is not None:
-                    immune[p][rows[row_of[~won]], phase[0][col[~won]]] = True
+                    immune[p][rows[row_of[~won]], verts[~won]] = True
+                self._push(counts[p], states[p], rows[row_of[won]], verts[won])
             done = rows[ran]
             violations[done] += self._violations(joint[done], solo[done]).sum(axis=1)
             rows = rows[live[0, rows] | live[1, rows]]
@@ -300,48 +308,41 @@ class _CoupledKernel(_BatchedPhases):
                 break
         return violations
 
-    def _phase(self, joint, solo, draws: _Draws, rows, phase, live=None, immune=None):
-        """One snapshot update of both processes at the phase's vertices in
-        the given rows.  Under parallel rounds, only running processes'
-        non-immune vertices are candidates.  Returns, per process, the
-        candidates' row and column indices into (rows, phase vertices) and
-        which of them were infected; None when there was no candidate."""
-        verts, _, _, deg = phase
-        joint_sub, solo_sub = joint[rows], solo[rows]
-        red, blue = self._neighbor_counts(joint_sub, phase)
-        solo_red, solo_blue = self._neighbor_counts(solo_sub, phase)
-        solo_any = solo_red + solo_blue
-        cand = [(joint_sub[:, verts] == UNINFECTED) & ((red + blue) > 0),
-                (solo_sub[:, verts] == UNINFECTED) & (solo_any > 0)]
-        for p in range(2) if live is not None else ():
-            cand[p] &= live[p, rows, None]
-            if immune is not None:
-                cand[p] &= ~immune[p][np.ix_(rows, verts)]
-        row_of, col = np.nonzero(cand[0] | cand[1])
+    def _update(self, joint, solo, draws: _Draws, rows, verts, counts, cand):
+        """One snapshot update of both processes at their candidates `cand`
+        over (rows, verts), whose red and blue in-neighbor counts are
+        `counts`, one pair per process.  Returns, per process, the
+        candidates' indices into rows, their vertices, and which of them
+        were infected; None when there was no candidate."""
+        (red, blue), (solo_red, solo_blue) = counts
+        flat, row_of, col = _nonzero(cand[0] | cand[1])
         if len(row_of) == 0:
             return None
         z = draws.take(rows, np.bincount(row_of, minlength=len(rows)), row_of)
-        d = deg[col]
-        j = cand[0][row_of, col]
-        jr, jc, zj = row_of[j], col[j], z[j]
-        p_red, p_any = self._probs(red[jr, jc] / d[j], blue[jr, jc] / d[j])
+        v = verts[col]
+        j = cand[0].ravel()[flat]
+        jr, jf, zj = row_of[j], flat[j], z[j]
+        jv = v[j]
+        p_red, p_any = self.table.lookup(jv, red.ravel()[jf], blue.ravel()[jf])
         to_red = zj < p_red
         to_blue = ~to_red & (zj < p_any)
-        s = cand[1][row_of, col]
-        sr, sc, zs = row_of[s], col[s], z[s]
-        k = solo_any[sr, sc]
-        p_solo_red, p_solo_any = self._probs(k / d[s], np.zeros(len(sr)))
+        s = cand[1].ravel()[flat]
+        sr, sf, zs = row_of[s], flat[s], z[s]
+        sv = v[s]
+        labels_red = solo_red.ravel()[sf]
+        k = labels_red + solo_blue.ravel()[sf]
+        p_solo_red, p_solo_any = self.table.lookup(sv, k, np.zeros_like(k))
         if self.mode == MODE_ATTRIBUTION:
             won = zs < p_solo_any
-            solo_to_red = won & (zs < p_solo_any * solo_red[sr, sc] / k)
+            solo_to_red = won & (zs < p_solo_any * labels_red / k)
         else:
             won = solo_to_red = zs < p_solo_red
-        joint[rows[jr[to_red]], verts[jc[to_red]]] = RED
-        joint[rows[jr[to_blue]], verts[jc[to_blue]]] = BLUE
-        solo[rows[sr[solo_to_red]], verts[sc[solo_to_red]]] = RED
+        joint[rows[jr[to_red]], jv[to_red]] = RED
+        joint[rows[jr[to_blue]], jv[to_blue]] = BLUE
+        solo[rows[sr[solo_to_red]], sv[solo_to_red]] = RED
         solo_to_blue = won & ~solo_to_red
-        solo[rows[sr[solo_to_blue]], verts[sc[solo_to_blue]]] = BLUE
-        return (jr, jc, to_red | to_blue), (sr, sc, won)
+        solo[rows[sr[solo_to_blue]], sv[solo_to_blue]] = BLUE
+        return (jr, jv, to_red | to_blue), (sr, sv, won)
 
 
 def coupled_run(graph: Graph, red_seeds: Sequence[int], blue_seeds: Sequence[int],

@@ -501,8 +501,11 @@ def _sample_support(pairs, rng):
 
 # A block of batched replications holds at most about this many state cells
 # (replications times vertices plus edges), so memory does not grow with the
-# trial count.
+# trial count.  Under parallel rounds a vertex counts 9 cells: its int8 state
+# and its two int32 in-neighbor counts.
 _BLOCK_CELLS = 1 << 20
+# A kernel's probability table holds at most about this many entries.
+_TABLE_CELLS = _BLOCK_CELLS
 
 
 def _single_pass_groups(order: Sequence[int], graph: Graph) -> list[tuple[int, ...]]:
@@ -559,72 +562,144 @@ class _Draws:
         return self.u[rows[row_of], first[row_of] + rank]
 
 
-class _BatchedPhases:
-    """What the batched kernels share: a schedule's phases as index arrays
-    over the graph's in-edges, and update probabilities memoised per
-    fraction pair.  Phases keep their vertices' order, which is the order in
-    which their candidates draw."""
+def _neighbor_slots(indptr: np.ndarray, verts: np.ndarray,
+                    degree: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR positions of the verts' neighbor lists, concatenated, and where
+    each list starts in the concatenation."""
+    starts = np.cumsum(degree) - degree
+    return np.repeat(indptr[verts] - starts, degree) + np.arange(int(degree.sum())), starts
 
-    def __init__(self, graph: Graph, dyn: AdoptionFunction, phases):
-        self.n = graph.n
+
+def _nonzero(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A 2-D mask's true cells in row-major order: their flat indices, rows
+    and columns (cheaper than `np.nonzero` on two axes)."""
+    flat = np.flatnonzero(mask)
+    row = flat // mask.shape[1]
+    return flat, row, flat - row * mask.shape[1]
+
+
+class _ProbTable:
+    """(P[Red], P[Red or Blue]) of `update_probs` at fractions (r/d, b/d),
+    kept under the integer key (in-degree d, red count r, blue count b).
+
+    In-degree d's row holds (d + 1)^2 slots, r * (d + 1) + b.  Rows exist
+    for the in-degrees the graph has, smallest first, as many as fit in
+    `_TABLE_CELLS` slots.  An entry is filled when a lookup first meets it,
+    by one `update_probs_array` call per lookup on the distinct new keys, so
+    each key is evaluated once per table; keys of larger in-degrees are
+    evaluated on their fractions at every lookup.  Lookups name d by a vertex
+    of that in-degree."""
+
+    def __init__(self, dyn: AdoptionFunction, in_degree: np.ndarray):
         self.dyn = dyn
-        self._probs_memo: dict[complex, tuple[float, float]] = {}
-        self.csr = graph.in_csr
-        _, indices, in_degree = self.csr
-        self.phases = []
-        for phase in phases:
-            verts = np.asarray(phase, dtype=np.intp)
-            # A vertex without in-neighbors is never a candidate.
-            verts = verts[in_degree[verts] > 0]
-            if len(verts):
-                self.phases.append(self._phase_arrays(verts))
-        self.block = max(1, _BLOCK_CELLS // (graph.n + len(indices)))
+        self.in_degree = in_degree
+        self.stride = in_degree + 1
+        vertices = np.bincount(in_degree)
+        vertices[0] = 0
+        degrees = np.flatnonzero(vertices)
+        sizes = (degrees + 1) ** 2
+        ends = np.cumsum(sizes)
+        rows = int(np.searchsorted(ends, _TABLE_CELLS, side="right"))
+        by_degree = np.full(len(vertices), -1, dtype=np.intp)
+        by_degree[degrees[:rows]] = ends[:rows] - sizes[:rows]
+        self.start = by_degree[in_degree]
+        self.complete = rows == len(degrees)
+        # NaN marks an entry not filled yet: filled ones are probabilities.
+        self.p_red = np.full(int(ends[rows - 1]) if rows else 0, np.nan)
+        self.p_any = np.empty(len(self.p_red))
 
-    def _phase_arrays(self, verts: np.ndarray) -> tuple:
-        """A phase's vertices, their in-edges' sources grouped by vertex, each
-        group's start, and the in-degrees."""
-        indptr, indices, in_degree = self.csr
-        deg = in_degree[verts]
-        starts = np.cumsum(deg) - deg
-        edges = np.repeat(indptr[verts] - starts, deg) + np.arange(int(deg.sum()))
-        return verts, indices[edges], starts, deg
+    def _evaluate(self, v, r, b) -> tuple[np.ndarray, np.ndarray]:
+        d = self.in_degree[v]
+        p_red, p_blue = self.dyn.update_probs_array(r / d, b / d)
+        return p_red, p_red + p_blue
+
+    def lookup(self, v: np.ndarray, r: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(P[Red], P[Red or Blue]) at each key (in-degree of v[j], r[j], b[j])."""
+        start = self.start[v]
+        if not self.complete:
+            direct = start < 0
+            if direct.any():
+                p_red, p_any = np.empty(len(v)), np.empty(len(v))
+                p_red[direct], p_any[direct] = self._evaluate(v[direct], r[direct], b[direct])
+                kept = ~direct
+                p_red[kept], p_any[kept] = self.lookup(v[kept], r[kept], b[kept])
+                return p_red, p_any
+        index = start + r * self.stride[v] + b
+        p_red = self.p_red[index]
+        new = np.flatnonzero(np.isnan(p_red))
+        if len(new):
+            keys, first = np.unique(index[new], return_index=True)
+            j = new[first]
+            self.p_red[keys], self.p_any[keys] = self._evaluate(v[j], r[j], b[j])
+            p_red = self.p_red[index]
+        return p_red, self.p_any[index]
+
+
+class _BatchedPhases:
+    """What the batched kernels share: a `_ProbTable` of update
+    probabilities, and the red and blue in-neighbor counts their candidates
+    read.
+
+    A one-shot schedule's phases (a single pass's groups, or layers) are
+    index arrays over the graph's in-edges, and each phase pulls its
+    vertices' counts from the state: a run reads each in-edge once.  Phases
+    keep their vertices' order, which is the order in which their candidates
+    draw.  Under parallel rounds (`phases` None) the kernels keep every
+    cell's counts instead, push each round's new infections along their
+    out-edges, and take a round's candidates over whole rows, drawing in
+    ascending vertex order."""
+
+    def __init__(self, graph: Graph, dyn: AdoptionFunction, phases=None):
+        self.n = graph.n
+        indptr, indices, self.in_degree = graph.in_csr
+        self.table = _ProbTable(dyn, self.in_degree)
+        self.phases = []
+        if phases is None:
+            self.vertices = np.arange(graph.n)
+            self.out_csr = graph.out_csr
+            # A round draws at most once per vertex with an in-neighbor.
+            self.width = int(np.count_nonzero(self.in_degree))
+            cells = 9 * graph.n + len(indices)
+        else:
+            for phase in phases:
+                verts = np.asarray(phase, dtype=np.intp)
+                # A vertex without in-neighbors is never a candidate.
+                verts = verts[self.in_degree[verts] > 0]
+                if len(verts):
+                    edges, starts = _neighbor_slots(indptr, verts, self.in_degree[verts])
+                    self.phases.append((verts, indices[edges], starts))
+            self.width = sum(len(phase[0]) for phase in self.phases)
+            cells = graph.n + len(indices)
+        self.block = max(1, _BLOCK_CELLS // cells)
 
     @staticmethod
-    def _neighbor_counts(sub: np.ndarray, phase) -> tuple[np.ndarray, np.ndarray]:
+    def _neighbor_counts(state: np.ndarray, phase) -> tuple[np.ndarray, np.ndarray]:
         """Red and blue in-neighbor counts of the phase's vertices in each row."""
-        _, nbr_index, starts, _ = phase
-        nbrs = sub[:, nbr_index]
+        _, sources, starts = phase
+        nbrs = state[:, sources]
         return (np.add.reduceat(nbrs == RED, starts, axis=1, dtype=np.int32),
                 np.add.reduceat(nbrs == BLUE, starts, axis=1, dtype=np.int32))
 
-    def _round_phase(self, infected: np.ndarray, closed: np.ndarray) -> Optional[tuple]:
-        """The next parallel round, whose one phase lists every vertex with an
-        in-neighbor, restricted to vertices that are open (not `closed`) in
-        some row and have an in-neighbor `infected` in some row; None when
-        there are none."""
-        verts, sources, starts, _ = self.phases[0]
-        open_ = ~closed[:, verts].all(axis=0)
-        reached = np.logical_or.reduceat(infected.any(axis=0)[sources], starts)
-        verts = verts[open_ & reached]
-        return self._phase_arrays(verts) if len(verts) else None
+    def _counts(self, state: np.ndarray) -> np.ndarray:
+        """Every cell's red and blue in-neighbor counts in `state`, as a (2, R,
+        n) array to push later infections into."""
+        counts = np.zeros((2,) + state.shape, dtype=np.int32)
+        self._push(counts, state, *np.nonzero(state))
+        return counts
 
-    def _probs(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(P[Red], P[Red or Blue]) at each fraction pair (a[j], b[j]), from
-        the scalar `update_probs`."""
-        key = np.empty(len(a), dtype=np.complex128)
-        key.real = a
-        key.imag = b
-        distinct, inverse = np.unique(key, return_inverse=True)
-        p_red = np.empty(len(distinct))
-        p_any = np.empty(len(distinct))
-        memo = self._probs_memo
-        for j, k in enumerate(distinct.tolist()):
-            hit = memo.get(k)
-            if hit is None:
-                pr, pb, _ = self.dyn.update_probs(k.real, k.imag)
-                hit = memo[k] = (pr, pr + pb)
-            p_red[j], p_any[j] = hit
-        return p_red[inverse], p_any[inverse]
+    def _push(self, counts: np.ndarray, state: np.ndarray, rows: np.ndarray,
+              verts: np.ndarray) -> None:
+        """Add the infected cells (rows[j], verts[j]) of `state` to the red and
+        blue in-neighbor counts, a (2, R, n) array, of their out-neighbors."""
+        indptr, indices, out_degree = self.out_csr
+        degree = out_degree[verts]
+        edges, _ = _neighbor_slots(indptr, verts, degree)
+        if len(edges) == 0:
+            return
+        plane = state[rows, verts].astype(np.intp) - RED
+        cells = np.repeat((plane * len(state) + rows) * self.n, degree) + indices[edges]
+        flat = counts.reshape(-1)
+        flat += np.bincount(cells, minlength=len(flat))
 
 
 class _ReplicationKernel(_BatchedPhases):
@@ -634,10 +709,10 @@ class _ReplicationKernel(_BatchedPhases):
     Replication i draws from `_replication_rng(master_seed, i, stream)`
     exactly the numbers `run_profile_once` draws, in the same order: the
     support draw, one per contested seed in vertex order, then one per update
-    candidate in phase order.  Update probabilities are the scalar
-    `update_probs` calls on the same fractions, memoised per estimate.  So
-    every replication's (chi_R, chi_B) equals the per-vertex path's, bit for
-    bit.
+    candidate in phase order.  Update probabilities are `update_probs`'s at
+    the same fractions, from the kernel's table, which every block the kernel
+    runs shares.  So every replication's (chi_R, chi_B) equals the per-vertex
+    path's, bit for bit.
     """
 
     def __init__(self, game: GameSpec, pairs):
@@ -647,7 +722,7 @@ class _ReplicationKernel(_BatchedPhases):
         if n != graph.n:
             raise ValidationError(f"initial state has length {n}, graph has {graph.n} vertices")
         if isinstance(schedule, ParallelRounds):
-            phases = [range(n)]
+            phases = None
         elif isinstance(schedule, SinglePassOrder):
             phases = _single_pass_groups(schedule.order, graph)
         else:
@@ -671,9 +746,9 @@ class _ReplicationKernel(_BatchedPhases):
             self.seeds.append((base, np.array([v for v, _ in contested], dtype=np.intp),
                                np.array([p for _, p in contested])))
         max_contested = max(len(c) for _, c, _ in self.seeds)
-        # Wide enough for the contested seeds and any one phase; one-shot
-        # schedules never draw more than this in all.
-        self.draw_width = max_contested + sum(len(p[0]) for p in self.phases)
+        # Wide enough for the contested seeds and any one phase or round;
+        # one-shot schedules never draw more than this in all.
+        self.draw_width = max_contested + self.width
 
     def run(self, master_seed: int, lo: int, hi: int,
             stream: tuple[int, ...] = ()) -> tuple[np.ndarray, np.ndarray]:
@@ -695,50 +770,53 @@ class _ReplicationKernel(_BatchedPhases):
 
         all_rows = np.arange(hi - lo)
         if isinstance(self.schedule, ParallelRounds):
-            immune = np.zeros(state.shape, dtype=bool) if self.schedule.immunity else None
-            rows = all_rows
-            for _ in range(self.schedule.max_rounds if self.phases else 0):
-                infected = state[rows] != UNINFECTED
-                phase = self._round_phase(
-                    infected, infected if immune is None else infected | immune[rows])
-                if phase is None:
-                    break
-                tried, moved = self._phase(state, immune, draws, rows, phase)
-                # A round without candidates or without any infection ends the run.
-                rows = rows[(tried > 0) & (moved > 0)]
-                if len(rows) == 0:
-                    break
+            self._run_rounds(state, draws, all_rows)
         else:
             for phase in self.phases:
-                self._phase(state, None, draws, all_rows, phase)
+                red, blue = self._neighbor_counts(state, phase)
+                cand = (state[:, phase[0]] == UNINFECTED) & ((red + blue) > 0)
+                self._update(state, None, draws, all_rows, phase[0], red, blue, cand)
         return (np.count_nonzero(state == RED, axis=1).astype(np.float64),
                 np.count_nonzero(state == BLUE, axis=1).astype(np.float64))
 
-    def _phase(self, state, immune, draws: _Draws, rows, phase):
-        """One snapshot update of the phase's vertices in the given rows;
-        returns each row's candidate and infection counts."""
-        verts, _, _, deg = phase
-        sub = state[rows]
-        red, blue = self._neighbor_counts(sub, phase)
-        cand = (sub[:, verts] == UNINFECTED) & ((red + blue) > 0)
-        if immune is not None:
-            cand &= ~immune[np.ix_(rows, verts)]
-        row_of, col = np.nonzero(cand)
-        tried = np.bincount(row_of, minlength=len(rows))
+    def _run_rounds(self, state, draws: _Draws, rows: np.ndarray) -> None:
+        """Parallel rounds, in place, on pushed in-neighbor counts."""
+        immune = np.zeros(state.shape, dtype=bool) if self.schedule.immunity else None
+        counts = self._counts(state)
+        for _ in range(self.schedule.max_rounds if self.width else 0):
+            red, blue = counts[:, rows]
+            cand = (state[rows] == UNINFECTED) & ((red + blue) > 0)
+            if immune is not None:
+                cand &= ~immune[rows]
+            row_of, verts, infected = self._update(
+                state, immune, draws, rows, self.vertices, red, blue, cand)
+            self._push(counts, state, rows[row_of[infected]], verts[infected])
+            # A round without candidates or without any infection ends the run.
+            tried = np.bincount(row_of, minlength=len(rows))
+            moved = np.bincount(row_of[infected], minlength=len(rows))
+            rows = rows[(tried > 0) & (moved > 0)]
+            if len(rows) == 0:
+                break
+
+    def _update(self, state, immune, draws: _Draws, rows, verts, red, blue, cand):
+        """One snapshot update of the candidates `cand` over (rows, verts),
+        whose in-neighbor counts are red and blue.  Returns the candidates'
+        indices into rows, their vertices, and which of them were infected."""
+        flat, row_of, col = _nonzero(cand)
+        target_verts = verts[col]
         if len(row_of) == 0:
-            return tried, tried
-        d = deg[col]
-        p_red, p_any = self._probs(red[row_of, col] / d, blue[row_of, col] / d)
-        z = draws.take(rows, tried, row_of)
+            return row_of, target_verts, np.zeros(0, dtype=bool)
+        p_red, p_any = self.table.lookup(target_verts, red.ravel()[flat], blue.ravel()[flat])
+        z = draws.take(rows, np.bincount(row_of, minlength=len(rows)), row_of)
         to_red = z < p_red
         to_blue = ~to_red & (z < p_any)
-        target_rows, target_verts = rows[row_of], verts[col]
+        target_rows = rows[row_of]
         state[target_rows[to_red], target_verts[to_red]] = RED
         state[target_rows[to_blue], target_verts[to_blue]] = BLUE
         infected = to_red | to_blue
         if immune is not None:
             immune[target_rows[~infected], target_verts[~infected]] = True
-        return tried, np.bincount(row_of[infected], minlength=len(rows))
+        return row_of, target_verts, infected
 
 
 def _mc_chunk(game: GameSpec, pairs, master_seed: int, lo: int, hi: int,
@@ -772,6 +850,8 @@ def sample_payoffs(game: GameSpec, profile: StrategyProfile, n_trials: int,
     """
     if not (_is_integer(n_trials) and n_trials >= 1):
         raise ValidationError(f"n_trials must be a positive integer, got {n_trials!r}")
+    if threads is not None and not (_is_integer(threads) and threads >= 1):
+        raise ValidationError(f"threads must be a positive integer, got {threads!r}")
     _require_master_seed(master_seed)
     pairs = profile.support_pairs()
     if threads is not None and threads > 1 and n_trials >= 64:

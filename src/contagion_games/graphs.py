@@ -81,15 +81,24 @@ class Graph:
     def in_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(indptr, indices, in_degree): in-neighbor lists as numpy CSR arrays;
         vertex v's in-neighbors are indices[indptr[v]:indptr[v + 1]]."""
-        nbrs = self.in_neighbors
-        in_degree = np.fromiter(map(len, nbrs), dtype=np.intp, count=self.n)
-        indptr = np.zeros(self.n + 1, dtype=np.intp)
-        np.cumsum(in_degree, out=indptr[1:])
-        indices = np.fromiter((u for l in nbrs for u in l), dtype=np.intp, count=int(indptr[-1]))
-        return indptr, indices, in_degree
+        return _csr(self.in_neighbors)
+
+    @cached_property
+    def out_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(indptr, indices, out_degree): out-neighbor lists as numpy CSR
+        arrays, laid out as `in_csr`."""
+        return _csr(self.out_neighbors)
 
     def in_degree(self, v: int) -> int:
         return len(self.in_neighbors[v])
+
+
+def _csr(nbrs: tuple[tuple[int, ...], ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    degree = np.fromiter(map(len, nbrs), dtype=np.intp, count=len(nbrs))
+    indptr = np.zeros(len(nbrs) + 1, dtype=np.intp)
+    np.cumsum(degree, out=indptr[1:])
+    indices = np.fromiter((u for l in nbrs for u in l), dtype=np.intp, count=int(indptr[-1]))
+    return indptr, indices, degree
 
 
 def load_graph(document: str | dict) -> Graph:

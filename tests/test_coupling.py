@@ -271,16 +271,19 @@ def skewed_split():
 
 
 def non_additive():
-    """Competitive, but the total falls when both colors are present."""
+    """Competitive, but the total falls when both colors are present.  Scalar
+    only: its `update_probs_array` calls `update_probs` pair by pair."""
     return load_dynamics({"h": "builtin:quadratic_damped"})
 
 
 @st.composite
 def coupled_instances(draw, rounds=False):
     n = draw(st.integers(2, 10))
+    directed = draw(st.booleans())
     edges = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-                         .filter(lambda e: e[0] != e[1]), max_size=3 * n))
-    graph = Graph(n=n, edges=tuple(sorted(edges)), directed=True)
+                         .filter(lambda e: e[0] < e[1] or directed and e[0] != e[1]),
+                         max_size=3 * n))
+    graph = Graph(n=n, edges=tuple(sorted(edges)), directed=directed)
     order = draw(st.permutations(range(n)))
     seeded = draw(st.integers(1, min(3, n)))
     n_red = draw(st.integers(1, seeded))

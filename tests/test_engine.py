@@ -3,6 +3,7 @@
 import dataclasses
 import pickle
 import tracemalloc
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -11,21 +12,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contagion_games import engine
+from contagion_games.coupling import _CoupledKernel
 from contagion_games import (
     EXACT_ENUMERATION,
     EXACT_LAYERED_DP,
     MONTE_CARLO,
     AdoptionFunction,
     Allocation,
+    BuiltinAdoption,
     DynamicsDefinitionError,
     GameSpec,
     Graph,
     HalfPointSwitch,
     LayerOrder,
     LayeredStructure,
+    MODE_ATTRIBUTION,
+    MODE_SOLO_VS_JOINT,
     MixedAllocation,
     ParallelRounds,
     PayoffEstimate,
+    PayoffOracle,
     PowerSwitch,
     RandomSequential,
     ScheduleError,
@@ -400,6 +406,21 @@ def test_monte_carlo_validates_trial_count():
     assert estimate_payoffs(mc_game(), mc_profile(), n_trials=np.int64(3)).n_trials == 3
 
 
+def test_monte_carlo_validates_thread_count():
+    game, profile = mc_game(), mc_profile()
+    oracle = PayoffOracle(game, method=MONTE_CARLO, n_trials=4, threads=0)
+    for threads in (2.5, "2", 0, -3, True):
+        with pytest.raises(ValidationError, match="threads must be a positive integer"):
+            engine.sample_payoffs(game, profile, 100, threads=threads)
+        with pytest.raises(ValidationError, match="threads must be a positive integer"):
+            estimate_payoffs(game, profile, n_trials=100, threads=threads)
+        oracle.threads = threads
+        with pytest.raises(ValidationError, match="threads must be a positive integer"):
+            oracle.evaluate(profile.red, profile.blue)
+    assert (estimate_payoffs(game, profile, n_trials=4, threads=np.int64(1))
+            == estimate_payoffs(game, profile, n_trials=4))
+
+
 def test_monte_carlo_validates_master_seed():
     for seed in (-1, True, False, 1.5, "3", None):
         with pytest.raises(ValidationError, match="master_seed must be a nonnegative integer"):
@@ -425,13 +446,16 @@ KERNEL_DYNAMICS = (
     SwitchSelectAdoption(PowerSwitch(1.0), linear_selection()),
     SwitchSelectAdoption(PowerSwitch(0.5), TullockSelection(0.75)),
     SwitchSelectAdoption(HalfPointSwitch(0.2), TullockSelection(2.0)),
+    # Scalar only: its `update_probs_array` calls `update_probs` pair by pair.
+    BuiltinAdoption("quadratic_damped"),
 )
 
 
 @st.composite
 def kernel_cases(draw):
     n = draw(st.integers(min_value=1, max_value=10))
-    possible = [(u, v) for u in range(n) for v in range(n) if u != v]
+    directed = draw(st.booleans())
+    possible = [(u, v) for u in range(n) for v in range(n) if u != v and (directed or u < v)]
     # Each edge present with probability 1/2: dense enough that runs branch.
     keep = draw(st.lists(st.booleans(), min_size=len(possible), max_size=len(possible)))
     edges = [e for e, k in zip(possible, keep) if k]
@@ -446,7 +470,8 @@ def kernel_cases(draw):
         else:
             cuts = sorted(draw(st.sets(st.integers(1, max(n - 1, 1)), max_size=3)) | {0, n})
             schedule = LayerOrder(tuple(tuple(perm[a:b]) for a, b in zip(cuts, cuts[1:]) if b > a))
-    game = GameSpec(Graph(n=n, edges=tuple(edges)), draw(st.sampled_from(KERNEL_DYNAMICS)),
+    game = GameSpec(Graph(n=n, edges=tuple(edges), directed=directed),
+                    draw(st.sampled_from(KERNEL_DYNAMICS)),
                     schedule, 1, 1)
 
     # Seeds drawn from the first few vertices, so that red and blue often
@@ -485,11 +510,87 @@ def test_batched_kernel_matches_the_per_vertex_path(case, master_seed, n_trials)
     assert n_trials <= kernel.block
     chi_r, chi_b = kernel.run(master_seed, 0, n_trials)
     assert list(zip(chi_r.tolist(), chi_b.tolist())) == reference
-    # Blocks of two replications: n_trials spans several blocks.
+    # Blocks of at most two replications: n_trials spans several blocks.
     cells = 2 * (game.graph.n + len(game.graph.in_csr[1]))
     with mock.patch.object(engine, "_BLOCK_CELLS", cells):
         chi_r, chi_b = engine.sample_payoffs(game, profile, n_trials, master_seed)
     assert list(zip(chi_r.tolist(), chi_b.tolist())) == reference
+
+
+def mixed_degree_game(dyn, schedule):
+    """Undirected, with in-degrees 1 to 4, and a contested, mixed profile."""
+    graph = Graph(n=9, edges=((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 5), (3, 5),
+                              (5, 6), (6, 7), (6, 8), (4, 7)), directed=False)
+    side = [Allocation.from_seeds(9, [v]) for v in (0, 1, 6)]
+    profile = StrategyProfile(MixedAllocation(((0.5, side[0]), (0.5, side[1]))),
+                              MixedAllocation(((0.5, side[0]), (0.5, side[2]))))
+    return GameSpec(graph, dyn, schedule, 1, 1), profile
+
+
+MIXED_DEGREE_SCHEDULES = (ParallelRounds(5), ParallelRounds(5, immunity=True),
+                          SinglePassOrder((5, 2, 7, 3, 1, 8, 4)),
+                          LayerOrder(((1, 2, 3), (4, 5), (7, 8))))
+
+
+@pytest.mark.parametrize("cells, rows", [(0, []), (4, [1]), (28, [1, 2])])
+@pytest.mark.parametrize("schedule", MIXED_DEGREE_SCHEDULES)
+@pytest.mark.parametrize("dyn", KERNEL_DYNAMICS[1:], ids=["tullock", "halfpoint", "builtin"])
+def test_keys_past_the_table_cap_are_evaluated_directly(cells, rows, schedule, dyn):
+    """With the table capped below the graph's larger in-degrees, their
+    candidates take the direct path, and every replication still equals the
+    per-vertex path's."""
+    game, profile = mixed_degree_game(dyn, schedule)
+    with mock.patch.object(engine, "_TABLE_CELLS", cells):
+        kernel = engine._ReplicationKernel(game, profile.support_pairs())
+        chi_r, chi_b = kernel.run(9, 0, 60)
+    in_degree = game.graph.in_csr[2]
+    assert sorted(set(in_degree[kernel.table.start >= 0].tolist())) == rows
+    assert list(zip(chi_r.tolist(), chi_b.tolist())) == \
+        per_vertex_outcomes(game, profile, 60, master_seed=9)
+
+
+class CountingQuadraticDamped(AdoptionFunction):
+    """`quadratic_damped`, recording the fractions of every `update_probs`
+    call; array calls reach it through the pair-by-pair default."""
+
+    def __init__(self):
+        self.calls = []
+
+    def _raw_red(self, a, b):
+        return a * (1.0 - b * b)
+
+    def to_json_dict(self):
+        return {}
+
+    def update_probs(self, a, b):
+        self.calls.append((a, b))
+        return super().update_probs(a, b)
+
+
+@pytest.mark.parametrize("schedule", MIXED_DEGREE_SCHEDULES)
+def test_each_table_key_is_evaluated_once_per_kernel(schedule):
+    """Several blocks of one kernel, and a coupled kernel, call
+    `update_probs` at most once per (d, r, b) key: a pair of fractions is
+    evaluated at most once for each in-degree that realises it."""
+    dyn = CountingQuadraticDamped()
+    game, profile = mixed_degree_game(dyn, schedule)
+    degrees = set(game.graph.in_csr[2].tolist())
+
+    def check_calls():
+        for (a, b), calls in Counter(dyn.calls).items():
+            assert calls <= sum(round(a * d) / d == a and round(b * d) / d == b for d in degrees)
+        assert 0 < len(dyn.calls) < sum((d + 1) * (d + 2) // 2 for d in degrees)
+        dyn.calls.clear()
+
+    kernel = engine._ReplicationKernel(game, profile.support_pairs())
+    for lo in range(0, 200, 50):
+        kernel.run(4, lo, lo + 50)
+    check_calls()
+    mode = MODE_ATTRIBUTION if isinstance(schedule, ParallelRounds) else MODE_SOLO_VS_JOINT
+    coupled = _CoupledKernel(game.graph, [0, 3], [6], dyn, schedule, mode)
+    for lo in range(0, 200, 50):
+        coupled.run(engine._Draws(engine._replication_streams(4, lo, lo + 50), coupled.draw_width))
+    check_calls()
 
 
 @settings(max_examples=100, deadline=None)

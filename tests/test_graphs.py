@@ -153,6 +153,16 @@ def test_in_and_out_neighbor_lists_agree(g):
     assert in_pairs == out_pairs
 
 
+@settings(max_examples=100, deadline=None)
+@given(small_graphs())
+def test_csr_arrays_hold_the_neighbor_lists(g):
+    for (indptr, indices, degree), lists in ((g.in_csr, g.in_neighbors),
+                                             (g.out_csr, g.out_neighbors)):
+        assert degree.tolist() == [len(l) for l in lists]
+        assert [indices[indptr[v]:indptr[v + 1]].tolist() for v in range(g.n)] == \
+            [list(l) for l in lists]
+
+
 def test_neighbor_fractions_hand_case():
     g = Graph(n=5, edges=((0, 4), (1, 4), (2, 4), (3, 4)))
     state = [RED, RED, BLUE, UNINFECTED, UNINFECTED]
