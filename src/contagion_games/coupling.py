@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import ks_2samp
 
 from .dynamics import (
     AdoptionFunction,
@@ -399,6 +398,8 @@ class CoupleTestResult:
 
 
 def _ks_pvalue(xs: np.ndarray, ys: np.ndarray) -> float:
+    from scipy.stats import ks_2samp
+
     if np.array_equal(np.unique(xs), np.unique(ys)) and len(np.unique(xs)) == 1:
         return 1.0
     return float(ks_2samp(xs, ys).pvalue)

@@ -7,6 +7,7 @@ from a cached oracle that can run any of the three payoff back ends.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -41,7 +42,8 @@ def allocation_count(n: int, budget: int) -> int:
 def enumerate_allocations(n: int, budget: int,
                           cap: int = DEFAULT_ALLOCATION_CAP) -> list[Allocation]:
     """All seed allocations, first vertex's count descending (so (2,0) before
-    (1,1) before (0,2)).  Raises AllocationSpaceCapError beyond `cap`."""
+    (1,1) before (0,2)): strictly descending in the lexicographic order of
+    dense counts.  Raises AllocationSpaceCapError beyond `cap`."""
     if n < 1 or budget < 0:
         raise ValidationError(f"need n >= 1 and budget >= 0, got n={n}, budget={budget}")
     count = allocation_count(n, budget)
@@ -49,17 +51,13 @@ def enumerate_allocations(n: int, budget: int,
         raise AllocationSpaceCapError(
             f"{count} allocations of {budget} seeds on {n} vertices exceeds the cap of {cap}; "
             "raise the cap or use gadget-specific deviation checks")
-    out: list[tuple[int, ...]] = []
+    return [Allocation.from_seeds(n, c)
+            for c in itertools.combinations_with_replacement(range(n), budget)]
 
-    def rec(prefix: tuple[int, ...], remaining: int, slots: int):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for c in range(remaining, -1, -1):
-            rec(prefix + (c,), remaining - c, slots - 1)
 
-    rec((), budget, n)
-    return [Allocation(t) for t in out]
+def _seed_pairs(alloc: Allocation) -> list[list[int]]:
+    """The JSON form of an allocation in reports: its [vertex, count] pairs."""
+    return [list(seed) for seed in alloc.seeds]
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +161,7 @@ class NashReport:
     def to_json_dict(self) -> dict:
         return {
             "equilibria": [
-                {"red": list(a.counts), "blue": list(b.counts), "payoffs": est.to_json_dict()}
+                {"red": _seed_pairs(a), "blue": _seed_pairs(b), "payoffs": est.to_json_dict()}
                 for a, b, est in self.equilibria
             ],
             "eps": self.eps,
@@ -183,7 +181,7 @@ class JointOptimum:
     exhaustive: bool
 
     def to_json_dict(self) -> dict:
-        return {"red": list(self.red.counts), "blue": list(self.blue.counts),
+        return {"red": _seed_pairs(self.red), "blue": _seed_pairs(self.blue),
                 "value": self.value, "exhaustive": self.exhaustive}
 
 
@@ -281,7 +279,9 @@ def best_response(game: GameSpec, side: str, opponent: Allocation,
                   allocation_cap: int = DEFAULT_ALLOCATION_CAP) -> tuple[Allocation, float]:
     """The payoff-maximizing allocation against a fixed opponent.
 
-    Ties go to the lexicographically smallest counts tuple.
+    Ties go to the lexicographically smallest counts tuple: candidates come
+    in strictly descending counts order, so a later tied candidate replaces
+    the incumbent.
     """
     if side not in ("red", "blue"):
         raise ValidationError(f"side must be 'red' or 'blue', got {side!r}")
@@ -294,8 +294,7 @@ def best_response(game: GameSpec, side: str, opponent: Allocation,
             pay = oracle.payoffs(cand, opponent)[0]
         else:
             pay = oracle.payoffs(opponent, cand)[1]
-        if pay > best_pay + TIE_EPS or (
-                abs(pay - best_pay) <= TIE_EPS and best is not None and cand.counts < best.counts):
+        if pay >= best_pay - TIE_EPS:
             best, best_pay = cand, max(pay, best_pay)
     assert best is not None
     return best, best_pay
@@ -461,7 +460,7 @@ class DeviationRecord:
 
     def to_json_dict(self) -> dict:
         return {"player": self.player, "label": self.label,
-                "allocation": list(self.allocation.counts),
+                "allocation": _seed_pairs(self.allocation),
                 "payoff": self.payoff, "improvement": self.improvement}
 
 

@@ -34,7 +34,8 @@ class CapError(ContagionError):
 
 
 class StateSpaceCapError(CapError):
-    """Exact enumeration would visit too many outcome-tree nodes."""
+    """An exact back end would outgrow its state space: enumeration's
+    outcome-tree nodes, or the cells of a layered-DP layer."""
 
 
 class AllocationSpaceCapError(CapError):

@@ -20,7 +20,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, xlog1py, xlogy
 
 from .dynamics import AdoptionFunction, LayerOrder
 from .engine import (
@@ -35,7 +34,7 @@ from .engine import (
     monte_carlo_estimate,
     split_seeds,
 )
-from .errors import ValidationError
+from .errors import StateSpaceCapError, ValidationError
 from .graphs import Graph
 
 DEFAULT_PRUNE = 1e-15
@@ -164,9 +163,23 @@ def _seed_branches(sr: int, sb: int, contested: list[float]):
 # step's dozen or so arrays stay small enough for the CPU caches.
 _CHUNK_CELLS = 1 << 15
 
+# Cells that one per-layer array of the DP, the state box or the table of log
+# factorials, may hold (512 MiB of float64): gadgets are built from their
+# structure alone, so this is where the size of a layer meets memory.
+MAX_DP_CELLS = 1 << 26
+
+
+def _check_cells(cells: int, what: str) -> None:
+    if cells > MAX_DP_CELLS:
+        raise StateSpaceCapError(
+            f"the layered DP's {what} would hold {cells} cells, above the cap of "
+            f"{MAX_DP_CELLS}; the layer sizes are infeasible for an exact payoff")
+
 
 def _log_binom_pmf(log_fact: np.ndarray, n, k, p) -> np.ndarray:
     """log Binom(n, p) pmf at k <= n, broadcast, from log_fact[i] = log(i!)."""
+    from scipy.special import xlog1py, xlogy
+
     return log_fact[n] - log_fact[k] - log_fact[n - k] + xlogy(k, p) + xlog1py(n - k, -p)
 
 
@@ -206,6 +219,7 @@ def _seed_box(x_lo: int, x_hi: int, y_lo: int, y_hi: int, branches):
     b0 = y_lo + min(b for _, b, _ in branches)
     shape = (x_hi + max(r for r, _, _ in branches) - r0 + 1,
              y_hi + max(b for _, b, _ in branches) - b0 + 1)
+    _check_cells(shape[0] * shape[1], f"state box {shape}")
     return np.zeros(shape), r0, b0
 
 
@@ -220,12 +234,16 @@ def _layer_transition(p: np.ndarray, pr: np.ndarray, pb: np.ndarray, m: int, pru
                       branches):
     """Distribution of the next layer's (red, blue) totals, its offset, and the
     expected (red, blue) update counts among its m unseeded vertices.
+    Raises StateSpaceCapError when a layer needs more than MAX_DP_CELLS cells.
 
     The states have masses p and one-step probabilities pr and pb.  From a
     state of mass p the m outcomes are a multinomial: Binom(m, pr + pb)
     adopters t, of whom Binom(t, pr / (pr + pb)) turn red.  Outcomes whose
     conditional probability is at most prune / p are dropped.
     """
+    from scipy.special import gammaln
+
+    _check_cells(m + 1, "log-factorial table")
     pa = np.minimum(pr + pb, 1.0)
     q = np.divide(pr, pa, out=np.zeros_like(pr), where=pa > 0.0)
     # q is 0 only where pr is 0 and 1 only where pb is 0; the red and blue

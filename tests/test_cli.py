@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import pytest
 
-from contagion_games import build_gadget, serialize_graph
+import contagion_games
+from contagion_games import build_gadget, layered, serialize_graph
 from contagion_games.cli import run
 
 
@@ -158,6 +163,9 @@ def test_nash_lists_equilibria_with_extremity_flags(tmp_path):
     assert run(["nash", "--config", config, "--out", str(out)]) == 0
     doc = read_result(out)
     assert len(doc["result"]["equilibria"]) == 1
+    # Allocations are written as [vertex, count] pairs.
+    assert doc["result"]["equilibria"][0]["red"] == [[3, 1]]
+    assert doc["result"]["equilibria"][0]["blue"] == [[3, 1]]
     assert doc["result"]["n_red_strategies"] == 13
     rows = read_csv(out)
     assert rows[0] == ["profile", "pi_R", "pi_B", "joint", "is_worst", "is_best"]
@@ -171,6 +179,8 @@ def test_poa_and_bm_single_row_summaries(tmp_path):
     doc = read_result(out_poa)
     assert doc["result"]["value"] == pytest.approx(1.3)
     assert doc["result"]["max_joint"] == 13.0
+    optimum = doc["result"]["optimum"]
+    assert (optimum["red"], optimum["blue"]) == ([[0, 1]], [[3, 1]])
     rows = read_csv(out_poa)
     assert rows[0][:4] == ["kind", "value", "n_equilibria", "worst_nash_joint"]
     assert len(rows) == 2
@@ -214,6 +224,10 @@ def test_gadget_verb_emits_all_artifacts(tmp_path):
     rows = read_csv(out)
     assert rows[0][0] == "record"
     assert rows[-1][0] == "summary"
+    deviations = read_result(out)["result"]["profiles"]["designated"]["report"]["deviations"]
+    assert deviations and all(
+        len(pair) == 2 and pair[1] >= 1 for d in deviations for pair in d["allocation"])
+    assert (out / "result.json").stat().st_size < 10_000
 
 
 @pytest.mark.parametrize("gadget", [
@@ -247,6 +261,49 @@ def test_gadget_verb_skips_materializing_oversized_graphs(tmp_path):
     assert graph_doc["materialized"] is False
     assert "max_graph_edges=50" in graph_doc["reason"]
     assert "edges" not in graph_doc
+
+
+def test_gadget_verb_on_a_hundred_million_vertices_writes_a_small_report(tmp_path):
+    config = write_config(tmp_path, {"graph": {"gadget": {
+        "kind": "threshold_two_layer", "layer1_size": 20, "final_small": 10,
+        "final_large": 10**8, "threshold": 0.5}}})
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = run(["gadget", "--config", config, "--out", str(out)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert (out / "result.json").stat().st_size < 100_000
+    assert peak < 50 << 20
+
+
+def test_gadget_verb_exits_with_cap_status_at_the_dp_cell_cap(tmp_path, monkeypatch, capsys):
+    config = write_config(tmp_path, {"graph": {"gadget": {
+        "kind": "convexity_amplifier", "base_size": 4, "depth": 3,
+        "switch_exponent": 2.0, "final_small": 6}}})
+    monkeypatch.setattr(layered, "MAX_DP_CELLS", 10)
+    assert run(["gadget", "--config", config, "--out", str(tmp_path / "out")]) == 2
+    assert "layered DP" in capsys.readouterr().err
+
+
+def test_gadget_verb_rejects_convexity_depths_beyond_float_range(tmp_path, capsys):
+    config = write_config(tmp_path, {"graph": {"gadget": {
+        "kind": "convexity_amplifier", "base_size": 4, "depth": 12,
+        "switch_exponent": 2.0, "final_small": 2}}})
+    assert run(["gadget", "--config", config, "--out", str(tmp_path / "out")]) == 1
+    assert "beyond float range" in capsys.readouterr().err
+
+
+def test_importing_the_package_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(contagion_games.__file__))
+    code = ("import sys, contagion_games, contagion_games.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_other_verbs_accept_gadget_graph_sources(tmp_path):

@@ -1,5 +1,6 @@
 """Equilibrium enumeration, efficiency ratios, and restricted deviation checks."""
 
+import itertools
 import math
 
 import pytest
@@ -67,6 +68,12 @@ def test_enumerate_allocations_lists_every_multiset_once():
     assert allocs[-1].counts == (0, 0, 2)
     assert len(set(allocs)) == 6
     assert all(a.budget == 2 for a in allocs)
+    # The order is the dense count vectors', strictly descending.
+    for n in range(1, 7):
+        for budget in range(4):
+            reference = sorted((c for c in itertools.product(range(budget + 1), repeat=n)
+                                if sum(c) == budget), reverse=True)
+            assert [a.counts for a in enumerate_allocations(n, budget)] == reference
 
 
 def test_enumerate_allocations_cap():
@@ -179,6 +186,24 @@ def test_best_response_contests_the_big_hub():
     assert payoff == 5.0
     with pytest.raises(ValidationError, match="side"):
         best_response(game, "green", seeds(13, 3))
+
+
+def test_best_response_ties_go_to_the_smallest_counts_tuple():
+    # Hubs 0 and 3 each feed two followers and blue sits on isolated vertex
+    # 6, so red's two hubs tie; brute force names the lexicographically
+    # smallest counts tuple, the hub enumerated last.
+    edges = [(0, 1), (0, 2), (3, 4), (3, 5)]
+    game = GameSpec(Graph(n=7, edges=tuple(edges)), linear_dyn(),
+                    SinglePassOrder((1, 2, 4, 5)), 1, 1)
+    oracle = PayoffOracle(game)
+    blue = seeds(7, 6)
+    pays = {a: oracle.payoffs(a, blue)[0] for a in enumerate_allocations(7, 1)}
+    top = max(pays.values())
+    tied = [a for a, pay in pays.items() if pay == top]
+    assert len(tied) > 1
+    alloc, payoff = best_response(game, "red", blue, oracle=oracle)
+    assert alloc.counts == min(a.counts for a in tied)
+    assert alloc.seeded_vertices() == (3,) and payoff == top
 
 
 def test_instance_without_any_pure_nash_is_reported_as_such():

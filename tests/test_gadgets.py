@@ -12,6 +12,7 @@ from contagion_games import (
     GADGET_BUILDERS,
     LayerOrder,
     Prediction,
+    StateSpaceCapError,
     StrategyProfile,
     ValidationError,
     build_gadget,
@@ -308,8 +309,12 @@ def test_convexity_validation():
         convexity_amplifier(4, 3, 1.0, 6)
     with pytest.raises(ValidationError, match="base_size must fit"):
         convexity_amplifier(2, 3, 2.0, 6, budget=2)
-    with pytest.raises(ValidationError, match="infeasible at desk scale"):
-        convexity_amplifier(4, 8, 2.0, 2)
+    with pytest.raises(ValidationError, match="beyond float range"):
+        convexity_amplifier(4, 12, 2.0, 2)
+    # Infeasible at desk scale: it builds, and its verification stops at the
+    # layered DP's cell cap instead of asking for a (65537, 65537) state box.
+    with pytest.raises(StateSpaceCapError, match="state box"):
+        verify_gadget(convexity_amplifier(4, 8, 2.0, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +346,17 @@ def test_polarization_star_size_comes_from_exact_deviations():
     ver = verify_gadget(spec)
     assert ver.ok
     assert ver.measured["bm_designated"] == pytest.approx(10.3279, abs=1e-3)
+
+
+def test_a_hundred_million_vertex_polarization_amplifier_verifies():
+    # The DP's pruning leaves pi_R short of the closed form by ~8e-14 of it
+    # at every size, so the check is relative.
+    spec = polarization_amplifier(2, 200, 10**8, 2.0)
+    assert spec.n_vertices > 10**8
+    ver = verify_gadget(spec)
+    assert ver.ok
+    row = [r for r in ver.prediction_rows if r.name == "designated_pi_R"][0]
+    assert row.check == "within-band" and row.ok
 
 
 def test_polarization_single_stage_misses_its_lower_bound():

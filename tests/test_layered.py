@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from contagion_games import engine
+from contagion_games import engine, layered
 from contagion_games import (
     Allocation,
     BuiltinAdoption,
@@ -19,6 +19,7 @@ from contagion_games import (
     LayeredStructure,
     MixedAllocation,
     PowerSwitch,
+    StateSpaceCapError,
     StrategyProfile,
     SwitchSelectAdoption,
     TableSelection,
@@ -158,6 +159,22 @@ def test_dp_closed_form_two_layer_threshold():
     est = layered_exact_payoffs(structure, dyn, profile)
     assert est.pi_R == pytest.approx(6.0)
     assert est.pi_B == pytest.approx(6.0)
+
+
+def test_dp_refuses_layers_beyond_its_cell_cap(monkeypatch):
+    # An unseeded 8-vertex middle layer needs a 9-cell log-factorial table
+    # and a box of its (red, blue) totals wider than 10 cells.
+    structure = LayeredStructure(((4, 8, 2),))
+    profile = StrategyProfile(Allocation.from_seeds(14, [0]), Allocation.from_seeds(14, [1]))
+    dyn = make_dyn("linear")
+    assert layered_exact_payoffs(structure, dyn, profile).pi_R > 1.0
+    monkeypatch.setattr(layered, "MAX_DP_CELLS", 10)
+    with pytest.raises(StateSpaceCapError, match="state box"):
+        layered_exact_payoffs(structure, dyn, profile)
+    with pytest.raises(StateSpaceCapError, match="log-factorial table"):
+        layered_exact_payoffs(LayeredStructure(((4, 10, 2),)), dyn,
+                              StrategyProfile(Allocation.from_seeds(16, [0]),
+                                              Allocation.from_seeds(16, [1])))
 
 
 def test_dp_rejects_wrong_allocation_length():
