@@ -326,7 +326,6 @@ def _verb_payoff(config: dict):
     source = _graph_source(config)
     gadget = source[1]
     if (ORACLE_NAMES[name] == "exact" and gadget is not None
-            and (gadget.structure is not None or gadget.chain is not None)
             and "dynamics" not in config and "schedule" not in config):
         # The gadget's own exact back end answers without materialising its
         # graph, which enumeration could not finish at gadget sizes.

@@ -957,6 +957,12 @@ class LayerOrder(UpdateSchedule):
     def _layer(self, k: int) -> tuple[int, ...]:
         return tuple(v for start, stop in self.runs[k] for v in range(start, stop))
 
+    @property
+    def order(self) -> tuple[int, ...]:
+        """Every layer's ids, layer after layer: a single pass in this order
+        runs the same process when no vertex reads one of its own layer."""
+        return tuple(v for k in range(len(self.runs)) for v in self._layer(k))
+
     def layer_sizes(self) -> list[int]:
         return [sum(stop - start for start, stop in layer) for layer in self.runs]
 

@@ -370,7 +370,6 @@ def max_joint_payoff(game: GameSpec, oracle: Optional[PayoffOracle] = None,
 
 def price_of_anarchy(game: GameSpec, oracle: Optional[PayoffOracle] = None,
                      nash: Optional[NashReport] = None,
-                     optimum: Optional[JointOptimum] = None,
                      eps: Optional[float] = None,
                      allocation_cap: int = DEFAULT_ALLOCATION_CAP,
                      pair_cap: int = DEFAULT_PAIR_CAP) -> EfficiencyReport:
@@ -378,8 +377,7 @@ def price_of_anarchy(game: GameSpec, oracle: Optional[PayoffOracle] = None,
     oracle = oracle or PayoffOracle(game)
     nash = nash or find_pure_nash(game, oracle, eps=eps,
                                   allocation_cap=allocation_cap, pair_cap=pair_cap)
-    optimum = optimum or max_joint_payoff(game, oracle, allocation_cap=allocation_cap,
-                                          pair_cap=pair_cap)
+    optimum = max_joint_payoff(game, oracle, allocation_cap=allocation_cap, pair_cap=pair_cap)
     caveats = list(nash.caveats)
     if not optimum.exhaustive:
         caveats.append("max joint payoff is a hill-climbing lower bound")

@@ -1,18 +1,20 @@
 """Benchmark graph families bundled with designated strategy profiles,
 declared deviation sets, and closed-form predictions.
 
-Each builder returns a :class:`GadgetSpec` that knows how to evaluate payoffs
-exactly (layered dynamic program, replicated-chain forward pass, or generic
-enumeration), and :func:`verify_gadget` recomputes every declared quantity and
-reports predicted-versus-measured rows plus equilibrium checks against the
-declared deviation sets.
+Each builder returns a :class:`GadgetSpec` described by a layered structure or
+a replicated-chain layout; its size, schedule, graph and exact payoffs (layered
+dynamic program or chain forward pass) follow from that description, and
+:func:`verify_gadget` recomputes every declared quantity and reports
+predicted-versus-measured rows plus equilibrium checks against the declared
+deviation sets.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -23,11 +25,9 @@ from .dynamics import (
     AdoptionFunction,
     LayerOrder,
     PowerSwitch,
-    SinglePassOrder,
     SwitchSelectAdoption,
     ThresholdSwitch,
     TullockSelection,
-    UpdateSchedule,
     linear_selection,
     load_dynamics,
 )
@@ -37,7 +37,7 @@ from .engine import (
     GameSpec,
     PayoffEstimate,
     StrategyProfile,
-    exact_payoffs,
+    _is_integer,
     split_seeds,
 )
 from .equilibrium import (
@@ -52,6 +52,21 @@ from .layered import LayeredStructure, layered_exact_payoffs
 MAX_CONTESTED_BRANCHES = 20
 
 PREDICTION_CHECKS = ("equal", "at-least", "within-band", "report")
+
+
+def _integer(name: str, value) -> int:
+    """An integer gadget parameter, numpy's included; a bool, a float or a
+    string is refused, never truncated or parsed."""
+    if not _is_integer(value):
+        raise ValidationError(f"gadget parameter {name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _real(name: str, value) -> float:
+    """A real gadget parameter; a bool or a string is refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"gadget parameter {name} must be a real number, got {value!r}")
+    return float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -149,14 +164,10 @@ class ChainLayout:
     head_seeds: int = 1
 
     def __post_init__(self):
-        if self.chain_steps < 1:
-            raise ValidationError("chain_steps must be at least 1")
-        if self.replications < 1:
-            raise ValidationError("replications must be at least 1")
-        if self.n_terminal < 1:
-            raise ValidationError("n_terminal must be at least 1")
-        if self.head_seeds < 1:
-            raise ValidationError("head_seeds must be at least 1")
+        for name in ("chain_steps", "replications", "n_terminal", "head_seeds"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+            if getattr(self, name) < 1:
+                raise ValidationError(f"{name} must be at least 1")
 
     @property
     def n_inputs(self) -> int:
@@ -441,17 +452,15 @@ def sample_chain_block(layout: ChainLayout, dyn: AdoptionFunction,
 
 @dataclass
 class GadgetSpec:
-    """A generated benchmark instance: graph family, dynamics, schedule,
-    budgets, named profiles with deviation sets, and predictions."""
+    """A generated benchmark instance: a layered structure or a chain layout,
+    dynamics, budgets, named profiles with deviation sets, and predictions.
+    The size, schedule, graph and exact payoffs follow from the layout."""
 
     kind: str
     params: dict
     dynamics: AdoptionFunction
-    schedule: UpdateSchedule
     budget_red: int
     budget_blue: int
-    n_vertices: int
-    n_edges: int
     profiles: dict[str, ProfileCase]
     predictions: tuple[Prediction, ...]
     vertex_classes: dict[str, tuple[int, int]] = field(default_factory=dict)
@@ -459,8 +468,29 @@ class GadgetSpec:
     notes: tuple[str, ...] = ()
     structure: Optional[LayeredStructure] = None
     chain: Optional[ChainLayout] = None
-    graph: Optional[Graph] = None
     extra_measure: Optional[Callable[["GadgetSpec", Callable], dict]] = None
+
+    def __post_init__(self):
+        if (self.structure is None) == (self.chain is None):
+            raise ValidationError("a gadget needs exactly one of a layered structure "
+                                  "and a chain layout")
+
+    @property
+    def layout(self):
+        """The gadget's LayeredStructure or ChainLayout."""
+        return self.chain if self.structure is None else self.structure
+
+    @property
+    def n_vertices(self) -> int:
+        return self.layout.n
+
+    @property
+    def n_edges(self) -> int:
+        return self.layout.n_edges
+
+    @cached_property
+    def schedule(self) -> LayerOrder:
+        return self.layout.depth_schedule()
 
     def payoff_fn(self) -> Callable[[Allocation, Allocation], PayoffEstimate]:
         profile_fn = self.profile_payoff_fn()
@@ -470,18 +500,10 @@ class GadgetSpec:
         """The gadget's own exact back end, on pure or mixed profiles."""
         if self.chain is not None:
             return partial(chain_exact_payoffs, self.chain, self.dynamics)
-        if self.structure is not None:
-            return partial(layered_exact_payoffs, self.structure, self.dynamics)
-        return partial(exact_payoffs, self.game())
+        return partial(layered_exact_payoffs, self.structure, self.dynamics)
 
     def build_graph(self, max_edges: int = 5_000_000) -> Graph:
-        if self.graph is not None:
-            return self.graph
-        if self.structure is not None:
-            return self.structure.build_graph(max_edges=max_edges)
-        if self.chain is not None:
-            return self.chain.build_graph(max_edges=max_edges)
-        raise ValidationError("gadget carries no graph description")
+        return self.layout.build_graph(max_edges=max_edges)
 
     def game(self, max_edges: int = 5_000_000) -> GameSpec:
         return GameSpec(graph=self.build_graph(max_edges=max_edges),
@@ -489,12 +511,8 @@ class GadgetSpec:
                         budget_red=self.budget_red, budget_blue=self.budget_blue)
 
     def schedule_summary(self) -> dict:
-        if isinstance(self.schedule, LayerOrder):
-            return {"kind": "layer_order", "n_phases": len(self.schedule.runs),
-                    "phase_sizes": self.schedule.layer_sizes()}
-        if isinstance(self.schedule, SinglePassOrder):
-            return {"kind": "single_pass", "length": len(self.schedule.order)}
-        return self.schedule.to_json_dict()
+        return {"kind": "layer_order", "n_phases": len(self.schedule.runs),
+                "phase_sizes": self.schedule.layer_sizes()}
 
     def to_json_dict(self) -> dict:
         return {
@@ -642,10 +660,12 @@ def verify_gadget(spec: GadgetSpec, eps: float = EXACT_EPS,
 def influencer_components(sizes: Sequence[int], hubs_per_component: int,
                           dynamics: Optional[AdoptionFunction] = None,
                           budget_red: int = 1, budget_blue: int = 1) -> GadgetSpec:
-    """Disjoint components, each with a few hub vertices linked to every other
-    vertex of their component; followers update once, in one pass."""
-    sizes = tuple(int(s) for s in sizes)
-    hubs = int(hubs_per_component)
+    """Disjoint components, each a layer of hub vertices linked to every other
+    vertex of their component, a layer of followers that update once."""
+    sizes = tuple(_integer("sizes", s) for s in sizes)
+    hubs = _integer("hubs_per_component", hubs_per_component)
+    budget_red = _integer("budget_red", budget_red)
+    budget_blue = _integer("budget_blue", budget_blue)
     if not sizes:
         raise ValidationError("at least one component size is required")
     if hubs < 1:
@@ -656,23 +676,13 @@ def influencer_components(sizes: Sequence[int], hubs_per_component: int,
                 f"component size {s} is smaller than hubs_per_component={hubs}")
     if dynamics is None:
         dynamics = SwitchSelectAdoption(PowerSwitch(1.0), linear_selection())
-    edges = []
-    offsets = []
-    start = 0
+    structure = LayeredStructure(tuple((hubs, s - hubs) if s > hubs else (hubs,) for s in sizes))
+    n = structure.n
+    offsets = [comp[0][0] for comp in structure.layer_ranges()]
     classes: dict[str, tuple[int, int]] = {}
-    for c, size in enumerate(sizes):
-        offsets.append(start)
+    for c, (start, size) in enumerate(zip(offsets, sizes)):
         classes[f"component{c}_hubs"] = (start, hubs)
         classes[f"component{c}_followers"] = (start + hubs, size - hubs)
-        for h in range(start, start + hubs):
-            for v in range(start + hubs, start + size):
-                edges.append((h, v))
-        start += size
-    n = start
-    graph = Graph(n=n, edges=tuple(edges), directed=True)
-    followers = [v for c, size in enumerate(sizes)
-                 for v in range(offsets[c] + hubs, offsets[c] + size)]
-    schedule = SinglePassOrder(tuple(followers))
 
     biggest = max(range(len(sizes)), key=lambda c: (sizes[c], -c))
     hub_ids = list(range(offsets[biggest], offsets[biggest] + hubs))
@@ -702,28 +712,22 @@ def influencer_components(sizes: Sequence[int], hubs_per_component: int,
     designated = ProfileCase(label="designated", red=red, blue=blue,
                              red_deviations=tuple(red_devs),
                              blue_deviations=tuple(blue_devs))
-    expected_edges = hubs * sum(s - hubs for s in sizes)
     predictions = (
-        Prediction("edge_count", float(expected_edges),
+        Prediction("edge_count", float(hubs * sum(s - hubs for s in sizes)),
                    "hubs_per_component * sum(size - hubs_per_component)",
                    check="equal", tol=0.0),
         Prediction("vertex_count", float(sum(sizes)), "sum(sizes)", check="equal", tol=0.0),
     )
-    spec = GadgetSpec(
+    return GadgetSpec(
         kind="influencer_components",
         params={"sizes": list(sizes), "hubs_per_component": hubs,
                 "budget_red": budget_red, "budget_blue": budget_blue,
                 "dynamics": dynamics.to_json_dict()},
-        dynamics=dynamics, schedule=schedule,
-        budget_red=budget_red, budget_blue=budget_blue,
-        n_vertices=n, n_edges=len(edges),
+        dynamics=dynamics, budget_red=budget_red, budget_blue=budget_blue,
         profiles={"designated": designated},
-        predictions=predictions, vertex_classes=classes, graph=graph,
+        predictions=predictions, vertex_classes=classes, structure=structure,
         notes=("designated profile seeds the hubs of the largest component",),
     )
-    if len(edges) != expected_edges:
-        raise ValidationError("generated edge count does not match the closed form")
-    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -737,8 +741,9 @@ def threshold_two_layer(layer1_size: int, final_small: int, final_large: int,
     same first-layer size; adoption switches on only at the given threshold
     fraction, so payoffs are deterministic totals with a stochastic color split.
     """
-    m = int(layer1_size)
-    n1, n2 = int(final_small), int(final_large)
+    m = _integer("layer1_size", layer1_size)
+    n1, n2 = _integer("final_small", final_small), _integer("final_large", final_large)
+    threshold = _real("threshold", threshold)
     if m < 2 or n1 < 1 or n2 < 1:
         raise ValidationError("layer sizes must be positive (first layer at least 2)")
     if not (0.0 < threshold < 1.0):
@@ -752,7 +757,6 @@ def threshold_two_layer(layer1_size: int, final_small: int, final_large: int,
     structure = LayeredStructure(((m, n1), (m, n2)))
     n = structure.n
     dynamics = SwitchSelectAdoption(ThresholdSwitch(threshold), linear_selection())
-    schedule = structure.depth_schedule()
     c2_base = m + n1
     classes = {"component1_layer1": (0, m), "component1_layer2": (m, n1),
                "component2_layer1": (c2_base, m), "component2_layer2": (c2_base + m, n2)}
@@ -820,9 +824,7 @@ def threshold_two_layer(layer1_size: int, final_small: int, final_large: int,
         kind="threshold_two_layer",
         params={"layer1_size": m, "final_small": n1, "final_large": n2,
                 "threshold": threshold, "budget_each": budget},
-        dynamics=dynamics, schedule=schedule,
-        budget_red=budget, budget_blue=budget,
-        n_vertices=n, n_edges=structure.n_edges,
+        dynamics=dynamics, budget_red=budget, budget_blue=budget,
         profiles={"designated": designated, "best_joint": best_joint},
         predictions=predictions, vertex_classes=classes, structure=structure,
         extra_measure=split_layer2,
@@ -842,7 +844,9 @@ def convexity_amplifier(base_size: int, depth: int, switch_exponent: float,
     """Two layered components whose middle layers grow as a power tower, so a
     superlinear switching function compounds across depth; the small component
     hosts the designated profile and the large one the high-payoff profile."""
-    l1, N, r, k = int(base_size), int(depth), float(switch_exponent), int(budget)
+    l1, N = _integer("base_size", base_size), _integer("depth", depth)
+    r, k = _real("switch_exponent", switch_exponent), _integer("budget", budget)
+    final_small = _integer("final_small", final_small)
     if N < 2:
         raise ValidationError("depth must be at least 2")
     if r <= 1.0:
@@ -856,7 +860,7 @@ def convexity_amplifier(base_size: int, depth: int, switch_exponent: float,
     try:
         for i in range(1, N):
             size = max(round(l1 ** (r ** (i - 1))), prev, 1)
-            middles.append(int(size))
+            middles.append(size)
             prev = size
         tower = r ** (N - 1)
         poa_predicted = 2.0 ** (tower - 1.0)
@@ -866,7 +870,7 @@ def convexity_amplifier(base_size: int, depth: int, switch_exponent: float,
         raise ValidationError(
             f"depth {N} with switch_exponent {r} gives layer sizes beyond float range; "
             "lower the depth") from None
-    final_small, final_large = int(final_small), int(final_large)
+    final_large = _integer("final_large", final_large)
     if final_small < 1 or final_large < 1:
         raise ValidationError("final layer sizes must be positive")
     small_sizes = tuple(middles) + (final_small,)
@@ -874,7 +878,6 @@ def convexity_amplifier(base_size: int, depth: int, switch_exponent: float,
     structure = LayeredStructure((small_sizes, large_sizes))
     n = structure.n
     dynamics = SwitchSelectAdoption(PowerSwitch(r), linear_selection())
-    schedule = structure.depth_schedule()
     big_base = sum(small_sizes)
     classes = {}
     ranges = structure.layer_ranges()
@@ -936,9 +939,7 @@ def convexity_amplifier(base_size: int, depth: int, switch_exponent: float,
         kind="convexity_amplifier",
         params={"base_size": l1, "depth": N, "switch_exponent": r,
                 "final_small": final_small, "final_large": final_large, "budget": k},
-        dynamics=dynamics, schedule=schedule,
-        budget_red=k, budget_blue=k,
-        n_vertices=n, n_edges=structure.n_edges,
+        dynamics=dynamics, budget_red=k, budget_blue=k,
         profiles={"designated": designated, "best_joint": best_joint},
         predictions=predictions, vertex_classes=classes, structure=structure,
         extra_measure=final_fraction,
@@ -975,8 +976,9 @@ def polarization_amplifier(stages: int, middle_size: int, big_final_size: int,
     deviation into the deep component (those payoffs do not depend on the star
     size, so the fixed point is well defined).
     """
-    k, n_mid, n_big = int(stages), int(middle_size), int(big_final_size)
-    s = float(selection_exponent)
+    k, n_mid = _integer("stages", stages), _integer("middle_size", middle_size)
+    n_big = _integer("big_final_size", big_final_size)
+    s = _real("selection_exponent", selection_exponent)
     if k < 1:
         raise ValidationError("stages must be at least 1")
     if n_mid < 1 or n_big < 1:
@@ -1023,13 +1025,11 @@ def polarization_amplifier(stages: int, middle_size: int, big_final_size: int,
                                         StrategyProfile(probe.red, alt))
             best = max(best, est.pi_B)
         small_final_size = max(1, math.ceil(best - 1.0 - 1e-9))
-    n2 = int(small_final_size)
+    n2 = _integer("small_final_size", small_final_size)
     if n2 < 1:
         raise ValidationError(
             "small_final_size < 1: parameters are too aggressive for a valid star")
     structure, designated = build_cases(n2)
-    n = structure.n
-    schedule = structure.depth_schedule()
     classes = {}
     ranges = structure.layer_ranges()
     for d, (start, size) in enumerate(ranges[0]):
@@ -1058,9 +1058,7 @@ def polarization_amplifier(stages: int, middle_size: int, big_final_size: int,
         params={"stages": k, "middle_size": n_mid, "big_final_size": n_big,
                 "selection_exponent": s, "small_final_size": n2,
                 "small_final_closed_form": closed_form},
-        dynamics=dynamics, schedule=schedule,
-        budget_red=3, budget_blue=1,
-        n_vertices=n, n_edges=structure.n_edges,
+        dynamics=dynamics, budget_red=3, budget_blue=1,
         profiles={"designated": designated},
         predictions=predictions, vertex_classes=classes, structure=structure,
         notes=("the composed-dampening star size is reported for reference; the "
@@ -1083,8 +1081,7 @@ def chain_replication(chain_steps: int, replications: int, n_terminal: int,
     the chain survives each of the last ``chain_steps`` links with probability
     one half.
     """
-    layout = ChainLayout(chain_steps=int(chain_steps), replications=int(replications),
-                         n_terminal=int(n_terminal), head_seeds=int(head_seeds))
+    layout = ChainLayout(chain_steps, replications, n_terminal, head_seeds)
     dynamics = SwitchSelectAdoption(ThresholdSwitch(0.75), linear_selection())
     n = layout.n
     blue = Allocation.from_seeds(n, list(range(layout.head_seeds)))
@@ -1144,9 +1141,7 @@ def chain_replication(chain_steps: int, replications: int, n_terminal: int,
         kind="chain_replication",
         params={"chain_steps": layout.chain_steps, "replications": layout.replications,
                 "n_terminal": layout.n_terminal, "head_seeds": layout.head_seeds},
-        dynamics=dynamics, schedule=layout.depth_schedule(),
-        budget_red=layout.chain_steps, budget_blue=layout.head_seeds,
-        n_vertices=n, n_edges=layout.n_edges,
+        dynamics=dynamics, budget_red=layout.chain_steps, budget_blue=layout.head_seeds,
         profiles={"designated": designated},
         predictions=predictions, vertex_classes=classes, chain=layout,
         flags=flags, extra_measure=measure,

@@ -114,13 +114,7 @@ def validate_layered_graph(graph: Graph, structure: LayeredStructure) -> None:
     if len(graph.edges) != structure.n_edges:
         raise ValidationError(
             f"graph has {len(graph.edges)} edges, structure describes {structure.n_edges}")
-    expected = set()
-    for comp in structure.layer_ranges():
-        for (s0, m0), (s1, m1) in zip(comp, comp[1:]):
-            for u in range(s0, s0 + m0):
-                for v in range(s1, s1 + m1):
-                    expected.add((u, v))
-    if set(graph.edges) != expected:
+    if set(graph.edges) != set(structure.build_graph(max_edges=structure.n_edges).edges):
         raise ValidationError("graph edges do not match the layered structure")
 
 
@@ -253,15 +247,19 @@ def _layer_transition(p: np.ndarray, pr: np.ndarray, pb: np.ndarray, m: int, pru
     log_1mq = np.log1p(-np.where(q < 1.0, q, 0.0))
     thr = prune / p
     log_fact = gammaln(np.arange(m + 1) + 1)
-    rows = max(1, _CHUNK_CELLS // (m + 1))
-    chunks = [slice(lo, min(lo + rows, len(p))) for lo in range(0, len(p), rows)]
+
+    def chunked(row_cells: int):
+        rows = max(1, _CHUNK_CELLS // row_cells)
+        return [slice(lo, min(lo + rows, len(p))) for lo in range(0, len(p), rows)]
 
     # Per state: the totals t above thr (an outcome is never likelier than
     # its total), and windows of red and blue counts outside which the
     # marginal, hence every outcome, is at most thr.  The count windows use
     # half of thr, so float rounding cannot leave a kept outcome outside them.
+    # A window row spans at most 2 band + 2 counts, and never more than m + 1.
+    band = float(np.max(_hoeffding_band(m, 0.5 * thr), initial=0.0))
     win = np.empty((6, len(p)), dtype=np.int64)
-    for chunk in chunks:
+    for chunk in chunked(int(min(m + 1, 2 * band + 2))):
         for w, (prob, cut) in enumerate(((pa, thr), (pr, 0.5 * thr), (pb, 0.5 * thr))):
             win[2 * w:2 * w + 2, chunk] = _pmf_window(log_fact, m, prob[chunk], cut[chunk])
     t_lo, t_hi, x_lo, x_hi, y_lo, y_hi = win
@@ -273,7 +271,7 @@ def _layer_transition(p: np.ndarray, pr: np.ndarray, pb: np.ndarray, m: int, pru
     nxt, nr0, nb0 = _seed_box(int(x_lo[live].min()), int(x_hi[live].max()),
                               int(y_lo[live].min()), int(y_hi[live].max()), branches)
     er = eb = 0.0
-    for chunk in chunks:
+    for chunk in chunked(m + 1):
         if not live[chunk].any():
             continue
         # The chunk's (state, total) pairs, each with its window of red counts

@@ -134,6 +134,27 @@ def test_payoff_on_a_layered_gadget_uses_its_exact_dp(tmp_path):
     assert "pruned_mass" not in result
 
 
+def test_payoff_on_a_hub_gadget_uses_its_exact_dp(tmp_path):
+    gadget = {"kind": "influencer_components", "sizes": [4, 8], "hubs_per_component": 2}
+    config = write_config(tmp_path, {"graph": {"gadget": gadget},
+                                     "profile": {"red_seeds": [4], "blue_seeds": [4]}})
+    out = tmp_path / "out"
+    assert run(["payoff", "--config", config, "--out", str(out)]) == 0
+    result = read_result(out)["result"]
+    # The contested hub is each color's with probability 1/2, and each of its
+    # six followers sees one hub in two infected.
+    assert (result["pi_R"], result["pi_B"]) == pytest.approx((2.0, 2.0), abs=1e-12)
+    assert result["method"] == "exact-layered-dp"
+
+
+def test_gadget_parameters_are_not_coerced(tmp_path, capsys):
+    config = write_config(tmp_path, {"graph": {"gadget": {
+        "kind": "chain_replication", "chain_steps": 4, "replications": 17.9,
+        "n_terminal": 10}}})
+    assert run(["gadget", "--config", config, "--out", str(tmp_path / "out")]) == 1
+    assert "gadget parameter replications must be an integer" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("extra, method", [
     ({}, "exact-layered-dp"),
     ({"dynamics": {"f": {"kind": "threshold", "alpha": 0.5}, "g": {"kind": "tullock", "s": 1.0}}},

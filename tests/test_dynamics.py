@@ -714,6 +714,8 @@ def test_layer_order_matches_equivalent_single_pass():
     layered = run_contagion(g, initial, dyn, LayerOrder(((1,), (2,))), rng_seed=0)
     sequential = run_contagion(g, initial, dyn, SinglePassOrder((1, 2)), rng_seed=0)
     assert layered.state == sequential.state
+    assert LayerOrder(((1,), (2,))).order == (1, 2)
+    assert LayerOrder.from_runs((((5, 7), (0, 1)), (), ((2, 3),))).order == (5, 6, 0, 2)
 
 
 def test_layer_order_rejects_overlapping_layers():

@@ -1,17 +1,27 @@
 """Generated benchmark families: layouts, closed-form predictions, and the
 verification harness."""
 
+import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contagion_games import (
     Allocation,
     ChainLayout,
     GADGET_BUILDERS,
+    GadgetSpec,
     LayerOrder,
+    LayeredStructure,
+    PowerSwitch,
     Prediction,
+    SinglePassOrder,
+    SwitchSelectAdoption,
+    TullockSelection,
     StateSpaceCapError,
     StrategyProfile,
     ValidationError,
@@ -23,12 +33,15 @@ from contagion_games import (
     exact_payoffs,
     influencer_components,
     layered_estimate_payoffs,
+    linear_selection,
+    load_dynamics,
     polarization_amplifier,
     polarization_closed_form_small_final,
     sample_chain_block,
     threshold_two_layer,
     verify_gadget,
 )
+from contagion_games.engine import sample_payoffs
 from contagion_games.gadgets import VERIFICATION_CSV_HEADER
 
 
@@ -216,6 +229,122 @@ def test_influencer_micro_instance_verifies():
     assert ver.measured["designated_pi_R"] == 4.0
     assert ver.measured["designated_pi_B"] == 4.0
     assert ver.profile_ok("designated")
+
+
+HUB_DYNAMICS = [
+    SwitchSelectAdoption(PowerSwitch(1.0), linear_selection()),
+    SwitchSelectAdoption(PowerSwitch(0.5), linear_selection()),
+    SwitchSelectAdoption(PowerSwitch(math.log(25.0) / math.log(1.5)),
+                         TullockSelection(math.log2(99.0))),  # the convex anchor
+    load_dynamics({"h": "builtin:quadratic_damped"}),
+]
+
+
+@st.composite
+def hub_games(draw):
+    """A hub gadget of 1-3 components and a pure profile whose seeds may sit
+    on hubs or followers, contested vertices included.  The designated
+    profile needs budget_red + budget_blue hubs, so there are 2 or 3."""
+    hubs = draw(st.integers(2, 3))
+    budget_red = draw(st.integers(1, hubs - 1))
+    budget_blue = draw(st.integers(1, hubs - budget_red))
+    sizes = draw(st.lists(st.integers(hubs, 9), min_size=1, max_size=3))
+    spec = influencer_components(sizes, hubs, dynamics=draw(st.sampled_from(HUB_DYNAMICS)),
+                                 budget_red=budget_red, budget_blue=budget_blue)
+    n = spec.n_vertices
+    red = draw(st.lists(st.integers(0, n - 1), min_size=budget_red, max_size=budget_red))
+    blue = draw(st.lists(st.integers(0, n - 1), min_size=budget_blue, max_size=budget_blue))
+    if draw(st.booleans()):
+        blue[0] = red[0]  # a contested vertex
+    return spec, StrategyProfile(Allocation.from_seeds(n, red), Allocation.from_seeds(n, blue))
+
+
+@settings(max_examples=80, deadline=None)
+@given(hub_games())
+def test_layered_hub_gadgets_match_their_single_pass_form(game):
+    # Followers read only hubs, and hubs never update, so one layer of
+    # followers is the same process as a single pass over them.
+    spec, profile = game
+    layered_game = spec.game()
+    followers = tuple(v for start, size in (spec.vertex_classes[f"component{c}_followers"]
+                                            for c in range(len(spec.params["sizes"])))
+                      for v in range(start, start + size))
+    single_pass = dataclasses.replace(layered_game, schedule=SinglePassOrder(followers))
+    enumerated = exact_payoffs(layered_game, profile)
+    reference = exact_payoffs(single_pass, profile)
+    assert (enumerated.pi_R, enumerated.pi_B) == (reference.pi_R, reference.pi_B)
+    dp = spec.payoff_fn()(profile.red, profile.blue)
+    assert dp.method == "exact-layered-dp"
+    assert dp.pi_R == pytest.approx(reference.pi_R, rel=1e-12, abs=0.0)
+    assert dp.pi_B == pytest.approx(reference.pi_B, rel=1e-12, abs=0.0)
+    for a, b in zip(sample_payoffs(layered_game, profile, 40, master_seed=3),
+                    sample_payoffs(single_pass, profile, 40, master_seed=3)):
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: influencer_components((3, 7), 2),
+    lambda: influencer_components((2, 2), 2),
+    lambda: threshold_two_layer(4, 2, 3, 0.5),
+    lambda: convexity_amplifier(4, 3, 2.0, 6),
+    lambda: polarization_amplifier(1, 5, 20, 2.0),
+    lambda: chain_replication(2, 3, 4),
+])
+def test_gadget_size_schedule_and_graph_follow_from_the_layout(make):
+    spec = make()
+    assert {f.name for f in dataclasses.fields(GadgetSpec)}.isdisjoint(
+        {"graph", "schedule", "n_vertices", "n_edges"})
+    layout = spec.structure if spec.structure is not None else spec.chain
+    graph = spec.build_graph()
+    assert (spec.n_vertices, spec.n_edges) == (graph.n, len(graph.edges))
+    assert spec.schedule == layout.depth_schedule()
+    assert spec.schedule is spec.schedule  # built once
+
+
+def test_a_gadget_needs_exactly_one_layout():
+    with pytest.raises(ValidationError, match="exactly one"):
+        dataclasses.replace(chain_replication(2, 3, 4), structure=LayeredStructure(((2, 3),)))
+
+
+@pytest.mark.parametrize("kind, params, name", [
+    ("influencer_components", {"sizes": [10.5, 100], "hubs_per_component": 2}, "sizes"),
+    ("influencer_components", {"sizes": [10, 100], "hubs_per_component": True}, "hubs_per"),
+    ("influencer_components", {"sizes": [10, 100], "hubs_per_component": 3,
+                               "budget_blue": 1.0}, "budget_blue"),
+    ("threshold_two_layer", {"layer1_size": 8, "final_small": "2", "final_large": 40,
+                             "threshold": 0.5}, "final_small"),
+    ("threshold_two_layer", {"layer1_size": 8, "final_small": 2, "final_large": 40,
+                             "threshold": "0.5"}, "threshold"),
+    ("convexity_amplifier", {"base_size": 4, "depth": 4.5, "switch_exponent": 2.0,
+                             "final_small": 6}, "depth"),
+    ("convexity_amplifier", {"base_size": 4, "depth": 3, "switch_exponent": True,
+                             "final_small": 6}, "switch_exponent"),
+    ("convexity_amplifier", {"base_size": 4, "depth": 3, "switch_exponent": 2.0,
+                             "final_small": 6, "final_large": 7.0}, "final_large"),
+    ("polarization_amplifier", {"stages": 1, "middle_size": 5, "big_final_size": 20,
+                                "selection_exponent": "2"}, "selection_exponent"),
+    ("polarization_amplifier", {"stages": 1, "middle_size": 5, "big_final_size": 20,
+                                "selection_exponent": 2.0, "small_final_size": 2.5},
+     "small_final_size"),
+    ("chain_replication", {"chain_steps": "4", "replications": 17, "n_terminal": 10},
+     "chain_steps"),
+    ("chain_replication", {"chain_steps": 4, "replications": 17.9, "n_terminal": 10},
+     "replications"),
+    ("chain_replication", {"chain_steps": 4, "replications": 17, "n_terminal": True},
+     "n_terminal"),
+])
+def test_gadget_parameters_are_checked_not_coerced(kind, params, name):
+    with pytest.raises(ValidationError, match=f"gadget parameter {name}"):
+        build_gadget(kind, params)
+
+
+def test_gadget_parameters_accept_numpy_numbers():
+    spec = build_gadget("convexity_amplifier", {
+        "base_size": np.int64(4), "depth": np.int32(3), "switch_exponent": np.float64(2.0),
+        "final_small": np.int64(6), "budget": np.int16(1)})
+    assert spec.params["depth"] == 3 and type(spec.params["depth"]) is int
+    assert spec.n_vertices == convexity_amplifier(4, 3, 2.0, 6).n_vertices
+    assert influencer_components([np.int64(4), 8], np.int8(2)).params["sizes"] == [4, 8]
 
 
 def test_influencer_validation():
