@@ -27,10 +27,10 @@ from .dynamics import load_dynamics, load_schedule
 from .engine import (
     DEFAULT_NODE_CAP,
     DEFAULT_TRIALS,
+    EXACT_ENUMERATION,
     MONTE_CARLO,
     Allocation,
     GameSpec,
-    PayoffEstimate,
     StrategyProfile,
     estimate_payoffs,
     exact_payoffs,
@@ -51,7 +51,7 @@ from .gadgets import GadgetSpec, build_gadget, verify_gadget
 
 VERBS = ("simulate", "payoff", "nash", "poa", "bm", "gadget", "couple-test")
 
-ORACLE_NAMES = {"exact": "exact", "mc": "mc", "monte_carlo": "mc"}
+ORACLE_NAMES = {"exact": EXACT_ENUMERATION, "mc": MONTE_CARLO, "monte_carlo": MONTE_CARLO}
 
 DEFAULT_GRAPH_EDGE_CAP = 5_000_000
 
@@ -258,19 +258,28 @@ def _game_from_config(config: dict, need_profile: bool,
                     budget_red=budget_red, budget_blue=budget_blue), gadget
 
 
-def _oracle_from_config(config: dict, game: GameSpec) -> PayoffOracle:
+def _oracle_method(config: dict) -> str:
+    """The payoff method the config's `oracle` field names."""
     name = config.get("oracle", "exact")
     if not isinstance(name, str) or name not in ORACLE_NAMES:
         raise _field_error("oracle", f"must be one of {sorted(set(ORACLE_NAMES))}, got {name!r}")
-    if ORACLE_NAMES[name] == "exact":
-        return PayoffOracle(game, node_cap=_int_field(config, "node_cap",
-                                                      DEFAULT_NODE_CAP, minimum=1))
-    return PayoffOracle(
-        game, method=MONTE_CARLO,
-        n_trials=_int_field(config, "n_trials", DEFAULT_TRIALS, minimum=1),
-        master_seed=_int_field(config, "master_seed", 0),
-        threads=_int_field(config, "threads", None, minimum=1),
-    )
+    return ORACLE_NAMES[name]
+
+
+def _oracle_fields(config: dict, method: str) -> dict:
+    """The back end's keyword arguments for `method` from the config's fields:
+    the node cap of enumeration, or the trials, seed and worker processes of
+    Monte Carlo."""
+    if method == EXACT_ENUMERATION:
+        return {"node_cap": _int_field(config, "node_cap", DEFAULT_NODE_CAP, minimum=1)}
+    return {"n_trials": _int_field(config, "n_trials", DEFAULT_TRIALS, minimum=1),
+            "master_seed": _int_field(config, "master_seed", 0),
+            "threads": _int_field(config, "threads", None, minimum=1)}
+
+
+def _oracle_from_config(config: dict, game: GameSpec) -> PayoffOracle:
+    method = _oracle_method(config)
+    return PayoffOracle(game, method=method, **_oracle_fields(config, method))
 
 
 def _search_params(config: dict) -> dict:
@@ -314,36 +323,21 @@ def _verb_simulate(config: dict):
     return result, rows, {}, None
 
 
-def _estimate_csv(est: PayoffEstimate) -> list[list]:
-    return [list(PayoffEstimate.CSV_HEADER),
-            [est.pi_R, est.pi_B, est.method, est.n_trials, est.stderr_R, est.stderr_B]]
-
-
 def _verb_payoff(config: dict):
-    name = config.get("oracle", "exact")
-    if not isinstance(name, str) or name not in ORACLE_NAMES:
-        raise _field_error("oracle", f"must be one of {sorted(set(ORACLE_NAMES))}, got {name!r}")
+    method = _oracle_method(config)
     source = _graph_source(config)
     gadget = source[1]
-    if (ORACLE_NAMES[name] == "exact" and gadget is not None
+    if (method == EXACT_ENUMERATION and gadget is not None
             and "dynamics" not in config and "schedule" not in config):
         # The gadget's own exact back end answers without materialising its
         # graph, which enumeration could not finish at gadget sizes.
         est = gadget.profile_payoff_fn()(_profile_from(config, gadget.n_vertices))
-        return est.to_json_dict(), _estimate_csv(est), {}, None
-    game, _ = _game_from_config(config, need_profile=True, source=source)
-    profile = _profile_from(config, game.graph.n)
-    if ORACLE_NAMES[name] == "exact":
-        est = exact_payoffs(game, profile,
-                            node_cap=_int_field(config, "node_cap", DEFAULT_NODE_CAP,
-                                                minimum=1))
     else:
-        est = estimate_payoffs(game, profile,
-                               n_trials=_int_field(config, "n_trials", DEFAULT_TRIALS,
-                                                   minimum=1),
-                               master_seed=_int_field(config, "master_seed", 0),
-                               threads=_int_field(config, "threads", None, minimum=1))
-    return est.to_json_dict(), _estimate_csv(est), {}, None
+        game, _ = _game_from_config(config, need_profile=True, source=source)
+        profile = _profile_from(config, game.graph.n)
+        backend = exact_payoffs if method == EXACT_ENUMERATION else estimate_payoffs
+        est = backend(game, profile, **_oracle_fields(config, method))
+    return est.to_json_dict(), [list(est.CSV_HEADER), list(est.to_csv_row())], {}, None
 
 
 def _verb_nash(config: dict):

@@ -66,7 +66,6 @@ from .engine import (
     _replication_streams,
     _require_master_seed,
     _seed_vertex,
-    _single_pass_groups,
 )
 from .errors import CouplingHypothesisError, ValidationError
 from .graphs import BLUE, RED, UNINFECTED, Graph
@@ -216,8 +215,8 @@ class _CoupledKernel(_BatchedPhases):
     Each phase or round draws one uniform per vertex that is a candidate in
     either running process, from the replication's row of a `_Draws` matrix,
     in the phase's vertex order: ascending within a layer or a round, listed
-    order along a single pass (whose consecutive vertices are grouped by
-    `_single_pass_groups`).  Probabilities come from the kernel's table of
+    order along a single pass (in the schedule's snapshot groups,
+    `SinglePassOrder.phases`).  Probabilities come from the kernel's table of
     `update_probs` values: the joint process's at key (d, r, b), and the
     solo process's at (d, r + b, 0), where it takes P[Red] in the inequality
     modes and P[Red or Blue] in attribution mode.
@@ -237,7 +236,7 @@ class _CoupledKernel(_BatchedPhases):
         if self.rounds is not None:
             phases = None
         elif isinstance(schedule, SinglePassOrder):
-            phases = _single_pass_groups(schedule.order, graph)
+            phases = schedule.phases(graph)
             order = np.array(schedule.order, dtype=np.intp)
             self.weight[order] = len(order) - np.arange(len(order))
         else:

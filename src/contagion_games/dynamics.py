@@ -763,7 +763,9 @@ class UpdateSchedule(ABC):
     schedule is finished.  Deterministic schedules return exactly one option;
     the random-sequential schedule returns one option per current candidate.
     The same interface drives single runs, coupled runs, and the exact
-    enumeration oracle, so all of them share one semantics.
+    enumeration oracle, so all of them share one semantics.  A one-shot
+    schedule, which updates each vertex at most once, also lists its snapshot
+    phases up front (`phases`).
     """
 
     stop_on_no_change: bool = False
@@ -776,6 +778,11 @@ class UpdateSchedule(ABC):
     def phase_options(self, graph: Graph, state: Sequence[int], immune: Sequence[bool],
                       cursor) -> Optional[list[PhaseOption]]:
         ...
+
+    def phases(self, graph: Graph) -> Optional[list[np.ndarray]]:
+        """A one-shot schedule's snapshot phases, as vertex-id arrays in draw
+        order; None for a schedule that may revisit vertices."""
+        return None
 
     @abstractmethod
     def to_json_dict(self) -> dict:
@@ -798,6 +805,22 @@ class SinglePassOrder(UpdateSchedule):
         if cursor >= len(self.order):
             return None
         return [(1.0, (self.order[cursor],), cursor + 1)]
+
+    def phases(self, graph):
+        """The order split into maximal runs of consecutive vertices none of
+        which has an in-neighbor earlier in its run.  No vertex of a run sees
+        another's update, so updating the run as one snapshot phase, drawing
+        in listed order, gives the same states and draws as one vertex at a
+        time."""
+        groups: list[list[int]] = [[]]
+        members: set[int] = set()
+        for v in self.order:
+            if not members.isdisjoint(graph.in_neighbors[v]):
+                groups.append([])
+                members = set()
+            groups[-1].append(v)
+            members.add(v)
+        return [np.array(group, dtype=np.intp) for group in groups if group]
 
     def validate_for_graph(self, graph):
         for v in self.order:
@@ -970,6 +993,9 @@ class LayerOrder(UpdateSchedule):
         if cursor >= len(self.runs):
             return None
         return [(1.0, self._layer(cursor), cursor + 1)]
+
+    def phases(self, graph):
+        return [run_ids(layer) for layer in self.runs]
 
     def validate_for_graph(self, graph):
         if self._end > graph.n:

@@ -26,7 +26,6 @@ from .dynamics import (
     UpdateSchedule,
     filter_phase_candidates,
     run_contagion,
-    run_ids,
 )
 from .errors import StateSpaceCapError, ValidationError
 from .graphs import BLUE, RED, UNINFECTED, Graph, neighbor_fractions
@@ -368,12 +367,14 @@ def _seed_mix(x, y):
 def _pcg64_seeds(master_seed: int, stream: tuple[int, ...], lo: int,
                  hi: int) -> list[tuple[int, int]]:
     """The PCG64 (state, increment) that `_replication_rng(master_seed, i,
-    stream)` starts from, for i in lo..hi-1 (hi <= 2**32).
+    stream)` starts from, for i in lo..hi-1, all below 2**32 or all in
+    2**32..2**64-1.
 
     SeedSequence mixes its entropy words into a pool of four, then hashes the
     pool into the generator's seed.  Every word before the replication index
     is the same for the whole range, so that part is mixed once; the index's
-    own word and the hashing run on arrays."""
+    own words, one below 2**32 and two (low word first) from there on, and the
+    hashing run on arrays."""
     entropy = _uint32_words(master_seed)
     entropy += [0] * (4 - len(entropy))  # a spawn key pads the entropy to the pool
     for key in stream:
@@ -396,9 +397,11 @@ def _pcg64_seeds(master_seed: int, stream: tuple[int, ...], lo: int,
         for dst in range(4):
             pool[dst] = _seed_mix(pool[dst], hashmix(word))
     index = np.arange(lo, hi, dtype=np.uint64)
+    index_words = [index & _MASK32, index >> 32] if lo >> 32 else [index]
     pool = [np.full(hi - lo, p, dtype=np.uint64) for p in pool]
-    for dst in range(4):
-        pool[dst] = _seed_mix(pool[dst], hashmix(index))
+    for word in index_words:
+        for dst in range(4):
+            pool[dst] = _seed_mix(pool[dst], hashmix(word))
 
     hash_const = _HASH_INIT_B
     words = []
@@ -418,16 +421,11 @@ def _pcg64_seeds(master_seed: int, stream: tuple[int, ...], lo: int,
     return seeds
 
 
-def _reseed(bits, seed: tuple[int, int]) -> None:
-    """Put a PCG64 bit generator in the state seeding leaves it in."""
-    state, inc = seed
-    bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                  "has_uint32": 0, "uinteger": 0}
-
-
 class _SeededStream:
-    """One replication's uniform stream, on a PCG64 shared by its block: each
-    call restores the stream's seed, skips what it has drawn, and draws."""
+    """Replication i's random stream, on a PCG64 shared by every stream of
+    one `_replication_streams` call.  `random` restores the stream's seed,
+    skips what it has drawn, and draws; `resume` does the first two and
+    hands the generator over, for samplers that draw more than uniforms."""
 
     __slots__ = ("seed", "drawn", "generator")
 
@@ -436,55 +434,45 @@ class _SeededStream:
         self.drawn = 0
         self.generator = generator
 
-    def random(self, out=None):
+    def resume(self):
+        """The shared generator, in the state this stream's draws left it in.
+        What is drawn from it directly is not counted, so a replication that
+        resumes its stream draws the rest of its run from the generator."""
         bits = self.generator.bit_generator
-        _reseed(bits, self.seed)
+        state, inc = self.seed
+        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                      "has_uint32": 0, "uinteger": 0}
         if self.drawn:
             bits.advance(self.drawn)  # one step per double
-        value = self.generator.random(out=out)
+        return self.generator
+
+    def random(self, out=None):
+        value = self.resume().random(out=out)
         self.drawn += 1 if out is None else len(out)
         return value
 
 
-def _seeds_on_arrays(master_seed, hi: int) -> bool:
-    """Whether `_pcg64_seeds` reproduces replications below hi: seeds that
-    SeedSequence takes as one nonnegative integer, and 32-bit indices."""
-    return isinstance(master_seed, (int, np.integer)) and master_seed >= 0 and hi <= 1 << 32
-
-
-def _replication_streams(master_seed, lo: int, hi: int, stream: tuple[int, ...] = ()):
-    """Uniform streams of replications lo..hi-1, each drawing exactly what
-    `_replication_rng(master_seed, i, stream).random` draws; where the seeds
-    go on arrays, without a SeedSequence and a generator per replication."""
-    if _seeds_on_arrays(master_seed, hi):
-        generator = np.random.Generator(np.random.PCG64(0))
-        return [_SeededStream(seed, generator)
-                for seed in _pcg64_seeds(int(master_seed), stream, lo, hi)]
-    return [_replication_rng(master_seed, i, stream) for i in range(lo, hi)]
-
-
-# `_replication_generators` computes this many replications' seeds at a time,
-# so memory does not grow with the trial count.
+# `_replication_streams` computes this many replications' seeds at a time, so
+# memory does not grow with the trial count.
 _SEED_BLOCK = 1 << 12
 
 
-def _replication_generators(master_seed, lo: int, hi: int, stream: tuple[int, ...] = ()):
-    """Yield, for each replication i in lo..hi-1, a generator that draws
-    exactly what `_replication_rng(master_seed, i, stream)` draws.
-
-    Where the seeds go on arrays, every replication gets the same generator,
-    its PCG64 set to replication i's (state, increment) just before it is
-    yielded: finish with one replication before taking the next."""
-    if not _seeds_on_arrays(master_seed, hi):
-        for i in range(lo, hi):
-            yield _replication_rng(master_seed, i, stream)
-        return
+def _replication_streams(master_seed, lo: int, hi: int, stream: tuple[int, ...] = ()):
+    """Yield the streams of replications lo..hi-1 (nonnegative integer
+    master seed), each drawing exactly what `_replication_rng(master_seed, i,
+    stream)` draws, without a SeedSequence and a generator per replication.
+    The streams share one generator: each draw goes through its own stream."""
+    if master_seed < 0:
+        np.random.SeedSequence(master_seed)  # raises SeedSequence's own error
     generator = np.random.Generator(np.random.PCG64(0))
-    bits = generator.bit_generator
-    for start in range(lo, hi, _SEED_BLOCK):
-        for seed in _pcg64_seeds(int(master_seed), stream, start, min(start + _SEED_BLOCK, hi)):
-            _reseed(bits, seed)
-            yield generator
+    start = lo
+    while start < hi:
+        stop = min(start + _SEED_BLOCK, hi)
+        if start < 1 << 32 < stop:
+            stop = 1 << 32  # indices from 2**32 on take two words
+        for seed in _pcg64_seeds(int(master_seed), stream, start, stop):
+            yield _SeededStream(seed, generator)
+        start = stop
 
 
 def _sample_support(pairs, rng):
@@ -499,6 +487,20 @@ def _sample_support(pairs, rng):
     return pairs[-1][1], pairs[-1][2]
 
 
+def _replications(pairs, master_seed: int, lo: int, hi: int, stream: tuple[int, ...],
+                  run_one) -> tuple[np.ndarray, np.ndarray]:
+    """chi_R and chi_B of replications lo..hi-1, one at a time: replication
+    i takes its support pair from its stream, then `run_one(red, blue, rng)`
+    draws the rest of the run from the same stream."""
+    chi_r = np.empty(hi - lo)
+    chi_b = np.empty(hi - lo)
+    for row, seeded in enumerate(_replication_streams(master_seed, lo, hi, stream)):
+        rng = seeded.resume()
+        red, blue = _sample_support(pairs, rng)
+        chi_r[row], chi_b[row] = run_one(red, blue, rng)
+    return chi_r, chi_b
+
+
 # A block of batched replications holds at most about this many state cells
 # (replications times vertices plus edges), so memory does not grow with the
 # trial count.  Under parallel rounds a vertex counts 9 cells: its int8 state
@@ -506,25 +508,6 @@ def _sample_support(pairs, rng):
 _BLOCK_CELLS = 1 << 20
 # A kernel's probability table holds at most about this many entries.
 _TABLE_CELLS = _BLOCK_CELLS
-
-
-def _single_pass_groups(order: Sequence[int], graph: Graph) -> list[tuple[int, ...]]:
-    """Split a single-pass order into maximal runs of consecutive vertices none
-    of which has an in-neighbor earlier in its run.  No vertex of a run sees
-    another's update, so updating the run as one snapshot phase, drawing in
-    listed order, gives the same states and draws as one vertex at a time."""
-    groups: list[tuple[int, ...]] = []
-    run: list[int] = []
-    members: set[int] = set()
-    for v in order:
-        if any(u in members for u in graph.in_neighbors[v]):
-            groups.append(tuple(run))
-            run, members = [], set()
-        run.append(v)
-        members.add(v)
-    if run:
-        groups.append(tuple(run))
-    return groups
 
 
 class _Draws:
@@ -537,8 +520,8 @@ class _Draws:
     `spent + used` draws in all.
     """
 
-    def __init__(self, rngs: list, width: int):
-        self.rngs = rngs
+    def __init__(self, rngs, width: int):
+        self.rngs = rngs = list(rngs)
         self.u = np.empty((len(rngs), max(width, 1)))
         for row, rng in zip(self.u, rngs):
             rng.random(out=row)
@@ -721,13 +704,7 @@ class _ReplicationKernel(_BatchedPhases):
         n = pairs[0][1].n
         if n != graph.n:
             raise ValidationError(f"initial state has length {n}, graph has {graph.n} vertices")
-        if isinstance(schedule, ParallelRounds):
-            phases = None
-        elif isinstance(schedule, SinglePassOrder):
-            phases = _single_pass_groups(schedule.order, graph)
-        else:
-            phases = [run_ids(layer) for layer in schedule.runs]
-        super().__init__(graph, game.dynamics, phases)
+        super().__init__(graph, game.dynamics, schedule.phases(graph))
         self.pairs = pairs
         self.schedule = schedule
 
@@ -753,7 +730,7 @@ class _ReplicationKernel(_BatchedPhases):
     def run(self, master_seed: int, lo: int, hi: int,
             stream: tuple[int, ...] = ()) -> tuple[np.ndarray, np.ndarray]:
         """chi_R and chi_B of replications lo..hi-1, run together."""
-        rngs = _replication_streams(master_seed, lo, hi, stream)
+        rngs = list(_replication_streams(master_seed, lo, hi, stream))
         which = np.empty(hi - lo, dtype=np.intp)
         for row, rng in enumerate(rngs):
             red, blue = _sample_support(self.pairs, rng)
@@ -830,14 +807,11 @@ def _mc_chunk(game: GameSpec, pairs, master_seed: int, lo: int, hi: int,
         return (np.concatenate([p[0] for p in parts]),
                 np.concatenate([p[1] for p in parts]))
     # Other schedules, RandomSequential among them, run vertex by vertex.
-    chi_r = np.empty(hi - lo, dtype=np.float64)
-    chi_b = np.empty(hi - lo, dtype=np.float64)
-    for row, rng in enumerate(_replication_generators(master_seed, lo, hi, stream)):
-        red, blue = _sample_support(pairs, rng)
+    def run_one(red, blue, rng):
         out = run_profile_once(game, red, blue, rng)
-        chi_r[row] = out.chi_R
-        chi_b[row] = out.chi_B
-    return chi_r, chi_b
+        return out.chi_R, out.chi_B
+
+    return _replications(pairs, master_seed, lo, hi, stream, run_one)
 
 
 def sample_payoffs(game: GameSpec, profile: StrategyProfile, n_trials: int,
@@ -908,22 +882,6 @@ class _NodeBudget:
                 "fall back to Monte Carlo (estimate_payoffs)")
 
 
-def _last_appearance(schedule: UpdateSchedule, n: int) -> Optional[list[int]]:
-    """For one-shot schedules: the phase index at which each vertex is updated
-    (-1 if never).  None for schedules that may revisit vertices."""
-    last = [-1] * n
-    if isinstance(schedule, SinglePassOrder):
-        for i, v in enumerate(schedule.order):
-            last[v] = i
-        return last
-    if isinstance(schedule, LayerOrder):
-        for i, layer in enumerate(schedule.runs):
-            for start, stop in layer:
-                last[start:stop] = [i] * (stop - start)
-        return last
-    return None
-
-
 def exact_payoffs(game: GameSpec, profile: StrategyProfile,
                   node_cap: int = DEFAULT_NODE_CAP) -> PayoffEstimate:
     """Exact expected payoffs by exhaustive enumeration of every contested-seed
@@ -933,7 +891,9 @@ def exact_payoffs(game: GameSpec, profile: StrategyProfile,
     Wherever a vertex's outcome cannot influence anything downstream (for
     example, a vertex with no out-neighbors in a one-shot schedule, or any
     candidate in the final round), its expectation is accumulated marginally
-    instead of branching, which keeps the common fixtures branch-free.
+    instead of branching, which keeps the common fixtures branch-free.  A
+    one-shot schedule is walked by its snapshot phases (`schedule.phases`),
+    so a single pass branches one group of consecutive vertices at a time.
     """
     budget = _NodeBudget(node_cap)
     er = eb = 0.0
@@ -973,7 +933,16 @@ def _exact_profile_expectation(game: GameSpec, red: Allocation, blue: Allocation
         else:
             contested.append((v, p_red))
 
-    last_app = _last_appearance(schedule, n)
+    # A one-shot schedule's walk reads its phases off the plan, and knows the
+    # phase in which each vertex updates (-1 for never).
+    plan = schedule.phases(graph)
+    last_app = None
+    if plan is not None:
+        plan = [phase.tolist() for phase in plan]
+        last_app = [-1] * n
+        for k, phase in enumerate(plan):
+            for v in phase:
+                last_app[v] = k
     is_parallel = isinstance(schedule, ParallelRounds)
     no_immune = (False,) * n
     total_r = total_b = 0.0
@@ -1007,7 +976,10 @@ def _exact_profile_expectation(game: GameSpec, red: Allocation, blue: Allocation
 
         if kind == "phase":
             _, w, state, immune, cursor, cr, cb, mr, mb = entry
-            options = schedule.phase_options(graph, state, immune, cursor)
+            if plan is None:
+                options = schedule.phase_options(graph, state, immune, cursor)
+            else:
+                options = [(1.0, plan[cursor], cursor + 1)] if cursor < len(plan) else None
             if options is None:
                 total_r += w * (cr + mr)
                 total_b += w * (cb + mb)

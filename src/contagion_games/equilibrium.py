@@ -379,8 +379,6 @@ def price_of_anarchy(game: GameSpec, oracle: Optional[PayoffOracle] = None,
                                   allocation_cap=allocation_cap, pair_cap=pair_cap)
     optimum = max_joint_payoff(game, oracle, allocation_cap=allocation_cap, pair_cap=pair_cap)
     caveats = list(nash.caveats)
-    if not optimum.exhaustive:
-        caveats.append("max joint payoff is a hill-climbing lower bound")
     if not nash.found:
         return EfficiencyReport(kind="poa", value=math.nan, statistical=nash.statistical,
                                 infinite=False, n_equilibria=0, eps=nash.eps,

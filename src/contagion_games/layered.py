@@ -28,9 +28,8 @@ from .engine import (
     PayoffEstimate,
     StrategyProfile,
     _is_integer,
-    _replication_generators,
+    _replications,
     _require_master_seed,
-    _sample_support,
     monte_carlo_estimate,
     split_seeds,
 )
@@ -48,15 +47,18 @@ class LayeredStructure:
     component_layer_sizes: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        comps = tuple(tuple(int(s) for s in comp) for comp in self.component_layer_sizes)
+        comps = tuple(tuple(comp) for comp in self.component_layer_sizes)
         if not comps:
             raise ValidationError("layered structure needs at least one component")
         for comp in comps:
             if not comp:
                 raise ValidationError("every component needs at least one layer")
             for s in comp:
+                if not _is_integer(s):
+                    raise ValidationError(f"layer sizes must be integers, got {s!r}")
                 if s < 1:
                     raise ValidationError(f"layer sizes must be positive, got {s}")
+        comps = tuple(tuple(int(s) for s in comp) for comp in comps)
         object.__setattr__(self, "component_layer_sizes", comps)
 
     @property
@@ -460,9 +462,6 @@ def layered_estimate_payoffs(structure: LayeredStructure, dyn: AdoptionFunction,
     pairs = profile.support_pairs()
     plans = {(id(red), id(blue)): _layer_plan(structure, red, blue) for _, red, blue in pairs}
     probs = _LayerProbs(dyn)
-    chi_r = np.empty(n_trials)
-    chi_b = np.empty(n_trials)
-    for i, rng in enumerate(_replication_generators(master_seed, 0, n_trials)):
-        red, blue = _sample_support(pairs, rng)
-        chi_r[i], chi_b[i] = _sample_plan(plans[id(red), id(blue)], probs, rng)
-    return monte_carlo_estimate(chi_r, chi_b)
+    return monte_carlo_estimate(*_replications(
+        pairs, master_seed, 0, n_trials, (),
+        lambda red, blue, rng: _sample_plan(plans[id(red), id(blue)], probs, rng)))

@@ -365,6 +365,77 @@ def test_exact_enumeration_respects_the_node_cap():
         exact_payoffs(game, profile, node_cap=100)
 
 
+def test_schedules_state_their_snapshot_phases():
+    # A single pass (0, 2, 1, 3, 4) breaks before 3, which reads 0 and 1 of
+    # its run, and nowhere else: 4 reads 2, of the run before.
+    graph = Graph(n=8, edges=((0, 3), (1, 3), (2, 4)))
+    single = SinglePassOrder((0, 2, 1, 3, 4))
+    assert [phase.tolist() for phase in single.phases(graph)] == [[0, 2, 1], [3, 4]]
+    assert [phase.tolist() for phase in SinglePassOrder((2, 0, 3)).phases(graph)] == \
+        [[2, 0], [3]]
+    assert SinglePassOrder(()).phases(graph) == []
+    # Layers keep their runs' order, empty layers included.
+    layers = LayerOrder.from_runs([[(4, 5), (3, 4)], [], [(6, 7), (5, 6), (2, 3)], [(0, 1)]])
+    assert [phase.tolist() for phase in layers.phases(graph)] == [[4, 3], [], [6, 5, 2], [0]]
+    assert [phase.tolist() for phase in layers.phases(graph)] == \
+        [list(layer) for layer in layers.layers]
+    for schedule in (single, layers):
+        assert all(phase.dtype == np.intp for phase in schedule.phases(graph))
+    # Schedules that may revisit a vertex have no fixed phases.
+    assert ParallelRounds(3).phases(graph) is None
+    assert ParallelRounds(3, immunity=True).phases(graph) is None
+    assert RandomSequential(4).phases(graph) is None
+
+
+@st.composite
+def single_pass_games(draw):
+    n = draw(st.integers(min_value=1, max_value=7))
+    possible = [(u, v) for u in range(n) for v in range(n) if u != v]
+    keep = draw(st.lists(st.booleans(), min_size=len(possible), max_size=len(possible)))
+    graph = Graph(n=n, edges=tuple(e for e, k in zip(possible, keep) if k))
+    perm = draw(st.permutations(range(n)))
+    order = tuple(perm[:draw(st.integers(0, n))])
+    dyn = draw(st.sampled_from((SwitchSelectAdoption(PowerSwitch(1.0), linear_selection()),
+                                SwitchSelectAdoption(PowerSwitch(0.5), TullockSelection(0.75)),
+                                SwitchSelectAdoption(HalfPointSwitch(0.2), TullockSelection(2.0)),
+                                BuiltinAdoption("quadratic_damped"))))
+
+    # Seeds from the first three vertices, so that red and blue often contest one.
+    def allocation():
+        k = draw(st.integers(1, 2))
+        return Allocation.from_seeds(n, draw(st.lists(st.integers(0, min(n - 1, 2)),
+                                                      min_size=k, max_size=k)))
+
+    return graph, order, dyn, StrategyProfile(allocation(), allocation())
+
+
+@settings(max_examples=200, deadline=None)
+@given(single_pass_games())
+def test_single_pass_enumeration_by_groups_equals_the_per_vertex_walk(case):
+    """Singleton layers walk a single pass one vertex at a time; the pass's
+    own snapshot groups give the same payoffs, bit for bit."""
+    graph, order, dyn, profile = case
+    single = exact_payoffs(GameSpec(graph, dyn, SinglePassOrder(order), 1, 1), profile)
+    per_vertex = exact_payoffs(GameSpec(graph, dyn, LayerOrder([(v,) for v in order]), 1, 1),
+                               profile)
+    assert (single.pi_R, single.pi_B) == (per_vertex.pi_R, per_vertex.pi_B)
+
+
+def test_single_pass_enumeration_respects_the_node_cap():
+    # The hub-and-chain graph of `test_exact_enumeration_respects_the_node_cap`,
+    # passed once along the chain: each chain vertex reads the one before it,
+    # so every vertex is its own group and branches.
+    n = 13
+    edges = [(0, i) for i in range(1, n)] + [(i, i + 1) for i in range(1, n - 1)]
+    dyn = SwitchSelectAdoption(HalfPointSwitch(0.5), linear_selection())
+    game = GameSpec(Graph(n=n, edges=tuple(edges)), dyn, SinglePassOrder(tuple(range(1, n))),
+                    1, 1)
+    profile = StrategyProfile(Allocation.from_seeds(n, [0]), Allocation.from_seeds(n, [1]))
+    with pytest.raises(StateSpaceCapError, match="cap"):
+        exact_payoffs(game, profile, node_cap=100)
+    assert exact_payoffs(game, profile).joint > 2.0
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo estimates.
 # ---------------------------------------------------------------------------
@@ -429,15 +500,6 @@ def test_monte_carlo_validates_master_seed():
             estimate_payoffs(mc_game(), mc_profile(), n_trials=4, master_seed=seed)
     assert (estimate_payoffs(mc_game(), mc_profile(), n_trials=4, master_seed=np.uint64(5))
             == estimate_payoffs(mc_game(), mc_profile(), n_trials=4, master_seed=5))
-
-
-def test_last_appearance_of_a_layer_order_matches_a_per_id_scan():
-    schedule = LayerOrder.from_runs([[(4, 5), (3, 4)], [], [(6, 7), (5, 6), (2, 3)], [(0, 1)]])
-    reference = [-1] * 8
-    for i, layer in enumerate(schedule.layers):
-        for v in layer:
-            reference[v] = i
-    assert engine._last_appearance(schedule, 8) == reference == [3, -1, 2, 0, 0, 2, 2, -1]
 
 
 # The batched replication kernel against the per-vertex path.
@@ -612,16 +674,21 @@ def test_seeded_streams_draw_what_the_replication_generators_draw(master_seed, s
                 assert out.tolist() == reference.random(k).tolist()
 
 
-def test_replication_streams_fall_back_to_generators():
-    # Indices past 2**32 take two SeedSequence words; the fast seeding covers one.
-    assert isinstance(engine._replication_streams(np.int64(5), 2**32 - 2, 2**32)[1],
-                      engine._SeededStream)
-    streams = engine._replication_streams(np.int64(5), 2**32 - 1, 2**32 + 1, (2,))
-    assert all(isinstance(rng, np.random.Generator) for rng in streams)
-    for i, rng in zip((2**32 - 1, 2**32), streams):
-        assert rng.random() == engine._replication_rng(5, i, (2,)).random()
+def test_replication_streams_cross_two_to_the_32():
+    # Indices from 2**32 on take two SeedSequence words, so a block is split there.
+    lo, hi = 2**32 - 3, 2**32 + 3
+    for block in (2, 4, engine._SEED_BLOCK):
+        with mock.patch.object(engine, "_SEED_BLOCK", block):
+            streams = list(engine._replication_streams(np.int64(5), lo, hi, (2,)))
+        assert len(streams) == hi - lo
+        for i, seeded in zip(range(lo, hi), streams):
+            assert isinstance(seeded, engine._SeededStream)
+            assert seeded.random() == engine._replication_rng(5, i, (2,)).random()
+
+
+def test_replication_streams_refuse_a_negative_master_seed_as_seed_sequence_does():
     with pytest.raises(ValueError) as fast:
-        engine._replication_streams(-1, 0, 2)
+        list(engine._replication_streams(-1, 0, 2))
     with pytest.raises(ValueError) as reference:
         engine._replication_rng(-1, 0)
     assert str(fast.value) == str(reference.value)
@@ -630,13 +697,18 @@ def test_replication_streams_fall_back_to_generators():
 @settings(max_examples=100, deadline=None)
 @given(master_seed=st.one_of(st.integers(0, 2**32), st.integers(2**32, 2**200)),
        stream=st.lists(st.integers(0, 2**40), max_size=2).map(tuple),
-       lo=st.one_of(st.integers(0, 50), st.integers(2**32 - 6, 2**32 - 3)))
-def test_replication_generators_draw_what_fresh_generators_draw(master_seed, stream, lo):
-    # Blocks of two seeds; from 2**32 on the fallback builds generators.
+       lo=st.one_of(st.integers(0, 50), st.integers(2**32 - 6, 2**32 + 3),
+                    st.integers(2**32, 2**64 - 6)),
+       ahead=st.integers(0, 3))
+def test_resumed_streams_draw_what_fresh_generators_draw(master_seed, stream, lo, ahead):
+    # Blocks of two seeds; a stream resumes after `ahead` uniforms drawn through it.
     with mock.patch.object(engine, "_SEED_BLOCK", 2):
-        reused = engine._replication_generators(master_seed, lo, lo + 5, stream)
-        for i, rng in zip(range(lo, lo + 5), reused):
+        streams = engine._replication_streams(master_seed, lo, lo + 5, stream)
+        for i, seeded in zip(range(lo, lo + 5), streams):
             reference = engine._replication_rng(master_seed, i, stream)
+            for _ in range(ahead):
+                assert seeded.random() == reference.random()
+            rng = seeded.resume()
             for draw in (lambda g: g.random(), lambda g: g.binomial(40, 0.3),
                          lambda g: g.integers(7), lambda g: g.random(3).tolist()):
                 assert draw(rng) == draw(reference)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -54,6 +55,20 @@ def test_structure_validation():
         LayeredStructure(((2, 3), ()))
     with pytest.raises(ValidationError, match="positive"):
         LayeredStructure(((2, 0),))
+
+
+@pytest.mark.parametrize("size", [10.5, 3.0, True, False, "3", None, np.float64(2.0)])
+def test_structure_rejects_non_integer_layer_sizes(size):
+    with pytest.raises(ValidationError,
+                       match=re.escape(f"layer sizes must be integers, got {size!r}")):
+        LayeredStructure(((4, 100), (size, 2)))
+
+
+def test_structure_takes_numpy_integer_layer_sizes_as_ints():
+    s = LayeredStructure(((np.int64(10), np.uint8(100)), (np.int32(3),)))
+    assert s.component_layer_sizes == ((10, 100), (3,))
+    assert all(type(size) is int for comp in s.component_layer_sizes for size in comp)
+    assert s == LayeredStructure(((10, 100), (3,)))
 
 
 def test_build_graph_matches_the_declared_structure():
