@@ -325,6 +325,7 @@ def _verb_simulate(config: dict):
 
 def _verb_payoff(config: dict):
     method = _oracle_method(config)
+    fields = _oracle_fields(config, method)
     source = _graph_source(config)
     gadget = source[1]
     if (method == EXACT_ENUMERATION and gadget is not None
@@ -336,7 +337,7 @@ def _verb_payoff(config: dict):
         game, _ = _game_from_config(config, need_profile=True, source=source)
         profile = _profile_from(config, game.graph.n)
         backend = exact_payoffs if method == EXACT_ENUMERATION else estimate_payoffs
-        est = backend(game, profile, **_oracle_fields(config, method))
+        est = backend(game, profile, **fields)
     return est.to_json_dict(), [list(est.CSV_HEADER), list(est.to_csv_row())], {}, None
 
 

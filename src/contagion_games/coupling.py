@@ -433,8 +433,8 @@ def couple_test(graph: Graph, red_seeds: Sequence[int], blue_seeds: Sequence[int
         budget, so the game's are placeholders."""
         profile = StrategyProfile(Allocation.from_seeds(graph.n, red),
                                   Allocation.from_seeds(graph.n, blue))
-        return _mc_chunk(GameSpec(graph, dyn, schedule, 1, 1), profile.support_pairs(),
-                         master_seed, 0, runs, stream=(stream,))
+        return _mc_chunk(GameSpec(graph, dyn, schedule, 1, 1),
+                         [(profile.support_pairs(), master_seed)], runs, 0, runs, stream=(stream,))
 
     notes = ["faithfulness p-values compare each coupled component against "
              "an independent standalone run via a two-sample KS test"]

@@ -364,57 +364,107 @@ def _seed_mix(x, y):
     return r ^ (r >> 16)
 
 
-def _pcg64_seeds(master_seed: int, stream: tuple[int, ...], lo: int,
-                 hi: int) -> list[tuple[int, int]]:
-    """The PCG64 (state, increment) that `_replication_rng(master_seed, i,
-    stream)` starts from, for i in lo..hi-1, all below 2**32 or all in
-    2**32..2**64-1.
+def _hashmix(value, hash_const):
+    """SeedSequence's hash of one word, and the next hash constant."""
+    value = (value ^ hash_const) & _MASK32
+    hash_const = (hash_const * _HASH_MULT_A) & _MASK32
+    value = (value * hash_const) & _MASK32
+    return value ^ (value >> 16), hash_const
+
+
+def _hash_steps(hash_const: int, steps: int, mult: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """A hash constant's next `steps` values, as (steps, 1) arrays of each
+    step's constant before and after it, and the last constant."""
+    before = []
+    for _ in range(steps):
+        before.append(hash_const)
+        hash_const = (hash_const * mult) & _MASK32
+    column = np.array(before + [hash_const], dtype=np.uint64)[:, None]
+    return column[:-1], column[1:], hash_const
+
+
+def _hash_rows(words: np.ndarray, before: np.ndarray, after: np.ndarray) -> np.ndarray:
+    """Each row of words hashed with its row's constants before and after the
+    step, as `_hashmix` hashes one word."""
+    value = ((words ^ before) * after) & _MASK32
+    return value ^ (value >> 16)
+
+
+# The constants SeedSequence hashes its pool with, word by word, into the
+# eight 32-bit words of a PCG64 seed.
+_OUTPUT_STEPS = _hash_steps(_HASH_INIT_B, 8, _HASH_MULT_B)[:2]
+
+
+def _pcg64_seeds(master_seeds: Sequence[int], stream: tuple[int, ...], lo: np.ndarray,
+                 hi: np.ndarray) -> list[tuple[int, int]]:
+    """The PCG64 (state, increment) that `_replication_rng(master_seeds[k], i,
+    stream)` starts from, for run k's replications i in lo[k]..hi[k]-1 (uint64
+    arrays), run by run.
 
     SeedSequence mixes its entropy words into a pool of four, then hashes the
     pool into the generator's seed.  Every word before the replication index
-    is the same for the whole range, so that part is mixed once; the index's
-    own words, one below 2**32 and two (low word first) from there on, and the
-    hashing run on arrays."""
-    entropy = _uint32_words(master_seed)
-    entropy += [0] * (4 - len(entropy))  # a spawn key pads the entropy to the pool
-    for key in stream:
-        entropy += _uint32_words(key)
-    hash_const = _HASH_INIT_A
+    is the same for a whole run, so that part is mixed once a run; the
+    index's own words, one below 2**32 and two (low word first) from there
+    on, and the hashing run on arrays.  The hash constant steps with each
+    word's position, not with the words, so runs whose master seeds take as
+    many words mix together, on arrays with one cell per run, or on Python
+    ints for a lone run."""
+    sizes = (hi - lo).astype(np.intp)
+    offsets = np.cumsum(sizes) - sizes
+    entropy = []
+    widths: dict[int, list[int]] = {}
+    for k, seed in enumerate(master_seeds):
+        words = _uint32_words(seed)
+        words += [0] * (4 - len(words))  # a spawn key pads the entropy to the pool
+        for key in stream:
+            words += _uint32_words(key)
+        entropy.append(words)
+        widths.setdefault(len(words), []).append(k)
 
-    def hashmix(value):
-        nonlocal hash_const
-        value = (value ^ hash_const) & _MASK32
-        hash_const = (hash_const * _HASH_MULT_A) & _MASK32
-        value = (value * hash_const) & _MASK32
-        return value ^ (value >> 16)
+    halves = np.empty((4, int(sizes.sum())), dtype=np.uint64)
+    for group in widths.values():
+        words = (entropy[group[0]] if len(group) == 1
+                 else np.array([entropy[k] for k in group], dtype=np.uint64).T)
+        hash_const = _HASH_INIT_A
+        pool = []
+        for word in words[:4]:
+            value, hash_const = _hashmix(word, hash_const)
+            pool.append(value)
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    value, hash_const = _hashmix(pool[src], hash_const)
+                    pool[dst] = _seed_mix(pool[dst], value)
+        for word in words[4:]:
+            for dst in range(4):
+                value, hash_const = _hashmix(word, hash_const)
+                pool[dst] = _seed_mix(pool[dst], value)
 
-    pool = [hashmix(word) for word in entropy[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _seed_mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = _seed_mix(pool[dst], hashmix(word))
-    index = np.arange(lo, hi, dtype=np.uint64)
-    index_words = [index & _MASK32, index >> 32] if lo >> 32 else [index]
-    pool = [np.full(hi - lo, p, dtype=np.uint64) for p in pool]
-    for word in index_words:
-        for dst in range(4):
-            pool[dst] = _seed_mix(pool[dst], hashmix(word))
+        # From here on a replication's four pool cells are one column of a
+        # (4, R) array, and each word mixes into them at once.
+        counts = sizes[group]
+        step = np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
+        index = np.repeat(lo[group], counts) + step.astype(np.uint64)
+        pool = np.repeat(np.array(pool, dtype=np.uint64).reshape(4, -1), counts, axis=1)
+        before, after, hash_const = _hash_steps(hash_const, 4, _HASH_MULT_A)
+        pool = _seed_mix(pool, _hash_rows(index & _MASK32, before, after))
+        high = np.flatnonzero(index >> 32)
+        if len(high):
+            before, after, _ = _hash_steps(hash_const, 4, _HASH_MULT_A)
+            pool[:, high] = _seed_mix(pool[:, high], _hash_rows(index[high] >> 32, before, after))
+        out = _hash_rows(np.concatenate([pool, pool]), *_OUTPUT_STEPS)
+        halves[:, np.repeat(offsets[group], counts) + step] = out[0::2] | (out[1::2] << 32)
+    return _pcg64_states(halves)
 
-    hash_const = _HASH_INIT_B
-    words = []
-    for k in range(8):
-        value = pool[k % 4] ^ hash_const
-        hash_const = (hash_const * _HASH_MULT_B) & _MASK32
-        value = (value * hash_const) & _MASK32
-        words.append(value ^ (value >> 16))
-    halves = [(words[2 * k] | (words[2 * k + 1] << 32)).tolist() for k in range(4)]
-    # PCG64 seeds its 128-bit LCG with two steps from state 0, adding the
-    # initial state in between; the increment is twice the sequence plus 1.
+
+def _pcg64_states(halves: np.ndarray) -> list[tuple[int, int]]:
+    """The PCG64 (state, increment) that SeedSequence's output seeds, given as
+    uint64 rows of state high, state low, sequence high and sequence low
+    words.  PCG64 seeds its 128-bit LCG with two steps from state 0, adding
+    the initial state in between; the increment is twice the sequence plus
+    1."""
     seeds = []
-    for state_hi, state_lo, seq_hi, seq_lo in zip(*halves):
+    for state_hi, state_lo, seq_hi, seq_lo in zip(*halves.tolist()):
         inc = (((seq_hi << 64) | seq_lo) << 1 | 1) & _MASK128
         state = ((inc + ((state_hi << 64) | state_lo)) * _PCG64_MULT + inc) & _MASK128
         seeds.append((state, inc))
@@ -452,27 +502,47 @@ class _SeededStream:
         return value
 
 
+def _chunks(runs, size: int):
+    """Consecutive runs of replications, (master seed, lo, hi, job) each, cut
+    and grouped into chunks of at most `size` replications."""
+    chunk, room = [], size
+    for seed, a, b, job in runs:
+        while a < b:
+            c = min(b, a + room)
+            chunk.append((seed, a, c, job))
+            room -= c - a
+            a = c
+            if not room:
+                yield chunk
+                chunk, room = [], size
+    if chunk:
+        yield chunk
+
+
 # `_replication_streams` computes this many replications' seeds at a time, so
 # memory does not grow with the trial count.
 _SEED_BLOCK = 1 << 12
 
 
-def _replication_streams(master_seed, lo: int, hi: int, stream: tuple[int, ...] = ()):
-    """Yield the streams of replications lo..hi-1 (nonnegative integer
-    master seed), each drawing exactly what `_replication_rng(master_seed, i,
-    stream)` draws, without a SeedSequence and a generator per replication.
-    The streams share one generator: each draw goes through its own stream."""
-    if master_seed < 0:
-        np.random.SeedSequence(master_seed)  # raises SeedSequence's own error
+def _replication_streams(master_seed, lo, hi, stream: tuple[int, ...] = ()):
+    """Yield the streams of runs of replications, run by run: run k is
+    replications lo[k]..hi[k]-1 under master_seed[k] (nonnegative), and ints
+    make one run.  Each stream draws exactly what `_replication_rng(master_seed,
+    i, stream)` draws, without a SeedSequence and a generator per replication:
+    the streams share one generator, and each draw goes through its own
+    stream."""
+    if np.ndim(lo) == 0:
+        master_seed, lo, hi = (master_seed,), (lo,), (hi,)
+    runs = [(int(s), int(a), int(b), None) for s, a, b in zip(master_seed, lo, hi)]
+    lowest = min((seed for seed, *_ in runs), default=0)
+    if lowest < 0:
+        np.random.SeedSequence(lowest)  # raises SeedSequence's own error
     generator = np.random.Generator(np.random.PCG64(0))
-    start = lo
-    while start < hi:
-        stop = min(start + _SEED_BLOCK, hi)
-        if start < 1 << 32 < stop:
-            stop = 1 << 32  # indices from 2**32 on take two words
-        for seed in _pcg64_seeds(int(master_seed), stream, start, stop):
+    for chunk in _chunks(runs, _SEED_BLOCK):
+        seeds, first, stop, _ = zip(*chunk)
+        for seed in _pcg64_seeds(seeds, stream, np.array(first, dtype=np.uint64),
+                                 np.array(stop, dtype=np.uint64)):
             yield _SeededStream(seed, generator)
-        start = stop
 
 
 def _sample_support(pairs, rng):
@@ -487,16 +557,20 @@ def _sample_support(pairs, rng):
     return pairs[-1][1], pairs[-1][2]
 
 
-def _replications(pairs, master_seed: int, lo: int, hi: int, stream: tuple[int, ...],
-                  run_one) -> tuple[np.ndarray, np.ndarray]:
-    """chi_R and chi_B of replications lo..hi-1, one at a time: replication
-    i takes its support pair from its stream, then `run_one(red, blue, rng)`
-    draws the rest of the run from the same stream."""
-    chi_r = np.empty(hi - lo)
-    chi_b = np.empty(hi - lo)
-    for row, seeded in enumerate(_replication_streams(master_seed, lo, hi, stream)):
+def _replications(supports, run_one, master_seed, lo, hi, stream: tuple[int, ...] = (),
+                  job=0) -> tuple[np.ndarray, np.ndarray]:
+    """chi_R and chi_B of runs of replications, one at a time: run k is
+    replications lo[k]..hi[k]-1 of job[k] under master_seed[k] (ints make one
+    run).  A replication takes its support pair from `supports[job]` by its
+    stream, then `run_one(red, blue, rng)` draws the rest of the run from the
+    same stream."""
+    jobs = np.repeat(job, np.subtract(hi, lo)).tolist()
+    chi_r = np.empty(len(jobs))
+    chi_b = np.empty(len(jobs))
+    streams = _replication_streams(master_seed, lo, hi, stream)
+    for row, (j, seeded) in enumerate(zip(jobs, streams)):
         rng = seeded.resume()
-        red, blue = _sample_support(pairs, rng)
+        red, blue = _sample_support(supports[j], rng)
         chi_r[row], chi_b[row] = run_one(red, blue, rng)
     return chi_r, chi_b
 
@@ -506,6 +580,9 @@ def _replications(pairs, master_seed: int, lo: int, hi: int, stream: tuple[int, 
 # trial count.  Under parallel rounds a vertex counts 9 cells: its int8 state
 # and its two int32 in-neighbor counts.
 _BLOCK_CELLS = 1 << 20
+# ... and at most this many replications: each holds Python objects (its
+# stream) and a row of every per-candidate array of a phase.
+_BLOCK_ROWS = 1 << 8
 # A kernel's probability table holds at most about this many entries.
 _TABLE_CELLS = _BLOCK_CELLS
 
@@ -653,7 +730,7 @@ class _BatchedPhases:
                     self.phases.append((verts, indices[edges], starts))
             self.width = sum(len(phase[0]) for phase in self.phases)
             cells = graph.n + len(indices)
-        self.block = max(1, _BLOCK_CELLS // cells)
+        self.block = max(1, min(_BLOCK_CELLS // cells, _BLOCK_ROWS))
 
     @staticmethod
     def _neighbor_counts(state: np.ndarray, phase) -> tuple[np.ndarray, np.ndarray]:
@@ -689,63 +766,78 @@ class _ReplicationKernel(_BatchedPhases):
     """Monte Carlo replications of one game, a block at a time, as an (R, n)
     int8 state matrix; for ParallelRounds, SinglePassOrder and LayerOrder.
 
-    Replication i draws from `_replication_rng(master_seed, i, stream)`
+    The kernel runs jobs, one per support (each job's support pairs), and
+    each row of a block is one replication of one job.  Replication i of a
+    job run under master seed s draws from `_replication_rng(s, i, stream)`
     exactly the numbers `run_profile_once` draws, in the same order: the
     support draw, one per contested seed in vertex order, then one per update
     candidate in phase order.  Update probabilities are `update_probs`'s at
     the same fractions, from the kernel's table, which every block the kernel
     runs shares.  So every replication's (chi_R, chi_B) equals the per-vertex
-    path's, bit for bit.
+    path's, bit for bit, whatever else the block runs.
     """
 
-    def __init__(self, game: GameSpec, pairs):
+    def __init__(self, game: GameSpec, *supports):
         graph, schedule = game.graph, game.schedule
         schedule.validate_for_graph(graph)
-        n = pairs[0][1].n
-        if n != graph.n:
-            raise ValidationError(f"initial state has length {n}, graph has {graph.n} vertices")
         super().__init__(graph, game.dynamics, schedule.phases(graph))
-        self.pairs = pairs
+        self.supports = supports
         self.schedule = schedule
 
-        # Seed resolution per support pair: the state with uncontested seeds
-        # placed, and the contested vertices with red's winning chance.
-        self.seeds = []
+        # Seed resolution per distinct support pair: the state with
+        # uncontested seeds placed, and the contested vertices with red's
+        # winning chance.  A job of one pair starts every replication from it;
+        # -1 marks a mixed job, whose replications draw theirs.
+        bases = []
+        self.contests = []
         self.pair_index = {}
-        for red, blue in ((ar, ab) for _, ar, ab in pairs):
-            if (id(red), id(blue)) in self.pair_index:
-                continue
-            self.pair_index[id(red), id(blue)] = len(self.seeds)
-            red_only, blue_only, contested = split_seeds(red, blue)
-            base = np.zeros(n, dtype=np.int8)
-            base[red_only] = RED
-            base[blue_only] = BLUE
-            self.seeds.append((base, np.array([v for v, _ in contested], dtype=np.intp),
-                               np.array([p for _, p in contested])))
-        max_contested = max(len(c) for _, c, _ in self.seeds)
+        self.job_pair = np.full(len(supports), -1, dtype=np.intp)
+        for j, pairs in enumerate(supports):
+            for red, blue in ((ar, ab) for _, ar, ab in pairs):
+                if (id(red), id(blue)) in self.pair_index:
+                    continue
+                if red.n != graph.n:
+                    raise ValidationError(
+                        f"initial state has length {red.n}, graph has {graph.n} vertices")
+                self.pair_index[id(red), id(blue)] = len(bases)
+                red_only, blue_only, contested = split_seeds(red, blue)
+                base = np.zeros(graph.n, dtype=np.int8)
+                base[red_only] = RED
+                base[blue_only] = BLUE
+                bases.append(base)
+                if contested:
+                    self.contests.append((len(bases) - 1,
+                                          np.array([v for v, _ in contested], dtype=np.intp),
+                                          np.array([p for _, p in contested])))
+            if len(pairs) == 1:
+                self.job_pair[j] = self.pair_index[id(pairs[0][1]), id(pairs[0][2])]
+        self.bases = np.array(bases, dtype=np.int8).reshape(len(bases), graph.n)
+        max_contested = max((len(c) for _, c, _ in self.contests), default=0)
         # Wide enough for the contested seeds and any one phase or round;
         # one-shot schedules never draw more than this in all.
         self.draw_width = max_contested + self.width
 
-    def run(self, master_seed: int, lo: int, hi: int,
-            stream: tuple[int, ...] = ()) -> tuple[np.ndarray, np.ndarray]:
-        """chi_R and chi_B of replications lo..hi-1, run together."""
+    def run(self, master_seed, lo, hi, stream: tuple[int, ...] = (),
+            job=0) -> tuple[np.ndarray, np.ndarray]:
+        """chi_R and chi_B of runs of replications, run together: run k is
+        replications lo[k]..hi[k]-1 of job[k] under master_seed[k], and ints
+        make one run."""
         rngs = list(_replication_streams(master_seed, lo, hi, stream))
-        which = np.empty(hi - lo, dtype=np.intp)
-        for row, rng in enumerate(rngs):
-            red, blue = _sample_support(self.pairs, rng)
+        jobs = np.repeat(job, np.subtract(hi, lo))
+        which = self.job_pair[jobs]
+        for row in np.flatnonzero(which < 0).tolist():
+            red, blue = _sample_support(self.supports[jobs[row]], rngs[row])
             which[row] = self.pair_index[id(red), id(blue)]
         draws = _Draws(rngs, self.draw_width)
-        state = np.empty((hi - lo, self.n), dtype=np.int8)
-        for k, (base, contested, p_red) in enumerate(self.seeds):
+        state = self.bases[which]
+        for k, contested, p_red in self.contests:
             rows = np.flatnonzero(which == k)
-            state[rows] = base
-            if len(contested) and len(rows):
+            if len(rows):
                 u = draws.u[rows, :len(contested)]
                 state[np.ix_(rows, contested)] = np.where(u < p_red, RED, BLUE)
                 draws.used[rows] = len(contested)
 
-        all_rows = np.arange(hi - lo)
+        all_rows = np.arange(len(rngs))
         if isinstance(self.schedule, ParallelRounds):
             self._run_rounds(state, draws, all_rows)
         else:
@@ -796,22 +888,64 @@ class _ReplicationKernel(_BatchedPhases):
         return row_of, target_verts, infected
 
 
-def _mc_chunk(game: GameSpec, pairs, master_seed: int, lo: int, hi: int,
+def _mc_chunk(game: GameSpec, jobs, n_trials: int, lo: int, hi: int,
               stream: tuple[int, ...] = ()):
-    """chi_R and chi_B of replications lo..hi-1, as float arrays; replication
-    i draws from `_replication_rng(master_seed, i, stream)`."""
+    """chi_R and chi_B of rows lo..hi-1 of a fill, as float arrays.  A fill
+    runs n_trials replications of each (support pairs, master seed) job, job
+    by job: row j * n_trials + i is replication i of job j, which draws from
+    `_replication_rng(master seed of job j, i, stream)`."""
+    supports = [pairs for pairs, _ in jobs]
+    runs = [(jobs[j][1], max(lo - j * n_trials, 0), min(hi - j * n_trials, n_trials), j)
+            for j in range(lo // n_trials, -(-hi // n_trials))]
     if type(game.schedule) in (ParallelRounds, SinglePassOrder, LayerOrder):
-        kernel = _ReplicationKernel(game, pairs)
-        parts = [kernel.run(master_seed, b, min(b + kernel.block, hi), stream)
-                 for b in range(lo, hi, kernel.block)]
-        return (np.concatenate([p[0] for p in parts]),
-                np.concatenate([p[1] for p in parts]))
+        kernel = _ReplicationKernel(game, *supports)
+        chi = np.empty((2, hi - lo))
+        row = 0
+        for chunk in _chunks(runs, kernel.block):
+            seeds, first, stop, job = zip(*chunk)
+            block = kernel.run(seeds, first, stop, stream, job)
+            chi[:, row:row + len(block[0])] = block
+            row += len(block[0])
+        return chi[0], chi[1]
     # Other schedules, RandomSequential among them, run vertex by vertex.
     def run_one(red, blue, rng):
         out = run_profile_once(game, red, blue, rng)
         return out.chi_R, out.chi_B
 
-    return _replications(pairs, master_seed, lo, hi, stream, run_one)
+    seeds, first, stop, job = zip(*runs)
+    return _replications(supports, run_one, seeds, first, stop, stream, job)
+
+
+def sample_many(game: GameSpec, jobs: Sequence[tuple[StrategyProfile, int]], n_trials: int,
+                threads: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
+    """Per-replication chi_R and chi_B of n_trials runs of each (profile,
+    master seed) job, all run through one replication kernel: (jobs,
+    n_trials) arrays, one row per job.
+
+    Replication i of a job derives its generator from (its master seed, i),
+    so each job's row equals `sample_payoffs(game, profile, n_trials,
+    master_seed)` bit for bit, whatever the other jobs and `threads`.
+    `threads` splits the replications of all jobs across worker processes.
+    """
+    if not (_is_integer(n_trials) and n_trials >= 1):
+        raise ValidationError(f"n_trials must be a positive integer, got {n_trials!r}")
+    if threads is not None and not (_is_integer(threads) and threads >= 1):
+        raise ValidationError(f"threads must be a positive integer, got {threads!r}")
+    for _, master_seed in jobs:
+        _require_master_seed(master_seed)
+    if not jobs:
+        return np.empty((0, n_trials)), np.empty((0, n_trials))
+    work = [(profile.support_pairs(), int(master_seed)) for profile, master_seed in jobs]
+    rows = len(work) * n_trials
+    if threads is not None and threads > 1 and rows >= 64:
+        bounds = np.linspace(0, rows, threads + 1).astype(int)
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(_mc_chunk, *zip(*[(game, work, n_trials, int(lo), int(hi))
+                                                    for lo, hi in zip(bounds, bounds[1:]) if hi > lo])))
+        chi_r, chi_b = (np.concatenate([p[k] for p in parts]) for k in (0, 1))
+    else:
+        chi_r, chi_b = _mc_chunk(game, work, n_trials, 0, rows)
+    return chi_r.reshape(len(work), n_trials), chi_b.reshape(len(work), n_trials)
 
 
 def sample_payoffs(game: GameSpec, profile: StrategyProfile, n_trials: int,
@@ -822,35 +956,29 @@ def sample_payoffs(game: GameSpec, profile: StrategyProfile, n_trials: int,
     Replication i derives its generator from (master_seed, i), so results are
     bit-identical for a given master seed regardless of `threads`.
     """
-    if not (_is_integer(n_trials) and n_trials >= 1):
-        raise ValidationError(f"n_trials must be a positive integer, got {n_trials!r}")
-    if threads is not None and not (_is_integer(threads) and threads >= 1):
-        raise ValidationError(f"threads must be a positive integer, got {threads!r}")
-    _require_master_seed(master_seed)
-    pairs = profile.support_pairs()
-    if threads is not None and threads > 1 and n_trials >= 64:
-        bounds = np.linspace(0, n_trials, threads + 1).astype(int)
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_mc_chunk, *zip(*[(game, pairs, master_seed, int(lo), int(hi))
-                                                    for lo, hi in zip(bounds, bounds[1:]) if hi > lo])))
-        return (np.concatenate([p[0] for p in parts]),
-                np.concatenate([p[1] for p in parts]))
-    return _mc_chunk(game, pairs, master_seed, 0, n_trials)
+    chi_r, chi_b = sample_many(game, [(profile, master_seed)], n_trials, threads)
+    return chi_r[0], chi_b[0]
+
+
+def monte_carlo_estimates(chi_r: np.ndarray, chi_b: np.ndarray) -> list[PayoffEstimate]:
+    """Sample means and standard errors of per-replication payoffs, one
+    estimate per row of (jobs, replications) arrays."""
+    n = chi_r.shape[1]
+
+    def stderr(samples) -> list[float]:
+        if n < 2:
+            return [0.0] * len(samples)
+        return (np.std(samples, axis=1, ddof=1) / math.sqrt(n)).tolist()
+
+    return [PayoffEstimate(pi_R=r, pi_B=b, method=MONTE_CARLO, n_trials=n,
+                           stderr_R=sr, stderr_B=sb)
+            for r, b, sr, sb in zip(np.mean(chi_r, axis=1).tolist(), np.mean(chi_b, axis=1).tolist(),
+                                    stderr(chi_r), stderr(chi_b))]
 
 
 def monte_carlo_estimate(chi_r: np.ndarray, chi_b: np.ndarray) -> PayoffEstimate:
     """Sample means and standard errors of per-replication payoffs."""
-
-    def stderr(samples) -> float:
-        if len(samples) < 2:
-            return 0.0
-        return float(np.std(samples, ddof=1) / math.sqrt(len(samples)))
-
-    return PayoffEstimate(
-        pi_R=float(np.mean(chi_r)), pi_B=float(np.mean(chi_b)),
-        method=MONTE_CARLO, n_trials=len(chi_r),
-        stderr_R=stderr(chi_r), stderr_B=stderr(chi_b),
-    )
+    return monte_carlo_estimates(np.reshape(chi_r, (1, -1)), np.reshape(chi_b, (1, -1)))[0]
 
 
 def estimate_payoffs(game: GameSpec, profile: StrategyProfile, n_trials: int = DEFAULT_TRIALS,

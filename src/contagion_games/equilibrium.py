@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -25,6 +25,8 @@ from .engine import (
     StrategyProfile,
     estimate_payoffs,
     exact_payoffs,
+    monte_carlo_estimates,
+    sample_many,
 )
 from .errors import AllocationSpaceCapError, ValidationError
 
@@ -71,7 +73,8 @@ class PayoffOracle:
     The dynamics treat the two colors identically, so swapping the players'
     allocations swaps their payoffs; the cache exploits that to halve the work
     (`use_symmetry`).  Monte Carlo evaluations derive their seed from the
-    profile's contents, making results independent of evaluation order.
+    profile's contents, making results independent of evaluation order, and
+    of whether `fill` estimates them together or `evaluate` one by one.
     """
 
     def __init__(self, game: GameSpec, method: str = EXACT_ENUMERATION,
@@ -96,9 +99,10 @@ class PayoffOracle:
         return self._payoff_fn is None and self.method == MONTE_CARLO
 
     def _profile_seed(self, red: Allocation, blue: Allocation) -> int:
+        """The master seed of the profile's Monte Carlo estimate."""
         key = red.counts + (2**31 - 1,) + blue.counts
-        ss = np.random.SeedSequence(entropy=self.master_seed, spawn_key=key)
-        return ss
+        return int(np.random.SeedSequence(entropy=self.master_seed,
+                                          spawn_key=key).generate_state(1)[0])
 
     def evaluate(self, red: Allocation, blue: Allocation) -> PayoffEstimate:
         key = (red, blue)
@@ -120,11 +124,36 @@ class PayoffOracle:
         elif self.method == EXACT_ENUMERATION:
             est = exact_payoffs(self.game, profile, node_cap=self.node_cap)
         else:
-            rng_seed = int(self._profile_seed(red, blue).generate_state(1)[0])
             est = estimate_payoffs(self.game, profile, n_trials=self.n_trials,
-                                   master_seed=rng_seed, threads=self.threads)
+                                   master_seed=self._profile_seed(red, blue),
+                                   threads=self.threads)
         self._cache[key] = est
         return est
+
+    def fill(self, profiles: Iterable[tuple[Allocation, Allocation]]) -> list[PayoffEstimate]:
+        """`evaluate` of each (red, blue) profile, in order.
+
+        A Monte Carlo oracle first estimates every profile that `evaluate`
+        would compute, in one `sample_many` call: those neither cached nor
+        (with `use_symmetry`) the swap of a cached or earlier one.  Each keeps
+        the stream of its profile seed, so its estimate is the one `evaluate`
+        would make."""
+        if self.statistical:
+            profiles = list(profiles)
+            todo: dict[tuple[Allocation, Allocation], None] = {}
+            for red, blue in profiles:
+                if (red, blue) in self._cache or (red, blue) in todo:
+                    continue
+                if self.use_symmetry and ((blue, red) in self._cache or (blue, red) in todo):
+                    continue
+                todo[red, blue] = None
+            if todo:
+                jobs = [(StrategyProfile(red=red, blue=blue), self._profile_seed(red, blue))
+                        for red, blue in todo]
+                estimates = monte_carlo_estimates(*sample_many(self.game, jobs, self.n_trials,
+                                                               self.threads))
+                self._cache.update(zip(todo, estimates))
+        return [self.evaluate(red, blue) for red, blue in profiles]
 
     def payoffs(self, red: Allocation, blue: Allocation) -> tuple[float, float]:
         est = self.evaluate(red, blue)
@@ -251,11 +280,9 @@ def find_pure_nash(game: GameSpec, oracle: Optional[PayoffOracle] = None,
         raise AllocationSpaceCapError(
             f"{len(reds)}x{len(blues)} profile pairs exceed the cap of {pair_cap}")
 
-    pi_r = np.empty((len(reds), len(blues)))
-    pi_b = np.empty((len(reds), len(blues)))
-    for i, a in enumerate(reds):
-        for j, b in enumerate(blues):
-            pi_r[i, j], pi_b[i, j] = oracle.payoffs(a, b)
+    estimates = oracle.fill(itertools.product(reds, blues))
+    pi_r = np.array([est.pi_R for est in estimates]).reshape(len(reds), len(blues))
+    pi_b = np.array([est.pi_B for est in estimates]).reshape(len(reds), len(blues))
 
     resolved_eps, caveats = _resolve_eps(oracle, eps)
     best_red = pi_r.max(axis=0)   # per blue strategy
@@ -287,13 +314,14 @@ def best_response(game: GameSpec, side: str, opponent: Allocation,
         raise ValidationError(f"side must be 'red' or 'blue', got {side!r}")
     oracle = oracle or PayoffOracle(game)
     budget = game.budget_red if side == "red" else game.budget_blue
+    cands = enumerate_allocations(game.graph.n, budget, cap=allocation_cap)
+    if side == "red":
+        pays = [est.pi_R for est in oracle.fill((cand, opponent) for cand in cands)]
+    else:
+        pays = [est.pi_B for est in oracle.fill((opponent, cand) for cand in cands)]
     best: Optional[Allocation] = None
     best_pay = -math.inf
-    for cand in enumerate_allocations(game.graph.n, budget, cap=allocation_cap):
-        if side == "red":
-            pay = oracle.payoffs(cand, opponent)[0]
-        else:
-            pay = oracle.payoffs(opponent, cand)[1]
+    for cand, pay in zip(cands, pays):
         if pay >= best_pay - TIE_EPS:
             best, best_pay = cand, max(pay, best_pay)
     assert best is not None
@@ -322,11 +350,10 @@ def max_joint_payoff(game: GameSpec, oracle: Optional[PayoffOracle] = None,
                 f"{len(reds)}x{len(blues)} profile pairs exceed the cap of {pair_cap}")
         best = None
         best_val = -math.inf
-        for a in reds:
-            for b in blues:
-                val = sum(oracle.payoffs(a, b))
-                if val > best_val + TIE_EPS:
-                    best, best_val = (a, b), val
+        for pair, est in zip(itertools.product(reds, blues),
+                             oracle.fill(itertools.product(reds, blues))):
+            if est.joint > best_val + TIE_EPS:
+                best, best_val = pair, est.joint
         assert best is not None
         return JointOptimum(red=best[0], blue=best[1], value=best_val, exhaustive=True)
 

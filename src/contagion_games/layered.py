@@ -463,5 +463,5 @@ def layered_estimate_payoffs(structure: LayeredStructure, dyn: AdoptionFunction,
     plans = {(id(red), id(blue)): _layer_plan(structure, red, blue) for _, red, blue in pairs}
     probs = _LayerProbs(dyn)
     return monte_carlo_estimate(*_replications(
-        pairs, master_seed, 0, n_trials, (),
-        lambda red, blue, rng: _sample_plan(plans[id(red), id(blue)], probs, rng)))
+        (pairs,), lambda red, blue, rng: _sample_plan(plans[id(red), id(blue)], probs, rng),
+        master_seed, 0, n_trials))

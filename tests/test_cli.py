@@ -147,6 +147,19 @@ def test_payoff_on_a_hub_gadget_uses_its_exact_dp(tmp_path):
     assert result["method"] == "exact-layered-dp"
 
 
+@pytest.mark.parametrize("gadget", [True, False])
+def test_payoff_validates_the_node_cap_whichever_back_end_answers(tmp_path, capsys, gadget):
+    # A gadget config is answered by the gadget's own exact back end, which
+    # reads no node cap; a bad one is still a bad config.
+    profile = {"red_seeds": [4], "blue_seeds": [4]}
+    config = ({"graph": {"gadget": {"kind": "influencer_components", "sizes": [4, 8],
+                                    "hubs_per_component": 2}}, "profile": profile}
+              if gadget else base_config(profile=profile))
+    path = write_config(tmp_path, dict(config, node_cap=0))
+    assert run(["payoff", "--config", path, "--out", str(tmp_path / "out")]) == 1
+    assert "config field 'node_cap'" in capsys.readouterr().err
+
+
 def test_gadget_parameters_are_not_coerced(tmp_path, capsys):
     config = write_config(tmp_path, {"graph": {"gadget": {
         "kind": "chain_replication", "chain_steps": 4, "replications": 17.9,
@@ -191,6 +204,21 @@ def test_nash_lists_equilibria_with_extremity_flags(tmp_path):
     rows = read_csv(out)
     assert rows[0] == ["profile", "pi_R", "pi_B", "joint", "is_worst", "is_best"]
     assert rows[1] == ["red=3:1 blue=3:1", "5.0", "5.0", "10.0", "True", "True"]
+
+
+def test_monte_carlo_nash_is_thread_invariant(tmp_path):
+    config = write_config(tmp_path, base_config(budget_red=1, budget_blue=1, oracle="mc",
+                                                n_trials=20, master_seed=3))
+    docs = []
+    for sub, threads in (("one", []), ("two", ["--threads", "2"])):
+        out = tmp_path / sub
+        assert run(["nash", "--config", config, "--out", str(out)] + threads) == 0
+        docs.append((out / "result.json").read_bytes())
+    # The threaded run's file differs only by the threads field its config embeds.
+    threaded = json.loads(docs[1])
+    assert threaded["config"].pop("threads") == 2
+    assert json.dumps(threaded, sort_keys=True, indent=2).encode() + b"\n" == docs[0]
+    assert json.loads(docs[0])["result"]["equilibria"]
 
 
 def test_poa_and_bm_single_row_summaries(tmp_path):

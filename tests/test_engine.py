@@ -8,10 +8,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from contagion_games import engine
+from contagion_games import engine, equilibrium
 from contagion_games.coupling import _CoupledKernel
 from contagion_games import (
     EXACT_ENUMERATION,
@@ -41,6 +41,7 @@ from contagion_games import (
     SwitchSelectAdoption,
     TullockSelection,
     ValidationError,
+    enumerate_allocations,
     estimate_payoffs,
     exact_payoffs,
     layered_estimate_payoffs,
@@ -748,6 +749,187 @@ def test_replicated_samples_do_not_depend_on_the_seed_block():
     with mock.patch.object(engine, "_SEED_BLOCK", 3):
         (block_r, block_b), block_est = samples()
     assert (block_r.tolist(), block_b.tolist(), block_est) == (chi_r.tolist(), chi_b.tolist(), est)
+
+
+# Many jobs through one kernel: per-run master seeds, `sample_many`, and the
+# oracle's fill.
+
+@settings(max_examples=100, deadline=None)
+@given(runs=st.lists(st.tuples(st.one_of(st.sampled_from((0, 2**32 - 1, 2**32, 2**200)),
+                                         st.integers(0, 2**70)),
+                               st.one_of(st.integers(0, 9), st.integers(2**32 - 4, 2**32 + 2)),
+                               st.integers(0, 4)), min_size=1, max_size=6),
+       stream=st.lists(st.integers(0, 2**40), max_size=2).map(tuple))
+@example(runs=[(0, 2**32 - 2, 4), (2**32 - 1, 0, 2), (2**32, 2**32 - 1, 3), (2**200, 5, 2)],
+         stream=())
+def test_per_run_master_seeds_draw_what_the_replication_generators_draw(runs, stream):
+    """Runs with master seeds of every word count, and indices on both sides
+    of 2**32, in one call: each replication's seed and first draw are its own
+    generator's."""
+    seeds = [seed for seed, _, _ in runs]
+    lo = [first for _, first, _ in runs]
+    hi = [first + size for _, first, size in runs]
+    expected = [(seed, i) for seed, first, size in runs for i in range(first, first + size)]
+    pcg = engine._pcg64_seeds(seeds, stream, np.array(lo, dtype=np.uint64),
+                              np.array(hi, dtype=np.uint64))
+    with mock.patch.object(engine, "_SEED_BLOCK", 3):
+        streams = list(engine._replication_streams(seeds, lo, hi, stream))
+    assert len(pcg) == len(streams) == len(expected)
+    for (seed, i), state, seeded in zip(expected, pcg, streams):
+        reference = engine._replication_rng(seed, i, stream)
+        bits = reference.bit_generator.state["state"]
+        assert state == (bits["state"], bits["inc"])
+        assert seeded.random() == reference.random()
+
+
+@settings(max_examples=100, deadline=None)
+@given(kernel_cases(), st.lists(st.one_of(st.sampled_from((0, 2**32 - 1, 2**32, 2**200)),
+                                          st.integers(0, 2**40)), min_size=1, max_size=4),
+       st.integers(1, 6), st.sampled_from((1, 40, 1 << 20)))
+def test_sample_many_rows_equal_one_job_samples(case, seeds, n_trials, block_cells):
+    """Jobs of mixed profiles sharing allocations, run through one kernel in
+    blocks that cut jobs apart: each job's row is its own `sample_payoffs`."""
+    game, profile = case
+    swapped = StrategyProfile(profile.blue, profile.red)
+    jobs = [(profile if k % 2 == 0 else swapped, seed) for k, seed in enumerate(seeds)]
+    with mock.patch.object(engine, "_BLOCK_CELLS", block_cells):
+        chi_r, chi_b = engine.sample_many(game, jobs, n_trials)
+    assert chi_r.shape == chi_b.shape == (len(jobs), n_trials)
+    for (job, seed), row_r, row_b in zip(jobs, chi_r, chi_b):
+        one_r, one_b = engine.sample_payoffs(game, job, n_trials, master_seed=seed)
+        assert (row_r.tolist(), row_b.tolist()) == (one_r.tolist(), one_b.tolist())
+
+
+def fill_schedule(kind: str, n: int, perm):
+    return {"parallel": ParallelRounds(3),
+            "immune": ParallelRounds(3, immunity=True),
+            "single_pass": SinglePassOrder(tuple(perm)),
+            "layers": LayerOrder((tuple(perm[:n // 2]), tuple(perm[n // 2:]))),
+            "random_sequential": RandomSequential(4)}[kind]
+
+
+FILL_SCHEDULES = ("parallel", "immune", "single_pass", "layers", "random_sequential")
+
+
+@st.composite
+def fill_cases(draw):
+    """A small directed game under any schedule Monte Carlo takes, the
+    per-vertex fallback's included, and a list of its pure profiles with
+    repeats, swaps and contested seeds."""
+    n = draw(st.integers(2, 8))
+    possible = [(u, v) for u in range(n) for v in range(n) if u != v]
+    keep = draw(st.lists(st.booleans(), min_size=len(possible), max_size=len(possible)))
+    graph = Graph(n=n, edges=tuple(e for e, k in zip(possible, keep) if k), directed=True)
+    schedule = fill_schedule(draw(st.sampled_from(FILL_SCHEDULES)), n,
+                             draw(st.permutations(range(n))))
+    budget = draw(st.integers(1, 2))
+    # Seeds on the first few vertices, so that profiles often repeat, swap
+    # and contest a vertex.
+    allocations = [Allocation.from_seeds(n, draw(st.lists(st.integers(0, min(n - 1, 2)),
+                                                          min_size=budget, max_size=budget)))
+                   for _ in range(3)]
+    profiles = draw(st.lists(st.tuples(st.sampled_from(allocations),
+                                       st.sampled_from(allocations)), min_size=1, max_size=10))
+    dyn = draw(st.sampled_from(KERNEL_DYNAMICS))
+    return GameSpec(graph, dyn, schedule, budget, budget), profiles
+
+
+def swap(est: PayoffEstimate) -> PayoffEstimate:
+    return dataclasses.replace(est, pi_R=est.pi_B, pi_B=est.pi_R,
+                               stderr_R=est.stderr_B, stderr_B=est.stderr_R)
+
+
+def check_fill(game, profiles, n_trials, master_seed, use_symmetry, threads=None):
+    """The oracle's fill returns, profile by profile, the estimate
+    `estimate_payoffs` makes under the profile's seed, or the swap of an
+    earlier profile's."""
+    oracle = PayoffOracle(game, method=MONTE_CARLO, n_trials=n_trials, master_seed=master_seed,
+                          use_symmetry=use_symmetry, threads=threads)
+
+    def direct(red, blue):
+        return estimate_payoffs(game, StrategyProfile(red, blue), n_trials,
+                                master_seed=oracle._profile_seed(red, blue))
+
+    expected = {}
+    for (red, blue), est in zip(profiles, oracle.fill(profiles)):
+        if (red, blue) not in expected:
+            expected[red, blue] = (swap(direct(blue, red))
+                                   if use_symmetry and (blue, red) in expected
+                                   else direct(red, blue))
+        assert est == expected[red, blue]
+
+
+@settings(max_examples=150, deadline=None)
+@given(fill_cases(), st.booleans(), st.integers(0, 2**40), st.integers(1, 6),
+       st.sampled_from((1, 40, 1 << 20)))
+def test_oracle_fill_equals_per_profile_estimates(case, use_symmetry, master_seed, n_trials,
+                                                  block_cells):
+    game, profiles = case
+    with mock.patch.object(engine, "_BLOCK_CELLS", block_cells):
+        check_fill(game, profiles, n_trials, master_seed, use_symmetry)
+
+
+@pytest.mark.parametrize("kind", FILL_SCHEDULES)
+def test_oracle_fill_is_thread_invariant(kind):
+    """Two workers split the fill's replications: still every profile's own
+    estimate, with contested and swapped profiles among them."""
+    graph = Graph(n=5, edges=((0, 2), (1, 2), (2, 3), (1, 3), (3, 4), (0, 4)), directed=True)
+    game = GameSpec(graph, KERNEL_DYNAMICS[1], fill_schedule(kind, 5, (2, 3, 4, 0, 1)), 1, 1)
+    allocations = enumerate_allocations(5, 1)
+    profiles = [(a, b) for a in allocations[:3] for b in allocations[:3]]
+    for use_symmetry in (True, False):
+        check_fill(game, profiles, 20, 7, use_symmetry, threads=2)
+
+
+def test_oracle_fill_computes_each_uncached_profile_once():
+    graph = Graph(n=4, edges=((0, 1), (1, 2), (2, 3), (3, 0)), directed=True)
+    game = GameSpec(graph, linear_dyn(), SinglePassOrder((1, 2, 3)), 1, 1)
+    a0, a1, a2, a3 = enumerate_allocations(4, 1)
+    profiles = [(a0, a1), (a1, a0), (a2, a3), (a2, a3), (a3, a2), (a1, a1), (a0, a2), (a0, a1)]
+    sample_many = engine.sample_many
+    for use_symmetry, computed in ((True, [(a2, a3), (a1, a1), (a0, a2)]),
+                                   (False, [(a1, a0), (a2, a3), (a3, a2), (a1, a1), (a0, a2)])):
+        oracle = PayoffOracle(game, method=MONTE_CARLO, n_trials=5, use_symmetry=use_symmetry)
+        cached = oracle.evaluate(a0, a1)
+        calls = []
+
+        def recording(game, jobs, n_trials, threads=None):
+            calls.append([(profile.red, profile.blue) for profile, _ in jobs])
+            return sample_many(game, jobs, n_trials, threads)
+
+        # Every estimate comes from the fill's one sampler call: `evaluate`
+        # finds them all cached.
+        with mock.patch.object(equilibrium, "sample_many", recording), \
+                mock.patch.object(equilibrium, "estimate_payoffs", None):
+            filled = oracle.fill(profiles)
+            assert oracle.fill(profiles) == filled
+        assert calls == [computed]
+        assert filled[0] is filled[-1] is cached
+    # An exact oracle evaluates profile by profile.
+    oracle = PayoffOracle(game)
+    with mock.patch.object(equilibrium, "sample_many", None):
+        assert oracle.fill(profiles) == [exact_payoffs(game, StrategyProfile(a, b))
+                                         for a, b in profiles]
+
+
+def test_a_fill_derives_replication_seeds_block_by_block():
+    """All 144 profiles of criterion 5's 12-vertex bipartite game at 2,000
+    trials: 288,000 replications, whose seeds as Python tuples alone would
+    take ~40 MB.  The fill derives them per kernel block, so its peak is the
+    chi arrays (4.6 MB) and about one block."""
+    graph = Graph(n=12, edges=tuple((s, t) for s in range(3) for t in range(3, 12)))
+    game = GameSpec(graph, SwitchSelectAdoption(PowerSwitch(0.5), linear_selection()),
+                    SinglePassOrder(tuple(range(3, 12))), 1, 1)
+    allocations = enumerate_allocations(12, 1)
+    oracle = PayoffOracle(game, method=MONTE_CARLO, n_trials=2000, use_symmetry=False)
+    tracemalloc.start()
+    try:
+        oracle.fill([(a, b) for a in allocations for b in allocations])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(oracle._cache) == 144
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 @pytest.mark.parametrize("schedule", [ParallelRounds(2), ParallelRounds(2, immunity=True),
