@@ -63,7 +63,8 @@ from .engine import (
     _is_integer,
     _mc_chunk,
     _nonzero,
-    _replication_streams,
+    _pcg64_words,
+    _replication_words,
     _require_master_seed,
     _seed_vertex,
 )
@@ -245,7 +246,7 @@ class _CoupledKernel(_BatchedPhases):
                 self.weight[verts] = len(phases) - k
         super().__init__(graph, dyn, phases)
         self.mode = mode
-        self.draw_width = self.width
+        self._set_draw_width(self.width)
 
     def _violations(self, joint: np.ndarray, solo: np.ndarray) -> np.ndarray:
         if self.mode == MODE_SOLO_VS_JOINT:
@@ -257,7 +258,7 @@ class _CoupledKernel(_BatchedPhases):
     def run(self, draws: _Draws) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The joint and solo end states of one row per `draws` row, and each
         row's invariant violations summed after every phase or round."""
-        rows = np.arange(len(draws.rngs))
+        rows = np.arange(len(draws.u))
         joint = np.tile(self.joint0, (len(rows), 1))
         solo = np.tile(self.solo0, (len(rows), 1))
         if self.rounds is not None:
@@ -350,16 +351,18 @@ def coupled_run(graph: Graph, red_seeds: Sequence[int], blue_seeds: Sequence[int
     """One coupled run of the joint process (both seed sets) and the mode's
     solo process, sharing one uniform draw per candidate vertex per phase.
 
-    The generator is left just past the draws the run used."""
+    `rng` is a PCG64 generator, or a seed for one; the run draws from the
+    generator's stream, and leaves it just past the draws the run used."""
     mode = canonical_mode(mode)
     if not skip_preflight:
         require_mode_hypotheses(mode, dyn, graph)
     rng = np.random.default_rng(rng)
-    kernel = _CoupledKernel(graph, red_seeds, blue_seeds, dyn, schedule, mode)
     start = rng.bit_generator.state
-    draws = _Draws([rng], kernel.draw_width)
+    if start["bit_generator"] != "PCG64":
+        raise ValidationError(f"coupled runs draw from a PCG64 generator, not {start['bit_generator']}")
+    kernel = _CoupledKernel(graph, red_seeds, blue_seeds, dyn, schedule, mode)
+    draws = kernel.draws(_pcg64_words([(start["state"]["state"], start["state"]["inc"])]))
     joint, solo, violations = kernel.run(draws)
-    rng.bit_generator.state = start
     rng.random(int(draws.spent[0] + draws.used[0]))
 
     joint, solo = joint[0].tolist(), solo[0].tolist()
@@ -420,8 +423,7 @@ def couple_test(graph: Graph, red_seeds: Sequence[int], blue_seeds: Sequence[int
     violations = 0
     for lo in range(0, runs, kernel.block):
         hi = min(lo + kernel.block, runs)
-        draws = _Draws(_replication_streams(master_seed, lo, hi, (1,)), kernel.draw_width)
-        joint, solo, bad = kernel.run(draws)
+        joint, solo, bad = kernel.run(kernel.draws(_replication_words(master_seed, lo, hi, (1,))))
         violations += int(bad.sum())
         for k, (state, color) in enumerate(((joint, RED), (joint, BLUE), (solo, RED), (solo, BLUE))):
             counts[k, lo:hi] = np.count_nonzero(state == color, axis=1)

@@ -12,6 +12,7 @@ import math
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -341,6 +342,7 @@ def _replication_rng(master_seed: int, index: int, stream: tuple[int, ...] = ())
 
 # SeedSequence's and PCG64's constants (numpy.random), for `_pcg64_seeds`.
 _MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 _HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
 _HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -396,10 +398,11 @@ _OUTPUT_STEPS = _hash_steps(_HASH_INIT_B, 8, _HASH_MULT_B)[:2]
 
 
 def _pcg64_seeds(master_seeds: Sequence[int], stream: tuple[int, ...], lo: np.ndarray,
-                 hi: np.ndarray) -> list[tuple[int, int]]:
+                 hi: np.ndarray) -> np.ndarray:
     """The PCG64 (state, increment) that `_replication_rng(master_seeds[k], i,
     stream)` starts from, for run k's replications i in lo[k]..hi[k]-1 (uint64
-    arrays), run by run.
+    arrays), run by run: one column each of a (4, R) uint64 array of state
+    high, state low, increment high and increment low words.
 
     SeedSequence mixes its entropy words into a pool of four, then hashes the
     pool into the generator's seed.  Every word before the replication index
@@ -454,52 +457,100 @@ def _pcg64_seeds(master_seeds: Sequence[int], stream: tuple[int, ...], lo: np.nd
             pool[:, high] = _seed_mix(pool[:, high], _hash_rows(index[high] >> 32, before, after))
         out = _hash_rows(np.concatenate([pool, pool]), *_OUTPUT_STEPS)
         halves[:, np.repeat(offsets[group], counts) + step] = out[0::2] | (out[1::2] << 32)
-    return _pcg64_states(halves)
+
+    # SeedSequence's output is PCG64's state high, state low, sequence high
+    # and sequence low words.  PCG64 seeds its 128-bit LCG with two steps
+    # from state 0, adding the initial state in between: the increment is
+    # twice the sequence plus 1, and the state one step on from the initial
+    # state plus the increment.
+    seq_hi, seq_lo = halves[2], halves[3]
+    halves[2], halves[3] = (seq_hi << 1) | (seq_lo >> 63), (seq_lo << 1) | 1
+    inc = (halves[2], halves[3])
+    halves[:2] = _add128(*_mul128(*_PCG64_MULT_WORDS, *_add128(halves[0], halves[1], *inc)), *inc)
+    return halves
 
 
-def _pcg64_states(halves: np.ndarray) -> list[tuple[int, int]]:
-    """The PCG64 (state, increment) that SeedSequence's output seeds, given as
-    uint64 rows of state high, state low, sequence high and sequence low
-    words.  PCG64 seeds its 128-bit LCG with two steps from state 0, adding
-    the initial state in between; the increment is twice the sequence plus
-    1."""
-    seeds = []
-    for state_hi, state_lo, seq_hi, seq_lo in zip(*halves.tolist()):
-        inc = (((seq_hi << 64) | seq_lo) << 1 | 1) & _MASK128
-        state = ((inc + ((state_hi << 64) | state_lo)) * _PCG64_MULT + inc) & _MASK128
-        seeds.append((state, inc))
-    return seeds
+# 128-bit integers on arrays are pairs of uint64 arrays, (high, low) words.
+
+def _add128(a_hi, a_lo, b_hi, b_lo):
+    """Sums mod 2**128."""
+    low = a_lo + b_lo
+    return a_hi + b_hi + (low < a_lo), low
+
+
+def _mul128(a_hi, a_lo, b_hi, b_lo):
+    """Products mod 2**128: the low words' full product from 32-bit halves,
+    plus the cross products' low words in the high word."""
+    a0, a1 = a_lo & _MASK32, a_lo >> 32
+    b0, b1 = b_lo & _MASK32, b_lo >> 32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    high = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32) + a_hi * b_lo + a_lo * b_hi
+    return high, (p00 & _MASK32) | (mid << 32)
+
+
+def _pcg64_jump(state, inc, jumps: np.ndarray):
+    """PCG64's LCG states some steps past `state`, for streams of increment
+    `inc` ((high, low) pairs): `jumps` holds the steps' rows of a jump table
+    (A, then B, in high and low words), and k steps take s to A_k s + B_k
+    inc."""
+    return _add128(*_mul128(jumps[0], jumps[1], *state), *_mul128(jumps[2], jumps[3], *inc))
+
+
+def _pcg64_doubles(state_hi: np.ndarray, state_lo: np.ndarray) -> np.ndarray:
+    """The doubles `Generator.random` draws from PCG64 at these LCG states:
+    the XSL-RR output (high ^ low rotated right by high >> 58), then its top
+    53 bits times 2**-53."""
+    x = state_hi ^ state_lo
+    rot = state_hi >> 58
+    x = (x >> rot) | (x << ((64 - rot) & 63))
+    return (x >> 11) * (1.0 / 9007199254740992.0)
+
+
+_PCG64_MULT_WORDS = np.array([[_PCG64_MULT >> 64], [_PCG64_MULT & _MASK64]], dtype=np.uint64)
+
+
+def _pcg64_states(words: np.ndarray) -> list[tuple[int, int]]:
+    """Each column's PCG64 (state, increment) as Python ints, from (4, R)
+    uint64 rows of state high, state low, increment high and increment low
+    words."""
+    return [((state_hi << 64) | state_lo, (inc_hi << 64) | inc_lo)
+            for state_hi, state_lo, inc_hi, inc_lo in zip(*words.tolist())]
+
+
+def _pcg64_words(seeds: Sequence[tuple[int, int]]) -> np.ndarray:
+    """The (4, R) uint64 words of PCG64 (state, increment) pairs, as
+    `_pcg64_states` reads them."""
+    return np.array([(state >> 64, state & _MASK64, inc >> 64, inc & _MASK64)
+                     for state, inc in seeds], dtype=np.uint64).reshape(-1, 4).T
+
+
+def _pcg64_resume(generator, seed: tuple[int, int], skip: int = 0):
+    """A PCG64 generator set to the stream of (state, increment) `seed`,
+    `skip` doubles in."""
+    bits = generator.bit_generator
+    state, inc = seed
+    bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                  "has_uint32": 0, "uinteger": 0}
+    if skip:
+        bits.advance(skip)  # one step per double
+    return generator
 
 
 class _SeededStream:
     """Replication i's random stream, on a PCG64 shared by every stream of
-    one `_replication_streams` call.  `random` restores the stream's seed,
-    skips what it has drawn, and draws; `resume` does the first two and
-    hands the generator over, for samplers that draw more than uniforms."""
+    one `_replication_streams` call.  `resume` sets the generator to the
+    stream's seed and hands it over, for samplers that draw more than
+    uniforms."""
 
-    __slots__ = ("seed", "drawn", "generator")
+    __slots__ = ("seed", "generator")
 
     def __init__(self, seed: tuple[int, int], generator):
         self.seed = seed
-        self.drawn = 0
         self.generator = generator
 
     def resume(self):
-        """The shared generator, in the state this stream's draws left it in.
-        What is drawn from it directly is not counted, so a replication that
-        resumes its stream draws the rest of its run from the generator."""
-        bits = self.generator.bit_generator
-        state, inc = self.seed
-        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                      "has_uint32": 0, "uinteger": 0}
-        if self.drawn:
-            bits.advance(self.drawn)  # one step per double
-        return self.generator
-
-    def random(self, out=None):
-        value = self.resume().random(out=out)
-        self.drawn += 1 if out is None else len(out)
-        return value
+        return _pcg64_resume(self.generator, self.seed)
 
 
 def _chunks(runs, size: int):
@@ -519,29 +570,40 @@ def _chunks(runs, size: int):
         yield chunk
 
 
-# `_replication_streams` computes this many replications' seeds at a time, so
-# memory does not grow with the trial count.
+# Replication seeds are computed this many at a time, so memory does not grow
+# with the trial count.
 _SEED_BLOCK = 1 << 12
 
 
-def _replication_streams(master_seed, lo, hi, stream: tuple[int, ...] = ()):
-    """Yield the streams of runs of replications, run by run: run k is
-    replications lo[k]..hi[k]-1 under master_seed[k] (nonnegative), and ints
-    make one run.  Each stream draws exactly what `_replication_rng(master_seed,
-    i, stream)` draws, without a SeedSequence and a generator per replication:
-    the streams share one generator, and each draw goes through its own
-    stream."""
+def _replication_words(master_seed, lo, hi, stream: tuple[int, ...] = ()) -> np.ndarray:
+    """The PCG64 words (as `_pcg64_seeds` gives them) of runs of
+    replications, run by run: run k is replications lo[k]..hi[k]-1 under
+    master_seed[k] (nonnegative), and ints make one run.  Replication i's
+    column seeds the stream `_replication_rng(master_seed, i, stream)`
+    draws."""
     if np.ndim(lo) == 0:
         master_seed, lo, hi = (master_seed,), (lo,), (hi,)
-    runs = [(int(s), int(a), int(b), None) for s, a, b in zip(master_seed, lo, hi)]
-    lowest = min((seed for seed, *_ in runs), default=0)
+    seeds = [int(s) for s in master_seed]
+    lowest = min(seeds, default=0)
     if lowest < 0:
         np.random.SeedSequence(lowest)  # raises SeedSequence's own error
+    return _pcg64_seeds(seeds, stream, np.array(lo, dtype=np.uint64),
+                        np.array(hi, dtype=np.uint64))
+
+
+def _replication_streams(master_seed, lo, hi, stream: tuple[int, ...] = ()):
+    """Yield the streams of runs of replications, as `_replication_words`
+    takes them, for samplers that draw more than uniforms.  Each stream draws
+    exactly what `_replication_rng(master_seed, i, stream)` draws, without a
+    SeedSequence and a generator per replication: the streams share one
+    generator, which each sets to its own seed."""
+    if np.ndim(lo) == 0:
+        master_seed, lo, hi = (master_seed,), (lo,), (hi,)
+    runs = [(s, int(a), int(b), None) for s, a, b in zip(master_seed, lo, hi)]
     generator = np.random.Generator(np.random.PCG64(0))
     for chunk in _chunks(runs, _SEED_BLOCK):
         seeds, first, stop, _ = zip(*chunk)
-        for seed in _pcg64_seeds(seeds, stream, np.array(first, dtype=np.uint64),
-                                 np.array(stop, dtype=np.uint64)):
+        for seed in _pcg64_states(_replication_words(seeds, first, stop, stream)):
             yield _SeededStream(seed, generator)
 
 
@@ -587,33 +649,86 @@ _BLOCK_ROWS = 1 << 8
 _TABLE_CELLS = _BLOCK_CELLS
 
 
+# `_Draws` fills a matrix at most this wide on arrays, and a wider one from a
+# generator (see `_Draws` for the measurement).
+_ARRAY_FILL_WIDTH = 64
+
+
+def _jump_table(width: int) -> Optional[np.ndarray]:
+    """The jump table that fills a draw matrix `width` wide (at least 1) on
+    arrays, or None when the matrix is wider than `_ARRAY_FILL_WIDTH`: a (4,
+    width + 1) uint64 array whose column k holds A_k = MULT**k and B_k =
+    sum_{j<k} MULT**j (mod 2**128) in high and low words, so that k steps of
+    PCG64's LCG take state s of increment c to A_k s + B_k c."""
+    width = max(width, 1)
+    if width > _ARRAY_FILL_WIDTH:
+        return None
+    a, b, steps = 1, 0, []
+    for _ in range(width + 1):
+        steps.append((a >> 64, a & _MASK64, b >> 64, b & _MASK64))
+        a, b = a * _PCG64_MULT & _MASK128, (a + b) & _MASK128
+    return np.array(steps, dtype=np.uint64).T
+
+
 class _Draws:
     """Each replication's uniform stream, drawn ahead into one row of a matrix.
 
-    Row i holds generator i's next draws in order, so handing them out left
-    to right reproduces scalar `rng.random()` calls exactly.  When a row runs
-    short, every row drops the draws it has handed out and draws more, so the
-    matrix keeps its width however long the runs are.  A row has handed out
-    `spent + used` draws in all.
+    Row i holds the next draws of the PCG64 stream whose (state, increment)
+    words are column i of `words` (as `_pcg64_seeds` gives them), in order,
+    so handing them out left to right reproduces scalar `rng.random()` calls
+    on a generator in that state exactly.  When a row runs short, every row
+    drops the draws it has handed out and draws more, so the matrix keeps its
+    width however long the runs are.  A row has handed out `spent + used`
+    draws in all.
+
+    With a jump table (`_jump_table`), the matrix is filled on arrays:
+    column k of a row is PCG64's output k + 1 steps past the row's state,
+    and a refill first moves each row's state on by the draws it used.
+    Without one, each row is drawn from a generator set to the row's state.
+    The array fill costs in proportion to the width, and the generator fill
+    a state assignment per row whatever the width, so kernels take the array
+    fill up to `_ARRAY_FILL_WIDTH` columns.  At 256 rows, on one core of a
+    2-vCPU Xeon VM, a fill took 0.6, 0.7, 1.4, 2.9, 4.4 and 6.0 µs a row on
+    arrays at widths 11, 16, 40, 64, 80 and 96, and 2.5 to 3.9 µs a row from
+    the generator; a refill 0.9, 1.0, 1.8, 3.7, 5.9 and 8.1 µs a row on
+    arrays, and 3.6, 3.6, 3.8, 4.1, 4.5 and 7.0 µs from the generator.
     """
 
-    def __init__(self, rngs, width: int):
-        self.rngs = rngs = list(rngs)
-        self.u = np.empty((len(rngs), max(width, 1)))
-        for row, rng in zip(self.u, rngs):
-            rng.random(out=row)
-        self.used = np.zeros(len(rngs), dtype=np.intp)
-        self.spent = np.zeros(len(rngs), dtype=np.intp)
+    def __init__(self, words: np.ndarray, width: int, jumps: Optional[np.ndarray] = None):
+        rows = words.shape[1]
+        self.u = np.empty((rows, max(width, 1)))
+        self.used = np.zeros(rows, dtype=np.intp)
+        self.spent = np.zeros(rows, dtype=np.intp)
+        self.jumps = jumps
+        if jumps is None:
+            self.seeds = _pcg64_states(words)
+            self.generator = np.random.Generator(np.random.PCG64(0))
+            for row, seed in zip(self.u, self.seeds):
+                _pcg64_resume(self.generator, seed).random(out=row)
+        else:
+            self.state, self.inc = (words[0], words[1]), (words[2], words[3])
+            self._fill_arrays()
+
+    def _fill_arrays(self) -> None:
+        state = tuple(word[:, None] for word in self.state)
+        inc = tuple(word[:, None] for word in self.inc)
+        steps = self.jumps[:, None, 1:self.u.shape[1] + 1]
+        self.u[:] = _pcg64_doubles(*_pcg64_jump(state, inc, steps))
 
     def take(self, rows: np.ndarray, per_row: np.ndarray, row_of: np.ndarray) -> np.ndarray:
         """The next per_row[j] draws of each replication rows[j], concatenated
         in row order; row_of gives each draw's index into rows.  No per_row
         entry may exceed the matrix width."""
         if int((self.used[rows] + per_row).max()) > self.u.shape[1]:
-            width = self.u.shape[1]
-            for row, rng, used in zip(self.u, self.rngs, self.used.tolist()):
-                row[:width - used] = row[used:]
-                rng.random(out=row[width - used:])
+            if self.jumps is None:
+                width = self.u.shape[1]
+                for row, seed, used, drawn in zip(self.u, self.seeds, self.used.tolist(),
+                                                  (self.spent + width).tolist()):
+                    row[:width - used] = row[used:]
+                    _pcg64_resume(self.generator, seed, drawn).random(out=row[width - used:])
+            else:
+                self.state = _pcg64_jump(self.state, self.inc, self.jumps[:, self.used])
+                self._fill_arrays()
             self.spent += self.used
             self.used[:] = 0
         first = self.used[rows]
@@ -732,6 +847,16 @@ class _BatchedPhases:
             cells = graph.n + len(indices)
         self.block = max(1, min(_BLOCK_CELLS // cells, _BLOCK_ROWS))
 
+    def _set_draw_width(self, width: int) -> None:
+        """The width of the kernel's draw matrices, and the jump table that
+        fills them if they are narrow."""
+        self.draw_width = width
+        self.jumps = _jump_table(width)
+
+    def draws(self, words: np.ndarray) -> _Draws:
+        """A draw matrix over the streams of PCG64 `words`, one row each."""
+        return _Draws(words, self.draw_width, self.jumps)
+
     @staticmethod
     def _neighbor_counts(state: np.ndarray, phase) -> tuple[np.ndarray, np.ndarray]:
         """Red and blue in-neighbor counts of the phase's vertices in each row."""
@@ -767,11 +892,11 @@ class _ReplicationKernel(_BatchedPhases):
     int8 state matrix; for ParallelRounds, SinglePassOrder and LayerOrder.
 
     The kernel runs jobs, one per support (each job's support pairs), and
-    each row of a block is one replication of one job.  Replication i of a
-    job run under master seed s draws from `_replication_rng(s, i, stream)`
-    exactly the numbers `run_profile_once` draws, in the same order: the
-    support draw, one per contested seed in vertex order, then one per update
-    candidate in phase order.  Update probabilities are `update_probs`'s at
+    each row of a block is one replication of one job.  A row draws from the
+    PCG64 stream of its words (replication i under master seed s has those of
+    `_replication_rng(s, i, stream)`) exactly the numbers `run_profile_once`
+    draws, in the same order: the support draw, one per contested seed in
+    vertex order, then one per update candidate in phase order.  Update probabilities are `update_probs`'s at
     the same fractions, from the kernel's table, which every block the kernel
     runs shares.  So every replication's (chi_R, chi_B) equals the per-vertex
     path's, bit for bit, whatever else the block runs.
@@ -781,25 +906,26 @@ class _ReplicationKernel(_BatchedPhases):
         graph, schedule = game.graph, game.schedule
         schedule.validate_for_graph(graph)
         super().__init__(graph, game.dynamics, schedule.phases(graph))
-        self.supports = supports
         self.schedule = schedule
 
         # Seed resolution per distinct support pair: the state with
         # uncontested seeds placed, and the contested vertices with red's
         # winning chance.  A job of one pair starts every replication from it;
-        # -1 marks a mixed job, whose replications draw theirs.
+        # -1 marks a mixed job, whose replications draw theirs by its
+        # cumulative pair probabilities, as `_sample_support` does.
         bases = []
         self.contests = []
-        self.pair_index = {}
+        pair_index = {}
         self.job_pair = np.full(len(supports), -1, dtype=np.intp)
+        self.mixtures = {}
         for j, pairs in enumerate(supports):
             for red, blue in ((ar, ab) for _, ar, ab in pairs):
-                if (id(red), id(blue)) in self.pair_index:
+                if (id(red), id(blue)) in pair_index:
                     continue
                 if red.n != graph.n:
                     raise ValidationError(
                         f"initial state has length {red.n}, graph has {graph.n} vertices")
-                self.pair_index[id(red), id(blue)] = len(bases)
+                pair_index[id(red), id(blue)] = len(bases)
                 red_only, blue_only, contested = split_seeds(red, blue)
                 base = np.zeros(graph.n, dtype=np.int8)
                 base[red_only] = RED
@@ -810,34 +936,41 @@ class _ReplicationKernel(_BatchedPhases):
                                           np.array([v for v, _ in contested], dtype=np.intp),
                                           np.array([p for _, p in contested])))
             if len(pairs) == 1:
-                self.job_pair[j] = self.pair_index[id(pairs[0][1]), id(pairs[0][2])]
+                self.job_pair[j] = pair_index[id(pairs[0][1]), id(pairs[0][2])]
+            else:
+                self.mixtures[j] = (np.array(list(accumulate(p for p, _, _ in pairs))),
+                                    np.array([pair_index[id(ar), id(ab)] for _, ar, ab in pairs]))
         self.bases = np.array(bases, dtype=np.int8).reshape(len(bases), graph.n)
         max_contested = max((len(c) for _, c, _ in self.contests), default=0)
-        # Wide enough for the contested seeds and any one phase or round;
-        # one-shot schedules never draw more than this in all.
-        self.draw_width = max_contested + self.width
+        # Wide enough for a mixed job's support draw, the contested seeds and
+        # any one phase or round; one-shot schedules never draw more than
+        # this in all.
+        self._set_draw_width(bool(self.mixtures) + max_contested + self.width)
 
-    def run(self, master_seed, lo, hi, stream: tuple[int, ...] = (),
-            job=0) -> tuple[np.ndarray, np.ndarray]:
-        """chi_R and chi_B of runs of replications, run together: run k is
-        replications lo[k]..hi[k]-1 of job[k] under master_seed[k], and ints
-        make one run."""
-        rngs = list(_replication_streams(master_seed, lo, hi, stream))
-        jobs = np.repeat(job, np.subtract(hi, lo))
+    def run(self, words: np.ndarray, jobs=0) -> tuple[np.ndarray, np.ndarray]:
+        """chi_R and chi_B of a block of replications, run together: one per
+        column of PCG64 `words` (as `_replication_words` gives them), of job
+        jobs[k], or of job `jobs` for an int."""
+        draws = self.draws(words)
+        jobs = np.broadcast_to(jobs, words.shape[1])
         which = self.job_pair[jobs]
-        for row in np.flatnonzero(which < 0).tolist():
-            red, blue = _sample_support(self.supports[jobs[row]], rngs[row])
-            which[row] = self.pair_index[id(red), id(blue)]
-        draws = _Draws(rngs, self.draw_width)
+        mixed = np.flatnonzero(which < 0)
+        if len(mixed):
+            u = draws.take(mixed, np.ones(len(mixed), dtype=np.intp), np.arange(len(mixed)))
+            for j in np.unique(jobs[mixed]).tolist():
+                of_job = jobs[mixed] == j
+                cumulative, pairs = self.mixtures[j]
+                pick = np.searchsorted(cumulative, u[of_job], side="right")
+                which[mixed[of_job]] = pairs[np.minimum(pick, len(pairs) - 1)]
         state = self.bases[which]
         for k, contested, p_red in self.contests:
             rows = np.flatnonzero(which == k)
             if len(rows):
-                u = draws.u[rows, :len(contested)]
-                state[np.ix_(rows, contested)] = np.where(u < p_red, RED, BLUE)
-                draws.used[rows] = len(contested)
+                c = len(contested)
+                u = draws.take(rows, np.full(len(rows), c), np.repeat(np.arange(len(rows)), c))
+                state[np.ix_(rows, contested)] = np.where(u.reshape(-1, c) < p_red, RED, BLUE)
 
-        all_rows = np.arange(len(rngs))
+        all_rows = np.arange(len(which))
         if isinstance(self.schedule, ParallelRounds):
             self._run_rounds(state, draws, all_rows)
         else:
@@ -901,11 +1034,14 @@ def _mc_chunk(game: GameSpec, jobs, n_trials: int, lo: int, hi: int,
         kernel = _ReplicationKernel(game, *supports)
         chi = np.empty((2, hi - lo))
         row = 0
-        for chunk in _chunks(runs, kernel.block):
+        for chunk in _chunks(runs, _SEED_BLOCK):
             seeds, first, stop, job = zip(*chunk)
-            block = kernel.run(seeds, first, stop, stream, job)
-            chi[:, row:row + len(block[0])] = block
-            row += len(block[0])
+            words = _replication_words(seeds, first, stop, stream)
+            row_jobs = np.repeat(job, np.subtract(stop, first))
+            for a in range(0, len(row_jobs), kernel.block):
+                b = min(a + kernel.block, len(row_jobs))
+                chi[:, row + a:row + b] = kernel.run(words[:, a:b], row_jobs[a:b])
+            row += len(row_jobs)
         return chi[0], chi[1]
     # Other schedules, RandomSequential among them, run vertex by vertex.
     def run_one(red, blue, rng):

@@ -23,6 +23,8 @@ from .engine import (
     GameSpec,
     PayoffEstimate,
     StrategyProfile,
+    _require_master_seed,
+    _uint32_words,
     estimate_payoffs,
     exact_payoffs,
     monte_carlo_estimates,
@@ -99,10 +101,22 @@ class PayoffOracle:
         return self._payoff_fn is None and self.method == MONTE_CARLO
 
     def _profile_seed(self, red: Allocation, blue: Allocation) -> int:
-        """The master seed of the profile's Monte Carlo estimate."""
+        """The master seed of the profile's Monte Carlo estimate: the first
+        word of `SeedSequence(entropy=master_seed, spawn_key=red.counts +
+        (2**31 - 1,) + blue.counts)`.  That sequence's pool is the master
+        seed's 32-bit words padded to four, then one word per key item, so it
+        is assembled here as one uint32 array, which SeedSequence takes
+        without coercing the key item by item.  Counts of 2**32 or more take
+        two words each, and go through the spawn key."""
+        _require_master_seed(self.master_seed)
         key = red.counts + (2**31 - 1,) + blue.counts
-        return int(np.random.SeedSequence(entropy=self.master_seed,
-                                          spawn_key=key).generate_state(1)[0])
+        if max(red.budget, blue.budget) >> 32:
+            seq = np.random.SeedSequence(entropy=self.master_seed, spawn_key=key)
+        else:
+            words = _uint32_words(int(self.master_seed))
+            seq = np.random.SeedSequence(np.array(words + [0] * (4 - len(words)) + list(key),
+                                                  dtype=np.uint32))
+        return int(seq.generate_state(1)[0])
 
     def evaluate(self, red: Allocation, blue: Allocation) -> PayoffEstimate:
         key = (red, blue)

@@ -43,7 +43,7 @@ from contagion_games import (
 )
 from contagion_games import coupling, engine
 from contagion_games.coupling import _CoupledKernel
-from contagion_games.engine import _Draws, sample_payoffs
+from contagion_games.engine import _pcg64_words, sample_payoffs
 
 
 def sqrt_linear():
@@ -61,6 +61,19 @@ def two_hub():
 
 def rng_for(i):
     return np.random.default_rng(np.random.SeedSequence(entropy=321, spawn_key=(i,)))
+
+
+def draws_from(kernel, rngs):
+    """A kernel's draw matrix over the streams of PCG64 generators, one row
+    each, in the generators' current states."""
+    states = [rng.bit_generator.state["state"] for rng in rngs]
+    return kernel.draws(_pcg64_words([(s["state"], s["inc"]) for s in states]))
+
+
+# Kernels fill their draw matrices on arrays up to `engine._ARRAY_FILL_WIDTH`
+# columns and from a generator past it; bit-identity tests run on each fill.
+BOTH_FILLS = pytest.mark.parametrize("fill_width", [0, 1 << 30],
+                                     ids=["generator_fill", "array_fill"])
 
 
 # ---------------------------------------------------------------------------
@@ -303,18 +316,20 @@ def coupled_instances(draw, rounds=False):
     return graph, red, blue, schedule
 
 
+@BOTH_FILLS
 @settings(max_examples=250, deadline=None)
 @given(data=st.data(),
        dyn=st.sampled_from([sqrt_linear(), convex_linear(), skewed_split(), non_additive()]),
        mode=st.sampled_from([MODE_SOLO_VS_JOINT, MODE_JOINT_TOTAL, MODE_ATTRIBUTION]),
        block=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
-def test_batched_coupled_runs_match_the_reference_model(data, dyn, mode, block, seed):
+def test_batched_coupled_runs_match_the_reference_model(fill_width, data, dyn, mode, block, seed):
     # Parallel rounds, with and without immunity, only for attribution: the
     # inequality modes refuse them.
     graph, red, blue, schedule = data.draw(coupled_instances(rounds=mode == MODE_ATTRIBUTION))
-    kernel = _CoupledKernel(graph, red, blue, dyn, schedule, mode)
+    with mock.patch.object(engine, "_ARRAY_FILL_WIDTH", fill_width):
+        kernel = _CoupledKernel(graph, red, blue, dyn, schedule, mode)
     rngs = [np.random.default_rng([seed, row]) for row in range(block)]
-    joint, solo, violations = kernel.run(_Draws(rngs, kernel.draw_width))
+    joint, solo, violations = kernel.run(draws_from(kernel, rngs))
     for row in range(block):
         ref_joint, ref_solo, ref_violations = reference_coupled_run(
             graph, red, blue, dyn, schedule, np.random.default_rng([seed, row]), mode)
@@ -326,7 +341,8 @@ def test_batched_coupled_runs_match_the_reference_model(data, dyn, mode, block, 
     # The one-row public call: states, counts, violations, and the generator
     # left where the reference leaves it.
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    res = coupled_run(graph, red, blue, dyn, schedule, rng, mode=mode, skip_preflight=True)
+    with mock.patch.object(engine, "_ARRAY_FILL_WIDTH", fill_width):
+        res = coupled_run(graph, red, blue, dyn, schedule, rng, mode=mode, skip_preflight=True)
     ref_joint, ref_solo, ref_violations = reference_coupled_run(
         graph, red, blue, dyn, schedule, ref_rng, mode)
     assert list(res.joint.state) == ref_joint and list(res.solo.state) == ref_solo
@@ -336,11 +352,12 @@ def test_batched_coupled_runs_match_the_reference_model(data, dyn, mode, block, 
     assert rng.random() == ref_rng.random()
 
 
+@BOTH_FILLS
 @pytest.mark.parametrize("schedule", [
     SinglePassOrder((3, 4, 5, 2, 6)),
     LayerOrder(((4, 3), (6, 5, 2))),
 ])
-def test_batched_violation_counter_fires_without_the_preflight(schedule):
+def test_batched_violation_counter_fires_without_the_preflight(schedule, fill_width):
     """Convex switching breaks solo-vs-joint: blue's seed raises the chance
     that red's neighbors adopt.  The batched count equals the reference's,
     summed after every phase of the schedule, and is nonzero."""
@@ -349,9 +366,9 @@ def test_batched_violation_counter_fires_without_the_preflight(schedule):
     dyn = convex_linear()
     with pytest.raises(CouplingHypothesisError):
         require_mode_hypotheses(MODE_SOLO_VS_JOINT, dyn, g)
-    kernel = _CoupledKernel(g, [0], [1], dyn, schedule, MODE_SOLO_VS_JOINT)
-    rngs = [rng_for(i) for i in range(300)]
-    joint, solo, violations = kernel.run(_Draws(rngs, kernel.draw_width))
+    with mock.patch.object(engine, "_ARRAY_FILL_WIDTH", fill_width):
+        kernel = _CoupledKernel(g, [0], [1], dyn, schedule, MODE_SOLO_VS_JOINT)
+    joint, solo, violations = kernel.run(draws_from(kernel, [rng_for(i) for i in range(300)]))
     total = 0
     for i in range(300):
         ref_joint, ref_solo, ref_violations = reference_coupled_run(
@@ -364,10 +381,11 @@ def test_batched_violation_counter_fires_without_the_preflight(schedule):
     assert res.invariant_violations == 0
 
 
+@BOTH_FILLS
 @pytest.mark.parametrize("immunity", [False, True])
 @pytest.mark.parametrize("dyn", [sqrt_linear(), convex_linear(), skewed_split(), non_additive()],
                          ids=["sqrt_linear", "convex_linear", "skewed_split", "non_additive"])
-def test_batched_attribution_rounds_match_the_reference_model(dyn, immunity):
+def test_batched_attribution_rounds_match_the_reference_model(dyn, immunity, fill_width):
     """Parallel rounds on a graph with cycles, where candidates fail and
     retry (or turn immune) and the two processes stop at different rounds in
     different rows.  The batched runs equal the reference's row by row, and
@@ -375,9 +393,9 @@ def test_batched_attribution_rounds_match_the_reference_model(dyn, immunity):
     g = Graph(n=8, edges=((0, 2), (0, 3), (1, 3), (1, 4), (2, 3), (3, 4), (4, 2), (4, 5),
                           (5, 6), (6, 7), (7, 5), (2, 6)), directed=True)
     schedule = ParallelRounds(6, immunity=immunity)
-    kernel = _CoupledKernel(g, [0, 2], [1], dyn, schedule, MODE_ATTRIBUTION)
-    joint, solo, violations = kernel.run(_Draws([rng_for(i) for i in range(200)],
-                                                kernel.draw_width))
+    with mock.patch.object(engine, "_ARRAY_FILL_WIDTH", fill_width):
+        kernel = _CoupledKernel(g, [0, 2], [1], dyn, schedule, MODE_ATTRIBUTION)
+    joint, solo, violations = kernel.run(draws_from(kernel, [rng_for(i) for i in range(200)]))
     for i in range(200):
         ref_joint, ref_solo, ref_violations = reference_coupled_run(
             g, [0, 2], [1], dyn, schedule, rng_for(i), MODE_ATTRIBUTION)
@@ -398,13 +416,15 @@ def bipartite():
     return g, SinglePassOrder(tuple(range(3, 12)))
 
 
+@BOTH_FILLS
 @pytest.mark.parametrize("schedule", [None, ParallelRounds(4), ParallelRounds(4, immunity=True)])
-def test_attribution_labels_equal_the_joint_colors_under_its_hypotheses(schedule):
+def test_attribution_labels_equal_the_joint_colors_under_its_hypotheses(schedule, fill_width):
     g, single_pass = two_hub()
     schedule = schedule or single_pass
     for i in range(100):
         rng, ref_rng = rng_for(i), rng_for(i)
-        res = coupled_run(g, [3], [0], sqrt_linear(), schedule, rng, mode=MODE_ATTRIBUTION)
+        with mock.patch.object(engine, "_ARRAY_FILL_WIDTH", fill_width):
+            res = coupled_run(g, [3], [0], sqrt_linear(), schedule, rng, mode=MODE_ATTRIBUTION)
         assert res.invariant_violations == 0
         assert res.joint.state == res.solo.state
         # Followers of hub 3 can only copy red; those of hub 0 only blue.
@@ -414,6 +434,13 @@ def test_attribution_labels_equal_the_joint_colors_under_its_hypotheses(schedule
         # just past the draws the run used.
         reference_coupled_run(g, [3], [0], sqrt_linear(), schedule, ref_rng, MODE_ATTRIBUTION)
         assert rng.random() == ref_rng.random()
+
+
+def test_coupled_runs_refuse_a_generator_other_than_pcg64():
+    g, schedule = two_hub()
+    with pytest.raises(ValidationError, match="PCG64 generator, not MT19937"):
+        coupled_run(g, [3], [0], sqrt_linear(), schedule,
+                    np.random.Generator(np.random.MT19937(1)), mode=MODE_ATTRIBUTION)
 
 
 def test_attribution_invariant_breaks_with_a_non_linear_split():

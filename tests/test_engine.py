@@ -564,19 +564,28 @@ def per_vertex_outcomes(game, profile, n_trials, master_seed):
     return out
 
 
+# Kernels fill their draw matrices on arrays up to `_ARRAY_FILL_WIDTH`
+# columns and from a generator past it; bit-identity tests run on each fill.
+BOTH_FILLS = pytest.mark.parametrize("fill_width", [0, 1 << 30],
+                                     ids=["generator_fill", "array_fill"])
+
+
+@BOTH_FILLS
 @settings(max_examples=300, deadline=None)
 @given(kernel_cases(), st.integers(min_value=0, max_value=2**32), st.integers(1, 12))
-def test_batched_kernel_matches_the_per_vertex_path(case, master_seed, n_trials):
+def test_batched_kernel_matches_the_per_vertex_path(fill_width, case, master_seed, n_trials):
     game, profile = case
     reference = per_vertex_outcomes(game, profile, n_trials, master_seed)
-    kernel = engine._ReplicationKernel(game, profile.support_pairs())
-    assert n_trials <= kernel.block
-    chi_r, chi_b = kernel.run(master_seed, 0, n_trials)
-    assert list(zip(chi_r.tolist(), chi_b.tolist())) == reference
-    # Blocks of at most two replications: n_trials spans several blocks.
-    cells = 2 * (game.graph.n + len(game.graph.in_csr[1]))
-    with mock.patch.object(engine, "_BLOCK_CELLS", cells):
-        chi_r, chi_b = engine.sample_payoffs(game, profile, n_trials, master_seed)
+    with mock.patch.object(engine, "_ARRAY_FILL_WIDTH", fill_width):
+        kernel = engine._ReplicationKernel(game, profile.support_pairs())
+        assert (kernel.jumps is None) == (fill_width == 0)
+        assert n_trials <= kernel.block
+        chi_r, chi_b = kernel.run(engine._replication_words(master_seed, 0, n_trials))
+        assert list(zip(chi_r.tolist(), chi_b.tolist())) == reference
+        # Blocks of at most two replications: n_trials spans several blocks.
+        cells = 2 * (game.graph.n + len(game.graph.in_csr[1]))
+        with mock.patch.object(engine, "_BLOCK_CELLS", cells):
+            chi_r, chi_b = engine.sample_payoffs(game, profile, n_trials, master_seed)
     assert list(zip(chi_r.tolist(), chi_b.tolist())) == reference
 
 
@@ -595,21 +604,53 @@ MIXED_DEGREE_SCHEDULES = (ParallelRounds(5), ParallelRounds(5, immunity=True),
                           LayerOrder(((1, 2, 3), (4, 5), (7, 8))))
 
 
+@BOTH_FILLS
 @pytest.mark.parametrize("cells, rows", [(0, []), (4, [1]), (28, [1, 2])])
 @pytest.mark.parametrize("schedule", MIXED_DEGREE_SCHEDULES)
 @pytest.mark.parametrize("dyn", KERNEL_DYNAMICS[1:], ids=["tullock", "halfpoint", "builtin"])
-def test_keys_past_the_table_cap_are_evaluated_directly(cells, rows, schedule, dyn):
+def test_keys_past_the_table_cap_are_evaluated_directly(cells, rows, schedule, dyn, fill_width):
     """With the table capped below the graph's larger in-degrees, their
     candidates take the direct path, and every replication still equals the
     per-vertex path's."""
     game, profile = mixed_degree_game(dyn, schedule)
-    with mock.patch.object(engine, "_TABLE_CELLS", cells):
+    with mock.patch.object(engine, "_TABLE_CELLS", cells), \
+            mock.patch.object(engine, "_ARRAY_FILL_WIDTH", fill_width):
         kernel = engine._ReplicationKernel(game, profile.support_pairs())
-        chi_r, chi_b = kernel.run(9, 0, 60)
+        chi_r, chi_b = kernel.run(engine._replication_words(9, 0, 60))
     in_degree = game.graph.in_csr[2]
     assert sorted(set(in_degree[kernel.table.start >= 0].tolist())) == rows
     assert list(zip(chi_r.tolist(), chi_b.tolist())) == \
         per_vertex_outcomes(game, profile, 60, master_seed=9)
+
+
+@BOTH_FILLS
+def test_narrow_parallel_rounds_refill_their_draws_as_the_per_vertex_path_draws(fill_width):
+    """A complete digraph under convex switching: each round, the uninfected
+    vertices draw and few of them are infected, so a run takes many rounds of
+    up to 14 draws from a 19-wide matrix, which rows refill up to four times.
+    The profile mixes over pairs that contest two vertices, or none."""
+    n = 16
+    graph = Graph(n=n, edges=tuple((u, v) for u in range(n) for v in range(n) if u != v),
+                  directed=True)
+    game = GameSpec(graph, SwitchSelectAdoption(PowerSwitch(1.5), TullockSelection(0.75)),
+                    ParallelRounds(n), 2, 2)
+    contested = Allocation.from_seeds(n, [0, 1])
+    profile = StrategyProfile(
+        MixedAllocation(((0.5, contested), (0.5, Allocation.from_seeds(n, [2, 3])))), contested)
+    with mock.patch.object(engine, "_ARRAY_FILL_WIDTH", fill_width):
+        kernel = engine._ReplicationKernel(game, profile.support_pairs())
+        made = []
+
+        def recording(words):
+            made.append(engine._BatchedPhases.draws(kernel, words))
+            return made[-1]
+
+        kernel.draws = recording
+        chi_r, chi_b = kernel.run(engine._replication_words(21, 0, 100))
+    assert kernel.draw_width == 1 + 2 + n
+    assert made[0].spent.max() >= 3 * kernel.draw_width
+    assert list(zip(chi_r.tolist(), chi_b.tolist())) == \
+        per_vertex_outcomes(game, profile, 100, master_seed=21)
 
 
 class CountingQuadraticDamped(AdoptionFunction):
@@ -647,44 +688,97 @@ def test_each_table_key_is_evaluated_once_per_kernel(schedule):
 
     kernel = engine._ReplicationKernel(game, profile.support_pairs())
     for lo in range(0, 200, 50):
-        kernel.run(4, lo, lo + 50)
+        kernel.run(engine._replication_words(4, lo, lo + 50))
     check_calls()
     mode = MODE_ATTRIBUTION if isinstance(schedule, ParallelRounds) else MODE_SOLO_VS_JOINT
     coupled = _CoupledKernel(game.graph, [0, 3], [6], dyn, schedule, mode)
     for lo in range(0, 200, 50):
-        coupled.run(engine._Draws(engine._replication_streams(4, lo, lo + 50), coupled.draw_width))
+        coupled.run(coupled.draws(engine._replication_words(4, lo, lo + 50)))
     check_calls()
+
+
+def array_fill(width: int):
+    """The jump table of a `_Draws` matrix `width` wide that is filled on
+    arrays, whatever the crossover."""
+    with mock.patch.object(engine, "_ARRAY_FILL_WIDTH", width):
+        return engine._jump_table(width)
 
 
 @settings(max_examples=100, deadline=None)
 @given(master_seed=st.one_of(st.integers(0, 2**32), st.integers(2**32, 2**200)),
        stream=st.lists(st.integers(0, 2**40), max_size=2).map(tuple),
        lo=st.one_of(st.integers(0, 50), st.integers(2**32 - 60, 2**32 - 3)),
-       sizes=st.lists(st.integers(0, 5), min_size=1, max_size=4))
-def test_seeded_streams_draw_what_the_replication_generators_draw(master_seed, stream, lo, sizes):
-    streams = engine._replication_streams(master_seed, lo, lo + 3, stream)
-    for i, seeded in zip(range(lo, lo + 3), streams):
-        assert isinstance(seeded, engine._SeededStream)
-        reference = engine._replication_rng(master_seed, i, stream)
-        for k in sizes:  # a scalar draw for 0, else k draws into an array
-            if k == 0:
-                assert seeded.random() == reference.random()
-            else:
-                out = np.empty(k)
-                seeded.random(out=out)
-                assert out.tolist() == reference.random(k).tolist()
+       sizes=st.lists(st.tuples(*[st.integers(0, 5)] * 3), min_size=1, max_size=6),
+       on_arrays=st.booleans())
+def test_draw_rows_draw_what_the_replication_generators_draw(master_seed, stream, lo, sizes,
+                                                             on_arrays):
+    """Three replications' rows of a five-wide draw matrix, on either fill,
+    handed out a few draws per row at a time across refills."""
+    words = engine._replication_words(master_seed, lo, lo + 3, stream)
+    draws = engine._Draws(words, 5, array_fill(5) if on_arrays else None)
+    references = [engine._replication_rng(master_seed, i, stream) for i in range(lo, lo + 3)]
+    rows = np.arange(3)
+    for per_row in sizes:
+        got = draws.take(rows, np.array(per_row), np.repeat(rows, per_row))
+        assert got.tolist() == [u for reference, k in zip(references, per_row)
+                                for u in reference.random(k).tolist()]
+    assert (draws.spent + draws.used).tolist() == np.sum(sizes, axis=0).tolist()
+
+
+def pcg64_generator(state: int, inc: int):
+    generator = np.random.Generator(np.random.PCG64(0))
+    generator.bit_generator.state = {"bit_generator": "PCG64",
+                                     "state": {"state": state, "inc": inc},
+                                     "has_uint32": 0, "uinteger": 0}
+    return generator
+
+
+WORD128 = st.integers(0, 2**128 - 1)
+
+
+def state_before(after: int, inc: int) -> int:
+    """The LCG state one step before `after`, for a stream of increment `inc`."""
+    return (after - inc) * pow(engine._PCG64_MULT, -1, 2**128) % 2**128
+
+
+@settings(max_examples=200, deadline=None)
+@given(seeds=st.lists(st.tuples(WORD128, WORD128), min_size=1, max_size=4),
+       width=st.integers(1, 7), per_row=st.lists(st.integers(0, 7), min_size=1, max_size=8))
+@example(seeds=[(0, 2**128 - 1)], width=3, per_row=[3, 1, 3])
+# Rotation 0: the first output state's high word is below 2**58.
+@example(seeds=[(state_before((2**58 - 1) << 64 | 12345, 7), 7),
+                (state_before(5, 2**128 - 1), 2**128 - 1)], width=1, per_row=[1, 1])
+# The low words' sum carries into the high word: MULT's low word plus 2**64 - 1.
+@example(seeds=[(1, 2**64 - 1), (2**64 - 1, 2**64 - 1), (2**127, 2**128 - 2)], width=2,
+         per_row=[2, 2, 1])
+def test_array_fill_draws_what_a_pcg64_generator_draws(seeds, width, per_row):
+    """Over any 128-bit (state, increment), every column of the array fill
+    and of its refills is `Generator(PCG64).random()`'s draw at that offset."""
+    draws = engine._Draws(engine._pcg64_words(seeds), width, array_fill(width))
+    generators = [pcg64_generator(state, inc) for state, inc in seeds]
+    rows = np.arange(len(seeds))
+    for k in per_row:
+        k = min(k, width)
+        for row, generator in zip(draws.u, generators):
+            ahead = pcg64_generator(*generator.bit_generator.state["state"].values())
+            assert row[draws.used[0]:].tolist() == ahead.random(width - draws.used[0]).tolist()
+        got = draws.take(rows, np.full(len(rows), k), np.repeat(rows, k))
+        assert got.tolist() == [u for g in generators for u in g.random(k).tolist()]
 
 
 def test_replication_streams_cross_two_to_the_32():
     # Indices from 2**32 on take two SeedSequence words, so a block is split there.
     lo, hi = 2**32 - 3, 2**32 + 3
+    words = engine._replication_words(np.int64(5), lo, hi, (2,))
+    first = [engine._Draws(words, 1, jumps).u[:, 0].tolist() for jumps in (None, array_fill(1))]
     for block in (2, 4, engine._SEED_BLOCK):
         with mock.patch.object(engine, "_SEED_BLOCK", block):
             streams = list(engine._replication_streams(np.int64(5), lo, hi, (2,)))
         assert len(streams) == hi - lo
-        for i, seeded in zip(range(lo, hi), streams):
+        for k, (i, seeded) in enumerate(zip(range(lo, hi), streams)):
             assert isinstance(seeded, engine._SeededStream)
-            assert seeded.random() == engine._replication_rng(5, i, (2,)).random()
+            expected = engine._replication_rng(5, i, (2,)).random()
+            assert seeded.resume().random() == expected == first[0][k] == first[1][k]
 
 
 def test_replication_streams_refuse_a_negative_master_seed_as_seed_sequence_does():
@@ -702,14 +796,14 @@ def test_replication_streams_refuse_a_negative_master_seed_as_seed_sequence_does
                     st.integers(2**32, 2**64 - 6)),
        ahead=st.integers(0, 3))
 def test_resumed_streams_draw_what_fresh_generators_draw(master_seed, stream, lo, ahead):
-    # Blocks of two seeds; a stream resumes after `ahead` uniforms drawn through it.
+    # Blocks of two seeds; each stream resumes, and resumes again `ahead`
+    # uniforms in, as the generator fill of a draw matrix does.
     with mock.patch.object(engine, "_SEED_BLOCK", 2):
         streams = engine._replication_streams(master_seed, lo, lo + 5, stream)
         for i, seeded in zip(range(lo, lo + 5), streams):
             reference = engine._replication_rng(master_seed, i, stream)
-            for _ in range(ahead):
-                assert seeded.random() == reference.random()
-            rng = seeded.resume()
+            assert seeded.resume().random(ahead).tolist() == reference.random(ahead).tolist()
+            rng = engine._pcg64_resume(seeded.generator, seeded.seed, ahead)
             for draw in (lambda g: g.random(), lambda g: g.binomial(40, 0.3),
                          lambda g: g.integers(7), lambda g: g.random(3).tolist()):
                 assert draw(rng) == draw(reference)
@@ -735,20 +829,25 @@ def test_random_sequential_monte_carlo_matches_the_per_vertex_loop(threads):
 
 
 def test_replicated_samples_do_not_depend_on_the_seed_block():
+    """The per-vertex path, the layer sampler and the batched kernel, whose
+    blocks are cut at seed blocks too."""
     game, profile = random_sequential_case()
     structure = LayeredStructure(((2, 3, 4), (3, 5)))
     layered = StrategyProfile(Allocation.from_seeds(structure.n, [0, 5]),
                               Allocation.from_seeds(structure.n, [1, 5]))
+    batched, mixed = mixed_degree_game(KERNEL_DYNAMICS[1], ParallelRounds(5))
 
     def samples():
         return (engine.sample_payoffs(game, profile, 20, master_seed=3),
                 layered_estimate_payoffs(structure, linear_dyn(), layered, n_trials=20,
-                                         master_seed=3))
+                                         master_seed=3),
+                engine.sample_many(batched, [(mixed, 3), (mixed, 2**40)], 20))
 
-    (chi_r, chi_b), est = samples()
+    (chi_r, chi_b), est, many = samples()
     with mock.patch.object(engine, "_SEED_BLOCK", 3):
-        (block_r, block_b), block_est = samples()
+        (block_r, block_b), block_est, block_many = samples()
     assert (block_r.tolist(), block_b.tolist(), block_est) == (chi_r.tolist(), chi_b.tolist(), est)
+    assert [side.tolist() for side in block_many] == [side.tolist() for side in many]
 
 
 # Many jobs through one kernel: per-run master seeds, `sample_many`, and the
@@ -770,34 +869,43 @@ def test_per_run_master_seeds_draw_what_the_replication_generators_draw(runs, st
     lo = [first for _, first, _ in runs]
     hi = [first + size for _, first, size in runs]
     expected = [(seed, i) for seed, first, size in runs for i in range(first, first + size)]
-    pcg = engine._pcg64_seeds(seeds, stream, np.array(lo, dtype=np.uint64),
-                              np.array(hi, dtype=np.uint64))
+    words = engine._pcg64_seeds(seeds, stream, np.array(lo, dtype=np.uint64),
+                                np.array(hi, dtype=np.uint64))
+    pcg = engine._pcg64_states(words)
+    assert engine._pcg64_words(pcg).tolist() == words.tolist()
+    first = engine._Draws(engine._replication_words(seeds, lo, hi, stream), 1,
+                          array_fill(1)).u[:, 0].tolist()
     with mock.patch.object(engine, "_SEED_BLOCK", 3):
         streams = list(engine._replication_streams(seeds, lo, hi, stream))
-    assert len(pcg) == len(streams) == len(expected)
-    for (seed, i), state, seeded in zip(expected, pcg, streams):
+    assert len(pcg) == len(streams) == len(first) == len(expected)
+    for (seed, i), state, seeded, u in zip(expected, pcg, streams, first):
         reference = engine._replication_rng(seed, i, stream)
         bits = reference.bit_generator.state["state"]
         assert state == (bits["state"], bits["inc"])
-        assert seeded.random() == reference.random()
+        assert seeded.resume().random() == reference.random() == u
 
 
+@BOTH_FILLS
 @settings(max_examples=100, deadline=None)
 @given(kernel_cases(), st.lists(st.one_of(st.sampled_from((0, 2**32 - 1, 2**32, 2**200)),
                                           st.integers(0, 2**40)), min_size=1, max_size=4),
        st.integers(1, 6), st.sampled_from((1, 40, 1 << 20)))
-def test_sample_many_rows_equal_one_job_samples(case, seeds, n_trials, block_cells):
+def test_sample_many_rows_equal_one_job_samples(fill_width, case, seeds, n_trials, block_cells):
     """Jobs of mixed profiles sharing allocations, run through one kernel in
-    blocks that cut jobs apart: each job's row is its own `sample_payoffs`."""
+    blocks that cut jobs apart: each job's row is its own `sample_payoffs`,
+    and its replications' draws are their own generators'."""
     game, profile = case
     swapped = StrategyProfile(profile.blue, profile.red)
     jobs = [(profile if k % 2 == 0 else swapped, seed) for k, seed in enumerate(seeds)]
-    with mock.patch.object(engine, "_BLOCK_CELLS", block_cells):
+    with mock.patch.object(engine, "_BLOCK_CELLS", block_cells), \
+            mock.patch.object(engine, "_ARRAY_FILL_WIDTH", fill_width):
         chi_r, chi_b = engine.sample_many(game, jobs, n_trials)
     assert chi_r.shape == chi_b.shape == (len(jobs), n_trials)
     for (job, seed), row_r, row_b in zip(jobs, chi_r, chi_b):
         one_r, one_b = engine.sample_payoffs(game, job, n_trials, master_seed=seed)
         assert (row_r.tolist(), row_b.tolist()) == (one_r.tolist(), one_b.tolist())
+        assert list(zip(row_r.tolist(), row_b.tolist())) == \
+            per_vertex_outcomes(game, job, n_trials, seed)
 
 
 def fill_schedule(kind: str, n: int, perm):
@@ -879,6 +987,21 @@ def test_oracle_fill_is_thread_invariant(kind):
     profiles = [(a, b) for a in allocations[:3] for b in allocations[:3]]
     for use_symmetry in (True, False):
         check_fill(game, profiles, 20, 7, use_symmetry, threads=2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(master_seed=st.one_of(st.sampled_from((0, 2**32 - 1, 2**32, 2**128, 2**200)),
+                             st.integers(0, 2**70)),
+       counts=st.integers(1, 12).flatmap(lambda n: st.tuples(
+           *[st.lists(st.integers(0, 3) | st.just(2**32 + 1), min_size=n, max_size=n)] * 2)))
+def test_profile_seeds_are_the_spawn_key_seed_sequences(master_seed, counts):
+    """The oracle assembles a profile seed's pool as one array: the same
+    seed as the SeedSequence that takes the counts as its spawn key."""
+    red, blue = (Allocation(side) for side in counts)
+    oracle = PayoffOracle(mc_game(), method=MONTE_CARLO, master_seed=master_seed)
+    key = red.counts + (2**31 - 1,) + blue.counts
+    reference = np.random.SeedSequence(entropy=master_seed, spawn_key=key)
+    assert oracle._profile_seed(red, blue) == int(reference.generate_state(1)[0])
 
 
 def test_oracle_fill_computes_each_uncached_profile_once():
