@@ -27,9 +27,9 @@ candidate or no infection, as it would alone.  Randomly ordered schedules are
 refused: the two processes would not agree on which vertex a draw belongs to.
 
 All modes run on arrays (`_CoupledKernel`): a block of replications advances
-as two (R, n) state matrices, and replication i reads its draws from one row
-of a draw-ahead matrix that both processes index, in ascending vertex order
-within a layer or a round and in listed order along a single pass.  Invariant
+as two (R, n) state matrices, and replication i reads its draws from its own
+random stream, which both processes share, in ascending vertex order within a
+layer or a round and in listed order along a single pass.  Invariant
 violations are counted after every phase or round.  `couple_test`'s
 standalone replications run through `engine`'s Monte Carlo replication loop.
 """
@@ -63,7 +63,6 @@ from .engine import (
     _is_integer,
     _mc_chunk,
     _nonzero,
-    _pcg64_words,
     _replication_words,
     _require_master_seed,
     _seed_vertex,
@@ -214,8 +213,8 @@ class _CoupledKernel(_BatchedPhases):
     mode.
 
     Each phase or round draws one uniform per vertex that is a candidate in
-    either running process, from the replication's row of a `_Draws` matrix,
-    in the phase's vertex order: ascending within a layer or a round, listed
+    either running process, from the replication's stream (`_Draws`), in
+    the phase's vertex order: ascending within a layer or a round, listed
     order along a single pass (in the schedule's snapshot groups,
     `SinglePassOrder.phases`).  Probabilities come from the kernel's table of
     `update_probs` values: the joint process's at key (d, r, b), and the
@@ -246,7 +245,6 @@ class _CoupledKernel(_BatchedPhases):
                 self.weight[verts] = len(phases) - k
         super().__init__(graph, dyn, phases)
         self.mode = mode
-        self._set_draw_width(self.width)
 
     def _violations(self, joint: np.ndarray, solo: np.ndarray) -> np.ndarray:
         if self.mode == MODE_SOLO_VS_JOINT:
@@ -258,7 +256,7 @@ class _CoupledKernel(_BatchedPhases):
     def run(self, draws: _Draws) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The joint and solo end states of one row per `draws` row, and each
         row's invariant violations summed after every phase or round."""
-        rows = np.arange(len(draws.u))
+        rows = np.arange(len(draws.keys))
         joint = np.tile(self.joint0, (len(rows), 1))
         solo = np.tile(self.solo0, (len(rows), 1))
         if self.rounds is not None:
@@ -281,7 +279,7 @@ class _CoupledKernel(_BatchedPhases):
         live = np.ones((2, len(rows)), dtype=bool)
         immune = np.zeros((2,) + joint.shape, dtype=bool) if self.rounds.immunity else None
         counts = [self._counts(state) for state in states]
-        for _ in range(self.rounds.max_rounds if self.width else 0):
+        for _ in range(self.rounds.max_rounds):
             sub = [c[:, rows] for c in counts]
             cand = []
             for p, (state, (red, blue)) in enumerate(zip(states, sub)):
@@ -351,19 +349,15 @@ def coupled_run(graph: Graph, red_seeds: Sequence[int], blue_seeds: Sequence[int
     """One coupled run of the joint process (both seed sets) and the mode's
     solo process, sharing one uniform draw per candidate vertex per phase.
 
-    `rng` is a PCG64 generator, or a seed for one; the run draws from the
-    generator's stream, and leaves it just past the draws the run used."""
+    `rng` is a numpy `Generator`, or a seed for one.  The run takes one
+    64-bit key from it, and draws from the SplitMix64 stream of that key
+    (`engine._Draws`), as every replication of `couple_test` does."""
     mode = canonical_mode(mode)
     if not skip_preflight:
         require_mode_hypotheses(mode, dyn, graph)
-    rng = np.random.default_rng(rng)
-    start = rng.bit_generator.state
-    if start["bit_generator"] != "PCG64":
-        raise ValidationError(f"coupled runs draw from a PCG64 generator, not {start['bit_generator']}")
     kernel = _CoupledKernel(graph, red_seeds, blue_seeds, dyn, schedule, mode)
-    draws = kernel.draws(_pcg64_words([(start["state"]["state"], start["state"]["inc"])]))
-    joint, solo, violations = kernel.run(draws)
-    rng.random(int(draws.spent[0] + draws.used[0]))
+    key = np.random.default_rng(rng).integers(0, 2**64, dtype=np.uint64)
+    joint, solo, violations = kernel.run(_Draws(np.array([key])))
 
     joint, solo = joint[0].tolist(), solo[0].tolist()
     return CoupledRunResult(
@@ -423,7 +417,7 @@ def couple_test(graph: Graph, red_seeds: Sequence[int], blue_seeds: Sequence[int
     violations = 0
     for lo in range(0, runs, kernel.block):
         hi = min(lo + kernel.block, runs)
-        joint, solo, bad = kernel.run(kernel.draws(_replication_words(master_seed, lo, hi, (1,))))
+        joint, solo, bad = kernel.run(_Draws(_replication_words(master_seed, lo, hi, (1,))))
         violations += int(bad.sum())
         for k, (state, color) in enumerate(((joint, RED), (joint, BLUE), (solo, RED), (solo, BLUE))):
             counts[k, lo:hi] = np.count_nonzero(state == color, axis=1)
@@ -431,8 +425,8 @@ def couple_test(graph: Graph, red_seeds: Sequence[int], blue_seeds: Sequence[int
 
     def standalone(red: Sequence[int], blue: Sequence[int], stream: int):
         """chi_R and chi_B of `runs` standalone replications, replication i
-        drawing from spawn key (stream, i).  The replication loop reads no
-        budget, so the game's are placeholders."""
+        drawing from the key of (master_seed, (stream,), i).  The replication
+        loop reads no budget, so the game's are placeholders."""
         profile = StrategyProfile(Allocation.from_seeds(graph.n, red),
                                   Allocation.from_seeds(graph.n, blue))
         return _mc_chunk(GameSpec(graph, dyn, schedule, 1, 1),

@@ -333,278 +333,68 @@ def _require_master_seed(master_seed) -> None:
         raise ValidationError(f"master_seed must be a nonnegative integer, got {master_seed!r}")
 
 
-def _replication_rng(master_seed: int, index: int, stream: tuple[int, ...] = ()):
-    """Replication `index`'s generator; `stream` prefixes the spawn key, so
-    callers that need several independent families of runs keep them apart."""
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=master_seed, spawn_key=(*stream, index)))
-
-
-# SeedSequence's and PCG64's constants (numpy.random), for `_pcg64_seeds`.
-_MASK32 = 0xFFFFFFFF
+# SplitMix64 (Steele, Lea and Flood, "Fast splittable pseudorandom number
+# generators", OOPSLA 2014): its increment, the golden gamma, and its output
+# mix.  Every replication's random stream is SplitMix64's from a 64-bit key.
+_GAMMA = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
-_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
-_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-def _uint32_words(x: int) -> list[int]:
-    """A nonnegative integer's little-endian 32-bit words, as SeedSequence
-    splits its entropy and spawn keys."""
-    words = [x & _MASK32]
-    x >>= 32
-    while x:
-        words.append(x & _MASK32)
-        x >>= 32
-    return words
+def _mix64(z):
+    """SplitMix64's output mix of z, an int below 2**64 or a uint64 array."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
+    return z ^ (z >> 31)
 
 
-def _seed_mix(x, y):
-    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return r ^ (r >> 16)
+def _fold(key: int, *words: int) -> int:
+    """A 64-bit key with words folded in, one SplitMix64 step each: the key
+    becomes mix64(key + word + γ), word by word (mod 2**64)."""
+    for word in words:
+        key = _mix64((key + word + _GAMMA) & _MASK64)
+    return key
 
 
-def _hashmix(value, hash_const):
-    """SeedSequence's hash of one word, and the next hash constant."""
-    value = (value ^ hash_const) & _MASK32
-    hash_const = (hash_const * _HASH_MULT_A) & _MASK32
-    value = (value * hash_const) & _MASK32
-    return value ^ (value >> 16), hash_const
-
-
-def _hash_steps(hash_const: int, steps: int, mult: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """A hash constant's next `steps` values, as (steps, 1) arrays of each
-    step's constant before and after it, and the last constant."""
-    before = []
-    for _ in range(steps):
-        before.append(hash_const)
-        hash_const = (hash_const * mult) & _MASK32
-    column = np.array(before + [hash_const], dtype=np.uint64)[:, None]
-    return column[:-1], column[1:], hash_const
-
-
-def _hash_rows(words: np.ndarray, before: np.ndarray, after: np.ndarray) -> np.ndarray:
-    """Each row of words hashed with its row's constants before and after the
-    step, as `_hashmix` hashes one word."""
-    value = ((words ^ before) * after) & _MASK32
-    return value ^ (value >> 16)
-
-
-# The constants SeedSequence hashes its pool with, word by word, into the
-# eight 32-bit words of a PCG64 seed.
-_OUTPUT_STEPS = _hash_steps(_HASH_INIT_B, 8, _HASH_MULT_B)[:2]
-
-
-def _pcg64_seeds(master_seeds: Sequence[int], stream: tuple[int, ...], lo: np.ndarray,
-                 hi: np.ndarray) -> np.ndarray:
-    """The PCG64 (state, increment) that `_replication_rng(master_seeds[k], i,
-    stream)` starts from, for run k's replications i in lo[k]..hi[k]-1 (uint64
-    arrays), run by run: one column each of a (4, R) uint64 array of state
-    high, state low, increment high and increment low words.
-
-    SeedSequence mixes its entropy words into a pool of four, then hashes the
-    pool into the generator's seed.  Every word before the replication index
-    is the same for a whole run, so that part is mixed once a run; the
-    index's own words, one below 2**32 and two (low word first) from there
-    on, and the hashing run on arrays.  The hash constant steps with each
-    word's position, not with the words, so runs whose master seeds take as
-    many words mix together, on arrays with one cell per run, or on Python
-    ints for a lone run."""
-    sizes = (hi - lo).astype(np.intp)
-    offsets = np.cumsum(sizes) - sizes
-    entropy = []
-    widths: dict[int, list[int]] = {}
-    for k, seed in enumerate(master_seeds):
-        words = _uint32_words(seed)
-        words += [0] * (4 - len(words))  # a spawn key pads the entropy to the pool
-        for key in stream:
-            words += _uint32_words(key)
-        entropy.append(words)
-        widths.setdefault(len(words), []).append(k)
-
-    halves = np.empty((4, int(sizes.sum())), dtype=np.uint64)
-    for group in widths.values():
-        words = (entropy[group[0]] if len(group) == 1
-                 else np.array([entropy[k] for k in group], dtype=np.uint64).T)
-        hash_const = _HASH_INIT_A
-        pool = []
-        for word in words[:4]:
-            value, hash_const = _hashmix(word, hash_const)
-            pool.append(value)
-        for src in range(4):
-            for dst in range(4):
-                if src != dst:
-                    value, hash_const = _hashmix(pool[src], hash_const)
-                    pool[dst] = _seed_mix(pool[dst], value)
-        for word in words[4:]:
-            for dst in range(4):
-                value, hash_const = _hashmix(word, hash_const)
-                pool[dst] = _seed_mix(pool[dst], value)
-
-        # From here on a replication's four pool cells are one column of a
-        # (4, R) array, and each word mixes into them at once.
-        counts = sizes[group]
-        step = np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
-        index = np.repeat(lo[group], counts) + step.astype(np.uint64)
-        pool = np.repeat(np.array(pool, dtype=np.uint64).reshape(4, -1), counts, axis=1)
-        before, after, hash_const = _hash_steps(hash_const, 4, _HASH_MULT_A)
-        pool = _seed_mix(pool, _hash_rows(index & _MASK32, before, after))
-        high = np.flatnonzero(index >> 32)
-        if len(high):
-            before, after, _ = _hash_steps(hash_const, 4, _HASH_MULT_A)
-            pool[:, high] = _seed_mix(pool[:, high], _hash_rows(index[high] >> 32, before, after))
-        out = _hash_rows(np.concatenate([pool, pool]), *_OUTPUT_STEPS)
-        halves[:, np.repeat(offsets[group], counts) + step] = out[0::2] | (out[1::2] << 32)
-
-    # SeedSequence's output is PCG64's state high, state low, sequence high
-    # and sequence low words.  PCG64 seeds its 128-bit LCG with two steps
-    # from state 0, adding the initial state in between: the increment is
-    # twice the sequence plus 1, and the state one step on from the initial
-    # state plus the increment.
-    seq_hi, seq_lo = halves[2], halves[3]
-    halves[2], halves[3] = (seq_hi << 1) | (seq_lo >> 63), (seq_lo << 1) | 1
-    inc = (halves[2], halves[3])
-    halves[:2] = _add128(*_mul128(*_PCG64_MULT_WORDS, *_add128(halves[0], halves[1], *inc)), *inc)
-    return halves
-
-
-# 128-bit integers on arrays are pairs of uint64 arrays, (high, low) words.
-
-def _add128(a_hi, a_lo, b_hi, b_lo):
-    """Sums mod 2**128."""
-    low = a_lo + b_lo
-    return a_hi + b_hi + (low < a_lo), low
-
-
-def _mul128(a_hi, a_lo, b_hi, b_lo):
-    """Products mod 2**128: the low words' full product from 32-bit halves,
-    plus the cross products' low words in the high word."""
-    a0, a1 = a_lo & _MASK32, a_lo >> 32
-    b0, b1 = b_lo & _MASK32, b_lo >> 32
-    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
-    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
-    high = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32) + a_hi * b_lo + a_lo * b_hi
-    return high, (p00 & _MASK32) | (mid << 32)
-
-
-def _pcg64_jump(state, inc, jumps: np.ndarray):
-    """PCG64's LCG states some steps past `state`, for streams of increment
-    `inc` ((high, low) pairs): `jumps` holds the steps' rows of a jump table
-    (A, then B, in high and low words), and k steps take s to A_k s + B_k
-    inc."""
-    return _add128(*_mul128(jumps[0], jumps[1], *state), *_mul128(jumps[2], jumps[3], *inc))
-
-
-def _pcg64_doubles(state_hi: np.ndarray, state_lo: np.ndarray) -> np.ndarray:
-    """The doubles `Generator.random` draws from PCG64 at these LCG states:
-    the XSL-RR output (high ^ low rotated right by high >> 58), then its top
-    53 bits times 2**-53."""
-    x = state_hi ^ state_lo
-    rot = state_hi >> 58
-    x = (x >> rot) | (x << ((64 - rot) & 63))
-    return (x >> 11) * (1.0 / 9007199254740992.0)
-
-
-_PCG64_MULT_WORDS = np.array([[_PCG64_MULT >> 64], [_PCG64_MULT & _MASK64]], dtype=np.uint64)
-
-
-def _pcg64_states(words: np.ndarray) -> list[tuple[int, int]]:
-    """Each column's PCG64 (state, increment) as Python ints, from (4, R)
-    uint64 rows of state high, state low, increment high and increment low
-    words."""
-    return [((state_hi << 64) | state_lo, (inc_hi << 64) | inc_lo)
-            for state_hi, state_lo, inc_hi, inc_lo in zip(*words.tolist())]
-
-
-def _pcg64_words(seeds: Sequence[tuple[int, int]]) -> np.ndarray:
-    """The (4, R) uint64 words of PCG64 (state, increment) pairs, as
-    `_pcg64_states` reads them."""
-    return np.array([(state >> 64, state & _MASK64, inc >> 64, inc & _MASK64)
-                     for state, inc in seeds], dtype=np.uint64).reshape(-1, 4).T
-
-
-def _pcg64_resume(generator, seed: tuple[int, int], skip: int = 0):
-    """A PCG64 generator set to the stream of (state, increment) `seed`,
-    `skip` doubles in."""
-    bits = generator.bit_generator
-    state, inc = seed
-    bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                  "has_uint32": 0, "uinteger": 0}
-    if skip:
-        bits.advance(skip)  # one step per double
-    return generator
-
-
-class _SeededStream:
-    """Replication i's random stream, on a PCG64 shared by every stream of
-    one `_replication_streams` call.  `resume` sets the generator to the
-    stream's seed and hands it over, for samplers that draw more than
-    uniforms."""
-
-    __slots__ = ("seed", "generator")
-
-    def __init__(self, seed: tuple[int, int], generator):
-        self.seed = seed
-        self.generator = generator
-
-    def resume(self):
-        return _pcg64_resume(self.generator, self.seed)
-
-
-def _chunks(runs, size: int):
-    """Consecutive runs of replications, (master seed, lo, hi, job) each, cut
-    and grouped into chunks of at most `size` replications."""
-    chunk, room = [], size
-    for seed, a, b, job in runs:
-        while a < b:
-            c = min(b, a + room)
-            chunk.append((seed, a, c, job))
-            room -= c - a
-            a = c
-            if not room:
-                yield chunk
-                chunk, room = [], size
-    if chunk:
-        yield chunk
-
-
-# Replication seeds are computed this many at a time, so memory does not grow
-# with the trial count.
-_SEED_BLOCK = 1 << 12
+def _seed_key(master_seed: int, stream: tuple[int, ...] = ()) -> int:
+    """The key of a master seed's stream family: the seed's 64-bit words (low
+    first) and their count folded in, then the stream tags."""
+    words = [master_seed >> s & _MASK64 for s in range(0, max(master_seed.bit_length(), 1), 64)]
+    return _fold(0, *words, len(words), *stream)
 
 
 def _replication_words(master_seed, lo, hi, stream: tuple[int, ...] = ()) -> np.ndarray:
-    """The PCG64 words (as `_pcg64_seeds` gives them) of runs of
-    replications, run by run: run k is replications lo[k]..hi[k]-1 under
-    master_seed[k] (nonnegative), and ints make one run.  Replication i's
-    column seeds the stream `_replication_rng(master_seed, i, stream)`
-    draws."""
+    """The keys of runs of replications, run by run, one uint64 each: run k
+    is replications lo[k]..hi[k]-1 under master_seed[k] (nonnegative), and
+    ints make one run.  Replication i's key is `_seed_key(master_seed,
+    stream)` with i folded in; SplitMix64 from it is the replication's
+    stream (`_Draws`)."""
     if np.ndim(lo) == 0:
         master_seed, lo, hi = (master_seed,), (lo,), (hi,)
-    seeds = [int(s) for s in master_seed]
-    lowest = min(seeds, default=0)
-    if lowest < 0:
-        np.random.SeedSequence(lowest)  # raises SeedSequence's own error
-    return _pcg64_seeds(seeds, stream, np.array(lo, dtype=np.uint64),
-                        np.array(hi, dtype=np.uint64))
+    lo, hi = np.array(lo, dtype=np.uint64), np.array(hi, dtype=np.uint64)
+    sizes = (hi - lo).astype(np.intp)
+    start = np.array([_seed_key(int(s), stream) for s in master_seed], dtype=np.uint64)
+    start += lo - (np.cumsum(sizes) - sizes).astype(np.uint64) + _GAMMA
+    return _mix64(np.repeat(start, sizes) + np.arange(int(sizes.sum()), dtype=np.uint64))
 
 
-def _replication_streams(master_seed, lo, hi, stream: tuple[int, ...] = ()):
-    """Yield the streams of runs of replications, as `_replication_words`
-    takes them, for samplers that draw more than uniforms.  Each stream draws
-    exactly what `_replication_rng(master_seed, i, stream)` draws, without a
-    SeedSequence and a generator per replication: the streams share one
-    generator, which each sets to its own seed."""
-    if np.ndim(lo) == 0:
-        master_seed, lo, hi = (master_seed,), (lo,), (hi,)
-    runs = [(s, int(a), int(b), None) for s, a, b in zip(master_seed, lo, hi)]
+# Scalar samplers set their generators from this many keys' words at a time,
+# so memory does not grow with the trial count.
+_SEED_BLOCK = 1 << 12
+
+
+def _keyed_generators(keys: np.ndarray):
+    """One PCG64 `Generator`, set in turn to the stream each key names, for
+    samplers that draw more than uniforms: its 128-bit state and increment
+    are the key's first four SplitMix64 draws, high words first (the
+    increment made odd)."""
     generator = np.random.Generator(np.random.PCG64(0))
-    for chunk in _chunks(runs, _SEED_BLOCK):
-        seeds, first, stop, _ = zip(*chunk)
-        for seed in _pcg64_states(_replication_words(seeds, first, stop, stream)):
-            yield _SeededStream(seed, generator)
+    steps = np.arange(1, 5, dtype=np.uint64) * _GAMMA
+    for a in range(0, len(keys), _SEED_BLOCK):
+        for w in _mix64(keys[a:a + _SEED_BLOCK, None] + steps).tolist():
+            generator.bit_generator.state = {
+                "bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                "state": {"state": w[0] << 64 | w[1], "inc": w[2] << 64 | w[3] | 1}}
+            yield generator
 
 
 def _sample_support(pairs, rng):
@@ -623,15 +413,14 @@ def _replications(supports, run_one, master_seed, lo, hi, stream: tuple[int, ...
                   job=0) -> tuple[np.ndarray, np.ndarray]:
     """chi_R and chi_B of runs of replications, one at a time: run k is
     replications lo[k]..hi[k]-1 of job[k] under master_seed[k] (ints make one
-    run).  A replication takes its support pair from `supports[job]` by its
-    stream, then `run_one(red, blue, rng)` draws the rest of the run from the
-    same stream."""
+    run).  A replication runs on the PCG64 generator its key names
+    (`_keyed_generators`): it takes its support pair from `supports[job]`,
+    then `run_one(red, blue, rng)` draws the rest of the run."""
     jobs = np.repeat(job, np.subtract(hi, lo)).tolist()
     chi_r = np.empty(len(jobs))
     chi_b = np.empty(len(jobs))
-    streams = _replication_streams(master_seed, lo, hi, stream)
-    for row, (j, seeded) in enumerate(zip(jobs, streams)):
-        rng = seeded.resume()
+    rngs = _keyed_generators(_replication_words(master_seed, lo, hi, stream))
+    for row, (j, rng) in enumerate(zip(jobs, rngs)):
         red, blue = _sample_support(supports[j], rng)
         chi_r[row], chi_b[row] = run_one(red, blue, rng)
     return chi_r, chi_b
@@ -642,99 +431,43 @@ def _replications(supports, run_one, master_seed, lo, hi, stream: tuple[int, ...
 # trial count.  Under parallel rounds a vertex counts 9 cells: its int8 state
 # and its two int32 in-neighbor counts.
 _BLOCK_CELLS = 1 << 20
-# ... and at most this many replications: each holds Python objects (its
-# stream) and a row of every per-candidate array of a phase.
+# ... and at most this many replications: each holds a row of every
+# per-candidate array of a phase.
 _BLOCK_ROWS = 1 << 8
 # A kernel's probability table holds at most about this many entries.
 _TABLE_CELLS = _BLOCK_CELLS
 
 
-# `_Draws` fills a matrix at most this wide on arrays, and a wider one from a
-# generator (see `_Draws` for the measurement).
-_ARRAY_FILL_WIDTH = 64
-
-
-def _jump_table(width: int) -> Optional[np.ndarray]:
-    """The jump table that fills a draw matrix `width` wide (at least 1) on
-    arrays, or None when the matrix is wider than `_ARRAY_FILL_WIDTH`: a (4,
-    width + 1) uint64 array whose column k holds A_k = MULT**k and B_k =
-    sum_{j<k} MULT**j (mod 2**128) in high and low words, so that k steps of
-    PCG64's LCG take state s of increment c to A_k s + B_k c."""
-    width = max(width, 1)
-    if width > _ARRAY_FILL_WIDTH:
-        return None
-    a, b, steps = 1, 0, []
-    for _ in range(width + 1):
-        steps.append((a >> 64, a & _MASK64, b >> 64, b & _MASK64))
-        a, b = a * _PCG64_MULT & _MASK128, (a + b) & _MASK128
-    return np.array(steps, dtype=np.uint64).T
-
-
 class _Draws:
-    """Each replication's uniform stream, drawn ahead into one row of a matrix.
+    """Each replication's uniform stream, handed out in order.
 
-    Row i holds the next draws of the PCG64 stream whose (state, increment)
-    words are column i of `words` (as `_pcg64_seeds` gives them), in order,
-    so handing them out left to right reproduces scalar `rng.random()` calls
-    on a generator in that state exactly.  When a row runs short, every row
-    drops the draws it has handed out and draws more, so the matrix keeps its
-    width however long the runs are.  A row has handed out `spent + used`
-    draws in all.
+    A row's stream is SplitMix64's from the row's key: its draw k (from 0)
+    is mix64(key + (k + 1)·γ) >> 11 times 2**-53, the (k + 1)-th double of
+    a scalar SplitMix64 generator started at the key.  So `take` computes
+    exactly the cells it hands out, and a row keeps only its key and how many
+    draws it has used.
 
-    With a jump table (`_jump_table`), the matrix is filled on arrays:
-    column k of a row is PCG64's output k + 1 steps past the row's state,
-    and a refill first moves each row's state on by the draws it used.
-    Without one, each row is drawn from a generator set to the row's state.
-    The array fill costs in proportion to the width, and the generator fill
-    a state assignment per row whatever the width, so kernels take the array
-    fill up to `_ARRAY_FILL_WIDTH` columns.  At 256 rows, on one core of a
-    2-vCPU Xeon VM, a fill took 0.6, 0.7, 1.4, 2.9, 4.4 and 6.0 µs a row on
-    arrays at widths 11, 16, 40, 64, 80 and 96, and 2.5 to 3.9 µs a row from
-    the generator; a refill 0.9, 1.0, 1.8, 3.7, 5.9 and 8.1 µs a row on
-    arrays, and 3.6, 3.6, 3.8, 4.1, 4.5 and 7.0 µs from the generator.
+    Two rows draw from the same SplitMix64 states only if their keys differ
+    by j·γ (mod 2**64) for some |j| below the draws w they use.  γ is odd, so
+    those are 2w - 1 of the 2**64 differences: about 2·w/2**64 per pair of
+    rows with independent keys.
     """
 
-    def __init__(self, words: np.ndarray, width: int, jumps: Optional[np.ndarray] = None):
-        rows = words.shape[1]
-        self.u = np.empty((rows, max(width, 1)))
-        self.used = np.zeros(rows, dtype=np.intp)
-        self.spent = np.zeros(rows, dtype=np.intp)
-        self.jumps = jumps
-        if jumps is None:
-            self.seeds = _pcg64_states(words)
-            self.generator = np.random.Generator(np.random.PCG64(0))
-            for row, seed in zip(self.u, self.seeds):
-                _pcg64_resume(self.generator, seed).random(out=row)
-        else:
-            self.state, self.inc = (words[0], words[1]), (words[2], words[3])
-            self._fill_arrays()
-
-    def _fill_arrays(self) -> None:
-        state = tuple(word[:, None] for word in self.state)
-        inc = tuple(word[:, None] for word in self.inc)
-        steps = self.jumps[:, None, 1:self.u.shape[1] + 1]
-        self.u[:] = _pcg64_doubles(*_pcg64_jump(state, inc, steps))
+    def __init__(self, keys: np.ndarray):
+        self.keys = keys
+        self.used = np.zeros(len(keys), dtype=np.intp)
 
     def take(self, rows: np.ndarray, per_row: np.ndarray, row_of: np.ndarray) -> np.ndarray:
         """The next per_row[j] draws of each replication rows[j], concatenated
-        in row order; row_of gives each draw's index into rows.  No per_row
-        entry may exceed the matrix width."""
-        if int((self.used[rows] + per_row).max()) > self.u.shape[1]:
-            if self.jumps is None:
-                width = self.u.shape[1]
-                for row, seed, used, drawn in zip(self.u, self.seeds, self.used.tolist(),
-                                                  (self.spent + width).tolist()):
-                    row[:width - used] = row[used:]
-                    _pcg64_resume(self.generator, seed, drawn).random(out=row[width - used:])
-            else:
-                self.state = _pcg64_jump(self.state, self.inc, self.jumps[:, self.used])
-                self._fill_arrays()
-            self.spent += self.used
-            self.used[:] = 0
+        in row order; row_of gives each draw's index into rows."""
         first = self.used[rows]
-        rank = np.arange(len(row_of)) - (np.cumsum(per_row) - per_row)[row_of]
         self.used[rows] = first + per_row
-        return self.u[rows[row_of], first[row_of] + rank]
+        # Cell j is draw first + j - start of its row, where the row's cells
+        # start: its state is key + (first + 1 - start + j)·γ.
+        start = np.cumsum(per_row) - per_row
+        base = self.keys[rows] + (first + 1 - start).astype(np.uint64) * _GAMMA
+        z = _mix64(base[row_of] + np.arange(len(row_of), dtype=np.uint64) * _GAMMA)
+        return (z >> 11) * (1.0 / 9007199254740992.0)
 
 
 def _neighbor_slots(indptr: np.ndarray, verts: np.ndarray,
@@ -832,8 +565,6 @@ class _BatchedPhases:
         if phases is None:
             self.vertices = np.arange(graph.n)
             self.out_csr = graph.out_csr
-            # A round draws at most once per vertex with an in-neighbor.
-            self.width = int(np.count_nonzero(self.in_degree))
             cells = 9 * graph.n + len(indices)
         else:
             for phase in phases:
@@ -843,19 +574,8 @@ class _BatchedPhases:
                 if len(verts):
                     edges, starts = _neighbor_slots(indptr, verts, self.in_degree[verts])
                     self.phases.append((verts, indices[edges], starts))
-            self.width = sum(len(phase[0]) for phase in self.phases)
             cells = graph.n + len(indices)
         self.block = max(1, min(_BLOCK_CELLS // cells, _BLOCK_ROWS))
-
-    def _set_draw_width(self, width: int) -> None:
-        """The width of the kernel's draw matrices, and the jump table that
-        fills them if they are narrow."""
-        self.draw_width = width
-        self.jumps = _jump_table(width)
-
-    def draws(self, words: np.ndarray) -> _Draws:
-        """A draw matrix over the streams of PCG64 `words`, one row each."""
-        return _Draws(words, self.draw_width, self.jumps)
 
     @staticmethod
     def _neighbor_counts(state: np.ndarray, phase) -> tuple[np.ndarray, np.ndarray]:
@@ -893,13 +613,14 @@ class _ReplicationKernel(_BatchedPhases):
 
     The kernel runs jobs, one per support (each job's support pairs), and
     each row of a block is one replication of one job.  A row draws from the
-    PCG64 stream of its words (replication i under master seed s has those of
-    `_replication_rng(s, i, stream)`) exactly the numbers `run_profile_once`
-    draws, in the same order: the support draw, one per contested seed in
-    vertex order, then one per update candidate in phase order.  Update probabilities are `update_probs`'s at
-    the same fractions, from the kernel's table, which every block the kernel
-    runs shares.  So every replication's (chi_R, chi_B) equals the per-vertex
-    path's, bit for bit, whatever else the block runs.
+    SplitMix64 stream of its key (`_replication_words`, `_Draws`) exactly the
+    numbers `run_profile_once` draws from a scalar generator of that stream,
+    in the same order: the support draw, one per contested seed in vertex
+    order, then one per update candidate in phase order.  Update
+    probabilities are `update_probs`'s at the same fractions, from the
+    kernel's table, which every block the kernel runs shares.  So every
+    replication's (chi_R, chi_B) equals the per-vertex path's, bit for bit,
+    whatever else the block runs.
     """
 
     def __init__(self, game: GameSpec, *supports):
@@ -908,51 +629,52 @@ class _ReplicationKernel(_BatchedPhases):
         super().__init__(graph, game.dynamics, schedule.phases(graph))
         self.schedule = schedule
 
-        # Seed resolution per distinct support pair: the state with
-        # uncontested seeds placed, and the contested vertices with red's
-        # winning chance.  A job of one pair starts every replication from it;
-        # -1 marks a mixed job, whose replications draw theirs by its
-        # cumulative pair probabilities, as `_sample_support` does.
-        bases = []
-        self.contests = []
+        # Each distinct support pair's base state, with its uncontested seeds
+        # placed, and its contested vertices with red's winning chance.  A job
+        # of one pair starts every replication from it; -1 marks a mixed job,
+        # whose replications draw theirs by its cumulative pair
+        # probabilities, as `_sample_support` does.
         pair_index = {}
+        for pairs in supports:
+            for _, red, blue in pairs:
+                if (id(red), id(blue)) not in pair_index:
+                    if red.n != graph.n:
+                        raise ValidationError(
+                            f"initial state has length {red.n}, graph has {graph.n} vertices")
+                    pair_index[id(red), id(blue)] = (len(pair_index), red, blue)
         self.job_pair = np.full(len(supports), -1, dtype=np.intp)
         self.mixtures = {}
         for j, pairs in enumerate(supports):
-            for red, blue in ((ar, ab) for _, ar, ab in pairs):
-                if (id(red), id(blue)) in pair_index:
-                    continue
-                if red.n != graph.n:
-                    raise ValidationError(
-                        f"initial state has length {red.n}, graph has {graph.n} vertices")
-                pair_index[id(red), id(blue)] = len(bases)
-                red_only, blue_only, contested = split_seeds(red, blue)
-                base = np.zeros(graph.n, dtype=np.int8)
-                base[red_only] = RED
-                base[blue_only] = BLUE
-                bases.append(base)
-                if contested:
-                    self.contests.append((len(bases) - 1,
-                                          np.array([v for v, _ in contested], dtype=np.intp),
-                                          np.array([p for _, p in contested])))
+            at = [pair_index[id(ar), id(ab)][0] for _, ar, ab in pairs]
             if len(pairs) == 1:
-                self.job_pair[j] = pair_index[id(pairs[0][1]), id(pairs[0][2])]
+                self.job_pair[j] = at[0]
             else:
                 self.mixtures[j] = (np.array(list(accumulate(p for p, _, _ in pairs))),
-                                    np.array([pair_index[id(ar), id(ab)] for _, ar, ab in pairs]))
-        self.bases = np.array(bases, dtype=np.int8).reshape(len(bases), graph.n)
-        max_contested = max((len(c) for _, c, _ in self.contests), default=0)
-        # Wide enough for a mixed job's support draw, the contested seeds and
-        # any one phase or round; one-shot schedules never draw more than
-        # this in all.
-        self._set_draw_width(bool(self.mixtures) + max_contested + self.width)
+                                    np.array(at))
 
-    def run(self, words: np.ndarray, jobs=0) -> tuple[np.ndarray, np.ndarray]:
+        def seed_cells(side: int) -> np.ndarray:
+            """The pair, vertex and count columns of one side's seeds."""
+            return np.array([(k, v, c) for k, *alloc in pair_index.values()
+                             for v, c in alloc[side].seeds], dtype=np.intp).reshape(-1, 3).T
+
+        (red_k, red_v, red_c), (blue_k, blue_v, blue_c) = seed_cells(0), seed_cells(1)
+        self.bases = np.zeros((len(pair_index), graph.n), dtype=np.int8)
+        self.bases[red_k, red_v] = RED
+        contested = self.bases[blue_k, blue_v] == RED
+        self.bases[blue_k, blue_v] = BLUE
+        # Contested vertices take their red counts from the red seeds, which
+        # are sorted by (pair, vertex).
+        k, v = blue_k[contested], blue_v[contested]
+        red_c = red_c[np.searchsorted(red_k * graph.n + red_v, k * graph.n + v)]
+        p_red = red_c / (red_c + blue_c[contested])
+        self.contests = [(pair, v[k == pair], p_red[k == pair]) for pair in np.unique(k).tolist()]
+
+    def run(self, keys: np.ndarray, jobs=0) -> tuple[np.ndarray, np.ndarray]:
         """chi_R and chi_B of a block of replications, run together: one per
-        column of PCG64 `words` (as `_replication_words` gives them), of job
-        jobs[k], or of job `jobs` for an int."""
-        draws = self.draws(words)
-        jobs = np.broadcast_to(jobs, words.shape[1])
+        key (as `_replication_words` gives them), of job jobs[k], or of job
+        `jobs` for an int."""
+        draws = _Draws(keys)
+        jobs = np.broadcast_to(jobs, len(keys))
         which = self.job_pair[jobs]
         mixed = np.flatnonzero(which < 0)
         if len(mixed):
@@ -985,7 +707,7 @@ class _ReplicationKernel(_BatchedPhases):
         """Parallel rounds, in place, on pushed in-neighbor counts."""
         immune = np.zeros(state.shape, dtype=bool) if self.schedule.immunity else None
         counts = self._counts(state)
-        for _ in range(self.schedule.max_rounds if self.width else 0):
+        for _ in range(self.schedule.max_rounds):
             red, blue = counts[:, rows]
             cand = (state[rows] == UNINFECTED) & ((red + blue) > 0)
             if immune is not None:
@@ -1021,12 +743,30 @@ class _ReplicationKernel(_BatchedPhases):
         return row_of, target_verts, infected
 
 
+def _chunks(runs, size: int):
+    """Consecutive runs of replications, (master seed, lo, hi, job) each, cut
+    and grouped into chunks of at most `size` replications."""
+    chunk, room = [], size
+    for seed, a, b, job in runs:
+        while a < b:
+            c = min(b, a + room)
+            chunk.append((seed, a, c, job))
+            room -= c - a
+            a = c
+            if not room:
+                yield chunk
+                chunk, room = [], size
+    if chunk:
+        yield chunk
+
+
 def _mc_chunk(game: GameSpec, jobs, n_trials: int, lo: int, hi: int,
               stream: tuple[int, ...] = ()):
     """chi_R and chi_B of rows lo..hi-1 of a fill, as float arrays.  A fill
     runs n_trials replications of each (support pairs, master seed) job, job
     by job: row j * n_trials + i is replication i of job j, which draws from
-    `_replication_rng(master seed of job j, i, stream)`."""
+    the stream of its key, `_replication_words(master seed of job j, i, i + 1,
+    stream)`."""
     supports = [pairs for pairs, _ in jobs]
     runs = [(jobs[j][1], max(lo - j * n_trials, 0), min(hi - j * n_trials, n_trials), j)
             for j in range(lo // n_trials, -(-hi // n_trials))]
@@ -1034,14 +774,14 @@ def _mc_chunk(game: GameSpec, jobs, n_trials: int, lo: int, hi: int,
         kernel = _ReplicationKernel(game, *supports)
         chi = np.empty((2, hi - lo))
         row = 0
-        for chunk in _chunks(runs, _SEED_BLOCK):
+        # Keys are derived a block at a time, so memory does not grow with the
+        # trial count.
+        for chunk in _chunks(runs, kernel.block):
             seeds, first, stop, job = zip(*chunk)
-            words = _replication_words(seeds, first, stop, stream)
-            row_jobs = np.repeat(job, np.subtract(stop, first))
-            for a in range(0, len(row_jobs), kernel.block):
-                b = min(a + kernel.block, len(row_jobs))
-                chi[:, row + a:row + b] = kernel.run(words[:, a:b], row_jobs[a:b])
-            row += len(row_jobs)
+            size = np.subtract(stop, first)
+            chi[:, row:row + size.sum()] = kernel.run(
+                _replication_words(seeds, first, stop, stream), np.repeat(job, size))
+            row += size.sum()
         return chi[0], chi[1]
     # Other schedules, RandomSequential among them, run vertex by vertex.
     def run_one(red, blue, rng):
@@ -1058,10 +798,11 @@ def sample_many(game: GameSpec, jobs: Sequence[tuple[StrategyProfile, int]], n_t
     master seed) job, all run through one replication kernel: (jobs,
     n_trials) arrays, one row per job.
 
-    Replication i of a job derives its generator from (its master seed, i),
-    so each job's row equals `sample_payoffs(game, profile, n_trials,
-    master_seed)` bit for bit, whatever the other jobs and `threads`.
-    `threads` splits the replications of all jobs across worker processes.
+    Replication i of a job draws from the random stream keyed by (its master
+    seed, i) (`_replication_words`), so each job's row equals
+    `sample_payoffs(game, profile, n_trials, master_seed)` bit for bit,
+    whatever the other jobs and `threads`.  `threads` splits the
+    replications of all jobs across worker processes.
     """
     if not (_is_integer(n_trials) and n_trials >= 1):
         raise ValidationError(f"n_trials must be a positive integer, got {n_trials!r}")
@@ -1089,8 +830,8 @@ def sample_payoffs(game: GameSpec, profile: StrategyProfile, n_trials: int,
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Per-replication (chi_R, chi_B) arrays of n_trials independent runs.
 
-    Replication i derives its generator from (master_seed, i), so results are
-    bit-identical for a given master seed regardless of `threads`.
+    Replication i draws from the random stream keyed by (master_seed, i), so
+    results are bit-identical for a given master seed regardless of `threads`.
     """
     chi_r, chi_b = sample_many(game, [(profile, master_seed)], n_trials, threads)
     return chi_r[0], chi_b[0]
@@ -1121,8 +862,8 @@ def estimate_payoffs(game: GameSpec, profile: StrategyProfile, n_trials: int = D
                      master_seed: int = 0, threads: Optional[int] = None) -> PayoffEstimate:
     """Monte Carlo payoff estimate over independent replications.
 
-    Replication i derives its generator from (master_seed, i), so results are
-    bit-identical for a given master seed regardless of `threads`.
+    Replication i draws from the random stream keyed by (master_seed, i), so
+    results are bit-identical for a given master seed regardless of `threads`.
     """
     return monte_carlo_estimate(*sample_payoffs(game, profile, n_trials, master_seed, threads))
 

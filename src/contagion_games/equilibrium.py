@@ -23,8 +23,9 @@ from .engine import (
     GameSpec,
     PayoffEstimate,
     StrategyProfile,
+    _fold,
     _require_master_seed,
-    _uint32_words,
+    _seed_key,
     estimate_payoffs,
     exact_payoffs,
     monte_carlo_estimates,
@@ -101,22 +102,13 @@ class PayoffOracle:
         return self._payoff_fn is None and self.method == MONTE_CARLO
 
     def _profile_seed(self, red: Allocation, blue: Allocation) -> int:
-        """The master seed of the profile's Monte Carlo estimate: the first
-        word of `SeedSequence(entropy=master_seed, spawn_key=red.counts +
-        (2**31 - 1,) + blue.counts)`.  That sequence's pool is the master
-        seed's 32-bit words padded to four, then one word per key item, so it
-        is assembled here as one uint32 array, which SeedSequence takes
-        without coercing the key item by item.  Counts of 2**32 or more take
-        two words each, and go through the spawn key."""
+        """The master seed of the profile's Monte Carlo estimate: the key of
+        the oracle's master seed with the profile's seeds folded in
+        (`engine._fold`), red's count of seeded vertices, then red's and
+        blue's (vertex, count) pairs."""
         _require_master_seed(self.master_seed)
-        key = red.counts + (2**31 - 1,) + blue.counts
-        if max(red.budget, blue.budget) >> 32:
-            seq = np.random.SeedSequence(entropy=self.master_seed, spawn_key=key)
-        else:
-            words = _uint32_words(int(self.master_seed))
-            seq = np.random.SeedSequence(np.array(words + [0] * (4 - len(words)) + list(key),
-                                                  dtype=np.uint32))
-        return int(seq.generate_state(1)[0])
+        return _fold(_seed_key(int(self.master_seed)), len(red.seeds),
+                     *itertools.chain(*red.seeds, *blue.seeds))
 
     def evaluate(self, red: Allocation, blue: Allocation) -> PayoffEstimate:
         key = (red, blue)

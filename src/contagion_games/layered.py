@@ -453,9 +453,10 @@ def layered_estimate_payoffs(structure: LayeredStructure, dyn: AdoptionFunction,
                              master_seed: int = 0) -> PayoffEstimate:
     """Monte Carlo over aggregated layer draws; same replication-seed scheme
     as the per-vertex estimator.  Replication i draws what the support draw
-    and `sample_layered_counts` draw from `_replication_rng(master_seed, i)`;
-    each support pair's layer plan is built once, and `update_probs` is
-    called once per distinct input for the whole estimate."""
+    and `sample_layered_counts` draw from a fresh PCG64 generator keyed by
+    (master_seed, i) (`engine._keyed_generators`); each support pair's layer
+    plan is built once, and `update_probs` is called once per distinct input
+    for the whole estimate."""
     if not (_is_integer(n_trials) and n_trials >= 1):
         raise ValidationError(f"n_trials must be a positive integer, got {n_trials!r}")
     _require_master_seed(master_seed)

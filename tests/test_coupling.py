@@ -43,7 +43,8 @@ from contagion_games import (
 )
 from contagion_games import coupling, engine
 from contagion_games.coupling import _CoupledKernel
-from contagion_games.engine import _pcg64_words, sample_payoffs
+from contagion_games.engine import run_profile_once, sample_payoffs
+from stream_reference import SplitMix64, replication_key
 
 
 def sqrt_linear():
@@ -63,17 +64,14 @@ def rng_for(i):
     return np.random.default_rng(np.random.SeedSequence(entropy=321, spawn_key=(i,)))
 
 
-def draws_from(kernel, rngs):
-    """A kernel's draw matrix over the streams of PCG64 generators, one row
-    each, in the generators' current states."""
-    states = [rng.bit_generator.state["state"] for rng in rngs]
-    return kernel.draws(_pcg64_words([(s["state"], s["inc"]) for s in states]))
+def draws_of(keys):
+    """The draws of a block of coupled replications, one per key."""
+    return engine._Draws(np.array(keys, dtype=np.uint64))
 
 
-# Kernels fill their draw matrices on arrays up to `engine._ARRAY_FILL_WIDTH`
-# columns and from a generator past it; bit-identity tests run on each fill.
-BOTH_FILLS = pytest.mark.parametrize("fill_width", [0, 1 << 30],
-                                     ids=["generator_fill", "array_fill"])
+def run_key(rng) -> int:
+    """The key a coupled run takes from its generator (or seed)."""
+    return int(np.random.default_rng(rng).integers(0, 2**64, dtype=np.uint64))
 
 
 # ---------------------------------------------------------------------------
@@ -316,48 +314,42 @@ def coupled_instances(draw, rounds=False):
     return graph, red, blue, schedule
 
 
-@BOTH_FILLS
 @settings(max_examples=250, deadline=None)
 @given(data=st.data(),
        dyn=st.sampled_from([sqrt_linear(), convex_linear(), skewed_split(), non_additive()]),
        mode=st.sampled_from([MODE_SOLO_VS_JOINT, MODE_JOINT_TOTAL, MODE_ATTRIBUTION]),
        block=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
-def test_batched_coupled_runs_match_the_reference_model(fill_width, data, dyn, mode, block, seed):
+def test_batched_coupled_runs_match_the_reference_model(data, dyn, mode, block, seed):
     # Parallel rounds, with and without immunity, only for attribution: the
     # inequality modes refuse them.
     graph, red, blue, schedule = data.draw(coupled_instances(rounds=mode == MODE_ATTRIBUTION))
-    with mock.patch.object(engine, "_ARRAY_FILL_WIDTH", fill_width):
-        kernel = _CoupledKernel(graph, red, blue, dyn, schedule, mode)
-    rngs = [np.random.default_rng([seed, row]) for row in range(block)]
-    joint, solo, violations = kernel.run(draws_from(kernel, rngs))
-    for row in range(block):
+    kernel = _CoupledKernel(graph, red, blue, dyn, schedule, mode)
+    keys = [replication_key(seed, row, (1,)) for row in range(block)]
+    joint, solo, violations = kernel.run(draws_of(keys))
+    for row, key in enumerate(keys):
         ref_joint, ref_solo, ref_violations = reference_coupled_run(
-            graph, red, blue, dyn, schedule, np.random.default_rng([seed, row]), mode)
+            graph, red, blue, dyn, schedule, SplitMix64(key), mode)
         assert joint[row].tolist() == ref_joint
         assert solo[row].tolist() == ref_solo
         assert violations[row] == ref_violations
     target(float(violations.sum()))  # steer the search toward runs that break the invariant
 
-    # The one-row public call: states, counts, violations, and the generator
-    # left where the reference leaves it.
-    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    with mock.patch.object(engine, "_ARRAY_FILL_WIDTH", fill_width):
-        res = coupled_run(graph, red, blue, dyn, schedule, rng, mode=mode, skip_preflight=True)
+    # The one-row public call: states, counts and violations of the stream of
+    # the key it takes from its generator.
+    res = coupled_run(graph, red, blue, dyn, schedule, seed, mode=mode, skip_preflight=True)
     ref_joint, ref_solo, ref_violations = reference_coupled_run(
-        graph, red, blue, dyn, schedule, ref_rng, mode)
+        graph, red, blue, dyn, schedule, SplitMix64(run_key(seed)), mode)
     assert list(res.joint.state) == ref_joint and list(res.solo.state) == ref_solo
     assert (res.joint.chi_R, res.joint.chi_B) == (ref_joint.count(RED), ref_joint.count(BLUE))
     assert (res.solo.chi_R, res.solo.chi_B) == (ref_solo.count(RED), ref_solo.count(BLUE))
     assert res.invariant_violations == ref_violations
-    assert rng.random() == ref_rng.random()
 
 
-@BOTH_FILLS
 @pytest.mark.parametrize("schedule", [
     SinglePassOrder((3, 4, 5, 2, 6)),
     LayerOrder(((4, 3), (6, 5, 2))),
 ])
-def test_batched_violation_counter_fires_without_the_preflight(schedule, fill_width):
+def test_batched_violation_counter_fires_without_the_preflight(schedule):
     """Convex switching breaks solo-vs-joint: blue's seed raises the chance
     that red's neighbors adopt.  The batched count equals the reference's,
     summed after every phase of the schedule, and is nonzero."""
@@ -366,13 +358,13 @@ def test_batched_violation_counter_fires_without_the_preflight(schedule, fill_wi
     dyn = convex_linear()
     with pytest.raises(CouplingHypothesisError):
         require_mode_hypotheses(MODE_SOLO_VS_JOINT, dyn, g)
-    with mock.patch.object(engine, "_ARRAY_FILL_WIDTH", fill_width):
-        kernel = _CoupledKernel(g, [0], [1], dyn, schedule, MODE_SOLO_VS_JOINT)
-    joint, solo, violations = kernel.run(draws_from(kernel, [rng_for(i) for i in range(300)]))
+    kernel = _CoupledKernel(g, [0], [1], dyn, schedule, MODE_SOLO_VS_JOINT)
+    keys = [replication_key(321, i) for i in range(300)]
+    joint, solo, violations = kernel.run(draws_of(keys))
     total = 0
-    for i in range(300):
+    for i, key in enumerate(keys):
         ref_joint, ref_solo, ref_violations = reference_coupled_run(
-            g, [0], [1], dyn, schedule, rng_for(i), MODE_SOLO_VS_JOINT)
+            g, [0], [1], dyn, schedule, SplitMix64(key), MODE_SOLO_VS_JOINT)
         assert (joint[i].tolist(), solo[i].tolist(), violations[i]) == (
             ref_joint, ref_solo, ref_violations)
         total += ref_violations
@@ -381,11 +373,10 @@ def test_batched_violation_counter_fires_without_the_preflight(schedule, fill_wi
     assert res.invariant_violations == 0
 
 
-@BOTH_FILLS
 @pytest.mark.parametrize("immunity", [False, True])
 @pytest.mark.parametrize("dyn", [sqrt_linear(), convex_linear(), skewed_split(), non_additive()],
                          ids=["sqrt_linear", "convex_linear", "skewed_split", "non_additive"])
-def test_batched_attribution_rounds_match_the_reference_model(dyn, immunity, fill_width):
+def test_batched_attribution_rounds_match_the_reference_model(dyn, immunity):
     """Parallel rounds on a graph with cycles, where candidates fail and
     retry (or turn immune) and the two processes stop at different rounds in
     different rows.  The batched runs equal the reference's row by row, and
@@ -393,12 +384,12 @@ def test_batched_attribution_rounds_match_the_reference_model(dyn, immunity, fil
     g = Graph(n=8, edges=((0, 2), (0, 3), (1, 3), (1, 4), (2, 3), (3, 4), (4, 2), (4, 5),
                           (5, 6), (6, 7), (7, 5), (2, 6)), directed=True)
     schedule = ParallelRounds(6, immunity=immunity)
-    with mock.patch.object(engine, "_ARRAY_FILL_WIDTH", fill_width):
-        kernel = _CoupledKernel(g, [0, 2], [1], dyn, schedule, MODE_ATTRIBUTION)
-    joint, solo, violations = kernel.run(draws_from(kernel, [rng_for(i) for i in range(200)]))
-    for i in range(200):
+    kernel = _CoupledKernel(g, [0, 2], [1], dyn, schedule, MODE_ATTRIBUTION)
+    keys = [replication_key(321, i) for i in range(200)]
+    joint, solo, violations = kernel.run(draws_of(keys))
+    for i, key in enumerate(keys):
         ref_joint, ref_solo, ref_violations = reference_coupled_run(
-            g, [0, 2], [1], dyn, schedule, rng_for(i), MODE_ATTRIBUTION)
+            g, [0, 2], [1], dyn, schedule, SplitMix64(key), MODE_ATTRIBUTION)
         assert (joint[i].tolist(), solo[i].tolist(), violations[i]) == (
             ref_joint, ref_solo, ref_violations)
     hypotheses_hold = dyn in (sqrt_linear(), convex_linear())
@@ -416,31 +407,86 @@ def bipartite():
     return g, SinglePassOrder(tuple(range(3, 12)))
 
 
-@BOTH_FILLS
 @pytest.mark.parametrize("schedule", [None, ParallelRounds(4), ParallelRounds(4, immunity=True)])
-def test_attribution_labels_equal_the_joint_colors_under_its_hypotheses(schedule, fill_width):
+def test_attribution_labels_equal_the_joint_colors_under_its_hypotheses(schedule):
     g, single_pass = two_hub()
     schedule = schedule or single_pass
     for i in range(100):
-        rng, ref_rng = rng_for(i), rng_for(i)
-        with mock.patch.object(engine, "_ARRAY_FILL_WIDTH", fill_width):
-            res = coupled_run(g, [3], [0], sqrt_linear(), schedule, rng, mode=MODE_ATTRIBUTION)
+        res = coupled_run(g, [3], [0], sqrt_linear(), schedule, rng_for(i), mode=MODE_ATTRIBUTION)
         assert res.invariant_violations == 0
         assert res.joint.state == res.solo.state
         # Followers of hub 3 can only copy red; those of hub 0 only blue.
         assert all(res.solo.state[v] != BLUE for v in range(4, 13))
         assert all(res.solo.state[v] != RED for v in (1, 2))
-        # Multi-round runs refill the draw matrix; the generator is still left
-        # just past the draws the run used.
-        reference_coupled_run(g, [3], [0], sqrt_linear(), schedule, ref_rng, MODE_ATTRIBUTION)
-        assert rng.random() == ref_rng.random()
+        # Multi-round runs draw the stream of the run's key throughout.
+        ref_joint, _, _ = reference_coupled_run(g, [3], [0], sqrt_linear(), schedule,
+                                                SplitMix64(run_key(rng_for(i))), MODE_ATTRIBUTION)
+        assert list(res.joint.state) == ref_joint
 
 
-def test_coupled_runs_refuse_a_generator_other_than_pcg64():
+@pytest.mark.parametrize("make", [lambda: np.random.Generator(np.random.MT19937(1)),
+                                  lambda: np.random.Generator(np.random.Philox(2)),
+                                  lambda: np.random.default_rng(3)],
+                         ids=["mt19937", "philox", "pcg64"])
+def test_coupled_runs_take_one_key_from_any_generator(make):
+    """Two generators in the same state give the same run, the reference
+    model's on the stream of the key, and each moves on by exactly the one
+    draw of that key."""
     g, schedule = two_hub()
-    with pytest.raises(ValidationError, match="PCG64 generator, not MT19937"):
-        coupled_run(g, [3], [0], sqrt_linear(), schedule,
-                    np.random.Generator(np.random.MT19937(1)), mode=MODE_ATTRIBUTION)
+    rng, twin, witness = make(), make(), make()
+    runs = [coupled_run(g, [3], [0], sqrt_linear(), ParallelRounds(4), r, mode=MODE_ATTRIBUTION)
+            for r in (rng, twin)]
+    assert runs[0] == runs[1]
+    key = int(witness.integers(0, 2**64, dtype=np.uint64))
+    ref_joint, ref_solo, ref_violations = reference_coupled_run(
+        g, [3], [0], sqrt_linear(), ParallelRounds(4), SplitMix64(key), MODE_ATTRIBUTION)
+    assert (list(runs[0].joint.state), list(runs[0].solo.state), runs[0].invariant_violations) \
+        == (ref_joint, ref_solo, ref_violations)
+    assert rng.random() == twin.random() == witness.random()
+
+
+@pytest.mark.parametrize("mode", [MODE_SOLO_VS_JOINT, MODE_ATTRIBUTION])
+def test_couple_test_draws_the_reference_streams(mode):
+    """`couple_test`'s coupled replication i runs the reference model on the
+    stream of key (master seed, (1,), i), and its standalone replications the
+    per-vertex path on keys (master seed, (2,), i) and (master seed, (3,),
+    i): its margins and p-values are those of the reference runs, bit for
+    bit."""
+    g, schedule = two_hub()
+    dyn, runs, seed = sqrt_linear(), 60, 17
+    res = couple_test(g, [3], [0], dyn, schedule, mode, runs=runs, master_seed=seed)
+    coupled = [reference_coupled_run(g, [3], [0], dyn, schedule,
+                                     SplitMix64(replication_key(seed, i, (1,))), mode)
+               for i in range(runs)]
+    joint_r, joint_b, solo_r, solo_b = np.array(
+        [[states[p].count(color) for states in coupled]
+         for p, color in ((0, RED), (0, BLUE), (1, RED), (1, BLUE))], dtype=float)
+
+    def standalone(red, blue, stream):
+        game = GameSpec(g, dyn, schedule, 1, 1)
+        out = [run_profile_once(game, Allocation.from_seeds(g.n, red),
+                                Allocation.from_seeds(g.n, blue),
+                                SplitMix64(replication_key(seed, i, (stream,))))
+               for i in range(runs)]
+        return (np.array([o.chi_R for o in out], dtype=float),
+                np.array([o.chi_B for o in out], dtype=float))
+
+    alone_r, alone_b = standalone([3], [0], 2)
+    assert res.invariant_violations == sum(v for _, _, v in coupled) == 0
+    assert res.p_values["joint_chi_R"] == coupling._ks_pvalue(joint_r, alone_r)
+    assert res.p_values["joint_chi_B"] == coupling._ks_pvalue(joint_b, alone_b)
+    if mode == MODE_ATTRIBUTION:
+        total, _ = standalone([3, 0], [], 3)
+        assert res.p_values["solo_chi_total"] == coupling._ks_pvalue(solo_r + solo_b, total)
+        gaps = (joint_r + joint_b) - (solo_r + solo_b)
+        assert res.inequality_margins == {"min_total_count_gap": float(gaps.min()),
+                                          "max_total_count_gap": float(gaps.max())}
+    else:
+        solo_alone, _ = standalone([3], [], 3)
+        assert res.p_values["solo_chi_R"] == coupling._ks_pvalue(solo_r, solo_alone)
+        gaps = solo_r - joint_r
+        assert res.inequality_margins == {"min_solo_red_minus_joint_red": float(gaps.min()),
+                                          "mean_solo_red_minus_joint_red": float(gaps.mean())}
 
 
 def test_attribution_invariant_breaks_with_a_non_linear_split():

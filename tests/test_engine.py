@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from contagion_games import engine, equilibrium
 from contagion_games.coupling import _CoupledKernel
+from stream_reference import (SplitMix64, fold, keyed_pcg64, replication_key, replication_rng,
+                              seed_key)
 from contagion_games import (
     EXACT_ENUMERATION,
     EXACT_LAYERED_DP,
@@ -554,38 +556,30 @@ def kernel_cases(draw):
 
 
 def per_vertex_outcomes(game, profile, n_trials, master_seed):
+    """Each replication run one at a time on its scalar reference generator."""
     pairs = profile.support_pairs()
     out = []
     for i in range(n_trials):
-        rng = engine._replication_rng(master_seed, i)
+        rng = replication_rng(game.schedule, master_seed, i)
         red, blue = engine._sample_support(pairs, rng)
         run = run_profile_once(game, red, blue, rng)
         out.append((run.chi_R, run.chi_B))
     return out
 
 
-# Kernels fill their draw matrices on arrays up to `_ARRAY_FILL_WIDTH`
-# columns and from a generator past it; bit-identity tests run on each fill.
-BOTH_FILLS = pytest.mark.parametrize("fill_width", [0, 1 << 30],
-                                     ids=["generator_fill", "array_fill"])
-
-
-@BOTH_FILLS
 @settings(max_examples=300, deadline=None)
 @given(kernel_cases(), st.integers(min_value=0, max_value=2**32), st.integers(1, 12))
-def test_batched_kernel_matches_the_per_vertex_path(fill_width, case, master_seed, n_trials):
+def test_batched_kernel_matches_the_per_vertex_path(case, master_seed, n_trials):
     game, profile = case
     reference = per_vertex_outcomes(game, profile, n_trials, master_seed)
-    with mock.patch.object(engine, "_ARRAY_FILL_WIDTH", fill_width):
-        kernel = engine._ReplicationKernel(game, profile.support_pairs())
-        assert (kernel.jumps is None) == (fill_width == 0)
-        assert n_trials <= kernel.block
-        chi_r, chi_b = kernel.run(engine._replication_words(master_seed, 0, n_trials))
-        assert list(zip(chi_r.tolist(), chi_b.tolist())) == reference
-        # Blocks of at most two replications: n_trials spans several blocks.
-        cells = 2 * (game.graph.n + len(game.graph.in_csr[1]))
-        with mock.patch.object(engine, "_BLOCK_CELLS", cells):
-            chi_r, chi_b = engine.sample_payoffs(game, profile, n_trials, master_seed)
+    kernel = engine._ReplicationKernel(game, profile.support_pairs())
+    assert n_trials <= kernel.block
+    chi_r, chi_b = kernel.run(engine._replication_words(master_seed, 0, n_trials))
+    assert list(zip(chi_r.tolist(), chi_b.tolist())) == reference
+    # Blocks of at most two replications: n_trials spans several blocks.
+    cells = 2 * (game.graph.n + len(game.graph.in_csr[1]))
+    with mock.patch.object(engine, "_BLOCK_CELLS", cells):
+        chi_r, chi_b = engine.sample_payoffs(game, profile, n_trials, master_seed)
     assert list(zip(chi_r.tolist(), chi_b.tolist())) == reference
 
 
@@ -604,17 +598,15 @@ MIXED_DEGREE_SCHEDULES = (ParallelRounds(5), ParallelRounds(5, immunity=True),
                           LayerOrder(((1, 2, 3), (4, 5), (7, 8))))
 
 
-@BOTH_FILLS
 @pytest.mark.parametrize("cells, rows", [(0, []), (4, [1]), (28, [1, 2])])
 @pytest.mark.parametrize("schedule", MIXED_DEGREE_SCHEDULES)
 @pytest.mark.parametrize("dyn", KERNEL_DYNAMICS[1:], ids=["tullock", "halfpoint", "builtin"])
-def test_keys_past_the_table_cap_are_evaluated_directly(cells, rows, schedule, dyn, fill_width):
+def test_keys_past_the_table_cap_are_evaluated_directly(cells, rows, schedule, dyn):
     """With the table capped below the graph's larger in-degrees, their
     candidates take the direct path, and every replication still equals the
     per-vertex path's."""
     game, profile = mixed_degree_game(dyn, schedule)
-    with mock.patch.object(engine, "_TABLE_CELLS", cells), \
-            mock.patch.object(engine, "_ARRAY_FILL_WIDTH", fill_width):
+    with mock.patch.object(engine, "_TABLE_CELLS", cells):
         kernel = engine._ReplicationKernel(game, profile.support_pairs())
         chi_r, chi_b = kernel.run(engine._replication_words(9, 0, 60))
     in_degree = game.graph.in_csr[2]
@@ -623,12 +615,11 @@ def test_keys_past_the_table_cap_are_evaluated_directly(cells, rows, schedule, d
         per_vertex_outcomes(game, profile, 60, master_seed=9)
 
 
-@BOTH_FILLS
-def test_narrow_parallel_rounds_refill_their_draws_as_the_per_vertex_path_draws(fill_width):
+def test_long_parallel_rounds_runs_draw_as_the_per_vertex_path_draws():
     """A complete digraph under convex switching: each round, the uninfected
     vertices draw and few of them are infected, so a run takes many rounds of
-    up to 14 draws from a 19-wide matrix, which rows refill up to four times.
-    The profile mixes over pairs that contest two vertices, or none."""
+    up to 14 draws, in takes of uneven sizes across rows.  The profile mixes
+    over pairs that contest two vertices, or none."""
     n = 16
     graph = Graph(n=n, edges=tuple((u, v) for u in range(n) for v in range(n) if u != v),
                   directed=True)
@@ -637,18 +628,17 @@ def test_narrow_parallel_rounds_refill_their_draws_as_the_per_vertex_path_draws(
     contested = Allocation.from_seeds(n, [0, 1])
     profile = StrategyProfile(
         MixedAllocation(((0.5, contested), (0.5, Allocation.from_seeds(n, [2, 3])))), contested)
-    with mock.patch.object(engine, "_ARRAY_FILL_WIDTH", fill_width):
-        kernel = engine._ReplicationKernel(game, profile.support_pairs())
-        made = []
+    kernel = engine._ReplicationKernel(game, profile.support_pairs())
+    made = []
 
-        def recording(words):
-            made.append(engine._BatchedPhases.draws(kernel, words))
-            return made[-1]
+    class Recording(engine._Draws):
+        def __init__(self, keys):
+            super().__init__(keys)
+            made.append(self)
 
-        kernel.draws = recording
+    with mock.patch.object(engine, "_Draws", Recording):
         chi_r, chi_b = kernel.run(engine._replication_words(21, 0, 100))
-    assert kernel.draw_width == 1 + 2 + n
-    assert made[0].spent.max() >= 3 * kernel.draw_width
+    assert made[0].used.max() >= 3 * (1 + 2 + n)
     assert list(zip(chi_r.tolist(), chi_b.tolist())) == \
         per_vertex_outcomes(game, profile, 100, master_seed=21)
 
@@ -693,117 +683,83 @@ def test_each_table_key_is_evaluated_once_per_kernel(schedule):
     mode = MODE_ATTRIBUTION if isinstance(schedule, ParallelRounds) else MODE_SOLO_VS_JOINT
     coupled = _CoupledKernel(game.graph, [0, 3], [6], dyn, schedule, mode)
     for lo in range(0, 200, 50):
-        coupled.run(coupled.draws(engine._replication_words(4, lo, lo + 50)))
+        coupled.run(engine._Draws(engine._replication_words(4, lo, lo + 50)))
     check_calls()
 
 
-def array_fill(width: int):
-    """The jump table of a `_Draws` matrix `width` wide that is filled on
-    arrays, whatever the crossover."""
-    with mock.patch.object(engine, "_ARRAY_FILL_WIDTH", width):
-        return engine._jump_table(width)
+# The random stream: replication keys, `_Draws` and the keyed generator
+# against the scalar reference in `stream_reference`.
+
+MASTER_SEEDS = st.one_of(st.sampled_from((0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**200)),
+                         st.integers(0, 2**70))
+STREAMS = st.lists(st.integers(0, 2**40), max_size=2).map(tuple)
 
 
 @settings(max_examples=100, deadline=None)
-@given(master_seed=st.one_of(st.integers(0, 2**32), st.integers(2**32, 2**200)),
-       stream=st.lists(st.integers(0, 2**40), max_size=2).map(tuple),
-       lo=st.one_of(st.integers(0, 50), st.integers(2**32 - 60, 2**32 - 3)),
-       sizes=st.lists(st.tuples(*[st.integers(0, 5)] * 3), min_size=1, max_size=6),
-       on_arrays=st.booleans())
-def test_draw_rows_draw_what_the_replication_generators_draw(master_seed, stream, lo, sizes,
-                                                             on_arrays):
-    """Three replications' rows of a five-wide draw matrix, on either fill,
-    handed out a few draws per row at a time across refills."""
-    words = engine._replication_words(master_seed, lo, lo + 3, stream)
-    draws = engine._Draws(words, 5, array_fill(5) if on_arrays else None)
-    references = [engine._replication_rng(master_seed, i, stream) for i in range(lo, lo + 3)]
-    rows = np.arange(3)
-    for per_row in sizes:
-        got = draws.take(rows, np.array(per_row), np.repeat(rows, per_row))
-        assert got.tolist() == [u for reference, k in zip(references, per_row)
-                                for u in reference.random(k).tolist()]
-    assert (draws.spent + draws.used).tolist() == np.sum(sizes, axis=0).tolist()
+@given(master_seed=MASTER_SEEDS, stream=STREAMS,
+       lo=st.one_of(st.integers(0, 50), st.integers(2**32 - 3, 2**32),
+                    st.integers(2**64 - 8, 2**64 - 4)),
+       sizes=st.lists(st.tuples(*[st.integers(0, 5)] * 3), min_size=1, max_size=8))
+def test_draws_hand_out_each_rows_splitmix64_stream(master_seed, stream, lo, sizes):
+    """Three replications' keys, and their draws handed out a few per row at
+    a time, in uneven takes over all rows or only the rows that draw: each
+    cell is the scalar SplitMix64 stream's next double."""
+    keys = engine._replication_words(master_seed, lo, lo + 3, stream)
+    assert keys.tolist() == [replication_key(master_seed, i, stream) for i in range(lo, lo + 3)]
+    draws = engine._Draws(keys)
+    references = [SplitMix64(key) for key in keys.tolist()]
+    for step, per_row in enumerate(sizes):
+        rows = np.arange(3) if step % 2 else np.flatnonzero(per_row)
+        per_row = np.array(per_row)[rows]
+        got = draws.take(rows, per_row, np.repeat(np.arange(len(rows)), per_row))
+        assert got.tolist() == [references[r].random() for r, k in zip(rows, per_row)
+                                for _ in range(k)]
+    assert draws.used.tolist() == np.sum(sizes, axis=0).tolist()
 
 
-def pcg64_generator(state: int, inc: int):
-    generator = np.random.Generator(np.random.PCG64(0))
-    generator.bit_generator.state = {"bit_generator": "PCG64",
-                                     "state": {"state": state, "inc": inc},
-                                     "has_uint32": 0, "uinteger": 0}
-    return generator
+def test_replication_keys_are_distinct_across_two_to_the_32():
+    lo, hi = 2**32 - 100_000, 2**32 + 100_000
+    keys = engine._replication_words(5, lo, hi, (2,))
+    assert len(np.unique(keys)) == hi - lo
+    assert keys[[0, 100_000, -1]].tolist() == [replication_key(5, i, (2,))
+                                              for i in (lo, 2**32, hi - 1)]
 
 
-WORD128 = st.integers(0, 2**128 - 1)
+def test_the_stream_passes_a_chi_square_test_on_64_bins():
+    """2**20 draws, 256 from each of 4,096 consecutive replications."""
+    draws = engine._Draws(engine._replication_words(2024, 0, 4096))
+    rows = np.arange(4096)
+    u = draws.take(rows, np.full(4096, 256), np.repeat(rows, 256))
+    observed = np.bincount((u * 64).astype(np.intp), minlength=64)
+    expected = len(u) / 64
+    chi2 = ((observed - expected) ** 2 / expected).sum()
+    # 63 degrees of freedom: P[chi2 > 103.4] = 0.001.
+    assert chi2 < 103.4, chi2
 
 
-def state_before(after: int, inc: int) -> int:
-    """The LCG state one step before `after`, for a stream of increment `inc`."""
-    return (after - inc) * pow(engine._PCG64_MULT, -1, 2**128) % 2**128
-
-
-@settings(max_examples=200, deadline=None)
-@given(seeds=st.lists(st.tuples(WORD128, WORD128), min_size=1, max_size=4),
-       width=st.integers(1, 7), per_row=st.lists(st.integers(0, 7), min_size=1, max_size=8))
-@example(seeds=[(0, 2**128 - 1)], width=3, per_row=[3, 1, 3])
-# Rotation 0: the first output state's high word is below 2**58.
-@example(seeds=[(state_before((2**58 - 1) << 64 | 12345, 7), 7),
-                (state_before(5, 2**128 - 1), 2**128 - 1)], width=1, per_row=[1, 1])
-# The low words' sum carries into the high word: MULT's low word plus 2**64 - 1.
-@example(seeds=[(1, 2**64 - 1), (2**64 - 1, 2**64 - 1), (2**127, 2**128 - 2)], width=2,
-         per_row=[2, 2, 1])
-def test_array_fill_draws_what_a_pcg64_generator_draws(seeds, width, per_row):
-    """Over any 128-bit (state, increment), every column of the array fill
-    and of its refills is `Generator(PCG64).random()`'s draw at that offset."""
-    draws = engine._Draws(engine._pcg64_words(seeds), width, array_fill(width))
-    generators = [pcg64_generator(state, inc) for state, inc in seeds]
-    rows = np.arange(len(seeds))
-    for k in per_row:
-        k = min(k, width)
-        for row, generator in zip(draws.u, generators):
-            ahead = pcg64_generator(*generator.bit_generator.state["state"].values())
-            assert row[draws.used[0]:].tolist() == ahead.random(width - draws.used[0]).tolist()
-        got = draws.take(rows, np.full(len(rows), k), np.repeat(rows, k))
-        assert got.tolist() == [u for g in generators for u in g.random(k).tolist()]
-
-
-def test_replication_streams_cross_two_to_the_32():
-    # Indices from 2**32 on take two SeedSequence words, so a block is split there.
-    lo, hi = 2**32 - 3, 2**32 + 3
-    words = engine._replication_words(np.int64(5), lo, hi, (2,))
-    first = [engine._Draws(words, 1, jumps).u[:, 0].tolist() for jumps in (None, array_fill(1))]
-    for block in (2, 4, engine._SEED_BLOCK):
-        with mock.patch.object(engine, "_SEED_BLOCK", block):
-            streams = list(engine._replication_streams(np.int64(5), lo, hi, (2,)))
-        assert len(streams) == hi - lo
-        for k, (i, seeded) in enumerate(zip(range(lo, hi), streams)):
-            assert isinstance(seeded, engine._SeededStream)
-            expected = engine._replication_rng(5, i, (2,)).random()
-            assert seeded.resume().random() == expected == first[0][k] == first[1][k]
-
-
-def test_replication_streams_refuse_a_negative_master_seed_as_seed_sequence_does():
-    with pytest.raises(ValueError) as fast:
-        list(engine._replication_streams(-1, 0, 2))
-    with pytest.raises(ValueError) as reference:
-        engine._replication_rng(-1, 0)
-    assert str(fast.value) == str(reference.value)
+def test_draws_are_uncorrelated_along_a_row_and_across_adjacent_rows():
+    """Lag-1 correlation along each row, and between the same draws of
+    adjacent replications, over 2**20 pairs each: within 4.5 standard errors
+    (1/sqrt(pairs)) of 0."""
+    draws = engine._Draws(engine._replication_words(77, 0, 4097))
+    rows = np.arange(4097)
+    u = draws.take(rows, np.full(4097, 257), np.repeat(rows, 257)).reshape(4097, 257)
+    along = np.corrcoef(u[:, :-1].ravel(), u[:, 1:].ravel())[0, 1]
+    across = np.corrcoef(u[:-1].ravel(), u[1:].ravel())[0, 1]
+    bound = 4.5 / np.sqrt(4096 * 256)
+    assert abs(along) < bound and abs(across) < bound, (along, across)
 
 
 @settings(max_examples=100, deadline=None)
-@given(master_seed=st.one_of(st.integers(0, 2**32), st.integers(2**32, 2**200)),
-       stream=st.lists(st.integers(0, 2**40), max_size=2).map(tuple),
-       lo=st.one_of(st.integers(0, 50), st.integers(2**32 - 6, 2**32 + 3),
-                    st.integers(2**32, 2**64 - 6)),
-       ahead=st.integers(0, 3))
-def test_resumed_streams_draw_what_fresh_generators_draw(master_seed, stream, lo, ahead):
-    # Blocks of two seeds; each stream resumes, and resumes again `ahead`
-    # uniforms in, as the generator fill of a draw matrix does.
+@given(keys=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5))
+def test_keyed_generators_draw_what_fresh_ones_draw(keys):
+    """One generator, set to each key's stream in turn (two keys' words at a
+    time), draws what a fresh generator of the key's PCG64 state draws, for
+    every distribution the samplers use."""
     with mock.patch.object(engine, "_SEED_BLOCK", 2):
-        streams = engine._replication_streams(master_seed, lo, lo + 5, stream)
-        for i, seeded in zip(range(lo, lo + 5), streams):
-            reference = engine._replication_rng(master_seed, i, stream)
-            assert seeded.resume().random(ahead).tolist() == reference.random(ahead).tolist()
-            rng = engine._pcg64_resume(seeded.generator, seeded.seed, ahead)
+        rngs = engine._keyed_generators(np.array(keys, dtype=np.uint64))
+        for key, rng in zip(keys, rngs):
+            reference = keyed_pcg64(key)
             for draw in (lambda g: g.random(), lambda g: g.binomial(40, 0.3),
                          lambda g: g.integers(7), lambda g: g.random(3).tolist()):
                 assert draw(rng) == draw(reference)
@@ -829,8 +785,8 @@ def test_random_sequential_monte_carlo_matches_the_per_vertex_loop(threads):
 
 
 def test_replicated_samples_do_not_depend_on_the_seed_block():
-    """The per-vertex path, the layer sampler and the batched kernel, whose
-    blocks are cut at seed blocks too."""
+    """The per-vertex path and the layer sampler, whose generators are set a
+    seed block at a time, and the batched kernel."""
     game, profile = random_sequential_case()
     structure = LayeredStructure(((2, 3, 4), (3, 5)))
     layered = StrategyProfile(Allocation.from_seeds(structure.n, [0, 5]),
@@ -854,51 +810,34 @@ def test_replicated_samples_do_not_depend_on_the_seed_block():
 # oracle's fill.
 
 @settings(max_examples=100, deadline=None)
-@given(runs=st.lists(st.tuples(st.one_of(st.sampled_from((0, 2**32 - 1, 2**32, 2**200)),
-                                         st.integers(0, 2**70)),
+@given(runs=st.lists(st.tuples(MASTER_SEEDS,
                                st.one_of(st.integers(0, 9), st.integers(2**32 - 4, 2**32 + 2)),
                                st.integers(0, 4)), min_size=1, max_size=6),
-       stream=st.lists(st.integers(0, 2**40), max_size=2).map(tuple))
+       stream=STREAMS)
 @example(runs=[(0, 2**32 - 2, 4), (2**32 - 1, 0, 2), (2**32, 2**32 - 1, 3), (2**200, 5, 2)],
          stream=())
-def test_per_run_master_seeds_draw_what_the_replication_generators_draw(runs, stream):
+def test_per_run_master_seeds_key_each_replication_as_alone(runs, stream):
     """Runs with master seeds of every word count, and indices on both sides
-    of 2**32, in one call: each replication's seed and first draw are its own
-    generator's."""
+    of 2**32, in one call: each replication's key is its own."""
     seeds = [seed for seed, _, _ in runs]
     lo = [first for _, first, _ in runs]
     hi = [first + size for _, first, size in runs]
-    expected = [(seed, i) for seed, first, size in runs for i in range(first, first + size)]
-    words = engine._pcg64_seeds(seeds, stream, np.array(lo, dtype=np.uint64),
-                                np.array(hi, dtype=np.uint64))
-    pcg = engine._pcg64_states(words)
-    assert engine._pcg64_words(pcg).tolist() == words.tolist()
-    first = engine._Draws(engine._replication_words(seeds, lo, hi, stream), 1,
-                          array_fill(1)).u[:, 0].tolist()
-    with mock.patch.object(engine, "_SEED_BLOCK", 3):
-        streams = list(engine._replication_streams(seeds, lo, hi, stream))
-    assert len(pcg) == len(streams) == len(first) == len(expected)
-    for (seed, i), state, seeded, u in zip(expected, pcg, streams, first):
-        reference = engine._replication_rng(seed, i, stream)
-        bits = reference.bit_generator.state["state"]
-        assert state == (bits["state"], bits["inc"])
-        assert seeded.resume().random() == reference.random() == u
+    expected = [replication_key(seed, i, stream)
+                for seed, first, size in runs for i in range(first, first + size)]
+    assert engine._replication_words(seeds, lo, hi, stream).tolist() == expected
 
 
-@BOTH_FILLS
 @settings(max_examples=100, deadline=None)
-@given(kernel_cases(), st.lists(st.one_of(st.sampled_from((0, 2**32 - 1, 2**32, 2**200)),
-                                          st.integers(0, 2**40)), min_size=1, max_size=4),
+@given(kernel_cases(), st.lists(MASTER_SEEDS, min_size=1, max_size=4),
        st.integers(1, 6), st.sampled_from((1, 40, 1 << 20)))
-def test_sample_many_rows_equal_one_job_samples(fill_width, case, seeds, n_trials, block_cells):
+def test_sample_many_rows_equal_one_job_samples(case, seeds, n_trials, block_cells):
     """Jobs of mixed profiles sharing allocations, run through one kernel in
     blocks that cut jobs apart: each job's row is its own `sample_payoffs`,
-    and its replications' draws are their own generators'."""
+    and its replications' draws are their own scalar streams'."""
     game, profile = case
     swapped = StrategyProfile(profile.blue, profile.red)
     jobs = [(profile if k % 2 == 0 else swapped, seed) for k, seed in enumerate(seeds)]
-    with mock.patch.object(engine, "_BLOCK_CELLS", block_cells), \
-            mock.patch.object(engine, "_ARRAY_FILL_WIDTH", fill_width):
+    with mock.patch.object(engine, "_BLOCK_CELLS", block_cells):
         chi_r, chi_b = engine.sample_many(game, jobs, n_trials)
     assert chi_r.shape == chi_b.shape == (len(jobs), n_trials)
     for (job, seed), row_r, row_b in zip(jobs, chi_r, chi_b):
@@ -994,14 +933,13 @@ def test_oracle_fill_is_thread_invariant(kind):
                              st.integers(0, 2**70)),
        counts=st.integers(1, 12).flatmap(lambda n: st.tuples(
            *[st.lists(st.integers(0, 3) | st.just(2**32 + 1), min_size=n, max_size=n)] * 2)))
-def test_profile_seeds_are_the_spawn_key_seed_sequences(master_seed, counts):
-    """The oracle assembles a profile seed's pool as one array: the same
-    seed as the SeedSequence that takes the counts as its spawn key."""
+def test_profile_seeds_fold_the_sparse_seed_pairs(master_seed, counts):
+    """A profile's seed is the master seed's key with red's number of seeded
+    vertices, then red's and blue's (vertex, count) pairs folded in."""
     red, blue = (Allocation(side) for side in counts)
     oracle = PayoffOracle(mc_game(), method=MONTE_CARLO, master_seed=master_seed)
-    key = red.counts + (2**31 - 1,) + blue.counts
-    reference = np.random.SeedSequence(entropy=master_seed, spawn_key=key)
-    assert oracle._profile_seed(red, blue) == int(reference.generate_state(1)[0])
+    pairs = [x for side in (red, blue) for v, c in enumerate(side.counts) if c for x in (v, c)]
+    assert oracle._profile_seed(red, blue) == fold(seed_key(master_seed), len(red.seeds), *pairs)
 
 
 def test_oracle_fill_computes_each_uncached_profile_once():

@@ -35,6 +35,7 @@ from contagion_games import (
     sample_layered_counts,
     validate_layered_graph,
 )
+from stream_reference import keyed_pcg64, replication_key
 
 
 def two_component_structure():
@@ -420,7 +421,7 @@ def single_run_reference(structure, dyn, profile, n_trials, master_seed):
     pairs = profile.support_pairs()
     chi_r, chi_b = np.empty(n_trials), np.empty(n_trials)
     for i in range(n_trials):
-        rng = engine._replication_rng(master_seed, i)
+        rng = keyed_pcg64(replication_key(master_seed, i))
         red, blue = engine._sample_support(pairs, rng)
         chi_r[i], chi_b[i] = sample_layered_counts(structure, dyn, red, blue, rng)
     return engine.monte_carlo_estimate(chi_r, chi_b)
