@@ -69,6 +69,20 @@ def draws_of(keys):
     return engine._Draws(np.array(keys, dtype=np.uint64))
 
 
+# A coupled replication's run does not depend on the block it runs in: kernel
+# tests run their replications as one block, and as blocks of 7 through the
+# same kernel.
+BLOCKINGS = pytest.mark.parametrize("block", [None, 7], ids=["one_block", "blocks_of_7"])
+
+
+def run_in_blocks(kernel, keys, block):
+    """`kernel.run` over the draws of `keys` in blocks of `block` rows (one
+    block if None), its joint states, solo states and violations concatenated."""
+    size = block or len(keys)
+    parts = [kernel.run(draws_of(keys[lo:lo + size])) for lo in range(0, len(keys), size)]
+    return tuple(np.concatenate(out) for out in zip(*parts))
+
+
 def run_key(rng) -> int:
     """The key a coupled run takes from its generator (or seed)."""
     return int(np.random.default_rng(rng).integers(0, 2**64, dtype=np.uint64))
@@ -349,7 +363,8 @@ def test_batched_coupled_runs_match_the_reference_model(data, dyn, mode, block, 
     SinglePassOrder((3, 4, 5, 2, 6)),
     LayerOrder(((4, 3), (6, 5, 2))),
 ])
-def test_batched_violation_counter_fires_without_the_preflight(schedule):
+@BLOCKINGS
+def test_batched_violation_counter_fires_without_the_preflight(schedule, block):
     """Convex switching breaks solo-vs-joint: blue's seed raises the chance
     that red's neighbors adopt.  The batched count equals the reference's,
     summed after every phase of the schedule, and is nonzero."""
@@ -360,7 +375,7 @@ def test_batched_violation_counter_fires_without_the_preflight(schedule):
         require_mode_hypotheses(MODE_SOLO_VS_JOINT, dyn, g)
     kernel = _CoupledKernel(g, [0], [1], dyn, schedule, MODE_SOLO_VS_JOINT)
     keys = [replication_key(321, i) for i in range(300)]
-    joint, solo, violations = kernel.run(draws_of(keys))
+    joint, solo, violations = run_in_blocks(kernel, keys, block)
     total = 0
     for i, key in enumerate(keys):
         ref_joint, ref_solo, ref_violations = reference_coupled_run(
@@ -376,7 +391,8 @@ def test_batched_violation_counter_fires_without_the_preflight(schedule):
 @pytest.mark.parametrize("immunity", [False, True])
 @pytest.mark.parametrize("dyn", [sqrt_linear(), convex_linear(), skewed_split(), non_additive()],
                          ids=["sqrt_linear", "convex_linear", "skewed_split", "non_additive"])
-def test_batched_attribution_rounds_match_the_reference_model(dyn, immunity):
+@BLOCKINGS
+def test_batched_attribution_rounds_match_the_reference_model(dyn, immunity, block):
     """Parallel rounds on a graph with cycles, where candidates fail and
     retry (or turn immune) and the two processes stop at different rounds in
     different rows.  The batched runs equal the reference's row by row, and
@@ -386,7 +402,7 @@ def test_batched_attribution_rounds_match_the_reference_model(dyn, immunity):
     schedule = ParallelRounds(6, immunity=immunity)
     kernel = _CoupledKernel(g, [0, 2], [1], dyn, schedule, MODE_ATTRIBUTION)
     keys = [replication_key(321, i) for i in range(200)]
-    joint, solo, violations = kernel.run(draws_of(keys))
+    joint, solo, violations = run_in_blocks(kernel, keys, block)
     for i, key in enumerate(keys):
         ref_joint, ref_solo, ref_violations = reference_coupled_run(
             g, [0, 2], [1], dyn, schedule, SplitMix64(key), MODE_ATTRIBUTION)
@@ -407,12 +423,14 @@ def bipartite():
     return g, SinglePassOrder(tuple(range(3, 12)))
 
 
+# `coupled_run` takes its run key from a numpy generator or from a seed.
+@pytest.mark.parametrize("source", [rng_for, lambda i: 1000 + i], ids=["generator", "int_seed"])
 @pytest.mark.parametrize("schedule", [None, ParallelRounds(4), ParallelRounds(4, immunity=True)])
-def test_attribution_labels_equal_the_joint_colors_under_its_hypotheses(schedule):
+def test_attribution_labels_equal_the_joint_colors_under_its_hypotheses(schedule, source):
     g, single_pass = two_hub()
     schedule = schedule or single_pass
     for i in range(100):
-        res = coupled_run(g, [3], [0], sqrt_linear(), schedule, rng_for(i), mode=MODE_ATTRIBUTION)
+        res = coupled_run(g, [3], [0], sqrt_linear(), schedule, source(i), mode=MODE_ATTRIBUTION)
         assert res.invariant_violations == 0
         assert res.joint.state == res.solo.state
         # Followers of hub 3 can only copy red; those of hub 0 only blue.
@@ -420,7 +438,7 @@ def test_attribution_labels_equal_the_joint_colors_under_its_hypotheses(schedule
         assert all(res.solo.state[v] != RED for v in (1, 2))
         # Multi-round runs draw the stream of the run's key throughout.
         ref_joint, _, _ = reference_coupled_run(g, [3], [0], sqrt_linear(), schedule,
-                                                SplitMix64(run_key(rng_for(i))), MODE_ATTRIBUTION)
+                                                SplitMix64(run_key(source(i))), MODE_ATTRIBUTION)
         assert list(res.joint.state) == ref_joint
 
 

@@ -598,24 +598,40 @@ MIXED_DEGREE_SCHEDULES = (ParallelRounds(5), ParallelRounds(5, immunity=True),
                           LayerOrder(((1, 2, 3), (4, 5), (7, 8))))
 
 
+# A replication's outcome does not depend on the block it runs in: kernel
+# tests run their replications as one block, and as blocks of 7 through the
+# same kernel.
+BLOCKINGS = pytest.mark.parametrize("block", [None, 7], ids=["one_block", "blocks_of_7"])
+
+
+def run_in_blocks(run, keys, block):
+    """`run` over `keys` in blocks of `block` rows (one block if None), its
+    outputs concatenated."""
+    size = block or len(keys)
+    parts = [run(keys[lo:lo + size]) for lo in range(0, len(keys), size)]
+    return tuple(np.concatenate(out) for out in zip(*parts))
+
+
+@BLOCKINGS
 @pytest.mark.parametrize("cells, rows", [(0, []), (4, [1]), (28, [1, 2])])
 @pytest.mark.parametrize("schedule", MIXED_DEGREE_SCHEDULES)
 @pytest.mark.parametrize("dyn", KERNEL_DYNAMICS[1:], ids=["tullock", "halfpoint", "builtin"])
-def test_keys_past_the_table_cap_are_evaluated_directly(cells, rows, schedule, dyn):
+def test_keys_past_the_table_cap_are_evaluated_directly(cells, rows, schedule, dyn, block):
     """With the table capped below the graph's larger in-degrees, their
     candidates take the direct path, and every replication still equals the
     per-vertex path's."""
     game, profile = mixed_degree_game(dyn, schedule)
     with mock.patch.object(engine, "_TABLE_CELLS", cells):
         kernel = engine._ReplicationKernel(game, profile.support_pairs())
-        chi_r, chi_b = kernel.run(engine._replication_words(9, 0, 60))
+        chi_r, chi_b = run_in_blocks(kernel.run, engine._replication_words(9, 0, 60), block)
     in_degree = game.graph.in_csr[2]
     assert sorted(set(in_degree[kernel.table.start >= 0].tolist())) == rows
     assert list(zip(chi_r.tolist(), chi_b.tolist())) == \
         per_vertex_outcomes(game, profile, 60, master_seed=9)
 
 
-def test_long_parallel_rounds_runs_draw_as_the_per_vertex_path_draws():
+@BLOCKINGS
+def test_long_parallel_rounds_runs_draw_as_the_per_vertex_path_draws(block):
     """A complete digraph under convex switching: each round, the uninfected
     vertices draw and few of them are infected, so a run takes many rounds of
     up to 14 draws, in takes of uneven sizes across rows.  The profile mixes
@@ -637,8 +653,8 @@ def test_long_parallel_rounds_runs_draw_as_the_per_vertex_path_draws():
             made.append(self)
 
     with mock.patch.object(engine, "_Draws", Recording):
-        chi_r, chi_b = kernel.run(engine._replication_words(21, 0, 100))
-    assert made[0].used.max() >= 3 * (1 + 2 + n)
+        chi_r, chi_b = run_in_blocks(kernel.run, engine._replication_words(21, 0, 100), block)
+    assert max(draws.used.max() for draws in made) >= 3 * (1 + 2 + n)
     assert list(zip(chi_r.tolist(), chi_b.tolist())) == \
         per_vertex_outcomes(game, profile, 100, master_seed=21)
 
