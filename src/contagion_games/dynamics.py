@@ -712,29 +712,18 @@ def realizable_fraction_pairs(graph: Graph) -> tuple[tuple[float, float], ...]:
 PhaseOption = tuple[float, tuple[int, ...], object]  # (probability, vertices, next cursor)
 
 
-def candidate_vertices(graph: Graph, state: Sequence[int],
-                       immune: Sequence[bool]) -> tuple[int, ...]:
-    """Uninfected, non-immune vertices with at least one infected in-neighbor."""
+def filter_phase_candidates(graph: Graph, state: Sequence[int], immune: Sequence[bool],
+                            phase: Sequence[int]) -> tuple[int, ...]:
+    """The phase's update candidates, in phase order: its uninfected,
+    non-immune vertices with at least one infected in-neighbor."""
     out = []
-    for v in range(graph.n):
+    for v in phase:
         if state[v] != UNINFECTED or immune[v]:
             continue
         for u in graph.in_neighbors[v]:
             if state[u] != UNINFECTED:
                 out.append(v)
                 break
-    return tuple(out)
-
-
-def filter_phase_candidates(graph: Graph, state: Sequence[int], immune: Sequence[bool],
-                            phase: Sequence[int]) -> tuple[int, ...]:
-    """Restrict a phase's vertex list to actual update candidates."""
-    out = []
-    for v in phase:
-        if state[v] != UNINFECTED or immune[v]:
-            continue
-        if any(state[u] != UNINFECTED for u in graph.in_neighbors[v]):
-            out.append(v)
     return tuple(out)
 
 
@@ -854,7 +843,7 @@ class ParallelRounds(UpdateSchedule):
     def phase_options(self, graph, state, immune, cursor):
         if cursor >= self.max_rounds:
             return None
-        cands = candidate_vertices(graph, state, immune)
+        cands = filter_phase_candidates(graph, state, immune, range(graph.n))
         if not cands:
             return None
         return [(1.0, cands, cursor + 1)]
@@ -1020,7 +1009,7 @@ class RandomSequential(UpdateSchedule):
     def phase_options(self, graph, state, immune, cursor):
         if cursor >= self.max_steps:
             return None
-        cands = candidate_vertices(graph, state, immune)
+        cands = filter_phase_candidates(graph, state, immune, range(graph.n))
         if not cands:
             return None
         p = 1.0 / len(cands)

@@ -887,6 +887,38 @@ class _NodeBudget:
                 "fall back to Monte Carlo (estimate_payoffs)")
 
 
+def _combinations(weight: float, choices, budget: _NodeBudget) -> list[tuple[float, tuple]]:
+    """Every way to pick one outcome from each of the independent `choices`,
+    each a sequence of (probability, outcome) pairs, in lexicographic order of
+    the picks.  A combination's weight is `weight` times its outcomes'
+    probabilities, multiplied in pick order; outcomes of probability 0 are
+    skipped.  Spends one node per partial combination of one or more picks."""
+    combos = [(weight, ())]
+    for options in choices:
+        options = [(p, outcome) for p, outcome in options if p > 0.0]
+        budget.spend(len(combos) * len(options))
+        combos = [(w * p, picked + (outcome,)) for w, picked in combos for p, outcome in options]
+    return combos
+
+
+def _adopt(state: list[int], picked, cr: int, cb: int) -> tuple[list[int], int, int]:
+    """The state after the picked (vertex, color) outcomes, and the red and
+    blue counts with those adoptions.  An UNINFECTED pick changes nothing;
+    when nothing changes, `state` itself comes back."""
+    new_state = state
+    for v, color in picked:
+        if color == UNINFECTED:
+            continue
+        if new_state is state:
+            new_state = list(state)
+        new_state[v] = color
+        if color == RED:
+            cr += 1
+        else:
+            cb += 1
+    return new_state, cr, cb
+
+
 def exact_payoffs(game: GameSpec, profile: StrategyProfile,
                   node_cap: int = DEFAULT_NODE_CAP) -> PayoffEstimate:
     """Exact expected payoffs by exhaustive enumeration of every contested-seed
@@ -899,45 +931,23 @@ def exact_payoffs(game: GameSpec, profile: StrategyProfile,
     instead of branching, which keeps the common fixtures branch-free.  A
     one-shot schedule is walked by its snapshot phases (`schedule.phases`),
     so a single pass branches one group of consecutive vertices at a time.
+
+    Each pure pair of the profile's support is walked with one stack of
+    phase-start entries (weight, state, immune, cursor, red count, blue
+    count, red marginal, blue marginal), seeded with the combinations of the
+    contested non-sink seeds' colors.  Popping an entry combines, for each
+    phase option, its branching candidates' outcomes into the next entries.
+    A round that changes nothing stops the run: its entry, with cursor None,
+    is a leaf, and a leaf adds its weighted tally when popped.  Children are
+    pushed in lexicographic order of their outcomes (RED, BLUE, stay) and so
+    pop in reverse: leaves are summed in one fixed depth-first order, which
+    keeps every payoff the same to the bit.  The tree has one node per
+    partial combination, per phase option, and per entry that is not a leaf.
     """
     budget = _NodeBudget(node_cap)
-    er = eb = 0.0
-    for p, red, blue in profile.support_pairs():
-        if p == 0.0:
-            continue
-        r, b = _exact_profile_expectation(game, red, blue, budget)
-        er += p * r
-        eb += p * b
-    return PayoffEstimate(pi_R=er, pi_B=eb, method=EXACT_ENUMERATION,
-                          n_trials=0, stderr_R=0.0, stderr_B=0.0)
-
-
-def _exact_profile_expectation(game: GameSpec, red: Allocation, blue: Allocation,
-                               budget: _NodeBudget) -> tuple[float, float]:
     graph, dyn, schedule = game.graph, game.dynamics, game.schedule
     schedule.validate_for_graph(graph)
     n = graph.n
-    if red.n != n or blue.n != n:
-        raise ValidationError("allocation length does not match the graph")
-
-    red_only, blue_only, seed_contests = split_seeds(red, blue)
-    base = [UNINFECTED] * n
-    for v in red_only:
-        base[v] = RED
-    for v in blue_only:
-        base[v] = BLUE
-    cr0, cb0 = len(red_only), len(blue_only)
-    contested: list[tuple[int, float]] = []
-    mr0 = mb0 = 0.0
-    for v, p_red in seed_contests:
-        if not graph.out_neighbors[v]:
-            # The color of a sink seed affects only the final tally.
-            base[v] = RED
-            mr0 += p_red
-            mb0 += 1.0 - p_red
-        else:
-            contested.append((v, p_red))
-
     # A one-shot schedule's walk reads its phases off the plan, and knows the
     # phase in which each vertex updates (-1 for never).
     plan = schedule.phases(graph)
@@ -949,110 +959,79 @@ def _exact_profile_expectation(game: GameSpec, red: Allocation, blue: Allocation
             for v in phase:
                 last_app[v] = k
     is_parallel = isinstance(schedule, ParallelRounds)
-    no_immune = (False,) * n
-    total_r = total_b = 0.0
-
-    # Entries: ("seed", w, idx, state, cr, cb, mr, mb)
-    #          ("phase", w, state, immune, cursor, cr, cb, mr, mb)
-    #          ("micro", w, state, immune, next_cursor, cands, i, pending, failed,
-    #           cr, cb, mr, mb)
-    stack: list[tuple] = [("seed", 1.0, 0, base, cr0, cb0, mr0, mb0)]
-    while stack:
-        entry = stack.pop()
-        kind = entry[0]
-
-        if kind == "seed":
-            _, w, idx, state, cr, cb, mr, mb = entry
-            if idx == len(contested):
-                stack.append(("phase", w, state, no_immune,
-                              schedule.initial_cursor(), cr, cb, mr, mb))
-                budget.spend()
-                continue
-            v, p_red = contested[idx]
-            for prob, color in ((p_red, RED), (1.0 - p_red, BLUE)):
-                if prob <= 0.0:
-                    continue
-                child = list(state)
-                child[v] = color
-                stack.append(("seed", w * prob, idx + 1, child,
-                              cr + (color == RED), cb + (color == BLUE), mr, mb))
-                budget.spend()
+    er = eb = 0.0
+    for p, red, blue in profile.support_pairs():
+        if p == 0.0:
             continue
-
-        if kind == "phase":
-            _, w, state, immune, cursor, cr, cb, mr, mb = entry
-            if plan is None:
-                options = schedule.phase_options(graph, state, immune, cursor)
+        if red.n != n or blue.n != n:
+            raise ValidationError("allocation length does not match the graph")
+        red_only, blue_only, seed_contests = split_seeds(red, blue)
+        base = [UNINFECTED] * n
+        for v in red_only:
+            base[v] = RED
+        for v in blue_only:
+            base[v] = BLUE
+        contests = []
+        mr0 = mb0 = 0.0
+        for v, p_red in seed_contests:
+            if not graph.out_neighbors[v]:
+                # The color of a sink seed affects only the final tally.
+                base[v] = RED
+                mr0 += p_red
+                mb0 += 1.0 - p_red
             else:
-                options = [(1.0, plan[cursor], cursor + 1)] if cursor < len(plan) else None
+                contests.append(((p_red, (v, RED)), (1.0 - p_red, (v, BLUE))))
+        stack = []
+        for w, picked in _combinations(1.0, contests, budget):
+            state, cr, cb = _adopt(base, picked, len(red_only), len(blue_only))
+            stack.append((w, state, (False,) * n, schedule.initial_cursor(), cr, cb, mr0, mb0))
+        budget.spend(len(stack))
+
+        total_r = total_b = 0.0
+        while stack:
+            w, state, immune, cursor, cr, cb, mr, mb = stack.pop()
+            if cursor is not None and plan is None:
+                options = schedule.phase_options(graph, state, immune, cursor)
+            elif cursor is not None and cursor < len(plan):
+                options = [(1.0, plan[cursor], cursor + 1)]
+            else:
+                options = None
             if options is None:
                 total_r += w * (cr + mr)
                 total_b += w * (cb + mb)
                 continue
             for opt_prob, phase, nxt in options:
-                cands = filter_phase_candidates(graph, state, immune, phase)
+                budget.spend()
                 final_round = is_parallel and nxt >= schedule.max_rounds
                 mr2, mb2 = mr, mb
-                branching: list[tuple[int, float, float, float]] = []
-                sure_failures: list[int] = []
-                for v in cands:
+                choices = []
+                sure_failures = []
+                for v in filter_phase_candidates(graph, state, immune, phase):
                     a, b = neighbor_fractions(graph, state, v)
                     pr, pb, pu = dyn.update_probs(a, b)
                     if pr == 0.0 and pb == 0.0:
                         sure_failures.append(v)
-                        continue
-                    marginal = final_round or (
-                        last_app is not None
-                        and all(state[w_out] != UNINFECTED or last_app[w_out] <= cursor
-                                for w_out in graph.out_neighbors[v]))
-                    if marginal:
+                    elif final_round or (
+                            last_app is not None
+                            and all(state[u] != UNINFECTED or last_app[u] <= cursor
+                                    for u in graph.out_neighbors[v])):
                         mr2 += pr
                         mb2 += pb
                     else:
-                        branching.append((v, pr, pb, pu))
-                stack.append(("micro", w * opt_prob, state, immune, nxt,
-                              branching, 0, (), tuple(sure_failures), cr, cb, mr2, mb2))
-                budget.spend()
-            continue
-
-        # kind == "micro"
-        _, w, state, immune, nxt, cands, i, pending, failed, cr, cb, mr, mb = entry
-        if i == len(cands):
-            if pending:
-                new_state = list(state)
-                for v, color in pending:
-                    new_state[v] = color
-                    if color == RED:
-                        cr += 1
-                    else:
-                        cb += 1
-            else:
-                new_state = state
-            if schedule.immunity and failed:
-                new_immune = list(immune)
-                for v in failed:
-                    new_immune[v] = True
-                new_immune = tuple(new_immune)
-            else:
-                new_immune = immune
-            if schedule.stop_on_no_change and not pending and (cands or failed):
-                total_r += w * (cr + mr)
-                total_b += w * (cb + mb)
-                continue
-            stack.append(("phase", w, new_state, new_immune, nxt, cr, cb, mr, mb))
-            budget.spend()
-            continue
-        v, pr, pb, pu = cands[i]
-        for prob, color in ((pr, RED), (pb, BLUE), (pu, None)):
-            if prob <= 0.0:
-                continue
-            if color is None:
-                stack.append(("micro", w * prob, state, immune, nxt, cands, i + 1,
-                              pending, failed + (v,) if schedule.immunity else failed,
-                              cr, cb, mr, mb))
-            else:
-                stack.append(("micro", w * prob, state, immune, nxt, cands, i + 1,
-                              pending + ((v, color),), failed, cr, cb, mr, mb))
-            budget.spend()
-
-    return total_r, total_b
+                        choices.append(((pr, (v, RED)), (pb, (v, BLUE)), (pu, (v, UNINFECTED))))
+                may_stop = schedule.stop_on_no_change and (choices or sure_failures)
+                for w2, picked in _combinations(w * opt_prob, choices, budget):
+                    new_state, cr2, cb2 = _adopt(state, picked, cr, cb)
+                    if may_stop and new_state is state:
+                        stack.append((w2, state, immune, None, cr, cb, mr2, mb2))
+                        continue
+                    new_immune = immune
+                    if schedule.immunity:
+                        failed = set(sure_failures).union(v for v, c in picked if c == UNINFECTED)
+                        new_immune = tuple(im or v in failed for v, im in enumerate(immune))
+                    stack.append((w2, new_state, new_immune, nxt, cr2, cb2, mr2, mb2))
+                    budget.spend()
+        er += p * total_r
+        eb += p * total_b
+    return PayoffEstimate(pi_R=er, pi_B=eb, method=EXACT_ENUMERATION,
+                          n_trials=0, stderr_R=0.0, stderr_B=0.0)

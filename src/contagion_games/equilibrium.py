@@ -272,12 +272,9 @@ def _resolve_eps(oracle: PayoffOracle, eps: Optional[float]) -> tuple[float, lis
     return (EXACT_EPS if eps is None else eps), caveats
 
 
-def find_pure_nash(game: GameSpec, oracle: Optional[PayoffOracle] = None,
-                   eps: Optional[float] = None,
-                   allocation_cap: int = DEFAULT_ALLOCATION_CAP,
-                   pair_cap: int = DEFAULT_PAIR_CAP) -> NashReport:
-    """All pure (eps-)Nash profiles by exhaustive enumeration."""
-    oracle = oracle or PayoffOracle(game)
+def _strategy_spaces(game: GameSpec, allocation_cap: int, pair_cap: int
+                     ) -> tuple[list[Allocation], list[Allocation]]:
+    """Both players' pure allocations, refused beyond either cap."""
     n = game.graph.n
     reds = enumerate_allocations(n, game.budget_red, cap=allocation_cap)
     blues = (reds if game.budget_blue == game.budget_red
@@ -285,7 +282,16 @@ def find_pure_nash(game: GameSpec, oracle: Optional[PayoffOracle] = None,
     if len(reds) * len(blues) > pair_cap:
         raise AllocationSpaceCapError(
             f"{len(reds)}x{len(blues)} profile pairs exceed the cap of {pair_cap}")
+    return reds, blues
 
+
+def find_pure_nash(game: GameSpec, oracle: Optional[PayoffOracle] = None,
+                   eps: Optional[float] = None,
+                   allocation_cap: int = DEFAULT_ALLOCATION_CAP,
+                   pair_cap: int = DEFAULT_PAIR_CAP) -> NashReport:
+    """All pure (eps-)Nash profiles by exhaustive enumeration."""
+    oracle = oracle or PayoffOracle(game)
+    reds, blues = _strategy_spaces(game, allocation_cap, pair_cap)
     estimates = oracle.fill(itertools.product(reds, blues))
     pi_r = np.array([est.pi_R for est in estimates]).reshape(len(reds), len(blues))
     pi_b = np.array([est.pi_B for est in estimates]).reshape(len(reds), len(blues))
@@ -348,12 +354,7 @@ def max_joint_payoff(game: GameSpec, oracle: Optional[PayoffOracle] = None,
     oracle = oracle or PayoffOracle(game)
     n = game.graph.n
     if mode == "exhaustive":
-        reds = enumerate_allocations(n, game.budget_red, cap=allocation_cap)
-        blues = (reds if game.budget_blue == game.budget_red
-                 else enumerate_allocations(n, game.budget_blue, cap=allocation_cap))
-        if len(reds) * len(blues) > pair_cap:
-            raise AllocationSpaceCapError(
-                f"{len(reds)}x{len(blues)} profile pairs exceed the cap of {pair_cap}")
+        reds, blues = _strategy_spaces(game, allocation_cap, pair_cap)
         best = None
         best_val = -math.inf
         for pair, est in zip(itertools.product(reds, blues),

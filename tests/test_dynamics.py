@@ -40,7 +40,6 @@ from contagion_games import (
     ThresholdSwitch,
     TullockSelection,
     ValidationError,
-    candidate_vertices,
     check_additive,
     check_competitive,
     check_linear_split,
@@ -238,7 +237,14 @@ def test_update_probs_partition(a_scale, b, r, s):
 # ---------------------------------------------------------------------------
 
 
-class HalfPowerSwitch(SwitchingFunction):
+class NamedRepr:
+    """Reprs as the class name, so parametrised test ids hold no address."""
+
+    def __repr__(self):
+        return type(self).__name__
+
+
+class HalfPowerSwitch(NamedRepr, SwitchingFunction):
     """A user subclass with no closed-form array evaluation."""
 
     def value(self, x):
@@ -248,7 +254,7 @@ class HalfPowerSwitch(SwitchingFunction):
         return {}
 
 
-class SmoothstepSelection(SelectionFunction):
+class SmoothstepSelection(NamedRepr, SelectionFunction):
     def value(self, y):
         return y * y * (3.0 - 2.0 * y)
 
@@ -434,7 +440,7 @@ def scalar_check_linear_split(h, points=(), grid_step=PREDICATE_GRID_STEP, tol=L
     return out
 
 
-class DampedAdoption(AdoptionFunction):
+class DampedAdoption(NamedRepr, AdoptionFunction):
     """A user subclass outside switch/select form: red is damped by blue."""
 
     def _raw_red(self, a, b):
@@ -444,7 +450,7 @@ class DampedAdoption(AdoptionFunction):
         return {}
 
 
-class SkewedTotal(AdoptionFunction):
+class SkewedTotal(NamedRepr, AdoptionFunction):
     """A user subclass whose total is not symmetric in the two colors, so
     each total's (total, 0) and (0, total) points differ."""
 
@@ -622,10 +628,11 @@ def path_graph():
 def test_candidate_vertices_need_an_infected_in_neighbor():
     g = path_graph()
     state = [RED, UNINFECTED, UNINFECTED]
-    assert candidate_vertices(g, state, [False] * 3) == (1,)
-    assert candidate_vertices(g, state, [False, True, False]) == ()
+    everyone = range(3)
+    assert filter_phase_candidates(g, state, [False] * 3, everyone) == (1,)
+    assert filter_phase_candidates(g, state, [False, True, False], everyone) == ()
     state = [RED, BLUE, UNINFECTED]
-    assert candidate_vertices(g, state, [False] * 3) == (2,)
+    assert filter_phase_candidates(g, state, [False] * 3, everyone) == (2,)
 
 
 def test_filter_phase_candidates_respects_phase_membership():

@@ -355,17 +355,97 @@ def test_exact_rejects_allocations_of_the_wrong_length():
         exact_payoffs(game, StrategyProfile(Allocation((1, 0, 0)), Allocation((0, 1, 0))))
 
 
+def hub_and_chain(n=13):
+    """A hub feeding every vertex of the chain 1 -> 2 -> ... -> n-1."""
+    edges = [(0, i) for i in range(1, n)] + [(i, i + 1) for i in range(1, n - 1)]
+    return Graph(n=n, edges=tuple(edges))
+
+
 def test_exact_enumeration_respects_the_node_cap():
     # a hub plus a chain of in-degree-2 vertices: every chain vertex flips a
     # fair coin in round 1, so the outcome tree branches exponentially
     n = 13
-    edges = [(0, i) for i in range(1, n)] + [(i, i + 1) for i in range(1, n - 1)]
-    g = Graph(n=n, edges=tuple(edges))
     dyn = SwitchSelectAdoption(HalfPointSwitch(0.5), linear_selection())
-    game = GameSpec(g, dyn, ParallelRounds(3), 1, 1)
+    game = GameSpec(hub_and_chain(n), dyn, ParallelRounds(3), 1, 1)
     profile = StrategyProfile(Allocation.from_seeds(n, [0]), Allocation.from_seeds(n, [0]))
     with pytest.raises(StateSpaceCapError, match="cap"):
         exact_payoffs(game, profile, node_cap=100)
+
+
+def node_count_case(name):
+    dyn = SwitchSelectAdoption(HalfPointSwitch(0.5), linear_selection())
+    on = lambda n, v: Allocation.from_seeds(n, [v])
+    if name == "mc_game_random_sequential":
+        return GameSpec(mc_game().graph, dyn, RandomSequential(4), 1, 1), \
+            StrategyProfile(on(6, 0), on(6, 0))
+    schedule = {"parallel_rounds": ParallelRounds(3),
+                "parallel_rounds_immunity": ParallelRounds(3, immunity=True),
+                "single_pass": SinglePassOrder(tuple(range(1, 13)))}[name]
+    blue = 1 if name == "single_pass" else 0
+    return GameSpec(hub_and_chain(), dyn, schedule, 1, 1), StrategyProfile(on(13, 0), on(13, blue))
+
+
+# Outcome-tree sizes: one node per contested-seed resolution, per phase
+# option, per outcome of each branching candidate, and per phase reached.
+@pytest.mark.parametrize("name, size", [
+    ("parallel_rounds", 321_992),
+    ("parallel_rounds_immunity", 12_292),
+    ("single_pass", 210),
+    ("mc_game_random_sequential", 394),
+])
+def test_exact_enumeration_counts_every_tree_node_against_the_cap(name, size):
+    game, profile = node_count_case(name)
+    exact_payoffs(game, profile, node_cap=size)
+    with pytest.raises(StateSpaceCapError, match="cap"):
+        exact_payoffs(game, profile, node_cap=size - 1)
+
+
+@dataclasses.dataclass(frozen=True)
+class StoppingRandomSequential(RandomSequential):
+    """A schedule with several phase options that stops on a step that
+    changes nothing."""
+
+    stop_on_no_change = True
+
+
+def payoff_pin_case(name):
+    graph = Graph(n=7, edges=((0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (2, 5), (6, 4)))
+    dyn = SwitchSelectAdoption(PowerSwitch(0.5), TullockSelection(0.75))
+    seeds = lambda *vs: Allocation.from_seeds(7, list(vs))
+    # Red wins the contested vertex 0 with probability 2/3.
+    contested = StrategyProfile(seeds(0, 0), seeds(0, 2))
+    schedule, profile = {
+        "contested_seed": (ParallelRounds(4), contested),
+        # 5 is a sink, contested: its color counts only in the tally.
+        "contested_sink_seed": (ParallelRounds(4), StrategyProfile(seeds(0, 5), seeds(2, 5))),
+        "immunity": (ParallelRounds(4, immunity=True), contested),
+        "random_sequential": (RandomSequential(4), contested),
+        "stop_among_options": (StoppingRandomSequential(4), contested),
+        "single_pass": (SinglePassOrder((1, 3, 4, 5)), contested),
+        "layer_order": (LayerOrder([(1, 3), (5,), (4,)]), contested),
+        "mixed": (ParallelRounds(3), StrategyProfile(
+            MixedAllocation(((0.3, seeds(0, 0)), (0.7, seeds(0, 1)))), seeds(0, 2))),
+    }[name]
+    return GameSpec(graph, dyn, schedule, 2, 2), profile
+
+
+# Exact payoffs pinned bit for bit, so that any change to the order in which
+# the walk sums its leaves shows.  Vertex 4 reads the never-seeded vertex 6,
+# so under parallel rounds a round in which 4 alone stays clean stops the run;
+# a stop among several options is summed in its place among their outcomes.
+@pytest.mark.parametrize("name, pi_r, pi_b", [
+    ("contested_seed", "0x1.8000000000000p+0", "0x1.0d413cccfe77ap+2"),
+    ("contested_sink_seed", "0x1.6000000000000p+1", "0x1.7a827999fcef4p+1"),
+    ("immunity", "0x1.5555555555555p+0", "0x1.efd7ceef52449p+1"),
+    ("random_sequential", "0x1.9c79fe3087e02p+0", "0x1.f8910c6d87598p+1"),
+    ("stop_among_options", "0x1.7c56fbbbfdf4ep+0", "0x1.ceed8dde51c17p+1"),
+    ("single_pass", "0x1.e701a666a89f6p+0", "0x1.e701a666a89f7p+1"),
+    ("layer_order", "0x1.5555555555555p+0", "0x1.efd7ceef52449p+1"),
+    ("mixed", "0x1.0c7a775c4bba2p+1", "0x1.ce08023db1352p+1"),
+])
+def test_exact_payoffs_are_pinned_bit_for_bit(name, pi_r, pi_b):
+    est = exact_payoffs(*payoff_pin_case(name))
+    assert (est.pi_R.hex(), est.pi_B.hex()) == (pi_r, pi_b)
 
 
 def test_schedules_state_their_snapshot_phases():
@@ -429,10 +509,8 @@ def test_single_pass_enumeration_respects_the_node_cap():
     # passed once along the chain: each chain vertex reads the one before it,
     # so every vertex is its own group and branches.
     n = 13
-    edges = [(0, i) for i in range(1, n)] + [(i, i + 1) for i in range(1, n - 1)]
     dyn = SwitchSelectAdoption(HalfPointSwitch(0.5), linear_selection())
-    game = GameSpec(Graph(n=n, edges=tuple(edges)), dyn, SinglePassOrder(tuple(range(1, n))),
-                    1, 1)
+    game = GameSpec(hub_and_chain(n), dyn, SinglePassOrder(tuple(range(1, n))), 1, 1)
     profile = StrategyProfile(Allocation.from_seeds(n, [0]), Allocation.from_seeds(n, [1]))
     with pytest.raises(StateSpaceCapError, match="cap"):
         exact_payoffs(game, profile, node_cap=100)
