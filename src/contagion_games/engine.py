@@ -943,6 +943,8 @@ def exact_payoffs(game: GameSpec, profile: StrategyProfile,
     pop in reverse: leaves are summed in one fixed depth-first order, which
     keeps every payoff the same to the bit.  The tree has one node per
     partial combination, per phase option, and per entry that is not a leaf.
+    `dyn.update_probs` runs once per distinct fraction pair in a call; later
+    candidates with that pair reuse its result.
     """
     budget = _NodeBudget(node_cap)
     graph, dyn, schedule = game.graph, game.dynamics, game.schedule
@@ -959,6 +961,7 @@ def exact_payoffs(game: GameSpec, profile: StrategyProfile,
             for v in phase:
                 last_app[v] = k
     is_parallel = isinstance(schedule, ParallelRounds)
+    update_probs: dict[tuple[float, float], tuple[float, float, float]] = {}
     er = eb = 0.0
     for p, red, blue in profile.support_pairs():
         if p == 0.0:
@@ -1007,8 +1010,11 @@ def exact_payoffs(game: GameSpec, profile: StrategyProfile,
                 choices = []
                 sure_failures = []
                 for v in filter_phase_candidates(graph, state, immune, phase):
-                    a, b = neighbor_fractions(graph, state, v)
-                    pr, pb, pu = dyn.update_probs(a, b)
+                    fractions = neighbor_fractions(graph, state, v)
+                    probs = update_probs.get(fractions)
+                    if probs is None:
+                        probs = update_probs[fractions] = dyn.update_probs(*fractions)
+                    pr, pb, pu = probs
                     if pr == 0.0 and pb == 0.0:
                         sure_failures.append(v)
                     elif final_round or (

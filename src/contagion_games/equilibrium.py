@@ -14,6 +14,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
+from .dynamics import LayerOrder, ParallelRounds, RandomSequential, SinglePassOrder, UpdateSchedule
 from .engine import (
     DEFAULT_NODE_CAP,
     DEFAULT_TRIALS,
@@ -32,6 +33,7 @@ from .engine import (
     sample_many,
 )
 from .errors import AllocationSpaceCapError, ValidationError
+from .graphs import Graph
 
 DEFAULT_ALLOCATION_CAP = 200_000
 DEFAULT_PAIR_CAP = 2_000_000
@@ -70,6 +72,46 @@ def _seed_pairs(alloc: Allocation) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 
 
+def twin_classes(graph: Graph, schedule: UpdateSchedule) -> list[tuple[int, ...]]:
+    """The vertex classes, of two or more vertices each, whose members the
+    schedule treats alike: vertices with equal in- and out-neighbour sets
+    (twins), in ascending order.
+
+    Swapping two twins maps the graph onto itself, so it maps every run to a
+    run of equal payoffs when it also maps the schedule onto itself.  Under
+    `ParallelRounds` and `RandomSequential` all twins merge.  Under
+    `SinglePassOrder` and `LayerOrder` twins merge only within one of
+    `schedule.phases(graph)`, or when neither is in any.  Under any other
+    schedule class, subclasses of these included, no vertices merge.
+    """
+    kind = type(schedule)
+    if kind in (ParallelRounds, RandomSequential):
+        slot = [0] * graph.n
+    elif kind in (SinglePassOrder, LayerOrder):
+        schedule.validate_for_graph(graph)
+        slot = [-1] * graph.n
+        for k, phase in enumerate(schedule.phases(graph)):
+            for v in phase.tolist():
+                slot[v] = k
+    else:
+        return []
+    in_ptr, in_idx, _ = graph.in_csr
+    out_ptr, out_idx, _ = graph.out_csr
+    groups: dict[tuple, list[int]] = {}
+    for v in range(graph.n):
+        key = (slot[v], in_idx[in_ptr[v]:in_ptr[v + 1]].tobytes(),
+               out_idx[out_ptr[v]:out_ptr[v + 1]].tobytes())
+        groups.setdefault(key, []).append(v)
+    return [tuple(members) for members in groups.values() if len(members) > 1]
+
+
+def _swapped(est: PayoffEstimate) -> PayoffEstimate:
+    """The estimate with the players' roles exchanged."""
+    return PayoffEstimate(pi_R=est.pi_B, pi_B=est.pi_R, method=est.method,
+                          n_trials=est.n_trials, stderr_R=est.stderr_B, stderr_B=est.stderr_R,
+                          pruned_mass=est.pruned_mass)
+
+
 class PayoffOracle:
     """Evaluates and caches pure-profile payoffs.
 
@@ -78,6 +120,14 @@ class PayoffOracle:
     (`use_symmetry`).  Monte Carlo evaluations derive their seed from the
     profile's contents, making results independent of evaluation order, and
     of whether `fill` estimates them together or `evaluate` one by one.
+
+    Exact evaluations are keyed on twin classes (`twin_classes`, found on the
+    first exact evaluation): profiles that differ only by permuting twins
+    have equal payoffs, so each such class is computed once, by
+    `exact_payoffs` on its representative (`_representative`), and every
+    member gets that estimate.  On a graph without twins the key is the
+    profile itself.  Monte Carlo keys and seeds, and `payoff_fn` oracles,
+    ignore twins.
     """
 
     def __init__(self, game: GameSpec, method: str = EXACT_ENUMERATION,
@@ -96,6 +146,10 @@ class PayoffOracle:
         self.use_symmetry = use_symmetry
         self._payoff_fn = payoff_fn
         self._cache: dict[tuple, PayoffEstimate] = {}
+        # Each vertex's twin class (absent for a class of one) and the
+        # classes' members; None until the first exact evaluation.
+        self._class_of: Optional[dict[int, int]] = None
+        self._members: list[tuple[int, ...]] = []
 
     @property
     def statistical(self) -> bool:
@@ -110,6 +164,48 @@ class PayoffOracle:
         return _fold(_seed_key(int(self.master_seed)), len(red.seeds),
                      *itertools.chain(*red.seeds, *blue.seeds))
 
+    def _representative(self, red: Allocation, blue: Allocation
+                        ) -> tuple[Allocation, Allocation]:
+        """The fixed profile of (red, blue)'s twin class.  Within each class,
+        the seeded members' (red count, blue count) pairs go, sorted in
+        descending order, to the class's lowest vertices; other vertices keep
+        their counts."""
+        reds, blues = dict(red.seeds), dict(blue.seeds)
+        pairs: dict[int, list[tuple[int, int]]] = {}
+        for v in reds.keys() | blues.keys():
+            c = self._class_of.get(v)
+            if c is not None:
+                pairs.setdefault(c, []).append((reds.pop(v, 0), blues.pop(v, 0)))
+        if not pairs:
+            return red, blue
+        for c, seeded in pairs.items():
+            for v, (r, b) in zip(self._members[c], sorted(seeded, reverse=True)):
+                if r:
+                    reds[v] = r
+                if b:
+                    blues[v] = b
+        return Allocation._of(red.n, reds), Allocation._of(blue.n, blues)
+
+    def _exact(self, red: Allocation, blue: Allocation) -> PayoffEstimate:
+        """`exact_payoffs` of the profile's twin class, cached under its
+        representative (or, with `use_symmetry`, the swap of the swapped
+        profile's representative)."""
+        if self._class_of is None:
+            self._members = twin_classes(self.game.graph, self.game.schedule)
+            self._class_of = {v: c for c, members in enumerate(self._members) for v in members}
+        if not self._members:
+            return exact_payoffs(self.game, StrategyProfile(red, blue), node_cap=self.node_cap)
+        rep = self._representative(red, blue)
+        est = self._cache.get(rep)
+        if est is None and self.use_symmetry:
+            swapped = self._cache.get(self._representative(blue, red))
+            if swapped is not None:
+                return _swapped(swapped)
+        if est is None:
+            est = self._cache[rep] = exact_payoffs(self.game, StrategyProfile(*rep),
+                                                   node_cap=self.node_cap)
+        return est
+
     def evaluate(self, red: Allocation, blue: Allocation) -> PayoffEstimate:
         key = (red, blue)
         hit = self._cache.get(key)
@@ -118,19 +214,15 @@ class PayoffOracle:
         if self.use_symmetry:
             swapped = self._cache.get((blue, red))
             if swapped is not None:
-                est = PayoffEstimate(pi_R=swapped.pi_B, pi_B=swapped.pi_R,
-                                     method=swapped.method, n_trials=swapped.n_trials,
-                                     stderr_R=swapped.stderr_B, stderr_B=swapped.stderr_R,
-                                     pruned_mass=swapped.pruned_mass)
-                self._cache[key] = est
+                est = self._cache[key] = _swapped(swapped)
                 return est
-        profile = StrategyProfile(red=red, blue=blue)
         if self._payoff_fn is not None:
             est = self._payoff_fn(red, blue)
         elif self.method == EXACT_ENUMERATION:
-            est = exact_payoffs(self.game, profile, node_cap=self.node_cap)
+            est = self._exact(red, blue)
         else:
-            est = estimate_payoffs(self.game, profile, n_trials=self.n_trials,
+            est = estimate_payoffs(self.game, StrategyProfile(red=red, blue=blue),
+                                   n_trials=self.n_trials,
                                    master_seed=self._profile_seed(red, blue),
                                    threads=self.threads)
         self._cache[key] = est

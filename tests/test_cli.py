@@ -10,8 +10,8 @@ import tracemalloc
 import pytest
 
 import contagion_games
-from contagion_games import build_gadget, layered, serialize_graph
-from contagion_games.cli import run
+from contagion_games import Graph, build_gadget, layered, serialize_graph
+from contagion_games.cli import _graph_text, run
 
 
 def micro_graph():
@@ -282,6 +282,8 @@ def test_gadget_verb_emits_all_artifacts(tmp_path):
 @pytest.mark.parametrize("gadget", [
     {"kind": "chain_replication", "chain_steps": 3, "replications": 5, "n_terminal": 20},
     {"kind": "influencer_components", "sizes": [4, 8], "hubs_per_component": 2},
+    # Hubs only: no edges.
+    {"kind": "influencer_components", "sizes": [2], "hubs_per_component": 2},
 ])
 def test_gadget_graph_json_is_the_indented_serialized_graph(tmp_path, gadget):
     out = tmp_path / "out"
@@ -291,6 +293,15 @@ def test_gadget_graph_json_is_the_indented_serialized_graph(tmp_path, gadget):
     reference = json.dumps(json.loads(serialize_graph(spec.build_graph())),
                            sort_keys=True, indent=2) + "\n"
     assert (out / "graph.json").read_bytes() == reference.encode("utf-8")
+
+
+@pytest.mark.parametrize("graph", [Graph(n=4, edges=((1, 0), (2, 3), (3, 1)), directed=False),
+                                   Graph(n=3, edges=(), directed=False)])
+def test_undirected_graph_json_is_the_indented_serialized_graph(graph):
+    # Every gadget is directed, so the undirected layout is checked on the
+    # writer itself.
+    reference = json.dumps(json.loads(serialize_graph(graph)), sort_keys=True, indent=2) + "\n"
+    assert _graph_text(graph) == reference
 
 
 def test_gadget_verb_fails_verification_at_low_replication(tmp_path):

@@ -448,6 +448,18 @@ def test_exact_payoffs_are_pinned_bit_for_bit(name, pi_r, pi_b):
     assert (est.pi_R.hex(), est.pi_B.hex()) == (pi_r, pi_b)
 
 
+@pytest.mark.parametrize("schedule", [ParallelRounds(3), RandomSequential(3)])
+def test_exact_payoffs_evaluate_each_fraction_pair_once(schedule):
+    """The hub-and-chain tree meets the same in-neighbour fractions at many
+    nodes; one `exact_payoffs` call asks the dynamics for each pair once."""
+    dyn = CountingQuadraticDamped()
+    game = GameSpec(hub_and_chain(8), dyn, schedule, 1, 1)
+    profile = StrategyProfile(Allocation.from_seeds(8, [0]), Allocation.from_seeds(8, [3]))
+    exact_payoffs(game, profile)
+    assert dyn.calls
+    assert len(dyn.calls) == len(set(dyn.calls))
+
+
 def test_schedules_state_their_snapshot_phases():
     # A single pass (0, 2, 1, 3, 4) breaks before 3, which reads 0 and 1 of
     # its run, and nowhere else: 4 reads 2, of the run before.

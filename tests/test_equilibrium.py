@@ -4,17 +4,24 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contagion_games import (
     Allocation,
     AllocationSpaceCapError,
     GameSpec,
     Graph,
+    HalfPointSwitch,
+    LayerOrder,
     ParallelRounds,
     PayoffEstimate,
     PayoffOracle,
     PowerSwitch,
+    RandomSequential,
+    ScheduleError,
     SinglePassOrder,
+    StrategyProfile,
     SwitchSelectAdoption,
     TullockSelection,
     ValidationError,
@@ -22,12 +29,16 @@ from contagion_games import (
     best_response,
     budget_multiplier,
     enumerate_allocations,
+    equilibrium,
+    exact_payoffs,
     find_pure_nash,
+    influencer_components,
     linear_selection,
     max_joint_payoff,
     price_of_anarchy,
     verify_profile_deviations,
 )
+from contagion_games.equilibrium import EXACT_EPS, twin_classes
 
 
 def linear_dyn():
@@ -107,6 +118,158 @@ def test_monte_carlo_oracle_is_evaluation_order_independent():
     first.evaluate(a, b)
     assert first.evaluate(c, d) == second.evaluate(c, d)
     assert first.statistical and not PayoffOracle(game).statistical
+
+
+# Twin classes: vertices with equal in- and out-neighbours.
+
+
+@st.composite
+def planted_twin_games(draw):
+    """A random digraph on 2-4 vertices, then 1-3 planted twins, each a copy
+    of a vertex's in- and out-edges; one of the five built-in schedules."""
+    n = draw(st.integers(2, 4))
+    possible = [(u, v) for u in range(n) for v in range(n) if u != v]
+    keep = draw(st.lists(st.booleans(), min_size=len(possible), max_size=len(possible)))
+    edges = {e for e, k in zip(possible, keep) if k}
+    for _ in range(draw(st.integers(1, 3))):
+        v = draw(st.integers(0, n - 1))
+        edges |= {(u, n) for u, w in edges if w == v} | {(n, w) for u, w in edges if u == v}
+        n += 1
+    graph = Graph(n=n, edges=tuple(edges))
+    kind = draw(st.sampled_from(("parallel", "parallel_immune", "random_sequential",
+                                 "single_pass", "layer_order")))
+    if kind == "parallel":
+        schedule = ParallelRounds(draw(st.integers(1, 3)))
+    elif kind == "parallel_immune":
+        schedule = ParallelRounds(draw(st.integers(1, 3)), immunity=True)
+    elif kind == "random_sequential":
+        schedule = RandomSequential(draw(st.integers(1, 3)))
+    elif kind == "single_pass":
+        schedule = SinglePassOrder(draw(st.permutations(range(n)))[:draw(st.integers(0, n))])
+    else:
+        layer = draw(st.lists(st.integers(-1, 2), min_size=n, max_size=n))
+        perm = draw(st.permutations(range(n)))
+        schedule = LayerOrder([[v for v in perm if layer[v] == k] for k in range(3)])
+    dyn = draw(st.sampled_from((SwitchSelectAdoption(PowerSwitch(0.5), TullockSelection(2.0)),
+                                SwitchSelectAdoption(HalfPointSwitch(0.2), linear_selection()))))
+    budgets = draw(st.sampled_from(((1, 1), (1, 2), (2, 1))))
+    return GameSpec(graph, dyn, schedule, *budgets)
+
+
+def pure_pairs(game):
+    n = game.graph.n
+    return list(itertools.product(enumerate_allocations(n, game.budget_red),
+                                  enumerate_allocations(n, game.budget_blue)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(planted_twin_games())
+def test_twin_keyed_oracle_equals_direct_enumeration(game):
+    pairs = pure_pairs(game)
+    assert twin_classes(game.graph, ParallelRounds(1))
+    forward = PayoffOracle(game).fill(pairs)
+    for (red, blue), est in zip(pairs, forward):
+        direct = exact_payoffs(game, StrategyProfile(red, blue))
+        assert est.pi_R == pytest.approx(direct.pi_R, rel=0.0, abs=1e-12)
+        assert est.pi_B == pytest.approx(direct.pi_B, rel=0.0, abs=1e-12)
+    # Without color swaps each profile gets its representative's payoffs,
+    # whatever order the profiles come in.
+    plain = PayoffOracle(game, use_symmetry=False)
+    backward = plain.fill(pairs[::-1])[::-1]
+    assert backward == PayoffOracle(game, use_symmetry=False).fill(pairs)
+
+
+@settings(max_examples=15, deadline=None)
+@given(planted_twin_games())
+def test_searches_on_planted_twins_match_brute_force(game):
+    pays = {pair: exact_payoffs(game, StrategyProfile(*pair)) for pair in pure_pairs(game)}
+    reds = {red for red, _ in pays}
+    blues = {blue for _, blue in pays}
+    equilibria = {(a, b) for (a, b), est in pays.items()
+                  if est.pi_R >= max(pays[x, b].pi_R for x in reds) - EXACT_EPS
+                  and est.pi_B >= max(pays[a, y].pi_B for y in blues) - EXACT_EPS}
+    max_joint = max(est.joint for est in pays.values())
+
+    oracle = PayoffOracle(game)
+    nash = find_pure_nash(game, oracle)
+    assert {(a, b) for a, b, _ in nash.equilibria} == equilibria
+    poa = price_of_anarchy(game, oracle, nash=nash)
+    bm = budget_multiplier(game, oracle, nash=nash)
+    assert poa.max_joint == pytest.approx(max_joint, rel=0.0, abs=1e-12)
+    if not equilibria:
+        assert math.isnan(poa.value) and math.isnan(bm.value)
+        return
+    worst = min(pays[pair].joint for pair in equilibria)
+    assert poa.worst_nash_joint == pytest.approx(worst, rel=0.0, abs=1e-12)
+    assert poa.infinite == (worst <= 0.0)
+    if worst > 1e-9:
+        assert poa.value == pytest.approx(max_joint / worst, rel=1e-9)
+    per_seed = [(pays[pair].pi_R / game.budget_red, pays[pair].pi_B / game.budget_blue)
+                for pair in equilibria]
+    if game.budget_red == game.budget_blue:
+        ratios = [(max(r, b), min(r, b)) for r, b in per_seed]
+    else:
+        ratios = [(r, b) if game.budget_red > game.budget_blue else (b, r) for r, b in per_seed]
+    if min(lo for _, lo in ratios) > 1e-9:
+        assert bm.value == pytest.approx(max(hi / lo for hi, lo in ratios), rel=1e-9)
+
+
+def test_oracle_keeps_single_pass_twin_sinks_apart():
+    """Vertices 2 and 3 are twins, but their in-neighbour 1 updates between
+    them in the pass, so they sit in different snapshot phases and stay in
+    classes of their own, in either evaluation order."""
+    graph = Graph(n=4, edges=((0, 1), (1, 2), (1, 3)))
+    game = GameSpec(graph, linear_dyn(), SinglePassOrder((2, 1, 3)), 1, 1)
+    assert twin_classes(graph, game.schedule) == []
+    red = seeds(4, 0)
+    for order in ((2, 3), (3, 2)):
+        oracle = PayoffOracle(game)
+        pays = {twin: oracle.payoffs(red, seeds(4, twin)) for twin in order}
+        assert pays == {2: (3.0, 1.0), 3: (2.0, 1.0)}
+
+
+class RelabelledRounds(ParallelRounds):
+    """Parallel rounds under a schedule class the oracle does not know."""
+
+
+@pytest.mark.parametrize("schedule", [SinglePassOrder((1, 2, 9)), LayerOrder([(1, 2), (9,)])])
+def test_oracle_rejects_schedules_naming_unknown_vertices(schedule):
+    game = GameSpec(Graph(n=3, edges=((0, 1), (0, 2))), linear_dyn(), schedule, 1, 1)
+    with pytest.raises(ScheduleError, match="unknown vertex 9"):
+        PayoffOracle(game).evaluate(seeds(3, 0), seeds(3, 0))
+
+
+@pytest.fixture
+def exact_calls(monkeypatch):
+    """The profiles the oracle hands to `exact_payoffs`, in call order."""
+    calls = []
+
+    def counting(game, profile, **kwargs):
+        calls.append(profile)
+        return exact_payoffs(game, profile, **kwargs)
+
+    monkeypatch.setattr(equilibrium, "exact_payoffs", counting)
+    return calls
+
+
+def test_unknown_schedule_classes_merge_no_twins(exact_calls):
+    graph = Graph(n=4, edges=((0, 1), (0, 2), (0, 3)))
+    assert twin_classes(graph, ParallelRounds(2)) == [(1, 2, 3)]
+    assert twin_classes(graph, RelabelledRounds(2)) == []
+    for schedule, expected in ((RelabelledRounds(2), 10), (ParallelRounds(2), 4)):
+        exact_calls.clear()
+        find_pure_nash(GameSpec(graph, linear_dyn(), schedule, 1, 1))
+        # 16 profiles, 10 up to color swaps.  With twins 1-3 merged, 4: both
+        # on 0, one on 0 and one on a twin, both on one twin, on two twins.
+        assert len(exact_calls) == expected
+
+
+def test_hub_game_price_of_anarchy_computes_one_payoff_per_twin_class(exact_calls):
+    """Criterion 1's hub game: 12,100 profiles but four twin classes (each
+    component's hubs and followers), so a handful of exact evaluations."""
+    report = price_of_anarchy(influencer_components((10, 100), 2).game())
+    assert (report.value, report.worst_nash_joint, report.max_joint) == (1.0, 100.0, 100.0)
+    assert len(exact_calls) <= 20
 
 
 def test_oracle_rejects_unknown_methods():
