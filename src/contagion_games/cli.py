@@ -176,6 +176,13 @@ def _sparse_text(alloc: Allocation) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _gadget_from(section, field: str) -> GadgetSpec:
+    """The gadget of a config section: its 'kind' and the kind's parameters."""
+    if not isinstance(section, dict) or "kind" not in section:
+        raise _field_error(field, "must be an object with a 'kind' field")
+    return build_gadget(section["kind"], {k: v for k, v in section.items() if k != "kind"})
+
+
 def _graph_source(config: dict) -> tuple[Optional[Graph], Optional[GadgetSpec]]:
     source = config.get("graph")
     if source is None:
@@ -184,12 +191,7 @@ def _graph_source(config: dict) -> tuple[Optional[Graph], Optional[GadgetSpec]]:
     if not isinstance(source, dict):
         raise _field_error("graph", "must be a JSON object")
     if "gadget" in source:
-        gadget_cfg = source["gadget"]
-        if not isinstance(gadget_cfg, dict) or "kind" not in gadget_cfg:
-            raise _field_error("graph.gadget", "must be an object with a 'kind' field")
-        params = {k: v for k, v in gadget_cfg.items() if k != "kind"}
-        spec = build_gadget(gadget_cfg["kind"], params)
-        return None, spec
+        return None, _gadget_from(source["gadget"], "graph.gadget")
     if "path" in source:
         path = source["path"]
         if not isinstance(path, str) or not os.path.exists(path):
@@ -387,14 +389,9 @@ def _verb_efficiency(config: dict, kind: str):
 
 
 def _verb_gadget(config: dict):
-    section = config.get("graph", {}).get("gadget") if isinstance(config.get("graph"), dict) \
-        else None
-    if section is None:
-        section = config.get("gadget")
-    if not isinstance(section, dict) or "kind" not in section:
-        raise _field_error("gadget", "missing (expected an object with a 'kind' field)")
-    params = {k: v for k, v in section.items() if k != "kind"}
-    spec = build_gadget(section["kind"], params)
+    graph = config.get("graph")
+    section = graph.get("gadget") if isinstance(graph, dict) else None
+    spec = _gadget_from(config.get("gadget") if section is None else section, "gadget")
     eps = config.get("eps")
     if eps is not None and not isinstance(eps, (int, float)):
         raise _field_error("eps", f"must be a number, got {eps!r}")

@@ -60,11 +60,12 @@ from .engine import (
     StrategyProfile,
     _BatchedPhases,
     _Draws,
+    _fill,
     _is_integer,
     _mc_chunk,
     _nonzero,
-    _replication_words,
     _require_master_seed,
+    _seed_keys,
     _seed_vertex,
 )
 from .errors import CouplingHypothesisError, ValidationError
@@ -413,24 +414,23 @@ def couple_test(graph: Graph, red_seeds: Sequence[int], blue_seeds: Sequence[int
     _require_master_seed(master_seed)
     require_mode_hypotheses(mode, dyn, graph)
     kernel = _CoupledKernel(graph, red_seeds, blue_seeds, dyn, schedule, mode)
-    counts = np.empty((4, runs))
-    violations = 0
-    for lo in range(0, runs, kernel.block):
-        hi = min(lo + kernel.block, runs)
-        joint, solo, bad = kernel.run(_Draws(_replication_words(master_seed, lo, hi, (1,))))
-        violations += int(bad.sum())
-        for k, (state, color) in enumerate(((joint, RED), (joint, BLUE), (solo, RED), (solo, BLUE))):
-            counts[k, lo:hi] = np.count_nonzero(state == color, axis=1)
-    cj_r, cj_b, cs_r, cs_b = counts
 
-    def standalone(red: Sequence[int], blue: Sequence[int], stream: int):
+    def coupled(keys: np.ndarray, jobs: np.ndarray) -> list[np.ndarray]:
+        joint, solo, bad = kernel.run(_Draws(keys))
+        return [np.count_nonzero(state == color, axis=1)
+                for state in (joint, solo) for color in (RED, BLUE)] + [bad]
+
+    cj_r, cj_b, cs_r, cs_b, bad = _fill(coupled, _seed_keys([master_seed], (1,)), runs, 0, runs,
+                                        kernel.block)
+
+    def standalone(red: Sequence[int], blue: Sequence[int], stream: int) -> np.ndarray:
         """chi_R and chi_B of `runs` standalone replications, replication i
         drawing from the key of (master_seed, (stream,), i).  The replication
         loop reads no budget, so the game's are placeholders."""
         profile = StrategyProfile(Allocation.from_seeds(graph.n, red),
                                   Allocation.from_seeds(graph.n, blue))
-        return _mc_chunk(GameSpec(graph, dyn, schedule, 1, 1),
-                         [(profile.support_pairs(), master_seed)], runs, 0, runs, stream=(stream,))
+        return _mc_chunk(GameSpec(graph, dyn, schedule, 1, 1), [profile.support_pairs()],
+                         _seed_keys([master_seed], (stream,)), runs, 0, runs)
 
     notes = ["faithfulness p-values compare each coupled component against "
              "an independent standalone run via a two-sample KS test"]
@@ -460,5 +460,5 @@ def couple_test(graph: Graph, red_seeds: Sequence[int], blue_seeds: Sequence[int
                          "negative when the invariant holds)")
         margins = {f"min_{margin_name}": float(gaps.min()),
                    f"mean_{margin_name}": float(gaps.mean())}
-    return CoupleTestResult(mode=mode, runs=runs, invariant_violations=violations,
+    return CoupleTestResult(mode=mode, runs=runs, invariant_violations=int(bad.sum()),
                             inequality_margins=margins, p_values=p_values, notes=tuple(notes))

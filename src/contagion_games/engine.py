@@ -249,7 +249,7 @@ class GameSpec:
 
     def __post_init__(self):
         for name, k in (("budget_red", self.budget_red), ("budget_blue", self.budget_blue)):
-            if not (isinstance(k, int) and k >= 1):
+            if not (_is_integer(k) and k >= 1):
                 raise ValidationError(f"{name} must be a positive integer, got {k!r}")
 
 
@@ -362,23 +362,36 @@ def _seed_key(master_seed: int, stream: tuple[int, ...] = ()) -> int:
     return _fold(0, *words, len(words), *stream)
 
 
-def _replication_words(master_seed, lo, hi, stream: tuple[int, ...] = ()) -> np.ndarray:
-    """The keys of runs of replications, run by run, one uint64 each: run k
-    is replications lo[k]..hi[k]-1 under master_seed[k] (nonnegative), and
-    ints make one run.  Replication i's key is `_seed_key(master_seed,
-    stream)` with i folded in; SplitMix64 from it is the replication's
-    stream (`_Draws`)."""
-    if np.ndim(lo) == 0:
-        master_seed, lo, hi = (master_seed,), (lo,), (hi,)
-    lo, hi = np.array(lo, dtype=np.uint64), np.array(hi, dtype=np.uint64)
-    sizes = (hi - lo).astype(np.intp)
-    start = np.array([_seed_key(int(s), stream) for s in master_seed], dtype=np.uint64)
-    start += lo - (np.cumsum(sizes) - sizes).astype(np.uint64) + _GAMMA
-    return _mix64(np.repeat(start, sizes) + np.arange(int(sizes.sum()), dtype=np.uint64))
+def _seed_keys(master_seeds, stream: tuple[int, ...] = ()) -> np.ndarray:
+    """`_seed_key` of each master seed under the stream tags, as uint64s."""
+    return np.array([_seed_key(int(s), stream) for s in master_seeds], dtype=np.uint64)
 
 
-# Scalar samplers set their generators from this many keys' words at a time,
-# so memory does not grow with the trial count.
+def _replication_words(seed_keys: np.ndarray, jobs: np.ndarray, reps: np.ndarray) -> np.ndarray:
+    """The keys of replications reps[k] (uint64) of jobs jobs[k]: replication
+    i of job j is keyed `_fold(seed_keys[j], i)`, where seed_keys[j] is the
+    job's `_seed_key`.  SplitMix64 from a key is its stream (`_Draws`)."""
+    return _mix64(seed_keys[jobs] + reps + _GAMMA)
+
+
+def _fill(run, seed_keys: np.ndarray, n_trials: int, lo: int, hi: int, block: int) -> np.ndarray:
+    """Rows lo..hi-1 of n_trials replications of each job, job by job: row
+    j * n_trials + i is replication i of job j (`_replication_words`).
+    `run(keys, jobs)` computes at most `block` rows at a time, as equal-length
+    outputs, which fill the rows of one (outputs, hi - lo) float array."""
+    out = None
+    for a in range(lo, hi, block):
+        rows = np.arange(a, min(a + block, hi))
+        jobs = rows // n_trials
+        reps = (rows - jobs * n_trials).astype(np.uint64)
+        part = run(_replication_words(seed_keys, jobs, reps), jobs)
+        if out is None:
+            out = np.empty((len(part), hi - lo))
+        out[:, a - lo:a - lo + len(rows)] = part
+    return out
+
+
+# Scalar samplers fill this many replications a block (`_one_at_a_time`).
 _SEED_BLOCK = 1 << 12
 
 
@@ -389,12 +402,11 @@ def _keyed_generators(keys: np.ndarray):
     increment made odd)."""
     generator = np.random.Generator(np.random.PCG64(0))
     steps = np.arange(1, 5, dtype=np.uint64) * _GAMMA
-    for a in range(0, len(keys), _SEED_BLOCK):
-        for w in _mix64(keys[a:a + _SEED_BLOCK, None] + steps).tolist():
-            generator.bit_generator.state = {
-                "bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                "state": {"state": w[0] << 64 | w[1], "inc": w[2] << 64 | w[3] | 1}}
-            yield generator
+    for w in _mix64(keys[:, None] + steps).tolist():
+        generator.bit_generator.state = {
+            "bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+            "state": {"state": w[0] << 64 | w[1], "inc": w[2] << 64 | w[3] | 1}}
+        yield generator
 
 
 def _sample_support(pairs, rng):
@@ -409,21 +421,19 @@ def _sample_support(pairs, rng):
     return pairs[-1][1], pairs[-1][2]
 
 
-def _replications(supports, run_one, master_seed, lo, hi, stream: tuple[int, ...] = (),
-                  job=0) -> tuple[np.ndarray, np.ndarray]:
-    """chi_R and chi_B of runs of replications, one at a time: run k is
-    replications lo[k]..hi[k]-1 of job[k] under master_seed[k] (ints make one
-    run).  A replication runs on the PCG64 generator its key names
-    (`_keyed_generators`): it takes its support pair from `supports[job]`,
-    then `run_one(red, blue, rng)` draws the rest of the run."""
-    jobs = np.repeat(job, np.subtract(hi, lo)).tolist()
-    chi_r = np.empty(len(jobs))
-    chi_b = np.empty(len(jobs))
-    rngs = _keyed_generators(_replication_words(master_seed, lo, hi, stream))
-    for row, (j, rng) in enumerate(zip(jobs, rngs)):
-        red, blue = _sample_support(supports[j], rng)
-        chi_r[row], chi_b[row] = run_one(red, blue, rng)
-    return chi_r, chi_b
+def _one_at_a_time(supports, run_one, seed_keys, n_trials: int, lo: int, hi: int) -> np.ndarray:
+    """`_fill` of replications run one at a time, each on the PCG64
+    generator its key names (`_keyed_generators`): a replication of job j
+    takes its support pair from `supports[j]`, then `run_one(red, blue, rng)`
+    draws the rest of the run and returns its chi_R and chi_B."""
+    def run(keys: np.ndarray, jobs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        chi_r, chi_b = np.empty(len(keys)), np.empty(len(keys))
+        for row, (j, rng) in enumerate(zip(jobs.tolist(), _keyed_generators(keys))):
+            red, blue = _sample_support(supports[j], rng)
+            chi_r[row], chi_b[row] = run_one(red, blue, rng)
+        return chi_r, chi_b
+
+    return _fill(run, seed_keys, n_trials, lo, hi, _SEED_BLOCK)
 
 
 # A block of batched replications holds at most about this many state cells
@@ -743,53 +753,20 @@ class _ReplicationKernel(_BatchedPhases):
         return row_of, target_verts, infected
 
 
-def _chunks(runs, size: int):
-    """Consecutive runs of replications, (master seed, lo, hi, job) each, cut
-    and grouped into chunks of at most `size` replications."""
-    chunk, room = [], size
-    for seed, a, b, job in runs:
-        while a < b:
-            c = min(b, a + room)
-            chunk.append((seed, a, c, job))
-            room -= c - a
-            a = c
-            if not room:
-                yield chunk
-                chunk, room = [], size
-    if chunk:
-        yield chunk
-
-
-def _mc_chunk(game: GameSpec, jobs, n_trials: int, lo: int, hi: int,
-              stream: tuple[int, ...] = ()):
-    """chi_R and chi_B of rows lo..hi-1 of a fill, as float arrays.  A fill
-    runs n_trials replications of each (support pairs, master seed) job, job
-    by job: row j * n_trials + i is replication i of job j, which draws from
-    the stream of its key, `_replication_words(master seed of job j, i, i + 1,
-    stream)`."""
-    supports = [pairs for pairs, _ in jobs]
-    runs = [(jobs[j][1], max(lo - j * n_trials, 0), min(hi - j * n_trials, n_trials), j)
-            for j in range(lo // n_trials, -(-hi // n_trials))]
+def _mc_chunk(game: GameSpec, supports, seed_keys: np.ndarray, n_trials: int, lo: int,
+              hi: int) -> np.ndarray:
+    """chi_R and chi_B of rows lo..hi-1 of a `_fill` of n_trials replications
+    of each job, as a (2, hi - lo) float array: job j runs the support pairs
+    supports[j] under the seed key seed_keys[j]."""
     if type(game.schedule) in (ParallelRounds, SinglePassOrder, LayerOrder):
         kernel = _ReplicationKernel(game, *supports)
-        chi = np.empty((2, hi - lo))
-        row = 0
-        # Keys are derived a block at a time, so memory does not grow with the
-        # trial count.
-        for chunk in _chunks(runs, kernel.block):
-            seeds, first, stop, job = zip(*chunk)
-            size = np.subtract(stop, first)
-            chi[:, row:row + size.sum()] = kernel.run(
-                _replication_words(seeds, first, stop, stream), np.repeat(job, size))
-            row += size.sum()
-        return chi[0], chi[1]
+        return _fill(kernel.run, seed_keys, n_trials, lo, hi, kernel.block)
     # Other schedules, RandomSequential among them, run vertex by vertex.
     def run_one(red, blue, rng):
         out = run_profile_once(game, red, blue, rng)
         return out.chi_R, out.chi_B
 
-    seeds, first, stop, job = zip(*runs)
-    return _replications(supports, run_one, seeds, first, stop, stream, job)
+    return _one_at_a_time(supports, run_one, seed_keys, n_trials, lo, hi)
 
 
 def sample_many(game: GameSpec, jobs: Sequence[tuple[StrategyProfile, int]], n_trials: int,
@@ -812,17 +789,18 @@ def sample_many(game: GameSpec, jobs: Sequence[tuple[StrategyProfile, int]], n_t
         _require_master_seed(master_seed)
     if not jobs:
         return np.empty((0, n_trials)), np.empty((0, n_trials))
-    work = [(profile.support_pairs(), int(master_seed)) for profile, master_seed in jobs]
-    rows = len(work) * n_trials
+    supports = [profile.support_pairs() for profile, _ in jobs]
+    seed_keys = _seed_keys(master_seed for _, master_seed in jobs)
+    rows = len(jobs) * n_trials
     if threads is not None and threads > 1 and rows >= 64:
         bounds = np.linspace(0, rows, threads + 1).astype(int)
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_mc_chunk, *zip(*[(game, work, n_trials, int(lo), int(hi))
-                                                    for lo, hi in zip(bounds, bounds[1:]) if hi > lo])))
-        chi_r, chi_b = (np.concatenate([p[k] for p in parts]) for k in (0, 1))
+            chi = np.concatenate(list(pool.map(
+                _mc_chunk, *zip(*[(game, supports, seed_keys, n_trials, int(lo), int(hi))
+                                  for lo, hi in zip(bounds, bounds[1:]) if hi > lo]))), axis=1)
     else:
-        chi_r, chi_b = _mc_chunk(game, work, n_trials, 0, rows)
-    return chi_r.reshape(len(work), n_trials), chi_b.reshape(len(work), n_trials)
+        chi = _mc_chunk(game, supports, seed_keys, n_trials, 0, rows)
+    return chi[0].reshape(len(jobs), n_trials), chi[1].reshape(len(jobs), n_trials)
 
 
 def sample_payoffs(game: GameSpec, profile: StrategyProfile, n_trials: int,

@@ -117,9 +117,11 @@ class PayoffOracle:
 
     The dynamics treat the two colors identically, so swapping the players'
     allocations swaps their payoffs; the cache exploits that to halve the work
-    (`use_symmetry`).  Monte Carlo evaluations derive their seed from the
-    profile's contents, making results independent of evaluation order, and
-    of whether `fill` estimates them together or `evaluate` one by one.
+    (`use_symmetry`), computing a profile and its swap once, in the
+    orientation `_rank` puts first, whichever of the two comes first.  Monte
+    Carlo evaluations derive their seed from the profile's contents.  So
+    results are independent of evaluation order, and of whether `fill`
+    estimates them together or `evaluate` one by one.
 
     Exact evaluations are keyed on twin classes (`twin_classes`, found on the
     first exact evaluation): profiles that differ only by permuting twins
@@ -186,45 +188,64 @@ class PayoffOracle:
                     blues[v] = b
         return Allocation._of(red.n, reds), Allocation._of(blue.n, blues)
 
-    def _exact(self, red: Allocation, blue: Allocation) -> PayoffEstimate:
-        """`exact_payoffs` of the profile's twin class, cached under its
-        representative (or, with `use_symmetry`, the swap of the swapped
-        profile's representative)."""
-        if self._class_of is None:
+    def _rank(self, red: Allocation, blue: Allocation) -> tuple:
+        """Orders a profile against its color swap: first whether its budgets
+        are the game's (a tie when the game's are equal), then its dense
+        counts, red then blue, in lexicographic order.  Product-order
+        searches meet the higher-ranked of the two first.  (Dense counts
+        compare as their (-vertex, count) seed lists do.)"""
+        kr, kb = self.game.budget_red, self.game.budget_blue
+        return (kr == kb or (red.budget, blue.budget) == (kr, kb),
+                [(-v, c) for v, c in red.seeds], [(-v, c) for v, c in blue.seeds])
+
+    def _compute(self, red: Allocation, blue: Allocation) -> PayoffEstimate:
+        if self._payoff_fn is not None:
+            return self._payoff_fn(red, blue)
+        if self.method == EXACT_ENUMERATION:
+            return exact_payoffs(self.game, StrategyProfile(red, blue), node_cap=self.node_cap)
+        return estimate_payoffs(self.game, StrategyProfile(red=red, blue=blue),
+                                n_trials=self.n_trials,
+                                master_seed=self._profile_seed(red, blue), threads=self.threads)
+
+    def _payoffs(self, red: Allocation, blue: Allocation) -> PayoffEstimate:
+        """The payoffs of a profile that, with `use_symmetry`, ranks at or
+        above its swap (`_rank`).  An exact oracle on a graph with twins
+        takes those of its class representative or, with `use_symmetry`, the
+        swap of those of its swap's class representative when that one ranks
+        higher; it caches each representative's."""
+        if self._class_of is None and self._payoff_fn is None and self.method == EXACT_ENUMERATION:
             self._members = twin_classes(self.game.graph, self.game.schedule)
             self._class_of = {v: c for c, members in enumerate(self._members) for v in members}
         if not self._members:
-            return exact_payoffs(self.game, StrategyProfile(red, blue), node_cap=self.node_cap)
+            return self._compute(red, blue)
+        # A representative's entry, made as a profile or not, is its class's.
         rep = self._representative(red, blue)
         est = self._cache.get(rep)
-        if est is None and self.use_symmetry:
-            swapped = self._cache.get(self._representative(blue, red))
-            if swapped is not None:
-                return _swapped(swapped)
+        if est is not None:
+            return est
+        other = self._representative(blue, red)
+        flip = self.use_symmetry and self._rank(*other) > self._rank(*rep)
+        rep = other if flip else rep
+        est = self._cache.get(rep)
         if est is None:
-            est = self._cache[rep] = exact_payoffs(self.game, StrategyProfile(*rep),
-                                                   node_cap=self.node_cap)
-        return est
+            est = self._cache[rep] = self._compute(*rep)
+        return _swapped(est) if flip else est
 
     def evaluate(self, red: Allocation, blue: Allocation) -> PayoffEstimate:
+        """The payoffs of (red, blue).  With `use_symmetry`, a profile ranked
+        below its swap (`_rank`) takes the swap of the swap's payoffs."""
         key = (red, blue)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
+        est = self._cache.get(key)
+        if est is not None:
+            return est
         if self.use_symmetry:
-            swapped = self._cache.get((blue, red))
-            if swapped is not None:
-                est = self._cache[key] = _swapped(swapped)
-                return est
-        if self._payoff_fn is not None:
-            est = self._payoff_fn(red, blue)
-        elif self.method == EXACT_ENUMERATION:
-            est = self._exact(red, blue)
-        else:
-            est = estimate_payoffs(self.game, StrategyProfile(red=red, blue=blue),
-                                   n_trials=self.n_trials,
-                                   master_seed=self._profile_seed(red, blue),
-                                   threads=self.threads)
+            swap = self._cache.get((blue, red))
+            if swap is None and self._rank(blue, red) > self._rank(red, blue):
+                swap = self._cache[blue, red] = self._payoffs(blue, red)
+            if swap is not None:
+                est = _swapped(swap)
+        if est is None:
+            est = self._payoffs(red, blue)
         self._cache[key] = est
         return est
 
@@ -233,9 +254,9 @@ class PayoffOracle:
 
         A Monte Carlo oracle first estimates every profile that `evaluate`
         would compute, in one `sample_many` call: those neither cached nor
-        (with `use_symmetry`) the swap of a cached or earlier one.  Each keeps
-        the stream of its profile seed, so its estimate is the one `evaluate`
-        would make."""
+        (with `use_symmetry`) the swap of a cached or earlier one, each in the
+        orientation `evaluate` computes (`_rank`).  Each keeps the stream of its
+        profile seed, so its estimate is the one `evaluate` would make."""
         if self.statistical:
             profiles = list(profiles)
             todo: dict[tuple[Allocation, Allocation], None] = {}
@@ -244,7 +265,8 @@ class PayoffOracle:
                     continue
                 if self.use_symmetry and ((blue, red) in self._cache or (blue, red) in todo):
                     continue
-                todo[red, blue] = None
+                swap = self.use_symmetry and self._rank(blue, red) > self._rank(red, blue)
+                todo[(blue, red) if swap else (red, blue)] = None
             if todo:
                 jobs = [(StrategyProfile(red=red, blue=blue), self._profile_seed(red, blue))
                         for red, blue in todo]

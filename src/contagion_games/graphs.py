@@ -36,7 +36,8 @@ class Graph:
     directed: bool = True
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        # Exactly int, here and for endpoints: booleans are not vertex ids.
+        if type(self.n) is not int or self.n < 1:
             raise GraphValidationError(f"vertex count must be a positive integer, got {self.n!r}")
         seen: set[tuple[int, int]] = set()
         canon = []
@@ -44,7 +45,7 @@ class Graph:
             if len(e) != 2:
                 raise GraphValidationError(f"edge {e!r} is not a pair")
             u, v = e
-            if not isinstance(u, int) or not isinstance(v, int):
+            if type(u) is not int or type(v) is not int:
                 raise GraphValidationError(f"edge {e!r} has non-integer endpoints")
             if not (0 <= u < self.n) or not (0 <= v < self.n):
                 raise GraphValidationError(f"edge ({u}, {v}) references a vertex outside 0..{self.n - 1}")
@@ -123,8 +124,7 @@ def load_graph(document: str | dict) -> Graph:
     if not isinstance(edges, list):
         raise GraphValidationError("'edges' must be a list of [u, v] pairs")
     try:
-        edge_tuples = tuple((int(u), int(v)) if isinstance(u, int) and isinstance(v, int) else (u, v)
-                            for u, v in edges)
+        edge_tuples = tuple((u, v) for u, v in edges)
     except (TypeError, ValueError):
         raise GraphValidationError("'edges' must be a list of [u, v] pairs") from None
     return Graph(n=n, edges=edge_tuples, directed=directed)

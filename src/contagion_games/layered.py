@@ -28,8 +28,9 @@ from .engine import (
     PayoffEstimate,
     StrategyProfile,
     _is_integer,
-    _replications,
+    _one_at_a_time,
     _require_master_seed,
+    _seed_keys,
     monte_carlo_estimate,
     split_seeds,
 )
@@ -463,6 +464,6 @@ def layered_estimate_payoffs(structure: LayeredStructure, dyn: AdoptionFunction,
     pairs = profile.support_pairs()
     plans = {(id(red), id(blue)): _layer_plan(structure, red, blue) for _, red, blue in pairs}
     probs = _LayerProbs(dyn)
-    return monte_carlo_estimate(*_replications(
+    return monte_carlo_estimate(*_one_at_a_time(
         (pairs,), lambda red, blue, rng: _sample_plan(plans[id(red), id(blue)], probs, rng),
-        master_seed, 0, n_trials))
+        _seed_keys([master_seed]), n_trials, 0, n_trials))

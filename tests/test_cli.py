@@ -295,6 +295,32 @@ def test_gadget_graph_json_is_the_indented_serialized_graph(tmp_path, gadget):
     assert (out / "graph.json").read_bytes() == reference.encode("utf-8")
 
 
+def test_gadget_verb_reads_a_top_level_gadget_section(tmp_path):
+    gadget = {"kind": "chain_replication", "chain_steps": 3, "replications": 5, "n_terminal": 20}
+    nested, top = tmp_path / "nested", tmp_path / "top"
+    # Five replications fail verification (exit 3) either way.
+    assert run(["gadget", "--config", write_config(tmp_path, {"graph": {"gadget": gadget}}),
+                "--out", str(nested)]) == 3
+    assert run(["gadget", "--config", write_config(tmp_path, {"gadget": gadget}, "top.json"),
+                "--out", str(top)]) == 3
+    assert read_result(top)["result"] == read_result(nested)["result"]
+    for name in ("graph.json", "profile.json", "predictions.json"):
+        assert (top / name).read_bytes() == (nested / name).read_bytes()
+
+
+@pytest.mark.parametrize("verb, config, field", [
+    ("gadget", {}, "gadget"),
+    ("gadget", {"gadget": {"chain_steps": 3}}, "gadget"),
+    ("gadget", {"graph": {"gadget": ["chain_replication"]}}, "gadget"),
+    ("payoff", {"graph": {"gadget": {"chain_steps": 3}}}, "graph.gadget"),
+])
+def test_gadget_sections_without_a_kind_are_refused(tmp_path, capsys, verb, config, field):
+    assert run([verb, "--config", write_config(tmp_path, config),
+                "--out", str(tmp_path / "out")]) == 1
+    assert f"config field '{field}': must be an object with a 'kind' field" in \
+        capsys.readouterr().err
+
+
 @pytest.mark.parametrize("graph", [Graph(n=4, edges=((1, 0), (2, 3), (3, 1)), directed=False),
                                    Graph(n=3, edges=(), directed=False)])
 def test_undirected_graph_json_is_the_indented_serialized_graph(graph):
@@ -460,6 +486,11 @@ def test_missing_or_bad_fields_exit_with_validation_status(
     ({"profile": {"red_seeds": [3], "blue_seeds": [0]},
       "schedule": {"kind": "single_pass", "order": [True, 2]}},
      "single-pass order contains a non-vertex entry True"),
+    ({"profile": {"red_seeds": [3], "blue_seeds": [0]},
+      "graph": dict(micro_graph(), edges=[[True, 2]] + micro_graph()["edges"][1:])},
+     "edge (True, 2) has non-integer endpoints"),
+    ({"profile": {"red_seeds": [3], "blue_seeds": [0]}, "graph": dict(micro_graph(), n=True)},
+     "vertex count must be a positive integer, got True"),
 ])
 def test_boolean_vertex_ids_and_counts_are_rejected(tmp_path, capsys, update, message):
     config = base_config()
@@ -467,6 +498,15 @@ def test_boolean_vertex_ids_and_counts_are_rejected(tmp_path, capsys, update, me
     path = write_config(tmp_path, config)
     assert run(["payoff", "--config", path, "--out", str(tmp_path / "out")]) == 1
     assert message in capsys.readouterr().err
+
+
+def test_simulate_refuses_a_boolean_edge_endpoint(tmp_path, capsys):
+    """`[true, 2]` is not the edge (1, 2)."""
+    graph = dict(micro_graph(), edges=[[True, 2]] + micro_graph()["edges"][1:])
+    config = write_config(tmp_path, base_config(
+        graph=graph, profile={"red_seeds": [3], "blue_seeds": [0]}, n_trials=10))
+    assert run(["simulate", "--config", config, "--out", str(tmp_path / "out")]) == 1
+    assert "non-integer endpoints" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("overrides,message", [

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from contagion_games import engine, equilibrium
-from contagion_games.coupling import _CoupledKernel
+from contagion_games import coupling, engine, equilibrium
+from contagion_games.coupling import _CoupledKernel, couple_test
 from stream_reference import (SplitMix64, fold, keyed_pcg64, replication_key, replication_rng,
                               seed_key)
 from contagion_games import (
@@ -263,6 +263,14 @@ def test_game_spec_requires_positive_budgets():
     g = Graph(n=2, edges=((0, 1),))
     with pytest.raises(ValidationError, match="budget_red"):
         GameSpec(g, linear_dyn(), ParallelRounds(1), budget_red=0, budget_blue=1)
+
+
+@pytest.mark.parametrize("budgets, name", [((True, 1), "budget_red"), ((1, 1.0), "budget_blue"),
+                                           ((1, False), "budget_blue")])
+def test_game_spec_refuses_booleans_and_floats_as_budgets(budgets, name):
+    g = Graph(n=2, edges=((0, 1),))
+    with pytest.raises(ValidationError, match=f"{name} must be a positive integer"):
+        GameSpec(g, linear_dyn(), ParallelRounds(1), *budgets)
 
 
 # ---------------------------------------------------------------------------
@@ -657,6 +665,13 @@ def per_vertex_outcomes(game, profile, n_trials, master_seed):
     return out
 
 
+def replication_words(master_seed, lo, hi, stream=()):
+    """The keys of replications lo..hi-1 of one job under the master seed."""
+    return engine._replication_words(engine._seed_keys([master_seed], stream),
+                                     np.zeros(hi - lo, dtype=np.intp),
+                                     np.arange(lo, hi, dtype=np.uint64))
+
+
 @settings(max_examples=300, deadline=None)
 @given(kernel_cases(), st.integers(min_value=0, max_value=2**32), st.integers(1, 12))
 def test_batched_kernel_matches_the_per_vertex_path(case, master_seed, n_trials):
@@ -664,7 +679,7 @@ def test_batched_kernel_matches_the_per_vertex_path(case, master_seed, n_trials)
     reference = per_vertex_outcomes(game, profile, n_trials, master_seed)
     kernel = engine._ReplicationKernel(game, profile.support_pairs())
     assert n_trials <= kernel.block
-    chi_r, chi_b = kernel.run(engine._replication_words(master_seed, 0, n_trials))
+    chi_r, chi_b = kernel.run(replication_words(master_seed, 0, n_trials))
     assert list(zip(chi_r.tolist(), chi_b.tolist())) == reference
     # Blocks of at most two replications: n_trials spans several blocks.
     cells = 2 * (game.graph.n + len(game.graph.in_csr[1]))
@@ -713,7 +728,7 @@ def test_keys_past_the_table_cap_are_evaluated_directly(cells, rows, schedule, d
     game, profile = mixed_degree_game(dyn, schedule)
     with mock.patch.object(engine, "_TABLE_CELLS", cells):
         kernel = engine._ReplicationKernel(game, profile.support_pairs())
-        chi_r, chi_b = run_in_blocks(kernel.run, engine._replication_words(9, 0, 60), block)
+        chi_r, chi_b = run_in_blocks(kernel.run, replication_words(9, 0, 60), block)
     in_degree = game.graph.in_csr[2]
     assert sorted(set(in_degree[kernel.table.start >= 0].tolist())) == rows
     assert list(zip(chi_r.tolist(), chi_b.tolist())) == \
@@ -743,7 +758,7 @@ def test_long_parallel_rounds_runs_draw_as_the_per_vertex_path_draws(block):
             made.append(self)
 
     with mock.patch.object(engine, "_Draws", Recording):
-        chi_r, chi_b = run_in_blocks(kernel.run, engine._replication_words(21, 0, 100), block)
+        chi_r, chi_b = run_in_blocks(kernel.run, replication_words(21, 0, 100), block)
     assert max(draws.used.max() for draws in made) >= 3 * (1 + 2 + n)
     assert list(zip(chi_r.tolist(), chi_b.tolist())) == \
         per_vertex_outcomes(game, profile, 100, master_seed=21)
@@ -784,12 +799,12 @@ def test_each_table_key_is_evaluated_once_per_kernel(schedule):
 
     kernel = engine._ReplicationKernel(game, profile.support_pairs())
     for lo in range(0, 200, 50):
-        kernel.run(engine._replication_words(4, lo, lo + 50))
+        kernel.run(replication_words(4, lo, lo + 50))
     check_calls()
     mode = MODE_ATTRIBUTION if isinstance(schedule, ParallelRounds) else MODE_SOLO_VS_JOINT
     coupled = _CoupledKernel(game.graph, [0, 3], [6], dyn, schedule, mode)
     for lo in range(0, 200, 50):
-        coupled.run(engine._Draws(engine._replication_words(4, lo, lo + 50)))
+        coupled.run(engine._Draws(replication_words(4, lo, lo + 50)))
     check_calls()
 
 
@@ -810,7 +825,7 @@ def test_draws_hand_out_each_rows_splitmix64_stream(master_seed, stream, lo, siz
     """Three replications' keys, and their draws handed out a few per row at
     a time, in uneven takes over all rows or only the rows that draw: each
     cell is the scalar SplitMix64 stream's next double."""
-    keys = engine._replication_words(master_seed, lo, lo + 3, stream)
+    keys = replication_words(master_seed, lo, lo + 3, stream)
     assert keys.tolist() == [replication_key(master_seed, i, stream) for i in range(lo, lo + 3)]
     draws = engine._Draws(keys)
     references = [SplitMix64(key) for key in keys.tolist()]
@@ -825,7 +840,7 @@ def test_draws_hand_out_each_rows_splitmix64_stream(master_seed, stream, lo, siz
 
 def test_replication_keys_are_distinct_across_two_to_the_32():
     lo, hi = 2**32 - 100_000, 2**32 + 100_000
-    keys = engine._replication_words(5, lo, hi, (2,))
+    keys = replication_words(5, lo, hi, (2,))
     assert len(np.unique(keys)) == hi - lo
     assert keys[[0, 100_000, -1]].tolist() == [replication_key(5, i, (2,))
                                               for i in (lo, 2**32, hi - 1)]
@@ -833,7 +848,7 @@ def test_replication_keys_are_distinct_across_two_to_the_32():
 
 def test_the_stream_passes_a_chi_square_test_on_64_bins():
     """2**20 draws, 256 from each of 4,096 consecutive replications."""
-    draws = engine._Draws(engine._replication_words(2024, 0, 4096))
+    draws = engine._Draws(replication_words(2024, 0, 4096))
     rows = np.arange(4096)
     u = draws.take(rows, np.full(4096, 256), np.repeat(rows, 256))
     observed = np.bincount((u * 64).astype(np.intp), minlength=64)
@@ -847,7 +862,7 @@ def test_draws_are_uncorrelated_along_a_row_and_across_adjacent_rows():
     """Lag-1 correlation along each row, and between the same draws of
     adjacent replications, over 2**20 pairs each: within 4.5 standard errors
     (1/sqrt(pairs)) of 0."""
-    draws = engine._Draws(engine._replication_words(77, 0, 4097))
+    draws = engine._Draws(replication_words(77, 0, 4097))
     rows = np.arange(4097)
     u = draws.take(rows, np.full(4097, 257), np.repeat(rows, 257)).reshape(4097, 257)
     along = np.corrcoef(u[:, :-1].ravel(), u[:, 1:].ravel())[0, 1]
@@ -857,18 +872,23 @@ def test_draws_are_uncorrelated_along_a_row_and_across_adjacent_rows():
 
 
 @settings(max_examples=100, deadline=None)
-@given(keys=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5))
-def test_keyed_generators_draw_what_fresh_ones_draw(keys):
-    """One generator, set to each key's stream in turn (two keys' words at a
-    time), draws what a fresh generator of the key's PCG64 state draws, for
-    every distribution the samplers use."""
-    with mock.patch.object(engine, "_SEED_BLOCK", 2):
-        rngs = engine._keyed_generators(np.array(keys, dtype=np.uint64))
-        for key, rng in zip(keys, rngs):
-            reference = keyed_pcg64(key)
-            for draw in (lambda g: g.random(), lambda g: g.binomial(40, 0.3),
-                         lambda g: g.integers(7), lambda g: g.random(3).tolist()):
-                assert draw(rng) == draw(reference)
+@given(seed_keys=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=3),
+       n_trials=st.integers(1, 3))
+def test_keyed_generators_draw_what_fresh_ones_draw(seed_keys, n_trials):
+    """A fill in blocks of two replications, each block's generator set to
+    each replication's stream in turn, draws what a fresh generator of the
+    replication key's PCG64 state draws, for every distribution the samplers
+    use."""
+    def draws(rng):
+        return [rng.random(), rng.binomial(40, 0.3), rng.integers(7), *rng.random(3).tolist()]
+
+    def run(keys, jobs):
+        return np.array([draws(rng) for rng in engine._keyed_generators(keys)]).T
+
+    rows = len(seed_keys) * n_trials
+    got = engine._fill(run, np.array(seed_keys, dtype=np.uint64), n_trials, 0, rows, 2)
+    assert got.T.tolist() == [draws(keyed_pcg64(fold(key, i)))
+                              for key in seed_keys for i in range(n_trials)]
 
 
 def random_sequential_case():
@@ -890,47 +910,68 @@ def test_random_sequential_monte_carlo_matches_the_per_vertex_loop(threads):
         per_vertex_outcomes(game, profile, 80, master_seed=12)
 
 
-def test_replicated_samples_do_not_depend_on_the_seed_block():
-    """The per-vertex path and the layer sampler, whose generators are set a
-    seed block at a time, and the batched kernel."""
+@pytest.mark.parametrize("block", [1, 7])
+def test_a_replications_row_does_not_depend_on_the_fill_block(block):
+    """Every sampler's fill (the per-vertex path, the layer sampler, the
+    batched kernel over two jobs, and couple_test's coupled counts and
+    standalone runs), in blocks of `block` rows and as one block: every row
+    the same, and the per-vertex rows the reference's."""
     game, profile = random_sequential_case()
     structure = LayeredStructure(((2, 3, 4), (3, 5)))
-    layered = StrategyProfile(Allocation.from_seeds(structure.n, [0, 5]),
-                              Allocation.from_seeds(structure.n, [1, 5]))
+    layer_profile = StrategyProfile(Allocation.from_seeds(structure.n, [0, 5]),
+                                    Allocation.from_seeds(structure.n, [1, 5]))
     batched, mixed = mixed_degree_game(KERNEL_DYNAMICS[1], ParallelRounds(5))
+    bipartite = Graph(n=9, edges=tuple((s, t) for s in range(3) for t in range(3, 9)))
+    sqrt_linear = SwitchSelectAdoption(PowerSwitch(0.5), linear_selection())
+    fill = engine._fill
 
-    def samples():
-        return (engine.sample_payoffs(game, profile, 20, master_seed=3),
-                layered_estimate_payoffs(structure, linear_dyn(), layered, n_trials=20,
-                                         master_seed=3),
-                engine.sample_many(batched, [(mixed, 3), (mixed, 2**40)], 20))
+    def fills(size):
+        made = []
 
-    (chi_r, chi_b), est, many = samples()
-    with mock.patch.object(engine, "_SEED_BLOCK", 3):
-        (block_r, block_b), block_est, block_many = samples()
-    assert (block_r.tolist(), block_b.tolist(), block_est) == (chi_r.tolist(), chi_b.tolist(), est)
-    assert [side.tolist() for side in block_many] == [side.tolist() for side in many]
+        def blocked(run, seed_keys, n_trials, lo, hi, _):
+            out = fill(run, seed_keys, n_trials, lo, hi, size or hi - lo)
+            made.append(out.tolist())
+            return out
+
+        with mock.patch.object(engine, "_fill", blocked), \
+                mock.patch.object(coupling, "_fill", blocked):
+            engine.sample_payoffs(game, profile, 20, master_seed=3)
+            layered_estimate_payoffs(structure, linear_dyn(), layer_profile, n_trials=20,
+                                     master_seed=3)
+            engine.sample_many(batched, [(mixed, 3), (mixed, 2**40)], 20)
+            couple_test(bipartite, [0], [1], sqrt_linear, SinglePassOrder(tuple(range(3, 9))),
+                        MODE_SOLO_VS_JOINT, runs=20, master_seed=4)
+        return made
+
+    whole = fills(None)
+    assert len(whole) == 6
+    assert fills(block) == whole
+    assert list(zip(*whole[0])) == per_vertex_outcomes(game, profile, 20, master_seed=3)
 
 
-# Many jobs through one kernel: per-run master seeds, `sample_many`, and the
-# oracle's fill.
+# Many jobs through one kernel: replication keys by (job, index),
+# `sample_many`, and the oracle's fill.
+
+INDICES = st.one_of(st.integers(0, 9), st.integers(2**32 - 4, 2**32 + 2),
+                    st.integers(2**64 - 8, 2**64 - 1))
+
 
 @settings(max_examples=100, deadline=None)
-@given(runs=st.lists(st.tuples(MASTER_SEEDS,
-                               st.one_of(st.integers(0, 9), st.integers(2**32 - 4, 2**32 + 2)),
-                               st.integers(0, 4)), min_size=1, max_size=6),
-       stream=STREAMS)
-@example(runs=[(0, 2**32 - 2, 4), (2**32 - 1, 0, 2), (2**32, 2**32 - 1, 3), (2**200, 5, 2)],
+@given(seeds=st.lists(MASTER_SEEDS, min_size=1, max_size=4),
+       cells=st.lists(st.tuples(st.integers(0, 3), INDICES), max_size=12), stream=STREAMS)
+@example(seeds=[0, 2**32 - 1, 2**32, 2**200],
+         cells=[(0, 2**32 - 2), (0, 2**32 - 1), (0, 2**32), (0, 2**32 + 1), (1, 0), (1, 1),
+                (2, 2**32 - 1), (2, 2**32), (2, 2**32 + 1), (3, 5), (3, 6), (3, 2**64 - 1)],
          stream=())
-def test_per_run_master_seeds_key_each_replication_as_alone(runs, stream):
-    """Runs with master seeds of every word count, and indices on both sides
-    of 2**32, in one call: each replication's key is its own."""
-    seeds = [seed for seed, _, _ in runs]
-    lo = [first for _, first, _ in runs]
-    hi = [first + size for _, first, size in runs]
-    expected = [replication_key(seed, i, stream)
-                for seed, first, size in runs for i in range(first, first + size)]
-    assert engine._replication_words(seeds, lo, hi, stream).tolist() == expected
+def test_replication_keys_fold_each_index_into_its_jobs_seed_key(seeds, cells, stream):
+    """Jobs with master seeds of every word count, and indices on both sides
+    of 2**32 and up to 2**64 - 1, in any order, in one call: each
+    replication's key is its own."""
+    jobs = [j % len(seeds) for j, _ in cells]
+    keys = engine._replication_words(engine._seed_keys(seeds, stream), np.array(jobs, dtype=np.intp),
+                                     np.array([i for _, i in cells], dtype=np.uint64))
+    assert keys.tolist() == [replication_key(seeds[j], i, stream)
+                             for j, (_, i) in zip(jobs, cells)]
 
 
 @settings(max_examples=100, deadline=None)
@@ -994,8 +1035,10 @@ def swap(est: PayoffEstimate) -> PayoffEstimate:
 
 def check_fill(game, profiles, n_trials, master_seed, use_symmetry, threads=None):
     """The oracle's fill returns, profile by profile, the estimate
-    `estimate_payoffs` makes under the profile's seed, or the swap of an
-    earlier profile's."""
+    `estimate_payoffs` makes under the profile's seed or, with symmetry on,
+    the swap of the swapped profile's estimate when that profile has the
+    lexicographically larger dense counts (red, then blue); the game's two
+    budgets are equal."""
     oracle = PayoffOracle(game, method=MONTE_CARLO, n_trials=n_trials, master_seed=master_seed,
                           use_symmetry=use_symmetry, threads=threads)
 
@@ -1003,13 +1046,11 @@ def check_fill(game, profiles, n_trials, master_seed, use_symmetry, threads=None
         return estimate_payoffs(game, StrategyProfile(red, blue), n_trials,
                                 master_seed=oracle._profile_seed(red, blue))
 
-    expected = {}
     for (red, blue), est in zip(profiles, oracle.fill(profiles)):
-        if (red, blue) not in expected:
-            expected[red, blue] = (swap(direct(blue, red))
-                                   if use_symmetry and (blue, red) in expected
-                                   else direct(red, blue))
-        assert est == expected[red, blue]
+        if use_symmetry and (blue.counts, red.counts) > (red.counts, blue.counts):
+            assert est == swap(direct(blue, red))
+        else:
+            assert est == direct(red, blue)
 
 
 @settings(max_examples=150, deadline=None)

@@ -120,6 +120,32 @@ def test_monte_carlo_oracle_is_evaluation_order_independent():
     assert first.statistical and not PayoffOracle(game).statistical
 
 
+def test_a_profile_and_its_swap_get_one_estimate_in_either_order():
+    """A profile and its color swap, evaluated in both orders: the swapped
+    profile's estimate is the profile's, swapped, whichever came first."""
+    graph = Graph(n=4, edges=((0, 1), (1, 2), (2, 3), (0, 3)))
+    game = GameSpec(graph, SwitchSelectAdoption(PowerSwitch(0.5), linear_selection()),
+                    ParallelRounds(3), 1, 1)
+    a, b = seeds(4, 0), seeds(4, 1)
+    forward = PayoffOracle(game, method="monte-carlo", n_trials=50, master_seed=3)
+    backward = PayoffOracle(game, method="monte-carlo", n_trials=50, master_seed=3)
+    ab, ba = forward.evaluate(a, b), forward.evaluate(b, a)
+    assert (backward.evaluate(b, a), backward.evaluate(a, b)) == (ba, ab)
+    assert (ba.pi_R, ba.pi_B) == (ab.pi_B, ab.pi_R)
+
+
+def test_a_backward_fill_equals_a_forward_fill_on_twins():
+    """Twins {0, 1} under random sequential updates: with color swaps, every
+    profile's payoffs come from one enumeration of its class or its swap's,
+    whatever order the profiles come in."""
+    graph = Graph(n=6, edges=((0, 2), (1, 2), (0, 3), (1, 3), (2, 4), (3, 5), (4, 5)))
+    game = GameSpec(graph, SwitchSelectAdoption(PowerSwitch(0.5), TullockSelection(2.0)),
+                    RandomSequential(3), 1, 1)
+    assert twin_classes(graph, game.schedule) == [(0, 1)]
+    pairs = pure_pairs(game)
+    assert PayoffOracle(game).fill(pairs[::-1])[::-1] == PayoffOracle(game).fill(pairs)
+
+
 # Twin classes: vertices with equal in- and out-neighbours.
 
 
@@ -172,11 +198,11 @@ def test_twin_keyed_oracle_equals_direct_enumeration(game):
         direct = exact_payoffs(game, StrategyProfile(red, blue))
         assert est.pi_R == pytest.approx(direct.pi_R, rel=0.0, abs=1e-12)
         assert est.pi_B == pytest.approx(direct.pi_B, rel=0.0, abs=1e-12)
-    # Without color swaps each profile gets its representative's payoffs,
-    # whatever order the profiles come in.
-    plain = PayoffOracle(game, use_symmetry=False)
-    backward = plain.fill(pairs[::-1])[::-1]
-    assert backward == PayoffOracle(game, use_symmetry=False).fill(pairs)
+    # With or without color swaps, each profile gets its representative's
+    # payoffs (or the swap of its swap's), whatever order the profiles come in.
+    for use_symmetry in (False, True):
+        backward = PayoffOracle(game, use_symmetry=use_symmetry).fill(pairs[::-1])[::-1]
+        assert backward == PayoffOracle(game, use_symmetry=use_symmetry).fill(pairs)
 
 
 @settings(max_examples=15, deadline=None)

@@ -67,6 +67,12 @@ def test_non_integer_endpoint_rejected():
         Graph(n=2, edges=((0, 1.5),))
 
 
+@pytest.mark.parametrize("edge", [(True, 0), (0, False)])
+def test_boolean_endpoint_rejected(edge):
+    with pytest.raises(GraphValidationError, match="non-integer"):
+        Graph(n=2, edges=(edge,))
+
+
 def test_non_pair_edge_rejected():
     with pytest.raises(GraphValidationError, match="not a pair"):
         Graph(n=3, edges=((0, 1, 2),))
@@ -105,6 +111,17 @@ def test_load_graph_from_dict_and_text():
 def test_load_graph_missing_fields():
     with pytest.raises(GraphValidationError, match="missing fields"):
         load_graph({"n": 3, "edges": []})
+
+
+@pytest.mark.parametrize("doc, match", [
+    ({"n": True, "directed": True, "edges": []}, "positive integer, got True"),
+    ({"n": False, "directed": True, "edges": []}, "positive integer, got False"),
+    ({"n": 3, "directed": True, "edges": [[True, 2]]}, "non-integer"),
+    ({"n": 3, "directed": False, "edges": [[0, 1], [1, False]]}, "non-integer"),
+])
+def test_load_graph_rejects_boolean_vertex_ids(doc, match):
+    with pytest.raises(GraphValidationError, match=match):
+        load_graph(doc)
 
 
 def test_load_graph_directed_must_be_boolean():
