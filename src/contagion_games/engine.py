@@ -25,11 +25,10 @@ from .dynamics import (
     SimOutcome,
     SinglePassOrder,
     UpdateSchedule,
-    filter_phase_candidates,
     run_contagion,
 )
 from .errors import StateSpaceCapError, ValidationError
-from .graphs import BLUE, RED, UNINFECTED, Graph, neighbor_fractions
+from .graphs import BLUE, RED, UNINFECTED, Graph
 
 EXACT_ENUMERATION = "exact-enumeration"
 EXACT_LAYERED_DP = "exact-layered-dp"
@@ -897,18 +896,22 @@ def _adopt(state: list[int], picked, cr: int, cb: int) -> tuple[list[int], int, 
     return new_state, cr, cb
 
 
-def exact_payoffs(game: GameSpec, profile: StrategyProfile,
-                  node_cap: int = DEFAULT_NODE_CAP) -> PayoffEstimate:
-    """Exact expected payoffs by exhaustive enumeration of every contested-seed
-    resolution and every stochastic update outcome under the schedule.
+class _Enumerator:
+    """Exact expected payoffs of one game's profiles, by exhaustive
+    enumeration of every contested-seed resolution and every stochastic
+    update outcome under the schedule.
 
-    Raises StateSpaceCapError when the outcome tree exceeds `node_cap` nodes.
-    Wherever a vertex's outcome cannot influence anything downstream (for
-    example, a vertex with no out-neighbors in a one-shot schedule, or any
-    candidate in the final round), its expectation is accumulated marginally
-    instead of branching, which keeps the common fixtures branch-free.  A
-    one-shot schedule is walked by its snapshot phases (`schedule.phases`),
-    so a single pass branches one group of consecutive vertices at a time.
+    The constructor does the per-game work once: it validates the schedule,
+    lists a one-shot schedule's snapshot phases (`schedule.phases`), so a
+    single pass branches one group of consecutive vertices at a time, and
+    lists each of their vertices' out-neighbours that update in a later
+    phase.  `payoffs(profile)` walks one profile's tree and raises
+    StateSpaceCapError when it exceeds `node_cap` nodes.  Wherever a
+    vertex's outcome cannot influence anything downstream (for example, a
+    vertex whose later-updating out-neighbours are all infected in a one-shot
+    schedule, or any candidate in the final round), its expectation is
+    accumulated marginally instead of branching, which keeps the common
+    fixtures branch-free.
 
     Each pure pair of the profile's support is walked with one stack of
     phase-start entries (weight, state, immune, cursor, red count, blue
@@ -921,101 +924,137 @@ def exact_payoffs(game: GameSpec, profile: StrategyProfile,
     pop in reverse: leaves are summed in one fixed depth-first order, which
     keeps every payoff the same to the bit.  The tree has one node per
     partial combination, per phase option, and per entry that is not a leaf.
-    `dyn.update_probs` runs once per distinct fraction pair in a call; later
-    candidates with that pair reuse its result.
+    `dyn.update_probs` runs once per distinct in-neighbour fraction pair in
+    the enumerator's life; later candidates with that pair, in any profile,
+    reuse its result.
     """
-    budget = _NodeBudget(node_cap)
-    graph, dyn, schedule = game.graph, game.dynamics, game.schedule
-    schedule.validate_for_graph(graph)
-    n = graph.n
-    # A one-shot schedule's walk reads its phases off the plan, and knows the
-    # phase in which each vertex updates (-1 for never).
-    plan = schedule.phases(graph)
-    last_app = None
-    if plan is not None:
-        plan = [phase.tolist() for phase in plan]
-        last_app = [-1] * n
-        for k, phase in enumerate(plan):
-            for v in phase:
-                last_app[v] = k
-    is_parallel = isinstance(schedule, ParallelRounds)
-    update_probs: dict[tuple[float, float], tuple[float, float, float]] = {}
-    er = eb = 0.0
-    for p, red, blue in profile.support_pairs():
-        if p == 0.0:
-            continue
-        if red.n != n or blue.n != n:
-            raise ValidationError("allocation length does not match the graph")
-        red_only, blue_only, seed_contests = split_seeds(red, blue)
-        base = [UNINFECTED] * n
-        for v in red_only:
-            base[v] = RED
-        for v in blue_only:
-            base[v] = BLUE
-        contests = []
-        mr0 = mb0 = 0.0
-        for v, p_red in seed_contests:
-            if not graph.out_neighbors[v]:
-                # The color of a sink seed affects only the final tally.
-                base[v] = RED
-                mr0 += p_red
-                mb0 += 1.0 - p_red
-            else:
-                contests.append(((p_red, (v, RED)), (1.0 - p_red, (v, BLUE))))
-        stack = []
-        for w, picked in _combinations(1.0, contests, budget):
-            state, cr, cb = _adopt(base, picked, len(red_only), len(blue_only))
-            stack.append((w, state, (False,) * n, schedule.initial_cursor(), cr, cb, mr0, mb0))
-        budget.spend(len(stack))
 
-        total_r = total_b = 0.0
-        while stack:
-            w, state, immune, cursor, cr, cb, mr, mb = stack.pop()
-            if cursor is not None and plan is None:
-                options = schedule.phase_options(graph, state, immune, cursor)
-            elif cursor is not None and cursor < len(plan):
-                options = [(1.0, plan[cursor], cursor + 1)]
-            else:
-                options = None
-            if options is None:
-                total_r += w * (cr + mr)
-                total_b += w * (cb + mb)
+    def __init__(self, game: GameSpec, node_cap: int = DEFAULT_NODE_CAP):
+        graph, schedule = game.graph, game.schedule
+        schedule.validate_for_graph(graph)
+        self.game = game
+        self.node_cap = node_cap
+        self.is_parallel = isinstance(schedule, ParallelRounds)
+        self.plan = schedule.phases(graph)
+        # A one-shot schedule updates each vertex in one phase at most; a
+        # vertex branches only while one of these out-neighbours is clean.
+        self.later = None
+        if self.plan is not None:
+            self.plan = [phase.tolist() for phase in self.plan]
+            phase_of = [-1] * graph.n
+            for k, phase in enumerate(self.plan):
+                for v in phase:
+                    phase_of[v] = k
+            self.later = [[u for u in graph.out_neighbors[v] if phase_of[u] > phase_of[v]]
+                          for v in range(graph.n)]
+        self.update_probs: dict[tuple[float, float], tuple[float, float, float]] = {}
+
+    def payoffs(self, profile: StrategyProfile) -> PayoffEstimate:
+        budget = _NodeBudget(self.node_cap)
+        graph, dyn, schedule = self.game.graph, self.game.dynamics, self.game.schedule
+        in_neighbors = graph.in_neighbors
+        plan, later, update_probs = self.plan, self.later, self.update_probs
+        is_parallel = self.is_parallel
+        n = graph.n
+        er = eb = 0.0
+        for p, red, blue in profile.support_pairs():
+            if p == 0.0:
                 continue
-            for opt_prob, phase, nxt in options:
-                budget.spend()
-                final_round = is_parallel and nxt >= schedule.max_rounds
-                mr2, mb2 = mr, mb
-                choices = []
-                sure_failures = []
-                for v in filter_phase_candidates(graph, state, immune, phase):
-                    fractions = neighbor_fractions(graph, state, v)
-                    probs = update_probs.get(fractions)
-                    if probs is None:
-                        probs = update_probs[fractions] = dyn.update_probs(*fractions)
-                    pr, pb, pu = probs
-                    if pr == 0.0 and pb == 0.0:
-                        sure_failures.append(v)
-                    elif final_round or (
-                            last_app is not None
-                            and all(state[u] != UNINFECTED or last_app[u] <= cursor
-                                    for u in graph.out_neighbors[v])):
-                        mr2 += pr
-                        mb2 += pb
-                    else:
-                        choices.append(((pr, (v, RED)), (pb, (v, BLUE)), (pu, (v, UNINFECTED))))
-                may_stop = schedule.stop_on_no_change and (choices or sure_failures)
-                for w2, picked in _combinations(w * opt_prob, choices, budget):
-                    new_state, cr2, cb2 = _adopt(state, picked, cr, cb)
-                    if may_stop and new_state is state:
-                        stack.append((w2, state, immune, None, cr, cb, mr2, mb2))
-                        continue
-                    new_immune = immune
-                    if schedule.immunity:
-                        failed = set(sure_failures).union(v for v, c in picked if c == UNINFECTED)
-                        new_immune = tuple(im or v in failed for v, im in enumerate(immune))
-                    stack.append((w2, new_state, new_immune, nxt, cr2, cb2, mr2, mb2))
+            if red.n != n or blue.n != n:
+                raise ValidationError("allocation length does not match the graph")
+            red_only, blue_only, seed_contests = split_seeds(red, blue)
+            base = [UNINFECTED] * n
+            for v in red_only:
+                base[v] = RED
+            for v in blue_only:
+                base[v] = BLUE
+            contests = []
+            mr0 = mb0 = 0.0
+            for v, p_red in seed_contests:
+                if not graph.out_neighbors[v]:
+                    # The color of a sink seed affects only the final tally.
+                    base[v] = RED
+                    mr0 += p_red
+                    mb0 += 1.0 - p_red
+                else:
+                    contests.append(((p_red, (v, RED)), (1.0 - p_red, (v, BLUE))))
+            stack = []
+            for w, picked in _combinations(1.0, contests, budget):
+                state, cr, cb = _adopt(base, picked, len(red_only), len(blue_only))
+                stack.append((w, state, (False,) * n, schedule.initial_cursor(), cr, cb, mr0, mb0))
+            budget.spend(len(stack))
+
+            total_r = total_b = 0.0
+            while stack:
+                w, state, immune, cursor, cr, cb, mr, mb = stack.pop()
+                if cursor is not None and plan is None:
+                    options = schedule.phase_options(graph, state, immune, cursor)
+                elif cursor is not None and cursor < len(plan):
+                    options = [(1.0, plan[cursor], cursor + 1)]
+                else:
+                    options = None
+                if options is None:
+                    total_r += w * (cr + mr)
+                    total_b += w * (cb + mb)
+                    continue
+                for opt_prob, phase, nxt in options:
                     budget.spend()
-        er += p * total_r
-        eb += p * total_b
-    return PayoffEstimate(pi_R=er, pi_B=eb, method=EXACT_ENUMERATION,
-                          n_trials=0, stderr_R=0.0, stderr_B=0.0)
+                    final_round = is_parallel and nxt >= schedule.max_rounds
+                    mr2, mb2 = mr, mb
+                    choices = []
+                    sure_failures = []
+                    # One scan per phase vertex: a candidate is clean, not
+                    # immune, and has an infected in-neighbour.
+                    for v in phase:
+                        if state[v] != UNINFECTED or immune[v]:
+                            continue
+                        nbrs = in_neighbors[v]
+                        r = b = 0
+                        for u in nbrs:
+                            s = state[u]
+                            if s == RED:
+                                r += 1
+                            elif s == BLUE:
+                                b += 1
+                        if not (r or b):
+                            continue
+                        d = len(nbrs)
+                        fractions = (r / d, b / d)
+                        probs = update_probs.get(fractions)
+                        if probs is None:
+                            probs = update_probs[fractions] = dyn.update_probs(*fractions)
+                        pr, pb, pu = probs
+                        if pr == 0.0 and pb == 0.0:
+                            sure_failures.append(v)
+                        elif final_round or (later is not None
+                                             and all(state[u] != UNINFECTED for u in later[v])):
+                            mr2 += pr
+                            mb2 += pb
+                        else:
+                            choices.append(((pr, (v, RED)), (pb, (v, BLUE)),
+                                            (pu, (v, UNINFECTED))))
+                    may_stop = schedule.stop_on_no_change and (choices or sure_failures)
+                    for w2, picked in _combinations(w * opt_prob, choices, budget):
+                        new_state, cr2, cb2 = _adopt(state, picked, cr, cb)
+                        if may_stop and new_state is state:
+                            stack.append((w2, state, immune, None, cr, cb, mr2, mb2))
+                            continue
+                        new_immune = immune
+                        if schedule.immunity:
+                            failed = set(sure_failures).union(v for v, c in picked
+                                                              if c == UNINFECTED)
+                            new_immune = tuple(im or v in failed for v, im in enumerate(immune))
+                        stack.append((w2, new_state, new_immune, nxt, cr2, cb2, mr2, mb2))
+                        budget.spend()
+            er += p * total_r
+            eb += p * total_b
+        return PayoffEstimate(pi_R=er, pi_B=eb, method=EXACT_ENUMERATION,
+                              n_trials=0, stderr_R=0.0, stderr_B=0.0)
+
+
+def exact_payoffs(game: GameSpec, profile: StrategyProfile,
+                  node_cap: int = DEFAULT_NODE_CAP) -> PayoffEstimate:
+    """Exact expected payoffs of the profile, by one walk of a fresh
+    `_Enumerator`, which describes the walk.  Raises StateSpaceCapError when
+    the outcome tree exceeds `node_cap` nodes."""
+    return _Enumerator(game, node_cap).payoffs(profile)

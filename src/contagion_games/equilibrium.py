@@ -24,11 +24,11 @@ from .engine import (
     GameSpec,
     PayoffEstimate,
     StrategyProfile,
+    _Enumerator,
     _fold,
     _require_master_seed,
     _seed_key,
     estimate_payoffs,
-    exact_payoffs,
     monte_carlo_estimates,
     sample_many,
 )
@@ -118,18 +118,18 @@ class PayoffOracle:
     The dynamics treat the two colors identically, so swapping the players'
     allocations swaps their payoffs; the cache exploits that to halve the work
     (`use_symmetry`), computing a profile and its swap once, in the
-    orientation `_rank` puts first, whichever of the two comes first.  Monte
-    Carlo evaluations derive their seed from the profile's contents.  So
-    results are independent of evaluation order, and of whether `fill`
-    estimates them together or `evaluate` one by one.
+    orientation that ranks above the other (`_above`), whichever of the two
+    comes first.  Monte Carlo evaluations derive their seed from the
+    profile's contents.  So results are independent of evaluation order, and
+    of whether `fill` estimates them together or `evaluate` one by one.
 
     Exact evaluations are keyed on twin classes (`twin_classes`, found on the
-    first exact evaluation): profiles that differ only by permuting twins
-    have equal payoffs, so each such class is computed once, by
-    `exact_payoffs` on its representative (`_representative`), and every
-    member gets that estimate.  On a graph without twins the key is the
-    profile itself.  Monte Carlo keys and seeds, and `payoff_fn` oracles,
-    ignore twins.
+    first exact evaluation, with the game's `engine._Enumerator`): profiles
+    that differ only by permuting twins have equal payoffs, so each such
+    class is computed once, by the enumerator on its representative
+    (`_representative`), and every member gets that estimate.  On a graph
+    without twins the key is the profile itself.  Monte Carlo keys and
+    seeds, and `payoff_fn` oracles, ignore twins.
     """
 
     def __init__(self, game: GameSpec, method: str = EXACT_ENUMERATION,
@@ -148,10 +148,12 @@ class PayoffOracle:
         self.use_symmetry = use_symmetry
         self._payoff_fn = payoff_fn
         self._cache: dict[tuple, PayoffEstimate] = {}
-        # Each vertex's twin class (absent for a class of one) and the
-        # classes' members; None until the first exact evaluation.
+        # Each vertex's twin class (absent for a class of one), the classes'
+        # members and the game's enumerator; None until the first exact
+        # evaluation.
         self._class_of: Optional[dict[int, int]] = None
         self._members: list[tuple[int, ...]] = []
+        self._enumerator: Optional[_Enumerator] = None
 
     @property
     def statistical(self) -> bool:
@@ -188,33 +190,47 @@ class PayoffOracle:
                     blues[v] = b
         return Allocation._of(red.n, reds), Allocation._of(blue.n, blues)
 
-    def _rank(self, red: Allocation, blue: Allocation) -> tuple:
-        """Orders a profile against its color swap: first whether its budgets
-        are the game's (a tie when the game's are equal), then its dense
-        counts, red then blue, in lexicographic order.  Product-order
-        searches meet the higher-ranked of the two first.  (Dense counts
-        compare as their (-vertex, count) seed lists do.)"""
+    def _above(self, red: Allocation, blue: Allocation,
+               red2: Allocation, blue2: Allocation) -> bool:
+        """Whether (red, blue) ranks strictly above (red2, blue2): first on
+        whether its budgets are the game's (a tie when the game's are
+        equal), then on its dense counts, red then blue, in lexicographic
+        order.  Product-order searches meet the higher-ranked of a profile
+        and its swap first."""
         kr, kb = self.game.budget_red, self.game.budget_blue
-        return (kr == kb or (red.budget, blue.budget) == (kr, kb),
-                [(-v, c) for v, c in red.seeds], [(-v, c) for v, c in blue.seeds])
+        if kr != kb:
+            ours = (red.budget, blue.budget) == (kr, kb)
+            if ours != ((red2.budget, blue2.budget) == (kr, kb)):
+                return ours
+        for seeds, seeds2 in ((red.seeds, red2.seeds), (blue.seeds, blue2.seeds)):
+            # Dense counts compare at the first seeded vertex where they differ.
+            for (v, c), (v2, c2) in zip(seeds, seeds2):
+                if v != v2:
+                    return v < v2
+                if c != c2:
+                    return c > c2
+            if len(seeds) != len(seeds2):
+                return len(seeds) > len(seeds2)
+        return False
 
     def _compute(self, red: Allocation, blue: Allocation) -> PayoffEstimate:
         if self._payoff_fn is not None:
             return self._payoff_fn(red, blue)
         if self.method == EXACT_ENUMERATION:
-            return exact_payoffs(self.game, StrategyProfile(red, blue), node_cap=self.node_cap)
+            return self._enumerator.payoffs(StrategyProfile(red, blue))
         return estimate_payoffs(self.game, StrategyProfile(red=red, blue=blue),
                                 n_trials=self.n_trials,
                                 master_seed=self._profile_seed(red, blue), threads=self.threads)
 
     def _payoffs(self, red: Allocation, blue: Allocation) -> PayoffEstimate:
         """The payoffs of a profile that, with `use_symmetry`, ranks at or
-        above its swap (`_rank`).  An exact oracle on a graph with twins
+        above its swap (`_above`).  An exact oracle on a graph with twins
         takes those of its class representative or, with `use_symmetry`, the
         swap of those of its swap's class representative when that one ranks
         higher; it caches each representative's."""
         if self._class_of is None and self._payoff_fn is None and self.method == EXACT_ENUMERATION:
             self._members = twin_classes(self.game.graph, self.game.schedule)
+            self._enumerator = _Enumerator(self.game, self.node_cap)
             self._class_of = {v: c for c, members in enumerate(self._members) for v in members}
         if not self._members:
             return self._compute(red, blue)
@@ -224,7 +240,7 @@ class PayoffOracle:
         if est is not None:
             return est
         other = self._representative(blue, red)
-        flip = self.use_symmetry and self._rank(*other) > self._rank(*rep)
+        flip = self.use_symmetry and self._above(*other, *rep)
         rep = other if flip else rep
         est = self._cache.get(rep)
         if est is None:
@@ -233,14 +249,14 @@ class PayoffOracle:
 
     def evaluate(self, red: Allocation, blue: Allocation) -> PayoffEstimate:
         """The payoffs of (red, blue).  With `use_symmetry`, a profile ranked
-        below its swap (`_rank`) takes the swap of the swap's payoffs."""
+        below its swap (`_above`) takes the swap of the swap's payoffs."""
         key = (red, blue)
         est = self._cache.get(key)
         if est is not None:
             return est
         if self.use_symmetry:
             swap = self._cache.get((blue, red))
-            if swap is None and self._rank(blue, red) > self._rank(red, blue):
+            if swap is None and self._above(blue, red, red, blue):
                 swap = self._cache[blue, red] = self._payoffs(blue, red)
             if swap is not None:
                 est = _swapped(swap)
@@ -255,7 +271,7 @@ class PayoffOracle:
         A Monte Carlo oracle first estimates every profile that `evaluate`
         would compute, in one `sample_many` call: those neither cached nor
         (with `use_symmetry`) the swap of a cached or earlier one, each in the
-        orientation `evaluate` computes (`_rank`).  Each keeps the stream of its
+        orientation `evaluate` computes (`_above`).  Each keeps the stream of its
         profile seed, so its estimate is the one `evaluate` would make."""
         if self.statistical:
             profiles = list(profiles)
@@ -265,7 +281,7 @@ class PayoffOracle:
                     continue
                 if self.use_symmetry and ((blue, red) in self._cache or (blue, red) in todo):
                     continue
-                swap = self.use_symmetry and self._rank(blue, red) > self._rank(red, blue)
+                swap = self.use_symmetry and self._above(blue, red, red, blue)
                 todo[(blue, red) if swap else (red, blue)] = None
             if todo:
                 jobs = [(StrategyProfile(red=red, blue=blue), self._profile_seed(red, blue))

@@ -466,6 +466,78 @@ def test_exact_payoffs_evaluate_each_fraction_pair_once(schedule):
     exact_payoffs(game, profile)
     assert dyn.calls
     assert len(dyn.calls) == len(set(dyn.calls))
+    # One oracle walks every pure profile with one enumerator, which asks
+    # for each pair once across all of them.
+    dyn.calls.clear()
+    allocations = enumerate_allocations(8, 1)
+    PayoffOracle(game).fill([(red, blue) for red in allocations for blue in allocations])
+    assert dyn.calls
+    assert len(dyn.calls) == len(set(dyn.calls))
+
+
+@st.composite
+def enumeration_games(draw):
+    """A 3-6-vertex digraph under one of the five schedules, with budgets
+    1 or 2, and a node cap that some profiles' trees exceed."""
+    n = draw(st.integers(min_value=3, max_value=6))
+    possible = [(u, v) for u in range(n) for v in range(n) if u != v]
+    keep = draw(st.lists(st.booleans(), min_size=len(possible), max_size=len(possible)))
+    graph = Graph(n=n, edges=tuple(e for e, k in zip(possible, keep) if k))
+    perm = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1))))
+    steps = draw(st.integers(1, 3))
+    schedule = draw(st.sampled_from((
+        SinglePassOrder(tuple(perm[:draw(st.integers(0, n))])),
+        LayerOrder([perm[a:b] for a, b in zip([0] + cuts, cuts + [n])]),
+        ParallelRounds(steps),
+        ParallelRounds(steps, immunity=True),
+        RandomSequential(steps))))
+    dyn = draw(st.sampled_from((SwitchSelectAdoption(PowerSwitch(1.0), linear_selection()),
+                                SwitchSelectAdoption(HalfPointSwitch(0.2), TullockSelection(2.0)),
+                                BuiltinAdoption("quadratic_damped"))))
+    game = GameSpec(graph, dyn, schedule, draw(st.integers(1, 2)), draw(st.integers(1, 2)))
+    return game, draw(st.sampled_from((20, 200, engine.DEFAULT_NODE_CAP)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(enumeration_games(), st.randoms(use_true_random=False))
+def test_one_enumerator_evaluates_every_profile_as_a_fresh_call(case, rnd):
+    """An enumerator reused over every pure profile, in a shuffled order,
+    gives each the payoffs of a fresh `exact_payoffs` call, bit for bit; a
+    profile whose tree exceeds the cap raises on both and leaves the
+    enumerator's later answers unchanged."""
+    game, cap = case
+    n = game.graph.n
+    profiles = [StrategyProfile(red, blue) for red in enumerate_allocations(n, game.budget_red)
+                for blue in enumerate_allocations(n, game.budget_blue)]
+    rnd.shuffle(profiles)
+    enumerator = engine._Enumerator(game, cap)
+
+    def hexed(walk, profile):
+        try:
+            est = walk(profile)
+        except StateSpaceCapError:
+            return None
+        return est.pi_R.hex(), est.pi_B.hex()
+
+    for profile in profiles:
+        assert hexed(enumerator.payoffs, profile) == \
+            hexed(lambda p: exact_payoffs(game, p, node_cap=cap), profile)
+
+
+def test_an_enumerator_answers_after_a_cap_error():
+    # The hub-and-chain game of `test_exact_enumeration_respects_the_node_cap`:
+    # seeding the hub branches past the cap, seeding the chain's tail does not.
+    n = 13
+    dyn = SwitchSelectAdoption(HalfPointSwitch(0.5), linear_selection())
+    game = GameSpec(hub_and_chain(n), dyn, ParallelRounds(3), 1, 1)
+    hub = StrategyProfile(Allocation.from_seeds(n, [0]), Allocation.from_seeds(n, [0]))
+    tail = StrategyProfile(Allocation.from_seeds(n, [10]), Allocation.from_seeds(n, [11]))
+    enumerator = engine._Enumerator(game, node_cap=100)
+    for _ in range(2):
+        with pytest.raises(StateSpaceCapError, match="cap"):
+            enumerator.payoffs(hub)
+        assert enumerator.payoffs(tail) == exact_payoffs(game, tail, node_cap=100)
 
 
 def test_schedules_state_their_snapshot_phases():

@@ -28,6 +28,7 @@ from contagion_games import (
     allocation_count,
     best_response,
     budget_multiplier,
+    engine,
     enumerate_allocations,
     equilibrium,
     exact_payoffs,
@@ -267,14 +268,15 @@ def test_oracle_rejects_schedules_naming_unknown_vertices(schedule):
 
 @pytest.fixture
 def exact_calls(monkeypatch):
-    """The profiles the oracle hands to `exact_payoffs`, in call order."""
+    """The profiles whose payoffs an exact enumerator walks, in call order."""
     calls = []
+    walk = engine._Enumerator.payoffs
 
-    def counting(game, profile, **kwargs):
+    def counting(self, profile):
         calls.append(profile)
-        return exact_payoffs(game, profile, **kwargs)
+        return walk(self, profile)
 
-    monkeypatch.setattr(equilibrium, "exact_payoffs", counting)
+    monkeypatch.setattr(engine._Enumerator, "payoffs", counting)
     return calls
 
 
@@ -295,7 +297,43 @@ def test_hub_game_price_of_anarchy_computes_one_payoff_per_twin_class(exact_call
     component's hubs and followers), so a handful of exact evaluations."""
     report = price_of_anarchy(influencer_components((10, 100), 2).game())
     assert (report.value, report.worst_nash_joint, report.max_joint) == (1.0, 100.0, 100.0)
-    assert len(exact_calls) <= 20
+    assert len(exact_calls) == 14
+
+
+def tuple_rank(game, red, blue):
+    """The oracle's former orientation key: budgets first when the game's
+    differ, then each side's (-vertex, count) seed list."""
+    kr, kb = game.budget_red, game.budget_blue
+    return (kr == kb or (red.budget, blue.budget) == (kr, kb),
+            [(-v, c) for v, c in red.seeds], [(-v, c) for v, c in blue.seeds])
+
+
+@st.composite
+def ranked_profiles(draw):
+    """A game's budgets, equal or not, and two profiles whose sides hold
+    either budget; the second is often the first's swap or the first itself."""
+    n = draw(st.integers(1, 5))
+    budgets = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    game = GameSpec(Graph(n=n, edges=()), linear_dyn(), ParallelRounds(1), *budgets)
+
+    def allocation():
+        k = draw(st.sampled_from(budgets))
+        return Allocation.from_seeds(n, draw(st.lists(st.integers(0, n - 1),
+                                                      min_size=k, max_size=k)))
+
+    red = allocation()
+    blue = red if draw(st.booleans()) else allocation()
+    other = draw(st.sampled_from(((blue, red), (red, blue), (allocation(), allocation()))))
+    return game, (red, blue), other
+
+
+@settings(max_examples=200, deadline=None)
+@given(ranked_profiles())
+def test_profiles_rank_as_their_former_tuple_keys(case):
+    game, profile, other = case
+    oracle = PayoffOracle(game)
+    for a, b in ((profile, other), (other, profile), (profile, profile[::-1])):
+        assert oracle._above(*a, *b) == (tuple_rank(game, *a) > tuple_rank(game, *b))
 
 
 def test_oracle_rejects_unknown_methods():
