@@ -38,9 +38,37 @@ def _require_unit(x: float, what: str) -> float:
     return float(x)
 
 
-def _construction_grid() -> list[float]:
+def _check_shape(fn, kind: str) -> None:
+    """Check a switching or selection function on the construction grid: in
+    [0, 1], monotone, and for a selection g(y) + g(1 - y) = 1, at the first
+    failing point in that order; then the endpoints."""
     m = round(1.0 / CONSTRUCTION_GRID_STEP)
-    return [i / m for i in range(m + 1)]
+    grid = np.arange(m + 1) / m
+    v = fn.value_array(grid)
+    bad = [~((-PREDICATE_TOL <= v) & (v <= 1.0 + PREDICATE_TOL)),
+           np.r_[False, v[1:] < v[:-1] - PREDICATE_TOL]]
+    if kind == "selection":
+        # The grid is symmetric: 1 - y is the mirrored grid point, exactly.
+        bad.append(np.abs(v + v[::-1] - 1.0) > PREDICATE_TOL)
+    failing = np.logical_or.reduce(bad)
+    if failing.any():
+        i = int(failing.argmax())
+        x = i / m  # grid[i], as a Python float
+        if bad[0][i]:
+            raise DynamicsDefinitionError(
+                f"{kind} function leaves [0,1]: value {fn.value(x)} at {x}")
+        if bad[1][i]:
+            raise DynamicsDefinitionError(f"{kind} function is decreasing near {x}: "
+                                          f"{fn.value((i - 1) / m)} -> {fn.value(x)}")
+        raise DynamicsDefinitionError(
+            f"selection function breaks the symmetry g(y)+g(1-y)=1 at {x}")
+    at_0, at_1 = abs(v[0]) > PREDICATE_TOL, abs(v[-1] - 1.0) > PREDICATE_TOL
+    if kind == "selection" and (at_0 or at_1):
+        raise DynamicsDefinitionError("selection function must map 0 to 0 and 1 to 1")
+    if at_0:
+        raise DynamicsDefinitionError("switching function must be 0 at 0")
+    if at_1:
+        raise DynamicsDefinitionError("switching function must be 1 at 1")
 
 
 def _values_by_loop(value: Callable[[float], float], x) -> np.ndarray:
@@ -77,20 +105,7 @@ class SwitchingFunction(ABC):
         return self.value(_require_unit(x, "switching-function argument"))
 
     def _validate_shape(self) -> None:
-        prev = None
-        for x in _construction_grid():
-            y = self.value(x)
-            if not (-PREDICATE_TOL <= y <= 1.0 + PREDICATE_TOL):
-                raise DynamicsDefinitionError(
-                    f"switching function leaves [0,1]: value {y} at {x}")
-            if prev is not None and y < prev - PREDICATE_TOL:
-                raise DynamicsDefinitionError(
-                    f"switching function is decreasing near {x}: {prev} -> {y}")
-            prev = y
-        if abs(self.value(0.0)) > PREDICATE_TOL:
-            raise DynamicsDefinitionError("switching function must be 0 at 0")
-        if abs(self.value(1.0) - 1.0) > PREDICATE_TOL:
-            raise DynamicsDefinitionError("switching function must be 1 at 1")
+        _check_shape(self, "switching")
 
 
 @dataclass(frozen=True)
@@ -256,22 +271,7 @@ class SelectionFunction(ABC):
         return self.value(_require_unit(y, "selection-function argument"))
 
     def _validate_shape(self) -> None:
-        prev = None
-        for y in _construction_grid():
-            v = self.value(y)
-            if not (-PREDICATE_TOL <= v <= 1.0 + PREDICATE_TOL):
-                raise DynamicsDefinitionError(
-                    f"selection function leaves [0,1]: value {v} at {y}")
-            if prev is not None and v < prev - PREDICATE_TOL:
-                raise DynamicsDefinitionError(
-                    f"selection function is decreasing near {y}: {prev} -> {v}")
-            mirror = self.value(1.0 - y)
-            if abs(v + mirror - 1.0) > PREDICATE_TOL:
-                raise DynamicsDefinitionError(
-                    f"selection function breaks the symmetry g(y)+g(1-y)=1 at {y}")
-            prev = v
-        if abs(self.value(0.0)) > PREDICATE_TOL or abs(self.value(1.0) - 1.0) > PREDICATE_TOL:
-            raise DynamicsDefinitionError("selection function must map 0 to 0 and 1 to 1")
+        _check_shape(self, "selection")
 
 
 @dataclass(frozen=True)
@@ -826,7 +826,9 @@ class ParallelRounds(UpdateSchedule):
 
     Stops after `max_rounds` rounds, or as soon as a round changes nothing.
     With `immunity`, a candidate that fails its update leaves candidacy for
-    good.
+    good.  Stopping on a quiet round makes the expected total non-monotone
+    in the seeds: adding a seed can lower it, as a quiet round may then come
+    earlier.
     """
 
     max_rounds: int

@@ -115,21 +115,20 @@ def _swapped(est: PayoffEstimate) -> PayoffEstimate:
 class PayoffOracle:
     """Evaluates and caches pure-profile payoffs.
 
-    The dynamics treat the two colors identically, so swapping the players'
-    allocations swaps their payoffs; the cache exploits that to halve the work
-    (`use_symmetry`), computing a profile and its swap once, in the
-    orientation that ranks above the other (`_above`), whichever of the two
-    comes first.  Monte Carlo evaluations derive their seed from the
-    profile's contents.  So results are independent of evaluation order, and
-    of whether `fill` estimates them together or `evaluate` one by one.
+    Each profile takes the payoffs of one key (`_key`), maybe swapped, and
+    each key is computed once.  The dynamics treat the two colors
+    identically, so with `use_symmetry` a profile and its swap share the key
+    that ranks higher (`_above`).  An exact oracle also keys on twin classes
+    (`twin_classes`, found on its first evaluation, with the game's
+    `engine._Enumerator`): profiles that differ only by permuting twins have
+    equal payoffs and share their class representative (`_representative`).
+    Monte Carlo keys and seeds, and `payoff_fn` oracles, ignore twins; a
+    Monte Carlo key's seed derives from its contents.  So results are
+    independent of evaluation order, and of whether `fill` estimates them
+    together or `evaluate` one by one.
 
-    Exact evaluations are keyed on twin classes (`twin_classes`, found on the
-    first exact evaluation, with the game's `engine._Enumerator`): profiles
-    that differ only by permuting twins have equal payoffs, so each such
-    class is computed once, by the enumerator on its representative
-    (`_representative`), and every member gets that estimate.  On a graph
-    without twins the key is the profile itself.  Monte Carlo keys and
-    seeds, and `payoff_fn` oracles, ignore twins.
+    The exhaustive searches read one table per oracle (`_table`), filled on
+    first use, so searches on one oracle evaluate each profile once.
     """
 
     def __init__(self, game: GameSpec, method: str = EXACT_ENUMERATION,
@@ -154,6 +153,7 @@ class PayoffOracle:
         self._class_of: Optional[dict[int, int]] = None
         self._members: list[tuple[int, ...]] = []
         self._enumerator: Optional[_Enumerator] = None
+        self._pure: Optional[tuple] = None  # `_table`'s, once filled
 
     @property
     def statistical(self) -> bool:
@@ -222,67 +222,59 @@ class PayoffOracle:
                                 n_trials=self.n_trials,
                                 master_seed=self._profile_seed(red, blue), threads=self.threads)
 
-    def _payoffs(self, red: Allocation, blue: Allocation) -> PayoffEstimate:
-        """The payoffs of a profile that, with `use_symmetry`, ranks at or
-        above its swap (`_above`).  An exact oracle on a graph with twins
-        takes those of its class representative or, with `use_symmetry`, the
-        swap of those of its swap's class representative when that one ranks
-        higher; it caches each representative's."""
+    def _key(self, red: Allocation, blue: Allocation
+             ) -> tuple[tuple[Allocation, Allocation], bool]:
+        """The profile whose payoffs (red, blue) takes, and whether it takes
+        them swapped.  With `use_symmetry`, a profile ranked below its swap
+        (`_above`) turns into the swap.  An exact oracle on a graph with twins
+        then takes that profile's class representative or, with
+        `use_symmetry`, its swap's when that one ranks higher."""
+        swapped = self.use_symmetry and self._above(blue, red, red, blue)
+        if swapped:
+            red, blue = blue, red
         if self._class_of is None and self._payoff_fn is None and self.method == EXACT_ENUMERATION:
             self._members = twin_classes(self.game.graph, self.game.schedule)
             self._enumerator = _Enumerator(self.game, self.node_cap)
             self._class_of = {v: c for c, members in enumerate(self._members) for v in members}
         if not self._members:
-            return self._compute(red, blue)
-        # A representative's entry, made as a profile or not, is its class's.
+            return (red, blue), swapped
+        # A memoised representative, key or profile, holds its class's payoffs.
         rep = self._representative(red, blue)
-        est = self._cache.get(rep)
-        if est is not None:
-            return est
+        if rep in self._cache:
+            return rep, swapped
         other = self._representative(blue, red)
-        flip = self.use_symmetry and self._above(*other, *rep)
-        rep = other if flip else rep
-        est = self._cache.get(rep)
-        if est is None:
-            est = self._cache[rep] = self._compute(*rep)
-        return _swapped(est) if flip else est
+        if self.use_symmetry and self._above(*other, *rep):
+            return other, not swapped
+        return rep, swapped
 
     def evaluate(self, red: Allocation, blue: Allocation) -> PayoffEstimate:
-        """The payoffs of (red, blue).  With `use_symmetry`, a profile ranked
-        below its swap (`_above`) takes the swap of the swap's payoffs."""
-        key = (red, blue)
-        est = self._cache.get(key)
+        """The payoffs of (red, blue): the memoised ones, the swap of its
+        swap's (with `use_symmetry`), or those of its key (`_key`), each key
+        computed once."""
+        est = self._cache.get((red, blue))
         if est is not None:
             return est
-        if self.use_symmetry:
-            swap = self._cache.get((blue, red))
-            if swap is None and self._above(blue, red, red, blue):
-                swap = self._cache[blue, red] = self._payoffs(blue, red)
-            if swap is not None:
-                est = _swapped(swap)
-        if est is None:
-            est = self._payoffs(red, blue)
-        self._cache[key] = est
+        swap = self._cache.get((blue, red)) if self.use_symmetry else None
+        if swap is not None:
+            est = _swapped(swap)
+        else:
+            key, swapped = self._key(red, blue)
+            if key not in self._cache:
+                self._cache[key] = self._compute(*key)
+            est = _swapped(self._cache[key]) if swapped else self._cache[key]
+        self._cache[red, blue] = est
         return est
 
     def fill(self, profiles: Iterable[tuple[Allocation, Allocation]]) -> list[PayoffEstimate]:
         """`evaluate` of each (red, blue) profile, in order.
 
-        A Monte Carlo oracle first estimates every profile that `evaluate`
-        would compute, in one `sample_many` call: those neither cached nor
-        (with `use_symmetry`) the swap of a cached or earlier one, each in the
-        orientation `evaluate` computes (`_above`).  Each keeps the stream of its
+        A Monte Carlo oracle first estimates the keys (`_key`) of those it has
+        not memoised, in one `sample_many` call.  Each keeps the stream of its
         profile seed, so its estimate is the one `evaluate` would make."""
         if self.statistical:
             profiles = list(profiles)
-            todo: dict[tuple[Allocation, Allocation], None] = {}
-            for red, blue in profiles:
-                if (red, blue) in self._cache or (red, blue) in todo:
-                    continue
-                if self.use_symmetry and ((blue, red) in self._cache or (blue, red) in todo):
-                    continue
-                swap = self.use_symmetry and self._above(blue, red, red, blue)
-                todo[(blue, red) if swap else (red, blue)] = None
+            todo = {key: None for key, _ in itertools.starmap(self._key, profiles)
+                    if key not in self._cache}
             if todo:
                 jobs = [(StrategyProfile(red=red, blue=blue), self._profile_seed(red, blue))
                         for red, blue in todo]
@@ -290,6 +282,23 @@ class PayoffOracle:
                                                                self.threads))
                 self._cache.update(zip(todo, estimates))
         return [self.evaluate(red, blue) for red, blue in profiles]
+
+    def _table(self, allocation_cap: int, pair_cap: int
+               ) -> tuple[list[Allocation], list[Allocation], list[PayoffEstimate]]:
+        """The game's pure-profile table: both players' allocations and the
+        payoffs of each (red, blue) pair, row-major, filled once per oracle.
+        Either cap refuses it on every call."""
+        n, kr, kb = self.game.graph.n, self.game.budget_red, self.game.budget_blue
+        sizes = [allocation_count(n, kr), allocation_count(n, kb)]
+        if self._pure is None or max(sizes) > allocation_cap:  # enumeration refuses
+            reds = enumerate_allocations(n, kr, cap=allocation_cap)
+            blues = reds if kb == kr else enumerate_allocations(n, kb, cap=allocation_cap)
+        if sizes[0] * sizes[1] > pair_cap:
+            raise AllocationSpaceCapError(
+                f"{sizes[0]}x{sizes[1]} profile pairs exceed the cap of {pair_cap}")
+        if self._pure is None:
+            self._pure = (reds, blues, self.fill(itertools.product(reds, blues)))
+        return self._pure
 
     def payoffs(self, red: Allocation, blue: Allocation) -> tuple[float, float]:
         est = self.evaluate(red, blue)
@@ -402,39 +411,22 @@ def _resolve_eps(oracle: PayoffOracle, eps: Optional[float]) -> tuple[float, lis
     return (EXACT_EPS if eps is None else eps), caveats
 
 
-def _strategy_spaces(game: GameSpec, allocation_cap: int, pair_cap: int
-                     ) -> tuple[list[Allocation], list[Allocation]]:
-    """Both players' pure allocations, refused beyond either cap."""
-    n = game.graph.n
-    reds = enumerate_allocations(n, game.budget_red, cap=allocation_cap)
-    blues = (reds if game.budget_blue == game.budget_red
-             else enumerate_allocations(n, game.budget_blue, cap=allocation_cap))
-    if len(reds) * len(blues) > pair_cap:
-        raise AllocationSpaceCapError(
-            f"{len(reds)}x{len(blues)} profile pairs exceed the cap of {pair_cap}")
-    return reds, blues
-
-
 def find_pure_nash(game: GameSpec, oracle: Optional[PayoffOracle] = None,
                    eps: Optional[float] = None,
                    allocation_cap: int = DEFAULT_ALLOCATION_CAP,
                    pair_cap: int = DEFAULT_PAIR_CAP) -> NashReport:
-    """All pure (eps-)Nash profiles by exhaustive enumeration."""
+    """All pure (eps-)Nash profiles of the oracle's table: each player is
+    within eps of its best response."""
     oracle = oracle or PayoffOracle(game)
-    reds, blues = _strategy_spaces(game, allocation_cap, pair_cap)
-    estimates = oracle.fill(itertools.product(reds, blues))
+    reds, blues, estimates = oracle._table(allocation_cap, pair_cap)
     pi_r = np.array([est.pi_R for est in estimates]).reshape(len(reds), len(blues))
     pi_b = np.array([est.pi_B for est in estimates]).reshape(len(reds), len(blues))
 
     resolved_eps, caveats = _resolve_eps(oracle, eps)
-    best_red = pi_r.max(axis=0)   # per blue strategy
-    best_blue = pi_b.max(axis=1)  # per red strategy
-    equilibria = []
-    for i, a in enumerate(reds):
-        for j, b in enumerate(blues):
-            if (pi_r[i, j] >= best_red[j] - resolved_eps
-                    and pi_b[i, j] >= best_blue[i] - resolved_eps):
-                equilibria.append((a, b, oracle.evaluate(a, b)))
+    stable = ((pi_r >= pi_r.max(axis=0) - resolved_eps)
+              & (pi_b >= pi_b.max(axis=1, keepdims=True) - resolved_eps))
+    equilibria = [(reds[i], blues[j], estimates[i * len(blues) + j])
+                  for i, j in zip(*np.nonzero(stable))]
     caveats.append("pure strategies only; mixed equilibria are out of scope")
     return NashReport(
         equilibria=tuple(equilibria), eps=resolved_eps, method=oracle.method,
@@ -484,15 +476,14 @@ def max_joint_payoff(game: GameSpec, oracle: Optional[PayoffOracle] = None,
     oracle = oracle or PayoffOracle(game)
     n = game.graph.n
     if mode == "exhaustive":
-        reds, blues = _strategy_spaces(game, allocation_cap, pair_cap)
-        best = None
-        best_val = -math.inf
-        for pair, est in zip(itertools.product(reds, blues),
-                             oracle.fill(itertools.product(reds, blues))):
+        reds, blues, estimates = oracle._table(allocation_cap, pair_cap)
+        best, best_val = None, -math.inf
+        for k, est in enumerate(estimates):
             if est.joint > best_val + TIE_EPS:
-                best, best_val = pair, est.joint
+                best, best_val = k, est.joint
         assert best is not None
-        return JointOptimum(red=best[0], blue=best[1], value=best_val, exhaustive=True)
+        return JointOptimum(red=reds[best // len(blues)], blue=blues[best % len(blues)],
+                            value=best_val, exhaustive=True)
 
     if mode != "hill_climb":
         raise ValidationError(f"unknown optimization mode {mode!r}")

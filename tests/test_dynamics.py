@@ -192,6 +192,112 @@ def test_table_selection_interpolates_and_requires_symmetry():
         TableSelection(((0.0, 0.0), (0.3, 0.2), (0.7, 0.9), (1.0, 1.0)))
 
 
+# Shape checks at construction, on the grid of 1,025 points i/1024.
+
+
+class ShapedSwitch(SwitchingFunction):
+    """A hand-built switching function, checked on construction."""
+
+    def __init__(self, f):
+        self.f = f
+        self._validate_shape()
+
+    def value(self, x):
+        return self.f(x)
+
+    def to_json_dict(self):
+        return {}
+
+
+class ShapedSelection(SelectionFunction):
+    """A hand-built selection function, checked on construction."""
+
+    def __init__(self, g):
+        self.g = g
+        self._validate_shape()
+
+    def value(self, y):
+        return self.g(y)
+
+    def to_json_dict(self):
+        return {}
+
+
+@pytest.mark.parametrize("make, fn, message", [
+    (ShapedSwitch, lambda x: 1.5 * x,
+     "switching function leaves [0,1]: value 1.00048828125 at 0.6669921875"),
+    # Out of range and decreasing at one point: the range is reported.
+    (ShapedSwitch, lambda x: -0.5 if x == 0.5 else x,
+     "switching function leaves [0,1]: value -0.5 at 0.5"),
+    (ShapedSwitch, lambda x: x - 0.25 if x >= 0.5 else x,
+     "switching function is decreasing near 0.5: 0.4990234375 -> 0.25"),
+    (ShapedSwitch, lambda x: 0.5 + 0.5 * x, "switching function must be 0 at 0"),
+    (ShapedSwitch, lambda x: 0.5 * x, "switching function must be 1 at 1"),
+    (ShapedSelection, lambda y: 2.0 * y - 0.5,
+     "selection function leaves [0,1]: value -0.5 at 0.0"),
+    # Decreasing and asymmetric at one point: the decrease is reported.
+    (ShapedSelection, lambda y: 0.2 if 0.25 <= y < 0.375 else y,
+     "selection function is decreasing near 0.25: 0.2490234375 -> 0.2"),
+    (ShapedSelection, lambda y: y * y,
+     "selection function breaks the symmetry g(y)+g(1-y)=1 at 0.0009765625"),
+    (ShapedSelection, lambda y: 0.25 + 0.5 * y,
+     "selection function must map 0 to 0 and 1 to 1"),
+])
+def test_shape_checks_name_the_first_failing_grid_point(make, fn, message):
+    with pytest.raises(DynamicsDefinitionError) as err:
+        make(fn)
+    assert str(err.value) == message
+
+
+def scalar_shape_error(value, kind):
+    """The shape check's message, or None, by the point-by-point loop the
+    array check replaced."""
+    prev = None
+    for i in range(1025):
+        x = i / 1024
+        y = value(x)
+        if not (-PREDICATE_TOL <= y <= 1.0 + PREDICATE_TOL):
+            return f"{kind} function leaves [0,1]: value {y} at {x}"
+        if prev is not None and y < prev - PREDICATE_TOL:
+            return f"{kind} function is decreasing near {x}: {prev} -> {y}"
+        if kind == "selection" and abs(y + value(1.0 - x) - 1.0) > PREDICATE_TOL:
+            return f"selection function breaks the symmetry g(y)+g(1-y)=1 at {x}"
+        prev = y
+    at_0, at_1 = abs(value(0.0)) > PREDICATE_TOL, abs(value(1.0) - 1.0) > PREDICATE_TOL
+    if kind == "selection" and (at_0 or at_1):
+        return "selection function must map 0 to 0 and 1 to 1"
+    if at_0:
+        return "switching function must be 0 at 0"
+    if at_1:
+        return "switching function must be 1 at 1"
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(((ShapedSwitch, "switching"), (ShapedSelection, "selection"))),
+       st.lists(st.sampled_from((-0.25, 0.0, 0.25, 0.5, 0.75, 1.0, 1.25)),
+                min_size=9, max_size=9),
+       st.booleans())
+def test_shape_checks_match_the_scalar_loop(shaped, heights, mirrored):
+    """Piecewise-linear functions through 9 points of random height, often
+    failing several checks at once; mirrored, they are symmetric."""
+    make, kind = shaped
+    if mirrored:
+        heights = heights[:4] + [0.5] + [1.0 - h for h in heights[3::-1]]
+    xs = [k / 8 for k in range(9)]
+
+    def value(x):
+        return float(np.interp(x, xs, heights))
+
+    want = scalar_shape_error(value, kind)
+    if want is None:
+        make(value)
+    else:
+        with pytest.raises(DynamicsDefinitionError) as err:
+            make(value)
+        assert str(err.value) == want
+
+
 # ---------------------------------------------------------------------------
 # Adoption functions.
 # ---------------------------------------------------------------------------

@@ -348,6 +348,35 @@ def test_exact_stochastic_two_hop_chain():
     assert est2.pi_B == pytest.approx(1.5)
 
 
+class ParallelRoundsToTheEnd(ParallelRounds):
+    """Parallel rounds that run all `max_rounds` rounds, even one that
+    changes nothing."""
+
+    stop_on_no_change = False
+
+
+def test_stopping_on_a_quiet_round_can_lower_the_total_when_a_seed_is_added():
+    """A random 8-vertex game, f(x) = sqrt(x), linear selection, red alone.
+    Stopping on a round that changes nothing makes the expected total
+    non-monotone in the seed set: adding seed 6 to {4} lowers it.  Running
+    every round restores monotonicity here."""
+    edges = ((0, 2), (0, 3), (0, 5), (1, 4), (2, 1), (2, 7), (3, 0), (3, 1), (3, 2), (3, 7),
+             (4, 2), (4, 3), (4, 6), (5, 0), (5, 3), (5, 6), (6, 5), (7, 0), (7, 1), (7, 4),
+             (7, 5))
+    dyn = SwitchSelectAdoption(PowerSwitch(0.5), linear_selection())
+    totals = {}
+    for schedule in (ParallelRounds(8), ParallelRoundsToTheEnd(8)):
+        game = GameSpec(Graph(n=8, edges=edges), dyn, schedule, 1, 1)
+        totals[type(schedule)] = [
+            exact_payoffs(game, StrategyProfile(Allocation.from_seeds(8, red),
+                                                Allocation.empty(8))).joint
+            for red in ([4], [4, 6])]
+    assert totals[ParallelRounds] == pytest.approx([7.520214201541579, 7.502009869750845],
+                                                   rel=1e-12)
+    assert totals[ParallelRoundsToTheEnd] == pytest.approx(
+        [7.999990540048848, 7.999998023255252], rel=1e-12)
+
+
 def test_exact_handles_mixed_profiles():
     g = Graph(n=2, edges=())
     game = GameSpec(g, linear_dyn(), ParallelRounds(1), 1, 1)

@@ -336,6 +336,32 @@ def test_profiles_rank_as_their_former_tuple_keys(case):
         assert oracle._above(*a, *b) == (tuple_rank(game, *a) > tuple_rank(game, *b))
 
 
+@pytest.mark.parametrize("method", ["exact-enumeration", "monte-carlo"])
+def test_searches_on_one_oracle_evaluate_each_profile_once(method, monkeypatch):
+    """The oracle's table serves every exhaustive search: the first search
+    fills it with one `evaluate` per profile, and the searches after it on
+    the same oracle evaluate nothing."""
+    calls = []
+    evaluate = PayoffOracle.evaluate
+
+    def counting(self, red, blue):
+        calls.append((red, blue))
+        return evaluate(self, red, blue)
+
+    monkeypatch.setattr(PayoffOracle, "evaluate", counting)
+    graph = Graph(n=5, edges=((0, 1), (0, 2), (3, 1), (3, 2), (1, 4)))
+    game = GameSpec(graph, linear_dyn(), ParallelRounds(2), 1, 2)
+    oracle = PayoffOracle(game, method=method, n_trials=20)
+    nash = find_pure_nash(game, oracle)
+    assert calls == pure_pairs(game)
+    calls.clear()
+    price_of_anarchy(game, oracle, nash=nash)
+    price_of_anarchy(game, oracle)
+    budget_multiplier(game, oracle, nash=nash)
+    max_joint_payoff(game, oracle)
+    assert calls == []
+
+
 def test_oracle_rejects_unknown_methods():
     with pytest.raises(ValidationError, match="unknown oracle method"):
         PayoffOracle(two_hub_game(), method="guesswork")
@@ -455,6 +481,17 @@ def test_find_pure_nash_respects_caps():
         find_pure_nash(game, pair_cap=10)
     with pytest.raises(AllocationSpaceCapError, match="allocations"):
         find_pure_nash(game, allocation_cap=5)
+
+
+def test_caps_refuse_searches_on_an_oracle_with_a_filled_table():
+    game = two_hub_game()
+    oracle = PayoffOracle(game)
+    find_pure_nash(game, oracle)
+    with pytest.raises(AllocationSpaceCapError, match="13x13 profile pairs"):
+        max_joint_payoff(game, oracle, pair_cap=10)
+    with pytest.raises(AllocationSpaceCapError, match="13 allocations"):
+        find_pure_nash(game, oracle, allocation_cap=5)
+    assert price_of_anarchy(game, oracle).max_joint == 13.0
 
 
 def test_monte_carlo_search_floors_eps_at_six_standard_errors():
