@@ -48,12 +48,11 @@ from .equilibrium import (
 )
 from .coupling import MODE_ALIASES, couple_test
 from .gadgets import GadgetSpec, build_gadget, verify_gadget
+from .layered import DEFAULT_GRAPH_EDGE_CAP
 
 VERBS = ("simulate", "payoff", "nash", "poa", "bm", "gadget", "couple-test")
 
 ORACLE_NAMES = {"exact": EXACT_ENUMERATION, "mc": MONTE_CARLO, "monte_carlo": MONTE_CARLO}
-
-DEFAULT_GRAPH_EDGE_CAP = 5_000_000
 
 
 # ---------------------------------------------------------------------------

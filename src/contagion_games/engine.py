@@ -850,32 +850,26 @@ def estimate_payoffs(game: GameSpec, profile: StrategyProfile, n_trials: int = D
 # ---------------------------------------------------------------------------
 
 
-class _NodeBudget:
-    __slots__ = ("remaining",)
-
-    def __init__(self, cap: int):
-        self.remaining = cap
-
-    def spend(self, k: int = 1):
-        self.remaining -= k
-        if self.remaining < 0:
-            raise StateSpaceCapError(
-                "exact enumeration exceeded the configured state-space cap; "
-                "fall back to Monte Carlo (estimate_payoffs)")
+def _over_cap() -> StateSpaceCapError:
+    return StateSpaceCapError("exact enumeration exceeded the configured state-space cap; "
+                              "fall back to Monte Carlo (estimate_payoffs)")
 
 
-def _combinations(weight: float, choices, budget: _NodeBudget) -> list[tuple[float, tuple]]:
+def _combinations(weight: float, choices, nodes: int) -> tuple[list[tuple[float, tuple]], int]:
     """Every way to pick one outcome from each of the independent `choices`,
     each a sequence of (probability, outcome) pairs, in lexicographic order of
-    the picks.  A combination's weight is `weight` times its outcomes'
-    probabilities, multiplied in pick order; outcomes of probability 0 are
-    skipped.  Spends one node per partial combination of one or more picks."""
+    the picks, and the node count left.  A combination's weight is `weight`
+    times its outcomes' probabilities, multiplied in pick order; outcomes of
+    probability 0 are skipped.  Spends one of `nodes` per partial combination
+    of one or more picks, and raises StateSpaceCapError when they run out."""
     combos = [(weight, ())]
     for options in choices:
         options = [(p, outcome) for p, outcome in options if p > 0.0]
-        budget.spend(len(combos) * len(options))
+        nodes -= len(combos) * len(options)
+        if nodes < 0:
+            raise _over_cap()
         combos = [(w * p, picked + (outcome,)) for w, picked in combos for p, outcome in options]
-    return combos
+    return combos, nodes
 
 
 def _adopt(state: list[int], picked, cr: int, cb: int) -> tuple[list[int], int, int]:
@@ -950,7 +944,7 @@ class _Enumerator:
         self.update_probs: dict[tuple[float, float], tuple[float, float, float]] = {}
 
     def payoffs(self, profile: StrategyProfile) -> PayoffEstimate:
-        budget = _NodeBudget(self.node_cap)
+        nodes = self.node_cap  # tree nodes left, counted down at every expansion
         graph, dyn, schedule = self.game.graph, self.game.dynamics, self.game.schedule
         in_neighbors = graph.in_neighbors
         plan, later, update_probs = self.plan, self.later, self.update_probs
@@ -979,10 +973,13 @@ class _Enumerator:
                 else:
                     contests.append(((p_red, (v, RED)), (1.0 - p_red, (v, BLUE))))
             stack = []
-            for w, picked in _combinations(1.0, contests, budget):
+            combos, nodes = _combinations(1.0, contests, nodes)
+            for w, picked in combos:
                 state, cr, cb = _adopt(base, picked, len(red_only), len(blue_only))
                 stack.append((w, state, (False,) * n, schedule.initial_cursor(), cr, cb, mr0, mb0))
-            budget.spend(len(stack))
+            nodes -= len(stack)
+            if nodes < 0:
+                raise _over_cap()
 
             total_r = total_b = 0.0
             while stack:
@@ -998,7 +995,9 @@ class _Enumerator:
                     total_b += w * (cb + mb)
                     continue
                 for opt_prob, phase, nxt in options:
-                    budget.spend()
+                    nodes -= 1
+                    if nodes < 0:
+                        raise _over_cap()
                     final_round = is_parallel and nxt >= schedule.max_rounds
                     mr2, mb2 = mr, mb
                     choices = []
@@ -1034,7 +1033,8 @@ class _Enumerator:
                             choices.append(((pr, (v, RED)), (pb, (v, BLUE)),
                                             (pu, (v, UNINFECTED))))
                     may_stop = schedule.stop_on_no_change and (choices or sure_failures)
-                    for w2, picked in _combinations(w * opt_prob, choices, budget):
+                    combos, nodes = _combinations(w * opt_prob, choices, nodes)
+                    for w2, picked in combos:
                         new_state, cr2, cb2 = _adopt(state, picked, cr, cb)
                         if may_stop and new_state is state:
                             stack.append((w2, state, immune, None, cr, cb, mr2, mb2))
@@ -1045,7 +1045,9 @@ class _Enumerator:
                                                               if c == UNINFECTED)
                             new_immune = tuple(im or v in failed for v, im in enumerate(immune))
                         stack.append((w2, new_state, new_immune, nxt, cr2, cb2, mr2, mb2))
-                        budget.spend()
+                        nodes -= 1
+                        if nodes < 0:
+                            raise _over_cap()
             er += p * total_r
             eb += p * total_b
         return PayoffEstimate(pi_R=er, pi_B=eb, method=EXACT_ENUMERATION,

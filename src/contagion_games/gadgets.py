@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .graphs import Graph
+from .graphs import BLUE, RED, UNINFECTED, Graph
 from .dynamics import (
     AdoptionFunction,
     LayerOrder,
@@ -38,6 +38,7 @@ from .engine import (
     PayoffEstimate,
     StrategyProfile,
     _is_integer,
+    _ProbTable,
     split_seeds,
 )
 from .equilibrium import (
@@ -47,7 +48,7 @@ from .equilibrium import (
     _seed_pairs,
     verify_profile_deviations,
 )
-from .layered import LayeredStructure, layered_exact_payoffs
+from .layered import DEFAULT_GRAPH_EDGE_CAP, LayeredStructure, layered_exact_payoffs
 
 MAX_CONTESTED_BRANCHES = 20
 
@@ -143,6 +144,17 @@ class ProfileCase:
         }
 
 
+def _side(n: int, seeds: Sequence[int], moves=(), wholes=()
+          ) -> tuple[Allocation, tuple[tuple[str, Allocation], ...]]:
+    """One player's allocation, seeds on `seeds`, and its labelled deviations
+    in order: each `(label, vertex)` of `moves` relocates the seed on
+    `seeds[0]` to `vertex`, and each `(label, vertices)` of `wholes` seeds
+    `vertices` instead."""
+    alloc = Allocation.from_seeds(n, seeds)
+    return alloc, (tuple((label, alloc.move_seed(seeds[0], v)) for label, v in moves)
+                   + tuple((label, Allocation.from_seeds(n, vs)) for label, vs in wholes))
+
+
 # ---------------------------------------------------------------------------
 # Replicated-chain layout and its exact evaluator.
 # ---------------------------------------------------------------------------
@@ -206,7 +218,7 @@ class ChainLayout:
             return None
         return (v - self.n_inputs) // self.block_size
 
-    def build_graph(self, max_edges: int = 5_000_000) -> Graph:
+    def build_graph(self, max_edges: int = DEFAULT_GRAPH_EDGE_CAP) -> Graph:
         if self.n_edges > max_edges:
             raise ValidationError(
                 f"materializing {self.n_edges} edges exceeds the cap of {max_edges}")
@@ -241,14 +253,14 @@ def _pair_probs(dyn: AdoptionFunction, n_red: int, n_blue: int) -> tuple[float, 
 
 
 def _chain_forward(layout: ChainLayout, dyn: AdoptionFunction,
-                   colors: dict[int, str]) -> tuple[float, float, tuple[float, float, float]]:
+                   colors: dict[int, int]) -> tuple[float, float, tuple[float, float, float]]:
     """Expected (red, blue) totals given fixed seed colors, plus the final
     chain vertex's (uninfected, red, blue) distribution in block 0."""
-    er = sum(1.0 for c in colors.values() if c == "R")
-    eb = sum(1.0 for c in colors.values() if c == "B")
+    er = sum(1.0 for c in colors.values() if c == RED)
+    eb = sum(1.0 for c in colors.values() if c == BLUE)
     first_dist: tuple[float, float, float] = (1.0, 0.0, 0.0)
     # Group non-input seeds by block so identical blocks are computed once.
-    block_overrides: dict[int, dict[int, str]] = {}
+    block_overrides: dict[int, dict[int, int]] = {}
     for v, c in colors.items():
         j = layout.owner_block(v)
         if j is not None:
@@ -270,52 +282,49 @@ def _chain_forward(layout: ChainLayout, dyn: AdoptionFunction,
 
 
 def _block_expectation(layout: ChainLayout, dyn: AdoptionFunction,
-                       colors: dict[int, str], j: int,
-                       overrides: dict[int, str]):
+                       colors: dict[int, int], j: int,
+                       overrides: dict[int, int]):
     """Expected unseeded (red, blue) totals of one block and the final chain
     vertex's state distribution."""
     er = eb = 0.0
-    # Chain state distribution (pU, pR, pB), advanced one depth at a time.
-    dist = (1.0, 0.0, 0.0)
+    # (pU, pR, pB) of the in-neighbour a chain vertex reads besides its own
+    # input: input 0 at depth 1, then the chain vertex one depth up.
+    dist = [0.0, 0.0, 0.0]
+    dist[colors.get(0, UNINFECTED)] = 1.0
     for depth in range(1, layout.chain_len + 1):
         v = layout.chain_vertex(j, depth)
         forced = overrides.get(v)
         if forced is not None:
-            dist = (0.0, 1.0, 0.0) if forced == "R" else (0.0, 0.0, 1.0)
+            dist = [0.0, 0.0, 0.0]
+            dist[forced] = 1.0
             continue
-        if depth == 1:
-            ins = (colors.get(0), colors.get(1))
-            pr, pb = _pair_probs(dyn, ins.count("R"), ins.count("B"))
-        else:
-            input_color = colors.get(depth)
-            base_red = 1 if input_color == "R" else 0
-            base_blue = 1 if input_color == "B" else 0
-            pr = pb = 0.0
-            for state, weight in zip(("U", "R", "B"), dist):
-                if weight == 0.0:
-                    continue
-                wr, wb = _pair_probs(dyn, base_red + (state == "R"),
-                                     base_blue + (state == "B"))
-                pr += weight * wr
-                pb += weight * wb
+        input_color = colors.get(depth, UNINFECTED)
+        pr = pb = 0.0
+        for state, weight in enumerate(dist):
+            if weight == 0.0:
+                continue
+            wr, wb = _pair_probs(dyn, (input_color == RED) + (state == RED),
+                                 (input_color == BLUE) + (state == BLUE))
+            pr += weight * wr
+            pb += weight * wb
         er += pr
         eb += pb
-        dist = (1.0 - pr - pb, pr, pb)
+        dist = [1.0 - pr - pb, pr, pb]
     start, size = layout.terminal_range(j)
     seeded_here = sum(1 for v in overrides if v >= start)
     unseeded = size - seeded_here
     if unseeded > 0:
         solo_red_r, solo_red_b = dyn.update_probs(1.0, 0.0)[:2]
         solo_blue_r, solo_blue_b = dyn.update_probs(0.0, 1.0)[:2]
-        er += unseeded * (dist[1] * solo_red_r + dist[2] * solo_blue_r)
-        eb += unseeded * (dist[1] * solo_red_b + dist[2] * solo_blue_b)
-    return er, eb, dist
+        er += unseeded * (dist[RED] * solo_red_r + dist[BLUE] * solo_blue_r)
+        eb += unseeded * (dist[RED] * solo_red_b + dist[BLUE] * solo_blue_b)
+    return er, eb, tuple(dist)
 
 
 def _chain_profile_expectation(layout: ChainLayout, dyn: AdoptionFunction,
                                red: Allocation, blue: Allocation):
     red_only, blue_only, contested = split_seeds(red, blue)
-    colors = dict.fromkeys(red_only, "R") | dict.fromkeys(blue_only, "B")
+    colors = dict.fromkeys(red_only, RED) | dict.fromkeys(blue_only, BLUE)
     if len(contested) > MAX_CONTESTED_BRANCHES:
         raise ValidationError(
             f"{len(contested)} contested seeds exceed the branching cap of "
@@ -327,10 +336,10 @@ def _chain_profile_expectation(layout: ChainLayout, dyn: AdoptionFunction,
         branch = dict(colors)
         for i, (v, p_red) in enumerate(contested):
             if mask >> i & 1:
-                branch[v] = "R"
+                branch[v] = RED
                 weight *= p_red
             else:
-                branch[v] = "B"
+                branch[v] = BLUE
                 weight *= 1.0 - p_red
         if weight == 0.0:
             continue
@@ -377,63 +386,40 @@ def sample_chain_block(layout: ChainLayout, dyn: AdoptionFunction,
     """Monte Carlo draws of one block's (chain+terminal) color counts.
 
     Supports profiles whose seeds all sit on the shared inputs; returns
-    integer arrays (red_counts, blue_counts) of length n_runs.
+    integer arrays (red_counts, blue_counts) of length n_runs.  Every chain
+    vertex has in-degree 2, so one `engine._ProbTable` row gives each run's
+    (P[Red], P[Red or Blue]) at a depth in one lookup.
     """
     if any(v >= layout.n_inputs for v, _ in red.seeds + blue.seeds):
         raise ValidationError("the block sampler supports seeds on shared inputs only")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=master_seed,
                                                        spawn_key=(block,)))
-    state = np.zeros(n_runs, dtype=np.int8)  # 0=U, 1=R, 2=B
     red_only, blue_only, contested = split_seeds(red, blue)
     contest_draws = {v: rng.random(n_runs) < p_red for v, p_red in contested}
     red_count = np.zeros(n_runs, dtype=np.int64)
     blue_count = np.zeros(n_runs, dtype=np.int64)
 
-    def input_counts(v: int):
+    def input_state(v: int) -> np.ndarray:
         if v in contest_draws:
-            win = contest_draws[v]
-            return win.astype(np.int8), (~win).astype(np.int8)
-        return (np.full(n_runs, v in red_only, dtype=np.int8),
-                np.full(n_runs, v in blue_only, dtype=np.int8))
+            return np.where(contest_draws[v], RED, BLUE)
+        return np.full(n_runs, RED if v in red_only else BLUE if v in blue_only else UNINFECTED)
 
-    prob_table = {}
-
-    def probs_for(n_red: int, n_blue: int):
-        key = (n_red, n_blue)
-        if key not in prob_table:
-            prob_table[key] = _pair_probs(dyn, n_red, n_blue)
-        return prob_table[key]
-
+    table = _ProbTable(dyn, np.array([2]))
+    row = np.zeros(n_runs, dtype=np.intp)
+    # The chain vertex at depth d reads input d and the vertex before it,
+    # input 0 at depth 1.
+    state = input_state(0)
     for depth in range(1, layout.chain_len + 1):
-        if depth == 1:
-            r0, b0 = input_counts(0)
-            r1, b1 = input_counts(1)
-            n_red_arr = r0 + r1
-            n_blue_arr = b0 + b1
-        else:
-            ri, bi = input_counts(depth)
-            n_red_arr = ri + (state == 1)
-            n_blue_arr = bi + (state == 2)
+        ins = input_state(depth)
+        n_red = (ins == RED).astype(np.intp) + (state == RED)
+        n_blue = (ins == BLUE).astype(np.intp) + (state == BLUE)
+        p_red, p_any = table.lookup(row, n_red, n_blue)
         z = rng.random(n_runs)
-        new_state = np.zeros(n_runs, dtype=np.int8)
-        for nr in range(3):
-            for nb in range(3 - nr):
-                mask = (n_red_arr == nr) & (n_blue_arr == nb)
-                if not mask.any():
-                    continue
-                pr, pb = probs_for(nr, nb)
-                zm = z[mask]
-                sm = np.zeros(zm.shape, dtype=np.int8)
-                sm[zm < pr] = 1
-                sm[(zm >= pr) & (zm < pr + pb)] = 2
-                new_state[mask] = sm
-        state = new_state
-        red_count += state == 1
-        blue_count += state == 2
-    solo_red = _pair_probs(dyn, 2, 0)
-    solo_blue = _pair_probs(dyn, 0, 2)
-    for color_state, (pr, pb) in ((1, solo_red), (2, solo_blue)):
-        mask = state == color_state
+        state = np.where(z < p_red, RED, np.where(z < p_any, BLUE, UNINFECTED))
+        red_count += state == RED
+        blue_count += state == BLUE
+    for color, (pr, pb) in ((RED, _pair_probs(dyn, 2, 0)), (BLUE, _pair_probs(dyn, 0, 2))):
+        mask = state == color
         if not mask.any():
             continue
         m = int(mask.sum())
@@ -454,7 +440,15 @@ def sample_chain_block(layout: ChainLayout, dyn: AdoptionFunction,
 class GadgetSpec:
     """A generated benchmark instance: a layered structure or a chain layout,
     dynamics, budgets, named profiles with deviation sets, and predictions.
-    The size, schedule, graph and exact payoffs follow from the layout."""
+    The size, schedule, graph and exact payoffs follow from the layout.
+
+    Builders state each player of a profile once, through `_side`: its seeds,
+    then its labelled deviations in order, relocations of the seed on its
+    first listed vertex before whole allocations.  `verify_gadget` calls
+    `extra_measure(spec, fn, measured)`, when set, after every profile is
+    checked: `fn` is the payoff function the verification uses and
+    `measured` the measurements made so far, which it reads and does not
+    change; the entries it returns are added to them."""
 
     kind: str
     params: dict
@@ -468,7 +462,7 @@ class GadgetSpec:
     notes: tuple[str, ...] = ()
     structure: Optional[LayeredStructure] = None
     chain: Optional[ChainLayout] = None
-    extra_measure: Optional[Callable[["GadgetSpec", Callable], dict]] = None
+    extra_measure: Optional[Callable[["GadgetSpec", Callable, dict], dict]] = None
 
     def __post_init__(self):
         if (self.structure is None) == (self.chain is None):
@@ -502,10 +496,10 @@ class GadgetSpec:
             return partial(chain_exact_payoffs, self.chain, self.dynamics)
         return partial(layered_exact_payoffs, self.structure, self.dynamics)
 
-    def build_graph(self, max_edges: int = 5_000_000) -> Graph:
+    def build_graph(self, max_edges: int = DEFAULT_GRAPH_EDGE_CAP) -> Graph:
         return self.layout.build_graph(max_edges=max_edges)
 
-    def game(self, max_edges: int = 5_000_000) -> GameSpec:
+    def game(self, max_edges: int = DEFAULT_GRAPH_EDGE_CAP) -> GameSpec:
         return GameSpec(graph=self.build_graph(max_edges=max_edges),
                         dynamics=self.dynamics, schedule=self.schedule,
                         budget_red=self.budget_red, budget_blue=self.budget_blue)
@@ -636,7 +630,7 @@ def verify_gadget(spec: GadgetSpec, eps: float = EXACT_EPS,
                                       reports["designated"].designated)
         measured["bm_designated"] = math.inf if infinite else value
     if spec.extra_measure is not None:
-        measured.update(spec.extra_measure(spec, fn))
+        measured.update(spec.extra_measure(spec, fn, measured))
     rows = []
     for pred in spec.predictions:
         got = measured.get(pred.key)
@@ -668,8 +662,8 @@ def influencer_components(sizes: Sequence[int], hubs_per_component: int,
     budget_blue = _integer("budget_blue", budget_blue)
     if not sizes:
         raise ValidationError("at least one component size is required")
-    if hubs < 1:
-        raise ValidationError("hubs_per_component must be at least 1")
+    if hubs < 1 or budget_red < 1 or budget_blue < 1:
+        raise ValidationError("hubs_per_component and both budgets must be at least 1")
     for s in sizes:
         if s < hubs:
             raise ValidationError(
@@ -689,29 +683,24 @@ def influencer_components(sizes: Sequence[int], hubs_per_component: int,
     if budget_red + budget_blue > hubs:
         raise ValidationError(
             "designated profile needs budget_red + budget_blue hubs in the largest component")
-    red = Allocation.from_seeds(n, hub_ids[:budget_red])
-    blue = Allocation.from_seeds(n, hub_ids[budget_red:budget_red + budget_blue])
+    followers = sizes[biggest] - hubs
+    first_follower = offsets[biggest] + hubs
 
-    first_follower = offsets[biggest] + hubs if sizes[biggest] > hubs else None
-    red_devs: list[tuple[str, Allocation]] = []
-    blue_devs: list[tuple[str, Allocation]] = []
-    red_home, blue_home = hub_ids[0], hub_ids[budget_red]
-    red_devs.append(("contest_opponent_hub", red.move_seed(red_home, blue_home)))
-    blue_devs.append(("contest_opponent_hub", blue.move_seed(blue_home, red_home)))
-    for c in range(len(sizes)):
-        if c == biggest:
-            continue
-        red_devs.append((f"hub_of_component{c}", red.move_seed(red_home, offsets[c])))
-        blue_devs.append((f"hub_of_component{c}", blue.move_seed(blue_home, offsets[c])))
-    if first_follower is not None:
-        red_devs.append(("follower_same_component", red.move_seed(red_home, first_follower)))
-        blue_devs.append(("follower_same_component", blue.move_seed(blue_home, first_follower)))
-        if budget_blue >= 2 and sizes[biggest] - hubs >= budget_blue:
-            blue_devs.append(("all_seeds_to_followers", Allocation.from_seeds(
-                n, list(range(first_follower, first_follower + budget_blue)))))
-    designated = ProfileCase(label="designated", red=red, blue=blue,
-                             red_deviations=tuple(red_devs),
-                             blue_deviations=tuple(blue_devs))
+    def moves(opponent_home: int) -> list[tuple[str, int]]:
+        out = [("contest_opponent_hub", opponent_home)]
+        out += [(f"hub_of_component{c}", offsets[c]) for c in range(len(sizes)) if c != biggest]
+        if followers:
+            out.append(("follower_same_component", first_follower))
+        return out
+
+    red_seeds, blue_seeds = hub_ids[:budget_red], hub_ids[budget_red:budget_red + budget_blue]
+    red, red_devs = _side(n, red_seeds, moves(blue_seeds[0]))
+    # Blue alone declares moving every seed, when its budget of 2 or more
+    # fits among the followers.
+    blue, blue_devs = _side(n, blue_seeds, moves(red_seeds[0]), wholes=(
+        [("all_seeds_to_followers", range(first_follower, first_follower + budget_blue))]
+        if 2 <= budget_blue <= followers else ()))
+    designated = ProfileCase("designated", red, blue, red_devs, blue_devs)
     predictions = (
         Prediction("edge_count", float(hubs * sum(s - hubs for s in sizes)),
                    "hubs_per_component * sum(size - hubs_per_component)",
@@ -761,48 +750,34 @@ def threshold_two_layer(layer1_size: int, final_small: int, final_large: int,
     classes = {"component1_layer1": (0, m), "component1_layer2": (m, n1),
                "component2_layer1": (c2_base, m), "component2_layer2": (c2_base + m, n2)}
 
+    half = (budget + 1) // 2
+
     def case_for(base: int, other_base: int, other_l2: int, own_l2: int,
                  label: str) -> ProfileCase:
-        red = Allocation.from_seeds(n, list(range(base, base + budget)))
-        blue = Allocation.from_seeds(n, list(range(base + budget, base + 2 * budget)))
-        half = (budget + 1) // 2
-        red_devs = [
-            ("one_seed_to_own_layer2", red.move_seed(base, own_l2)),
-            ("one_seed_to_other_layer1", red.move_seed(base, other_base)),
-            ("one_seed_to_other_layer2", red.move_seed(base, other_l2)),
-            ("contest_opponent_seed", red.move_seed(base, base + budget)),
-            ("all_seeds_to_other_layer1", Allocation.from_seeds(
-                n, list(range(other_base, other_base + budget)))),
-            ("split_across_components", Allocation.from_seeds(
-                n, list(range(base, base + budget - half))
-                + list(range(other_base, other_base + half)))),
-        ]
-        blue_home = base + budget
-        blue_devs = [
-            ("one_seed_to_own_layer2", blue.move_seed(blue_home, own_l2)),
-            ("one_seed_to_other_layer1", blue.move_seed(blue_home, other_base + budget)),
-            ("one_seed_to_other_layer2", blue.move_seed(blue_home, other_l2)),
-            ("contest_opponent_seed", blue.move_seed(blue_home, base)),
-            ("all_seeds_to_other_layer1", Allocation.from_seeds(
-                n, list(range(other_base + budget, other_base + 2 * budget)))),
-            ("split_across_components", Allocation.from_seeds(
-                n, list(range(blue_home, blue_home + budget - half))
-                + list(range(other_base + budget, other_base + budget + half)))),
-        ]
-        return ProfileCase(label=label, red=red, blue=blue,
-                           red_deviations=tuple(red_devs), blue_deviations=tuple(blue_devs))
+        def side(home: int, other_home: int, opponent: int):
+            return _side(n, range(home, home + budget), moves=(
+                ("one_seed_to_own_layer2", own_l2),
+                ("one_seed_to_other_layer1", other_home),
+                ("one_seed_to_other_layer2", other_l2),
+                ("contest_opponent_seed", opponent),
+            ), wholes=(
+                ("all_seeds_to_other_layer1", range(other_home, other_home + budget)),
+                ("split_across_components", [*range(home, home + budget - half),
+                                             *range(other_home, other_home + half)]),
+            ))
+
+        red, red_devs = side(base, other_base, base + budget)
+        blue, blue_devs = side(base + budget, other_base + budget, base)
+        return ProfileCase(label, red, blue, red_devs, blue_devs)
 
     designated = case_for(0, c2_base, c2_base + m, m, "designated")
     best_joint = case_for(c2_base, 0, m, c2_base + m, "best_joint")
     seeds_total = 2 * budget
 
-    def split_layer2(spec: GadgetSpec, fn: Callable) -> dict:
+    def split_layer2(spec: GadgetSpec, fn: Callable, measured: dict) -> dict:
         case = spec.profiles["designated"]
-        half = (budget + 1) // 2
-        split_red = Allocation.from_seeds(n, list(range(0, budget - half))
-                                          + list(range(c2_base, c2_base + half)))
-        est = fn(split_red, case.blue)
-        return {"split_seeds_layer2_infections": est.joint - seeds_total}
+        split_red = dict(case.red_deviations)["split_across_components"]
+        return {"split_seeds_layer2_infections": fn(split_red, case.blue).joint - seeds_total}
 
     predictions = (
         Prediction("worst_nash_joint", float(seeds_total + n1),
@@ -886,39 +861,29 @@ def convexity_amplifier(base_size: int, depth: int, switch_exponent: float,
             classes[f"{comp_name}_layer{d + 1}"] = (start, size)
 
     def case_for(base: int, other: int, label: str) -> ProfileCase:
-        red = Allocation.from_seeds(n, list(range(base, base + k)))
-        blue = Allocation.from_seeds(n, list(range(base + k, base + 2 * k)))
-        red_devs = [
-            ("one_seed_cross_component", red.move_seed(base, other)),
-            ("one_seed_to_own_layer2", red.move_seed(base, base + middles[0])),
-            ("contest_opponent_seed", red.move_seed(base, base + k)),
-        ]
-        blue_devs = [
-            ("one_seed_cross_component", blue.move_seed(base + k, other)),
-            ("one_seed_to_own_layer2", blue.move_seed(base + k, base + middles[0])),
-            ("contest_opponent_seed", blue.move_seed(base + k, base)),
-        ]
-        if k > 1:
-            red_devs.append(("all_seeds_cross_component", Allocation.from_seeds(
-                n, list(range(other, other + k)))))
-            blue_devs.append(("all_seeds_cross_component", Allocation.from_seeds(
-                n, list(range(other + k, other + 2 * k)))))
-        return ProfileCase(label=label, red=red, blue=blue,
-                           red_deviations=tuple(red_devs), blue_deviations=tuple(blue_devs))
+        def side(home: int, opponent: int, other_home: int):
+            return _side(n, range(home, home + k), moves=(
+                ("one_seed_cross_component", other),
+                ("one_seed_to_own_layer2", base + middles[0]),
+                ("contest_opponent_seed", opponent),
+            ), wholes=[("all_seeds_cross_component", range(other_home, other_home + k))]
+                if k > 1 else ())
+
+        red, red_devs = side(base, base + k, other)
+        blue, blue_devs = side(base + k, base, other + k)
+        return ProfileCase(label, red, blue, red_devs, blue_devs)
 
     designated = case_for(0, big_base, "designated")
     best_joint = case_for(big_base, 0, "best_joint")
     alpha = 2 * k / middles[0]
 
-    def final_fraction(spec: GadgetSpec, fn: Callable) -> dict:
+    def final_fraction(spec: GadgetSpec, fn: Callable, measured: dict) -> dict:
         truncated = LayeredStructure((small_sizes[:-1], large_sizes[:-1]))
         red = Allocation.from_seeds(truncated.n, list(range(k)))
         blue = Allocation.from_seeds(truncated.n, list(range(k, 2 * k)))
         part = layered_exact_payoffs(truncated, spec.dynamics, StrategyProfile(red, blue))
-        full = spec.profiles["designated"]
-        whole = fn(full.red, full.blue)
         return {"final_fraction_small_designated":
-                (whole.joint - part.joint) / final_small}
+                (measured["designated_joint"] - part.joint) / final_small}
 
     predictions = (
         Prediction("poa_vs_designated", poa_predicted,
@@ -992,27 +957,21 @@ def polarization_amplifier(stages: int, middle_size: int, big_final_size: int,
         structure = LayeredStructure((deep_sizes, (1, n2)))
         n = structure.n
         hub = sum(deep_sizes)
-        red = Allocation.from_seeds(n, [0, 1, 2])
-        blue = Allocation.from_seeds(n, [hub])
         ranges = structure.layer_ranges()
-        blue_devs = [
-            ("invade_free_first_layer_vertex", Allocation.from_seeds(n, [3])),
-            ("contest_red_seed", Allocation.from_seeds(n, [0])),
-        ]
-        for d in range(1, k + 1):
-            start, _ = ranges[0][d]
-            blue_devs.append((f"seed_deep_layer{d + 1}", Allocation.from_seeds(n, [start])))
-        blue_devs.append(("move_to_own_leaf", Allocation.from_seeds(n, [hub + 1])))
-        red_devs = [
-            ("one_seed_to_deep_layer2", red.move_seed(0, ranges[0][1][0])),
-            ("one_seed_to_final_deep_layer", red.move_seed(0, ranges[0][k][0])),
-            ("one_seed_contest_star_hub", red.move_seed(0, hub)),
-            ("one_seed_to_star_leaf", red.move_seed(0, hub + 1)),
-            ("all_seeds_contest_star_hub", Allocation.from_seeds(n, [hub, hub, hub])),
-        ]
-        case = ProfileCase(label="designated", red=red, blue=blue,
-                           red_deviations=tuple(red_devs), blue_deviations=tuple(blue_devs))
-        return structure, case
+        red, red_devs = _side(n, [0, 1, 2], moves=(
+            ("one_seed_to_deep_layer2", ranges[0][1][0]),
+            ("one_seed_to_final_deep_layer", ranges[0][k][0]),
+            ("one_seed_contest_star_hub", hub),
+            ("one_seed_to_star_leaf", hub + 1),
+        ), wholes=[("all_seeds_contest_star_hub", [hub, hub, hub])])
+        # Blue's one seed is its hub seed: each deviation moves it.
+        blue, blue_devs = _side(n, [hub], moves=[
+            ("invade_free_first_layer_vertex", 3),
+            ("contest_red_seed", 0),
+            *((f"seed_deep_layer{d + 1}", ranges[0][d][0]) for d in range(1, k + 1)),
+            ("move_to_own_leaf", hub + 1),
+        ])
+        return structure, ProfileCase("designated", red, blue, red_devs, blue_devs)
 
     closed_form = polarization_closed_form_small_final(n_big, k, s)
     if small_final_size is None:
@@ -1084,24 +1043,20 @@ def chain_replication(chain_steps: int, replications: int, n_terminal: int,
     layout = ChainLayout(chain_steps, replications, n_terminal, head_seeds)
     dynamics = SwitchSelectAdoption(ThresholdSwitch(0.75), linear_selection())
     n = layout.n
-    blue = Allocation.from_seeds(n, list(range(layout.head_seeds)))
-    red = Allocation.from_seeds(n, list(range(layout.head_seeds, layout.n_inputs)))
     first_terminal = layout.terminal_range(0)[0]
     last_chain = layout.chain_vertex(0, layout.chain_len)
-    blue_devs = (
-        ("head_to_final_chain_vertex", blue.move_seed(0, last_chain)),
-        ("head_to_terminal", blue.move_seed(0, first_terminal)),
-        ("head_to_first_chain_vertex", blue.move_seed(0, layout.chain_vertex(0, 1))),
-        ("contest_red_input", blue.move_seed(0, layout.head_seeds)),
-    )
-    red_home = layout.head_seeds
-    red_devs = (
-        ("one_seed_to_terminal", red.move_seed(red_home, first_terminal)),
-        ("one_seed_to_final_chain_vertex", red.move_seed(red_home, last_chain)),
-        ("contest_blue_head", red.move_seed(red_home, 0)),
-    )
-    designated = ProfileCase(label="designated", red=red, blue=blue,
-                             red_deviations=red_devs, blue_deviations=blue_devs)
+    blue, blue_devs = _side(n, range(layout.head_seeds), moves=(
+        ("head_to_final_chain_vertex", last_chain),
+        ("head_to_terminal", first_terminal),
+        ("head_to_first_chain_vertex", layout.chain_vertex(0, 1)),
+        ("contest_red_input", layout.head_seeds),
+    ))
+    red, red_devs = _side(n, range(layout.head_seeds, layout.n_inputs), moves=(
+        ("one_seed_to_terminal", first_terminal),
+        ("one_seed_to_final_chain_vertex", last_chain),
+        ("contest_blue_head", 0),
+    ))
+    designated = ProfileCase("designated", red, blue, red_devs, blue_devs)
     two_k = 2.0 ** layout.chain_steps
     flags = ()
     if layout.replications <= two_k:
@@ -1112,7 +1067,7 @@ def chain_replication(chain_steps: int, replications: int, n_terminal: int,
         two_k * layout.n_terminal
         / (two_k * layout.head_seeds - 1.0 + layout.n_terminal))
 
-    def measure(spec: GadgetSpec, fn: Callable) -> dict:
+    def measure(spec: GadgetSpec, fn: Callable, measured: dict) -> dict:
         case = spec.profiles["designated"]
         dist = chain_final_vertex_distribution(spec.chain, spec.dynamics,
                                                case.red, case.blue)

@@ -39,6 +39,9 @@ from .graphs import Graph
 
 DEFAULT_PRUNE = 1e-15
 
+# Largest edge list a layered or chain gadget materializes by default.
+DEFAULT_GRAPH_EDGE_CAP = 5_000_000
+
 
 @dataclass(frozen=True)
 class LayeredStructure:
@@ -92,7 +95,7 @@ class LayeredStructure:
                            for comp in ranges if d < len(comp)])
         return LayerOrder.from_runs(phases)
 
-    def build_graph(self, max_edges: int = 5_000_000) -> Graph:
+    def build_graph(self, max_edges: int = DEFAULT_GRAPH_EDGE_CAP) -> Graph:
         """Materialize the explicit edge list (guarded, for modest sizes)."""
         if self.n_edges > max_edges:
             raise ValidationError(

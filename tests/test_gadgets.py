@@ -22,6 +22,7 @@ from contagion_games import (
     SinglePassOrder,
     SwitchSelectAdoption,
     TullockSelection,
+    ThresholdSwitch,
     StateSpaceCapError,
     StrategyProfile,
     ValidationError,
@@ -38,6 +39,7 @@ from contagion_games import (
     polarization_amplifier,
     polarization_closed_form_small_final,
     sample_chain_block,
+    split_seeds,
     threshold_two_layer,
     verify_gadget,
 )
@@ -202,6 +204,207 @@ def test_block_sampler_agrees_with_the_exact_share():
         sample_chain_block(spec.chain, spec.dynamics,
                            case.red.move_seed(1, spec.chain.n_inputs),
                            case.blue, n_runs=10)
+
+
+def reference_chain_block(layout, dyn, red, blue, n_runs, master_seed=0, block=0):
+    """The block sampler as one mask per (red, blue) in-neighbour count pair,
+    each evaluating `update_probs` itself: the reference `sample_chain_block`
+    must match draw for draw."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=master_seed,
+                                                       spawn_key=(block,)))
+    state = np.zeros(n_runs, dtype=np.int8)  # 0=U, 1=R, 2=B
+    red_only, blue_only, contested = split_seeds(red, blue)
+    contest_draws = {v: rng.random(n_runs) < p_red for v, p_red in contested}
+    red_count = np.zeros(n_runs, dtype=np.int64)
+    blue_count = np.zeros(n_runs, dtype=np.int64)
+
+    def input_counts(v):
+        if v in contest_draws:
+            win = contest_draws[v]
+            return win.astype(np.int8), (~win).astype(np.int8)
+        return (np.full(n_runs, v in red_only, dtype=np.int8),
+                np.full(n_runs, v in blue_only, dtype=np.int8))
+
+    def probs(n_red, n_blue):
+        return dyn.update_probs(n_red / 2.0, n_blue / 2.0)[:2]
+
+    for depth in range(1, layout.chain_len + 1):
+        if depth == 1:
+            r0, b0 = input_counts(0)
+            r1, b1 = input_counts(1)
+            n_red_arr, n_blue_arr = r0 + r1, b0 + b1
+        else:
+            ri, bi = input_counts(depth)
+            n_red_arr, n_blue_arr = ri + (state == 1), bi + (state == 2)
+        z = rng.random(n_runs)
+        new_state = np.zeros(n_runs, dtype=np.int8)
+        for nr in range(3):
+            for nb in range(3 - nr):
+                mask = (n_red_arr == nr) & (n_blue_arr == nb)
+                if not mask.any():
+                    continue
+                pr, pb = probs(nr, nb)
+                zm = z[mask]
+                sm = np.zeros(zm.shape, dtype=np.int8)
+                sm[zm < pr] = 1
+                sm[(zm >= pr) & (zm < pr + pb)] = 2
+                new_state[mask] = sm
+        state = new_state
+        red_count += state == 1
+        blue_count += state == 2
+    for color_state, (pr, pb) in ((1, probs(2, 0)), (2, probs(0, 2))):
+        mask = state == color_state
+        if not mask.any():
+            continue
+        m = int(mask.sum())
+        reds = rng.binomial(layout.n_terminal, pr, size=m)
+        others = rng.binomial(layout.n_terminal - reds, pb / (1.0 - pr), size=m) \
+            if pr < 1.0 else np.zeros(m, dtype=np.int64)
+        red_count[mask] += reds
+        blue_count[mask] += others
+    return red_count, blue_count
+
+
+@st.composite
+def chain_block_cases(draw):
+    layout = ChainLayout(draw(st.integers(1, 4)), draw(st.integers(1, 3)),
+                         draw(st.integers(1, 6)), draw(st.integers(1, 3)))
+    counts = st.lists(st.integers(0, 2), min_size=layout.n_inputs, max_size=layout.n_inputs)
+    red = Allocation(draw(counts) + [0] * (layout.n - layout.n_inputs))
+    blue = Allocation(draw(counts) + [0] * (layout.n - layout.n_inputs))
+    dyn = draw(st.sampled_from([
+        SwitchSelectAdoption(ThresholdSwitch(0.75), linear_selection()),
+        SwitchSelectAdoption(PowerSwitch(0.5), TullockSelection(0.75)),
+        SwitchSelectAdoption(PowerSwitch(2.0), TullockSelection(1.5)),
+        SwitchSelectAdoption(PowerSwitch(1.0), linear_selection()),
+    ]))
+    return (layout, dyn, red, blue, draw(st.integers(1, 200)), draw(st.integers(0, 2**32)),
+            draw(st.integers(0, 5)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(chain_block_cases())
+def test_block_sampler_matches_the_per_count_mask_loop(case):
+    layout, dyn, red, blue, n_runs, master_seed, block = case
+    got = sample_chain_block(layout, dyn, red, blue, n_runs, master_seed, block)
+    want = reference_chain_block(layout, dyn, red, blue, n_runs, master_seed, block)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+# ---------------------------------------------------------------------------
+# Declared profiles and deviations.
+# ---------------------------------------------------------------------------
+
+
+# Instances that take every branch of the builders' declarations: budgets
+# above 1, blue's all-seeds move, polarization's per-stage blue moves and
+# several chain head seeds.  Each profile is (red seeds, blue seeds, then
+# every deviation as (player, label, seeds) in declared order).
+DECLARED_CASES = [
+    (lambda: threshold_two_layer(4, 1, 2, 0.5), {
+        "designated": ([(0, 1)], [(1, 1)], [
+            ("red", "one_seed_to_own_layer2", [(4, 1)]),
+            ("red", "one_seed_to_other_layer1", [(5, 1)]),
+            ("red", "one_seed_to_other_layer2", [(9, 1)]),
+            ("red", "contest_opponent_seed", [(1, 1)]),
+            ("red", "all_seeds_to_other_layer1", [(5, 1)]),
+            ("red", "split_across_components", [(5, 1)]),
+            ("blue", "one_seed_to_own_layer2", [(4, 1)]),
+            ("blue", "one_seed_to_other_layer1", [(6, 1)]),
+            ("blue", "one_seed_to_other_layer2", [(9, 1)]),
+            ("blue", "contest_opponent_seed", [(0, 1)]),
+            ("blue", "all_seeds_to_other_layer1", [(6, 1)]),
+            ("blue", "split_across_components", [(6, 1)]),
+        ]),
+        "best_joint": ([(5, 1)], [(6, 1)], [
+            ("red", "one_seed_to_own_layer2", [(9, 1)]),
+            ("red", "one_seed_to_other_layer1", [(0, 1)]),
+            ("red", "one_seed_to_other_layer2", [(4, 1)]),
+            ("red", "contest_opponent_seed", [(6, 1)]),
+            ("red", "all_seeds_to_other_layer1", [(0, 1)]),
+            ("red", "split_across_components", [(0, 1)]),
+            ("blue", "one_seed_to_own_layer2", [(9, 1)]),
+            ("blue", "one_seed_to_other_layer1", [(1, 1)]),
+            ("blue", "one_seed_to_other_layer2", [(4, 1)]),
+            ("blue", "contest_opponent_seed", [(5, 1)]),
+            ("blue", "all_seeds_to_other_layer1", [(1, 1)]),
+            ("blue", "split_across_components", [(1, 1)]),
+        ]),
+    }),
+    (lambda: convexity_amplifier(6, 3, 2.0, 64, budget=2), {
+        "designated": ([(0, 1), (1, 1)], [(2, 1), (3, 1)], [
+            ("red", "one_seed_cross_component", [(1, 1), (106, 1)]),
+            ("red", "one_seed_to_own_layer2", [(1, 1), (6, 1)]),
+            ("red", "contest_opponent_seed", [(1, 1), (2, 1)]),
+            ("red", "all_seeds_cross_component", [(106, 1), (107, 1)]),
+            ("blue", "one_seed_cross_component", [(3, 1), (106, 1)]),
+            ("blue", "one_seed_to_own_layer2", [(3, 1), (6, 1)]),
+            ("blue", "contest_opponent_seed", [(0, 1), (3, 1)]),
+            ("blue", "all_seeds_cross_component", [(108, 1), (109, 1)]),
+        ]),
+        "best_joint": ([(106, 1), (107, 1)], [(108, 1), (109, 1)], [
+            ("red", "one_seed_cross_component", [(0, 1), (107, 1)]),
+            ("red", "one_seed_to_own_layer2", [(107, 1), (112, 1)]),
+            ("red", "contest_opponent_seed", [(107, 1), (108, 1)]),
+            ("red", "all_seeds_cross_component", [(0, 1), (1, 1)]),
+            ("blue", "one_seed_cross_component", [(0, 1), (109, 1)]),
+            ("blue", "one_seed_to_own_layer2", [(109, 1), (112, 1)]),
+            ("blue", "contest_opponent_seed", [(106, 1), (109, 1)]),
+            ("blue", "all_seeds_cross_component", [(2, 1), (3, 1)]),
+        ]),
+    }),
+    (lambda: influencer_components((4, 8, 3), 3, budget_red=1, budget_blue=2), {
+        "designated": ([(4, 1)], [(5, 1), (6, 1)], [
+            ("red", "contest_opponent_hub", [(5, 1)]),
+            ("red", "hub_of_component0", [(0, 1)]),
+            ("red", "hub_of_component2", [(12, 1)]),
+            ("red", "follower_same_component", [(7, 1)]),
+            ("blue", "contest_opponent_hub", [(4, 1), (6, 1)]),
+            ("blue", "hub_of_component0", [(0, 1), (6, 1)]),
+            ("blue", "hub_of_component2", [(6, 1), (12, 1)]),
+            ("blue", "follower_same_component", [(6, 1), (7, 1)]),
+            ("blue", "all_seeds_to_followers", [(7, 1), (8, 1)]),
+        ]),
+    }),
+    (lambda: polarization_amplifier(2, 3, 40, 2.0), {
+        "designated": ([(0, 1), (1, 1), (2, 1)], [(47, 1)], [
+            ("red", "one_seed_to_deep_layer2", [(1, 1), (2, 1), (4, 1)]),
+            ("red", "one_seed_to_final_deep_layer", [(1, 1), (2, 1), (7, 1)]),
+            ("red", "one_seed_contest_star_hub", [(1, 1), (2, 1), (47, 1)]),
+            ("red", "one_seed_to_star_leaf", [(1, 1), (2, 1), (48, 1)]),
+            ("red", "all_seeds_contest_star_hub", [(47, 3)]),
+            ("blue", "invade_free_first_layer_vertex", [(3, 1)]),
+            ("blue", "contest_red_seed", [(0, 1)]),
+            ("blue", "seed_deep_layer2", [(4, 1)]),
+            ("blue", "seed_deep_layer3", [(7, 1)]),
+            ("blue", "move_to_own_leaf", [(48, 1)]),
+        ]),
+    }),
+    (lambda: chain_replication(3, 5, 20, head_seeds=2), {
+        "designated": ([(2, 1), (3, 1), (4, 1)], [(0, 1), (1, 1)], [
+            ("red", "one_seed_to_terminal", [(3, 1), (4, 1), (9, 1)]),
+            ("red", "one_seed_to_final_chain_vertex", [(3, 1), (4, 1), (8, 1)]),
+            ("red", "contest_blue_head", [(0, 1), (3, 1), (4, 1)]),
+            ("blue", "head_to_final_chain_vertex", [(1, 1), (8, 1)]),
+            ("blue", "head_to_terminal", [(1, 1), (9, 1)]),
+            ("blue", "head_to_first_chain_vertex", [(1, 1), (5, 1)]),
+            ("blue", "contest_red_input", [(1, 1), (2, 1)]),
+        ]),
+    }),
+]
+
+
+@pytest.mark.parametrize("make, expected", DECLARED_CASES, ids=[
+    "threshold", "convexity", "influencer", "polarization", "chain"])
+def test_builders_declare_each_profile_and_deviation_in_order(make, expected):
+    pairs = lambda alloc: [tuple(p) for p in alloc.seeds]
+    declared = {
+        label: (pairs(case.red), pairs(case.blue),
+                [("red", lab, pairs(a)) for lab, a in case.red_deviations]
+                + [("blue", lab, pairs(a)) for lab, a in case.blue_deviations])
+        for label, case in make().profiles.items()}
+    assert declared == expected
 
 
 # ---------------------------------------------------------------------------
