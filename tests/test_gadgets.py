@@ -557,6 +557,9 @@ def test_influencer_validation():
         influencer_components((), 2)
     with pytest.raises(ValidationError, match="hubs in the largest component"):
         influencer_components((10, 100), 2, budget_red=2, budget_blue=1)
+    for red, blue in ((0, 1), (1, 0), (-1, 2)):
+        with pytest.raises(ValidationError, match="both budgets must be at least 1"):
+            influencer_components((10, 100), 3, budget_red=red, budget_blue=blue)
 
 
 # ---------------------------------------------------------------------------
