@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -446,9 +446,10 @@ class GadgetSpec:
     then its labelled deviations in order, relocations of the seed on its
     first listed vertex before whole allocations.  `verify_gadget` calls
     `extra_measure(spec, fn, measured)`, when set, after every profile is
-    checked: `fn` is the payoff function the verification uses and
-    `measured` the measurements made so far, which it reads and does not
-    change; the entries it returns are added to them."""
+    checked: `fn` is the verification's payoff function, which evaluates
+    each (red, blue) pair once per verification, and `measured` the
+    measurements made so far, which it reads and does not change; the
+    entries it returns are added to them."""
 
     kind: str
     params: dict
@@ -602,9 +603,10 @@ def verify_gadget(spec: GadgetSpec, eps: float = EXACT_EPS,
 
     Never raises on mismatches: failed checks become report entries, and the
     overall ``ok`` is False when any profile or non-report prediction fails or
-    the builder raised a flag.
+    the builder raised a flag.  Each distinct (red, blue) pair is evaluated
+    once per call.
     """
-    fn = payoff_fn if payoff_fn is not None else spec.payoff_fn()
+    fn = cache(payoff_fn if payoff_fn is not None else spec.payoff_fn())
     reports: dict[str, DeviationReport] = {}
     expected: dict[str, bool] = {}
     measured: dict = {"vertex_count": float(spec.n_vertices),

@@ -158,15 +158,27 @@ def _seed_branches(sr: int, sb: int, contested: list[float]):
 # ---------------------------------------------------------------------------
 
 
-# Cells, (state, outcome) pairs, that one vectorised step of the DP holds at
-# most: memory then grows with neither the states nor the layer size, and a
-# step's dozen or so arrays stay small enough for the CPU caches.
+# Cells that one array of a block's factors, U or V, holds at most: memory
+# then grows with neither the states nor the layer size.
 _CHUNK_CELLS = 1 << 15
 
 # Cells that one per-layer array of the DP, the state box or the table of log
 # factorials, may hold (512 MiB of float64): gadgets are built from their
 # structure alone, so this is where the size of a layer meets memory.
 MAX_DP_CELLS = 1 << 26
+
+# Counts that one step of a window search evaluates over all its entries.
+_WINDOW_CELLS = 1 << 12
+
+# Largest log weight, in nats, that a state may carry in a block (see
+# `_layer_transition`): far enough below float overflow (709) that a block's
+# sums stay finite, and its cells lose no accuracy where exp(R) underflows.
+_LOG_WEIGHT_CAP = 600.0
+
+# A block grows while its box, times its states, stays within this many times
+# its states' own windows, plus a fixed slack that pays for a block's setup.
+_BOX_WASTE = 16
+_BOX_SLACK = 1 << 18
 
 
 def _check_cells(cells: int, what: str) -> None:
@@ -183,33 +195,38 @@ def _log_binom_pmf(log_fact: np.ndarray, n, k, p) -> np.ndarray:
     return log_fact[n] - log_fact[k] - log_fact[n - k] + xlogy(k, p) + xlog1py(n - k, -p)
 
 
-def _hoeffding_band(n, cut) -> np.ndarray:
-    """Half-width around the mean n p outside which the Binom(n, p) pmf is at
-    most cut / 2: the pmf at k is at most exp(-2 (k - n p)^2 / n) (Hoeffding),
-    and the slack of 2 covers float rounding in the pmf.  Infinite at cut 0,
-    except that n = 0 has the single outcome 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        band = np.sqrt(0.5 * n * np.log(2.0 / cut))
-    return np.where(n > 0, band, 0.0)
-
-
 def _pmf_window(log_fact: np.ndarray, m: int, prob: np.ndarray, cut: np.ndarray):
-    """First and last k with Binom(m, prob) pmf above cut, per row of prob and
-    cut; the last is before the first in a row with none."""
-    band = _hoeffding_band(m, cut)
-    start = np.ceil(np.maximum(m * prob - band, 0.0)).astype(np.int64)
-    width = int((np.floor(np.minimum(m * prob + band, m)) - start).max()) + 1
-    k = np.minimum(start[:, None] + np.arange(max(width, 1)), m)
-    above = np.exp(_log_binom_pmf(log_fact, m, k, prob[:, None])) > cut[:, None]
-    rows = np.arange(len(k))
-    lo = k[rows, above.argmax(axis=1)]
-    hi = k[rows, k.shape[1] - 1 - above[:, ::-1].argmax(axis=1)]
-    return lo, np.where(above.any(axis=1), hi, lo - 1)
+    """First and last k with Binom(m, prob) pmf above cut, per entry of prob
+    and cut; the last is before the first where there is none.
 
-
-def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The concatenation of arange(start, start + count) over the pairs."""
-    return np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts - starts, counts)
+    The pmf is unimodal, with its peak at the larger of floor((m + 1) prob)
+    and the count below it.  So each end is the first count above the cut on
+    the way in from 0 or from m to the peak, where the pmf rises.  Each step
+    evaluates K - 1 counts evenly spread over every range still open, with K
+    as large as _WINDOW_CELLS allows (a few entries take one dense step, many
+    a bisection), and keeps the part that holds the first count above it."""
+    n = len(prob)
+    prob2, cut2 = np.concatenate([prob, prob]), np.concatenate([cut, cut])
+    mode = np.minimum(np.floor((m + 1) * prob), m).astype(np.int64)
+    below = np.maximum(mode - 1, 0)
+    at = _log_binom_pmf(log_fact, m, np.concatenate([below, mode]), prob2)
+    peak = np.where(at[:n] > at[n:], below, mode)
+    found = np.exp(np.maximum(at[:n], at[n:])) > cut
+    # Distances d in from each end, the count d on the left and m - d on the
+    # right; every range [lo, hi] ends at a count above the cut when found.
+    left = (np.arange(2 * n) < n)[:, None]
+    lo = np.zeros(2 * n, dtype=np.int64)
+    hi = np.concatenate([peak, m - peak])
+    k = min(m + 1, max(2, _WINDOW_CELLS // max(2 * n, 1)))
+    rows = np.arange(2 * n)
+    while (hi > lo).any():
+        d = lo[:, None] + (hi - lo)[:, None] * np.arange(1, k) // k
+        log_pmf = _log_binom_pmf(log_fact, m, np.where(left, d, m - d), prob2[:, None])
+        ok = np.exp(log_pmf) > cut2[:, None]
+        first = np.where(ok.any(axis=1), ok.argmax(axis=1), k - 1)
+        lo, hi = (np.where(first > 0, d[rows, first - 1] + 1, lo),
+                  np.where(first < k - 1, d[rows, np.minimum(first, k - 2)], hi))
+    return lo[:n], np.where(found, m - lo[n:], lo[:n] - 1)
 
 
 def _seed_box(x_lo: int, x_hi: int, y_lo: int, y_hi: int, branches):
@@ -223,92 +240,155 @@ def _seed_box(x_lo: int, x_hi: int, y_lo: int, y_hi: int, branches):
     return np.zeros(shape), r0, b0
 
 
-def _scatter(dist: np.ndarray, r0: int, b0: int, xs, ys, vals, branches) -> None:
-    """Add outcomes (xs, ys) of mass vals, shifted by every seed branch, to dist."""
-    flat = dist.reshape(-1)
+def _add_box(dist: np.ndarray, r0: int, b0: int, x0: int, y0: int, box: np.ndarray,
+             branches) -> None:
+    """Add box, whose cell [0, 0] is the outcome (x0, y0), to dist shifted by
+    every seed branch."""
     for r, b, sp in branches:
-        np.add.at(flat, (xs + (r - r0)) * dist.shape[1] + (ys + (b - b0)), vals * sp)
+        i, j = x0 + r - r0, y0 + b - b0
+        dist[i:i + box.shape[0], j:j + box.shape[1]] += sp * box
+
+
+def _peak(log_fact: np.ndarray, tilt: np.ndarray, k_lo: np.ndarray, k_hi: np.ndarray):
+    """max over k in [k_lo, k_hi] of k tilt - log k!, which is concave in k
+    with its top at floor(e^tilt) (e^700 is below float overflow)."""
+    top = np.floor(np.exp(np.minimum(tilt, 700.0)))
+    k = np.minimum(np.maximum(top, k_lo), k_hi).astype(np.int64)
+    return k * tilt - log_fact[k]
+
+
+def _factor(log_fact: np.ndarray, ks: np.ndarray, tilt: np.ndarray, top: np.ndarray,
+            k_lo: np.ndarray, k_hi: np.ndarray) -> np.ndarray:
+    """exp(k tilt - log k! - top) per row at the counts ks, 0 outside the
+    row's window [k_lo, k_hi]."""
+    inside = (ks >= k_lo[:, None]) & (ks <= k_hi[:, None])
+    return np.exp(np.where(inside, ks * tilt[:, None] - log_fact[ks] - top[:, None], -np.inf))
+
+
+def _grid_boxes(log_fact: np.ndarray, m: int, p: np.ndarray, probs: np.ndarray,
+                lo: np.ndarray, hi: np.ndarray):
+    """Yield (x0, y0, box) over blocks of states with pa < 1, box[i, j] being
+    the probability of x0 + i red and y0 + j blue adopters summed over the
+    block.  probs, lo and hi hold each state's (red, blue) probabilities and
+    count windows in two rows; see `_layer_transition`."""
+    order = np.argsort(probs.sum(axis=0), kind="stable")
+    p, probs, lo, hi = p[order], probs[:, order], lo[:, order], hi[:, order]
+    log_1m = np.log1p(-np.minimum(probs.sum(axis=0), 1.0))
+    # a(x) and b(y) before λ; a probability of 0 has the window [0, 0].
+    tilt = np.log(np.where(probs > 0.0, probs, 1.0)) - log_1m
+    base = m * log_1m + np.log(p)
+    ts = np.arange(m + 1)
+    lk = log_fact[m] - log_fact[m - ts]
+    areas = (hi - lo + 1).prod(axis=0)
+    start = 0
+    while start < len(p):
+        # The block takes its first state's best λ, log(m (1 - pa)), and ends
+        # before the first later state whose weight would pass the cap, or
+        # whose box would waste more than _BOX_WASTE times the block's own
+        # windows.
+        lam = float(np.log(m) + log_1m[start])
+        shift = lk - lam * ts
+        top = float(shift.max())
+        s = slice(start, None)
+        peaks = _peak(log_fact, tilt[:, s] + lam, lo[:, s], hi[:, s])
+        log_w = peaks.sum(axis=0) + base[s] + top
+        box = (np.maximum.accumulate(hi[:, s], axis=1)
+               - np.minimum.accumulate(lo[:, s], axis=1) + 1).prod(axis=0)
+        waste = np.arange(1, len(box) + 1) * box - _BOX_WASTE * np.cumsum(areas[s])
+        ok = (log_w <= _LOG_WEIGHT_CAP) & (waste <= _BOX_SLACK)
+        ok[0] = True
+        size = len(ok) if ok.all() else int(ok.argmin())
+        b = slice(start, start + size)
+        b_lo, b_hi = lo[:, b], hi[:, b]
+        (x0, y0), (x1, y1) = b_lo.min(axis=1), b_hi.max(axis=1)
+        xs, ys = np.arange(x0, x1 + 1), np.arange(y0, y1 + 1)
+        tilts, peaks, w = tilt[:, b] + lam, peaks[:, :size], np.exp(log_w[:size])
+        prod = np.zeros((len(xs), len(ys)))
+        rows = max(1, _CHUNK_CELLS // max(len(xs), len(ys)))
+        for c in range(0, size, rows):
+            q = slice(c, c + rows)
+            u, v = (_factor(log_fact, ks, tilts[i, q], peaks[i, q], b_lo[i, q], b_hi[i, q])
+                    for i, ks in enumerate((xs, ys)))
+            prod += (u * w[q, None]).T @ v
+        # exp(R[x + y]) as a Hankel view over the box, 0 past m.
+        tt = np.arange(x0 + y0, x1 + y1 + 1)
+        e_r = np.where(tt <= m, np.exp(shift[np.minimum(tt, m)] - top), 0.0)
+        prod *= np.lib.stride_tricks.sliding_window_view(e_r, len(ys))
+        yield int(x0), int(y0), prod
+        start += size
 
 
 def _layer_transition(p: np.ndarray, pr: np.ndarray, pb: np.ndarray, m: int, prune: float,
                       branches):
     """Distribution of the next layer's (red, blue) totals, its offset, and the
     expected (red, blue) update counts among its m unseeded vertices.
-    Raises StateSpaceCapError when a layer needs more than MAX_DP_CELLS cells.
+    Raises StateSpaceCapError, before any product is formed, when a layer
+    needs more than MAX_DP_CELLS cells.
 
-    The states have masses p and one-step probabilities pr and pb.  From a
-    state of mass p the m outcomes are a multinomial: Binom(m, pr + pb)
-    adopters t, of whom Binom(t, pr / (pr + pb)) turn red.  Outcomes whose
-    conditional probability is at most prune / p are dropped.
+    The states have masses p and one-step probabilities pr and pb, with pa =
+    pr + pb.  From a state the m outcomes are a multinomial: x red, y blue and
+    m - x - y failed updates.  Within a state of mass p, an outcome is dropped
+    when the Binom(m, pr) pmf at x or the Binom(m, pb) pmf at y is at most
+    prune / p: an outcome is never likelier than either marginal.
+
+    With LK[t] = log m!/(m - t)! and any λ, the log probability of (x, y) is
+    R[x + y] + a(x) + b(y) + c, where a(x) = x (log pr - log(1 - pa) + λ) -
+    log x!, b(y) is the same with pb, c = m log(1 - pa) + K + log p, and R[t] =
+    LK[t] - λ t - K with K = max_t (LK[t] - λ t), so that R <= 0.  R is the same
+    for every state.  So over states that share λ the next layer's box is
+    exp(R[x + y]) times the matrix product U^T diag(w) V, where U = exp(a - α)
+    and V = exp(b - β) are shifted by their maxima over each state's window,
+    and w = exp(c + α + β).  A state's best λ is log(m (1 - pa)); states sorted
+    by pa share λ in blocks small enough that no weight passes
+    _LOG_WEIGHT_CAP and no box grows far past its states' own windows
+    (`_grid_boxes`).  States with pa = 1 have no failures: x is Binom(m, pr /
+    pa) on the line x + y = m.  Each seed branch adds a shifted copy.
     """
     from scipy.special import gammaln
 
     _check_cells(m + 1, "log-factorial table")
+    n = len(p)
+    probs = np.stack([pr, pb])
     pa = np.minimum(pr + pb, 1.0)
-    q = np.divide(pr, pa, out=np.zeros_like(pr), where=pa > 0.0)
-    # q is 0 only where pr is 0 and 1 only where pb is 0; the red and blue
-    # count windows below then pin x to 0 or to t, so the log of 0 that the
-    # split's pmf would multiply by 0 there is replaced by 0.
-    log_q = np.log(np.where(q > 0.0, q, 1.0))
-    log_1mq = np.log1p(-np.where(q < 1.0, q, 0.0))
     thr = prune / p
     log_fact = gammaln(np.arange(m + 1) + 1)
-
-    def chunked(row_cells: int):
-        rows = max(1, _CHUNK_CELLS // row_cells)
-        return [slice(lo, min(lo + rows, len(p))) for lo in range(0, len(p), rows)]
-
-    # Per state: the totals t above thr (an outcome is never likelier than
-    # its total), and windows of red and blue counts outside which the
-    # marginal, hence every outcome, is at most thr.  The count windows use
-    # half of thr, so float rounding cannot leave a kept outcome outside them.
-    # A window row spans at most 2 band + 2 counts, and never more than m + 1.
-    band = float(np.max(_hoeffding_band(m, 0.5 * thr), initial=0.0))
-    win = np.empty((6, len(p)), dtype=np.int64)
-    for chunk in chunked(int(min(m + 1, 2 * band + 2))):
-        for w, (prob, cut) in enumerate(((pa, thr), (pr, 0.5 * thr), (pb, 0.5 * thr))):
-            win[2 * w:2 * w + 2, chunk] = _pmf_window(log_fact, m, prob[chunk], cut[chunk])
-    t_lo, t_hi, x_lo, x_hi, y_lo, y_hi = win
-    n_t = np.where((x_hi >= x_lo) & (y_hi >= y_lo), np.maximum(t_hi - t_lo + 1, 0), 0)
-    live = n_t > 0
+    lo, hi = (k.reshape(2, n) for k in _pmf_window(log_fact, m, probs.ravel(),
+                                                     np.concatenate([thr, thr])))
+    # Rows are (red, blue) windows.  Outcomes have x + y <= m, and those on
+    # the line x + y = m, where each count also fixes the other.
+    line = (pa >= 1.0) | (m == 0)
+    lo, hi = np.where(line, np.maximum(lo, m - hi[::-1]), lo), np.minimum(hi, m - lo[::-1])
+    live = (hi >= lo).all(axis=0)
     if not live.any():
         return np.zeros((0, 0)), 0, 0, 0.0, 0.0
-
-    nxt, nr0, nb0 = _seed_box(int(x_lo[live].min()), int(x_hi[live].max()),
-                              int(y_lo[live].min()), int(y_hi[live].max()), branches)
+    (x_lo, y_lo), (x_hi, y_hi) = lo[:, live].min(axis=1), hi[:, live].max(axis=1)
+    nxt, r0, b0 = _seed_box(int(x_lo), int(x_hi), int(y_lo), int(y_hi), branches)
     er = eb = 0.0
-    for chunk in chunked(m + 1):
-        if not live[chunk].any():
-            continue
-        # The chunk's (state, total) pairs, each with its window of red counts
-        # (where an outcome tp * Binom(t, q) can exceed thr), cut into runs of
-        # at most about _CHUNK_CELLS cells.
-        s_i = np.repeat(np.arange(chunk.start, chunk.stop), n_t[chunk])
-        t_i = _ranges(t_lo[chunk], n_t[chunk])
-        tp = np.exp(_log_binom_pmf(log_fact, m, t_i, pa[s_i]))
-        mean = t_i * q[s_i]
-        band = _hoeffding_band(t_i, thr[s_i] / tp)
-        lo = np.maximum(np.maximum(x_lo[s_i], t_i - y_hi[s_i]),
-                        np.ceil(np.maximum(mean - band, 0.0)).astype(np.int64))
-        hi = np.minimum(np.minimum(x_hi[s_i], t_i - y_lo[s_i]),
-                        np.floor(np.minimum(mean + band, t_i)).astype(np.int64))
-        counts = np.maximum(hi - lo + 1, 0)
-        ends = np.cumsum(counts)
-        cuts = np.searchsorted(ends, np.arange(_CHUNK_CELLS, ends[-1], _CHUNK_CELLS), side="right")
-        for a, b in zip([0, *cuts], [*cuts, len(counts)]):
-            if a == b:
-                continue
-            pair = np.repeat(np.arange(a, b), counts[a:b])
-            xs = _ranges(lo[a:b], counts[a:b])
-            ts, ss = t_i[pair], s_i[pair]
-            joint = tp[pair] * np.exp(log_fact[ts] - log_fact[xs] - log_fact[ts - xs]
-                                      + xs * log_q[ss] + (ts - xs) * log_1mq[ss])
-            keep = joint > thr[ss]
-            xs, ys, vals = xs[keep], ts[keep] - xs[keep], joint[keep] * p[ss[keep]]
-            er += float(vals @ xs)
-            eb += float(vals @ ys)
-            _scatter(nxt, nr0, nb0, xs, ys, vals, branches)
-    return nxt, nr0, nb0, er, eb
+
+    s = np.flatnonzero(live & line)
+    if len(s):
+        # Each state's Binom(m, pr / pa) pmf over its window, on the counts
+        # of the line, a chunk of rows at a time.
+        xs = np.arange(lo[0, s].min(), hi[0, s].max() + 1)
+        share = np.divide(pr[s], pa[s], out=np.zeros(len(s)), where=pa[s] > 0.0)
+        mass = np.zeros(len(xs))
+        rows = max(1, _CHUNK_CELLS // len(xs))
+        for c in range(0, len(s), rows):
+            q = s[c:c + rows]
+            inside = (xs >= lo[0, q, None]) & (xs <= hi[0, q, None])
+            log_pmf = _log_binom_pmf(log_fact, m, xs, share[c:c + rows, None])
+            mass += p[q] @ np.exp(np.where(inside, log_pmf, -np.inf))
+        er += float(mass @ xs)
+        eb += float(mass @ (m - xs))
+        for r, b, sp in branches:
+            nxt[xs + (r - r0), m - xs + (b - b0)] += sp * mass
+
+    s = np.flatnonzero(live & ~line)
+    for x0, y0, box in _grid_boxes(log_fact, m, p[s], probs[:, s], lo[:, s], hi[:, s]):
+        er += float(box.sum(axis=1) @ np.arange(x0, x0 + box.shape[0]))
+        eb += float(box.sum(axis=0) @ np.arange(y0, y0 + box.shape[1]))
+        _add_box(nxt, r0, b0, x0, y0, box, branches)
+    return nxt, r0, b0, er, eb
 
 
 def _component_expectation(sizes: tuple[int, ...], ranges, dyn: AdoptionFunction,
@@ -328,8 +408,7 @@ def _component_expectation(sizes: tuple[int, ...], ranges, dyn: AdoptionFunction
         eb += sum(p * b for r, b, p in branches)
 
     dist, r0, b0 = _seed_box(0, 0, 0, 0, layer_seed_branches[0])
-    zero = np.zeros(1, dtype=np.int64)
-    _scatter(dist, r0, b0, zero, zero, np.ones(1), layer_seed_branches[0])
+    _add_box(dist, r0, b0, 0, 0, np.ones((1, 1)), layer_seed_branches[0])
 
     for depth in range(1, len(sizes)):
         sr, sb, contested = layer_seeds[depth]

@@ -589,6 +589,25 @@ def test_threshold_gadget_rejects_fractional_budgets():
         threshold_two_layer(8, 2, 40, 1.0)
 
 
+def test_verification_evaluates_each_profile_once():
+    # 27 evaluations name 24 profiles: the split measure repeats red's split
+    # deviation, and each player's all-seeds move from the designated profile
+    # is the other's from the efficient one.
+    spec = threshold_two_layer(20, 10, 1000, 0.5)
+    payoffs = spec.payoff_fn()
+    calls = []
+
+    def counting(red, blue):
+        calls.append((red, blue))
+        return payoffs(red, blue)
+
+    ver = verify_gadget(spec, payoff_fn=counting)
+    assert len(calls) == len(set(calls)) == 24
+    assert ver.ok
+    assert ver.measured == verify_gadget(spec).measured
+    assert ver.measured["split_seeds_layer2_infections"] == 0.0
+
+
 # ---------------------------------------------------------------------------
 # Convexity amplifier.
 # ---------------------------------------------------------------------------

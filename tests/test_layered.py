@@ -4,6 +4,7 @@ import itertools
 import math
 import re
 import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -435,3 +436,175 @@ def test_layer_sampler_equals_single_runs_on_fresh_generators(case, n_trials, ma
     est = layered_estimate_payoffs(structure, dyn, profile, n_trials=n_trials,
                                    master_seed=master_seed)
     assert est == single_run_reference(structure, dyn, profile, n_trials, master_seed)
+
+
+# ---------------------------------------------------------------------------
+# The blocked transition against the per-cell one it replaced.
+# ---------------------------------------------------------------------------
+
+
+def dense_pmf_window(log_fact, m, prob, cut):
+    """First and last k with Binom(m, prob) pmf above cut, by scanning every k."""
+    k = np.arange(m + 1)
+    above = np.exp(layered._log_binom_pmf(log_fact, m, k, prob[:, None])) > cut[:, None]
+    lo = above.argmax(axis=1)
+    hi = m - above[:, ::-1].argmax(axis=1)
+    return lo, np.where(above.any(axis=1), hi, lo - 1)
+
+
+def hoeffding_band(n, cut):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        band = np.sqrt(0.5 * n * np.log(2.0 / cut))
+    return np.where(n > 0, band, 0.0)
+
+
+def ranges(starts, counts):
+    return np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts - starts, counts)
+
+
+def per_cell_transition(p, pr, pb, m, prune, branches):
+    """The layer step as it was before the matrix products: every (state,
+    adopters, red adopters) cell enumerated, an outcome dropped when its own
+    probability is at most prune / p, and the rest scattered with np.add.at."""
+    from scipy.special import gammaln
+
+    pa = np.minimum(pr + pb, 1.0)
+    q = np.divide(pr, pa, out=np.zeros_like(pr), where=pa > 0.0)
+    log_q = np.log(np.where(q > 0.0, q, 1.0))
+    log_1mq = np.log1p(-np.where(q < 1.0, q, 0.0))
+    thr = prune / p
+    log_fact = gammaln(np.arange(m + 1) + 1)
+    t_lo, t_hi = dense_pmf_window(log_fact, m, pa, thr)
+    x_lo, x_hi = dense_pmf_window(log_fact, m, pr, 0.5 * thr)
+    y_lo, y_hi = dense_pmf_window(log_fact, m, pb, 0.5 * thr)
+    n_t = np.where((x_hi >= x_lo) & (y_hi >= y_lo), np.maximum(t_hi - t_lo + 1, 0), 0)
+    live = n_t > 0
+    if not live.any():
+        return np.zeros((0, 0)), 0, 0, 0.0, 0.0
+    nxt, r0, b0 = layered._seed_box(int(x_lo[live].min()), int(x_hi[live].max()),
+                                    int(y_lo[live].min()), int(y_hi[live].max()), branches)
+    s_i = np.repeat(np.arange(len(p)), n_t)
+    t_i = ranges(t_lo, n_t)
+    tp = np.exp(layered._log_binom_pmf(log_fact, m, t_i, pa[s_i]))
+    mean = t_i * q[s_i]
+    band = hoeffding_band(t_i, thr[s_i] / tp)
+    lo = np.maximum(np.maximum(x_lo[s_i], t_i - y_hi[s_i]),
+                    np.ceil(np.maximum(mean - band, 0.0)).astype(np.int64))
+    hi = np.minimum(np.minimum(x_hi[s_i], t_i - y_lo[s_i]),
+                    np.floor(np.minimum(mean + band, t_i)).astype(np.int64))
+    counts = np.maximum(hi - lo + 1, 0)
+    pair = np.repeat(np.arange(len(counts)), counts)
+    xs = ranges(lo, counts)
+    ts, ss = t_i[pair], s_i[pair]
+    joint = tp[pair] * np.exp(log_fact[ts] - log_fact[xs] - log_fact[ts - xs]
+                              + xs * log_q[ss] + (ts - xs) * log_1mq[ss])
+    keep = joint > thr[ss]
+    xs, ys, vals = xs[keep], ts[keep] - xs[keep], joint[keep] * p[ss[keep]]
+    flat = nxt.reshape(-1)
+    for r, b, sp in branches:
+        np.add.at(flat, (xs + (r - r0)) * nxt.shape[1] + (ys + (b - b0)), vals * sp)
+    return nxt, r0, b0, float(vals @ xs), float(vals @ ys)
+
+
+def on_one_frame(got, want):
+    """Both (distribution, red offset, blue offset) triples on their joint box."""
+    (a, ar, ab), (b, br, bb) = got, want
+    r0, b0 = min(ar, br), min(ab, bb)
+    shape = (max(ar + a.shape[0], br + b.shape[0]) - r0,
+             max(ab + a.shape[1], bb + b.shape[1]) - b0)
+    out = []
+    for d, r, c in ((a, ar, ab), (b, br, bb)):
+        full = np.zeros(shape)
+        full[r - r0:r - r0 + d.shape[0], c - b0:c - b0 + d.shape[1]] = d
+        out.append(full)
+    return out
+
+
+def assert_same_transition(args):
+    got = layered._layer_transition(*args)
+    want = per_cell_transition(*args)
+    a, b = on_one_frame(got[:3], want[:3])
+    assert np.abs(a - b).max(initial=0.0) <= 1e-12
+    assert got[3] == pytest.approx(want[3], rel=1e-12)
+    assert got[4] == pytest.approx(want[4], rel=1e-12)
+
+
+@st.composite
+def layer_states(draw):
+    """Masses and one-step probabilities of 1-6 states, pa = 1, pa just below
+    1, pr = 0 and pb = 0 among them, a layer of up to 60 unseeded vertices
+    and seed branches with up to two contested vertices."""
+    n = draw(st.integers(1, 6))
+    unit = st.floats(0.0, 1.0)
+    p = np.array([draw(st.floats(1e-6, 1.0)) for _ in range(n)])
+    pr, pb = np.empty(n), np.empty(n)
+    for i in range(n):
+        kind = draw(st.sampled_from(["any", "full", "near_full", "no_red", "no_blue"]))
+        pa = {"full": 1.0, "near_full": 1.0 - 10.0 ** -draw(st.integers(6, 15))}.get(kind)
+        pa = draw(unit) if pa is None else pa
+        share = {"no_red": 0.0, "no_blue": 1.0}.get(kind, draw(unit))
+        pr[i] = pa * share
+        pb[i] = pa - pr[i] if kind != "full" else 1.0 - pr[i]
+    contested = draw(st.lists(st.sampled_from([0.25, 0.5, 0.9]), max_size=2))
+    branches = layered._seed_branches(draw(st.integers(0, 2)), draw(st.integers(0, 2)), contested)
+    return p, pr, pb, draw(st.integers(0, 60)), branches
+
+
+@settings(max_examples=300, deadline=None)
+@given(layer_states())
+def test_blocked_transition_equals_the_per_cell_one(case):
+    p, pr, pb, m, branches = case
+    assert_same_transition((p, pr, pb, m, 0.0, branches))
+
+
+def test_blocked_transition_splits_a_wide_layer_into_blocks(monkeypatch):
+    # pa from 0.01 to 0.99 over 2,000 vertices: no one exponent serves every
+    # state, so the step takes several blocks and still equals the per-cell sum.
+    pa = np.array([0.01, 0.35, 0.7, 0.99])
+    pr = pa * np.array([0.5, 0.2, 0.9, 0.6])
+    args = (np.full(4, 0.25), pr, pa - pr, 2000, 0.0, layered._seed_branches(1, 0, [0.5]))
+    boxes = []
+    blocks = layered._grid_boxes
+    monkeypatch.setattr(layered, "_grid_boxes",
+                        lambda *a: [boxes.append(box) or box for box in blocks(*a)])
+    assert_same_transition(args)
+    assert len(boxes) >= 3
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 300), st.sampled_from([1, 7, 1100]), st.integers(0, 2**32 - 1))
+def test_pmf_window_search_equals_a_dense_scan(m, n, seed):
+    # One entry takes a single dense step, 1,100 entries a bisection.
+    from scipy.special import gammaln
+
+    rng = np.random.default_rng(seed)
+    prob = rng.choice([rng.random(), 0.0, 0.5, 1.0, 1e-300], size=n, p=[0.6, 0.1, 0.1, 0.1, 0.1])
+    prob = np.where(rng.random(n) < 0.5, prob, rng.random(n))
+    cut = rng.choice([0.0, 1e-300, 1e-15, 1e-4, 0.3, 0.5, 1.0], size=n)
+    log_fact = gammaln(np.arange(m + 1) + 1)
+    (lo, hi), (want_lo, want_hi) = (f(log_fact, m, prob, cut)
+                                    for f in (layered._pmf_window, dense_pmf_window))
+    empty = want_hi < want_lo
+    assert ((hi < lo) == empty).all()
+    assert (lo[~empty] == want_lo[~empty]).all() and (hi[~empty] == want_hi[~empty]).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(layered_games(max_layer=40), st.sampled_from([1e-15, 1e-9, 1e-4]))
+def test_marginal_windows_prune_no_more_than_per_outcome_pruning(game, prune):
+    structure, profile, dyn = game
+    est = layered_exact_payoffs(structure, dyn, profile, prune=prune)
+    with patch.object(layered, "_layer_transition", per_cell_transition):
+        ref = layered_exact_payoffs(structure, dyn, profile, prune=prune)
+    # pruned_mass is 1 minus a sum of up to ~1,700 cells, rounded to ~1e-13.
+    assert est.pruned_mass <= ref.pruned_mass + 1e-12
+
+
+def test_a_layer_that_pruning_empties_passes_nothing_on():
+    # Layer 1's outcomes have probability 1/2 each, at the threshold, so no
+    # state reaches layer 2, which still takes its (empty) step.
+    structure = LayeredStructure(((2, 1, 10, 5),))
+    profile = StrategyProfile(Allocation.from_seeds(structure.n, [0]),
+                              Allocation.from_seeds(structure.n, [structure.n - 1]))
+    est = layered_exact_payoffs(structure, make_dyn("linear"), profile, prune=0.5)
+    assert (est.pi_R, est.pi_B, est.pruned_mass) == (1.0, 1.0, 1.0)
