@@ -390,15 +390,15 @@ def _fill(run, seed_keys: np.ndarray, n_trials: int, lo: int, hi: int, block: in
     return out
 
 
-# Scalar samplers fill this many replications a block (`_one_at_a_time`).
+# The per-vertex path fills this many replications a block (`_mc_chunk`).
 _SEED_BLOCK = 1 << 12
 
 
 def _keyed_generators(keys: np.ndarray):
     """One PCG64 `Generator`, set in turn to the stream each key names, for
-    samplers that draw more than uniforms: its 128-bit state and increment
-    are the key's first four SplitMix64 draws, high words first (the
-    increment made odd)."""
+    the per-vertex path, which draws more than uniforms: its 128-bit state
+    and increment are the key's first four SplitMix64 draws, high words
+    first (the increment made odd)."""
     generator = np.random.Generator(np.random.PCG64(0))
     steps = np.arange(1, 5, dtype=np.uint64) * _GAMMA
     for w in _mix64(keys[:, None] + steps).tolist():
@@ -418,21 +418,6 @@ def _sample_support(pairs, rng):
         if u < acc:
             return ar, ab
     return pairs[-1][1], pairs[-1][2]
-
-
-def _one_at_a_time(supports, run_one, seed_keys, n_trials: int, lo: int, hi: int) -> np.ndarray:
-    """`_fill` of replications run one at a time, each on the PCG64
-    generator its key names (`_keyed_generators`): a replication of job j
-    takes its support pair from `supports[j]`, then `run_one(red, blue, rng)`
-    draws the rest of the run and returns its chi_R and chi_B."""
-    def run(keys: np.ndarray, jobs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        chi_r, chi_b = np.empty(len(keys)), np.empty(len(keys))
-        for row, (j, rng) in enumerate(zip(jobs.tolist(), _keyed_generators(keys))):
-            red, blue = _sample_support(supports[j], rng)
-            chi_r[row], chi_b[row] = run_one(red, blue, rng)
-        return chi_r, chi_b
-
-    return _fill(run, seed_keys, n_trials, lo, hi, _SEED_BLOCK)
 
 
 # A block of batched replications holds at most about this many state cells
@@ -479,6 +464,106 @@ class _Draws:
         return (z >> 11) * (1.0 / 9007199254740992.0)
 
 
+# A binomial whose smaller-side mean n·min(p, 1 - p) is below this is drawn by
+# inversion; BTRS holds from a mean of 10 up.
+_INVERSION_MEAN = 10.0
+
+# fc(k) = log k! - (k + 1/2) log(k + 1) + k + 1 - log(2π)/2, the remainder of
+# Stirling's formula, for k below 10; `_stirling_tail` sums its series above.
+_STIRLING_TAIL = np.array([math.lgamma(k + 1) - (k + 0.5) * math.log(k + 1) + (k + 1)
+                           - 0.5 * math.log(2.0 * math.pi) for k in range(10)])
+
+
+def _stirling_tail(k: np.ndarray) -> np.ndarray:
+    """fc(k) at whole-number floats k >= 0: the table below 10, and above it
+    1/12 - 1/(360 K^2) + 1/(1260 K^4), over K = k + 1."""
+    k1 = k + 1.0
+    sq = k1 * k1
+    series = (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / 1260.0 / sq) / sq) / k1
+    return np.where(k < 10.0, _STIRLING_TAIL[np.minimum(k, 9.0).astype(np.intp)], series)
+
+
+def _binomial(draws: _Draws, rows: np.ndarray, n: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """One Binom(n[j], p[j]) draw for each replication rows[j] (rows
+    distinct), exact in distribution, from the rows' own streams.
+
+    With q = min(p, 1 - p), each draws X ~ Binom(n, q) and returns X, or n - X
+    where p > 1/2.  A row whose outcome is certain (n = 0 or q = 0) takes no
+    draw.  Below `_INVERSION_MEAN` for n·q a row takes one uniform u and
+    returns the least k with u < P[X <= k], stepping the pmf up from k = 0 by
+    its ratio; the walk ends early only where the pmf underflows to 0 or k
+    reaches n.  Otherwise it takes two uniforms per attempt of Hörmann's
+    transformed rejection with squeeze, BTRS ("The generation of binomial
+    random variates", J. Statist. Comput. Simul. 46, 1993), until an attempt
+    is accepted; `_btrs` states the attempt.
+    """
+    p = np.minimum(p, 1.0)
+    q = np.minimum(p, 1.0 - p)
+    x = np.zeros(len(rows), dtype=np.int64)
+    drawn = np.flatnonzero((n > 0) & (q > 0.0))
+    small = n[drawn] * q[drawn] < _INVERSION_MEAN
+    for at, sample in ((drawn[small], _inversion), (drawn[~small], _btrs)):
+        if len(at):
+            x[at] = sample(draws, rows[at], n[at], q[at])
+    return np.where(p > 0.5, n - x, x)
+
+
+def _inversion(draws: _Draws, rows: np.ndarray, n: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Binom(n, p) by inversion, one uniform a row: see `_binomial`."""
+    u = draws.take(rows, np.ones(len(rows), dtype=np.intp), np.arange(len(rows)))
+    ratio = p / (1.0 - p)
+    pmf = np.exp(n * np.log1p(-p))
+    k = np.zeros(len(rows), dtype=np.int64)
+    live = np.flatnonzero(u >= pmf)
+    while len(live):
+        u[live] -= pmf[live]
+        k[live] += 1
+        pmf[live] *= (n[live] - k[live] + 1) / k[live] * ratio[live]
+        live = live[(u[live] >= pmf[live]) & (pmf[live] > 0.0) & (k[live] < n[live])]
+    return k
+
+
+def _btrs(draws: _Draws, rows: np.ndarray, n: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Binom(n, p) for p <= 1/2 and n·p >= 10 by BTRS, two uniforms (U, V) an
+    attempt.  An attempt sets u = U - 1/2, u_s = 1/2 - |u| and k = floor((2a
+    / u_s + b) u + c); it is rejected for k outside [0, n], accepted by the
+    squeeze u_s >= 0.07 and V <= v_r, and otherwise accepted when log(V α /
+    (a / u_s^2 + b)) <= log f(k) / f(m), f the pmf and m its mode, computed in
+    Stirling's form through `_stirling_tail`."""
+    spq = np.sqrt(n * p * (1.0 - p))
+    b = 1.15 + 2.53 * spq
+    a = -0.0873 + 0.0248 * b + 0.01 * p
+    c = n * p + 0.5
+    v_r = 0.92 - 4.2 / b
+    alpha = (2.83 + 5.1 / b) * spq
+    ratio = p / (1.0 - p)
+    m = np.floor((n + 1) * p)
+    nm = n - m + 1.0
+    h = (m + 0.5) * np.log((m + 1.0) / (ratio * nm)) + _stirling_tail(m) + _stirling_tail(n - m)
+    x = np.empty(len(rows), dtype=np.int64)
+    live = np.arange(len(rows))
+    while len(live):
+        uv = draws.take(rows[live], np.full(len(live), 2), np.repeat(np.arange(len(live)), 2))
+        u, v = uv[0::2] - 0.5, uv[1::2]
+        us = 0.5 - np.abs(u)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            k = np.floor((2.0 * a[live] / us + b[live]) * u + c[live])
+        accept = (k >= 0.0) & (k <= n[live])
+        test = np.flatnonzero(accept & ~((us >= 0.07) & (v <= v_r[live])))
+        if len(test):
+            j, kt, nt = live[test], k[test], n[live[test]]
+            nk = nt - kt + 1.0
+            bound = (h[j] + (nt + 1.0) * np.log(nm[j] / nk)
+                     + (kt + 0.5) * np.log(nk * ratio[j] / (kt + 1.0))
+                     - _stirling_tail(kt) - _stirling_tail(nt - kt))
+            with np.errstate(divide="ignore"):
+                hat = np.log(v[test] * alpha[j] / (a[j] / (us[test] * us[test]) + b[j]))
+            accept[test] = hat <= bound
+        x[live[accept]] = k[accept]
+        live = live[~accept]
+    return x
+
+
 def _neighbor_slots(indptr: np.ndarray, verts: np.ndarray,
                     degree: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The CSR positions of the verts' neighbor lists, concatenated, and where
@@ -511,7 +596,7 @@ class _ProbTable:
         self.dyn = dyn
         self.in_degree = in_degree
         self.stride = in_degree + 1
-        vertices = np.bincount(in_degree)
+        vertices = np.bincount(in_degree, minlength=1)
         vertices[0] = 0
         degrees = np.flatnonzero(vertices)
         sizes = (degrees + 1) ** 2
@@ -760,12 +845,17 @@ def _mc_chunk(game: GameSpec, supports, seed_keys: np.ndarray, n_trials: int, lo
     if type(game.schedule) in (ParallelRounds, SinglePassOrder, LayerOrder):
         kernel = _ReplicationKernel(game, *supports)
         return _fill(kernel.run, seed_keys, n_trials, lo, hi, kernel.block)
-    # Other schedules, RandomSequential among them, run vertex by vertex.
-    def run_one(red, blue, rng):
-        out = run_profile_once(game, red, blue, rng)
-        return out.chi_R, out.chi_B
+    # Other schedules, RandomSequential among them, run vertex by vertex,
+    # each replication on the PCG64 generator its key names: a replication of
+    # job j takes its support pair from supports[j], then runs once.
+    def run(keys: np.ndarray, jobs: np.ndarray) -> np.ndarray:
+        chi = np.empty((2, len(keys)))
+        for row, (j, rng) in enumerate(zip(jobs.tolist(), _keyed_generators(keys))):
+            out = run_profile_once(game, *_sample_support(supports[j], rng), rng)
+            chi[:, row] = out.chi_R, out.chi_B
+        return chi
 
-    return _one_at_a_time(supports, run_one, seed_keys, n_trials, lo, hi)
+    return _fill(run, seed_keys, n_trials, lo, hi, _SEED_BLOCK)
 
 
 def sample_many(game: GameSpec, jobs: Sequence[tuple[StrategyProfile, int]], n_trials: int,

@@ -18,17 +18,21 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
+from . import engine
 from .dynamics import AdoptionFunction, LayerOrder
 from .engine import (
     EXACT_LAYERED_DP,
     Allocation,
     PayoffEstimate,
     StrategyProfile,
+    _binomial,
+    _Draws,
     _is_integer,
-    _one_at_a_time,
+    _ProbTable,
     _require_master_seed,
     _seed_keys,
     monte_carlo_estimate,
@@ -468,55 +472,72 @@ def layered_exact_payoffs(structure: LayeredStructure, dyn: AdoptionFunction,
 # ---------------------------------------------------------------------------
 
 
-def _layer_plan(structure: LayeredStructure, red: Allocation, blue: Allocation):
-    """Per component, per layer: (size, sure red, sure blue, contested
-    red-win probabilities), the state-independent part of a run."""
-    if red.n != structure.n or blue.n != structure.n:
-        raise ValidationError("allocation length does not match the layered structure")
-    seeds = split_seeds(red, blue)
-    return [[(size, *layer) for (_, size), layer in zip(ranges, _seeds_by_layer(seeds, ranges))]
-            for ranges in structure.layer_ranges()]
+def _layer_plan(structure: LayeredStructure, pairs):
+    """Per component, per layer: its size, the sure red and sure blue seeds
+    there of each support pair (arrays over pairs), and (pair, contested
+    red-win probabilities) for each pair that contests vertices there; the
+    state-independent part of a run."""
+    ranges = structure.layer_ranges()
+    by_pair = []
+    for _, red, blue in pairs:
+        if red.n != structure.n or blue.n != structure.n:
+            raise ValidationError("allocation length does not match the layered structure")
+        seeds = split_seeds(red, blue)
+        by_pair.append([_seeds_by_layer(seeds, comp) for comp in ranges])
+    plan = []
+    for c, sizes in enumerate(structure.component_layer_sizes):
+        layers = []
+        for depth, size in enumerate(sizes):
+            sure_red, sure_blue, contested = zip(*(seeds[c][depth] for seeds in by_pair))
+            layers.append((size, np.array(sure_red), np.array(sure_blue),
+                           [(k, np.array(p_red)) for k, p_red in enumerate(contested) if p_red]))
+        plan.append(layers)
+    return plan
 
 
-class _LayerProbs(dict):
-    """(P[any adoption], P[red | adoption]) of a layer whose predecessor of
-    the given size holds r red and b blue, keyed on (r, b, size): the scalar
-    `update_probs(r / size, b / size)`, called once per key."""
-
-    def __init__(self, dyn: AdoptionFunction):
-        super().__init__()
-        self.dyn = dyn
-
-    def __missing__(self, key):
-        r, b, size = key
-        pr, pb, _ = self.dyn.update_probs(r / size, b / size)
-        pa = pr + pb
-        value = self[key] = (pa, pr / pa if pa > 0.0 else 0.0)
-        return value
+def _layer_table(structure: LayeredStructure, dyn: AdoptionFunction) -> _ProbTable:
+    """The update probabilities of every layer after the first, in component
+    and layer order, each looked up by its index here and keyed on its
+    predecessor's (size, red, blue)."""
+    return _ProbTable(dyn, np.array([size for comp in structure.component_layer_sizes
+                                     for size in comp[:-1]], dtype=np.intp))
 
 
-def _sample_plan(plan, probs: _LayerProbs, rng) -> tuple[int, int]:
-    """One run's (red, blue) totals: per component and layer, one uniform per
-    contested seed, then Binom(m, P[any]) adopters among the m unseeded
-    vertices, of whom Binom(adopters, P[red | adoption]) turn red."""
-    chi_r = chi_b = 0
+def _sample_block(plan, table: _ProbTable, which: np.ndarray, draws: _Draws):
+    """chi_R and chi_B of a block of runs, run together: row j runs support
+    pair which[j] of the plan (`_layer_plan`) and draws from draws' row j.
+
+    Per component and layer, every row draws one uniform per contested seed
+    of its pair, red winning below the red-win probability.  Then, after the
+    first layer, with (P[Red], P[Red or Blue]) at the predecessor's (size,
+    red, blue) from the table, Binom(m, P[Red or Blue]) of the m unseeded
+    vertices adopt, of whom Binom(adopters, P[Red] / P[Red or Blue]) turn red
+    (`engine._binomial`)."""
+    rows = np.arange(len(which))
+    chi_r = np.zeros(len(rows), dtype=np.int64)
+    chi_b = np.zeros(len(rows), dtype=np.int64)
+    slot = 0
     for layers in plan:
-        prev = None
-        for size, sr, sb, contested in layers:
-            for p_red in contested:
-                if rng.random() < p_red:
-                    sr += 1
-                else:
-                    sb += 1
-            if prev is not None:
-                pa, q = probs[prev]
-                m = size - (sr + sb)
-                total = rng.binomial(m, pa) if (m > 0 and pa > 0.0) else 0
-                x = rng.binomial(total, q) if total > 0 else 0
-                sr, sb = sr + x, sb + (total - x)
-            chi_r += sr
-            chi_b += sb
-            prev = (sr, sb, size)
+        for depth, (size, sure_red, sure_blue, contests) in enumerate(layers):
+            red, blue = sure_red[which], sure_blue[which]
+            for k, p_win in contests:
+                at = np.flatnonzero(which == k)
+                c = len(p_win)
+                u = draws.take(at, np.full(len(at), c), np.repeat(np.arange(len(at)), c))
+                won = np.count_nonzero(u.reshape(-1, c) < p_win, axis=1)
+                red[at] += won
+                blue[at] += c - won
+            if depth:
+                p_red, p_any = table.lookup(np.full(len(rows), slot), red_before, blue_before)
+                slot += 1
+                adopters = _binomial(draws, rows, size - red - blue, p_any)
+                share = np.divide(p_red, p_any, out=np.zeros(len(rows)), where=p_any > 0.0)
+                x = _binomial(draws, rows, adopters, share)
+                red += x
+                blue += adopters - x
+            chi_r += red
+            chi_b += blue
+            red_before, blue_before = red, blue
     return chi_r, chi_b
 
 
@@ -526,26 +547,56 @@ def sample_layered_counts(structure: LayeredStructure, dyn: AdoptionFunction,
 
     Given layer totals, individual update outcomes are i.i.d. three-way draws,
     so binomial layer draws reproduce the per-vertex process's distribution of
-    (red, blue) totals exactly.
+    (red, blue) totals exactly.  The run is one row of
+    `layered_estimate_payoffs`' block step, with no support draw, on the
+    SplitMix64 stream keyed by one uint64 that it draws from the numpy
+    `Generator` rng.
     """
-    return _sample_plan(_layer_plan(structure, red, blue), _LayerProbs(dyn), rng)
+    plan = _layer_plan(structure, [(1.0, red, blue)])
+    keys = np.array([rng.integers(2**64, dtype=np.uint64)])
+    chi_r, chi_b = _sample_block(plan, _layer_table(structure, dyn), np.zeros(1, dtype=np.intp),
+                                 _Draws(keys))
+    return int(chi_r[0]), int(chi_b[0])
+
+
+# Runs that one block step of the layer sampler advances together; a full
+# block peaks at about 7 MB under tracemalloc.
+_SAMPLER_BLOCK = 1 << 14
 
 
 def layered_estimate_payoffs(structure: LayeredStructure, dyn: AdoptionFunction,
                              profile: StrategyProfile, n_trials: int = 10_000,
                              master_seed: int = 0) -> PayoffEstimate:
-    """Monte Carlo over aggregated layer draws; same replication-seed scheme
-    as the per-vertex estimator.  Replication i draws what the support draw
-    and `sample_layered_counts` draw from a fresh PCG64 generator keyed by
-    (master_seed, i) (`engine._keyed_generators`); each support pair's layer
-    plan is built once, and `update_probs` is called once per distinct input
-    for the whole estimate."""
+    """Monte Carlo over aggregated layer draws, with the per-vertex
+    estimator's replication keys: replication i draws from the SplitMix64
+    stream keyed by (master_seed, i) (`engine._replication_words`,
+    `engine._Draws`), and a block of replications advances through each
+    component's layers together (`_sample_block`).
+
+    A replication takes its uniforms in this order: the support draw, where
+    the profile has more than one support pair; then per component, per
+    layer, one per contested seed in vertex order, followed by the draws of
+    the layer's adopter binomial and then of its red binomial, rejected BTRS
+    attempts included (`engine._binomial`).  So its result depends only on
+    its key.  Each support pair's layer plan is built once, and
+    `update_probs_array` is called once per distinct (predecessor size, red,
+    blue) for the whole estimate."""
     if not (_is_integer(n_trials) and n_trials >= 1):
         raise ValidationError(f"n_trials must be a positive integer, got {n_trials!r}")
     _require_master_seed(master_seed)
     pairs = profile.support_pairs()
-    plans = {(id(red), id(blue)): _layer_plan(structure, red, blue) for _, red, blue in pairs}
-    probs = _LayerProbs(dyn)
-    return monte_carlo_estimate(*_one_at_a_time(
-        (pairs,), lambda red, blue, rng: _sample_plan(plans[id(red), id(blue)], probs, rng),
-        _seed_keys([master_seed]), n_trials, 0, n_trials))
+    plan = _layer_plan(structure, pairs)
+    table = _layer_table(structure, dyn)
+    cumulative = np.array(list(accumulate(p for p, _, _ in pairs)))
+
+    def run(keys: np.ndarray, jobs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        draws = _Draws(keys)
+        which = np.zeros(len(keys), dtype=np.intp)
+        if len(pairs) > 1:
+            rows = np.arange(len(keys))
+            u = draws.take(rows, np.ones(len(keys), dtype=np.intp), rows)
+            which = np.minimum(np.searchsorted(cumulative, u, side="right"), len(pairs) - 1)
+        return _sample_block(plan, table, which, draws)
+
+    return monte_carlo_estimate(*engine._fill(run, _seed_keys([master_seed]), n_trials, 0,
+                                              n_trials, _SAMPLER_BLOCK))

@@ -972,6 +972,58 @@ def test_draws_are_uncorrelated_along_a_row_and_across_adjacent_rows():
     assert abs(along) < bound and abs(across) < bound, (along, across)
 
 
+def binomial_draws(n, p, count: int, seed: int):
+    """`count` draws of Binom(n, p), one from each of as many replications,
+    and the uniforms each replication used."""
+    draws = engine._Draws(replication_words(seed, 0, count))
+    x = engine._binomial(draws, np.arange(count), np.full(count, n), np.full(count, p))
+    return x, draws.used
+
+
+@pytest.mark.parametrize("n, p, method", [
+    (30, 0.3, "inversion"),      # n p = 9
+    (40, 0.25, "btrs"),          # n p = 10, the switch
+    (100, 0.3, "btrs"),
+    (20, 0.8, "inversion"),      # p > 1/2, on q = 0.2
+    (40, 0.75, "btrs"),          # p > 1/2, on q = 0.25 at the switch
+    (2**20, 5e-6, "inversion"),  # n q = 5.2
+    (2**20, 0.3, "btrs"),
+    (2**20, 0.9, "btrs"),
+])
+def test_binomial_draws_follow_the_binomial_pmf(n, p, method):
+    """200,000 draws against scipy's pmf: a chi-square test over every count
+    expected at least 5 times, with the two tails beyond them as two bins.
+    Inversion takes one uniform a draw and BTRS two an attempt."""
+    from scipy import stats
+
+    x, used = binomial_draws(n, p, 200_000, seed=n + int(p * 100))
+    if method == "inversion":
+        assert (used == 1).all()
+    else:
+        assert (used >= 2).all() and (used % 2 == 0).all()
+    expected = len(x) * stats.binom.pmf(np.arange(n + 1), n, p)
+    lo, hi = np.flatnonzero(expected >= 5.0)[[0, -1]]
+    observed = np.bincount(np.clip(x, lo, hi) - lo, minlength=hi - lo + 1)
+    expected = expected[lo:hi + 1].copy()
+    expected[0] = len(x) * stats.binom.cdf(lo, n, p)
+    expected[-1] = len(x) * stats.binom.sf(hi - 1, n, p)
+    chi2 = ((observed - expected) ** 2 / expected).sum()
+    assert stats.chi2.sf(chi2, len(expected) - 1) > 1e-3, chi2
+
+
+def test_binomial_edge_cases():
+    """n = 0, p = 0 and p = 1 are certain and take no draw; at p = 1 - ulp,
+    where P[Red] + P[Blue] can round to just below 1, a draw of n = 2^20
+    takes one uniform and is n but for odds of about 1e-10."""
+    n = np.array([0, 0, 0, 9, 9, 2**20])
+    p = np.array([0.0, 0.5, 1.0, 0.0, 1.0, 1.0])
+    draws = engine._Draws(replication_words(1, 0, 6))
+    assert engine._binomial(draws, np.arange(6), n, p).tolist() == [0, 0, 0, 0, 9, 2**20]
+    assert not draws.used.any()
+    x, used = binomial_draws(2**20, np.nextafter(1.0, 0.0), 1000, seed=2)
+    assert (x == 2**20).all() and (used == 1).all()
+
+
 @settings(max_examples=100, deadline=None)
 @given(seed_keys=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=3),
        n_trials=st.integers(1, 3))

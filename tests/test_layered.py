@@ -36,7 +36,7 @@ from contagion_games import (
     sample_layered_counts,
     validate_layered_graph,
 )
-from stream_reference import keyed_pcg64, replication_key
+from stream_reference import layered_run, replication_key
 
 
 def two_component_structure():
@@ -420,11 +420,9 @@ def sampler_cases(draw):
 
 def single_run_reference(structure, dyn, profile, n_trials, master_seed):
     pairs = profile.support_pairs()
-    chi_r, chi_b = np.empty(n_trials), np.empty(n_trials)
-    for i in range(n_trials):
-        rng = keyed_pcg64(replication_key(master_seed, i))
-        red, blue = engine._sample_support(pairs, rng)
-        chi_r[i], chi_b[i] = sample_layered_counts(structure, dyn, red, blue, rng)
+    chi = [layered_run(structure, dyn, pairs, replication_key(master_seed, i))
+           for i in range(n_trials)]
+    chi_r, chi_b = (np.array(side, dtype=float) for side in zip(*chi))
     return engine.monte_carlo_estimate(chi_r, chi_b)
 
 
@@ -436,6 +434,27 @@ def test_layer_sampler_equals_single_runs_on_fresh_generators(case, n_trials, ma
     est = layered_estimate_payoffs(structure, dyn, profile, n_trials=n_trials,
                                    master_seed=master_seed)
     assert est == single_run_reference(structure, dyn, profile, n_trials, master_seed)
+
+
+@pytest.mark.parametrize("dyn", [make_dyn("linear"), SwitchSelectAdoption(
+    PowerSwitch(0.25), TullockSelection(3.0))], ids=["linear", "concave"])
+def test_layer_sampler_equals_single_runs_on_large_layers(dyn):
+    """Layers of tens to thousands of vertices, where binomials take BTRS
+    and, under the concave switch, P[Red or Blue] passes 1/2; a mixed red
+    side and a contested seed.  Each replication, and one run of
+    `sample_layered_counts` on the key its generator draws, equal the
+    row-at-a-time reference."""
+    structure = LayeredStructure(((3, 40, 300, 2000), (2, 25, 60)))
+    n = structure.n
+    red = MixedAllocation(((0.5, Allocation.from_seeds(n, [0, 1])),
+                           (0.5, Allocation.from_seeds(n, [0, 2345]))))
+    profile = StrategyProfile(red, Allocation.from_seeds(n, [1, 2344]))
+    est = layered_estimate_payoffs(structure, dyn, profile, n_trials=120, master_seed=31)
+    assert est == single_run_reference(structure, dyn, profile, 120, 31)
+    _, one_red, blue = profile.support_pairs()[1]
+    key = int(np.random.default_rng(8).integers(2**64, dtype=np.uint64))
+    assert sample_layered_counts(structure, dyn, one_red, blue, np.random.default_rng(8)) == \
+        layered_run(structure, dyn, [(1.0, one_red, blue)], key)
 
 
 # ---------------------------------------------------------------------------
