@@ -238,6 +238,15 @@ def _int_field(config: dict, field: str, default: Optional[int] = None,
     return value
 
 
+def _eps_field(section: dict, field: str) -> Optional[float]:
+    """An optional `eps` of the section, reported as `field`; a bool is no
+    number."""
+    eps = section.get("eps")
+    if eps is not None and (isinstance(eps, bool) or not isinstance(eps, (int, float))):
+        raise _field_error(field, f"must be a number, got {eps!r}")
+    return eps
+
+
 def _game_from_config(config: dict, need_profile: bool,
                       source: Optional[tuple[Optional[Graph], Optional[GadgetSpec]]] = None,
                       ) -> tuple[GameSpec, Optional[GadgetSpec]]:
@@ -300,11 +309,8 @@ def _search_params(config: dict) -> dict:
     section = config.get("search", {})
     if not isinstance(section, dict):
         raise _field_error("search", "must be a JSON object")
-    eps = section.get("eps")
-    if eps is not None and not isinstance(eps, (int, float)):
-        raise _field_error("search.eps", f"must be a number, got {eps!r}")
     return {
-        "eps": eps,
+        "eps": _eps_field(section, "search.eps"),
         "allocation_cap": _int_field(section, "allocation_cap",
                                      DEFAULT_ALLOCATION_CAP, minimum=1),
         "pair_cap": _int_field(section, "pair_cap", DEFAULT_PAIR_CAP, minimum=1),
@@ -391,9 +397,7 @@ def _verb_gadget(config: dict):
     graph = config.get("graph")
     section = graph.get("gadget") if isinstance(graph, dict) else None
     spec = _gadget_from(config.get("gadget") if section is None else section, "gadget")
-    eps = config.get("eps")
-    if eps is not None and not isinstance(eps, (int, float)):
-        raise _field_error("eps", f"must be a number, got {eps!r}")
+    eps = _eps_field(config, "eps")
     verification = verify_gadget(spec) if eps is None else verify_gadget(spec, eps=float(eps))
 
     edge_cap = _int_field(config, "max_graph_edges", DEFAULT_GRAPH_EDGE_CAP, minimum=1)

@@ -48,7 +48,7 @@ from .equilibrium import (
     _seed_pairs,
     verify_profile_deviations,
 )
-from .layered import DEFAULT_GRAPH_EDGE_CAP, LayeredStructure, layered_exact_payoffs
+from .layered import DEFAULT_GRAPH_EDGE_CAP, LayeredDP, LayeredStructure, layered_exact_payoffs
 
 MAX_CONTESTED_BRANCHES = 20
 
@@ -492,10 +492,15 @@ class GadgetSpec:
         return lambda red, blue: profile_fn(StrategyProfile(red, blue))
 
     def profile_payoff_fn(self) -> Callable[[StrategyProfile], PayoffEstimate]:
-        """The gadget's own exact back end, on pure or mixed profiles."""
+        """The gadget's own exact back end, on pure or mixed profiles.  A layered
+        gadget's is a fresh `LayeredDP`'s: the profiles one function evaluates
+        share each component's layer distributions, keyed by its leading layer
+        sizes and their seeds, for as long as the function lives (one
+        verification, or one `payoff` verb call), with outputs bit-identical to
+        separate `layered_exact_payoffs` calls."""
         if self.chain is not None:
             return partial(chain_exact_payoffs, self.chain, self.dynamics)
-        return partial(layered_exact_payoffs, self.structure, self.dynamics)
+        return LayeredDP(self.structure, self.dynamics).payoffs
 
     def build_graph(self, max_edges: int = DEFAULT_GRAPH_EDGE_CAP) -> Graph:
         return self.layout.build_graph(max_edges=max_edges)
@@ -604,7 +609,10 @@ def verify_gadget(spec: GadgetSpec, eps: float = EXACT_EPS,
     Never raises on mismatches: failed checks become report entries, and the
     overall ``ok`` is False when any profile or non-report prediction fails or
     the builder raised a flag.  Each distinct (red, blue) pair is evaluated
-    once per call.
+    once per call.  On a layered gadget's own back end (`spec.payoff_fn()`)
+    the pairs share one `LayeredDP`: a component's layer distributions, keyed
+    by its leading layer sizes and their seeds, are computed once per call,
+    and the outputs are bit-identical to separate evaluations.
     """
     fn = cache(payoff_fn if payoff_fn is not None else spec.payoff_fn())
     reports: dict[str, DeviationReport] = {}

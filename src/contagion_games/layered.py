@@ -133,7 +133,7 @@ def validate_layered_graph(graph: Graph, structure: LayeredStructure) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _seeds_by_layer(seeds, ranges) -> list[tuple[int, int, list[float]]]:
+def _seeds_by_layer(seeds, ranges) -> list[tuple[int, int, tuple[float, ...]]]:
     """(sure red, sure blue, contested red-win probabilities) of each layer
     (start, size), from `split_seeds`' ascending lists; the cost scales with
     the budgets, not with layers of millions of vertices."""
@@ -144,7 +144,8 @@ def _seeds_by_layer(seeds, ranges) -> list[tuple[int, int, list[float]]]:
         end = start + size
         out.append((bisect_left(red_only, end) - bisect_left(red_only, start),
                     bisect_left(blue_only, end) - bisect_left(blue_only, start),
-                    [p for _, p in contested[bisect_left(where, start):bisect_left(where, end)]]))
+                    tuple(p for _, p in
+                          contested[bisect_left(where, start):bisect_left(where, end)])))
     return out
 
 
@@ -395,46 +396,86 @@ def _layer_transition(p: np.ndarray, pr: np.ndarray, pb: np.ndarray, m: int, pru
     return nxt, r0, b0, er, eb
 
 
-def _component_expectation(sizes: tuple[int, ...], ranges, dyn: AdoptionFunction,
-                           seeds, prune: float):
-    """Exact (E red, E blue) totals over one component, plus the probability
-    mass pruning dropped: one minus the mass of the distribution that reaches
-    the final layer."""
-    er = eb = 0.0
+class LayeredDP:
+    """Exact payoffs of profiles on one layered structure, dynamics and prune.
 
-    # Seed totals per layer are state-independent; count them directly.
-    layer_seeds = _seeds_by_layer(seeds, ranges)
-    layer_seed_branches = []
-    for seeds in layer_seeds:
-        branches = _seed_branches(*seeds)
-        layer_seed_branches.append(branches)
-        er += sum(p * r for r, b, p in branches)
-        eb += sum(p * b for r, b, p in branches)
+    A component's distribution of (red, blue) totals entering layer d depends
+    only on its seeded prefix: the sizes and seeds (sure red, sure blue,
+    contested red-win probabilities) of its layers 0 through d.  The object
+    keeps each `_layer_transition` output under that prefix for its lifetime,
+    so every profile and component that reaches the prefix shares one step.
+    The arithmetic is that of a fresh evaluation: no output moves by a bit."""
 
-    dist, r0, b0 = _seed_box(0, 0, 0, 0, layer_seed_branches[0])
-    _add_box(dist, r0, b0, 0, 0, np.ones((1, 1)), layer_seed_branches[0])
+    def __init__(self, structure: LayeredStructure, dyn: AdoptionFunction,
+                 prune: float = DEFAULT_PRUNE):
+        if isinstance(prune, bool) or not (isinstance(prune, (int, float)) and 0.0 <= prune < 1.0):
+            raise ValidationError(f"prune must be a finite number in [0, 1), got {prune!r}")
+        self.structure, self.dyn, self.prune = structure, dyn, prune
+        self._ranges = structure.layer_ranges()
+        self._steps = {}
 
-    for depth in range(1, len(sizes)):
-        sr, sb, contested = layer_seeds[depth]
-        m = sizes[depth] - (sr + sb + len(contested))
-        last = depth == len(sizes) - 1
-        # States at or below `prune` are dropped, except before the final
-        # layer, where dropping saves nothing.
-        ri, bi = np.nonzero(dist > (0.0 if last else prune))
-        p = dist[ri, bi]
-        pr, pb = dyn.update_probs_array((ri + r0) / sizes[depth - 1],
-                                        (bi + b0) / sizes[depth - 1])
-        if last:
-            er += m * float(p @ pr)
-            eb += m * float(p @ pb)
-            break
-        dist, r0, b0, dr, db = _layer_transition(p, pr, pb, m, prune,
-                                                 layer_seed_branches[depth])
-        # Update-count expectations for this layer (seeds were counted already).
-        er += dr
-        eb += db
+    def payoffs(self, profile: StrategyProfile) -> PayoffEstimate:
+        """`layered_exact_payoffs` of the profile."""
+        er = eb = dropped = 0.0
+        for p, red, blue in profile.support_pairs():
+            if p == 0.0:
+                continue
+            if red.n != self.structure.n or blue.n != self.structure.n:
+                raise ValidationError("allocation length does not match the layered structure")
+            seeds = split_seeds(red, blue)
+            for comp_sizes, comp_ranges in zip(self.structure.component_layer_sizes,
+                                               self._ranges):
+                r, b, d = self._component_expectation(comp_sizes, comp_ranges, seeds)
+                er += p * r
+                eb += p * b
+                dropped += p * d
+        return PayoffEstimate(pi_R=er, pi_B=eb, method=EXACT_LAYERED_DP,
+                              n_trials=0, stderr_R=0.0, stderr_B=0.0, pruned_mass=dropped)
 
-    return er, eb, max(0.0, 1.0 - float(dist.sum()))
+    def _component_expectation(self, sizes: tuple[int, ...], ranges, seeds):
+        """Exact (E red, E blue) totals over one component, plus the probability
+        mass pruning dropped: one minus the mass of the distribution that
+        reaches the final layer."""
+        er = eb = 0.0
+
+        # Seed totals per layer are state-independent; count them directly.
+        layer_seeds = _seeds_by_layer(seeds, ranges)
+        layer_seed_branches = []
+        for seeds in layer_seeds:
+            branches = _seed_branches(*seeds)
+            layer_seed_branches.append(branches)
+            er += sum(p * r for r, b, p in branches)
+            eb += sum(p * b for r, b, p in branches)
+
+        dist, r0, b0 = _seed_box(0, 0, 0, 0, layer_seed_branches[0])
+        _add_box(dist, r0, b0, 0, 0, np.ones((1, 1)), layer_seed_branches[0])
+
+        for depth in range(1, len(sizes)):
+            sr, sb, contested = layer_seeds[depth]
+            m = sizes[depth] - (sr + sb + len(contested))
+            last = depth == len(sizes) - 1
+            # The seeded prefix: all that the step into this layer reads.
+            key = (sizes[:depth + 1], *layer_seeds[:depth + 1])
+            step = None if last else self._steps.get(key)
+            if step is None:
+                # States at or below `prune` are dropped, except before the
+                # final layer, where dropping saves nothing.
+                ri, bi = np.nonzero(dist > (0.0 if last else self.prune))
+                p = dist[ri, bi]
+                pr, pb = self.dyn.update_probs_array((ri + r0) / sizes[depth - 1],
+                                                     (bi + b0) / sizes[depth - 1])
+                if last:
+                    er += m * float(p @ pr)
+                    eb += m * float(p @ pb)
+                    break
+                step = self._steps[key] = _layer_transition(p, pr, pb, m, self.prune,
+                                                            layer_seed_branches[depth])
+            dist, r0, b0, dr, db = step
+            # Update-count expectations for this layer (seeds were counted already).
+            er += dr
+            eb += db
+
+        return er, eb, max(0.0, 1.0 - float(dist.sum()))
 
 
 def layered_exact_payoffs(structure: LayeredStructure, dyn: AdoptionFunction,
@@ -446,25 +487,11 @@ def layered_exact_payoffs(structure: LayeredStructure, dyn: AdoptionFunction,
     distributions; with prune=0 the computation is exact up to float rounding.
     The estimate's `pruned_mass` is the dropped mass, weighted by profile
     probability; each payoff is within `pruned_mass * structure.n` of the
-    unpruned value.
+    unpruned value.  This evaluates the profile alone, on a fresh `LayeredDP`;
+    one `LayeredDP` evaluating many profiles of the structure shares their
+    layer distributions and gives the same outputs bit for bit.
     """
-    if not (isinstance(prune, (int, float)) and 0.0 <= prune < 1.0):
-        raise ValidationError(f"prune must be a finite number in [0, 1), got {prune!r}")
-    ranges = structure.layer_ranges()
-    er = eb = dropped = 0.0
-    for p, red, blue in profile.support_pairs():
-        if p == 0.0:
-            continue
-        if red.n != structure.n or blue.n != structure.n:
-            raise ValidationError("allocation length does not match the layered structure")
-        seeds = split_seeds(red, blue)
-        for comp_sizes, comp_ranges in zip(structure.component_layer_sizes, ranges):
-            r, b, d = _component_expectation(comp_sizes, comp_ranges, dyn, seeds, prune)
-            er += p * r
-            eb += p * b
-            dropped += p * d
-    return PayoffEstimate(pi_R=er, pi_B=eb, method=EXACT_LAYERED_DP,
-                          n_trials=0, stderr_R=0.0, stderr_B=0.0, pruned_mass=dropped)
+    return LayeredDP(structure, dyn, prune).payoffs(profile)
 
 
 # ---------------------------------------------------------------------------

@@ -525,6 +525,21 @@ def test_schedule_fields_are_not_coerced(tmp_path, capsys, overrides, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb, config, field, value", [
+    ("gadget", gadget_config(17, eps=True), "eps", True),
+    ("nash", base_config(budget_red=1, budget_blue=1, search={"eps": True}), "search.eps",
+     True),
+    ("poa", base_config(budget_red=1, budget_blue=1, search={"eps": False}), "search.eps",
+     False),
+])
+def test_a_boolean_eps_is_refused(tmp_path, capsys, verb, config, field, value):
+    """JSON `true` in a numeric field is a config error, not eps 1."""
+    assert run([verb, "--config", write_config(tmp_path, config),
+                "--out", str(tmp_path / "out")]) == 1
+    assert f"config field '{field}': must be a number, got {value!r}" in \
+        capsys.readouterr().err
+
+
 def test_profile_and_search_are_mutually_exclusive(tmp_path, capsys):
     config = write_config(tmp_path, base_config(
         profile={"red_seeds": [3], "blue_seeds": [0]}, search={"eps": 0.1}))

@@ -4,6 +4,7 @@ verification harness."""
 import dataclasses
 import math
 import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -43,6 +44,7 @@ from contagion_games import (
     threshold_two_layer,
     verify_gadget,
 )
+from contagion_games import layered
 from contagion_games.engine import sample_payoffs
 from contagion_games.gadgets import VERIFICATION_CSV_HEADER
 
@@ -606,6 +608,33 @@ def test_verification_evaluates_each_profile_once():
     assert ver.ok
     assert ver.measured == verify_gadget(spec).measured
     assert ver.measured["split_seeds_layer2_infections"] == 0.0
+
+
+def count_transitions(run) -> int:
+    transition, calls = layered._layer_transition, []
+
+    def counting(*args):
+        calls.append(None)
+        return transition(*args)
+
+    with patch.object(layered, "_layer_transition", counting):
+        run()
+    return len(calls)
+
+
+@pytest.mark.parametrize("build, args, shared, total", [
+    (convexity_amplifier, (4, 6, 1.25, 8192), 28, 34),
+    (polarization_amplifier, (4, 40, 4000, 1.25), 24, 24),
+])
+def test_verification_advances_each_seeded_prefix_once(build, args, shared, total):
+    # As separate DP calls, the verifications take 118 and 39 layer
+    # transitions.  On one shared DP each of the 28 and 24 distinct seeded prefixes is
+    # advanced once; convexity's final_fraction measure reruns 6 of them on a
+    # truncated structure, outside that DP.
+    spec = build(*args)
+    assert count_transitions(
+        lambda: verify_gadget(dataclasses.replace(spec, extra_measure=None))) == shared
+    assert count_transitions(lambda: verify_gadget(spec)) == total
 
 
 # ---------------------------------------------------------------------------

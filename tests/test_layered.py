@@ -363,7 +363,7 @@ def test_pruned_mass_is_weighted_by_profile_probability():
     assert len(est.to_csv_row()) == 6
 
 
-@pytest.mark.parametrize("prune", [math.nan, -1.0, 1.0, math.inf, "0"])
+@pytest.mark.parametrize("prune", [math.nan, -1.0, 1.0, math.inf, "0", True, False])
 def test_dp_rejects_invalid_prune(prune):
     structure = LayeredStructure(((4, 8, 16),))
     profile = StrategyProfile(Allocation.from_seeds(28, [0]), Allocation.from_seeds(28, [1]))
@@ -387,6 +387,68 @@ def test_pruning_rule(sizes, red, blue, prune, pi_r, pruned):
     est = layered_exact_payoffs(structure, make_dyn("linear"), profile, prune=prune)
     assert est.pi_R == pytest.approx(pi_r, abs=1e-12)
     assert est.pruned_mass == pytest.approx(pruned, abs=1e-12)
+
+
+@st.composite
+def shared_prefix_cases(draw):
+    """1-3 components that share 1-3 leading layer sizes, and 1-5 pure or
+    mixed profiles.  An allocation seeds either the same few prefix vertices
+    of every component, drawn from a pool that red and blue share, so that
+    they often contest one, or any vertices at all."""
+    prefix = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+    tails = draw(st.lists(st.lists(st.integers(1, 3), max_size=3), min_size=1, max_size=3))
+    structure = LayeredStructure(tuple(tuple(prefix + tail) for tail in tails))
+    n = structure.n
+    starts = [comp[0][0] for comp in structure.layer_ranges()]
+    pool = draw(st.lists(st.integers(0, sum(prefix) - 1), min_size=1, max_size=3))
+    k = draw(st.integers(1, 2))
+
+    def allocation():
+        if draw(st.booleans()):
+            offsets = draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k))
+            return Allocation.from_seeds(n, [s + o for s in starts for o in offsets])
+        return Allocation.from_seeds(n, draw(st.lists(st.integers(0, n - 1), min_size=k * len(starts),
+                                                      max_size=k * len(starts))))
+
+    def side():
+        if draw(st.booleans()):
+            return allocation()
+        p = draw(st.sampled_from((0.25, 0.5, 0.75)))
+        return MixedAllocation(((p, allocation()), (1.0 - p, allocation())))
+
+    profiles = [StrategyProfile(side(), side()) for _ in range(draw(st.integers(1, 5)))]
+    return structure, profiles, draw(st.sampled_from(PROPERTY_DYNAMICS))
+
+
+def hex_payoffs(est):
+    return est.pi_R.hex(), est.pi_B.hex(), est.pruned_mass.hex()
+
+
+class KeepNothing(dict):
+    """A step store that keeps no step, so that every component of every
+    profile runs its whole DP: evaluation without sharing."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+@settings(max_examples=100, deadline=None)
+@given(shared_prefix_cases(), st.sampled_from([0.0, layered.DEFAULT_PRUNE]), st.randoms())
+def test_shared_evaluation_equals_fresh_evaluation_bit_for_bit(case, prune, rnd):
+    """One `LayeredDP` evaluating a sequence of profiles, in any order, gives
+    each the payoffs and pruned mass of a fresh `layered_exact_payoffs` call,
+    and those of an evaluation that shares no step, even between components."""
+    structure, profiles, dyn = case
+    unshared = layered.LayeredDP(structure, dyn, prune)
+    unshared._steps = KeepNothing()
+    fresh = [hex_payoffs(layered_exact_payoffs(structure, dyn, profile, prune=prune))
+             for profile in profiles]
+    assert fresh == [hex_payoffs(unshared.payoffs(profile)) for profile in profiles]
+    shuffled = list(range(len(profiles)))
+    rnd.shuffle(shuffled)
+    for order in (range(len(profiles)), range(len(profiles) - 1, -1, -1), shuffled):
+        payoffs = layered.LayeredDP(structure, dyn, prune).payoffs
+        assert [hex_payoffs(payoffs(profiles[i])) for i in order] == [fresh[i] for i in order]
 
 
 # ---------------------------------------------------------------------------
