@@ -9,6 +9,16 @@ distribution of per-layer (red, blue) totals therefore gives exact expected
 payoffs in time polynomial in the layer sizes — graphs far beyond the reach of
 the branch-enumeration oracle.
 
+Under linear selection, g(x) = x, a `SwitchSelectAdoption` layer's adopter
+total depends on the previous layer's total T alone, and each adopter is red
+with probability X / T, X being that layer's red count.  Every payoff is then
+linear in X, so the DP carries one vector over totals, P(T) with the red mass
+E[X 1{T}], instead of the (red, blue) box: the chain is lumpable on totals
+(Kemeny and Snell, *Finite Markov Chains*, 1960), and the step is exact.  Its
+pruning drops states of mass at most `prune` and, within a state of mass p,
+adopter counts whose pmf is at most prune / p; the box step keeps the same
+rule for its red and blue counts.
+
 The final layer of each component never influences anything downstream, so
 only its expectation is needed, which keeps components with enormous terminal
 layers cheap.
@@ -23,7 +33,7 @@ from itertools import accumulate
 import numpy as np
 
 from . import engine
-from .dynamics import AdoptionFunction, LayerOrder
+from .dynamics import AdoptionFunction, LayerOrder, SwitchSelectAdoption, TullockSelection
 from .engine import (
     EXACT_LAYERED_DP,
     Allocation,
@@ -149,13 +159,13 @@ def _seeds_by_layer(seeds, ranges) -> list[tuple[int, int, tuple[float, ...]]]:
     return out
 
 
-def _seed_branches(sr: int, sb: int, contested: list[float]):
-    """Distribution over (red, blue) seed totals for one layer."""
-    branches = [(sr, sb, 1.0)]
+def _seed_branches(sr: int, sb: int, contested):
+    """Distribution over (red, blue) seed totals for one layer: the c + 1
+    red counts of its c contested seeds, by one convolution per seed."""
+    pmf = np.ones(1)
     for p_red in contested:
-        branches = [(r + 1, b, p * p_red) for r, b, p in branches] + \
-                   [(r, b + 1, p * (1.0 - p_red)) for r, b, p in branches]
-    return branches
+        pmf = np.append(pmf * (1.0 - p_red), 0.0) + np.append(0.0, pmf * p_red)
+    return [(sr + k, sb + len(pmf) - 1 - k, float(w)) for k, w in enumerate(pmf)]
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +173,9 @@ def _seed_branches(sr: int, sb: int, contested: list[float]):
 # ---------------------------------------------------------------------------
 
 
-# Cells that one array of a block's factors, U or V, holds at most: memory
-# then grows with neither the states nor the layer size.
+# Cells that one array of a block's factors, U or V, or one chunk of pmf rows
+# holds at most, unless a row is longer: memory then grows with neither the
+# states nor the layer size.
 _CHUNK_CELLS = 1 << 15
 
 # Cells that one per-layer array of the DP, the state box or the table of log
@@ -232,6 +243,23 @@ def _pmf_window(log_fact: np.ndarray, m: int, prob: np.ndarray, cut: np.ndarray)
         lo, hi = (np.where(first > 0, d[rows, first - 1] + 1, lo),
                   np.where(first < k - 1, d[rows, np.minimum(first, k - 2)], hi))
     return lo[:n], np.where(found, m - lo[n:], lo[:n] - 1)
+
+
+def _binom_mixture(log_fact: np.ndarray, m: int, prob: np.ndarray, lo: np.ndarray,
+                   hi: np.ndarray, weights: np.ndarray):
+    """The counts ks from min(lo) to max(hi), and weights @ M, where row i of
+    M is the Binom(m, prob[i]) pmf at ks inside [lo[i], hi[i]] and 0 outside;
+    M is formed a chunk of rows at a time."""
+    ks = np.arange(lo.min(), hi.max() + 1)
+    out = np.zeros((len(weights), len(ks)))
+    rows = max(1, _CHUNK_CELLS // len(ks))
+    for c in range(0, len(prob), rows):
+        q = slice(c, c + rows)
+        _check_cells(len(prob[q]) * len(ks), f"pmf rows {(len(prob[q]), len(ks))}")
+        inside = (ks >= lo[q, None]) & (ks <= hi[q, None])
+        log_pmf = _log_binom_pmf(log_fact, m, ks, prob[q, None])
+        out += weights[:, q] @ np.exp(np.where(inside, log_pmf, -np.inf))
+    return ks, out
 
 
 def _seed_box(x_lo: int, x_hi: int, y_lo: int, y_hi: int, branches):
@@ -373,16 +401,9 @@ def _layer_transition(p: np.ndarray, pr: np.ndarray, pb: np.ndarray, m: int, pru
     s = np.flatnonzero(live & line)
     if len(s):
         # Each state's Binom(m, pr / pa) pmf over its window, on the counts
-        # of the line, a chunk of rows at a time.
-        xs = np.arange(lo[0, s].min(), hi[0, s].max() + 1)
+        # of the line.
         share = np.divide(pr[s], pa[s], out=np.zeros(len(s)), where=pa[s] > 0.0)
-        mass = np.zeros(len(xs))
-        rows = max(1, _CHUNK_CELLS // len(xs))
-        for c in range(0, len(s), rows):
-            q = s[c:c + rows]
-            inside = (xs >= lo[0, q, None]) & (xs <= hi[0, q, None])
-            log_pmf = _log_binom_pmf(log_fact, m, xs, share[c:c + rows, None])
-            mass += p[q] @ np.exp(np.where(inside, log_pmf, -np.inf))
+        xs, (mass,) = _binom_mixture(log_fact, m, share, lo[0, s], hi[0, s], p[s][None])
         er += float(mass @ xs)
         eb += float(mass @ (m - xs))
         for r, b, sp in branches:
@@ -396,13 +417,45 @@ def _layer_transition(p: np.ndarray, pr: np.ndarray, pb: np.ndarray, m: int, pru
     return nxt, r0, b0, er, eb
 
 
+def _lumped_transition(p: np.ndarray, pa: np.ndarray, share: np.ndarray, m: int, prune: float,
+                       seeds: int, red_seeds: float):
+    """Under linear selection: the next layer's distribution over its totals,
+    its red mass E[X 1{T}] at each total, its smallest total, and the expected
+    (red, blue) update counts among its m unseeded vertices.
+    Raises StateSpaceCapError when its table of log factorials or a chunk of
+    pmf rows needs more than MAX_DP_CELLS cells; the next state, m + 1
+    totals at most, is no larger than the table.
+
+    The states are the previous layer's totals, with masses p, adoption
+    probabilities pa and red shares E[X | T] / T.  From a state, A ~ Binom(m,
+    pa) vertices adopt, each red with the state's red share, so the next total
+    is seeds + A and its red mass gains red_seeds (sure red seeds plus the
+    contested seeds' red-win probabilities) plus A times the share.  Within a
+    state of mass p, an A whose pmf is at most prune / p is dropped."""
+    from scipy.special import gammaln
+
+    _check_cells(m + 1, "log-factorial table")
+    log_fact = gammaln(np.arange(m + 1) + 1)
+    lo, hi = _pmf_window(log_fact, m, pa, prune / p)
+    live = hi >= lo
+    if not live.any():
+        return np.zeros(0), np.zeros(0), 0, 0.0, 0.0
+    ks, (mass, red) = _binom_mixture(log_fact, m, pa[live], lo[live], hi[live],
+                                     np.stack([p, p * share])[:, live])
+    red *= ks
+    er = float(red.sum())
+    return mass, red_seeds * mass + red, seeds + int(ks[0]), er, float(mass @ ks) - er
+
+
 class LayeredDP:
     """Exact payoffs of profiles on one layered structure, dynamics and prune.
 
-    A component's distribution of (red, blue) totals entering layer d depends
-    only on its seeded prefix: the sizes and seeds (sure red, sure blue,
-    contested red-win probabilities) of its layers 0 through d.  The object
-    keeps each `_layer_transition` output under that prefix for its lifetime,
+    Under linear selection a layer's state is its distribution over totals
+    with its red mass (`_lumped_transition`), otherwise its distribution of
+    (red, blue) totals (`_layer_transition`).  A component's state entering
+    layer d depends only on its seeded prefix: the sizes and seeds (sure red,
+    sure blue, contested red-win probabilities) of its layers 0 through d.
+    The object keeps each step's output under that prefix for its lifetime,
     so every profile and component that reaches the prefix shares one step.
     The arithmetic is that of a fresh evaluation: no output moves by a bit."""
 
@@ -413,6 +466,10 @@ class LayeredDP:
         self.structure, self.dyn, self.prune = structure, dyn, prune
         self._ranges = structure.layer_ranges()
         self._steps = {}
+        # Linear selection: every step reads only the layer totals.
+        self._lumped = (isinstance(dyn, SwitchSelectAdoption)
+                        and isinstance(dyn.selection, TullockSelection)
+                        and dyn.selection.exponent == 1)
 
     def payoffs(self, profile: StrategyProfile) -> PayoffEstimate:
         """`layered_exact_payoffs` of the profile."""
@@ -436,19 +493,22 @@ class LayeredDP:
         """Exact (E red, E blue) totals over one component, plus the probability
         mass pruning dropped: one minus the mass of the distribution that
         reaches the final layer."""
-        er = eb = 0.0
-
         # Seed totals per layer are state-independent; count them directly.
         layer_seeds = _seeds_by_layer(seeds, ranges)
-        layer_seed_branches = []
-        for seeds in layer_seeds:
-            branches = _seed_branches(*seeds)
-            layer_seed_branches.append(branches)
-            er += sum(p * r for r, b, p in branches)
-            eb += sum(p * b for r, b, p in branches)
-
-        dist, r0, b0 = _seed_box(0, 0, 0, 0, layer_seed_branches[0])
-        _add_box(dist, r0, b0, 0, 0, np.ones((1, 1)), layer_seed_branches[0])
+        red_seeds = [sr + sum(contested) for sr, _, contested in layer_seeds]
+        er = sum(red_seeds)
+        eb = sum(sb + sum(1.0 - p for p in contested) for _, sb, contested in layer_seeds)
+        sr, sb, contested = layer_seeds[0]
+        if self._lumped:
+            # The layer's distribution over totals T, its red mass E[X 1{T}]
+            # and its smallest total.
+            state = (np.ones(1), np.array([red_seeds[0]]), sr + sb + len(contested))
+        else:
+            # The layer's distribution over (red, blue) totals and its offset.
+            branches = _seed_branches(sr, sb, contested)
+            dist, r0, b0 = _seed_box(0, 0, 0, 0, branches)
+            _add_box(dist, r0, b0, 0, 0, np.ones((1, 1)), branches)
+            state = (dist, r0, b0)
 
         for depth in range(1, len(sizes)):
             sr, sb, contested = layer_seeds[depth]
@@ -460,22 +520,37 @@ class LayeredDP:
             if step is None:
                 # States at or below `prune` are dropped, except before the
                 # final layer, where dropping saves nothing.
-                ri, bi = np.nonzero(dist > (0.0 if last else self.prune))
-                p = dist[ri, bi]
-                pr, pb = self.dyn.update_probs_array((ri + r0) / sizes[depth - 1],
-                                                     (bi + b0) / sizes[depth - 1])
+                cut, size = 0.0 if last else self.prune, sizes[depth - 1]
+                if self._lumped:
+                    mass, red, t0 = state
+                    keep = np.flatnonzero(mass > cut)
+                    p, totals = mass[keep], t0 + keep
+                    pa, _ = self.dyn.update_probs_array(totals / size, np.zeros(len(keep)))
+                    share = np.divide(red[keep], p * totals, out=np.zeros(len(keep)),
+                                      where=totals > 0)
+                    pr, pb = pa * share, pa * (1.0 - share)
+                else:
+                    dist, r0, b0 = state
+                    ri, bi = np.nonzero(dist > cut)
+                    p = dist[ri, bi]
+                    pr, pb = self.dyn.update_probs_array((ri + r0) / size, (bi + b0) / size)
                 if last:
                     er += m * float(p @ pr)
                     eb += m * float(p @ pb)
                     break
-                step = self._steps[key] = _layer_transition(p, pr, pb, m, self.prune,
-                                                            layer_seed_branches[depth])
-            dist, r0, b0, dr, db = step
+                if self._lumped:
+                    step = _lumped_transition(p, pa, share, m, self.prune,
+                                              sr + sb + len(contested), red_seeds[depth])
+                else:
+                    step = _layer_transition(p, pr, pb, m, self.prune,
+                                             _seed_branches(sr, sb, contested))
+                self._steps[key] = step
+            *state, dr, db = step
             # Update-count expectations for this layer (seeds were counted already).
             er += dr
             eb += db
 
-        return er, eb, max(0.0, 1.0 - float(dist.sum()))
+        return er, eb, max(0.0, 1.0 - float(state[0].sum()))
 
 
 def layered_exact_payoffs(structure: LayeredStructure, dyn: AdoptionFunction,

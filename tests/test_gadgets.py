@@ -611,13 +611,17 @@ def test_verification_evaluates_each_profile_once():
 
 
 def count_transitions(run) -> int:
-    transition, calls = layered._layer_transition, []
+    """Layer steps that `run` takes, on (red, blue) boxes or on layer totals."""
+    calls = []
 
-    def counting(*args):
-        calls.append(None)
-        return transition(*args)
+    def counting(transition):
+        def count(*args):
+            calls.append(None)
+            return transition(*args)
+        return count
 
-    with patch.object(layered, "_layer_transition", counting):
+    with patch.object(layered, "_layer_transition", counting(layered._layer_transition)), \
+            patch.object(layered, "_lumped_transition", counting(layered._lumped_transition)):
         run()
     return len(calls)
 
@@ -695,8 +699,9 @@ def test_convexity_validation():
     with pytest.raises(ValidationError, match="beyond float range"):
         convexity_amplifier(4, 12, 2.0, 2)
     # Infeasible at desk scale: it builds, and its verification stops at the
-    # layered DP's cell cap instead of asking for a (65537, 65537) state box.
-    with pytest.raises(StateSpaceCapError, match="state box"):
+    # layered DP's cell cap instead of asking for a 2^32 + 1 cell table of
+    # log factorials for its last middle layer.
+    with pytest.raises(StateSpaceCapError, match="log-factorial table"):
         verify_gadget(convexity_amplifier(4, 8, 2.0, 2))
 
 

@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import time
 import tracemalloc
 from unittest.mock import patch
 
@@ -179,19 +180,24 @@ def test_dp_closed_form_two_layer_threshold():
 
 
 def test_dp_refuses_layers_beyond_its_cell_cap(monkeypatch):
-    # An unseeded 8-vertex middle layer needs a 9-cell log-factorial table
-    # and a box of its (red, blue) totals wider than 10 cells.
-    structure = LayeredStructure(((4, 8, 2),))
-    profile = StrategyProfile(Allocation.from_seeds(14, [0]), Allocation.from_seeds(14, [1]))
-    dyn = make_dyn("linear")
-    assert layered_exact_payoffs(structure, dyn, profile).pi_R > 1.0
+    # An unseeded 8-vertex middle layer needs a 9-cell log-factorial table.
+    # Under Tullock s = 2 it needs a box of its (red, blue) totals wider than
+    # 10 cells; under linear selection, entering a second such layer takes
+    # the pmf rows of its 9 totals over 9 counts.
+    structure = LayeredStructure(((4, 8, 8, 2),))
+    profile = StrategyProfile(Allocation.from_seeds(22, [0]), Allocation.from_seeds(22, [1]))
+    for name in ("linear", "tullock2"):
+        assert layered_exact_payoffs(structure, make_dyn(name), profile).pi_R > 1.0
     monkeypatch.setattr(layered, "MAX_DP_CELLS", 10)
     with pytest.raises(StateSpaceCapError, match="state box"):
-        layered_exact_payoffs(structure, dyn, profile)
-    with pytest.raises(StateSpaceCapError, match="log-factorial table"):
-        layered_exact_payoffs(LayeredStructure(((4, 10, 2),)), dyn,
-                              StrategyProfile(Allocation.from_seeds(16, [0]),
-                                              Allocation.from_seeds(16, [1])))
+        layered_exact_payoffs(structure, make_dyn("tullock2"), profile)
+    with pytest.raises(StateSpaceCapError, match=re.escape("pmf rows (9, 9)")):
+        layered_exact_payoffs(structure, make_dyn("linear"), profile)
+    for name in ("linear", "tullock2"):
+        with pytest.raises(StateSpaceCapError, match="log-factorial table"):
+            layered_exact_payoffs(LayeredStructure(((4, 10, 2),)), make_dyn(name),
+                                  StrategyProfile(Allocation.from_seeds(16, [0]),
+                                                  Allocation.from_seeds(16, [1])))
 
 
 def test_dp_rejects_wrong_allocation_length():
@@ -283,6 +289,45 @@ def test_dp_enumerates_contested_branches_exhaustively():
     assert est.pi_B == pytest.approx(acc_b, abs=1e-12)
 
 
+def old_seed_branches(sr, sb, contested):
+    """The seed branches as they were: one per coloring of the contested
+    seeds, 2^c of them."""
+    branches = [(sr, sb, 1.0)]
+    for p_red in contested:
+        branches = [(r + 1, b, p * p_red) for r, b, p in branches] + \
+                   [(r, b + 1, p * (1.0 - p_red)) for r, b, p in branches]
+    return branches
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 3),
+       st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.9, 1.0, 1e-9]) | st.floats(0.0, 1.0),
+                max_size=8))
+def test_seed_branches_merge_the_colorings_of_equal_totals(sr, sb, contested):
+    merged = {}
+    for r, b, p in old_seed_branches(sr, sb, contested):
+        merged[r, b] = merged.get((r, b), 0.0) + p
+    branches = layered._seed_branches(sr, sb, contested)
+    assert [(r, b) for r, b, _ in branches] == \
+        [(sr + k, sb + len(contested) - k) for k in range(len(contested) + 1)]
+    for r, b, p in branches:
+        assert p == pytest.approx(merged[r, b], rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("layer", [0, 1])
+def test_twenty_contested_seeds_in_one_layer_evaluate_quickly(layer):
+    # 2^20 colorings, one branch each, took about 4 s and doubled with each
+    # seed; their 21 red counts take a few milliseconds.  Each contested seed
+    # goes to either side with probability 1/2, so both payoffs are equal.
+    structure = LayeredStructure(((30, 30, 5),))
+    seeds = Allocation.from_seeds(structure.n, range(30 * layer, 30 * layer + 20))
+    start = time.perf_counter()
+    est = layered_exact_payoffs(structure, make_dyn("tullock2"), StrategyProfile(seeds, seeds))
+    assert time.perf_counter() - start < 1.0
+    assert est.pi_R == pytest.approx(est.pi_B, rel=1e-12)
+    assert est.pi_R + est.pi_B >= 20.0
+
+
 # ---------------------------------------------------------------------------
 # Random structures: the DP against enumeration, and its pruned mass.
 # ---------------------------------------------------------------------------
@@ -348,7 +393,7 @@ def test_pruned_mass_bounds_the_pruning_error(game, prune):
 
 
 def test_pruned_mass_is_weighted_by_profile_probability():
-    structure = LayeredStructure(((2, 30, 30, 5),))
+    structure = LayeredStructure(((4, 30, 30, 5),))
     dyn = make_dyn("convex")
     n = structure.n
     pure = StrategyProfile(Allocation.from_seeds(n, [0]), Allocation.from_seeds(n, [1]))
@@ -457,10 +502,11 @@ def test_shared_evaluation_equals_fresh_evaluation_bit_for_bit(case, prune, rnd)
 
 
 @st.composite
-def sampler_cases(draw):
-    """1-3 components of at most 4 layers of at most 6 vertices, pure or mixed
-    sides seeding any layer (contested vertices included), any dynamics."""
-    comps = draw(st.lists(st.lists(st.integers(1, 6), min_size=1, max_size=4),
+def sampler_cases(draw, max_layer=6):
+    """1-3 components of at most 4 layers of at most max_layer vertices, pure
+    or mixed sides seeding any layer (contested vertices included), any
+    dynamics."""
+    comps = draw(st.lists(st.lists(st.integers(1, max_layer), min_size=1, max_size=4),
                           min_size=1, max_size=3))
     structure = LayeredStructure(tuple(tuple(c) for c in comps))
     n = structure.n
@@ -517,6 +563,56 @@ def test_layer_sampler_equals_single_runs_on_large_layers(dyn):
     key = int(np.random.default_rng(8).integers(2**64, dtype=np.uint64))
     assert sample_layered_counts(structure, dyn, one_red, blue, np.random.default_rng(8)) == \
         layered_run(structure, dyn, [(1.0, one_red, blue)], key)
+
+
+# ---------------------------------------------------------------------------
+# The lumped step on layer totals against the box step.
+# ---------------------------------------------------------------------------
+
+
+# The identity as a table selection: equal to linear selection bit for bit,
+# but not detected as linear, so the DP steps its (red, blue) box.
+IDENTITY_TABLE = TableSelection(((0, 0), (1, 1)))
+
+SWITCHES = [dyn.switching for dyn in PROPERTY_DYNAMICS if isinstance(dyn, SwitchSelectAdoption)]
+
+
+def test_the_identity_table_is_linear_selection_bit_for_bit():
+    y = np.arange(100_001) / 100_000
+    assert (IDENTITY_TABLE.value_array(y) == linear_selection().value_array(y)).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(sampler_cases(max_layer=40), st.sampled_from(SWITCHES))
+def test_lumped_step_equals_the_box_step_under_linear_selection(case, switching):
+    structure, profile, _ = case
+    lumped, box = (SwitchSelectAdoption(switching, g) for g in (linear_selection(), IDENTITY_TABLE))
+    assert layered.LayeredDP(structure, lumped)._lumped
+    assert not layered.LayeredDP(structure, box)._lumped
+    a, b = (layered_exact_payoffs(structure, dyn, profile, prune=0.0) for dyn in (lumped, box))
+    assert a.pi_R == pytest.approx(b.pi_R, rel=1e-12, abs=1e-12)
+    assert a.pi_B == pytest.approx(b.pi_B, rel=1e-12, abs=1e-12)
+    a, b = (layered_exact_payoffs(structure, dyn, profile) for dyn in (lumped, box))
+    # Each is within its pruned mass times n of the unpruned payoff.
+    bound = (a.pruned_mass + b.pruned_mass) * structure.n + 1e-12 * structure.n
+    assert abs(a.pi_R - b.pi_R) <= bound
+    assert abs(a.pi_B - b.pi_B) <= bound
+
+
+def test_lumped_step_takes_a_layer_the_box_step_cannot_afford():
+    # Middles (4, 4096, 65536) under f(x) = x^2: the (red, blue) boxes of the
+    # 65,536-vertex layer take ~18 s on a 2-vCPU VM, its totals ~0.04 s.
+    structure = LayeredStructure(((4, 4096, 65536, 32768),))
+    dyn = SwitchSelectAdoption(PowerSwitch(2.0), linear_selection())
+    profile = StrategyProfile(Allocation.from_seeds(structure.n, [0]),
+                              Allocation.from_seeds(structure.n, [1]))
+    start = time.perf_counter()
+    dp = layered_exact_payoffs(structure, dyn, profile)
+    assert time.perf_counter() - start < 5.0
+    mc = layered_estimate_payoffs(structure, dyn, profile, n_trials=4000, master_seed=3)
+    assert abs(mc.pi_R - dp.pi_R) <= 4.0 * mc.stderr_R
+    assert abs(mc.pi_B - dp.pi_B) <= 4.0 * mc.stderr_B
+    assert dp.pi_R == pytest.approx(dp.pi_B, rel=1e-12) and dp.pruned_mass < 1e-12
 
 
 # ---------------------------------------------------------------------------
