@@ -21,8 +21,6 @@ from .dynamics import (
     AdoptionFunction,
     LayerOrder,
     ParallelRounds,
-    RandomSequential,
-    SimOutcome,
     SinglePassOrder,
     UpdateSchedule,
     run_contagion,
@@ -322,11 +320,6 @@ def resolve_contested_seeds(red: Allocation, blue: Allocation, rng) -> list[int]
     return state
 
 
-def run_profile_once(game: GameSpec, red: Allocation, blue: Allocation, rng) -> SimOutcome:
-    initial = resolve_contested_seeds(red, blue, rng)
-    return run_contagion(game.graph, initial, game.dynamics, game.schedule, rng)
-
-
 def _require_master_seed(master_seed) -> None:
     if not (_is_integer(master_seed) and master_seed >= 0):
         raise ValidationError(f"master_seed must be a nonnegative integer, got {master_seed!r}")
@@ -390,36 +383,6 @@ def _fill(run, seed_keys: np.ndarray, n_trials: int, lo: int, hi: int, block: in
     return out
 
 
-# The per-vertex path fills this many replications a block (`_mc_chunk`).
-_SEED_BLOCK = 1 << 12
-
-
-def _keyed_generators(keys: np.ndarray):
-    """One PCG64 `Generator`, set in turn to the stream each key names, for
-    the per-vertex path, which draws more than uniforms: its 128-bit state
-    and increment are the key's first four SplitMix64 draws, high words
-    first (the increment made odd)."""
-    generator = np.random.Generator(np.random.PCG64(0))
-    steps = np.arange(1, 5, dtype=np.uint64) * _GAMMA
-    for w in _mix64(keys[:, None] + steps).tolist():
-        generator.bit_generator.state = {
-            "bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-            "state": {"state": w[0] << 64 | w[1], "inc": w[2] << 64 | w[3] | 1}}
-        yield generator
-
-
-def _sample_support(pairs, rng):
-    if len(pairs) == 1:
-        return pairs[0][1], pairs[0][2]
-    u = rng.random()
-    acc = 0.0
-    for p, ar, ab in pairs:
-        acc += p
-        if u < acc:
-            return ar, ab
-    return pairs[-1][1], pairs[-1][2]
-
-
 # A block of batched replications holds at most about this many state cells
 # (replications times vertices plus edges), so memory does not grow with the
 # trial count.  Under parallel rounds a vertex counts 9 cells: its int8 state
@@ -462,6 +425,29 @@ class _Draws:
         base = self.keys[rows] + (first + 1 - start).astype(np.uint64) * _GAMMA
         z = _mix64(base[row_of] + np.arange(len(row_of), dtype=np.uint64) * _GAMMA)
         return (z >> 11) * (1.0 / 9007199254740992.0)
+
+
+# The bit generator every `_Stream` is built on; none of them draws from it.
+_NO_BITS = np.random.PCG64(0)
+
+
+class _Stream(np.random.Generator):
+    """One replication's stream as a scalar numpy `Generator`, for
+    `run_contagion`, going on after the `used` draws the row has taken from
+    `_Draws`.  `random()` is the row's next double u, and `integers(k)` is
+    floor(k·u) of the next u; no other method draws from the stream."""
+
+    def __init__(self, key: int, used: int):
+        super().__init__(_NO_BITS)
+        self.key = key
+        self.used = used
+
+    def random(self) -> float:
+        self.used += 1
+        return (_mix64((self.key + self.used * _GAMMA) & _MASK64) >> 11) / 2.0**53
+
+    def integers(self, k: int) -> int:
+        return int(k * self.random())
 
 
 # A binomial whose smaller-side mean n·min(p, 1 - p) is below this is drawn by
@@ -703,31 +689,36 @@ class _BatchedPhases:
 
 class _ReplicationKernel(_BatchedPhases):
     """Monte Carlo replications of one game, a block at a time, as an (R, n)
-    int8 state matrix; for ParallelRounds, SinglePassOrder and LayerOrder.
+    int8 state matrix: the one Monte Carlo path for graph games.
 
     The kernel runs jobs, one per support (each job's support pairs), and
     each row of a block is one replication of one job.  A row draws from the
-    SplitMix64 stream of its key (`_replication_words`, `_Draws`) exactly the
-    numbers `run_profile_once` draws from a scalar generator of that stream,
-    in the same order: the support draw, one per contested seed in vertex
-    order, then one per update candidate in phase order.  Update
-    probabilities are `update_probs`'s at the same fractions, from the
-    kernel's table, which every block the kernel runs shares.  So every
-    replication's (chi_R, chi_B) equals the per-vertex path's, bit for bit,
-    whatever else the block runs.
+    SplitMix64 stream of its key (`_replication_words`, `_Draws`): the
+    support draw where its job has more than one pair, then one per contested
+    seed in vertex order, red winning below its share of the seeds there (as
+    `resolve_contested_seeds` draws them).  Under ParallelRounds,
+    SinglePassOrder and LayerOrder, exactly, rows then run together, drawing
+    one per update candidate in phase order, with update probabilities
+    `update_probs`'s at the same fractions, from the kernel's table, which
+    every block the kernel runs shares.  Under any other schedule, subclasses
+    of those three included, each row finishes with `run_contagion` on the
+    rest of its stream (`_Stream`).  Both give what `run_contagion` gives on
+    the row's `_Stream` after its seeds are resolved, bit for bit, whatever
+    else the block runs.
     """
 
     def __init__(self, game: GameSpec, *supports):
         graph, schedule = game.graph, game.schedule
         schedule.validate_for_graph(graph)
         super().__init__(graph, game.dynamics, schedule.phases(graph))
-        self.schedule = schedule
+        self.game, self.schedule = game, schedule
+        self.one_by_one = type(schedule) not in (ParallelRounds, SinglePassOrder, LayerOrder)
 
         # Each distinct support pair's base state, with its uncontested seeds
         # placed, and its contested vertices with red's winning chance.  A job
         # of one pair starts every replication from it; -1 marks a mixed job,
         # whose replications draw theirs by its cumulative pair
-        # probabilities, as `_sample_support` does.
+        # probabilities.
         pair_index = {}
         for pairs in supports:
             for _, red, blue in pairs:
@@ -786,6 +777,8 @@ class _ReplicationKernel(_BatchedPhases):
                 u = draws.take(rows, np.full(len(rows), c), np.repeat(np.arange(len(rows)), c))
                 state[np.ix_(rows, contested)] = np.where(u.reshape(-1, c) < p_red, RED, BLUE)
 
+        if self.one_by_one:
+            return self._run_each(keys, draws, state)
         all_rows = np.arange(len(which))
         if isinstance(self.schedule, ParallelRounds):
             self._run_rounds(state, draws, all_rows)
@@ -796,6 +789,17 @@ class _ReplicationKernel(_BatchedPhases):
                 self._update(state, None, draws, all_rows, phase[0], red, blue, cand)
         return (np.count_nonzero(state == RED, axis=1).astype(np.float64),
                 np.count_nonzero(state == BLUE, axis=1).astype(np.float64))
+
+    def _run_each(self, keys: np.ndarray, draws: _Draws, state: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+        """chi_R and chi_B of each row run by `run_contagion` from its state,
+        on the rest of its stream."""
+        graph, dyn = self.game.graph, self.game.dynamics
+        chi = np.empty((2, len(keys)))
+        for row, (key, used) in enumerate(zip(keys.tolist(), draws.used.tolist())):
+            out = run_contagion(graph, state[row].tolist(), dyn, self.schedule, _Stream(key, used))
+            chi[:, row] = out.chi_R, out.chi_B
+        return chi[0], chi[1]
 
     def _run_rounds(self, state, draws: _Draws, rows: np.ndarray) -> None:
         """Parallel rounds, in place, on pushed in-neighbor counts."""
@@ -842,20 +846,8 @@ def _mc_chunk(game: GameSpec, supports, seed_keys: np.ndarray, n_trials: int, lo
     """chi_R and chi_B of rows lo..hi-1 of a `_fill` of n_trials replications
     of each job, as a (2, hi - lo) float array: job j runs the support pairs
     supports[j] under the seed key seed_keys[j]."""
-    if type(game.schedule) in (ParallelRounds, SinglePassOrder, LayerOrder):
-        kernel = _ReplicationKernel(game, *supports)
-        return _fill(kernel.run, seed_keys, n_trials, lo, hi, kernel.block)
-    # Other schedules, RandomSequential among them, run vertex by vertex,
-    # each replication on the PCG64 generator its key names: a replication of
-    # job j takes its support pair from supports[j], then runs once.
-    def run(keys: np.ndarray, jobs: np.ndarray) -> np.ndarray:
-        chi = np.empty((2, len(keys)))
-        for row, (j, rng) in enumerate(zip(jobs.tolist(), _keyed_generators(keys))):
-            out = run_profile_once(game, *_sample_support(supports[j], rng), rng)
-            chi[:, row] = out.chi_R, out.chi_B
-        return chi
-
-    return _fill(run, seed_keys, n_trials, lo, hi, _SEED_BLOCK)
+    kernel = _ReplicationKernel(game, *supports)
+    return _fill(kernel.run, seed_keys, n_trials, lo, hi, kernel.block)
 
 
 def sample_many(game: GameSpec, jobs: Sequence[tuple[StrategyProfile, int]], n_trials: int,

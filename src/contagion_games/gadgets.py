@@ -37,8 +37,13 @@ from .engine import (
     GameSpec,
     PayoffEstimate,
     StrategyProfile,
+    _binomial,
+    _Draws,
+    _fill,
     _is_integer,
     _ProbTable,
+    _require_master_seed,
+    _seed_keys,
     split_seeds,
 )
 from .equilibrium import (
@@ -48,9 +53,8 @@ from .equilibrium import (
     _seed_pairs,
     verify_profile_deviations,
 )
-from .layered import DEFAULT_GRAPH_EDGE_CAP, LayeredDP, LayeredStructure, layered_exact_payoffs
-
-MAX_CONTESTED_BRANCHES = 20
+from .layered import (_SAMPLER_BLOCK, DEFAULT_GRAPH_EDGE_CAP, LayeredDP, LayeredStructure,
+                      layered_exact_payoffs)
 
 PREDICTION_CHECKS = ("equal", "at-least", "within-band", "report")
 
@@ -252,26 +256,40 @@ def _pair_probs(dyn: AdoptionFunction, n_red: int, n_blue: int) -> tuple[float, 
     return pr, pb
 
 
-def _chain_forward(layout: ChainLayout, dyn: AdoptionFunction,
-                   colors: dict[int, int]) -> tuple[float, float, tuple[float, float, float]]:
-    """Expected (red, blue) totals given fixed seed colors, plus the final
-    chain vertex's (uninfected, red, blue) distribution in block 0."""
-    er = sum(1.0 for c in colors.values() if c == RED)
-    eb = sum(1.0 for c in colors.values() if c == BLUE)
-    first_dist: tuple[float, float, float] = (1.0, 0.0, 0.0)
+# The (uninfected, red, blue) law of a vertex no one seeds.
+_UNSEEDED = (1.0, 0.0, 0.0)
+
+
+def _chain_forward(layout: ChainLayout, dyn: AdoptionFunction, red: Allocation,
+                   blue: Allocation) -> tuple[float, float, tuple[float, float, float]]:
+    """Expected (red, blue) totals, plus the final chain vertex's
+    (uninfected, red, blue) law in block 0.
+
+    Each seeded vertex carries its own color law, a contested one red with
+    its share of the seeds there, independently of every other vertex.  A
+    chain vertex at depth d reads input d, which nothing before depth d
+    reads, so it is independent of the chain vertex it also reads, and the
+    pair's law is the product of theirs.  Expectations add across blocks, so
+    each block runs on the inputs' laws alone."""
+    red_only, blue_only, contested = split_seeds(red, blue)
+    laws = dict.fromkeys(red_only, (0.0, 1.0, 0.0)) | dict.fromkeys(blue_only, (0.0, 0.0, 1.0))
+    laws.update((v, (0.0, p_red, 1.0 - p_red)) for v, p_red in contested)
+    er = sum(law[RED] for law in laws.values())
+    eb = sum(law[BLUE] for law in laws.values())
+    first_dist: tuple[float, float, float] = _UNSEEDED
     # Group non-input seeds by block so identical blocks are computed once.
-    block_overrides: dict[int, dict[int, int]] = {}
-    for v, c in colors.items():
+    block_overrides: dict[int, dict[int, tuple[float, float, float]]] = {}
+    for v, law in laws.items():
         j = layout.owner_block(v)
         if j is not None:
-            block_overrides.setdefault(j, {})[v] = c
+            block_overrides.setdefault(j, {})[v] = law
     plain_result: Optional[tuple[float, float, tuple[float, float, float]]] = None
     for j in range(layout.replications):
         overrides = block_overrides.get(j)
         if overrides is None and plain_result is not None:
             r, b, dist = plain_result
         else:
-            r, b, dist = _block_expectation(layout, dyn, colors, j, overrides or {})
+            r, b, dist = _block_expectation(layout, dyn, laws, j, overrides or {})
             if overrides is None:
                 plain_result = (r, b, dist)
         er += r
@@ -282,34 +300,34 @@ def _chain_forward(layout: ChainLayout, dyn: AdoptionFunction,
 
 
 def _block_expectation(layout: ChainLayout, dyn: AdoptionFunction,
-                       colors: dict[int, int], j: int,
-                       overrides: dict[int, int]):
+                       laws: dict[int, tuple[float, float, float]], j: int,
+                       overrides: dict[int, tuple[float, float, float]]):
     """Expected unseeded (red, blue) totals of one block and the final chain
-    vertex's state distribution."""
+    vertex's law, from the seeded vertices' laws; `overrides` holds those of
+    the block's own seeds."""
     er = eb = 0.0
-    # (pU, pR, pB) of the in-neighbour a chain vertex reads besides its own
-    # input: input 0 at depth 1, then the chain vertex one depth up.
-    dist = [0.0, 0.0, 0.0]
-    dist[colors.get(0, UNINFECTED)] = 1.0
+    # The law of the in-neighbour a chain vertex reads besides its own input:
+    # input 0 at depth 1, then the chain vertex one depth up.
+    dist = laws.get(0, _UNSEEDED)
     for depth in range(1, layout.chain_len + 1):
-        v = layout.chain_vertex(j, depth)
-        forced = overrides.get(v)
+        forced = overrides.get(layout.chain_vertex(j, depth))
         if forced is not None:
-            dist = [0.0, 0.0, 0.0]
-            dist[forced] = 1.0
+            dist = forced
             continue
-        input_color = colors.get(depth, UNINFECTED)
         pr = pb = 0.0
-        for state, weight in enumerate(dist):
-            if weight == 0.0:
+        for input_state, input_weight in enumerate(laws.get(depth, _UNSEEDED)):
+            if input_weight == 0.0:
                 continue
-            wr, wb = _pair_probs(dyn, (input_color == RED) + (state == RED),
-                                 (input_color == BLUE) + (state == BLUE))
-            pr += weight * wr
-            pb += weight * wb
+            for state, weight in enumerate(dist):
+                if weight == 0.0:
+                    continue
+                wr, wb = _pair_probs(dyn, (input_state == RED) + (state == RED),
+                                     (input_state == BLUE) + (state == BLUE))
+                pr += input_weight * weight * wr
+                pb += input_weight * weight * wb
         er += pr
         eb += pb
-        dist = [1.0 - pr - pb, pr, pb]
+        dist = (1.0 - pr - pb, pr, pb)
     start, size = layout.terminal_range(j)
     seeded_here = sum(1 for v in overrides if v >= start)
     unseeded = size - seeded_here
@@ -318,46 +336,16 @@ def _block_expectation(layout: ChainLayout, dyn: AdoptionFunction,
         solo_blue_r, solo_blue_b = dyn.update_probs(0.0, 1.0)[:2]
         er += unseeded * (dist[RED] * solo_red_r + dist[BLUE] * solo_blue_r)
         eb += unseeded * (dist[RED] * solo_red_b + dist[BLUE] * solo_blue_b)
-    return er, eb, tuple(dist)
-
-
-def _chain_profile_expectation(layout: ChainLayout, dyn: AdoptionFunction,
-                               red: Allocation, blue: Allocation):
-    red_only, blue_only, contested = split_seeds(red, blue)
-    colors = dict.fromkeys(red_only, RED) | dict.fromkeys(blue_only, BLUE)
-    if len(contested) > MAX_CONTESTED_BRANCHES:
-        raise ValidationError(
-            f"{len(contested)} contested seeds exceed the branching cap of "
-            f"{MAX_CONTESTED_BRANCHES}")
-    er = eb = 0.0
-    dist = [0.0, 0.0, 0.0]
-    for mask in range(1 << len(contested)):
-        weight = 1.0
-        branch = dict(colors)
-        for i, (v, p_red) in enumerate(contested):
-            if mask >> i & 1:
-                branch[v] = RED
-                weight *= p_red
-            else:
-                branch[v] = BLUE
-                weight *= 1.0 - p_red
-        if weight == 0.0:
-            continue
-        r, b, d = _chain_forward(layout, dyn, branch)
-        er += weight * r
-        eb += weight * b
-        for i in range(3):
-            dist[i] += weight * d[i]
-    return er, eb, tuple(dist)
+    return er, eb, dist
 
 
 def chain_exact_payoffs(layout: ChainLayout, dyn: AdoptionFunction,
                         profile: StrategyProfile) -> PayoffEstimate:
     """Exact expected payoffs on a replicated-chain graph.
 
-    Conditional on the shared-input colors, blocks evolve independently and
-    each chain vertex updates exactly once in depth order, so a forward pass
-    over per-depth state distributions gives the exact expectation.
+    Each chain vertex updates exactly once in depth order, so one forward
+    pass over per-depth color laws gives the exact expectation
+    (`_chain_forward`), whatever the number of contested seeds.
     """
     er = eb = 0.0
     for p, red, blue in profile.support_pairs():
@@ -365,7 +353,7 @@ def chain_exact_payoffs(layout: ChainLayout, dyn: AdoptionFunction,
             continue
         if red.n != layout.n or blue.n != layout.n:
             raise ValidationError("allocation length does not match the chain layout")
-        r, b, _ = _chain_profile_expectation(layout, dyn, red, blue)
+        r, b, _ = _chain_forward(layout, dyn, red, blue)
         er += p * r
         eb += p * b
     return PayoffEstimate(pi_R=er, pi_B=eb, method=EXACT_LAYERED_DP,
@@ -376,7 +364,7 @@ def chain_final_vertex_distribution(layout: ChainLayout, dyn: AdoptionFunction,
                                     red: Allocation, blue: Allocation,
                                     ) -> tuple[float, float, float]:
     """(uninfected, red, blue) distribution of block 0's last chain vertex."""
-    _, _, dist = _chain_profile_expectation(layout, dyn, red, blue)
+    _, _, dist = _chain_forward(layout, dyn, red, blue)
     return dist
 
 
@@ -386,49 +374,66 @@ def sample_chain_block(layout: ChainLayout, dyn: AdoptionFunction,
     """Monte Carlo draws of one block's (chain+terminal) color counts.
 
     Supports profiles whose seeds all sit on the shared inputs; returns
-    integer arrays (red_counts, blue_counts) of length n_runs.  Every chain
-    vertex has in-degree 2, so one `engine._ProbTable` row gives each run's
-    (P[Red], P[Red or Blue]) at a depth in one lookup.
+    integer arrays (red_counts, blue_counts) of length n_runs.  Run i draws
+    from the SplitMix64 stream keyed by (master_seed, stream tag block, i)
+    (`engine._replication_words`, `engine._Draws`), in this order: one
+    uniform per contested input in vertex order, red winning below its share
+    of the seeds there; one uniform per chain depth; then, behind an infected
+    final chain vertex, Binom(n_terminal, P[Red]) red terminals and
+    Binom(n_terminal - reds, P[Blue] / (1 - P[Red])) blue ones
+    (`engine._binomial`).  Every chain vertex has in-degree 2, so one
+    `engine._ProbTable` row gives each run's (P[Red], P[Red or Blue]) at a
+    depth in one lookup.
     """
+    if not (_is_integer(n_runs) and n_runs >= 1):
+        raise ValidationError(f"n_runs must be a positive integer, got {n_runs!r}")
+    _require_master_seed(master_seed)
+    if not (_is_integer(block) and block >= 0):
+        raise ValidationError(f"block must be a nonnegative integer, got {block!r}")
     if any(v >= layout.n_inputs for v, _ in red.seeds + blue.seeds):
         raise ValidationError("the block sampler supports seeds on shared inputs only")
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=master_seed,
-                                                       spawn_key=(block,)))
     red_only, blue_only, contested = split_seeds(red, blue)
-    contest_draws = {v: rng.random(n_runs) < p_red for v, p_red in contested}
-    red_count = np.zeros(n_runs, dtype=np.int64)
-    blue_count = np.zeros(n_runs, dtype=np.int64)
-
-    def input_state(v: int) -> np.ndarray:
-        if v in contest_draws:
-            return np.where(contest_draws[v], RED, BLUE)
-        return np.full(n_runs, RED if v in red_only else BLUE if v in blue_only else UNINFECTED)
-
+    contested_inputs = [v for v, _ in contested]
+    p_win = np.array([p_red for _, p_red in contested])
+    inputs = np.full(layout.n_inputs, UNINFECTED, dtype=np.int8)
+    inputs[red_only] = RED
+    inputs[blue_only] = BLUE
     table = _ProbTable(dyn, np.array([2]))
-    row = np.zeros(n_runs, dtype=np.intp)
-    # The chain vertex at depth d reads input d and the vertex before it,
-    # input 0 at depth 1.
-    state = input_state(0)
-    for depth in range(1, layout.chain_len + 1):
-        ins = input_state(depth)
-        n_red = (ins == RED).astype(np.intp) + (state == RED)
-        n_blue = (ins == BLUE).astype(np.intp) + (state == BLUE)
-        p_red, p_any = table.lookup(row, n_red, n_blue)
-        z = rng.random(n_runs)
-        state = np.where(z < p_red, RED, np.where(z < p_any, BLUE, UNINFECTED))
-        red_count += state == RED
-        blue_count += state == BLUE
+    # Terminal (P[Red], P[Blue] / (1 - P[Red])), by the final chain vertex's color.
+    terminal = np.zeros((2, 3))
     for color, (pr, pb) in ((RED, _pair_probs(dyn, 2, 0)), (BLUE, _pair_probs(dyn, 0, 2))):
-        mask = state == color
-        if not mask.any():
-            continue
-        m = int(mask.sum())
-        reds = rng.binomial(layout.n_terminal, pr, size=m)
-        others = rng.binomial(layout.n_terminal - reds, pb / (1.0 - pr), size=m) \
-            if pr < 1.0 else np.zeros(m, dtype=np.int64)
-        red_count[mask] += reds
-        blue_count[mask] += others
-    return red_count, blue_count
+        terminal[:, color] = pr, pb / (1.0 - pr) if pr < 1.0 else 0.0
+
+    def run(keys: np.ndarray, jobs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        draws = _Draws(keys)
+        rows = np.arange(len(keys))
+        colors = np.repeat(inputs[None, :], len(rows), axis=0)
+        if contested_inputs:
+            c = len(contested_inputs)
+            u = draws.take(rows, np.full(len(rows), c), np.repeat(rows, c)).reshape(-1, c)
+            colors[:, contested_inputs] = np.where(u < p_win, RED, BLUE)
+        red_count = np.zeros(len(rows), dtype=np.int64)
+        blue_count = np.zeros(len(rows), dtype=np.int64)
+        # The chain vertex at depth d reads input d and the vertex before it,
+        # input 0 at depth 1.
+        state = colors[:, 0]
+        for depth in range(1, layout.chain_len + 1):
+            ins = colors[:, depth]
+            n_red = (ins == RED).astype(np.intp) + (state == RED)
+            n_blue = (ins == BLUE).astype(np.intp) + (state == BLUE)
+            p_red, p_any = table.lookup(np.zeros(len(rows), dtype=np.intp), n_red, n_blue)
+            z = draws.take(rows, np.ones(len(rows), dtype=np.intp), rows)
+            state = np.where(z < p_red, RED, np.where(z < p_any, BLUE, UNINFECTED))
+            red_count += state == RED
+            blue_count += state == BLUE
+        # An uninfected final vertex leaves both probabilities 0: no draw.
+        p_red, p_blue = terminal[:, state]
+        reds = _binomial(draws, rows, np.full(len(rows), layout.n_terminal), p_red)
+        others = _binomial(draws, rows, layout.n_terminal - reds, p_blue)
+        return red_count + reds, blue_count + others
+
+    counts = _fill(run, _seed_keys([master_seed], (block,)), n_runs, 0, n_runs, _SAMPLER_BLOCK)
+    return counts[0].astype(np.int64), counts[1].astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

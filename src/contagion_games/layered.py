@@ -669,8 +669,8 @@ _SAMPLER_BLOCK = 1 << 14
 def layered_estimate_payoffs(structure: LayeredStructure, dyn: AdoptionFunction,
                              profile: StrategyProfile, n_trials: int = 10_000,
                              master_seed: int = 0) -> PayoffEstimate:
-    """Monte Carlo over aggregated layer draws, with the per-vertex
-    estimator's replication keys: replication i draws from the SplitMix64
+    """Monte Carlo over aggregated layer draws, with `estimate_payoffs`'
+    replication keys: replication i draws from the SplitMix64
     stream keyed by (master_seed, i) (`engine._replication_words`,
     `engine._Draws`), and a block of replications advances through each
     component's layers together (`_sample_block`).

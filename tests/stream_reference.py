@@ -5,17 +5,18 @@ Replication i under a master seed and a stream tag tuple has a 64-bit key: a
 SplitMix64 fold of the master seed's 64-bit words (low word first), their
 count, the stream tags and i.  Its random stream is SplitMix64 (Steele, Lea and
 Flood, "Fast splittable pseudorandom number generators", OOPSLA 2014) started
-at the key.  The per-vertex path, which draws more than uniforms, runs on a
-PCG64 generator whose state and increment are the key's first four SplitMix64
-words.  The layer sampler draws its binomials from the stream itself, by
-inversion or by Hörmann's BTRS; `layered_run` is its row-at-a-time reference.
+at the key: `random()` is its next double u, and `integers(k)` is floor(k·u).
+The samplers draw their binomials from the stream itself, by inversion or by
+Hörmann's BTRS; `layered_run` and `chain_block_run` are the layer and chain
+samplers' row-at-a-time references.
 """
 
 import math
 
 import numpy as np
 
-from contagion_games import LayerOrder, ParallelRounds, SinglePassOrder
+from contagion_games import split_seeds
+from contagion_games.graphs import BLUE, RED, UNINFECTED
 
 GAMMA = 0x9E3779B97F4A7C15
 MASK = 2**64 - 1
@@ -48,9 +49,9 @@ def replication_key(master_seed: int, index: int, stream=()) -> int:
 
 
 class SplitMix64(np.random.Generator):
-    """A scalar generator of one stream: `random()` draws its next double.
-    It is a numpy `Generator` only so that `run_contagion` takes it as one;
-    no other method draws from the stream."""
+    """A scalar generator of one stream: `random()` draws its next double and
+    `integers(k)` floor(k·u) of it.  It is a numpy `Generator` only so that
+    `run_contagion` takes it as one; no other method draws from the stream."""
 
     def __init__(self, key: int):
         super().__init__(np.random.PCG64(0))
@@ -63,27 +64,27 @@ class SplitMix64(np.random.Generator):
     def random(self) -> float:
         return (self.next64() >> 11) / 2.0**53
 
-
-def keyed_pcg64(key: int):
-    """A fresh PCG64 generator in the state that `key` names."""
-    stream = SplitMix64(key)
-    w = [stream.next64() for _ in range(4)]
-    generator = np.random.Generator(np.random.PCG64(0))
-    generator.bit_generator.state = {"bit_generator": "PCG64",
-                                     "state": {"state": (w[0] << 64) | w[1],
-                                               "inc": (w[2] << 64) | w[3] | 1},
-                                     "has_uint32": 0, "uinteger": 0}
-    return generator
+    def integers(self, k: int) -> int:
+        return math.floor(k * self.random())
 
 
-def replication_rng(schedule, master_seed: int, index: int, stream=()):
-    """The scalar generator replication `index` runs on: SplitMix64 from its
-    key under the schedules the batched kernel takes, and the keyed PCG64
-    generator under the others, which run vertex by vertex."""
-    key = replication_key(master_seed, index, stream)
-    if type(schedule) in (ParallelRounds, SinglePassOrder, LayerOrder):
-        return SplitMix64(key)
-    return keyed_pcg64(key)
+def replication_rng(master_seed: int, index: int, stream=()) -> SplitMix64:
+    """The scalar generator replication `index` runs on."""
+    return SplitMix64(replication_key(master_seed, index, stream))
+
+
+def support_pair(pairs, stream: SplitMix64):
+    """The (red, blue) allocations of the support pair a replication runs: with
+    more than one pair, the first whose cumulative probability exceeds one
+    uniform, or the last."""
+    if len(pairs) == 1:
+        return pairs[0][1:]
+    u, acc = stream.random(), 0.0
+    for p, red, blue in pairs:
+        acc += p
+        if u < acc:
+            return red, blue
+    return pairs[-1][1:]
 
 
 # The layer sampler, one replication at a time.
@@ -172,15 +173,7 @@ def layered_run(structure, dyn, pairs, key: int) -> tuple[int, int]:
     Blue]) adopters among the m unseeded vertices, then Binom(adopters,
     P[Red] / P[Red or Blue]) of them red, at the predecessor's fractions."""
     stream = SplitMix64(key)
-    _, red, blue = pairs[0]
-    if len(pairs) > 1:
-        u, acc = stream.random(), 0.0
-        _, red, blue = pairs[-1]
-        for p, r, b in pairs:
-            acc += p
-            if u < acc:
-                red, blue = r, b
-                break
+    red, blue = support_pair(pairs, stream)
     red_seeds, blue_seeds = dict(red.seeds), dict(blue.seeds)
     seeded = sorted(set(red_seeds) | set(blue_seeds))
     chi_r = chi_b = 0
@@ -213,4 +206,33 @@ def layered_run(structure, dyn, pairs, key: int) -> tuple[int, int]:
             chi_b += b
             before = r, b, size
             start += size
+    return chi_r, chi_b
+
+
+def chain_block_run(layout, dyn, red, blue, key: int) -> tuple[int, int]:
+    """The chain block sampler's (red, blue) counts of the run keyed by key: a
+    uniform per contested input in vertex order, one per chain depth, then
+    Binom(n_terminal, P[Red]) red terminals and Binom(n_terminal - reds,
+    P[Blue] / (1 - P[Red])) blue ones behind an infected final chain vertex."""
+    stream = SplitMix64(key)
+    red_only, blue_only, contested = split_seeds(red, blue)
+    colors = [RED if v in red_only else BLUE if v in blue_only else UNINFECTED
+              for v in range(layout.n_inputs)]
+    for v, p_red in contested:
+        colors[v] = RED if stream.random() < p_red else BLUE
+    chi_r = chi_b = 0
+    state = colors[0]
+    for depth in range(1, layout.chain_len + 1):
+        ins = colors[depth]
+        pr, pb, _ = dyn.update_probs(((ins == RED) + (state == RED)) / 2.0,
+                                     ((ins == BLUE) + (state == BLUE)) / 2.0)
+        z = stream.random()
+        state = RED if z < pr else BLUE if z < pr + pb else UNINFECTED
+        chi_r += state == RED
+        chi_b += state == BLUE
+    if state != UNINFECTED:
+        pr, pb, _ = dyn.update_probs(float(state == RED), float(state == BLUE))
+        reds = binomial(stream, layout.n_terminal, pr)
+        chi_r += reds
+        chi_b += binomial(stream, layout.n_terminal - reds, pb / (1.0 - pr) if pr < 1.0 else 0.0)
     return chi_r, chi_b

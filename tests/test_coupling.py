@@ -40,10 +40,11 @@ from contagion_games import (
     load_dynamics,
     neighbor_fractions,
     require_mode_hypotheses,
+    run_contagion,
 )
 from contagion_games import coupling, engine
 from contagion_games.coupling import _CoupledKernel
-from contagion_games.engine import run_profile_once, sample_payoffs
+from contagion_games.engine import resolve_contested_seeds, sample_payoffs
 from stream_reference import SplitMix64, replication_key
 
 
@@ -466,8 +467,8 @@ def test_coupled_runs_take_one_key_from_any_generator(make):
 @pytest.mark.parametrize("mode", [MODE_SOLO_VS_JOINT, MODE_ATTRIBUTION])
 def test_couple_test_draws_the_reference_streams(mode):
     """`couple_test`'s coupled replication i runs the reference model on the
-    stream of key (master seed, (1,), i), and its standalone replications the
-    per-vertex path on keys (master seed, (2,), i) and (master seed, (3,),
+    stream of key (master seed, (1,), i), and its standalone replications
+    `run_contagion` on keys (master seed, (2,), i) and (master seed, (3,),
     i): its margins and p-values are those of the reference runs, bit for
     bit."""
     g, schedule = two_hub()
@@ -481,11 +482,12 @@ def test_couple_test_draws_the_reference_streams(mode):
          for p, color in ((0, RED), (0, BLUE), (1, RED), (1, BLUE))], dtype=float)
 
     def standalone(red, blue, stream):
-        game = GameSpec(g, dyn, schedule, 1, 1)
-        out = [run_profile_once(game, Allocation.from_seeds(g.n, red),
-                                Allocation.from_seeds(g.n, blue),
-                                SplitMix64(replication_key(seed, i, (stream,))))
-               for i in range(runs)]
+        out = []
+        for i in range(runs):
+            rng = SplitMix64(replication_key(seed, i, (stream,)))
+            initial = resolve_contested_seeds(Allocation.from_seeds(g.n, red),
+                                              Allocation.from_seeds(g.n, blue), rng)
+            out.append(run_contagion(g, initial, dyn, schedule, rng))
         return (np.array([o.chi_R for o in out], dtype=float),
                 np.array([o.chi_B for o in out], dtype=float))
 

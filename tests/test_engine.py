@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from contagion_games import coupling, engine, equilibrium
 from contagion_games.coupling import _CoupledKernel, couple_test
-from stream_reference import (SplitMix64, fold, keyed_pcg64, replication_key, replication_rng,
-                              seed_key)
+from stream_reference import (SplitMix64, fold, replication_key, replication_rng, seed_key,
+                              support_pair)
 from contagion_games import (
     EXACT_ENUMERATION,
     EXACT_LAYERED_DP,
@@ -50,7 +50,7 @@ from contagion_games import (
     linear_selection,
     load_profile,
     resolve_contested_seeds,
-    run_profile_once,
+    run_contagion,
     split_seeds,
 )
 
@@ -755,13 +755,14 @@ def kernel_cases(draw):
 
 
 def per_vertex_outcomes(game, profile, n_trials, master_seed):
-    """Each replication run one at a time on its scalar reference generator."""
+    """Each replication run one at a time on its scalar reference generator:
+    its support pair, its contested seeds, then `run_contagion`."""
     pairs = profile.support_pairs()
     out = []
     for i in range(n_trials):
-        rng = replication_rng(game.schedule, master_seed, i)
-        red, blue = engine._sample_support(pairs, rng)
-        run = run_profile_once(game, red, blue, rng)
+        rng = replication_rng(master_seed, i)
+        initial = resolve_contested_seeds(*support_pair(pairs, rng), rng)
+        run = run_contagion(game.graph, initial, game.dynamics, game.schedule, rng)
         out.append((run.chi_R, run.chi_B))
     return out
 
@@ -909,7 +910,7 @@ def test_each_table_key_is_evaluated_once_per_kernel(schedule):
     check_calls()
 
 
-# The random stream: replication keys, `_Draws` and the keyed generator
+# The random stream: replication keys, `_Draws` and `_Stream`
 # against the scalar reference in `stream_reference`.
 
 MASTER_SEEDS = st.one_of(st.sampled_from((0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**200)),
@@ -1024,26 +1025,6 @@ def test_binomial_edge_cases():
     assert (x == 2**20).all() and (used == 1).all()
 
 
-@settings(max_examples=100, deadline=None)
-@given(seed_keys=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=3),
-       n_trials=st.integers(1, 3))
-def test_keyed_generators_draw_what_fresh_ones_draw(seed_keys, n_trials):
-    """A fill in blocks of two replications, each block's generator set to
-    each replication's stream in turn, draws what a fresh generator of the
-    replication key's PCG64 state draws, for every distribution the samplers
-    use."""
-    def draws(rng):
-        return [rng.random(), rng.binomial(40, 0.3), rng.integers(7), *rng.random(3).tolist()]
-
-    def run(keys, jobs):
-        return np.array([draws(rng) for rng in engine._keyed_generators(keys)]).T
-
-    rows = len(seed_keys) * n_trials
-    got = engine._fill(run, np.array(seed_keys, dtype=np.uint64), n_trials, 0, rows, 2)
-    assert got.T.tolist() == [draws(keyed_pcg64(fold(key, i)))
-                              for key in seed_keys for i in range(n_trials)]
-
-
 def random_sequential_case():
     # Seeds contest vertex 0 half the time, and both sides mix.
     graph = Graph(n=7, edges=((0, 3), (1, 3), (2, 4), (3, 4), (3, 5), (4, 5), (5, 6), (4, 6)))
@@ -1063,12 +1044,73 @@ def test_random_sequential_monte_carlo_matches_the_per_vertex_loop(threads):
         per_vertex_outcomes(game, profile, 80, master_seed=12)
 
 
+@dataclasses.dataclass(frozen=True)
+class SubParallelRounds(ParallelRounds):
+    """Parallel rounds under another class: the kernel runs it row by row."""
+
+
+@dataclasses.dataclass(frozen=True)
+class SubSinglePassOrder(SinglePassOrder):
+    """A single pass under another class: the kernel runs it row by row."""
+
+
+@dataclasses.dataclass(frozen=True, init=False)
+class SubLayerOrder(LayerOrder):
+    """A layer order under another class: the kernel runs it row by row."""
+
+
+def subclassed(schedule):
+    if isinstance(schedule, ParallelRounds):
+        return SubParallelRounds(schedule.max_rounds, schedule.immunity)
+    if isinstance(schedule, SinglePassOrder):
+        return SubSinglePassOrder(schedule.order)
+    return SubLayerOrder.from_runs(schedule.runs)
+
+
+@pytest.mark.parametrize("threads", [None, 2])
+@pytest.mark.parametrize("contested", [False, True], ids=["mixed", "contested"])
+@pytest.mark.parametrize("schedule", MIXED_DEGREE_SCHEDULES)
+def test_schedule_subclasses_run_row_by_row_as_the_batched_kernel_runs(schedule, contested,
+                                                                        threads):
+    """A subclass of a batched schedule goes down the kernel's row-by-row
+    path, `run_contagion` on the rest of each row's stream, and gives the
+    batched rows bit for bit, whatever `threads`."""
+    game, profile = mixed_degree_game(KERNEL_DYNAMICS[1], schedule)
+    if contested:
+        profile = StrategyProfile(Allocation.from_seeds(9, [0, 0, 6]),
+                                  Allocation.from_seeds(9, [0, 1, 6]))
+    sub = dataclasses.replace(game, schedule=subclassed(schedule))
+    assert sub.schedule.to_json_dict() == schedule.to_json_dict()
+    assert engine._ReplicationKernel(sub, profile.support_pairs()).one_by_one
+    assert not engine._ReplicationKernel(game, profile.support_pairs()).one_by_one
+    want = engine.sample_payoffs(game, profile, 64, master_seed=5)
+    got = engine.sample_payoffs(sub, profile, 64, master_seed=5, threads=threads)
+    assert [row.tolist() for row in got] == [row.tolist() for row in want]
+
+
+@settings(max_examples=50, deadline=None)
+@given(key=st.integers(0, 2**64 - 1), used=st.integers(0, 5),
+       ks=st.lists(st.integers(1, 2**20), max_size=4))
+def test_a_stream_goes_on_where_the_rows_draws_stopped(key, used, ks):
+    """`_Stream(key, used)` draws what the scalar reference draws after
+    `used` uniforms: doubles, and floor(k·u) for `integers(k)`."""
+    reference = SplitMix64(key)
+    for _ in range(used):
+        reference.random()
+    stream = engine._Stream(key, used)
+    assert np.random.default_rng(stream) is stream
+    for k in ks:
+        assert stream.integers(k) == reference.integers(k)
+        assert stream.random() == reference.random()
+    assert stream.used == used + 2 * len(ks)
+
+
 @pytest.mark.parametrize("block", [1, 7])
 def test_a_replications_row_does_not_depend_on_the_fill_block(block):
-    """Every sampler's fill (the per-vertex path, the layer sampler, the
-    batched kernel over two jobs, and couple_test's coupled counts and
+    """Every sampler's fill (the kernel's row-by-row runs, the layer sampler,
+    the batched kernel over two jobs, and couple_test's coupled counts and
     standalone runs), in blocks of `block` rows and as one block: every row
-    the same, and the per-vertex rows the reference's."""
+    the same, and the row-by-row rows the reference's."""
     game, profile = random_sequential_case()
     structure = LayeredStructure(((2, 3, 4), (3, 5)))
     layer_profile = StrategyProfile(Allocation.from_seeds(structure.n, [0, 5]),
@@ -1330,10 +1372,12 @@ def test_monte_carlo_surfaces_broken_dynamics(schedule):
         estimate_payoffs(game, profile, n_trials=3)
 
 
-def test_run_profile_once_reports_consistent_counts():
+def test_a_single_run_reports_consistent_counts():
     game = mc_game()
-    out = run_profile_once(game, Allocation.from_seeds(6, [0]),
-                           Allocation.from_seeds(6, [2]), np.random.default_rng(3))
+    rng = np.random.default_rng(3)
+    initial = resolve_contested_seeds(Allocation.from_seeds(6, [0]), Allocation.from_seeds(6, [2]),
+                                      rng)
+    out = run_contagion(game.graph, initial, game.dynamics, game.schedule, rng)
     assert out.chi_R == sum(1 for s in out.state if s == 1)
     assert out.chi_B == sum(1 for s in out.state if s == 2)
     assert out.state[0] == 1 and out.state[2] == 2

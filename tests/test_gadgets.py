@@ -15,6 +15,7 @@ from contagion_games import (
     Allocation,
     ChainLayout,
     GADGET_BUILDERS,
+    GameSpec,
     GadgetSpec,
     LayerOrder,
     LayeredStructure,
@@ -47,6 +48,7 @@ from contagion_games import (
 from contagion_games import layered
 from contagion_games.engine import sample_payoffs
 from contagion_games.gadgets import VERIFICATION_CSV_HEADER
+from stream_reference import chain_block_run, replication_key
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +202,7 @@ def test_block_sampler_agrees_with_the_exact_share():
     share = float(np.mean(blue_counts >= spec.chain.n_terminal))
     p = 2.0 ** -4
     sigma = (p * (1 - p) / n_runs) ** 0.5
-    assert share == pytest.approx(0.063125, abs=1e-12)  # reproducible draw
+    assert share == pytest.approx(0.06525, abs=1e-12)  # reproducible draw
     assert abs(share - p) <= 3 * sigma
     with pytest.raises(ValidationError, match="shared inputs only"):
         sample_chain_block(spec.chain, spec.dynamics,
@@ -209,62 +211,11 @@ def test_block_sampler_agrees_with_the_exact_share():
 
 
 def reference_chain_block(layout, dyn, red, blue, n_runs, master_seed=0, block=0):
-    """The block sampler as one mask per (red, blue) in-neighbour count pair,
-    each evaluating `update_probs` itself: the reference `sample_chain_block`
-    must match draw for draw."""
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=master_seed,
-                                                       spawn_key=(block,)))
-    state = np.zeros(n_runs, dtype=np.int8)  # 0=U, 1=R, 2=B
-    red_only, blue_only, contested = split_seeds(red, blue)
-    contest_draws = {v: rng.random(n_runs) < p_red for v, p_red in contested}
-    red_count = np.zeros(n_runs, dtype=np.int64)
-    blue_count = np.zeros(n_runs, dtype=np.int64)
-
-    def input_counts(v):
-        if v in contest_draws:
-            win = contest_draws[v]
-            return win.astype(np.int8), (~win).astype(np.int8)
-        return (np.full(n_runs, v in red_only, dtype=np.int8),
-                np.full(n_runs, v in blue_only, dtype=np.int8))
-
-    def probs(n_red, n_blue):
-        return dyn.update_probs(n_red / 2.0, n_blue / 2.0)[:2]
-
-    for depth in range(1, layout.chain_len + 1):
-        if depth == 1:
-            r0, b0 = input_counts(0)
-            r1, b1 = input_counts(1)
-            n_red_arr, n_blue_arr = r0 + r1, b0 + b1
-        else:
-            ri, bi = input_counts(depth)
-            n_red_arr, n_blue_arr = ri + (state == 1), bi + (state == 2)
-        z = rng.random(n_runs)
-        new_state = np.zeros(n_runs, dtype=np.int8)
-        for nr in range(3):
-            for nb in range(3 - nr):
-                mask = (n_red_arr == nr) & (n_blue_arr == nb)
-                if not mask.any():
-                    continue
-                pr, pb = probs(nr, nb)
-                zm = z[mask]
-                sm = np.zeros(zm.shape, dtype=np.int8)
-                sm[zm < pr] = 1
-                sm[(zm >= pr) & (zm < pr + pb)] = 2
-                new_state[mask] = sm
-        state = new_state
-        red_count += state == 1
-        blue_count += state == 2
-    for color_state, (pr, pb) in ((1, probs(2, 0)), (2, probs(0, 2))):
-        mask = state == color_state
-        if not mask.any():
-            continue
-        m = int(mask.sum())
-        reds = rng.binomial(layout.n_terminal, pr, size=m)
-        others = rng.binomial(layout.n_terminal - reds, pb / (1.0 - pr), size=m) \
-            if pr < 1.0 else np.zeros(m, dtype=np.int64)
-        red_count[mask] += reds
-        blue_count[mask] += others
-    return red_count, blue_count
+    """The block sampler one run at a time, on the scalar stream reference:
+    `sample_chain_block` must match it draw for draw."""
+    runs = [chain_block_run(layout, dyn, red, blue, replication_key(master_seed, i, (block,)))
+            for i in range(n_runs)]
+    return tuple(np.array(counts, dtype=np.int64) for counts in zip(*runs))
 
 
 @st.composite
@@ -286,12 +237,68 @@ def chain_block_cases(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(chain_block_cases())
-def test_block_sampler_matches_the_per_count_mask_loop(case):
+def test_block_sampler_matches_the_scalar_stream_reference(case):
     layout, dyn, red, blue, n_runs, master_seed, block = case
     got = sample_chain_block(layout, dyn, red, blue, n_runs, master_seed, block)
     want = reference_chain_block(layout, dyn, red, blue, n_runs, master_seed, block)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("n_runs, master_seed, block, bad", [
+    (-1, 0, 0, "n_runs"), (0, 0, 0, "n_runs"), (2.5, 0, 0, "n_runs"), (True, 0, 0, "n_runs"),
+    (10, -1, 0, "master_seed"), (10, 0.5, 0, "master_seed"),
+    (10, 0, -3, "block"), (10, 0, True, "block"),
+])
+def test_block_sampler_refuses_malformed_counts_and_seeds(n_runs, master_seed, block, bad):
+    spec = chain_replication(2, 2, 2)
+    case = spec.profiles["designated"]
+    with pytest.raises(ValidationError, match=bad):
+        sample_chain_block(spec.chain, spec.dynamics, case.red, case.blue, n_runs,
+                           master_seed, block)
+
+
+@st.composite
+def contested_chain_cases(draw):
+    """Small layouts with seeds on every kind of vertex, inputs contested
+    with uneven shares."""
+    layout = ChainLayout(draw(st.integers(1, 3)), draw(st.integers(1, 2)),
+                         draw(st.integers(1, 3)), draw(st.integers(1, 2)))
+    counts = st.lists(st.integers(0, 3), min_size=layout.n, max_size=layout.n)
+    red, blue = Allocation(draw(counts)), Allocation(draw(counts))
+    dyn = draw(st.sampled_from([
+        SwitchSelectAdoption(ThresholdSwitch(0.75), linear_selection()),
+        SwitchSelectAdoption(PowerSwitch(0.5), TullockSelection(0.75)),
+        SwitchSelectAdoption(PowerSwitch(2.0), TullockSelection(1.5)),
+    ]))
+    return layout, dyn, red, blue
+
+
+@settings(max_examples=60, deadline=None)
+@given(contested_chain_cases())
+def test_chain_exact_pass_matches_enumeration_with_contested_seeds(case):
+    layout, dyn, red, blue = case
+    profile = StrategyProfile(red, blue)
+    game = GameSpec(layout.build_graph(), dyn, layout.depth_schedule(), 1, 1)
+    chain = chain_exact_payoffs(layout, dyn, profile)
+    exact = exact_payoffs(game, profile)
+    assert chain.pi_R == pytest.approx(exact.pi_R, abs=1e-12)
+    assert chain.pi_B == pytest.approx(exact.pi_B, abs=1e-12)
+
+
+def test_chain_exact_pass_takes_many_contested_inputs():
+    """Every input contested, 24 of them: the blue share halves per link
+    under an even contest of each input, and the last chain vertex is red or
+    blue with equal odds once every input is infected."""
+    layout = ChainLayout(chain_steps=23, replications=3, n_terminal=4)
+    dyn = chain_replication(2, 2, 2).dynamics
+    inputs = Allocation.from_seeds(layout.n, list(range(layout.n_inputs)))
+    assert len(split_seeds(inputs, inputs)[2]) == 24
+    dist = chain_final_vertex_distribution(layout, dyn, inputs, inputs)
+    assert dist == pytest.approx((0.0, 0.5, 0.5), abs=1e-12)
+    est = chain_exact_payoffs(layout, dyn, StrategyProfile(inputs, inputs))
+    assert est.pi_R == pytest.approx(est.pi_B, abs=1e-9)
+    assert est.pi_R + est.pi_B == pytest.approx(layout.n, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
