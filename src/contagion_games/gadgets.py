@@ -226,18 +226,16 @@ class ChainLayout:
         if self.n_edges > max_edges:
             raise ValidationError(
                 f"materializing {self.n_edges} edges exceeds the cap of {max_edges}")
-        edges = []
-        for j in range(self.replications):
-            edges.append((0, self.chain_vertex(j, 1)))
-            edges.append((1, self.chain_vertex(j, 1)))
-            for depth in range(2, self.chain_len + 1):
-                edges.append((depth, self.chain_vertex(j, depth)))
-                edges.append((self.chain_vertex(j, depth - 1), self.chain_vertex(j, depth)))
-            start, size = self.terminal_range(j)
-            last = self.chain_vertex(j, self.chain_len)
-            for t in range(start, start + size):
-                edges.append((last, t))
-        return Graph(n=self.n, edges=tuple(edges), directed=True)
+        # Sorted: input i feeds each block's depth-max(i, 1) chain vertex; in a
+        # block, vertex k >= 1 hangs off vertex min(k, chain_len) - 1.
+        bases = self.block_base(0) + self.block_size * np.arange(self.replications)[:, None]
+        inputs, local = np.arange(self.n_inputs), np.arange(1, self.block_size)
+        edges = np.concatenate((
+            np.column_stack((inputs.repeat(self.replications),
+                             (bases.T + np.maximum(inputs, 1)[:, None] - 1).ravel())),
+            np.column_stack(((bases + np.minimum(local, self.chain_len) - 1).ravel(),
+                             (bases + local).ravel()))))
+        return Graph(n=self.n, edges=edges, directed=True)
 
     def depth_schedule(self) -> LayerOrder:
         """Updates the depth-d chain vertices of every block in step d, then

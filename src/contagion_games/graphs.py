@@ -8,8 +8,8 @@ an unordered pair and expose it in both directions.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -27,79 +27,120 @@ def state_name(s: int) -> str:
     return _STATE_NAMES[s]
 
 
-@dataclass(frozen=True)
 class Graph:
-    """Immutable graph with canonical (sorted, deduplicated-checked) edges."""
+    """Immutable graph; its canonical edges are one sorted, read-only (m, 2)
+    int64 array, `edge_array` (undirected ones as u < v).  `edges` takes (u, v)
+    pairs of exactly-`int` endpoints or an (m, 2) integer array."""
 
-    n: int
-    edges: tuple[tuple[int, int], ...]
-    directed: bool = True
-
-    def __post_init__(self):
+    def __init__(self, n: int, edges, directed: bool = True):
         # Exactly int, here and for endpoints: booleans are not vertex ids.
-        if type(self.n) is not int or self.n < 1:
-            raise GraphValidationError(f"vertex count must be a positive integer, got {self.n!r}")
-        seen: set[tuple[int, int]] = set()
-        canon = []
-        for e in self.edges:
-            if len(e) != 2:
-                raise GraphValidationError(f"edge {e!r} is not a pair")
-            u, v = e
-            if type(u) is not int or type(v) is not int:
-                raise GraphValidationError(f"edge {e!r} has non-integer endpoints")
-            if not (0 <= u < self.n) or not (0 <= v < self.n):
-                raise GraphValidationError(f"edge ({u}, {v}) references a vertex outside 0..{self.n - 1}")
-            if u == v:
-                raise GraphValidationError(f"self-loop at vertex {u} is not allowed")
-            if not self.directed and u > v:
-                u, v = v, u
-            if (u, v) in seen:
-                raise GraphValidationError(f"duplicate edge ({u}, {v})")
-            seen.add((u, v))
-            canon.append((u, v))
-        canon.sort()
-        object.__setattr__(self, "edges", tuple(canon))
+        if type(n) is not int or n < 1:
+            raise GraphValidationError(f"vertex count must be a positive integer, got {n!r}")
+        if type(directed) is not bool:
+            raise GraphValidationError(f"'directed' must be a boolean, got {directed!r}")
+        if isinstance(edges, np.ndarray):
+            if edges.ndim != 2 or edges.shape[1] != 2 or edges.dtype.kind not in "iu":
+                raise GraphValidationError(
+                    f"edge array must be (m, 2) integers, got shape {edges.shape} of {edges.dtype}")
+            pairs, arr, error = edges, edges.astype(np.int64), None
+        else:
+            pairs, arr, error = _int_pairs(edges)
+        u, v = arr[:, 0], arr[:, 1]
+        canon = arr if directed else np.column_stack((np.minimum(u, v), np.maximum(u, v)))
+        bad = (arr < 0).any(axis=1) | (arr >= n).any(axis=1) | (u == v)
+        lo, hi = canon[:, 0], canon[:, 1]
+        # Strictly increasing edges, as the builders pass, need no sort.
+        if not ((lo[1:] > lo[:-1]) | ((lo[1:] == lo[:-1]) & (hi[1:] > hi[:-1]))).all():
+            order = np.lexsort((hi, lo))  # stable: each repeat follows its first occurrence
+            canon = canon[order]
+            bad[order[1:][(canon[1:] == canon[:-1]).all(axis=1)]] = True
+        if bad.any():  # the first bad edge in input order, as a per-edge check names it
+            a, b = pairs[int(bad.argmax())]
+            if not (0 <= a < n and 0 <= b < n):
+                raise GraphValidationError(f"edge ({a}, {b}) references a vertex outside 0..{n - 1}")
+            if a == b:
+                raise GraphValidationError(f"self-loop at vertex {a} is not allowed")
+            raise GraphValidationError(f"duplicate edge ({a}, {b})" if directed else
+                                       f"duplicate edge ({min(a, b)}, {max(a, b)})")
+        if error is not None:  # the edge that ends the checked prefix
+            raise error
+        canon.setflags(write=False)
+        self.__dict__.update(n=n, directed=directed, edge_array=canon)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: graphs are immutable")
+
+    def _key(self):
+        return self.n, self.directed, self.edge_array.tobytes()
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"Graph(n={self.n}, edges={self.edges!r}, directed={self.directed})"
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """`edge_array` as (u, v) tuples, built on first use."""
+        return tuple(map(tuple, self.edge_array.tolist()))
 
     @cached_property
     def in_neighbors(self) -> tuple[tuple[int, ...], ...]:
-        lists: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            lists[v].append(u)
-            if not self.directed:
-                lists[u].append(v)
-        return tuple(tuple(l) for l in lists)
+        return _neighbor_tuples(self.in_csr)
 
     @cached_property
     def out_neighbors(self) -> tuple[tuple[int, ...], ...]:
-        lists: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            lists[u].append(v)
-            if not self.directed:
-                lists[v].append(u)
-        return tuple(tuple(l) for l in lists)
+        return _neighbor_tuples(self.out_csr)
 
     @cached_property
     def in_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(indptr, indices, in_degree): in-neighbor lists as numpy CSR arrays;
-        vertex v's in-neighbors are indices[indptr[v]:indptr[v + 1]]."""
-        return _csr(self.in_neighbors)
+        vertex v's in-neighbors are indices[indptr[v]:indptr[v + 1]], ascending."""
+        e = self.edge_array
+        return _csr(self.n, e[:, 1], e[:, 0]) if self.directed else self.out_csr
 
     @cached_property
     def out_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(indptr, indices, out_degree): out-neighbor lists as numpy CSR
         arrays, laid out as `in_csr`."""
-        return _csr(self.out_neighbors)
+        # Undirected: reversed pairs first, so smaller neighbours precede larger ones.
+        e = self.edge_array if self.directed else np.concatenate((self.edge_array[:, ::-1],
+                                                                 self.edge_array))
+        return _csr(self.n, e[:, 0], e[:, 1])
 
     def in_degree(self, v: int) -> int:
-        return len(self.in_neighbors[v])
+        return int(self.in_csr[2][v])
 
 
-def _csr(nbrs: tuple[tuple[int, ...], ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    degree = np.fromiter(map(len, nbrs), dtype=np.intp, count=len(nbrs))
-    indptr = np.zeros(len(nbrs) + 1, dtype=np.intp)
-    np.cumsum(degree, out=indptr[1:])
-    indices = np.fromiter((u for l in nbrs for u in l), dtype=np.intp, count=int(indptr[-1]))
-    return indptr, indices, degree
+def _int_pairs(edges) -> tuple:
+    """`edges` as a sequence, the (p, 2) int64 array of its longest prefix of
+    exactly-`int` pairs, and the error of edge p (None if p is the end)."""
+    pairs = edges if isinstance(edges, (tuple, list)) else tuple(edges)
+    flat, error = list(chain.from_iterable(pairs)), None
+    if set(map(len, pairs)) - {2} or set(map(type, flat)) - {int}:
+        p = next(i for i, e in enumerate(pairs) if len(e) != 2 or tuple(map(type, e)) != (int, int))
+        error = GraphValidationError(f"edge {pairs[p]!r} " + (
+            "is not a pair" if len(pairs[p]) != 2 else "has non-integer endpoints"))
+        del flat[2 * p:]
+    try:
+        arr = np.array(flat, dtype=np.int64)
+    except OverflowError:  # beyond int64 is outside 0..n-1, as -1 is
+        arr = np.array([x if -2**63 <= x < 2**63 else -1 for x in flat], dtype=np.int64)
+    return pairs, arr.reshape(-1, 2), error
+
+
+def _csr(n: int, key: np.ndarray, other: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(indptr, indices, degree): `other` grouped by `key`, each group in input order."""
+    degree = np.bincount(key, minlength=n)
+    return np.concatenate(([0], np.cumsum(degree))), other[np.argsort(key, kind="stable")], degree
+
+
+def _neighbor_tuples(csr) -> tuple[tuple[int, ...], ...]:
+    flat, bounds = csr[1].tolist(), csr[0].tolist()
+    return tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
 
 
 def load_graph(document: str | dict) -> Graph:
@@ -123,6 +164,10 @@ def load_graph(document: str | dict) -> Graph:
         raise GraphValidationError(f"'directed' must be a boolean, got {directed!r}")
     if not isinstance(edges, list):
         raise GraphValidationError("'edges' must be a list of [u, v] pairs")
+    try:  # decoded [u, v] lists go straight in; on a fault, the tuple path names it as before
+        return Graph(n=n, edges=edges, directed=directed)
+    except (GraphValidationError, TypeError):
+        pass
     try:
         edge_tuples = tuple((u, v) for u, v in edges)
     except (TypeError, ValueError):
@@ -132,12 +177,8 @@ def load_graph(document: str | dict) -> Graph:
 
 def serialize_graph(graph: Graph) -> str:
     """Canonical JSON: fixed key order, edges sorted lexicographically."""
-    doc = {
-        "n": graph.n,
-        "directed": graph.directed,
-        "edges": [list(e) for e in graph.edges],
-    }
-    return json.dumps(doc, sort_keys=True)
+    return json.dumps({"n": graph.n, "directed": graph.directed, "edges": graph.edge_array.tolist()},
+                      sort_keys=True)
 
 
 def neighbor_fractions(graph: Graph, state, v: int) -> tuple[float, float]:

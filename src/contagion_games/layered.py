@@ -115,13 +115,10 @@ class LayeredStructure:
             raise ValidationError(
                 f"materializing {self.n_edges} edges exceeds the cap of {max_edges}; "
                 "use the layered oracle directly")
-        edges = []
-        for comp in self.layer_ranges():
-            for (s0, m0), (s1, m1) in zip(comp, comp[1:]):
-                for u in range(s0, s0 + m0):
-                    for v in range(s1, s1 + m1):
-                        edges.append((u, v))
-        return Graph(n=self.n, edges=tuple(edges), directed=True)
+        # Complete bipartite layer pairs; consecutive ids keep them in sorted order.
+        blocks = [np.column_stack((np.arange(s0, s0 + m0).repeat(m1), np.tile(np.arange(s1, s1 + m1), m0)))
+                  for comp in self.layer_ranges() for (s0, m0), (s1, m1) in zip(comp, comp[1:])]
+        return Graph(n=self.n, edges=np.concatenate([np.empty((0, 2), np.int64)] + blocks), directed=True)
 
 
 def validate_layered_graph(graph: Graph, structure: LayeredStructure) -> None:
@@ -131,10 +128,11 @@ def validate_layered_graph(graph: Graph, structure: LayeredStructure) -> None:
             f"graph has {graph.n} vertices, structure describes {structure.n}")
     if not graph.directed:
         raise ValidationError("layered graphs are directed")
-    if len(graph.edges) != structure.n_edges:
+    if len(graph.edge_array) != structure.n_edges:
         raise ValidationError(
-            f"graph has {len(graph.edges)} edges, structure describes {structure.n_edges}")
-    if set(graph.edges) != set(structure.build_graph(max_edges=structure.n_edges).edges):
+            f"graph has {len(graph.edge_array)} edges, structure describes {structure.n_edges}")
+    expected = structure.build_graph(max_edges=structure.n_edges).edge_array
+    if not np.array_equal(graph.edge_array, expected):
         raise ValidationError("graph edges do not match the layered structure")
 
 

@@ -2,8 +2,9 @@
 
 import json
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from contagion_games import (
@@ -78,6 +79,14 @@ def test_non_pair_edge_rejected():
         Graph(n=3, edges=((0, 1, 2),))
 
 
+@pytest.mark.parametrize("flag", ["false", 0, 1, None, np.bool_(True)])
+def test_directed_must_be_a_boolean(flag):
+    # A truthy non-bool used to make a directed graph whose serialized
+    # "directed" field load_graph refused.
+    with pytest.raises(GraphValidationError, match=f"'directed' must be a boolean, got {flag!r}"):
+        Graph(n=2, edges=((0, 1),), directed=flag)
+
+
 @pytest.mark.parametrize("bad_n", [0, -1, 2.5, "3"])
 def test_bad_vertex_count_rejected(bad_n):
     with pytest.raises(GraphValidationError, match="positive integer"):
@@ -122,6 +131,21 @@ def test_load_graph_missing_fields():
 def test_load_graph_rejects_boolean_vertex_ids(doc, match):
     with pytest.raises(GraphValidationError, match=match):
         load_graph(doc)
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([[0, 1], [True, 2]], "edge (True, 2) has non-integer endpoints"),
+    ([[0, 1], "ab"], "edge ('a', 'b') has non-integer endpoints"),
+    ([[0, 1], [0, 1, 2]], "'edges' must be a list of [u, v] pairs"),
+    ([[0, 1], 5], "'edges' must be a list of [u, v] pairs"),
+    ([[2, 1], [1, 2], [2, 1]], "duplicate edge (2, 1)"),
+])
+def test_load_graph_names_faults_as_it_did_on_tuple_pairs(edges, message):
+    # Decoded lists go straight to Graph; a fault still reads as it did when
+    # load_graph turned every pair into a tuple first.
+    with pytest.raises(GraphValidationError) as got:
+        load_graph({"n": 3, "directed": True, "edges": edges})
+    assert str(got.value) == message
 
 
 def test_load_graph_directed_must_be_boolean():
@@ -190,3 +214,134 @@ def test_neighbor_fractions_need_an_in_neighbor():
     g = Graph(n=2, edges=((0, 1),))
     with pytest.raises(ValidationError, match="no in-neighbors"):
         neighbor_fractions(g, [RED, UNINFECTED], 0)
+
+
+def test_graph_is_immutable():
+    g = Graph(n=2, edges=((0, 1),))
+    with pytest.raises(AttributeError):
+        g.n = 3
+    with pytest.raises(ValueError):
+        g.edge_array[0, 0] = 1
+
+
+def test_array_input_is_copied_and_canonicalized():
+    arr = np.array([[2, 0], [0, 1]], dtype=np.int32)
+    g = Graph(n=3, edges=arr, directed=False)
+    arr[0, 0] = 1
+    assert g.edge_array.dtype == np.int64
+    assert g.edges == ((0, 1), (0, 2))
+    assert g == Graph(n=3, edges=((0, 2), (1, 0)), directed=False)
+    assert Graph(n=1, edges=np.empty((0, 2), dtype=np.uint8)).edges == ()
+
+
+@pytest.mark.parametrize("arr", [np.zeros(4, dtype=np.int64), np.zeros((2, 3), dtype=np.int64),
+                                 np.array([[0.0, 1.0]]), np.array([[False, True]])])
+def test_edge_arrays_must_be_m_by_2_integers(arr):
+    with pytest.raises(GraphValidationError, match=r"edge array must be \(m, 2\) integers"):
+        Graph(n=2, edges=arr)
+
+
+def test_unsigned_endpoints_beyond_int64_are_out_of_range():
+    with pytest.raises(GraphValidationError, match=f"edge \\(0, {2**63 + 5}\\) references"):
+        Graph(n=2, edges=np.array([[0, 2**63 + 5]], dtype=np.uint64))
+    with pytest.raises(GraphValidationError, match=f"edge \\({-2**70}, 0\\) references"):
+        Graph(n=2, edges=((0, 1), (-2**70, 0)))
+
+
+# ---------------------------------------------------------------------------
+# Parity with the per-edge construction that the array checks replaced.
+# ---------------------------------------------------------------------------
+
+
+def reference_graph(n, edges, directed):
+    """The per-edge loop `Graph` used to run, kept as the reference: the
+    canonical edges and the in- and out-neighbour tuples, or its error."""
+    if type(n) is not int or n < 1:
+        raise GraphValidationError(f"vertex count must be a positive integer, got {n!r}")
+    seen, canon = set(), []
+    for e in edges:
+        if len(e) != 2:
+            raise GraphValidationError(f"edge {e!r} is not a pair")
+        u, v = e
+        if type(u) is not int or type(v) is not int:
+            raise GraphValidationError(f"edge {e!r} has non-integer endpoints")
+        if not (0 <= u < n) or not (0 <= v < n):
+            raise GraphValidationError(f"edge ({u}, {v}) references a vertex outside 0..{n - 1}")
+        if u == v:
+            raise GraphValidationError(f"self-loop at vertex {u} is not allowed")
+        if not directed and u > v:
+            u, v = v, u
+        if (u, v) in seen:
+            raise GraphValidationError(f"duplicate edge ({u}, {v})")
+        seen.add((u, v))
+        canon.append((u, v))
+    canon.sort()
+    in_lists, out_lists = [[] for _ in range(n)], [[] for _ in range(n)]
+    for u, v in canon:
+        in_lists[v].append(u)
+        out_lists[u].append(v)
+        if not directed:
+            in_lists[u].append(v)
+            out_lists[v].append(u)
+    return tuple(canon), tuple(map(tuple, in_lists)), tuple(map(tuple, out_lists))
+
+
+def reference_csr(lists):
+    degree = np.array([len(l) for l in lists], dtype=np.intp)
+    indptr = np.concatenate(([0], np.cumsum(degree))).astype(np.intp)
+    return indptr, np.array([u for l in lists for u in l], dtype=np.intp), degree
+
+
+@st.composite
+def edge_inputs(draw):
+    """(n, edges, directed): edge tuples that are mostly pairs of in-range
+    ints, with repeats, self-loops, out-of-range and ill-typed edges mixed in."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    pair = st.tuples(vertex, vertex)
+    wild = st.one_of(
+        st.tuples(st.integers(min_value=-2, max_value=n + 1), st.integers(min_value=-2, max_value=n + 1)),
+        st.tuples(vertex, st.booleans()),
+        st.tuples(st.floats(min_value=0, max_value=n - 1), vertex),
+        st.tuples(vertex, vertex, vertex),
+        st.tuples(vertex),
+        vertex.map(lambda u: (np.int64(u), 0)),
+        st.just((2**64, 0)),
+    )
+    edge = st.one_of(pair, pair, pair, wild) if draw(st.booleans()) else pair
+    return n, tuple(draw(st.lists(edge, max_size=12))), draw(st.booleans())
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(edge_inputs(), small_graphs().map(lambda g: (g.n, g.edges[::-1], g.directed))),
+       st.booleans())
+def test_graph_matches_the_per_edge_reference(case, as_array):
+    n, edges, directed = case
+    if as_array:
+        assume(all(len(e) == 2 and all(type(x) is int and x < 2**63 for x in e) for e in edges))
+        edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
+        pairs = tuple(map(tuple, edges.tolist()))
+    else:
+        pairs = edges
+    try:
+        canon, in_lists, out_lists = reference_graph(n, pairs, directed)
+    except GraphValidationError as exc:
+        with pytest.raises(GraphValidationError) as got:
+            Graph(n=n, edges=edges, directed=directed)
+        assert str(got.value) == str(exc)
+        return
+    g = Graph(n=n, edges=edges, directed=directed)
+    assert g.edges == canon
+    assert g.edge_array.tolist() == [list(e) for e in canon]
+    assert (g.in_neighbors, g.out_neighbors) == (in_lists, out_lists)
+    for got, lists in ((g.in_csr, in_lists), (g.out_csr, out_lists)):
+        for a, b in zip(got, reference_csr(lists)):
+            assert a.dtype == b.dtype and a.tolist() == b.tolist()
+    assert all(g.in_degree(v) == len(in_lists[v]) for v in range(n))
+    assert serialize_graph(g) == json.dumps(
+        {"n": n, "directed": directed, "edges": [list(e) for e in canon]}, sort_keys=True)
+    twin = Graph(n=n, edges=pairs[::-1], directed=directed)
+    assert twin == g and hash(twin) == hash(g)
+    assert g != Graph(n=n + 1, edges=canon, directed=directed)
+    if not canon:
+        assert g != Graph(n=n, edges=canon, directed=not directed)

@@ -90,6 +90,15 @@ def test_validate_layered_graph_rejects_tampering():
         validate_layered_graph(extra, s)
 
 
+def test_validate_layered_graph_rejects_a_wrong_edge_at_the_right_count():
+    s = two_component_structure()
+    g = s.build_graph()
+    moved = type(g)(n=g.n, edges=g.edges[:-1] + ((5, 6),), directed=True)
+    assert len(moved.edges) == s.n_edges
+    with pytest.raises(ValidationError, match="graph edges do not match the layered structure"):
+        validate_layered_graph(moved, s)
+
+
 def test_build_graph_respects_the_edge_cap():
     s = LayeredStructure(((100, 100),))
     with pytest.raises(ValidationError, match="exceeds the cap"):
