@@ -151,9 +151,8 @@ def _dump_json(path: str, plain) -> None:
 
 
 def _graph_text(graph: Graph) -> str:
-    """`_dump_json`'s text of `serialize_graph`'s document, formatted from the
-    edge array in one `%` call: the indented encoder costs ~10x as much on a
-    large graph, and a format per edge 2-3x."""
+    """`_dump_json`'s text of `serialize_graph`'s document, formatted from the edge
+    array in one `%` call: on a large graph the indented encoder costs ~10x as much."""
     pair = "    [\n      %d,\n      %d\n    ]"
     edges = ",\n".join([pair] * len(graph.edge_array)) % tuple(graph.edge_array.ravel().tolist())
     edges = f"[\n{edges}\n  ]" if edges else "[]"

@@ -8,8 +8,9 @@ an unordered pair and expose it in both directions.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, takewhile
 
 import numpy as np
 
@@ -27,10 +28,15 @@ def state_name(s: int) -> str:
     return _STATE_NAMES[s]
 
 
+@dataclass(frozen=True, init=False, eq=False)
 class Graph:
     """Immutable graph; its canonical edges are one sorted, read-only (m, 2)
     int64 array, `edge_array` (undirected ones as u < v).  `edges` takes (u, v)
     pairs of exactly-`int` endpoints or an (m, 2) integer array."""
+
+    n: int
+    directed: bool
+    edge_array: np.ndarray
 
     def __init__(self, n: int, edges, directed: bool = True):
         # Exactly int, here and for endpoints: booleans are not vertex ids.
@@ -42,9 +48,9 @@ class Graph:
             if edges.ndim != 2 or edges.shape[1] != 2 or edges.dtype.kind not in "iu":
                 raise GraphValidationError(
                     f"edge array must be (m, 2) integers, got shape {edges.shape} of {edges.dtype}")
-            pairs, arr, error = edges, edges.astype(np.int64), None
+            pairs, arr = edges, edges.astype(np.int64)
         else:
-            pairs, arr, error = _int_pairs(edges)
+            pairs, arr = _int_pairs(edges)
         u, v = arr[:, 0], arr[:, 1]
         canon = arr if directed else np.column_stack((np.minimum(u, v), np.maximum(u, v)))
         bad = (arr < 0).any(axis=1) | (arr >= n).any(axis=1) | (u == v)
@@ -62,13 +68,12 @@ class Graph:
                 raise GraphValidationError(f"self-loop at vertex {a} is not allowed")
             raise GraphValidationError(f"duplicate edge ({a}, {b})" if directed else
                                        f"duplicate edge ({min(a, b)}, {max(a, b)})")
-        if error is not None:  # the edge that ends the checked prefix
-            raise error
+        if len(arr) < len(pairs):  # the edge that ends the checked prefix
+            e = pairs[len(arr)]  # with no length, len(e) raises TypeError, as the per-edge check did
+            raise GraphValidationError(
+                f"edge {e!r} " + ("is not a pair" if len(e) != 2 else "has non-integer endpoints"))
         canon.setflags(write=False)
         self.__dict__.update(n=n, directed=directed, edge_array=canon)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}: graphs are immutable")
 
     def _key(self):
         return self.n, self.directed, self.edge_array.tobytes()
@@ -78,9 +83,6 @@ class Graph:
 
     def __hash__(self):
         return hash(self._key())
-
-    def __repr__(self):
-        return f"Graph(n={self.n}, edges={self.edges!r}, directed={self.directed})"
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -116,20 +118,22 @@ class Graph:
 
 
 def _int_pairs(edges) -> tuple:
-    """`edges` as a sequence, the (p, 2) int64 array of its longest prefix of
-    exactly-`int` pairs, and the error of edge p (None if p is the end)."""
+    """`edges` as a sequence, and the (p, 2) int64 array of its longest prefix
+    of pairs of exactly-`int` endpoints."""
     pairs = edges if isinstance(edges, (tuple, list)) else tuple(edges)
-    flat, error = list(chain.from_iterable(pairs)), None
-    if set(map(len, pairs)) - {2} or set(map(type, flat)) - {int}:
-        p = next(i for i, e in enumerate(pairs) if len(e) != 2 or tuple(map(type, e)) != (int, int))
-        error = GraphValidationError(f"edge {pairs[p]!r} " + (
-            "is not a pair" if len(pairs[p]) != 2 else "has non-integer endpoints"))
-        del flat[2 * p:]
+    fast = set(map(type, pairs)) <= {tuple, list} and set(map(len, pairs)) <= {2}
+    flat = list(chain.from_iterable(pairs)) if fast else []
+    if not fast or set(map(type, flat)) - {int}:  # a per-edge pass finds the prefix
+        flat = list(chain.from_iterable(takewhile(_is_int_pair, pairs)))
     try:
         arr = np.array(flat, dtype=np.int64)
     except OverflowError:  # beyond int64 is outside 0..n-1, as -1 is
         arr = np.array([x if -2**63 <= x < 2**63 else -1 for x in flat], dtype=np.int64)
-    return pairs, arr.reshape(-1, 2), error
+    return pairs, arr.reshape(-1, 2)
+
+
+def _is_int_pair(e) -> bool:
+    return hasattr(e, "__len__") and len(e) == 2 and tuple(map(type, e)) == (int, int)
 
 
 def _csr(n: int, key: np.ndarray, other: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -164,10 +168,6 @@ def load_graph(document: str | dict) -> Graph:
         raise GraphValidationError(f"'directed' must be a boolean, got {directed!r}")
     if not isinstance(edges, list):
         raise GraphValidationError("'edges' must be a list of [u, v] pairs")
-    try:  # decoded [u, v] lists go straight in; on a fault, the tuple path names it as before
-        return Graph(n=n, edges=edges, directed=directed)
-    except (GraphValidationError, TypeError):
-        pass
     try:
         edge_tuples = tuple((u, v) for u, v in edges)
     except (TypeError, ValueError):

@@ -284,6 +284,10 @@ def test_gadget_verb_emits_all_artifacts(tmp_path):
     {"kind": "influencer_components", "sizes": [4, 8], "hubs_per_component": 2},
     # Hubs only: no edges.
     {"kind": "influencer_components", "sizes": [2], "hubs_per_component": 2},
+    # The README's chain config and a small layered gadget, at the default edge cap.
+    {"kind": "chain_replication", "chain_steps": 4, "replications": 17, "n_terminal": 1000},
+    {"kind": "convexity_amplifier", "base_size": 4, "depth": 3, "switch_exponent": 2.0,
+     "final_small": 64},
 ])
 def test_gadget_graph_json_is_the_indented_serialized_graph(tmp_path, gadget):
     out = tmp_path / "out"
@@ -328,30 +332,6 @@ def test_undirected_graph_json_is_the_indented_serialized_graph(graph):
     # writer itself.
     reference = json.dumps(json.loads(serialize_graph(graph)), sort_keys=True, indent=2) + "\n"
     assert _graph_text(graph) == reference
-
-
-def per_edge_graph_text(graph):
-    """The per-edge writer `_graph_text` replaced, kept as the reference."""
-    edges = ",\n".join(f"    [\n      {u},\n      {v}\n    ]" for u, v in graph.edges)
-    edges = f"[\n{edges}\n  ]" if edges else "[]"
-    directed = "true" if graph.directed else "false"
-    return f'{{\n  "directed": {directed},\n  "edges": {edges},\n  "n": {graph.n}\n}}\n'
-
-
-@pytest.mark.parametrize("gadget", [
-    # The README's chain config and a small layered gadget, at the default edge cap.
-    {"kind": "chain_replication", "chain_steps": 4, "replications": 17, "n_terminal": 1000},
-    {"kind": "convexity_amplifier", "base_size": 4, "depth": 3, "switch_exponent": 2.0,
-     "final_small": 64},
-])
-def test_gadget_graph_json_is_byte_identical_to_the_per_edge_writer(tmp_path, gadget):
-    out = tmp_path / "out"
-    run(["gadget", "--config", write_config(tmp_path, {"graph": {"gadget": gadget}}),
-         "--out", str(out)])
-    spec = build_gadget(gadget["kind"], {k: v for k, v in gadget.items() if k != "kind"})
-    graph = spec.build_graph()
-    assert (out / "graph.json").read_bytes() == per_edge_graph_text(graph).encode("utf-8")
-    assert len(graph.edges) == spec.n_edges > 1_000
 
 
 def test_gadget_verb_fails_verification_at_low_replication(tmp_path):

@@ -141,8 +141,7 @@ def test_load_graph_rejects_boolean_vertex_ids(doc, match):
     ([[2, 1], [1, 2], [2, 1]], "duplicate edge (2, 1)"),
 ])
 def test_load_graph_names_faults_as_it_did_on_tuple_pairs(edges, message):
-    # Decoded lists go straight to Graph; a fault still reads as it did when
-    # load_graph turned every pair into a tuple first.
+    # load_graph turns every decoded pair into a tuple before Graph checks it.
     with pytest.raises(GraphValidationError) as got:
         load_graph({"n": 3, "directed": True, "edges": edges})
     assert str(got.value) == message
@@ -248,6 +247,15 @@ def test_unsigned_endpoints_beyond_int64_are_out_of_range():
         Graph(n=2, edges=((0, 1), (-2**70, 0)))
 
 
+def test_an_edge_with_no_length_is_named_after_the_edges_before_it():
+    with pytest.raises(GraphValidationError, match="self-loop at vertex 0"):
+        Graph(n=2, edges=((0, 0), None))
+    with pytest.raises(TypeError, match="has no len"):
+        Graph(n=2, edges=((0, 1), None))
+    with pytest.raises(TypeError, match="has no len"):
+        Graph(n=2, edges=[[0, 1], 1, (2, 0)])
+
+
 # ---------------------------------------------------------------------------
 # Parity with the per-edge construction that the array checks replaced.
 # ---------------------------------------------------------------------------
@@ -307,6 +315,8 @@ def edge_inputs(draw):
         st.tuples(vertex),
         vertex.map(lambda u: (np.int64(u), 0)),
         st.just((2**64, 0)),
+        st.none(),
+        vertex,
     )
     edge = st.one_of(pair, pair, pair, wild) if draw(st.booleans()) else pair
     return n, tuple(draw(st.lists(edge, max_size=12))), draw(st.booleans())
@@ -318,17 +328,18 @@ def edge_inputs(draw):
 def test_graph_matches_the_per_edge_reference(case, as_array):
     n, edges, directed = case
     if as_array:
-        assume(all(len(e) == 2 and all(type(x) is int and x < 2**63 for x in e) for e in edges))
+        assume(all(isinstance(e, tuple) and len(e) == 2 and all(type(x) is int and x < 2**63 for x in e)
+                   for e in edges))
         edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
         pairs = tuple(map(tuple, edges.tolist()))
     else:
         pairs = edges
     try:
         canon, in_lists, out_lists = reference_graph(n, pairs, directed)
-    except GraphValidationError as exc:
-        with pytest.raises(GraphValidationError) as got:
+    except (GraphValidationError, TypeError) as exc:  # TypeError: an edge with no length
+        with pytest.raises(type(exc)) as got:
             Graph(n=n, edges=edges, directed=directed)
-        assert str(got.value) == str(exc)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
         return
     g = Graph(n=n, edges=edges, directed=directed)
     assert g.edges == canon
