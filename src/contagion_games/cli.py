@@ -409,26 +409,13 @@ def _verb_gadget(config: dict):
             "materialized": False, "n": spec.n_vertices, "n_edges": spec.n_edges,
             "reason": f"edge count exceeds max_graph_edges={edge_cap}",
             "vertex_classes": {k: list(v) for k, v in spec.vertex_classes.items()}})
-    spec_doc = spec.to_json_dict()
-    profile_doc = {
-        "kind": spec.kind,
-        "budget_red": spec.budget_red,
-        "budget_blue": spec.budget_blue,
-        "dynamics": spec_doc["dynamics"],
-        "schedule": spec_doc["schedule"],
-        "profiles": spec_doc["profiles"],
-        "vertex_classes": spec_doc["vertex_classes"],
-    }
-    predictions_doc = {
-        "kind": spec.kind,
-        "params": spec.params,
-        "ok": verification.ok,
-        "flags": list(verification.flags),
-        "predictions": [row.to_json_dict() for row in verification.prediction_rows],
-        "measured": verification.measured,
-    }
-    extra = {"graph.json": graph_doc, "profile.json": _jsonify(profile_doc),
-             "predictions.json": _jsonify(predictions_doc)}
+    spec_doc, result = spec.to_json_dict(), verification.to_json_dict()
+    profile_keys = ("kind", "budget_red", "budget_blue", "dynamics", "schedule", "profiles",
+                    "vertex_classes")
+    prediction_keys = ("kind", "params", "ok", "flags", "predictions", "measured")
+    extra = {"graph.json": graph_doc,
+             "profile.json": _jsonify({k: spec_doc[k] for k in profile_keys}),
+             "predictions.json": _jsonify({k: result[k] for k in prediction_keys})}
     failure = None
     if not verification.ok:
         problems = [row.name for row in verification.prediction_rows if row.ok is False]
@@ -437,7 +424,7 @@ def _verb_gadget(config: dict):
         problems += ["flagged" for _ in verification.flags]
         failure = (f"gadget verification failed ({', '.join(problems)}); "
                    "see result.json for details")
-    return verification.to_json_dict(), verification.csv_rows(), extra, failure
+    return result, verification.csv_rows(), extra, failure
 
 
 def _verb_couple_test(config: dict):

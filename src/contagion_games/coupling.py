@@ -23,8 +23,9 @@ standalone process it stands for.
 The inequality modes need a one-shot schedule (single pass or layer order).
 Attribution also runs under parallel rounds, with or without immunity: each
 process keeps its own immune set and stops after a round that gives it no
-candidate or no infection, as it would alone.  Randomly ordered schedules are
-refused: the two processes would not agree on which vertex a draw belongs to.
+candidate or no infection, as it would alone.  Every other schedule, subclasses
+included, is refused (`dynamics.batched_form`): under a random order the two
+processes would not agree on which vertex a draw belongs to.
 
 All modes run on arrays (`_CoupledKernel`): a block of replications advances
 as two (R, n) state matrices, and replication i reads its draws from its own
@@ -43,13 +44,11 @@ import numpy as np
 
 from .dynamics import (
     AdoptionFunction,
-    LayerOrder,
-    ParallelRounds,
     SimOutcome,
-    SinglePassOrder,
     UpdateSchedule,
     _fraction_grid,
     _point_arrays,
+    batched_form,
     check_additive,
     check_competitive,
     run_ids,
@@ -105,8 +104,7 @@ def canonical_mode(mode: str) -> str:
 def _check_points(graph: Graph) -> tuple[tuple[float, float], ...]:
     from .dynamics import realizable_fraction_pairs
 
-    max_deg = max((len(nbrs) for nbrs in graph.in_neighbors), default=0)
-    if max_deg <= 64:
+    if graph.in_csr[2].max(initial=0) <= 64:
         return realizable_fraction_pairs(graph)
     return ()
 
@@ -162,24 +160,26 @@ def require_mode_hypotheses(mode: str, dyn: AdoptionFunction, graph: Graph) -> N
                 f"(a={a:.6g}, b={b:.6g}) it is off by {gap:.3g}")
 
 
-def _require_schedule(mode: str, schedule: UpdateSchedule) -> None:
-    """Attribution runs on single passes, layer orders and parallel rounds.
+def _require_schedule(mode: str, schedule: UpdateSchedule) -> str:
+    """The schedule's `batched_form`.  Attribution runs on all three forms.
 
     The two inequality couplings are sound only when every vertex updates at
     one fixed phase.  Under parallel rounds, a failed candidate retries, and
     the early stop on a no-change round can freeze one process while the other
     keeps retrying; the comparison inequalities themselves fail on small
     instances under that semantics, so such schedules are refused outright."""
+    form, name = batched_form(schedule), type(schedule).__name__
     if mode == MODE_ATTRIBUTION:
-        if not isinstance(schedule, (SinglePassOrder, LayerOrder, ParallelRounds)):
+        if form is None:
             raise ValidationError(
-                "coupled runs need a schedule whose phases are determined by the state "
-                "(single_pass, layer_order, or parallel); random_sequential is not supported")
-    elif not isinstance(schedule, (SinglePassOrder, LayerOrder)):
+                "coupled runs need exactly a single_pass, layer_order or parallel schedule, "
+                f"not a subclass; random_sequential is not supported; got {name}")
+    elif form not in ("single_pass", "layer_order"):
         raise ValidationError(
-            "this coupling mode needs a one-shot schedule (single_pass or layer_order): "
-            "with retrying schedules the early stop on a no-change round desynchronizes "
-            "the two processes and the comparison inequality itself can fail")
+            "this coupling mode needs a one-shot schedule, exactly single_pass or layer_order; "
+            f"got {name}: with retrying schedules the early stop on a no-change round "
+            "desynchronizes the two processes and the comparison inequality itself can fail")
+    return form
 
 
 def _seed_state(graph: Graph, red_seeds: Sequence[int], blue_seeds: Sequence[int]) -> np.ndarray:
@@ -225,22 +225,20 @@ class _CoupledKernel(_BatchedPhases):
 
     def __init__(self, graph: Graph, red_seeds: Sequence[int], blue_seeds: Sequence[int],
                  dyn: AdoptionFunction, schedule: UpdateSchedule, mode: str):
-        _require_schedule(mode, schedule)
+        form = _require_schedule(mode, schedule)
         schedule.validate_for_graph(graph)
         self.joint0 = _seed_state(graph, red_seeds, blue_seeds)
         self.solo0 = self.joint0 if mode == MODE_ATTRIBUTION else _seed_state(graph, red_seeds, ())
-        self.rounds = schedule if isinstance(schedule, ParallelRounds) else None
+        self.rounds = schedule if form == "rounds" else None
         # On a one-shot schedule every vertex updates in one phase at most and
         # keeps its colors from then on, so a vertex that breaks the invariant
         # at phase k is counted after each of the phases k..n_phases-1.
         self.weight = np.zeros(graph.n, dtype=np.int64)
-        if self.rounds is not None:
-            phases = None
-        elif isinstance(schedule, SinglePassOrder):
+        phases = None
+        if form == "single_pass":
             phases = schedule.phases(graph)
-            order = np.array(schedule.order, dtype=np.intp)
-            self.weight[order] = len(order) - np.arange(len(order))
-        else:
+            self.weight[list(schedule.order)] = np.arange(len(schedule.order), 0, -1)
+        elif form == "layer_order":
             phases = [run_ids(sorted(layer)) for layer in schedule.runs]
             for k, verts in enumerate(phases):
                 self.weight[verts] = len(phases) - k

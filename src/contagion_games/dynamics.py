@@ -695,9 +695,9 @@ def realizable_fraction_pairs(graph: Graph) -> tuple[tuple[float, float], ...]:
     exhibit.  Cost grows with the square of the largest in-degree; intended for
     small graphs.
     """
-    degrees = {len(nbrs) for nbrs in graph.in_neighbors if nbrs}
+    in_degree = graph.in_csr[2]
     pairs = {(0.0, 0.0)}
-    for d in degrees:
+    for d in np.unique(in_degree[in_degree > 0]).tolist():
         for i in range(d + 1):
             for j in range(d + 1 - i):
                 pairs.add((i / d, j / d))
@@ -751,10 +751,10 @@ class UpdateSchedule(ABC):
     phases as (probability, vertices, next_cursor) triples, or None when the
     schedule is finished.  Deterministic schedules return exactly one option;
     the random-sequential schedule returns one option per current candidate.
-    The same interface drives single runs, coupled runs, and the exact
-    enumeration oracle, so all of them share one semantics.  A one-shot
-    schedule, which updates each vertex at most once, also lists its snapshot
-    phases up front (`phases`).
+    A one-shot schedule also lists its snapshot phases up front (`phases`).
+    Every back end runs a schedule that is exactly `ParallelRounds` by rounds,
+    exactly `SinglePassOrder` or `LayerOrder` by `phases`, and any other,
+    subclasses included, through `phase_options` alone (`batched_form`).
     """
 
     stop_on_no_change: bool = False
@@ -1019,6 +1019,12 @@ class RandomSequential(UpdateSchedule):
 
     def to_json_dict(self) -> dict:
         return {"kind": "random_sequential", "max_steps": self.max_steps}
+
+
+def batched_form(schedule: UpdateSchedule) -> Optional[str]:
+    """How every back end runs the schedule (None: by `phase_options` alone)."""
+    return {ParallelRounds: "rounds", SinglePassOrder: "single_pass",
+            LayerOrder: "layer_order"}.get(type(schedule))
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,8 @@ import numpy as np
 
 from .dynamics import (
     AdoptionFunction,
-    LayerOrder,
-    ParallelRounds,
-    SinglePassOrder,
     UpdateSchedule,
+    batched_form,
     run_contagion,
 )
 from .errors import StateSpaceCapError, ValidationError
@@ -696,23 +694,22 @@ class _ReplicationKernel(_BatchedPhases):
     SplitMix64 stream of its key (`_replication_words`, `_Draws`): the
     support draw where its job has more than one pair, then one per contested
     seed in vertex order, red winning below its share of the seeds there (as
-    `resolve_contested_seeds` draws them).  Under ParallelRounds,
-    SinglePassOrder and LayerOrder, exactly, rows then run together, drawing
-    one per update candidate in phase order, with update probabilities
-    `update_probs`'s at the same fractions, from the kernel's table, which
-    every block the kernel runs shares.  Under any other schedule, subclasses
-    of those three included, each row finishes with `run_contagion` on the
-    rest of its stream (`_Stream`).  Both give what `run_contagion` gives on
-    the row's `_Stream` after its seeds are resolved, bit for bit, whatever
-    else the block runs.
+    `resolve_contested_seeds` draws them).  Under a schedule with a batched
+    form (`batched_form`), rows then run together, drawing one per update
+    candidate in phase order, with `update_probs`'s probabilities from the
+    kernel's table, which every block shares; under any other, each row
+    finishes with `run_contagion` on the rest of its stream (`_Stream`).
+    Both give what `run_contagion` gives on the row's `_Stream` after its
+    seeds are resolved, bit for bit, whatever else the block runs.
     """
 
     def __init__(self, game: GameSpec, *supports):
         graph, schedule = game.graph, game.schedule
         schedule.validate_for_graph(graph)
-        super().__init__(graph, game.dynamics, schedule.phases(graph))
+        self.form = batched_form(schedule)
+        self.one_by_one = self.form is None
+        super().__init__(graph, game.dynamics, () if self.one_by_one else schedule.phases(graph))
         self.game, self.schedule = game, schedule
-        self.one_by_one = type(schedule) not in (ParallelRounds, SinglePassOrder, LayerOrder)
 
         # Each distinct support pair's base state, with its uncontested seeds
         # placed, and its contested vertices with red's winning chance.  A job
@@ -780,7 +777,7 @@ class _ReplicationKernel(_BatchedPhases):
         if self.one_by_one:
             return self._run_each(keys, draws, state)
         all_rows = np.arange(len(which))
-        if isinstance(self.schedule, ParallelRounds):
+        if self.form == "rounds":
             self._run_rounds(state, draws, all_rows)
         else:
             for phase in self.phases:
@@ -978,16 +975,16 @@ class _Enumerator:
     update outcome under the schedule.
 
     The constructor does the per-game work once: it validates the schedule,
-    lists a one-shot schedule's snapshot phases (`schedule.phases`), so a
-    single pass branches one group of consecutive vertices at a time, and
-    lists each of their vertices' out-neighbours that update in a later
-    phase.  `payoffs(profile)` walks one profile's tree and raises
-    StateSpaceCapError when it exceeds `node_cap` nodes.  Wherever a
-    vertex's outcome cannot influence anything downstream (for example, a
-    vertex whose later-updating out-neighbours are all infected in a one-shot
-    schedule, or any candidate in the final round), its expectation is
-    accumulated marginally instead of branching, which keeps the common
-    fixtures branch-free.
+    lists the snapshot phases of a schedule run by them (`batched_form`),
+    so a single pass branches one group of consecutive vertices at a time,
+    and each of their vertices' out-neighbours that update in a later phase;
+    other schedules are walked by `phase_options`.  `payoffs(profile)` walks
+    one profile's tree and raises StateSpaceCapError when it exceeds
+    `node_cap` nodes.  Wherever a vertex's outcome cannot influence anything
+    downstream (for example, a vertex whose later-updating out-neighbours are
+    all infected in a one-shot schedule, or any candidate in the final
+    round), its expectation is accumulated marginally instead of branching,
+    which keeps the common fixtures branch-free.
 
     Each pure pair of the profile's support is walked with one stack of
     phase-start entries (weight, state, immune, cursor, red count, blue
@@ -1010,17 +1007,16 @@ class _Enumerator:
         schedule.validate_for_graph(graph)
         self.game = game
         self.node_cap = node_cap
-        self.is_parallel = isinstance(schedule, ParallelRounds)
-        self.plan = schedule.phases(graph)
+        form = batched_form(schedule)
+        self.is_parallel = form == "rounds"
         # A one-shot schedule updates each vertex in one phase at most; a
         # vertex branches only while one of these out-neighbours is clean.
-        self.later = None
-        if self.plan is not None:
-            self.plan = [phase.tolist() for phase in self.plan]
-            phase_of = [-1] * graph.n
+        self.plan = self.later = None
+        if form and not self.is_parallel:
+            self.plan = [phase.tolist() for phase in schedule.phases(graph)]
+            phase_of = np.full(graph.n, -1)
             for k, phase in enumerate(self.plan):
-                for v in phase:
-                    phase_of[v] = k
+                phase_of[phase] = k
             self.later = [[u for u in graph.out_neighbors[v] if phase_of[u] > phase_of[v]]
                           for v in range(graph.n)]
         self.update_probs: dict[tuple[float, float], tuple[float, float, float]] = {}

@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .dynamics import LayerOrder, ParallelRounds, RandomSequential, SinglePassOrder, UpdateSchedule
+from .dynamics import RandomSequential, UpdateSchedule, batched_form
 from .engine import (
     DEFAULT_NODE_CAP,
     DEFAULT_TRIALS,
@@ -79,20 +79,19 @@ def twin_classes(graph: Graph, schedule: UpdateSchedule) -> list[tuple[int, ...]
 
     Swapping two twins maps the graph onto itself, so it maps every run to a
     run of equal payoffs when it also maps the schedule onto itself.  Under
-    `ParallelRounds` and `RandomSequential` all twins merge.  Under
-    `SinglePassOrder` and `LayerOrder` twins merge only within one of
-    `schedule.phases(graph)`, or when neither is in any.  Under any other
-    schedule class, subclasses of these included, no vertices merge.
+    parallel rounds and exactly `RandomSequential` all twins merge.  Under a
+    single pass or a layer order twins merge only within one of its phases,
+    or when neither is in any (`batched_form`).  Under any other schedule,
+    subclasses included, no vertices merge.
     """
-    kind = type(schedule)
-    if kind in (ParallelRounds, RandomSequential):
+    form = batched_form(schedule)
+    if form == "rounds" or type(schedule) is RandomSequential:
         slot = [0] * graph.n
-    elif kind in (SinglePassOrder, LayerOrder):
+    elif form:
         schedule.validate_for_graph(graph)
-        slot = [-1] * graph.n
+        slot = np.full(graph.n, -1)
         for k, phase in enumerate(schedule.phases(graph)):
-            for v in phase.tolist():
-                slot[v] = k
+            slot[phase] = k
     else:
         return []
     in_ptr, in_idx, _ = graph.in_csr

@@ -453,8 +453,9 @@ class LayeredDP:
     (red, blue) totals (`_layer_transition`).  A component's state entering
     layer d depends only on its seeded prefix: the sizes and seeds (sure red,
     sure blue, contested red-win probabilities) of its layers 0 through d.
-    The object keeps each step's output under that prefix for its lifetime,
-    so every profile and component that reaches the prefix shares one step.
+    The object keeps each step's output under that prefix, and whether layer
+    d is the component's last, for its lifetime, so every profile and
+    component that reaches the prefix shares one step.
     The arithmetic is that of a fresh evaluation: no output moves by a bit."""
 
     def __init__(self, structure: LayeredStructure, dyn: AdoptionFunction,
@@ -512,9 +513,10 @@ class LayeredDP:
             sr, sb, contested = layer_seeds[depth]
             m = sizes[depth] - (sr + sb + len(contested))
             last = depth == len(sizes) - 1
-            # The seeded prefix: all that the step into this layer reads.
-            key = (sizes[:depth + 1], *layer_seeds[:depth + 1])
-            step = None if last else self._steps.get(key)
+            # The seeded prefix, and whether it ends the component: all that
+            # the step into this layer reads.
+            key = (last, sizes[:depth + 1], *layer_seeds[:depth + 1])
+            step = self._steps.get(key)
             if step is None:
                 # States at or below `prune` are dropped, except before the
                 # final layer, where dropping saves nothing.
@@ -533,10 +535,9 @@ class LayeredDP:
                     p = dist[ri, bi]
                     pr, pb = self.dyn.update_probs_array((ri + r0) / size, (bi + b0) / size)
                 if last:
-                    er += m * float(p @ pr)
-                    eb += m * float(p @ pb)
-                    break
-                if self._lumped:
+                    # The state entering the final layer is the mass that reaches it.
+                    step = (*state, m * float(p @ pr), m * float(p @ pb))
+                elif self._lumped:
                     step = _lumped_transition(p, pa, share, m, self.prune,
                                               sr + sb + len(contested), red_seeds[depth])
                 else:

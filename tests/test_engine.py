@@ -1088,6 +1088,82 @@ def test_schedule_subclasses_run_row_by_row_as_the_batched_kernel_runs(schedule,
     assert [row.tolist() for row in got] == [row.tolist() for row in want]
 
 
+@dataclasses.dataclass(frozen=True)
+class SubRandomSequential(RandomSequential):
+    """Random-sequential updates under another class."""
+
+
+@dataclasses.dataclass(frozen=True)
+class FirstOnlyPass(SinglePassOrder):
+    """A single pass that stops after its first vertex."""
+
+    def phase_options(self, graph, state, immune, cursor):
+        return None if cursor >= 1 else super().phase_options(graph, state, immune, cursor)
+
+
+@dataclasses.dataclass(frozen=True)
+class OneRound(ParallelRounds):
+    """Parallel rounds that stop after the first round."""
+
+    def phase_options(self, graph, state, immune, cursor):
+        return None if cursor >= 1 else super().phase_options(graph, state, immune, cursor)
+
+
+# Every in-degree is 1, so under linear dynamics every candidate adopts its
+# in-neighbour's color: each schedule's outcome is one deterministic (chi_R,
+# chi_B), red seeding 0 and blue 5.  Vertices 1 and 2 are the only twins.
+RULE_GRAPH = Graph(n=7, edges=((0, 1), (0, 2), (0, 3), (3, 4), (5, 6)))
+RULE_ORDER, RULE_LAYERS = (1, 2, 3, 4, 6), ((1, 2, 3, 6), (4,))
+# (schedule, how the rule reads it, its outcome): exactly ParallelRounds by
+# rounds, exactly SinglePassOrder or LayerOrder by phases, any other schedule
+# through phase_options alone.
+RULE_CASES = (
+    (ParallelRounds(3), "rounds", (5, 2)),
+    (SinglePassOrder(RULE_ORDER), "phases", (5, 2)),
+    (LayerOrder(RULE_LAYERS), "phases", (5, 2)),
+    (RandomSequential(10), None, (5, 2)),
+    (SubParallelRounds(3), None, (5, 2)),
+    (SubSinglePassOrder(RULE_ORDER), None, (5, 2)),
+    (SubLayerOrder(RULE_LAYERS), None, (5, 2)),
+    (SubRandomSequential(10), None, (5, 2)),
+    (FirstOnlyPass(RULE_ORDER), None, (2, 1)),
+    (OneRound(3), None, (4, 2)),
+)
+
+
+@pytest.mark.parametrize("schedule, form, chi", RULE_CASES,
+                         ids=[type(case[0]).__name__ for case in RULE_CASES])
+def test_every_back_end_reads_a_schedule_by_the_one_rule(schedule, form, chi):
+    """`run_contagion`, exact enumeration and the Monte Carlo kernel give one
+    outcome on every schedule, subclasses that step differently included;
+    the kernel runs row by row, twins stay apart and coupled runs refuse
+    exactly the schedules that the rule reads through `phase_options`."""
+    graph, dyn = RULE_GRAPH, linear_dyn()
+    game = GameSpec(graph, dyn, schedule, 1, 1)
+    profile = StrategyProfile(Allocation.from_seeds(7, [0]), Allocation.from_seeds(7, [5]))
+    run = run_contagion(graph, (1, 0, 0, 0, 0, 2, 0), dyn, schedule, 0)
+    exact = exact_payoffs(game, profile)
+    mc = estimate_payoffs(game, profile, n_trials=16, master_seed=3)
+    assert (run.chi_R, run.chi_B) == (mc.pi_R, mc.pi_B) == chi
+    # A random order's leaves sum weights such as 1/5 + 4/5 * ..., up to rounding.
+    assert (exact.pi_R, exact.pi_B) == pytest.approx(chi, rel=1e-12)
+
+    assert engine._ReplicationKernel(game, profile.support_pairs()).one_by_one == (form is None)
+    merges = form is not None or type(schedule) is RandomSequential
+    assert equilibrium.twin_classes(graph, schedule) == ([(1, 2)] if merges else [])
+    for mode, accepted in ((MODE_ATTRIBUTION, form is not None),
+                           (MODE_SOLO_VS_JOINT, form == "phases")):
+        if accepted:
+            res = coupling.coupled_run(graph, [0], [5], dyn, schedule, 0, mode=mode)
+            assert (res.joint.chi_R, res.joint.chi_B) == chi
+            assert res.invariant_violations == 0
+            continue
+        with pytest.raises(ValidationError, match=f"got {type(schedule).__name__}"):
+            coupling.coupled_run(graph, [0], [5], dyn, schedule, 0, mode=mode)
+        with pytest.raises(ValidationError, match=f"got {type(schedule).__name__}"):
+            couple_test(graph, [0], [5], dyn, schedule, mode, runs=10)
+
+
 @settings(max_examples=50, deadline=None)
 @given(key=st.integers(0, 2**64 - 1), used=st.integers(0, 5),
        ks=st.lists(st.integers(1, 2**20), max_size=4))
