@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Optional, Sequence, Union
@@ -871,6 +870,8 @@ def sample_many(game: GameSpec, jobs: Sequence[tuple[StrategyProfile, int]], n_t
     seed_keys = _seed_keys(master_seed for _, master_seed in jobs)
     rows = len(jobs) * n_trials
     if threads is not None and threads > 1 and rows >= 64:
+        from concurrent.futures import ProcessPoolExecutor
+
         bounds = np.linspace(0, rows, threads + 1).astype(int)
         with ProcessPoolExecutor(max_workers=threads) as pool:
             chi = np.concatenate(list(pool.map(

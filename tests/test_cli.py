@@ -386,14 +386,41 @@ def test_gadget_verb_rejects_convexity_depths_beyond_float_range(tmp_path, capsy
     assert "beyond float range" in capsys.readouterr().err
 
 
-def test_importing_the_package_loads_no_scipy():
+def modules_loaded_by(code, packages):
+    """The modules in `packages` (or under them) that a fresh interpreter
+    has loaded after running `code`."""
     src = os.path.dirname(os.path.dirname(contagion_games.__file__))
-    code = ("import sys, contagion_games, contagion_games.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    code += (f"\nprint(sorted(m for m in sys.modules "
+             f"if any(m == p or m.startswith(p + '.') for p in {packages!r})))")
     env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
-    assert done.stdout.strip() == "[]"
+    done = subprocess.run([sys.executable, "-c", "import sys\n" + code], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    return done.stdout.strip().splitlines()[-1]
+
+
+def test_importing_the_package_loads_no_scipy():
+    """Nor the process pool, which only `threads > 1` runs start."""
+    packages = ("scipy", "multiprocessing", "socket", "concurrent.futures.process")
+    assert modules_loaded_by("import contagion_games, contagion_games.cli", packages) == "[]"
+
+
+def test_couple_test_loads_no_scipy(tmp_path):
+    """Every mode, from the library and from the CLI verb on the README hub
+    config, computes its p-values without scipy."""
+    config = write_config(tmp_path, base_config(profile={"red_seeds": [3], "blue_seeds": [0]}))
+    code = "\n".join([
+        "from contagion_games import (Graph, SinglePassOrder, SwitchSelectAdoption,",
+        "                             PowerSwitch, linear_selection, couple_test)",
+        "from contagion_games.cli import run",
+        "g = Graph(13, tuple([(0, 1), (0, 2)] + [(3, v) for v in range(4, 13)]))",
+        "order = SinglePassOrder(tuple(v for v in range(13) if v not in (0, 3)))",
+        "dyn = SwitchSelectAdoption(PowerSwitch(1.0), linear_selection())",
+        "for mode in ('solo-vs-joint', 'joint-total', 'attribution'):",
+        "    assert couple_test(g, [3], [0], dyn, order, mode, runs=100).invariant_violations == 0",
+        f"    assert run(['couple-test', '--config', {config!r}, '--couple.mode', mode,",
+        f"                '--out', {str(tmp_path / 'out')!r}]) == 0",
+    ])
+    assert modules_loaded_by(code, ("scipy",)) == "[]"
 
 
 def test_other_verbs_accept_gadget_graph_sources(tmp_path):

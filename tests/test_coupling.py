@@ -3,6 +3,7 @@ restrictions (with exact counterexamples for the refused schedules).  The
 batched coupled path is checked run by run against a vertex-by-vertex
 reference model kept here."""
 
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -619,6 +620,70 @@ def test_couple_test_attribution_accepts_parallel_rounds(immunity):
     assert res.inequality_margins["min_total_count_gap"] == 0.0
     assert res.inequality_margins["max_total_count_gap"] == 0.0
     assert all(p > 1e-3 for p in res.p_values.values())
+
+
+# ---------------------------------------------------------------------------
+# Exact two-sample KS p-values, checked against scipy.
+# ---------------------------------------------------------------------------
+
+
+def ks_sample_pairs(count, seed):
+    """Equal-size integer sample pairs, sizes 2 to 10,000 (most below 300,
+    so the exact sums stay cheap): overlapping samples with ties, constant
+    samples equal and apart, and disjoint samples."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        if i % 50:
+            n = int(rng.integers(2, 300))
+        else:
+            n = int(np.exp(rng.uniform(np.log(300), np.log(10_000))))
+        hi = int(rng.integers(1, 30))
+        x = rng.integers(0, hi, n)
+        kind = i % 4
+        if kind == 0:
+            y = rng.integers(0, hi, n) + int(rng.integers(0, 3))
+        elif kind == 1:
+            x, y = np.full(n, hi), np.full(n, hi + int(rng.integers(0, 2)))
+        elif kind == 2:
+            y = rng.integers(0, hi, n) + hi
+        else:
+            y = np.where(rng.random(n) < rng.uniform(0, 0.2), rng.integers(0, hi, n), x)
+        yield x, y
+
+
+def test_ks_pvalue_matches_scipys_exact_path_bit_for_bit():
+    from scipy.stats import ks_2samp
+
+    compared = 0
+    for x, y in ks_sample_pairs(10_000, seed=30):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                expected = float(ks_2samp(x, y).pvalue)
+            except RuntimeWarning:
+                # scipy's exact sum rounded past 1 and it went asymptotic.
+                assert coupling._ks_pvalue(x, y) == 1.0
+                continue
+        assert coupling._ks_pvalue(x, y) == expected, (len(x), x[:8], y[:8])
+        compared += 1
+    assert compared >= 9_500
+    assert coupling._ks_pvalue(np.array([0, 0]), np.array([1, 1])) == 1 / 3
+
+
+def test_ks_pvalue_returns_the_exact_one_where_the_sum_rounds_past_it():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert coupling._ks_pvalue(np.zeros(7), np.r_[1.0, np.zeros(6)]) == 1.0
+
+
+def test_ks_pvalue_above_10000_runs_is_near_scipys_asymptotic_value():
+    from scipy.stats import ks_2samp
+
+    rng = np.random.default_rng(31)
+    for n, shift in ((10_001, 0.0), (10_001, 0.02), (20_000, 0.01), (20_000, 0.03)):
+        x = rng.integers(0, 40, n)
+        y = rng.integers(0, 40, n) + (rng.random(n) < shift)
+        assert abs(coupling._ks_pvalue(x, y) - ks_2samp(x, y).pvalue) < 5e-3
 
 
 # ---------------------------------------------------------------------------
