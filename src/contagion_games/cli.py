@@ -240,11 +240,12 @@ def _int_field(config: dict, field: str, default: Optional[int] = None,
 
 
 def _eps_field(section: dict, field: str) -> Optional[float]:
-    """An optional `eps` of the section, reported as `field`; a bool is no
-    number."""
+    """An optional `eps` of the section, reported as `field`: a finite number
+    >= 0, and a bool is no number."""
     eps = section.get("eps")
-    if eps is not None and (isinstance(eps, bool) or not isinstance(eps, (int, float))):
-        raise _field_error(field, f"must be a number, got {eps!r}")
+    if eps is not None and (isinstance(eps, bool) or not isinstance(eps, (int, float))
+                            or not 0.0 <= eps < math.inf):
+        raise _field_error(field, f"must be a number, got {eps!r}; eps is finite and >= 0")
     return eps
 
 

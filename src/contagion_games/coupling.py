@@ -46,8 +46,7 @@ from .dynamics import (
     AdoptionFunction,
     SimOutcome,
     UpdateSchedule,
-    _fraction_grid,
-    _point_arrays,
+    _grid_and_points,
     batched_form,
     check_additive,
     check_competitive,
@@ -117,11 +116,7 @@ def check_linear_split(dyn: AdoptionFunction,
     the red share of infected in-neighbors.  Empty result means the color
     split is proportional (so copying a uniform infected in-neighbor's color
     reproduces it)."""
-    m = round(1.0 / grid_step)
-    i, j = _fraction_grid(m)
-    extra_a, extra_b = _point_arrays(points)
-    a = np.concatenate([i / m, extra_a])
-    b = np.concatenate([j / m, extra_b])
+    a, b = _grid_and_points(grid_step, points)
     live = a + b > 0.0
     a, b = a[live], b[live]
     got, total = dyn._prob_arrays(a, b)

@@ -10,7 +10,6 @@ case is h(a, b) = f(a + b) * g(a / (a + b)).
 
 from __future__ import annotations
 
-import json
 import math
 from abc import ABC, abstractmethod
 from bisect import bisect_right, insort
@@ -19,7 +18,8 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DynamicsDefinitionError, ScheduleError, ValidationError
+from .errors import (DynamicsDefinitionError, ScheduleError, ValidationError, decode_document,
+                     real_number)
 from .graphs import BLUE, RED, UNINFECTED, Graph, neighbor_fractions
 
 # Grid used for construction-time sanity checks of f and g.
@@ -71,19 +71,18 @@ def _check_shape(fn, kind: str) -> None:
         raise DynamicsDefinitionError("switching function must be 1 at 1")
 
 
-def _values_by_loop(value: Callable[[float], float], x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    return np.array([value(v) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
-
-
 # ---------------------------------------------------------------------------
-# Switching functions: probability of adopting at all, given the total
-# infected in-neighbor fraction.
+# Switching functions f, the probability of adopting at all given the total
+# infected in-neighbor fraction, and selection functions g, the probability of
+# choosing Red given Red's share of the infected in-neighbors.
 # ---------------------------------------------------------------------------
 
 
-class SwitchingFunction(ABC):
-    """Monotone map [0,1] -> [0,1] with value 0 at 0 and 1 at 1."""
+class _UnitFunction(ABC):
+    """Monotone map [0,1] -> [0,1]; `role` names it in errors and picks its
+    shape check."""
+
+    role: str
 
     @abstractmethod
     def value(self, x: float) -> float:
@@ -95,17 +94,30 @@ class SwitchingFunction(ABC):
         Subclasses with a closed form override this; it must agree with
         `value` pointwise, which the layered DP relies on.
         """
-        return _values_by_loop(self.value, x)
+        x = np.asarray(x, dtype=float)
+        return np.array([self.value(v) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
 
     @abstractmethod
     def to_json_dict(self) -> dict:
         ...
 
     def __call__(self, x: float) -> float:
-        return self.value(_require_unit(x, "switching-function argument"))
+        return self.value(_require_unit(x, f"{self.role}-function argument"))
 
     def _validate_shape(self) -> None:
-        _check_shape(self, "switching")
+        _check_shape(self, self.role)
+
+
+class SwitchingFunction(_UnitFunction):
+    """Monotone map [0,1] -> [0,1] with value 0 at 0 and 1 at 1."""
+
+    role = "switching"
+
+
+class SelectionFunction(_UnitFunction):
+    """Monotone map [0,1] -> [0,1] with g(y) + g(1-y) = 1."""
+
+    role = "selection"
 
 
 @dataclass(frozen=True)
@@ -167,10 +179,7 @@ class HalfPointSwitch(SwitchingFunction):
         self._validate_shape()
 
     def value(self, x: float) -> float:
-        e = self.midpoint_value
-        if x <= 0.5:
-            return 2.0 * e * x
-        return e + (x - 0.5) * 2.0 * (1.0 - e)
+        return float(self.value_array(x))
 
     def value_array(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -181,97 +190,51 @@ class HalfPointSwitch(SwitchingFunction):
         return {"kind": "halfpoint", "eps": self.midpoint_value}
 
 
-def _validate_table_points(points) -> tuple[tuple[float, float], ...]:
-    try:
-        pts = tuple((float(x), float(y)) for x, y in points)
-    except (TypeError, ValueError):
-        raise DynamicsDefinitionError(
-            f"table points must be [x, y] pairs, got {points!r}") from None
-    if len(pts) < 2:
-        raise DynamicsDefinitionError("table needs at least the two endpoints")
-    xs = [x for x, _ in pts]
-    if any(x2 <= x1 for x1, x2 in zip(xs, xs[1:])):
-        raise DynamicsDefinitionError("table x-coordinates must be strictly increasing")
-    if abs(xs[0]) > PREDICATE_TOL or abs(xs[-1] - 1.0) > PREDICATE_TOL:
-        raise DynamicsDefinitionError("table must span x = 0 .. 1")
-    return pts
-
-
-def _interpolate(points: tuple[tuple[float, float], ...], x: float) -> float:
-    xs = [p[0] for p in points]
-    i = bisect_right(xs, x)
-    if i == 0:
-        return points[0][1]
-    if i == len(points):
-        return points[-1][1]
-    (x0, y0), (x1, y1) = points[i - 1], points[i]
-    if x == x0:
-        return y0
-    t = (x - x0) / (x1 - x0)
-    return y0 + t * (y1 - y0)
-
-
-def _interpolate_array(points: tuple[tuple[float, float], ...], x) -> np.ndarray:
-    """`_interpolate` at every point of an array, with its arithmetic, so
-    that the two agree bit for bit."""
-    x = np.asarray(x, dtype=float)
-    xs, ys = np.array(points).T
-    i = np.searchsorted(xs, x, side="right")
-    lo = np.clip(i - 1, 0, len(xs) - 2)
-    x0, y0 = xs[lo], ys[lo]
-    out = y0 + (x - x0) / (xs[lo + 1] - x0) * (ys[lo + 1] - y0)
-    out = np.where(x == x0, y0, out)
-    return np.where(i == 0, ys[0], np.where(i == len(xs), ys[-1], out))
-
-
 @dataclass(frozen=True)
-class TableSwitch(SwitchingFunction):
-    """Piecewise-linear switching function through explicit breakpoints."""
+class _Table:
+    """Piecewise-linear through explicit breakpoints spanning x = 0 .. 1: the
+    body of `TableSwitch` and `TableSelection`.  `value` reads `value_array`
+    at one point, so the two agree bit for bit."""
 
     points: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "points", _validate_table_points(self.points))
+        try:
+            pts = tuple((x, y) for x, y in self.points)
+        except (TypeError, ValueError):
+            raise DynamicsDefinitionError(
+                f"table points must be [x, y] pairs, got {self.points!r}") from None
+        pts = tuple(tuple(real_number(v, "table coordinate", DynamicsDefinitionError) for v in p)
+                    for p in pts)
+        if len(pts) < 2:
+            raise DynamicsDefinitionError("table needs at least the two endpoints")
+        xs = [x for x, _ in pts]
+        if any(x2 <= x1 for x1, x2 in zip(xs, xs[1:])):
+            raise DynamicsDefinitionError("table x-coordinates must be strictly increasing")
+        if abs(xs[0]) > PREDICATE_TOL or abs(xs[-1] - 1.0) > PREDICATE_TOL:
+            raise DynamicsDefinitionError("table must span x = 0 .. 1")
+        object.__setattr__(self, "points", pts)
         self._validate_shape()
 
     def value(self, x: float) -> float:
-        return _interpolate(self.points, x)
+        return float(self.value_array(x))
 
     def value_array(self, x: np.ndarray) -> np.ndarray:
-        return _interpolate_array(self.points, x)
+        x = np.asarray(x, dtype=float)
+        xs, ys = np.array(self.points).T
+        i = np.searchsorted(xs, x, side="right")
+        lo = np.clip(i - 1, 0, len(xs) - 2)
+        x0, y0 = xs[lo], ys[lo]
+        out = y0 + (x - x0) / (xs[lo + 1] - x0) * (ys[lo + 1] - y0)
+        out = np.where(x == x0, y0, out)
+        return np.where(i == 0, ys[0], np.where(i == len(xs), ys[-1], out))
 
     def to_json_dict(self) -> dict:
         return {"kind": "table", "points": [list(p) for p in self.points]}
 
 
-# ---------------------------------------------------------------------------
-# Selection functions: probability of choosing Red, given Red's share of the
-# infected in-neighbors.  Symmetric: g(y) + g(1-y) = 1.
-# ---------------------------------------------------------------------------
-
-
-class SelectionFunction(ABC):
-    @abstractmethod
-    def value(self, y: float) -> float:
-        ...
-
-    def value_array(self, y: np.ndarray) -> np.ndarray:
-        """`value` at every point of an array of already-validated points.
-
-        Subclasses with a closed form override this; it must agree with
-        `value` pointwise, which the layered DP relies on.
-        """
-        return _values_by_loop(self.value, y)
-
-    @abstractmethod
-    def to_json_dict(self) -> dict:
-        ...
-
-    def __call__(self, y: float) -> float:
-        return self.value(_require_unit(y, "selection-function argument"))
-
-    def _validate_shape(self) -> None:
-        _check_shape(self, "selection")
+class TableSwitch(_Table, SwitchingFunction):
+    """Piecewise-linear switching function through explicit breakpoints."""
 
 
 @dataclass(frozen=True)
@@ -321,24 +284,8 @@ class TullockSelection(SelectionFunction):
         return {"kind": "tullock", "s": self.exponent}
 
 
-@dataclass(frozen=True)
-class TableSelection(SelectionFunction):
+class TableSelection(_Table, SelectionFunction):
     """Piecewise-linear selection function through explicit breakpoints."""
-
-    points: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", _validate_table_points(self.points))
-        self._validate_shape()
-
-    def value(self, y: float) -> float:
-        return _interpolate(self.points, y)
-
-    def value_array(self, y: np.ndarray) -> np.ndarray:
-        return _interpolate_array(self.points, y)
-
-    def to_json_dict(self) -> dict:
-        return {"kind": "table", "points": [list(p) for p in self.points]}
 
 
 def linear_selection() -> TullockSelection:
@@ -569,24 +516,28 @@ class AdditiveViolation:
     spread: float
 
 
-def _fraction_grid(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The index pairs (i, j) with i + j <= m, i major and j ascending: the
-    points (i/m, j/m) of a predicate grid."""
-    i, j = np.divmod(np.arange((m + 1) ** 2), m + 1)
-    keep = i + j <= m
-    return i[keep], j[keep]
-
-
 def _predicate_grid(grid_step: float) -> tuple[int, np.ndarray, np.ndarray]:
+    """m = 1/grid_step and the index pairs (i, j) with i + j <= m, i major and
+    j ascending: the points (i/m, j/m) of a predicate grid."""
     if not (0.0 < grid_step <= 0.1):
         raise ValidationError(f"grid step must lie in (0, 0.1], got {grid_step}")
     m = round(1.0 / grid_step)
-    return (m, *_fraction_grid(m))
+    i, j = np.divmod(np.arange((m + 1) ** 2), m + 1)
+    keep = i + j <= m
+    return m, i[keep], j[keep]
 
 
 def _point_arrays(points: Iterable[tuple[float, float]]) -> tuple[np.ndarray, np.ndarray]:
     pts = np.array([(a, b) for a, b in points], dtype=float).reshape(-1, 2)
     return pts[:, 0], pts[:, 1]
+
+
+def _grid_and_points(grid_step: float, extra_points: Iterable[tuple[float, float]],
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """The predicate grid's points, then the extra points, as (a, b) arrays."""
+    m, i, j = _predicate_grid(grid_step)
+    extra_a, extra_b = _point_arrays(extra_points)
+    return np.concatenate([i / m, extra_a]), np.concatenate([j / m, extra_b])
 
 
 def check_competitive(h: AdoptionFunction, grid_step: float = PREDICATE_GRID_STEP,
@@ -595,10 +546,7 @@ def check_competitive(h: AdoptionFunction, grid_step: float = PREDICATE_GRID_STE
 
     Empty result means: h(a, b) <= h(a, 0) + tolerance everywhere checked.
     """
-    m, i, j = _predicate_grid(grid_step)
-    extra_a, extra_b = _point_arrays(extra_points)
-    a = np.concatenate([i / m, extra_a])
-    b = np.concatenate([j / m, extra_b])
+    a, b = _grid_and_points(grid_step, extra_points)
     with_op, _ = h._prob_arrays(a, b)
     alone, _ = h._prob_arrays(a, np.zeros_like(a))
     bad = with_op > alone + PREDICATE_TOL
@@ -1114,47 +1062,36 @@ def run_contagion(graph: Graph, initial: Sequence[int], dyn: AdoptionFunction,
 # ---------------------------------------------------------------------------
 
 
-def _parse_switching(doc) -> SwitchingFunction:
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise DynamicsDefinitionError(f"'f' must be an object with a 'kind', got {doc!r}")
-    kind = doc["kind"]
-    try:
-        if kind == "power":
-            return PowerSwitch(float(doc["r"]))
-        if kind == "threshold":
-            return ThresholdSwitch(float(doc["alpha"]))
-        if kind == "halfpoint":
-            return HalfPointSwitch(float(doc["eps"]))
-        if kind == "table":
-            return TableSwitch(doc["points"])
-    except KeyError as exc:
-        raise DynamicsDefinitionError(f"'f' of kind {kind!r} is missing field {exc}") from None
-    raise DynamicsDefinitionError(f"unknown switching-function kind {kind!r}")
+# Each function document's kind -> (class, field holding its parameter), for
+# the switching function 'f' and the selection function 'g'.
+_FUNCTION_KINDS = {
+    "f": (SwitchingFunction, {"power": (PowerSwitch, "r"), "threshold": (ThresholdSwitch, "alpha"),
+                              "halfpoint": (HalfPointSwitch, "eps"),
+                              "table": (TableSwitch, "points")}),
+    "g": (SelectionFunction, {"tullock": (TullockSelection, "s"),
+                              "table": (TableSelection, "points")}),
+}
 
 
-def _parse_selection(doc) -> SelectionFunction:
+def _parse_function(name: str, doc) -> _UnitFunction:
+    """The function document `name` ('f' or 'g') of a dynamics document."""
     if not isinstance(doc, dict) or "kind" not in doc:
-        raise DynamicsDefinitionError(f"'g' must be an object with a 'kind', got {doc!r}")
+        raise DynamicsDefinitionError(f"'{name}' must be an object with a 'kind', got {doc!r}")
+    base, kinds = _FUNCTION_KINDS[name]
     kind = doc["kind"]
-    try:
-        if kind == "tullock":
-            return TullockSelection(float(doc["s"]))
-        if kind == "table":
-            return TableSelection(doc["points"])
-    except KeyError as exc:
-        raise DynamicsDefinitionError(f"'g' of kind {kind!r} is missing field {exc}") from None
-    raise DynamicsDefinitionError(f"unknown selection-function kind {kind!r}")
+    if not (isinstance(kind, str) and kind in kinds):
+        raise DynamicsDefinitionError(f"unknown {base.role}-function kind {kind!r}")
+    cls, key = kinds[kind]
+    if key not in doc:
+        raise DynamicsDefinitionError(f"'{name}' of kind {kind!r} is missing field {key!r}")
+    if key == "points":
+        return cls(doc[key])
+    return cls(real_number(doc[key], f"'{name}' field {key!r}", DynamicsDefinitionError))
 
 
 def load_dynamics(document: str | dict) -> AdoptionFunction:
     """Parse a dynamics document: either {"f": ..., "g": ...} or {"h": "builtin:<name>"}."""
-    if isinstance(document, str):
-        try:
-            obj = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise DynamicsDefinitionError(f"dynamics document is not valid JSON: {exc}") from None
-    else:
-        obj = document
+    obj = decode_document(document, DynamicsDefinitionError, "dynamics")
     if not isinstance(obj, dict):
         raise DynamicsDefinitionError("dynamics document must be a JSON object")
     if "h" in obj:
@@ -1166,7 +1103,7 @@ def load_dynamics(document: str | dict) -> AdoptionFunction:
         return BuiltinAdoption(spec[len("builtin:"):])
     if "f" not in obj or "g" not in obj:
         raise DynamicsDefinitionError("dynamics document needs both 'f' and 'g' (or 'h')")
-    return SwitchSelectAdoption(_parse_switching(obj["f"]), _parse_selection(obj["g"]))
+    return SwitchSelectAdoption(_parse_function("f", obj["f"]), _parse_function("g", obj["g"]))
 
 
 def _schedule_from_fields(kind: str, cls, *fields) -> UpdateSchedule:
@@ -1178,13 +1115,7 @@ def _schedule_from_fields(kind: str, cls, *fields) -> UpdateSchedule:
 
 
 def load_schedule(document: str | dict) -> UpdateSchedule:
-    if isinstance(document, str):
-        try:
-            obj = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise ScheduleError(f"schedule document is not valid JSON: {exc}") from None
-    else:
-        obj = document
+    obj = decode_document(document, ScheduleError, "schedule")
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ScheduleError(f"schedule document must be an object with a 'kind', got {obj!r}")
     kind = obj["kind"]

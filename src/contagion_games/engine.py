@@ -7,7 +7,6 @@ layered graphs — the dynamic program in `layered.py`.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -22,7 +21,7 @@ from .dynamics import (
     batched_form,
     run_contagion,
 )
-from .errors import StateSpaceCapError, ValidationError
+from .errors import StateSpaceCapError, ValidationError, decode_document, real_number
 from .graphs import BLUE, RED, UNINFECTED, Graph
 
 EXACT_ENUMERATION = "exact-enumeration"
@@ -141,7 +140,8 @@ class MixedAllocation:
     entries: tuple[tuple[float, Allocation], ...]
 
     def __post_init__(self):
-        entries = tuple((float(p), a) for p, a in self.entries)
+        entries = tuple((real_number(p, "mixed-allocation probability"), a)
+                        for p, a in self.entries)
         if not entries:
             raise ValidationError("a mixed allocation needs at least one entry")
         total = 0.0
@@ -220,13 +220,7 @@ def _parse_strategy(doc, side: str) -> PlayerStrategy:
 def load_profile(document: str | dict) -> StrategyProfile:
     """Parse a profile document: each side is {"counts": [...]} for a pure
     allocation or [{"p": 0.5, "counts": [...]}, ...] for a mixed one."""
-    if isinstance(document, str):
-        try:
-            obj = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"profile document is not valid JSON: {exc}") from None
-    else:
-        obj = document
+    obj = decode_document(document, ValidationError, "profile")
     if not isinstance(obj, dict) or "red" not in obj or "blue" not in obj:
         raise ValidationError("profile document needs 'red' and 'blue' sides")
     return StrategyProfile(_parse_strategy(obj["red"], "red"),

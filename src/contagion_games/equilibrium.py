@@ -398,7 +398,13 @@ class EfficiencyReport:
 # ---------------------------------------------------------------------------
 
 
+def _check_eps(eps: Optional[float]) -> None:
+    if eps is not None and not 0.0 <= eps < math.inf:
+        raise ValidationError(f"eps must be a finite number >= 0, got {eps!r}")
+
+
 def _resolve_eps(oracle: PayoffOracle, eps: Optional[float]) -> tuple[float, list[str]]:
+    _check_eps(eps)
     caveats: list[str] = []
     if oracle.statistical:
         floor = 6.0 * oracle.max_stderr()
@@ -647,6 +653,7 @@ def verify_profile_deviations(
     This certifies equilibrium only relative to the supplied deviation sets,
     which the report states explicitly.
     """
+    _check_eps(eps)
     designated = payoff_fn(red, blue)
     records: list[DeviationRecord] = []
     for label, alt in red_deviations:

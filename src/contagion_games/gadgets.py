@@ -12,14 +12,13 @@ deviation sets.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, real_number
 from .graphs import BLUE, RED, UNINFECTED, Graph
 from .dynamics import (
     AdoptionFunction,
@@ -65,13 +64,6 @@ def _integer(name: str, value) -> int:
     if not _is_integer(value):
         raise ValidationError(f"gadget parameter {name} must be an integer, got {value!r}")
     return int(value)
-
-
-def _real(name: str, value) -> float:
-    """A real gadget parameter; a bool or a string is refused."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValidationError(f"gadget parameter {name} must be a real number, got {value!r}")
-    return float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -745,7 +737,7 @@ def threshold_two_layer(layer1_size: int, final_small: int, final_large: int,
     """
     m = _integer("layer1_size", layer1_size)
     n1, n2 = _integer("final_small", final_small), _integer("final_large", final_large)
-    threshold = _real("threshold", threshold)
+    threshold = real_number(threshold, "gadget parameter threshold")
     if m < 2 or n1 < 1 or n2 < 1:
         raise ValidationError("layer sizes must be positive (first layer at least 2)")
     if not (0.0 < threshold < 1.0):
@@ -833,7 +825,8 @@ def convexity_amplifier(base_size: int, depth: int, switch_exponent: float,
     superlinear switching function compounds across depth; the small component
     hosts the designated profile and the large one the high-payoff profile."""
     l1, N = _integer("base_size", base_size), _integer("depth", depth)
-    r, k = _real("switch_exponent", switch_exponent), _integer("budget", budget)
+    r = real_number(switch_exponent, "gadget parameter switch_exponent")
+    k = _integer("budget", budget)
     final_small = _integer("final_small", final_small)
     if N < 2:
         raise ValidationError("depth must be at least 2")
@@ -935,10 +928,12 @@ def convexity_amplifier(base_size: int, depth: int, switch_exponent: float,
 def polarization_closed_form_small_final(big_final_size: int, stages: int,
                                          selection_exponent: float) -> int:
     """Composed-dampening estimate for the small component's final layer."""
-    exponent = selection_exponent ** (stages + 1)
-    q = (1.0 / 3.0) ** exponent
-    p = (2.0 / 3.0) ** exponent
-    return round(big_final_size * q / (q + p))
+    # The minority share (1/3)**e / ((1/3)**e + (2/3)**e) is 1 / (1 + 2**e),
+    # e = selection_exponent**(stages + 1); it is 0 once 2**e leaves float range.
+    try:
+        return round(big_final_size / (1.0 + 2.0 ** (selection_exponent ** (stages + 1))))
+    except OverflowError:
+        return 0
 
 
 def polarization_amplifier(stages: int, middle_size: int, big_final_size: int,
@@ -956,7 +951,7 @@ def polarization_amplifier(stages: int, middle_size: int, big_final_size: int,
     """
     k, n_mid = _integer("stages", stages), _integer("middle_size", middle_size)
     n_big = _integer("big_final_size", big_final_size)
-    s = _real("selection_exponent", selection_exponent)
+    s = real_number(selection_exponent, "gadget parameter selection_exponent")
     if k < 1:
         raise ValidationError("stages must be at least 1")
     if n_mid < 1 or n_big < 1:
@@ -1054,6 +1049,12 @@ def chain_replication(chain_steps: int, replications: int, n_terminal: int,
     one half.
     """
     layout = ChainLayout(chain_steps, replications, n_terminal, head_seeds)
+    if layout.chain_steps + max(layout.head_seeds, layout.n_terminal).bit_length() > 1024:
+        # The closed forms below divide 2**chain_steps * n_terminal by about
+        # 2**chain_steps * head_seeds, as floats.
+        raise ValidationError(
+            f"chain_steps {layout.chain_steps} puts 2**chain_steps * max(head_seeds, n_terminal) "
+            "beyond float range; lower chain_steps")
     dynamics = SwitchSelectAdoption(ThresholdSwitch(0.75), linear_selection())
     n = layout.n
     first_terminal = layout.terminal_range(0)[0]

@@ -14,7 +14,7 @@ from itertools import chain, takewhile
 
 import numpy as np
 
-from .errors import GraphValidationError, ValidationError
+from .errors import GraphValidationError, ValidationError, decode_document
 
 # Vertex states. Infected vertices never change color again.
 UNINFECTED = 0
@@ -149,13 +149,7 @@ def _neighbor_tuples(csr) -> tuple[tuple[int, ...], ...]:
 
 def load_graph(document: str | dict) -> Graph:
     """Parse a graph document (JSON text or an already-decoded dict)."""
-    if isinstance(document, str):
-        try:
-            obj = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise GraphValidationError(f"graph document is not valid JSON: {exc}") from None
-    else:
-        obj = document
+    obj = decode_document(document, GraphValidationError, "graph")
     if not isinstance(obj, dict):
         raise GraphValidationError("graph document must be a JSON object")
     missing = {"n", "directed", "edges"} - obj.keys()

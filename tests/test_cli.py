@@ -562,6 +562,13 @@ def test_schedule_fields_are_not_coerced(tmp_path, capsys, overrides, message):
      True),
     ("poa", base_config(budget_red=1, budget_blue=1, search={"eps": False}), "search.eps",
      False),
+    # eps is also finite and >= 0.
+    ("gadget", gadget_config(17, eps=-0.5), "eps", -0.5),
+    ("nash", base_config(budget_red=1, budget_blue=1, search={"eps": -1}), "search.eps", -1),
+    ("nash", base_config(budget_red=1, budget_blue=1, search={"eps": float("nan")}),
+     "search.eps", float("nan")),
+    ("bm", base_config(budget_red=1, budget_blue=1, search={"eps": float("inf")}),
+     "search.eps", float("inf")),
 ])
 def test_a_boolean_eps_is_refused(tmp_path, capsys, verb, config, field, value):
     """JSON `true` in a numeric field is a config error, not eps 1."""
@@ -569,6 +576,46 @@ def test_a_boolean_eps_is_refused(tmp_path, capsys, verb, config, field, value):
                 "--out", str(tmp_path / "out")]) == 1
     assert f"config field '{field}': must be a number, got {value!r}" in \
         capsys.readouterr().err
+
+
+def with_switching(f):
+    return base_config(profile={"red_seeds": [3], "blue_seeds": [0]},
+                       dynamics={"f": f, "g": {"kind": "tullock", "s": 1.0}})
+
+
+def with_mixed_red(p):
+    seed = lambda v: [int(u == v) for u in range(13)]
+    return base_config(profile={"red": [{"p": p, "counts": seed(3)}, {"p": 0.5, "counts": seed(4)}],
+                                "blue": {"counts": seed(0)}})
+
+
+@pytest.mark.parametrize("verb, config, message", [
+    *(("payoff", with_switching({"kind": "power", "r": r}),
+       f"'f' field 'r' must be a real number, got {r!r}") for r in ("abc", [1], True)),
+    ("payoff", with_switching({"kind": "threshold", "alpha": "0.5"}),
+     "'f' field 'alpha' must be a real number, got '0.5'"),
+    ("payoff", with_switching({"kind": ["x"]}), "unknown switching-function kind ['x']"),
+    *(("payoff", with_mixed_red(p),
+       f"mixed-allocation probability must be a real number, got {p!r}")
+      for p in ("abc", [1], None, True)),
+    ("gadget", {"graph": {"gadget": {"kind": "chain_replication", "chain_steps": 1024,
+                                     "replications": 2, "n_terminal": 1}}},
+     "chain_steps 1024 puts 2**chain_steps"),
+])
+def test_malformed_numbers_exit_with_a_validation_error(tmp_path, capsys, verb, config, message):
+    assert run([verb, "--config", write_config(tmp_path, config),
+                "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and message in err
+
+
+def test_a_polarization_gadget_with_an_underflowing_minority_share_verifies(tmp_path):
+    config = write_config(tmp_path, {"graph": {"gadget": {
+        "kind": "polarization_amplifier", "stages": 3, "middle_size": 10,
+        "big_final_size": 100, "selection_exponent": 10.0}}})
+    # Its BM prediction is not met, so the verb exits 3 with the report written.
+    assert run(["gadget", "--config", config, "--out", str(tmp_path / "out")]) == 3
+    assert read_result(tmp_path / "out")["result"]["params"]["small_final_closed_form"] == 0
 
 
 def test_profile_and_search_are_mutually_exclusive(tmp_path, capsys):

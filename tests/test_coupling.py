@@ -131,6 +131,12 @@ def test_attribution_requires_a_proportional_color_split():
     require_mode_hypotheses(MODE_ATTRIBUTION, sqrt_linear(), g)
 
 
+@pytest.mark.parametrize("grid_step", [0.0, -0.5, 0.2])
+def test_linear_split_reads_the_predicate_grid(grid_step):
+    with pytest.raises(ValidationError, match="grid step must lie in"):
+        check_linear_split(sqrt_linear(), grid_step=grid_step)
+
+
 # ---------------------------------------------------------------------------
 # Coupled two-process runs.
 # ---------------------------------------------------------------------------

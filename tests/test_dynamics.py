@@ -1054,6 +1054,22 @@ def test_load_dynamics_round_trip(doc):
     ({"f": {"kind": "nope"}, "g": {"kind": "tullock", "s": 1.0}}, "unknown switching"),
     ({"f": {"kind": "power"}, "g": {"kind": "tullock", "s": 1.0}}, "missing field 'r'"),
     ({"f": {"kind": "power", "r": 1.0}, "g": {"kind": "nope"}}, "unknown selection"),
+    # Numbers are JSON numbers: a string or a bool is refused, never parsed.
+    ({"f": {"kind": "power", "r": "abc"}, "g": {"kind": "tullock", "s": 1.0}},
+     "'f' field 'r' must be a real number, got 'abc'"),
+    ({"f": {"kind": "power", "r": [1]}, "g": {"kind": "tullock", "s": 1.0}},
+     r"'f' field 'r' must be a real number, got \[1\]"),
+    ({"f": {"kind": "power", "r": True}, "g": {"kind": "tullock", "s": 1.0}},
+     "'f' field 'r' must be a real number, got True"),
+    ({"f": {"kind": "threshold", "alpha": "0.5"}, "g": {"kind": "tullock", "s": 1.0}},
+     "'f' field 'alpha' must be a real number, got '0.5'"),
+    ({"f": {"kind": "power", "r": 1.0}, "g": {"kind": "tullock", "s": None}},
+     "'g' field 's' must be a real number, got None"),
+    ({"f": {"kind": ["x"]}, "g": {"kind": "tullock", "s": 1.0}},
+     r"unknown switching-function kind \['x'\]"),
+    ({"f": {"kind": "power", "r": 1.0}, "g": {"kind": {"a": 1}}}, "unknown selection"),
+    ({"f": {"kind": "table", "points": [["0", 0], [1, 1]]}, "g": {"kind": "tullock", "s": 1.0}},
+     "table coordinate must be a real number, got '0'"),
     ("{bad json", "not valid JSON"),
     ([1, 2], "JSON object"),
 ])

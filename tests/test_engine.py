@@ -2,6 +2,7 @@
 
 import dataclasses
 import pickle
+import re
 import tracemalloc
 from collections import Counter
 from unittest import mock
@@ -218,6 +219,9 @@ def test_mixed_allocation_validation():
         MixedAllocation(())
     with pytest.raises(ValidationError, match="outside"):
         MixedAllocation(((1.5, a), (-0.5, b)))
+    for p in ("0.5", True, None):
+        with pytest.raises(ValidationError, match="must be a real number"):
+            MixedAllocation(((p, a), (0.5, b)))
 
 
 def test_profile_support_pairs():
@@ -253,6 +257,10 @@ def test_load_profile_round_trip_pure_and_mixed():
     ({"red": {"seeds": [0]}, "blue": {"counts": [1, 0]}}, "'counts' list"),
     ({"red": [{"counts": [1, 0]}], "blue": {"counts": [1, 0]}}, "'p' and 'counts'"),
     ({"red": "v0", "blue": {"counts": [1, 0]}}, "must be an object"),
+    # A probability is a JSON number: a string, a list, null or a bool is refused.
+    *(({"red": [{"p": p, "counts": [1, 0]}], "blue": {"counts": [1, 0]}},
+       "mixed-allocation probability must be a real number, got " + re.escape(repr(p)))
+      for p in ("abc", [1], None, True)),
 ])
 def test_load_profile_error_cases(doc, pattern):
     with pytest.raises(ValidationError, match=pattern):

@@ -432,6 +432,17 @@ def test_epsilon_widens_the_equilibrium_set():
     assert len(loose.equilibria) == 4
 
 
+@pytest.mark.parametrize("eps", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+def test_a_negative_or_non_finite_eps_is_refused(eps):
+    game = two_hub_game()
+    for search in (find_pure_nash, price_of_anarchy, budget_multiplier):
+        with pytest.raises(ValidationError, match="eps must be a finite number >= 0"):
+            search(game, eps=eps)
+    with pytest.raises(ValidationError, match="eps must be a finite number >= 0"):
+        verify_profile_deviations(PayoffOracle(game).evaluate, seeds(13, 3), seeds(13, 3),
+                                  [], [], eps=eps)
+
+
 def test_best_response_contests_the_big_hub():
     game = two_hub_game()
     alloc, payoff = best_response(game, "red", seeds(13, 3))

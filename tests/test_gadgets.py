@@ -17,6 +17,7 @@ from contagion_games import (
     GADGET_BUILDERS,
     GameSpec,
     GadgetSpec,
+    GadgetVerification,
     LayerOrder,
     LayeredStructure,
     PowerSwitch,
@@ -182,6 +183,14 @@ def test_chain_gadget_flags_insufficient_replications():
     assert "not certified" in spec.flags[0]
     ver = verify_gadget(spec)
     assert not ver.ok
+
+
+@pytest.mark.parametrize("args", [(1024, 2, 1), (5000, 2, 1), (1023, 2, 2), (1023, 2, 1, 2)])
+def test_chain_gadget_refuses_chains_beyond_float_range(args):
+    # 2**chain_steps * max(head_seeds, n_terminal) must stay a finite float.
+    with pytest.raises(ValidationError, match="chain_steps"):
+        chain_replication(*args)
+    assert chain_replication(1023, 2, 1).n_vertices == 1024 + 2 * 1024
 
 
 def test_chain_budget_multiplier_grows_with_chain_length():
@@ -763,6 +772,17 @@ def test_polarization_single_stage_misses_its_lower_bound():
     assert bm_row.ok is False
     assert bm_row.measured == pytest.approx(2.4985, abs=1e-3)
     assert not ver.ok
+
+
+@pytest.mark.parametrize("args", [(3, 10, 100, 10.0), (6, 10, 100, 3.0)])
+def test_polarization_builds_when_the_minority_share_underflows(args):
+    # s**(stages + 1) is past 1,840, so (1/3)**e and (2/3)**e both underflow;
+    # the closed form's minority share is then 0, not 0/0.
+    spec = polarization_amplifier(*args)
+    assert spec.params["small_final_closed_form"] == 0
+    assert polarization_closed_form_small_final(10**9, 400, 10.0) == 0  # e itself overflows
+    ver = verify_gadget(spec)
+    assert isinstance(ver, GadgetVerification) and ver.prediction_rows
 
 
 def test_polarization_validation():
