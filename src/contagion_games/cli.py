@@ -42,6 +42,7 @@ from .equilibrium import (
     DEFAULT_ALLOCATION_CAP,
     DEFAULT_PAIR_CAP,
     PayoffOracle,
+    _check_eps,
     budget_multiplier,
     find_pure_nash,
     price_of_anarchy,
@@ -240,12 +241,14 @@ def _int_field(config: dict, field: str, default: Optional[int] = None,
 
 
 def _eps_field(section: dict, field: str) -> Optional[float]:
-    """An optional `eps` of the section, reported as `field`: a finite number
-    >= 0, and a bool is no number."""
+    """An optional `eps` of the section, reported as `field`, by the search's
+    rule (`equilibrium._check_eps`)."""
     eps = section.get("eps")
-    if eps is not None and (isinstance(eps, bool) or not isinstance(eps, (int, float))
-                            or not 0.0 <= eps < math.inf):
-        raise _field_error(field, f"must be a number, got {eps!r}; eps is finite and >= 0")
+    try:
+        _check_eps(eps)
+    except ValidationError:
+        raise _field_error(field,
+                           f"must be a number, got {eps!r}; eps is finite and >= 0") from None
     return eps
 
 
@@ -302,16 +305,16 @@ def _oracle_fields(config: dict, method: str) -> dict:
             "threads": _int_field(config, "threads", None, minimum=1)}
 
 
-def _oracle_from_config(config: dict, game: GameSpec) -> PayoffOracle:
+def _search_from_config(config: dict) -> tuple[GameSpec, PayoffOracle, dict]:
+    """The game of a search verb, its payoff oracle, and the search's keyword
+    arguments: eps and the allocation and pair caps."""
+    game, _ = _game_from_config(config, need_profile=False)
     method = _oracle_method(config)
-    return PayoffOracle(game, method=method, **_oracle_fields(config, method))
-
-
-def _search_params(config: dict) -> dict:
+    oracle = PayoffOracle(game, method=method, **_oracle_fields(config, method))
     section = config.get("search", {})
     if not isinstance(section, dict):
         raise _field_error("search", "must be a JSON object")
-    return {
+    return game, oracle, {
         "eps": _eps_field(section, "search.eps"),
         "allocation_cap": _int_field(section, "allocation_cap",
                                      DEFAULT_ALLOCATION_CAP, minimum=1),
@@ -364,15 +367,11 @@ def _verb_payoff(config: dict):
 
 
 def _verb_nash(config: dict):
-    game, _ = _game_from_config(config, need_profile=False)
-    oracle = _oracle_from_config(config, game)
-    search = _search_params(config)
-    report = find_pure_nash(game, oracle, eps=search["eps"],
-                            allocation_cap=search["allocation_cap"],
-                            pair_cap=search["pair_cap"])
-    joints = [est.joint for _, _, est in report.equilibria]
-    worst = min(joints) if joints else None
-    best = max(joints) if joints else None
+    game, oracle, search = _search_from_config(config)
+    report = find_pure_nash(game, oracle, **search)
+    joints = report.joint_values()
+    worst = min(joints, default=None)
+    best = max(joints, default=None)
     rows = [["profile", "pi_R", "pi_B", "joint", "is_worst", "is_best"]]
     for red, blue, est in report.equilibria:
         profile_text = f"red={_sparse_text(red)} blue={_sparse_text(blue)}"
@@ -382,12 +381,9 @@ def _verb_nash(config: dict):
 
 
 def _verb_efficiency(config: dict, kind: str):
-    game, _ = _game_from_config(config, need_profile=False)
-    oracle = _oracle_from_config(config, game)
-    search = _search_params(config)
+    game, oracle, search = _search_from_config(config)
     fn = price_of_anarchy if kind == "poa" else budget_multiplier
-    report = fn(game, oracle, eps=search["eps"],
-                allocation_cap=search["allocation_cap"], pair_cap=search["pair_cap"])
+    report = fn(game, oracle, **search)
     doc = report.to_json_dict()
     header = ["kind", "value", "n_equilibria", "worst_nash_joint", "best_nash_joint",
               "max_joint", "statistical", "eps"]

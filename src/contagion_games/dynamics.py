@@ -78,6 +78,17 @@ def _check_shape(fn, kind: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _check_parameter(value, in_range: Callable[[float], bool], message: str) -> None:
+    """Refuse a built-in function's parameter, with the function's message,
+    unless it is a real number (`errors.real_number`) that in_range accepts."""
+    try:
+        ok = in_range(real_number(value, "parameter"))
+    except ValidationError:
+        ok = False
+    if not ok:
+        raise DynamicsDefinitionError(f"{message}, got {value!r}")
+
+
 class _UnitFunction(ABC):
     """Monotone map [0,1] -> [0,1]; `role` names it in errors and picks its
     shape check."""
@@ -127,9 +138,8 @@ class PowerSwitch(SwitchingFunction):
     exponent: float
 
     def __post_init__(self):
-        if not (isinstance(self.exponent, (int, float)) and self.exponent > 0):
-            raise DynamicsDefinitionError(
-                f"power switching exponent must be positive, got {self.exponent!r}")
+        _check_parameter(self.exponent, lambda r: r > 0,
+                         "power switching exponent must be positive")
         self._validate_shape()
 
     def value(self, x: float) -> float:
@@ -151,9 +161,8 @@ class ThresholdSwitch(SwitchingFunction):
     threshold: float
 
     def __post_init__(self):
-        if not (isinstance(self.threshold, (int, float)) and 0.0 < self.threshold < 1.0):
-            raise DynamicsDefinitionError(
-                f"threshold must lie strictly inside (0, 1), got {self.threshold!r}")
+        _check_parameter(self.threshold, lambda a: 0.0 < a < 1.0,
+                         "threshold must lie strictly inside (0, 1)")
         self._validate_shape()
 
     def value(self, x: float) -> float:
@@ -173,9 +182,8 @@ class HalfPointSwitch(SwitchingFunction):
     midpoint_value: float
 
     def __post_init__(self):
-        if not (isinstance(self.midpoint_value, (int, float)) and 0.0 <= self.midpoint_value <= 1.0):
-            raise DynamicsDefinitionError(
-                f"midpoint value must lie in [0, 1], got {self.midpoint_value!r}")
+        _check_parameter(self.midpoint_value, lambda e: 0.0 <= e <= 1.0,
+                         "midpoint value must lie in [0, 1]")
         self._validate_shape()
 
     def value(self, x: float) -> float:
@@ -244,9 +252,7 @@ class TullockSelection(SelectionFunction):
     exponent: float
 
     def __post_init__(self):
-        if not (isinstance(self.exponent, (int, float)) and self.exponent > 0):
-            raise DynamicsDefinitionError(
-                f"contest exponent must be positive, got {self.exponent!r}")
+        _check_parameter(self.exponent, lambda s: s > 0, "contest exponent must be positive")
         self._validate_shape()
 
     def value(self, y: float) -> float:
@@ -319,6 +325,17 @@ def _validate_fraction_arrays(a, b) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
+def _pair_by_pair(probs: Callable[[float, float], tuple], a, b) -> tuple[np.ndarray, np.ndarray]:
+    """The first two of probs(x, y) at every pair of two equal-shape fraction
+    arrays (`_validate_fraction_arrays`), one call per pair in order."""
+    a, b = _validate_fraction_arrays(a, b)
+    first = np.empty(a.shape)
+    second = np.empty(a.shape)
+    for i, (x, y) in enumerate(zip(a.ravel().tolist(), b.ravel().tolist())):
+        first.flat[i], second.flat[i] = probs(x, y)[:2]
+    return first, second
+
+
 class AdoptionFunction(ABC):
     """One-step infection probabilities as a function of (red, blue) fractions."""
 
@@ -366,12 +383,7 @@ class AdoptionFunction(ABC):
         This default calls `update_probs` pair by pair; subclasses with a
         vectorised form override it.
         """
-        a, b = _validate_fraction_arrays(a, b)
-        pr = np.empty(a.shape)
-        pb = np.empty(a.shape)
-        for i, (x, y) in enumerate(zip(a.ravel().tolist(), b.ravel().tolist())):
-            pr.flat[i], pb.flat[i], _ = self.update_probs(x, y)
-        return pr, pb
+        return _pair_by_pair(self.update_probs, a, b)
 
     def _prob_arrays(self, a, b) -> tuple[np.ndarray, np.ndarray]:
         """`prob_red` and `prob_any` at every pair of two equal-shape fraction
@@ -383,13 +395,7 @@ class AdoptionFunction(ABC):
         not give `prob_any` back bit for bit.  This default calls the scalar
         methods pair by pair; subclasses with a vectorised form override it.
         """
-        a, b = _validate_fraction_arrays(a, b)
-        pr = np.empty(a.shape)
-        pa = np.empty(a.shape)
-        for i, (x, y) in enumerate(zip(a.ravel().tolist(), b.ravel().tolist())):
-            pr.flat[i] = self.prob_red(x, y)
-            pa.flat[i] = self.prob_any(x, y)
-        return pr, pa
+        return _pair_by_pair(lambda x, y: (self.prob_red(x, y), self.prob_any(x, y)), a, b)
 
     def _clamped_arrays(self, a: np.ndarray, b: np.ndarray, raw_red: np.ndarray,
                         raw_any: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

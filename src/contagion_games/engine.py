@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -418,6 +417,24 @@ class _Draws:
         return (z >> 11) * (1.0 / 9007199254740992.0)
 
 
+def _draw_supports(draws: _Draws, rows: np.ndarray, cumulative: np.ndarray) -> np.ndarray:
+    """The support pair of each replication rows[j] of a mixed profile: one
+    uniform u, and the first pair whose cumulative probability passes u (the
+    last pair where rounding leaves u past them all)."""
+    u = draws.take(rows, np.ones(len(rows), dtype=np.intp), np.arange(len(rows)))
+    return np.minimum(np.searchsorted(cumulative, u, side="right"), len(cumulative) - 1)
+
+
+def _draw_contests(draws: _Draws, rows: np.ndarray, p_red: np.ndarray) -> np.ndarray:
+    """The color, RED or BLUE, each replication rows[j] gives each contested
+    seed, as a (rows, seeds) array: one uniform per seed in vertex order, red
+    winning below its share p_red of the seeds there, as
+    `resolve_contested_seeds` draws them one at a time."""
+    c = len(p_red)
+    u = draws.take(rows, np.full(len(rows), c), np.repeat(np.arange(len(rows)), c))
+    return np.where(u.reshape(len(rows), c) < p_red, RED, BLUE)
+
+
 # The bit generator every `_Stream` is built on; none of them draws from it.
 _NO_BITS = np.random.PCG64(0)
 
@@ -684,10 +701,9 @@ class _ReplicationKernel(_BatchedPhases):
 
     The kernel runs jobs, one per support (each job's support pairs), and
     each row of a block is one replication of one job.  A row draws from the
-    SplitMix64 stream of its key (`_replication_words`, `_Draws`): the
-    support draw where its job has more than one pair, then one per contested
-    seed in vertex order, red winning below its share of the seeds there (as
-    `resolve_contested_seeds` draws them).  Under a schedule with a batched
+    SplitMix64 stream of its key (`_replication_words`, `_Draws`): its
+    support pair where its job has more than one (`_draw_supports`), then its
+    contested seeds (`_draw_contests`).  Under a schedule with a batched
     form (`batched_form`), rows then run together, drawing one per update
     candidate in phase order, with `update_probs`'s probabilities from the
     kernel's table, which every block shares; under any other, each row
@@ -704,11 +720,10 @@ class _ReplicationKernel(_BatchedPhases):
         super().__init__(graph, game.dynamics, () if self.one_by_one else schedule.phases(graph))
         self.game, self.schedule = game, schedule
 
-        # Each distinct support pair's base state, with its uncontested seeds
-        # placed, and its contested vertices with red's winning chance.  A job
+        # Each distinct support pair's base state, its uncontested seeds placed,
+        # and its contested vertices with red's chances (`split_seeds`).  A job
         # of one pair starts every replication from it; -1 marks a mixed job,
-        # whose replications draw theirs by its cumulative pair
-        # probabilities.
+        # whose replications draw theirs by its cumulative pair probabilities.
         pair_index = {}
         for pairs in supports:
             for _, red, blue in pairs:
@@ -724,25 +739,16 @@ class _ReplicationKernel(_BatchedPhases):
             if len(pairs) == 1:
                 self.job_pair[j] = at[0]
             else:
-                self.mixtures[j] = (np.array(list(accumulate(p for p, _, _ in pairs))),
-                                    np.array(at))
-
-        def seed_cells(side: int) -> np.ndarray:
-            """The pair, vertex and count columns of one side's seeds."""
-            return np.array([(k, v, c) for k, *alloc in pair_index.values()
-                             for v, c in alloc[side].seeds], dtype=np.intp).reshape(-1, 3).T
-
-        (red_k, red_v, red_c), (blue_k, blue_v, blue_c) = seed_cells(0), seed_cells(1)
+                self.mixtures[j] = (np.cumsum([p for p, _, _ in pairs]), np.array(at))
         self.bases = np.zeros((len(pair_index), graph.n), dtype=np.int8)
-        self.bases[red_k, red_v] = RED
-        contested = self.bases[blue_k, blue_v] == RED
-        self.bases[blue_k, blue_v] = BLUE
-        # Contested vertices take their red counts from the red seeds, which
-        # are sorted by (pair, vertex).
-        k, v = blue_k[contested], blue_v[contested]
-        red_c = red_c[np.searchsorted(red_k * graph.n + red_v, k * graph.n + v)]
-        p_red = red_c / (red_c + blue_c[contested])
-        self.contests = [(pair, v[k == pair], p_red[k == pair]) for pair in np.unique(k).tolist()]
+        self.contests = []
+        for k, red, blue in pair_index.values():
+            red_only, blue_only, contested = split_seeds(red, blue)
+            # Row views: indexing a row with a list costs a third of a 2-D index.
+            self.bases[k][red_only] = RED
+            self.bases[k][blue_only] = BLUE
+            if contested:
+                self.contests.append((k, *map(np.array, zip(*contested))))
 
     def run(self, keys: np.ndarray, jobs=0) -> tuple[np.ndarray, np.ndarray]:
         """chi_R and chi_B of a block of replications, run together: one per
@@ -751,21 +757,15 @@ class _ReplicationKernel(_BatchedPhases):
         draws = _Draws(keys)
         jobs = np.broadcast_to(jobs, len(keys))
         which = self.job_pair[jobs]
-        mixed = np.flatnonzero(which < 0)
-        if len(mixed):
-            u = draws.take(mixed, np.ones(len(mixed), dtype=np.intp), np.arange(len(mixed)))
-            for j in np.unique(jobs[mixed]).tolist():
-                of_job = jobs[mixed] == j
-                cumulative, pairs = self.mixtures[j]
-                pick = np.searchsorted(cumulative, u[of_job], side="right")
-                which[mixed[of_job]] = pairs[np.minimum(pick, len(pairs) - 1)]
+        for j in np.unique(jobs[which < 0]).tolist():
+            rows = np.flatnonzero(jobs == j)
+            cumulative, pairs = self.mixtures[j]
+            which[rows] = pairs[_draw_supports(draws, rows, cumulative)]
         state = self.bases[which]
         for k, contested, p_red in self.contests:
             rows = np.flatnonzero(which == k)
             if len(rows):
-                c = len(contested)
-                u = draws.take(rows, np.full(len(rows), c), np.repeat(np.arange(len(rows)), c))
-                state[np.ix_(rows, contested)] = np.where(u.reshape(-1, c) < p_red, RED, BLUE)
+                state[np.ix_(rows, contested)] = _draw_contests(draws, rows, p_red)
 
         if self.one_by_one:
             return self._run_each(keys, draws, state)

@@ -32,7 +32,7 @@ from .engine import (
     monte_carlo_estimates,
     sample_many,
 )
-from .errors import AllocationSpaceCapError, ValidationError
+from .errors import AllocationSpaceCapError, ValidationError, real_number
 from .graphs import Graph
 
 DEFAULT_ALLOCATION_CAP = 200_000
@@ -382,12 +382,9 @@ class EfficiencyReport:
             "eps": self.eps,
             "caveats": list(self.caveats),
         }
-        if self.worst_nash_joint is not None:
-            out["worst_nash_joint"] = self.worst_nash_joint
-        if self.best_nash_joint is not None:
-            out["best_nash_joint"] = self.best_nash_joint
-        if self.max_joint is not None:
-            out["max_joint"] = self.max_joint
+        for key in ("worst_nash_joint", "best_nash_joint", "max_joint"):
+            if getattr(self, key) is not None:
+                out[key] = getattr(self, key)
         if self.optimum is not None:
             out["optimum"] = self.optimum.to_json_dict()
         return out
@@ -399,7 +396,8 @@ class EfficiencyReport:
 
 
 def _check_eps(eps: Optional[float]) -> None:
-    if eps is not None and not 0.0 <= eps < math.inf:
+    """An eps, where given, is a real number (`errors.real_number`), finite and >= 0."""
+    if eps is not None and not 0.0 <= real_number(eps, "eps") < math.inf:
         raise ValidationError(f"eps must be a finite number >= 0, got {eps!r}")
 
 
@@ -528,41 +526,51 @@ def max_joint_payoff(game: GameSpec, oracle: Optional[PayoffOracle] = None,
     return JointOptimum(red=best_a, blue=best_b, value=best_val, exhaustive=False)
 
 
+def _nash_of(game: GameSpec, oracle: Optional[PayoffOracle], nash: Optional[NashReport],
+             eps: Optional[float], allocation_cap: int, pair_cap: int
+             ) -> tuple[PayoffOracle, NashReport]:
+    """The oracle, an exact one by default, and the pure Nash report on it, if not given."""
+    oracle = oracle or PayoffOracle(game)
+    return oracle, nash or find_pure_nash(game, oracle, eps, allocation_cap, pair_cap)
+
+
+def _efficiency(kind: str, nash: NashReport, caveats: list[str], value: float, infinite: bool,
+                **fields) -> EfficiencyReport:
+    """The `kind` report of `value` over nash's equilibria, or of nan where
+    it found none."""
+    joints = nash.joint_values()
+    if joints:
+        fields.update(worst_nash_joint=min(joints), best_nash_joint=max(joints))
+    else:
+        caveats.append("no pure Nash equilibrium found")
+        value, infinite = math.nan, False
+    return EfficiencyReport(kind=kind, value=value, statistical=nash.statistical,
+                            infinite=infinite, n_equilibria=len(joints), eps=nash.eps,
+                            caveats=tuple(caveats), **fields)
+
+
 def price_of_anarchy(game: GameSpec, oracle: Optional[PayoffOracle] = None,
                      nash: Optional[NashReport] = None,
                      eps: Optional[float] = None,
                      allocation_cap: int = DEFAULT_ALLOCATION_CAP,
                      pair_cap: int = DEFAULT_PAIR_CAP) -> EfficiencyReport:
     """max joint payoff over all profiles, divided by the worst pure-Nash joint."""
-    oracle = oracle or PayoffOracle(game)
-    nash = nash or find_pure_nash(game, oracle, eps=eps,
-                                  allocation_cap=allocation_cap, pair_cap=pair_cap)
+    oracle, nash = _nash_of(game, oracle, nash, eps, allocation_cap, pair_cap)
     optimum = max_joint_payoff(game, oracle, allocation_cap=allocation_cap, pair_cap=pair_cap)
-    caveats = list(nash.caveats)
-    if not nash.found:
-        return EfficiencyReport(kind="poa", value=math.nan, statistical=nash.statistical,
-                                infinite=False, n_equilibria=0, eps=nash.eps,
-                                caveats=tuple(caveats + ["no pure Nash equilibrium found"]),
-                                max_joint=optimum.value, optimum=optimum)
-    joints = nash.joint_values()
-    worst, best = min(joints), max(joints)
+    worst = min(nash.joint_values(), default=math.nan)
     infinite = worst <= 0.0
-    value = math.inf if infinite else optimum.value / worst
-    return EfficiencyReport(kind="poa", value=value, statistical=nash.statistical,
-                            infinite=infinite, n_equilibria=len(joints), eps=nash.eps,
-                            caveats=tuple(caveats), worst_nash_joint=worst,
-                            best_nash_joint=best, max_joint=optimum.value, optimum=optimum)
+    return _efficiency("poa", nash, list(nash.caveats),
+                       math.inf if infinite else optimum.value / worst, infinite,
+                       max_joint=optimum.value, optimum=optimum)
 
 
 def _profile_bm(budget_red: int, budget_blue: int, est: PayoffEstimate) -> tuple[float, bool]:
-    """Per-seed payoff ratio of the richer player over the poorer one."""
-    if budget_red > budget_blue:
-        hi, lo = est.pi_R / budget_red, est.pi_B / budget_blue
-    elif budget_blue > budget_red:
-        hi, lo = est.pi_B / budget_blue, est.pi_R / budget_red
-    else:
-        hi = max(est.pi_R, est.pi_B) / budget_red
-        lo = min(est.pi_R, est.pi_B) / budget_blue
+    """Per-seed payoff ratio of the richer player over the poorer one, and
+    whether it is unbounded, where the ratio is math.inf."""
+    red, blue = est.pi_R / budget_red, est.pi_B / budget_blue
+    if budget_red == budget_blue:
+        red, blue = max(red, blue), min(red, blue)
+    hi, lo = (blue, red) if budget_blue > budget_red else (red, blue)
     if lo <= 0.0:
         return math.inf, True
     return hi / lo, False
@@ -575,30 +583,16 @@ def budget_multiplier(game: GameSpec, oracle: Optional[PayoffOracle] = None,
                       pair_cap: int = DEFAULT_PAIR_CAP) -> EfficiencyReport:
     """Worst-case (over pure Nash) per-seed payoff advantage of the player
     with the larger budget; with equal budgets, of the better-off player."""
-    oracle = oracle or PayoffOracle(game)
-    nash = nash or find_pure_nash(game, oracle, eps=eps,
-                                  allocation_cap=allocation_cap, pair_cap=pair_cap)
+    oracle, nash = _nash_of(game, oracle, nash, eps, allocation_cap, pair_cap)
     caveats = list(nash.caveats)
     if game.budget_red == game.budget_blue:
         caveats.append("budgets are equal; the ratio compares the better-off player to the other")
-    if not nash.found:
-        return EfficiencyReport(kind="bm", value=math.nan, statistical=nash.statistical,
-                                infinite=False, n_equilibria=0, eps=nash.eps,
-                                caveats=tuple(caveats + ["no pure Nash equilibrium found"]))
-    value = -math.inf
-    infinite = False
-    for _, _, est in nash.equilibria:
-        bm, inf_flag = _profile_bm(game.budget_red, game.budget_blue, est)
-        if inf_flag:
-            infinite = True
-        value = max(value, bm)
+    ratios = [_profile_bm(game.budget_red, game.budget_blue, est) for _, _, est in nash.equilibria]
+    infinite = any(flag for _, flag in ratios)
     if infinite:
         caveats.append("some equilibrium gives the poorer player zero payoff; ratio is unbounded")
-    joints = nash.joint_values()
-    return EfficiencyReport(kind="bm", value=value, statistical=nash.statistical,
-                            infinite=infinite, n_equilibria=len(nash.equilibria),
-                            eps=nash.eps, caveats=tuple(caveats),
-                            worst_nash_joint=min(joints), best_nash_joint=max(joints))
+    return _efficiency("bm", nash, caveats, max((bm for bm, _ in ratios), default=math.nan),
+                       infinite)
 
 
 # ---------------------------------------------------------------------------

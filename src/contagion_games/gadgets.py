@@ -37,6 +37,7 @@ from .engine import (
     PayoffEstimate,
     StrategyProfile,
     _binomial,
+    _draw_contests,
     _Draws,
     _fill,
     _is_integer,
@@ -366,12 +367,11 @@ def sample_chain_block(layout: ChainLayout, dyn: AdoptionFunction,
     Supports profiles whose seeds all sit on the shared inputs; returns
     integer arrays (red_counts, blue_counts) of length n_runs.  Run i draws
     from the SplitMix64 stream keyed by (master_seed, stream tag block, i)
-    (`engine._replication_words`, `engine._Draws`), in this order: one
-    uniform per contested input in vertex order, red winning below its share
-    of the seeds there; one uniform per chain depth; then, behind an infected
-    final chain vertex, Binom(n_terminal, P[Red]) red terminals and
-    Binom(n_terminal - reds, P[Blue] / (1 - P[Red])) blue ones
-    (`engine._binomial`).  Every chain vertex has in-degree 2, so one
+    (`engine._replication_words`, `engine._Draws`), in this order: its
+    contested inputs (`engine._draw_contests`); one uniform per chain depth;
+    then, behind an infected final chain vertex, Binom(n_terminal, P[Red])
+    red terminals and Binom(n_terminal - reds, P[Blue] / (1 - P[Red])) blue
+    ones (`engine._binomial`).  Every chain vertex has in-degree 2, so one
     `engine._ProbTable` row gives each run's (P[Red], P[Red or Blue]) at a
     depth in one lookup.
     """
@@ -398,10 +398,7 @@ def sample_chain_block(layout: ChainLayout, dyn: AdoptionFunction,
         draws = _Draws(keys)
         rows = np.arange(len(keys))
         colors = np.repeat(inputs[None, :], len(rows), axis=0)
-        if contested_inputs:
-            c = len(contested_inputs)
-            u = draws.take(rows, np.full(len(rows), c), np.repeat(rows, c)).reshape(-1, c)
-            colors[:, contested_inputs] = np.where(u < p_win, RED, BLUE)
+        colors[:, contested_inputs] = _draw_contests(draws, rows, p_win)
         red_count = np.zeros(len(rows), dtype=np.int64)
         blue_count = np.zeros(len(rows), dtype=np.int64)
         # The chain vertex at depth d reads input d and the vertex before it,
@@ -631,9 +628,8 @@ def verify_gadget(spec: GadgetSpec, eps: float = EXACT_EPS,
         if worst > 0:
             measured["poa_vs_designated"] = best / worst
     if "designated" in reports:
-        value, infinite = _profile_bm(spec.budget_red, spec.budget_blue,
-                                      reports["designated"].designated)
-        measured["bm_designated"] = math.inf if infinite else value
+        measured["bm_designated"], _ = _profile_bm(spec.budget_red, spec.budget_blue,
+                                                   reports["designated"].designated)
     if spec.extra_measure is not None:
         measured.update(spec.extra_measure(spec, fn, measured))
     rows = []

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -40,6 +39,8 @@ from .engine import (
     PayoffEstimate,
     StrategyProfile,
     _binomial,
+    _draw_contests,
+    _draw_supports,
     _Draws,
     _is_integer,
     _ProbTable,
@@ -49,7 +50,7 @@ from .engine import (
     split_seeds,
 )
 from .errors import StateSpaceCapError, ValidationError
-from .graphs import Graph
+from .graphs import RED, Graph
 
 DEFAULT_PRUNE = 1e-15
 
@@ -200,6 +201,14 @@ def _check_cells(cells: int, what: str) -> None:
         raise StateSpaceCapError(
             f"the layered DP's {what} would hold {cells} cells, above the cap of "
             f"{MAX_DP_CELLS}; the layer sizes are infeasible for an exact payoff")
+
+
+def _log_factorials(m: int) -> np.ndarray:
+    """log k! for k = 0..m, a table of m + 1 cells under `_check_cells`."""
+    from scipy.special import gammaln
+
+    _check_cells(m + 1, "log-factorial table")
+    return gammaln(np.arange(m + 1) + 1)
 
 
 def _log_binom_pmf(log_fact: np.ndarray, n, k, p) -> np.ndarray:
@@ -375,14 +384,11 @@ def _layer_transition(p: np.ndarray, pr: np.ndarray, pb: np.ndarray, m: int, pru
     (`_grid_boxes`).  States with pa = 1 have no failures: x is Binom(m, pr /
     pa) on the line x + y = m.  Each seed branch adds a shifted copy.
     """
-    from scipy.special import gammaln
-
-    _check_cells(m + 1, "log-factorial table")
+    log_fact = _log_factorials(m)
     n = len(p)
     probs = np.stack([pr, pb])
     pa = np.minimum(pr + pb, 1.0)
     thr = prune / p
-    log_fact = gammaln(np.arange(m + 1) + 1)
     lo, hi = (k.reshape(2, n) for k in _pmf_window(log_fact, m, probs.ravel(),
                                                      np.concatenate([thr, thr])))
     # Rows are (red, blue) windows.  Outcomes have x + y <= m, and those on
@@ -430,10 +436,7 @@ def _lumped_transition(p: np.ndarray, pa: np.ndarray, share: np.ndarray, m: int,
     is seeds + A and its red mass gains red_seeds (sure red seeds plus the
     contested seeds' red-win probabilities) plus A times the share.  Within a
     state of mass p, an A whose pmf is at most prune / p is dropped."""
-    from scipy.special import gammaln
-
-    _check_cells(m + 1, "log-factorial table")
-    log_fact = gammaln(np.arange(m + 1) + 1)
+    log_fact = _log_factorials(m)
     lo, hi = _pmf_window(log_fact, m, pa, prune / p)
     live = hi >= lo
     if not live.any():
@@ -608,9 +611,8 @@ def _sample_block(plan, table: _ProbTable, which: np.ndarray, draws: _Draws):
     """chi_R and chi_B of a block of runs, run together: row j runs support
     pair which[j] of the plan (`_layer_plan`) and draws from draws' row j.
 
-    Per component and layer, every row draws one uniform per contested seed
-    of its pair, red winning below the red-win probability.  Then, after the
-    first layer, with (P[Red], P[Red or Blue]) at the predecessor's (size,
+    Per component and layer, every row draws its pair's contested seeds
+    there (`engine._draw_contests`).  Then, after the first layer, with (P[Red], P[Red or Blue]) at the predecessor's (size,
     red, blue) from the table, Binom(m, P[Red or Blue]) of the m unseeded
     vertices adopt, of whom Binom(adopters, P[Red] / P[Red or Blue]) turn red
     (`engine._binomial`)."""
@@ -623,11 +625,9 @@ def _sample_block(plan, table: _ProbTable, which: np.ndarray, draws: _Draws):
             red, blue = sure_red[which], sure_blue[which]
             for k, p_win in contests:
                 at = np.flatnonzero(which == k)
-                c = len(p_win)
-                u = draws.take(at, np.full(len(at), c), np.repeat(np.arange(len(at)), c))
-                won = np.count_nonzero(u.reshape(-1, c) < p_win, axis=1)
+                won = np.count_nonzero(_draw_contests(draws, at, p_win) == RED, axis=1)
                 red[at] += won
-                blue[at] += c - won
+                blue[at] += len(p_win) - won
             if depth:
                 p_red, p_any = table.lookup(np.full(len(rows), slot), red_before, blue_before)
                 slot += 1
@@ -674,10 +674,10 @@ def layered_estimate_payoffs(structure: LayeredStructure, dyn: AdoptionFunction,
     `engine._Draws`), and a block of replications advances through each
     component's layers together (`_sample_block`).
 
-    A replication takes its uniforms in this order: the support draw, where
-    the profile has more than one support pair; then per component, per
-    layer, one per contested seed in vertex order, followed by the draws of
-    the layer's adopter binomial and then of its red binomial, rejected BTRS
+    A replication takes its uniforms in this order: its support pair, where
+    the profile has more than one (`engine._draw_supports`); then per
+    component, per layer, its contested seeds, followed by the draws of the
+    layer's adopter binomial and then of its red binomial, rejected BTRS
     attempts included (`engine._binomial`).  So its result depends only on
     its key.  Each support pair's layer plan is built once, and
     `update_probs_array` is called once per distinct (predecessor size, red,
@@ -688,15 +688,13 @@ def layered_estimate_payoffs(structure: LayeredStructure, dyn: AdoptionFunction,
     pairs = profile.support_pairs()
     plan = _layer_plan(structure, pairs)
     table = _layer_table(structure, dyn)
-    cumulative = np.array(list(accumulate(p for p, _, _ in pairs)))
+    cumulative = np.cumsum([p for p, _, _ in pairs])
 
     def run(keys: np.ndarray, jobs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         draws = _Draws(keys)
         which = np.zeros(len(keys), dtype=np.intp)
         if len(pairs) > 1:
-            rows = np.arange(len(keys))
-            u = draws.take(rows, np.ones(len(keys), dtype=np.intp), rows)
-            which = np.minimum(np.searchsorted(cumulative, u, side="right"), len(pairs) - 1)
+            which = _draw_supports(draws, np.arange(len(keys)), cumulative)
         return _sample_block(plan, table, which, draws)
 
     return monte_carlo_estimate(*engine._fill(run, _seed_keys([master_seed]), n_trials, 0,

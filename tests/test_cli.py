@@ -10,8 +10,8 @@ import tracemalloc
 import pytest
 
 import contagion_games
-from contagion_games import Graph, build_gadget, layered, serialize_graph
-from contagion_games.cli import _graph_text, run
+from contagion_games import Graph, ValidationError, build_gadget, layered, serialize_graph
+from contagion_games.cli import _graph_text, _parse_override_tokens, run
 
 
 def micro_graph():
@@ -616,6 +616,51 @@ def test_a_polarization_gadget_with_an_underflowing_minority_share_verifies(tmp_
     # Its BM prediction is not met, so the verb exits 3 with the report written.
     assert run(["gadget", "--config", config, "--out", str(tmp_path / "out")]) == 3
     assert read_result(tmp_path / "out")["result"]["params"]["small_final_closed_form"] == 0
+
+
+def test_a_graph_path_gives_the_inline_graph_result(tmp_path):
+    graph_file = tmp_path / "graph.json"
+    graph_file.write_text(serialize_graph(Graph(n=13, edges=tuple(map(tuple,
+                                                                      micro_graph()["edges"])))))
+    profile = {"red_seeds": [3], "blue_seeds": [0]}
+    results = []
+    for name, graph in (("inline", micro_graph()), ("path", {"path": str(graph_file)})):
+        out = tmp_path / name
+        assert run(["payoff", "--config", write_config(tmp_path, base_config(
+            graph=graph, profile=profile)), "--out", str(out)]) == 0
+        results.append((read_result(out)["result"], (out / "result.csv").read_bytes()))
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("verb, text, flags, field", [
+    ("payoff", "{not json", [], "--config"),
+    ("payoff", "[1, 2]", [], "--config"),
+    ("payoff", None, ["--n_trials"], "n_trials"),
+    ("payoff", None, ["--master_seed.bits", "3"], "master_seed.bits"),
+    ("payoff", json.dumps(base_config(profile={"red_seeds": [3], "blue_seeds": [0]}, out=5)),
+     [], "out"),
+    ("nash", json.dumps(base_config(budget_red=1, budget_blue=1, search=[1])), [], "search"),
+    ("couple-test", json.dumps(base_config(profile={"red_seeds": [3], "blue_seeds": [0]},
+                                           couple="solo-vs-joint")), [], "couple"),
+    ("payoff", json.dumps(base_config(graph={"path": 7})), [], "graph.path"),
+])
+def test_malformed_configs_exit_1_and_name_their_field(tmp_path, capsys, monkeypatch, verb, text,
+                                                       flags, field):
+    """Unreadable configs, malformed override flags and sections of the wrong
+    type are validation errors that name the config field."""
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "config.json"
+    path.write_text(text if text is not None else json.dumps(base_config(
+        profile={"red_seeds": [3], "blue_seeds": [0]}, master_seed=0)))
+    assert run([verb, "--config", str(path)] + flags) == 1
+    assert f"config field '{field}'" in capsys.readouterr().err
+
+
+def test_an_override_flag_with_an_empty_key_names_itself():
+    # argparse refuses `--=5` as an ambiguous option before the override
+    # parser sees it, so the parser is called directly.
+    with pytest.raises(ValidationError, match="config field '--=5': override flag has an empty key"):
+        _parse_override_tokens(["--=5"])
 
 
 def test_profile_and_search_are_mutually_exclusive(tmp_path, capsys):

@@ -1047,6 +1047,41 @@ def test_load_dynamics_round_trip(doc):
     assert load_dynamics(dyn.to_json_dict()) == dyn
 
 
+BUILT_IN_SWITCHES = [PowerSwitch(2), PowerSwitch(0.5), ThresholdSwitch(0.75), HalfPointSwitch(0),
+                     HalfPointSwitch(0.01), TableSwitch(((0, 0), (0.5, 0.2), (1, 1)))]
+BUILT_IN_SELECTIONS = [TullockSelection(1), TullockSelection(1.5),
+                       TableSelection(((0.0, 0.0), (0.3, 0.1), (0.7, 0.9), (1.0, 1.0)))]
+
+
+@pytest.mark.parametrize("f", BUILT_IN_SWITCHES, ids=repr)
+@pytest.mark.parametrize("g", BUILT_IN_SELECTIONS, ids=repr)
+def test_every_built_in_function_round_trips_through_its_document(f, g):
+    dyn = SwitchSelectAdoption(f, g)
+    assert load_dynamics(dyn.to_json_dict()) == dyn
+    assert load_dynamics(json.dumps(dyn.to_json_dict())) == dyn
+
+
+def test_built_in_functions_keep_their_parameter_as_given():
+    assert PowerSwitch(2).to_json_dict() == {"kind": "power", "r": 2}
+    assert type(PowerSwitch(2).exponent) is int
+    assert type(HalfPointSwitch(np.float64(0.25)).to_json_dict()["eps"]) is np.float64
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: PowerSwitch(True), "power switching exponent must be positive, got True"),
+    (lambda: ThresholdSwitch(True), "threshold must lie strictly inside (0, 1), got True"),
+    (lambda: HalfPointSwitch(False), "midpoint value must lie in [0, 1], got False"),
+    (lambda: HalfPointSwitch(True), "midpoint value must lie in [0, 1], got True"),
+    (lambda: TullockSelection(True), "contest exponent must be positive, got True"),
+    (lambda: TullockSelection("1"), "contest exponent must be positive, got '1'"),
+    (lambda: PowerSwitch(math.nan), "power switching exponent must be positive, got nan"),
+])
+def test_built_in_functions_refuse_a_parameter_that_is_no_real_number(make, message):
+    """A bool would be written back as JSON `true`, which the loader refuses."""
+    with pytest.raises(DynamicsDefinitionError, match=re.escape(message)):
+        make()
+
+
 @pytest.mark.parametrize("doc, pattern", [
     ({"f": {"kind": "power", "r": 1.0}}, "both 'f' and 'g'"),
     ({"h": "builtin:x", "f": {"kind": "power", "r": 1.0}}, "not both"),

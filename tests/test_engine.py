@@ -445,6 +445,15 @@ def test_exact_enumeration_counts_every_tree_node_against_the_cap(name, size):
         exact_payoffs(game, profile, node_cap=size - 1)
 
 
+def test_enumeration_skips_a_zero_probability_support_entry():
+    """The zero-probability entry is never enumerated: the profile fits the
+    node cap of the profile without it."""
+    game, profile = node_count_case("single_pass")
+    red = MixedAllocation(((1.0, profile.red), (0.0, Allocation.from_seeds(13, [5]))))
+    with_zero = exact_payoffs(game, StrategyProfile(red, profile.blue), node_cap=210)
+    assert with_zero == exact_payoffs(game, profile, node_cap=210)
+
+
 @dataclasses.dataclass(frozen=True)
 class StoppingRandomSequential(RandomSequential):
     """A schedule with several phase options that stops on a step that

@@ -1,7 +1,9 @@
 """Equilibrium enumeration, efficiency ratios, and restricted deviation checks."""
 
+import dataclasses
 import itertools
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -441,6 +443,37 @@ def test_a_negative_or_non_finite_eps_is_refused(eps):
     with pytest.raises(ValidationError, match="eps must be a finite number >= 0"):
         verify_profile_deviations(PayoffOracle(game).evaluate, seeds(13, 3), seeds(13, 3),
                                   [], [], eps=eps)
+
+
+@pytest.mark.parametrize("eps", [True, False, "0.1", [0.1]])
+def test_an_eps_that_is_no_real_number_is_refused(eps):
+    """A bool is no eps, and a string is refused, never parsed."""
+    game = two_hub_game()
+    message = re.escape(f"eps must be a real number, got {eps!r}")
+    for search in (find_pure_nash, price_of_anarchy, budget_multiplier):
+        with pytest.raises(ValidationError, match=message):
+            search(game, eps=eps)
+    with pytest.raises(ValidationError, match=message):
+        verify_profile_deviations(PayoffOracle(game).evaluate, seeds(13, 3), seeds(13, 3),
+                                  [], [], eps=eps)
+
+
+def test_an_integer_eps_is_reported_as_given():
+    report = find_pure_nash(two_hub_game(), eps=0)
+    assert report.eps == 0 and type(report.eps) is int
+
+
+def test_best_response_for_blue_matches_brute_force():
+    # Blue has two seeds against red's one, so its candidates are not red's.
+    game = dataclasses.replace(two_hub_game(), budget_blue=2)
+    oracle = PayoffOracle(game)
+    red = seeds(13, 0)
+    pays = {b: oracle.payoffs(red, b)[1] for b in enumerate_allocations(13, 2)}
+    top = max(pays.values())
+    alloc, payoff = best_response(game, "blue", red, oracle=oracle)
+    assert payoff == top
+    assert alloc.counts == min(b.counts for b, pay in pays.items() if pay >= top - 1e-12)
+    assert alloc.budget == 2
 
 
 def test_best_response_contests_the_big_hub():

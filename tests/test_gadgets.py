@@ -3,6 +3,7 @@ verification harness."""
 
 import dataclasses
 import math
+import re
 import tracemalloc
 from unittest.mock import patch
 
@@ -20,6 +21,7 @@ from contagion_games import (
     GadgetVerification,
     LayerOrder,
     LayeredStructure,
+    MixedAllocation,
     PowerSwitch,
     Prediction,
     SinglePassOrder,
@@ -46,7 +48,7 @@ from contagion_games import (
     threshold_two_layer,
     verify_gadget,
 )
-from contagion_games import layered
+from contagion_games import gadgets, layered
 from contagion_games.engine import sample_payoffs
 from contagion_games.gadgets import VERIFICATION_CSV_HEADER
 from stream_reference import chain_block_run, replication_key
@@ -293,6 +295,19 @@ def test_chain_exact_pass_matches_enumeration_with_contested_seeds(case):
     exact = exact_payoffs(game, profile)
     assert chain.pi_R == pytest.approx(exact.pi_R, abs=1e-12)
     assert chain.pi_B == pytest.approx(exact.pi_B, abs=1e-12)
+
+
+def test_the_chain_pass_skips_a_zero_probability_support_entry():
+    layout = ChainLayout(2, 2, 3, 1)
+    dyn = SwitchSelectAdoption(PowerSwitch(0.5), TullockSelection(0.75))
+    on = lambda v: Allocation.from_seeds(layout.n, [v])
+    blue = on(1)
+    mixed = MixedAllocation(((0.25, on(0)), (0.75, on(2)), (0.0, on(1))))
+    without = MixedAllocation(((0.25, on(0)), (0.75, on(2))))
+    with patch.object(gadgets, "_chain_forward", wraps=gadgets._chain_forward) as forward:
+        est = chain_exact_payoffs(layout, dyn, StrategyProfile(mixed, blue))
+    assert forward.call_count == 2
+    assert est == chain_exact_payoffs(layout, dyn, StrategyProfile(without, blue))
 
 
 def test_chain_exact_pass_takes_many_contested_inputs():
@@ -605,6 +620,20 @@ def test_threshold_gadget_rejects_fractional_budgets():
         threshold_two_layer(5, 2, 40, 0.3)
     with pytest.raises(ValidationError, match="strictly inside"):
         threshold_two_layer(8, 2, 40, 1.0)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: threshold_two_layer(1, 1, 1, 0.5),
+     "layer sizes must be positive (first layer at least 2)"),
+    (lambda: convexity_amplifier(4, 2, 2.0, 8, budget=0), "budget must be at least 1"),
+    (lambda: convexity_amplifier(4, 2, 2.0, 0), "final layer sizes must be positive"),
+    (lambda: polarization_amplifier(2, 0, 100, 2.0), "layer sizes must be positive"),
+    (lambda: polarization_amplifier(2, 10, 100, 2.0, small_final_size=0),
+     "small_final_size < 1: parameters are too aggressive for a valid star"),
+])
+def test_builders_refuse_empty_layers_and_budgets(make, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        make()
 
 
 def test_verification_evaluates_each_profile_once():

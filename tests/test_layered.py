@@ -99,6 +99,15 @@ def test_validate_layered_graph_rejects_a_wrong_edge_at_the_right_count():
         validate_layered_graph(moved, s)
 
 
+def test_validate_layered_graph_rejects_a_wrong_vertex_count_or_an_undirected_graph():
+    s = two_component_structure()
+    g = s.build_graph()
+    with pytest.raises(ValidationError, match="graph has 10 vertices, structure describes 9"):
+        validate_layered_graph(type(g)(n=10, edges=g.edges, directed=True), s)
+    with pytest.raises(ValidationError, match="layered graphs are directed"):
+        validate_layered_graph(type(g)(n=g.n, edges=g.edges, directed=False), s)
+
+
 def test_build_graph_respects_the_edge_cap():
     s = LayeredStructure(((100, 100),))
     with pytest.raises(ValidationError, match="exceeds the cap"):
@@ -415,6 +424,19 @@ def test_pruned_mass_is_weighted_by_profile_probability():
     assert est.pruned_mass == pytest.approx(0.25 * one.pruned_mass + 0.75 * idle_est.pruned_mass)
     assert "pruned_mass" not in est.to_json_dict()
     assert len(est.to_csv_row()) == 6
+
+
+def test_the_dp_skips_a_zero_probability_support_entry():
+    structure = LayeredStructure(((2, 3), (2, 2)))
+    dyn = make_dyn("convex")
+    n = structure.n
+    red, other, blue = (Allocation.from_seeds(n, [v]) for v in (0, 5, 1))
+    mixed = MixedAllocation(((0.5, red), (0.5, other), (0.0, Allocation.from_seeds(n, [1]))))
+    without = MixedAllocation(((0.5, red), (0.5, other)))
+    with patch.object(layered, "split_seeds", wraps=layered.split_seeds) as split:
+        est = layered_exact_payoffs(structure, dyn, StrategyProfile(mixed, blue))
+    assert split.call_count == 2
+    assert est == layered_exact_payoffs(structure, dyn, StrategyProfile(without, blue))
 
 
 @pytest.mark.parametrize("prune", [math.nan, -1.0, 1.0, math.inf, "0", True, False])
