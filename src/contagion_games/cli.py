@@ -1,9 +1,9 @@
 """Command-line runner: JSON experiment configs in, JSON + CSV results out.
 
-One experiment per invocation.  The config is a single JSON document; any
-top-level or nested field can be overridden on the command line with
-``--dotted.key value`` flags, and the fully resolved config is embedded in
-``result.json`` so every artifact records how it was produced.
+One experiment per invocation: the verb, then ``--dotted.key value`` flags
+that set top-level or nested fields of a JSON config in command-line order.
+The fully resolved config is embedded in ``result.json`` so every artifact
+records how it was produced.
 
 Exit status: 0 success, 1 validation error, 2 state-space cap exceeded,
 3 verification failure (gadget and couple-test verbs).
@@ -11,7 +11,6 @@ Exit status: 0 success, 1 validation error, 2 state-space cap exceeded,
 
 from __future__ import annotations
 
-import argparse
 import csv
 import json
 import math
@@ -51,9 +50,8 @@ from .coupling import MODE_ALIASES, couple_test
 from .gadgets import GadgetSpec, build_gadget, verify_gadget
 from .layered import DEFAULT_GRAPH_EDGE_CAP
 
-VERBS = ("simulate", "payoff", "nash", "poa", "bm", "gadget", "couple-test")
-
 ORACLE_NAMES = {"exact": EXACT_ENUMERATION, "mc": MONTE_CARLO, "monte_carlo": MONTE_CARLO}
+ALIASES = {"seed": "master_seed", "trials": "n_trials"}  # shorthand flag -> config field
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +79,7 @@ def _load_config(path: Optional[str]) -> dict:
 
 
 def _parse_override_tokens(tokens: list[str]) -> list[tuple[str, str]]:
+    """The flags after the verb as (dotted key, raw value) pairs, in order, aliases resolved."""
     pairs = []
     i = 0
     while i < len(tokens):
@@ -97,14 +96,16 @@ def _parse_override_tokens(tokens: list[str]) -> list[tuple[str, str]]:
             raw = tokens[i]
         if not key:
             raise _field_error(token, "override flag has an empty key")
-        pairs.append((key, raw))
+        pairs.append((ALIASES.get(key, key), raw))
         i += 1
     return pairs
 
 
 def _apply_override(config: dict, dotted: str, raw: str) -> None:
+    """Set the dotted field to `raw` decoded as JSON; the `out` path and
+    text that is not JSON stay text."""
     try:
-        value = json.loads(raw)
+        value = raw if dotted == "out" else json.loads(raw)
     except json.JSONDecodeError:
         value = raw
     node = config
@@ -434,8 +435,8 @@ def _verb_couple_test(config: dict):
     if not isinstance(mode, str) or mode not in MODE_ALIASES:
         raise _field_error("couple.mode",
                            f"must be one of {sorted(MODE_ALIASES)}, got {mode!r}")
-    runs = _int_field(section, "runs", _int_field(config, "n_trials", 10_000, minimum=2),
-                      minimum=2)
+    runs = (_int_field(section, "runs", minimum=2) if "runs" in section
+            else _int_field(config, "n_trials", 10_000, minimum=2))
     if not profile.is_pure:
         raise _field_error("profile", "couple-test needs a pure profile: one count vector "
                                       "per side, not a list of weighted entries")
@@ -467,48 +468,36 @@ HANDLERS = {
     "couple-test": _verb_couple_test,
 }
 
+USAGE = ("contagion-games VERB --config config.json [--out DIR] [--seed N]\n"
+         "                [--trials N] [--threads N] [--dotted.key VALUE ...]\n\n"
+         f"Verbs: {', '.join(HANDLERS)}.\n")
+
 
 # ---------------------------------------------------------------------------
 # Entry point.
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="contagion-games",
-        description="Competitive contagion experiments: simulation, exact payoffs, "
-                    "equilibrium search, efficiency ratios, benchmark gadgets, and "
-                    "coupled-run checks.")
-    parser.add_argument("verb", choices=VERBS)
-    parser.add_argument("--config", help="path to a JSON experiment config")
-    parser.add_argument("--out", help="output directory (default: current directory)")
-    parser.add_argument("--seed", type=int, help="override master_seed")
-    parser.add_argument("--trials", type=int, help="override n_trials")
-    parser.add_argument("--threads", type=int,
-                        help="worker processes for Monte Carlo payoffs "
-                             "(results do not depend on this)")
-    return parser
-
-
 def run(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args, extra = parser.parse_known_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print(USAGE, end="")
+        return 0
     try:
-        config = _load_config(args.config)
-        if args.seed is not None:
-            config["master_seed"] = args.seed
-        if args.trials is not None:
-            config["n_trials"] = args.trials
-        if args.threads is not None:
-            config["threads"] = args.threads
-        if args.out is not None:
-            config["out"] = args.out
-        for key, raw in _parse_override_tokens(extra):
-            _apply_override(config, key, raw)
+        verb = argv[0] if argv else None
+        if verb not in HANDLERS:
+            raise _field_error("verb", f"must be one of {', '.join(HANDLERS)}, got {verb!r}")
+        pairs = _parse_override_tokens(argv[1:])
+        config = _load_config(dict(pairs).get("config"))  # the last --config
+        for key, raw in pairs:
+            if key != "config":
+                _apply_override(config, key, raw)
+        for field in ALIASES.values():  # integers on every verb, read or not
+            _int_field(config, field)
         if "profile" in config and "search" in config:
             raise _field_error("profile/search",
                                "exactly one of them may be present, found both")
-        result, rows, extra_files, failure = HANDLERS[args.verb](config)
+        result, rows, extra_files, failure = HANDLERS[verb](config)
         out_dir = config.get("out") or "."
         if not isinstance(out_dir, str):
             raise _field_error("out", f"must be a directory path, got {out_dir!r}")
@@ -517,7 +506,7 @@ def run(argv: Optional[list[str]] = None) -> int:
         # landed, so the output directory stays out of it.
         embedded = {k: v for k, v in config.items() if k != "out"}
         _dump_json(os.path.join(out_dir, "result.json"),
-                   _jsonify({"verb": args.verb, "config": embedded, "result": result}))
+                   _jsonify({"verb": verb, "config": embedded, "result": result}))
         _dump_csv(os.path.join(out_dir, "result.csv"), rows)
         for name, doc in extra_files.items():
             _dump_json(os.path.join(out_dir, name), doc)

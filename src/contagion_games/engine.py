@@ -972,14 +972,16 @@ class _Enumerator:
     The constructor does the per-game work once: it validates the schedule,
     lists the snapshot phases of a schedule run by them (`batched_form`),
     so a single pass branches one group of consecutive vertices at a time,
-    and each of their vertices' out-neighbours that update in a later phase;
-    other schedules are walked by `phase_options`.  `payoffs(profile)` walks
-    one profile's tree and raises StateSpaceCapError when it exceeds
-    `node_cap` nodes.  Wherever a vertex's outcome cannot influence anything
-    downstream (for example, a vertex whose later-updating out-neighbours are
-    all infected in a one-shot schedule, or any candidate in the final
-    round), its expectation is accumulated marginally instead of branching,
-    which keeps the common fixtures branch-free.
+    and each of their vertices' out-neighbours that update in a later phase.
+    A `ParallelRounds` round scans every vertex in ascending order and is a
+    leaf when none is a candidate; other schedules are walked by
+    `phase_options`.  `payoffs(profile)` walks one profile's tree and raises
+    StateSpaceCapError when it exceeds `node_cap` nodes.  Wherever a
+    vertex's outcome cannot influence anything downstream (for example, a
+    vertex whose later-updating out-neighbours are all infected in a
+    one-shot schedule, or any candidate in the final round), its expectation
+    is accumulated marginally instead of branching, which keeps the common
+    fixtures branch-free.
 
     Each pure pair of the profile's support is walked with one stack of
     phase-start entries (weight, state, immune, cursor, red count, blue
@@ -1057,24 +1059,24 @@ class _Enumerator:
             total_r = total_b = 0.0
             while stack:
                 w, state, immune, cursor, cr, cb, mr, mb = stack.pop()
-                if cursor is not None and plan is None:
-                    options = schedule.phase_options(graph, state, immune, cursor)
-                elif cursor is not None and cursor < len(plan):
-                    options = [(1.0, plan[cursor], cursor + 1)]
-                else:
+                if cursor is None:
                     options = None
+                elif is_parallel:
+                    options = [(1.0, range(n), cursor + 1)] if cursor < schedule.max_rounds else None
+                elif plan is None:
+                    options = schedule.phase_options(graph, state, immune, cursor)
+                else:
+                    options = [(1.0, plan[cursor], cursor + 1)] if cursor < len(plan) else None
                 if options is None:
                     total_r += w * (cr + mr)
                     total_b += w * (cb + mb)
                     continue
                 for opt_prob, phase, nxt in options:
-                    nodes -= 1
-                    if nodes < 0:
-                        raise _over_cap()
                     final_round = is_parallel and nxt >= schedule.max_rounds
                     mr2, mb2 = mr, mb
                     choices = []
                     sure_failures = []
+                    found = False
                     # One scan per phase vertex: a candidate is clean, not
                     # immune, and has an infected in-neighbour.
                     for v in phase:
@@ -1090,6 +1092,7 @@ class _Enumerator:
                                 b += 1
                         if not (r or b):
                             continue
+                        found = True
                         d = len(nbrs)
                         fractions = (r / d, b / d)
                         probs = update_probs.get(fractions)
@@ -1105,6 +1108,12 @@ class _Enumerator:
                         else:
                             choices.append(((pr, (v, RED)), (pb, (v, BLUE)),
                                             (pu, (v, UNINFECTED))))
+                    if is_parallel and not found:  # a round with no candidate: a leaf
+                        stack.append((w, state, immune, None, cr, cb, mr, mb))
+                        continue
+                    nodes -= 1
+                    if nodes < 0:
+                        raise _over_cap()
                     may_stop = schedule.stop_on_no_change and (choices or sure_failures)
                     combos, nodes = _combinations(w * opt_prob, choices, nodes)
                     for w2, picked in combos:

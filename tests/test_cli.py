@@ -88,6 +88,47 @@ def test_trials_and_seed_shorthands_override_the_config(tmp_path):
     assert doc["config"]["n_trials"] == 7
 
 
+@pytest.mark.parametrize("flags, seed", [
+    (["--master_seed", "5", "--seed", "3"], 3),
+    (["--seed", "3", "--master_seed", "5"], 5),
+])
+def test_the_later_flag_for_a_field_wins(tmp_path, flags, seed):
+    """`--seed` is an alias of `master_seed`: the flags apply in command-line
+    order, and of two `--config` paths the last is loaded."""
+    config = write_config(tmp_path, base_config(
+        profile={"red_seeds": [3], "blue_seeds": [0]}, n_trials=5))
+    assert run(["simulate", "--config", str(tmp_path / "missing.json"), "--config", config,
+                "--out", str(tmp_path / "out")] + flags) == 0
+    assert read_result(tmp_path / "out")["config"]["master_seed"] == seed
+
+
+def test_an_abbreviated_flag_is_its_own_field(tmp_path):
+    """No flag is prefix-matched: `--th` is the field `th`, not `threads`."""
+    config = write_config(tmp_path, base_config(profile={"red_seeds": [3], "blue_seeds": [0]}))
+    assert run(["payoff", "--config", config, "--out", str(tmp_path / "out"), "--th", "2"]) == 0
+    embedded = read_result(tmp_path / "out")["config"]
+    assert embedded["th"] == 2 and "threads" not in embedded
+
+
+def test_the_output_path_is_taken_verbatim(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    config = write_config(tmp_path, base_config(profile={"red_seeds": [3], "blue_seeds": [0]}))
+    assert run(["payoff", "--config", config, "--out", "123"]) == 0
+    assert "out" not in read_result(tmp_path / "123")["config"]
+
+
+def test_help_prints_the_readme_usage_and_exits_0(capsys):
+    assert run(["--help"]) == 0
+    usage = capsys.readouterr().out
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"),
+              encoding="utf-8") as fh:
+        readme = fh.read()
+    assert usage.startswith("contagion-games VERB")
+    assert all(line in readme for line in usage.splitlines()[:2])
+    assert "couple-test" in usage.splitlines()[-1]
+    assert run(["simulate", "-h"]) == 0
+
+
 def test_exact_payoff_of_the_contested_hub(tmp_path):
     config = write_config(tmp_path, base_config(
         profile={"red_seeds": [3], "blue_seeds": [3]}))
@@ -452,6 +493,14 @@ def test_couple_test_verb_accepts_mode_aliases(tmp_path):
     assert ["mode", "solo-vs-joint"] in rows
 
 
+def test_couple_test_reads_n_trials_only_without_couple_runs(tmp_path):
+    config = write_config(tmp_path, base_config(profile={"red_seeds": [3], "blue_seeds": [0]}))
+    out = tmp_path / "out"
+    assert run(["couple-test", "--config", config, "--out", str(out), "--trials", "1",
+                "--couple.mode", "solo-vs-joint", "--couple.runs", "60"]) == 0
+    assert read_result(out)["result"]["runs"] == 60
+
+
 def test_couple_test_verb_rejects_unknown_modes(tmp_path, capsys):
     config = write_config(tmp_path, base_config(
         profile={"red_seeds": [3], "blue_seeds": [0]},
@@ -643,6 +692,11 @@ def test_a_graph_path_gives_the_inline_graph_result(tmp_path):
     ("couple-test", json.dumps(base_config(profile={"red_seeds": [3], "blue_seeds": [0]},
                                            couple="solo-vs-joint")), [], "couple"),
     ("payoff", json.dumps(base_config(graph={"path": 7})), [], "graph.path"),
+    ("simulate", None, ["--seed", "abc"], "master_seed"),
+    ("simulate", None, ["--trials", "1e3"], "n_trials"),
+    # The exact `payoff` reads neither field and still refuses both.
+    ("payoff", None, ["--seed", "abc"], "master_seed"),
+    ("payoff", None, ["--trials", "1e3"], "n_trials"),
 ])
 def test_malformed_configs_exit_1_and_name_their_field(tmp_path, capsys, monkeypatch, verb, text,
                                                        flags, field):
@@ -656,11 +710,17 @@ def test_malformed_configs_exit_1_and_name_their_field(tmp_path, capsys, monkeyp
     assert f"config field '{field}'" in capsys.readouterr().err
 
 
-def test_an_override_flag_with_an_empty_key_names_itself():
-    # argparse refuses `--=5` as an ambiguous option before the override
-    # parser sees it, so the parser is called directly.
+def test_an_override_flag_with_an_empty_key_names_itself(capsys):
     with pytest.raises(ValidationError, match="config field '--=5': override flag has an empty key"):
         _parse_override_tokens(["--=5"])
+    assert run(["payoff", "--=5"]) == 1
+    assert "config field '--=5'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["explode"], [], ["--config", "c.json", "payoff"]])
+def test_the_first_argument_must_be_a_verb(capsys, argv):
+    assert run(argv) == 1
+    assert "config field 'verb'" in capsys.readouterr().err
 
 
 def test_profile_and_search_are_mutually_exclusive(tmp_path, capsys):

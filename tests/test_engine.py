@@ -487,7 +487,7 @@ def payoff_pin_case(name):
 # the walk sums its leaves shows.  Vertex 4 reads the never-seeded vertex 6,
 # so under parallel rounds a round in which 4 alone stays clean stops the run;
 # a stop among several options is summed in its place among their outcomes.
-@pytest.mark.parametrize("name, pi_r, pi_b", [
+PAYOFF_PINS = [
     ("contested_seed", "0x1.8000000000000p+0", "0x1.0d413cccfe77ap+2"),
     ("contested_sink_seed", "0x1.6000000000000p+1", "0x1.7a827999fcef4p+1"),
     ("immunity", "0x1.5555555555555p+0", "0x1.efd7ceef52449p+1"),
@@ -496,10 +496,26 @@ def payoff_pin_case(name):
     ("single_pass", "0x1.e701a666a89f6p+0", "0x1.e701a666a89f7p+1"),
     ("layer_order", "0x1.5555555555555p+0", "0x1.efd7ceef52449p+1"),
     ("mixed", "0x1.0c7a775c4bba2p+1", "0x1.ce08023db1352p+1"),
-])
+]
+
+
+@pytest.mark.parametrize("name, pi_r, pi_b", PAYOFF_PINS)
 def test_exact_payoffs_are_pinned_bit_for_bit(name, pi_r, pi_b):
     est = exact_payoffs(*payoff_pin_case(name))
     assert (est.pi_R.hex(), est.pi_B.hex()) == (pi_r, pi_b)
+
+
+@pytest.mark.parametrize("name, pi_r, pi_b",
+                         [pin for pin in PAYOFF_PINS
+                          if isinstance(payoff_pin_case(pin[0])[0].schedule, ParallelRounds)])
+def test_the_exact_walk_reads_parallel_rounds_by_rounds(monkeypatch, name, pi_r, pi_b):
+    """The walk finds a round's candidates in its own scan of every vertex,
+    without `ParallelRounds.phase_options`, and keeps the pinned payoffs."""
+    def refuse(*args):
+        raise AssertionError("ParallelRounds.phase_options was called")
+
+    monkeypatch.setattr(ParallelRounds, "phase_options", refuse)
+    test_exact_payoffs_are_pinned_bit_for_bit(name, pi_r, pi_b)
 
 
 @pytest.mark.parametrize("schedule", [ParallelRounds(3), RandomSequential(3)])
