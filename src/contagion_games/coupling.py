@@ -37,7 +37,7 @@ standalone replications run through `engine`'s Monte Carlo replication loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -62,7 +62,7 @@ from .engine import (
     _is_integer,
     _mc_chunk,
     _nonzero,
-    _require_master_seed,
+    _require_count,
     _seed_keys,
     _seed_vertex,
 )
@@ -377,14 +377,7 @@ class CoupleTestResult:
     notes: tuple[str, ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "runs": self.runs,
-            "invariant_violations": self.invariant_violations,
-            "inequality_margins": self.inequality_margins,
-            "p_values": self.p_values,
-            "notes": list(self.notes),
-        }
+        return asdict(self)
 
 
 def _ks_pvalue(xs: np.ndarray, ys: np.ndarray) -> float:
@@ -423,7 +416,7 @@ def couple_test(graph: Graph, red_seeds: Sequence[int], blue_seeds: Sequence[int
     mode = canonical_mode(mode)
     if not (_is_integer(runs) and runs >= 2):
         raise ValidationError(f"couple_test needs at least 2 runs, as an integer; got {runs!r}")
-    _require_master_seed(master_seed)
+    _require_count(master_seed, "master_seed", 0)
     require_mode_hypotheses(mode, dyn, graph)
     kernel = _CoupledKernel(graph, red_seeds, blue_seeds, dyn, schedule, mode)
 

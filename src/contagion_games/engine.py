@@ -43,6 +43,13 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _require_count(value, name: str, minimum: int) -> None:
+    """Refuse a count that is not an integer, numpy's included, of at least `minimum`."""
+    if not (_is_integer(value) and value >= minimum):
+        kind = "positive" if minimum else "nonnegative"
+        raise ValidationError(f"{name} must be a {kind} integer, got {value!r}")
+
+
 def _seed_vertex(v, n: int) -> int:
     if _is_integer(v) and 0 <= v < n:
         return int(v)
@@ -235,9 +242,8 @@ class GameSpec:
     budget_blue: int
 
     def __post_init__(self):
-        for name, k in (("budget_red", self.budget_red), ("budget_blue", self.budget_blue)):
-            if not (_is_integer(k) and k >= 1):
-                raise ValidationError(f"{name} must be a positive integer, got {k!r}")
+        _require_count(self.budget_red, "budget_red", 1)
+        _require_count(self.budget_blue, "budget_blue", 1)
 
 
 @dataclass(frozen=True)
@@ -259,17 +265,10 @@ class PayoffEstimate:
         return self.pi_R + self.pi_B
 
     def to_json_dict(self) -> dict:
-        return {
-            "pi_R": self.pi_R,
-            "pi_B": self.pi_B,
-            "method": self.method,
-            "n_trials": self.n_trials,
-            "stderr_R": self.stderr_R,
-            "stderr_B": self.stderr_B,
-        }
+        return {name: getattr(self, name) for name in self.CSV_HEADER}
 
     def to_csv_row(self) -> tuple:
-        return (self.pi_R, self.pi_B, self.method, self.n_trials, self.stderr_R, self.stderr_B)
+        return tuple(getattr(self, name) for name in self.CSV_HEADER)
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +297,10 @@ def split_seeds(red: Allocation, blue: Allocation
 
 def resolve_contested_seeds(red: Allocation, blue: Allocation, rng) -> list[int]:
     """Initial state vector: seeded vertices infected, contested ones resolved
-    proportionally to seed counts, independently across vertices."""
+    proportionally to seed counts, independently across vertices.  `rng` is a
+    numpy `Generator`, or a seed for one."""
     red_only, blue_only, contested = split_seeds(red, blue)
+    rng = np.random.default_rng(rng)
     state = [UNINFECTED] * red.n
     for v in red_only:
         state[v] = RED
@@ -308,11 +309,6 @@ def resolve_contested_seeds(red: Allocation, blue: Allocation, rng) -> list[int]
     for v, p_red in contested:
         state[v] = RED if rng.random() < p_red else BLUE
     return state
-
-
-def _require_master_seed(master_seed) -> None:
-    if not (_is_integer(master_seed) and master_seed >= 0):
-        raise ValidationError(f"master_seed must be a nonnegative integer, got {master_seed!r}")
 
 
 # SplitMix64 (Steele, Lea and Flood, "Fast splittable pseudorandom number
@@ -852,12 +848,11 @@ def sample_many(game: GameSpec, jobs: Sequence[tuple[StrategyProfile, int]], n_t
     whatever the other jobs and `threads`.  `threads` splits the
     replications of all jobs across worker processes.
     """
-    if not (_is_integer(n_trials) and n_trials >= 1):
-        raise ValidationError(f"n_trials must be a positive integer, got {n_trials!r}")
-    if threads is not None and not (_is_integer(threads) and threads >= 1):
-        raise ValidationError(f"threads must be a positive integer, got {threads!r}")
+    _require_count(n_trials, "n_trials", 1)
+    if threads is not None:
+        _require_count(threads, "threads", 1)
     for _, master_seed in jobs:
-        _require_master_seed(master_seed)
+        _require_count(master_seed, "master_seed", 0)
     if not jobs:
         return np.empty((0, n_trials)), np.empty((0, n_trials))
     supports = [profile.support_pairs() for profile, _ in jobs]

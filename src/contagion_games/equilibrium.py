@@ -26,7 +26,7 @@ from .engine import (
     StrategyProfile,
     _Enumerator,
     _fold,
-    _require_master_seed,
+    _require_count,
     _seed_key,
     estimate_payoffs,
     monte_carlo_estimates,
@@ -163,7 +163,7 @@ class PayoffOracle:
         the oracle's master seed with the profile's seeds folded in
         (`engine._fold`), red's count of seeded vertices, then red's and
         blue's (vertex, count) pairs."""
-        _require_master_seed(self.master_seed)
+        _require_count(self.master_seed, "master_seed", 0)
         return _fold(_seed_key(int(self.master_seed)), len(red.seeds),
                      *itertools.chain(*red.seeds, *blue.seeds))
 

@@ -12,7 +12,7 @@ deviation sets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cache, cached_property, partial
 from typing import Callable, Optional, Sequence
 
@@ -41,8 +41,7 @@ from .engine import (
     _Draws,
     _fill,
     _is_integer,
-    _ProbTable,
-    _require_master_seed,
+    _require_count,
     _seed_keys,
     split_seeds,
 )
@@ -241,10 +240,12 @@ class ChainLayout:
         return LayerOrder.from_runs(phases)
 
 
-def _pair_probs(dyn: AdoptionFunction, n_red: int, n_blue: int) -> tuple[float, float]:
-    """(red, blue) update probabilities for a vertex with two in-neighbors."""
-    pr, pb, _ = dyn.update_probs(n_red / 2.0, n_blue / 2.0)
-    return pr, pb
+def _chain_probs(dyn: AdoptionFunction) -> list[list[tuple[float, float]]]:
+    """(P[Red], P[Blue]) of a vertex with two in-neighbours, by their states:
+    entry [a][b] is `update_probs` at the pair's red and blue fractions."""
+    return [[dyn.update_probs(((a == RED) + (b == RED)) / 2.0,
+                              ((a == BLUE) + (b == BLUE)) / 2.0)[:2] for b in range(3)]
+            for a in range(3)]
 
 
 # The (uninfected, red, blue) law of a vertex no one seeds.
@@ -261,72 +262,55 @@ def _chain_forward(layout: ChainLayout, dyn: AdoptionFunction, red: Allocation,
     chain vertex at depth d reads input d, which nothing before depth d
     reads, so it is independent of the chain vertex it also reads, and the
     pair's law is the product of theirs.  Expectations add across blocks, so
-    each block runs on the inputs' laws alone."""
+    each block runs on the laws of the inputs and of its own seeds alone: the
+    blocks without seeds of their own share one expectation."""
     red_only, blue_only, contested = split_seeds(red, blue)
     laws = dict.fromkeys(red_only, (0.0, 1.0, 0.0)) | dict.fromkeys(blue_only, (0.0, 0.0, 1.0))
     laws.update((v, (0.0, p_red, 1.0 - p_red)) for v, p_red in contested)
     er = sum(law[RED] for law in laws.values())
     eb = sum(law[BLUE] for law in laws.values())
-    first_dist: tuple[float, float, float] = _UNSEEDED
-    # Group non-input seeds by block so identical blocks are computed once.
-    block_overrides: dict[int, dict[int, tuple[float, float, float]]] = {}
-    for v, law in laws.items():
-        j = layout.owner_block(v)
-        if j is not None:
-            block_overrides.setdefault(j, {})[v] = law
-    plain_result: Optional[tuple[float, float, tuple[float, float, float]]] = None
+    probs = _chain_probs(dyn)
+    seeded = {j: _block_expectation(layout, probs, laws, j)
+              for j in {layout.owner_block(v) for v in laws} - {None}}
+    inputs = {v: law for v, law in laws.items() if v < layout.n_inputs}
+    plain = _block_expectation(layout, probs, inputs, 0)
     for j in range(layout.replications):
-        overrides = block_overrides.get(j)
-        if overrides is None and plain_result is not None:
-            r, b, dist = plain_result
-        else:
-            r, b, dist = _block_expectation(layout, dyn, laws, j, overrides or {})
-            if overrides is None:
-                plain_result = (r, b, dist)
+        r, b, _ = seeded.get(j, plain)
         er += r
         eb += b
-        if j == 0:
-            first_dist = dist
-    return er, eb, first_dist
+    return er, eb, seeded.get(0, plain)[2]
 
 
-def _block_expectation(layout: ChainLayout, dyn: AdoptionFunction,
-                       laws: dict[int, tuple[float, float, float]], j: int,
-                       overrides: dict[int, tuple[float, float, float]]):
-    """Expected unseeded (red, blue) totals of one block and the final chain
-    vertex's law, from the seeded vertices' laws; `overrides` holds those of
-    the block's own seeds."""
+def _block_expectation(layout: ChainLayout, probs, laws: dict[int, tuple[float, float, float]],
+                       j: int):
+    """Expected unseeded (red, blue) totals of block j and its final chain
+    vertex's law, from the seeded vertices' laws and the chain vertices'
+    update probabilities (`_chain_probs`)."""
     er = eb = 0.0
     # The law of the in-neighbour a chain vertex reads besides its own input:
     # input 0 at depth 1, then the chain vertex one depth up.
     dist = laws.get(0, _UNSEEDED)
     for depth in range(1, layout.chain_len + 1):
-        forced = overrides.get(layout.chain_vertex(j, depth))
+        forced = laws.get(layout.chain_vertex(j, depth))
         if forced is not None:
             dist = forced
             continue
         pr = pb = 0.0
         for input_state, input_weight in enumerate(laws.get(depth, _UNSEEDED)):
-            if input_weight == 0.0:
-                continue
             for state, weight in enumerate(dist):
-                if weight == 0.0:
-                    continue
-                wr, wb = _pair_probs(dyn, (input_state == RED) + (state == RED),
-                                     (input_state == BLUE) + (state == BLUE))
-                pr += input_weight * weight * wr
-                pb += input_weight * weight * wb
+                if input_weight and weight:
+                    wr, wb = probs[input_state][state]
+                    pr += input_weight * weight * wr
+                    pb += input_weight * weight * wb
         er += pr
         eb += pb
         dist = (1.0 - pr - pb, pr, pb)
+    # A terminal reads the final chain vertex alone: red or blue at fraction 1.
     start, size = layout.terminal_range(j)
-    seeded_here = sum(1 for v in overrides if v >= start)
-    unseeded = size - seeded_here
-    if unseeded > 0:
-        solo_red_r, solo_red_b = dyn.update_probs(1.0, 0.0)[:2]
-        solo_blue_r, solo_blue_b = dyn.update_probs(0.0, 1.0)[:2]
-        er += unseeded * (dist[RED] * solo_red_r + dist[BLUE] * solo_blue_r)
-        eb += unseeded * (dist[RED] * solo_red_b + dist[BLUE] * solo_blue_b)
+    unseeded = size - sum(start <= v < start + size for v in laws)
+    (solo_red_r, solo_red_b), (solo_blue_r, solo_blue_b) = probs[RED][RED], probs[BLUE][BLUE]
+    er += unseeded * (dist[RED] * solo_red_r + dist[BLUE] * solo_blue_r)
+    eb += unseeded * (dist[RED] * solo_red_b + dist[BLUE] * solo_blue_b)
     return er, eb, dist
 
 
@@ -355,8 +339,7 @@ def chain_final_vertex_distribution(layout: ChainLayout, dyn: AdoptionFunction,
                                     red: Allocation, blue: Allocation,
                                     ) -> tuple[float, float, float]:
     """(uninfected, red, blue) distribution of block 0's last chain vertex."""
-    _, _, dist = _chain_forward(layout, dyn, red, blue)
-    return dist
+    return _chain_forward(layout, dyn, red, blue)[2]
 
 
 def sample_chain_block(layout: ChainLayout, dyn: AdoptionFunction,
@@ -371,15 +354,13 @@ def sample_chain_block(layout: ChainLayout, dyn: AdoptionFunction,
     contested inputs (`engine._draw_contests`); one uniform per chain depth;
     then, behind an infected final chain vertex, Binom(n_terminal, P[Red])
     red terminals and Binom(n_terminal - reds, P[Blue] / (1 - P[Red])) blue
-    ones (`engine._binomial`).  Every chain vertex has in-degree 2, so one
-    `engine._ProbTable` row gives each run's (P[Red], P[Red or Blue]) at a
-    depth in one lookup.
+    ones (`engine._binomial`).  A chain vertex's (P[Red], P[Red or Blue])
+    at a depth is one lookup in `_chain_probs`' table by its two
+    in-neighbours' states.
     """
-    if not (_is_integer(n_runs) and n_runs >= 1):
-        raise ValidationError(f"n_runs must be a positive integer, got {n_runs!r}")
-    _require_master_seed(master_seed)
-    if not (_is_integer(block) and block >= 0):
-        raise ValidationError(f"block must be a nonnegative integer, got {block!r}")
+    _require_count(n_runs, "n_runs", 1)
+    _require_count(master_seed, "master_seed", 0)
+    _require_count(block, "block", 0)
     if any(v >= layout.n_inputs for v, _ in red.seeds + blue.seeds):
         raise ValidationError("the block sampler supports seeds on shared inputs only")
     red_only, blue_only, contested = split_seeds(red, blue)
@@ -388,10 +369,13 @@ def sample_chain_block(layout: ChainLayout, dyn: AdoptionFunction,
     inputs = np.full(layout.n_inputs, UNINFECTED, dtype=np.int8)
     inputs[red_only] = RED
     inputs[blue_only] = BLUE
-    table = _ProbTable(dyn, np.array([2]))
-    # Terminal (P[Red], P[Blue] / (1 - P[Red])), by the final chain vertex's color.
+    probs = _chain_probs(dyn)
+    # (P[Red], P[Red or Blue]) by the two in-neighbours' states.
+    cumulative = np.cumsum(probs, axis=-1)
+    # A terminal's (P[Red], P[Blue] / (1 - P[Red])), by the final chain vertex's color.
     terminal = np.zeros((2, 3))
-    for color, (pr, pb) in ((RED, _pair_probs(dyn, 2, 0)), (BLUE, _pair_probs(dyn, 0, 2))):
+    for color in (RED, BLUE):
+        pr, pb = probs[color][color]
         terminal[:, color] = pr, pb / (1.0 - pr) if pr < 1.0 else 0.0
 
     def run(keys: np.ndarray, jobs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -406,9 +390,7 @@ def sample_chain_block(layout: ChainLayout, dyn: AdoptionFunction,
         state = colors[:, 0]
         for depth in range(1, layout.chain_len + 1):
             ins = colors[:, depth]
-            n_red = (ins == RED).astype(np.intp) + (state == RED)
-            n_blue = (ins == BLUE).astype(np.intp) + (state == BLUE)
-            p_red, p_any = table.lookup(np.zeros(len(rows), dtype=np.intp), n_red, n_blue)
+            p_red, p_any = cumulative[ins, state].T
             z = draws.take(rows, np.ones(len(rows), dtype=np.intp), rows)
             state = np.where(z < p_red, RED, np.where(z < p_any, BLUE, UNINFECTED))
             red_count += state == RED
@@ -535,8 +517,7 @@ class PredictionRow:
     formula: str
 
     def to_json_dict(self) -> dict:
-        return {"name": self.name, "predicted": self.predicted, "measured": self.measured,
-                "check": self.check, "tol": self.tol, "ok": self.ok, "formula": self.formula}
+        return asdict(self)
 
 
 VERIFICATION_CSV_HEADER = ["record", "name", "predicted", "measured", "check", "tol", "ok",
@@ -980,13 +961,14 @@ def polarization_amplifier(stages: int, middle_size: int, big_final_size: int,
     closed_form = polarization_closed_form_small_final(n_big, k, s)
     if small_final_size is None:
         probe_structure, probe = build_cases(1)
+        # One DP for every deviation, as `verify_gadget` shares one: the deep
+        # component's leading layers are computed once.
+        dp = LayeredDP(probe_structure, dynamics)
         best = 0.0
         for _, alt in probe.blue_deviations:
             if any(v - sum(deep_sizes) in (0, 1) for v in alt.seeded_vertices()):
                 continue  # star-side moves depend on the star size; skip in the probe
-            est = layered_exact_payoffs(probe_structure, dynamics,
-                                        StrategyProfile(probe.red, alt))
-            best = max(best, est.pi_B)
+            best = max(best, dp.payoffs(StrategyProfile(probe.red, alt)).pi_B)
         small_final_size = max(1, math.ceil(best - 1.0 - 1e-9))
     n2 = _integer("small_final_size", small_final_size)
     if n2 < 1:

@@ -26,6 +26,7 @@ layers cheap.
 
 from __future__ import annotations
 
+import numbers
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -44,7 +45,7 @@ from .engine import (
     _Draws,
     _is_integer,
     _ProbTable,
-    _require_master_seed,
+    _require_count,
     _seed_keys,
     monte_carlo_estimate,
     split_seeds,
@@ -463,9 +464,9 @@ class LayeredDP:
 
     def __init__(self, structure: LayeredStructure, dyn: AdoptionFunction,
                  prune: float = DEFAULT_PRUNE):
-        if isinstance(prune, bool) or not (isinstance(prune, (int, float)) and 0.0 <= prune < 1.0):
+        if isinstance(prune, bool) or not (isinstance(prune, numbers.Real) and 0.0 <= prune < 1.0):
             raise ValidationError(f"prune must be a finite number in [0, 1), got {prune!r}")
-        self.structure, self.dyn, self.prune = structure, dyn, prune
+        self.structure, self.dyn, self.prune = structure, dyn, float(prune)
         self._ranges = structure.layer_ranges()
         self._steps = {}
         # Linear selection: every step reads only the layer totals.
@@ -650,11 +651,11 @@ def sample_layered_counts(structure: LayeredStructure, dyn: AdoptionFunction,
     so binomial layer draws reproduce the per-vertex process's distribution of
     (red, blue) totals exactly.  The run is one row of
     `layered_estimate_payoffs`' block step, with no support draw, on the
-    SplitMix64 stream keyed by one uint64 that it draws from the numpy
-    `Generator` rng.
+    SplitMix64 stream keyed by one uint64 that it draws from rng, a numpy
+    `Generator` or a seed for one.
     """
     plan = _layer_plan(structure, [(1.0, red, blue)])
-    keys = np.array([rng.integers(2**64, dtype=np.uint64)])
+    keys = np.array([np.random.default_rng(rng).integers(2**64, dtype=np.uint64)])
     chi_r, chi_b = _sample_block(plan, _layer_table(structure, dyn), np.zeros(1, dtype=np.intp),
                                  _Draws(keys))
     return int(chi_r[0]), int(chi_b[0])
@@ -682,9 +683,8 @@ def layered_estimate_payoffs(structure: LayeredStructure, dyn: AdoptionFunction,
     its key.  Each support pair's layer plan is built once, and
     `update_probs_array` is called once per distinct (predecessor size, red,
     blue) for the whole estimate."""
-    if not (_is_integer(n_trials) and n_trials >= 1):
-        raise ValidationError(f"n_trials must be a positive integer, got {n_trials!r}")
-    _require_master_seed(master_seed)
+    _require_count(n_trials, "n_trials", 1)
+    _require_count(master_seed, "master_seed", 0)
     pairs = profile.support_pairs()
     plan = _layer_plan(structure, pairs)
     table = _layer_table(structure, dyn)

@@ -302,6 +302,12 @@ def test_contested_seed_splits_proportionally_to_counts():
     assert wins / 4000 == pytest.approx(0.75, abs=0.021)
 
 
+def test_contested_resolution_takes_a_seed_for_a_generator():
+    red, blue = Allocation((3, 1, 0, 2)), Allocation((1, 1, 1, 2))
+    assert resolve_contested_seeds(red, blue, 11) == \
+        resolve_contested_seeds(red, blue, np.random.default_rng(11))
+
+
 def test_contested_resolution_rejects_mismatched_lengths():
     with pytest.raises(ValidationError, match="disagree"):
         resolve_contested_seeds(Allocation((1,)), Allocation((1, 0)),

@@ -9,11 +9,12 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contagion_games import (
     Allocation,
+    BuiltinAdoption,
     ChainLayout,
     GADGET_BUILDERS,
     GameSpec,
@@ -51,6 +52,7 @@ from contagion_games import (
 from contagion_games import gadgets, layered
 from contagion_games.engine import sample_payoffs
 from contagion_games.gadgets import VERIFICATION_CSV_HEADER
+from contagion_games.graphs import BLUE, RED, UNINFECTED
 from stream_reference import chain_block_run, replication_key
 
 
@@ -272,8 +274,9 @@ def test_block_sampler_refuses_malformed_counts_and_seeds(n_runs, master_seed, b
 @st.composite
 def contested_chain_cases(draw):
     """Small layouts with seeds on every kind of vertex, inputs contested
-    with uneven shares."""
-    layout = ChainLayout(draw(st.integers(1, 3)), draw(st.integers(1, 2)),
+    with uneven shares; up to three blocks, so a block with seeds of its own
+    can sit between blocks without."""
+    layout = ChainLayout(draw(st.integers(1, 3)), draw(st.integers(1, 3)),
                          draw(st.integers(1, 3)), draw(st.integers(1, 2)))
     counts = st.lists(st.integers(0, 3), min_size=layout.n, max_size=layout.n)
     red, blue = Allocation(draw(counts)), Allocation(draw(counts))
@@ -287,6 +290,8 @@ def contested_chain_cases(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(contested_chain_cases())
+@example((ChainLayout(2, 3, 2), SwitchSelectAdoption(PowerSwitch(0.5), TullockSelection(0.75)),
+          Allocation.from_seeds(15, [0, 1, 7]), Allocation.from_seeds(15, [1, 2, 10])))
 def test_chain_exact_pass_matches_enumeration_with_contested_seeds(case):
     layout, dyn, red, blue = case
     profile = StrategyProfile(red, blue)
@@ -295,6 +300,24 @@ def test_chain_exact_pass_matches_enumeration_with_contested_seeds(case):
     exact = exact_payoffs(game, profile)
     assert chain.pi_R == pytest.approx(exact.pi_R, abs=1e-12)
     assert chain.pi_B == pytest.approx(exact.pi_B, abs=1e-12)
+
+
+@pytest.mark.parametrize("dyn", [
+    chain_replication(2, 2, 2).dynamics,
+    polarization_amplifier(1, 20, 300, 1.5).dynamics,
+    convexity_amplifier(6, 3, 1.5, 50).dynamics,
+    threshold_two_layer(20, 10, 1000, 0.5).dynamics,
+    SwitchSelectAdoption(PowerSwitch(1.0), TullockSelection(1.5)),
+    BuiltinAdoption("quadratic_damped"),
+], ids=["chain", "polarization", "convexity", "threshold", "tullock-1.5", "quadratic-damped"])
+def test_chain_probability_table_is_update_probs_at_each_state_pair(dyn):
+    """Entry [a][b] is `update_probs` at the red and blue fractions of
+    in-neighbours in states a and b, bit for bit."""
+    table = gadgets._chain_probs(dyn)
+    for a in (UNINFECTED, RED, BLUE):
+        for b in (UNINFECTED, RED, BLUE):
+            n_red, n_blue = (a == RED) + (b == RED), (a == BLUE) + (b == BLUE)
+            assert table[a][b] == tuple(dyn.update_probs(n_red / 2, n_blue / 2)[:2])
 
 
 def test_the_chain_pass_skips_a_zero_probability_support_entry():
@@ -779,6 +802,15 @@ def test_polarization_star_size_comes_from_exact_deviations():
     ver = verify_gadget(spec)
     assert ver.ok
     assert ver.measured["bm_designated"] == pytest.approx(10.3279, abs=1e-3)
+
+
+def test_the_star_size_probe_shares_one_dp_across_deviations():
+    """Blue's deep deviations share the deep component's leading layers: the
+    probe of criterion 10's instance steps through 30 layers, against 40
+    with a fresh DP per deviation."""
+    with patch.object(layered, "_layer_transition", wraps=layered._layer_transition) as step:
+        polarization_amplifier(6, 100, 4000, 1.25)
+    assert step.call_count == 30
 
 
 def test_a_hundred_million_vertex_polarization_amplifier_verifies():

@@ -439,12 +439,24 @@ def test_the_dp_skips_a_zero_probability_support_entry():
     assert est == layered_exact_payoffs(structure, dyn, StrategyProfile(without, blue))
 
 
-@pytest.mark.parametrize("prune", [math.nan, -1.0, 1.0, math.inf, "0", True, False])
+@pytest.mark.parametrize("prune", [math.nan, -1.0, 1.0, math.inf, "0", True, False,
+                                   np.float32(1.5), np.bool_(True)])
 def test_dp_rejects_invalid_prune(prune):
     structure = LayeredStructure(((4, 8, 16),))
     profile = StrategyProfile(Allocation.from_seeds(28, [0]), Allocation.from_seeds(28, [1]))
-    with pytest.raises(ValidationError, match="prune"):
+    with pytest.raises(ValidationError, match=re.escape("prune must be a finite number in [0, 1)")):
         layered_exact_payoffs(structure, make_dyn("linear"), profile, prune=prune)
+
+
+@pytest.mark.parametrize("prune", [np.float32(0.1), np.float64(0.1), np.int64(0), 0])
+def test_dp_takes_any_real_prune(prune):
+    """numpy's real scalars are prunes like Python's, as every real-number
+    parameter is (`errors.real_number`)."""
+    structure = LayeredStructure(((4, 8, 16),))
+    profile = StrategyProfile(Allocation.from_seeds(28, [0]), Allocation.from_seeds(28, [1]))
+    est = layered_exact_payoffs(structure, make_dyn("linear"), profile, prune=prune)
+    assert est == layered_exact_payoffs(structure, make_dyn("linear"), profile,
+                                        prune=float(prune))
 
 
 @pytest.mark.parametrize("sizes, red, blue, prune, pi_r, pruned", [
@@ -594,6 +606,9 @@ def test_layer_sampler_equals_single_runs_on_large_layers(dyn):
     key = int(np.random.default_rng(8).integers(2**64, dtype=np.uint64))
     assert sample_layered_counts(structure, dyn, one_red, blue, np.random.default_rng(8)) == \
         layered_run(structure, dyn, [(1.0, one_red, blue)], key)
+    # A seed stands for the generator it seeds.
+    assert sample_layered_counts(structure, dyn, one_red, blue, 8) == \
+        sample_layered_counts(structure, dyn, one_red, blue, np.random.default_rng(8))
 
 
 # ---------------------------------------------------------------------------
